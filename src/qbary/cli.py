@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -325,8 +326,31 @@ def _render_table(document: dict, approx: bool) -> str:
 # ---------------------------------------------------------------------------
 # entry point
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input problem: it exits with status 1, not 2."""
+
+    def error(self, message: str):
+        raise InvalidInput(f"{message}\n{self.format_usage().rstrip()}")
+
+
+# Options whose values are integer vectors and may start with a minus sign.
+_VECTOR_OPTIONS = ("--v", "--rays", "--offsets")
+
+
+def _attach_vector_values(argv: Sequence[str]) -> list[str]:
+    """Rewrite ``--v -1,2`` as ``--v=-1,2``: argparse takes a value that
+    starts with ``-`` and is not a plain number for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _VECTOR_OPTIONS and re.match(r"-\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qbary",
         description="Exact quantized barycenters, Ehrhart expansions, and "
         "toric stability thresholds of lattice polytopes.",
@@ -400,8 +424,8 @@ _HANDLERS = {
 
 def execute(argv: Sequence[str]) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(_attach_vector_values(argv))
         if args.command == "mixed-volume":
             outputs = _cmd_mixed_volume(args)
             name = None

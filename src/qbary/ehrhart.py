@@ -1,10 +1,15 @@
 """Lattice-point counting in dilations and Ehrhart polynomials.
 
-Counting scans the integer bounding box of the dilated polytope, but the
-innermost coordinate is never looped over: for each prefix of fixed leading
-coordinates the feasible range of the last coordinate is solved from the
-facet inequalities directly, and counts and coordinate sums are accumulated
-in closed form.  Everything is plain integer arithmetic.
+Counting is one pass over the lattice points of ``k*P`` that yields the
+closed count, the interior count and both coordinate sums together.  The
+widest axis is scanned last and never looped over: for each fixed prefix of
+leading coordinates its feasible range is solved from the facet
+inequalities, and counts and sums are accumulated in closed form.  Every
+outer coordinate is bounded by the facets of P's projection onto the
+leading coordinates scanned so far (hulls built once per polytope and
+scaled by ``k``), so the scan visits only prefixes that extend to points of
+``k*P`` instead of the whole bounding box.  Everything is plain integer
+arithmetic.
 
 The Ehrhart polynomial is fitted on the minimal sample set k = 0..dim and
 then validated twice over: exactly at the held-out points k = dim+1..2dim+1,
@@ -19,13 +24,166 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from typing import Literal
 
 from .errors import InternalInconsistency, InvalidInput, Unsupported
 from .exactnum import Polynomial, poly_fit
+from .hull import convex_hull
 from .linalg import IntVec
 from .polytope import Polytope, classify, facet_data, measure
+
+
+@dataclass(frozen=True)
+class _Bounds:
+    """Inequalities ``sum_i cols[i][f] x_i + coefs[f] x_j >= -offsets[f]`` on
+    scan coordinate ``j``, one per ``f``, with ``i`` running over ``0..j-1``."""
+
+    cols: tuple[IntVec, ...]
+    coefs: IntVec
+    offsets: IntVec
+
+
+def _bounds(halfspaces: list[tuple[IntVec, int]]) -> _Bounds:
+    normals = [u for u, _ in halfspaces]
+    return _Bounds(
+        tuple(zip(*(u[:-1] for u in normals))),
+        tuple(u[-1] for u in normals),
+        tuple(b for _, b in halfspaces),
+    )
+
+
+@dataclass(frozen=True)
+class _ScanPlan:
+    """How one polytope is scanned, for every dilation.
+
+    Scan coordinate ``j`` is original axis ``order[j]``; the widest axis is
+    scanned last and solved in closed form.  ``first`` is the range of scan
+    coordinate 0 over P.  ``bounds[j - 1]`` bounds scan coordinate ``j``:
+    for ``j < dim - 1`` by the facets of P's projection onto scan
+    coordinates ``0..j`` that are not parallel to axis ``j``, and for the
+    last coordinate by all of P's facets.
+    """
+
+    order: tuple[int, ...]
+    first: tuple[int, int]
+    bounds: tuple[_Bounds, ...]
+
+
+@lru_cache(maxsize=None)
+def _scan_plan(p: Polytope) -> _ScanPlan:
+    n = p.dim
+    widths = [max(v[i] for v in p.vertices) - min(v[i] for v in p.vertices) for i in range(n)]
+    last = max(range(n), key=lambda i: (widths[i], i))
+    order = tuple(i for i in range(n) if i != last) + (last,)
+    verts = [tuple(v[i] for i in order) for v in p.vertices]
+    bounds = []
+    for j in range(1, n - 1):
+        hull = convex_hull({v[: j + 1] for v in verts})
+        bounds.append(_bounds([(f.normal, f.offset) for f in hull.facets if f.normal[j]]))
+    bounds.append(_bounds([(tuple(f.normal[i] for i in order), f.offset) for f in p.facets]))
+    first = (min(v[0] for v in verts), max(v[0] for v in verts))
+    return _ScanPlan(order, first, tuple(bounds))
+
+
+def _pointwise(pick, columns: list[list[int]]) -> list[int]:
+    return columns[0] if len(columns) == 1 else list(map(pick, *columns))
+
+
+def _tally(ys, los: list[int], his: list[int]) -> tuple[int, int, int]:
+    """Points, sum of the row coordinate and sum of the last coordinate over
+    the fibers ``los[i]..his[i]`` above the row coordinates ``ys``."""
+    count = ysum = zsum = 0
+    for y, lo, hi in zip(ys, los, his):
+        if hi >= lo:
+            m = hi - lo + 1
+            count += m
+            ysum += y * m
+            zsum += (lo + hi) * m
+    return count, ysum, zsum // 2
+
+
+def _pass(p: Polytope, k: int) -> tuple[tuple[int, IntVec], tuple[int, IntVec]]:
+    """Closed and interior count and coordinate sums of ``k*P`` for ``k >= 1``.
+
+    The scan visits exactly the lattice points of the projections of ``k*P``
+    onto the leading scan coordinates.  The slack ``r`` of an inequality
+    (its left side minus its right side, the scanned coordinates substituted)
+    is kept up to date as the scan moves.  A lattice point is interior when
+    every slack is at least 1.
+    """
+    plan = _scan_plan(p)
+    n = p.dim
+    facets = plan.bounds[-1]
+    steps = facets.cols[-1] if n > 1 else (0,) * len(facets.coefs)
+    x = [0] * n  # the scan prefix
+    closed = [0] * (n + 1)  # count, then the sums in scan order
+    inner = [0] * (n + 1)
+
+    def add(acc: list[int], count: int, ysum: int, zsum: int) -> None:
+        acc[0] += count
+        for i in range(n - 2):
+            acc[i + 1] += x[i] * count
+        if n > 1:
+            acc[n - 1] += ysum
+        acc[n] += zsum
+
+    def row(lo: int, hi: int, slack: list[int]) -> None:
+        # Scan coordinate n-2 runs over lo..hi and the last one over a fiber
+        # c*z >= -r (or >= 1 - r) per facet, with r affine along the row.
+        length = hi - lo + 1
+        lows, highs, ilows, ihighs = [], [], [], []
+        ia, ib = lo, hi  # where the facets parallel to z leave room inside
+        for r0, step, c in zip(slack, steps, facets.coefs):
+            r0 += step * lo
+            if c:
+                rs = range(r0, r0 + step * length, step) if step else [r0] * length
+                if c > 0:
+                    lows.append([-(r // c) for r in rs])
+                    ilows.append([-((r - 1) // c) for r in rs])
+                else:
+                    highs.append([r // -c for r in rs])
+                    ihighs.append([(r - 1) // -c for r in rs])
+            elif step > 0:
+                ia = max(ia, lo - (r0 - 1) // step)
+            elif step < 0:
+                ib = min(ib, lo + (r0 - 1) // -step)
+            elif r0 < 1:
+                ib = ia - 1
+        ys = range(lo, hi + 1)
+        add(closed, *_tally(ys, _pointwise(max, lows), _pointwise(min, highs)))
+        cut = slice(ia - lo, max(ib - lo + 1, 0))
+        ilo, ihi = _pointwise(max, ilows), _pointwise(min, ihighs)
+        add(inner, *_tally(ys[cut], ilo[cut], ihi[cut]))
+
+    def descend(j: int, lo: int, hi: int, slacks: list[list[int]]) -> None:
+        # slacks[g]: the slacks of the bounds on scan coordinate j+1+g
+        if j == n - 2:
+            row(lo, hi, slacks[-1])
+            return
+        deeper = plan.bounds[j:]
+        cur = [[r + a * lo for r, a in zip(s, b.cols[j])] for s, b in zip(slacks, deeper)]
+        nxt = deeper[0].coefs
+        for xj in range(lo, hi + 1):
+            x[j] = xj
+            los = [-(r // c) for r, c in zip(cur[0], nxt) if c > 0]
+            his = [r // -c for r, c in zip(cur[0], nxt) if c < 0]
+            if max(los) <= min(his):
+                descend(j + 1, max(los), min(his), cur[1:])
+            cur = [[r + a for r, a in zip(s, b.cols[j])] for s, b in zip(cur, deeper)]
+
+    slacks = [[k * b for b in bounds.offsets] for bounds in plan.bounds]
+    if n == 1:
+        row(0, 0, slacks[0])
+    else:
+        descend(0, k * plan.first[0], k * plan.first[1], slacks)
+
+    def unscan(acc: list[int]) -> tuple[int, IntVec]:
+        sums = [0] * n
+        for j, axis in enumerate(plan.order):
+            sums[axis] = acc[j + 1]
+        return acc[0], tuple(sums)
+
+    return unscan(closed), unscan(inner)
 
 
 @lru_cache(maxsize=None)
@@ -33,7 +191,8 @@ def lattice_point_stats(p: Polytope, k: int, strict: bool = False) -> tuple[int,
     """Count and coordinate-wise sum of the lattice points of ``k*P``.
 
     With ``strict=True`` only interior points (all inequalities strict) are
-    collected.  ``k = 0`` gives the single point at the origin.
+    collected.  ``k = 0`` gives the single point at the origin.  Both come
+    out of the same pass; only the one asked for is cached.
     """
     if k < 0:
         raise InvalidInput("dilation factor must be nonnegative")
@@ -41,38 +200,8 @@ def lattice_point_stats(p: Polytope, k: int, strict: bool = False) -> tuple[int,
         if strict:
             raise InvalidInput("the zero dilation has no interior")
         return 1, (0,) * p.dim
-    n = p.dim
-    los = [k * min(v[i] for v in p.vertices) for i in range(n)]
-    his = [k * max(v[i] for v in p.vertices) for i in range(n)]
-    constraints = [(f.normal[:-1], f.normal[-1], -k * f.offset) for f in p.facets]
-
-    count = 0
-    sums = [0] * n
-    for prefix in product(*(range(lo, hi + 1) for lo, hi in zip(los[:-1], his[:-1]))):
-        zlo, zhi = los[-1], his[-1]
-        feasible = True
-        for head, c, base in constraints:
-            t = base - sum(a * x for a, x in zip(head, prefix))
-            if c > 0:
-                bound = (t // c) + 1 if strict else -((-t) // c)
-                if bound > zlo:
-                    zlo = bound
-            elif c < 0:
-                bound = -((-t) // c) - 1 if strict else t // c
-                if bound < zhi:
-                    zhi = bound
-            else:
-                if (t >= 0) if strict else (t > 0):
-                    feasible = False
-                    break
-        if not feasible or zlo > zhi:
-            continue
-        m = zhi - zlo + 1
-        count += m
-        for i, x in enumerate(prefix):
-            sums[i] += x * m
-        sums[n - 1] += (zlo + zhi) * m // 2
-    return count, tuple(sums)
+    closed, interior = _pass(p, k)
+    return interior if strict else closed
 
 
 def count_points(p: Polytope, k: int) -> int:

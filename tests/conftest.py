@@ -86,14 +86,19 @@ def brute_count(p: qb.Polytope, k: int, strict: bool = False) -> int:
     return total
 
 
-def brute_vertex_sum(p: qb.Polytope, k: int) -> tuple[int, ...]:
+def brute_vertex_sum(p: qb.Polytope, k: int, strict: bool = False) -> tuple[int, ...]:
     ranges = [
         range(k * min(v[i] for v in p.vertices), k * max(v[i] for v in p.vertices) + 1)
         for i in range(p.dim)
     ]
     sums = [0] * p.dim
     for pt in product(*ranges):
-        if all(dot(pt, f.normal) >= -k * f.offset for f in p.facets):
+        if all(
+            (dot(pt, f.normal) > -k * f.offset)
+            if strict
+            else (dot(pt, f.normal) >= -k * f.offset)
+            for f in p.facets
+        ):
             for i, x in enumerate(pt):
                 sums[i] += x
     return tuple(sums)

@@ -168,3 +168,30 @@ def test_bc_and_rooftop_commands(capsys):
     assert code == 0
     assert doc["outputs"]["q"] == 2
     assert len(doc["outputs"]["normals"]) == 6
+
+
+@pytest.mark.parametrize(
+    "spaced, joined",
+    [
+        (["df", "--input", "f1", "--v", "-1,2"], ["df", "--input", "f1", "--v=-1,2"]),
+        (["fan", "--input", "p2", "--v", "-1,0"], ["fan", "--input", "p2", "--v=-1,0"]),
+        (
+            ["classify", "--rays", "-1,-1;1,0;0,1", "--offsets", "-1,2,2"],
+            ["classify", "--rays=-1,-1;1,0;0,1", "--offsets=-1,2,2"],
+        ),
+    ],
+)
+def test_vector_options_take_negative_values(capsys, spaced, joined):
+    code, out, err = run(capsys, *spaced)
+    assert code == 0, err
+    assert run(capsys, *joined) == (0, out, "")
+
+
+def test_usage_errors_exit_1(capsys):
+    code, out, err = run(capsys, "count", "--input", "f1")
+    assert code == 1 and out == ""
+    assert "required: --k" in err and "usage: qbary count" in err
+    code, _, err = run(capsys, "count", "--input", "f1", "--k", "two")
+    assert code == 1 and "invalid int value" in err
+    code, _, err = run(capsys, "no-such-command")
+    assert code == 1 and "invalid choice" in err
