@@ -5,14 +5,16 @@ Reads polytopes or ray data from JSON documents (or inline ``--rays`` /
 JSON (default) or an aligned table (``--table``).  All printed numbers are
 exact; ``--approx`` adds a clearly marked display-only decimal rendering.
 
-Exit codes: 0 on success, 1 on any input problem, 2 when an internal
-exact-identity check failed (two routes that must agree disagreed).
+Exit codes: 0 on success, 1 on any input problem or when the reader closes
+stdout early, 2 when an internal exact-identity check failed (two routes
+that must agree disagreed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -452,7 +454,18 @@ def execute(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(execute(sys.argv[1:]))
+    try:
+        code = execute(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point its descriptor at devnull so
+        # the interpreter's final flush cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -5,21 +5,34 @@ A virtual polytope is a formal integer combination of (possibly degenerate)
 lattice bodies; two combinations are identified when moving all negative
 terms to the other side yields equal Minkowski sums (the Grothendieck
 cancellation law).  Mixed volumes extend multilinearly to such combinations;
-on actual bodies they are evaluated by inclusion-exclusion over Minkowski
-sums of sub-multisets, with lower-dimensional sums contributing volume zero.
+``mixed_volume`` evaluates them on arbitrary bodies by inclusion-exclusion
+over Minkowski sums of sub-multisets, with lower-dimensional sums
+contributing volume zero.
 
 For Delzant data the counting polynomial's coefficients have a closed form:
 
     a_j = sum over (l_1..l_d), sum l_i = n - j, of
-          n! B(l_1)..B(l_d) / (j! l_1!..l_d!) * V(P, j; P_1, l_1; ..; P_d, l_d)
+          n! B(l_1)..B(l_d) / (j! l_1!..l_d!) * V(P, j; D_1, l_1; ..; D_d, l_d)
 
-with B the Bernoulli numbers normalized by B_1 = +1/2 and P_i the virtual
-polytope of the i-th facet divisor.  ``hrr_coefficients`` evaluates this and
-insists it reproduce the fitted counting polynomial exactly.  The analogous
-degree-(n+1) formula on the rooftop data gives the numerator coefficients of
-``<Bc_k, v>``; ``rooftop_coefficients`` computes those by the counting route
-(with an asserted independence of the rooftop offset) and cross-checks the
-mixed-volume formula whenever the rooftop is itself Delzant.
+with B the Bernoulli numbers normalized by B_1 = +1/2 and D_i the virtual
+polytope of the i-th facet divisor.  Every polytope here has the form
+``P(h) = {x : <u_i, x> >= -h_i}`` on the normal fan of P, and these mixed
+volumes come from that fan alone (:class:`DelzantFan`): each vertex cone is
+spanned by a lattice basis of rays, one generic integer vector c has
+integer coordinates gamma in each basis, and Lawrence's formula
+
+    vol P(h) = (1/n!) sum_cones (sum_i gamma_i h_i)^n / prod_i gamma_i
+
+is a polynomial in h whose polarization is the mixed volume of the virtual
+polytopes P(h_1), .., P(h_n) (Khovanskii-Pukhlikov).  ``hrr_coefficients``
+evaluates the formula and insists it reproduce the fitted counting
+polynomial exactly.  The analogous degree-(n+1) formula on the rooftop fan
+gives the numerator coefficients of ``<Bc_k, v>``; ``rooftop_coefficients``
+computes those by the counting route (with an asserted independence of the
+rooftop offset) and cross-checks the fan formula whenever the rooftop is
+itself Delzant.  ``mixed_volume`` and ``divisor_polytope`` remain the
+independent inclusion-exclusion route, used on arbitrary bodies and as the
+test oracle for the fan.
 """
 
 from __future__ import annotations
@@ -27,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterable, Sequence
 
 from .ehrhart import ehrhart_polynomial, lattice_point_stats
@@ -41,7 +54,7 @@ from .exactnum import Polynomial, bernoulli, poly_fit
 from .expansion import rooftop
 from .hull import volume_and_barycenter
 from .lattice import primitive
-from .linalg import IntVec, dot, rank, vec_add, vec_sub
+from .linalg import IntVec, dot, identity, int_det, rank, solve, vec_add, vec_sub
 from .polytope import (
     Body,
     Halfspace,
@@ -50,6 +63,7 @@ from .polytope import (
     body_from_points,
     classify,
     dilate,
+    facet_data,
     measure,
     polytope_from_halfspaces,
     support_value,
@@ -335,6 +349,65 @@ def divisor_polytope(t: ToricData, coeffs: tuple[int, ...]) -> VirtualPolytope:
 
 
 # ---------------------------------------------------------------------------
+# the volume polynomial of a Delzant fan
+
+@dataclass(frozen=True)
+class DelzantFan:
+    """Vertex cones of a Delzant polytope, each as its ray indices and the
+    coordinates gamma of one generic integer vector c in that ray basis."""
+
+    dim: int
+    cones: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+    def mixed_volume(self, args: Sequence[tuple[Sequence[int], int]]) -> Fraction:
+        """V(P(h_1), m_1; ..; P(h_r), m_r) for offset vectors h_k (one entry
+        per ray) with multiplicities summing to ``dim``:
+
+            (1/n!) sum_cones prod_k (sum_i gamma_i h_k,i)^m_k / prod_i gamma_i
+        """
+        total = Fraction(0)
+        for cone, gamma in self.cones:
+            num = 1
+            for h, m in args:
+                num *= sum(g * h[i] for i, g in zip(cone, gamma)) ** m
+            total += Fraction(num, prod(gamma))
+        return total / factorial(self.dim)
+
+
+def delzant_fan(t: ToricData) -> DelzantFan:
+    """The fan of ``t`` with c = (1, s, s^2, ..) for the smallest s >= 2 at
+    which no coordinate gamma vanishes.
+
+    A vertex lies on exactly dim facets whose rays form a lattice basis
+    (asserted: |det| = 1), so the dual basis -- the primitive edge
+    directions w_i at the vertex -- is integral and gamma_i = <c, w_i>.
+    """
+    if not t.delzant:
+        raise PreconditionViolation("the fan volume polynomial requires Delzant data")
+    p = t.polytope
+    n = p.dim
+    index = {r: i for i, r in enumerate(t.rays)}
+    cones: list[list[int]] = [[] for _ in p.vertices]
+    for f, verts in zip(p.facets, p.incidence):
+        for v in verts:
+            cones[v].append(index[f.normal])
+    duals = []
+    for cone in cones:
+        cone.sort()
+        rows = [t.rays[i] for i in cone]
+        if len(cone) != n or abs(int_det(rows)) != 1:
+            raise InternalInconsistency("a vertex cone of the Delzant fan is not unimodular")
+        duals.append([tuple(int(x) for x in solve(rows, e)) for e in identity(n)])
+    s = 2
+    while True:
+        c = tuple(s**k for k in range(n))
+        gammas = [tuple(dot(c, w) for w in ws) for ws in duals]
+        if all(all(g) for g in gammas):
+            return DelzantFan(n, tuple(zip(map(tuple, cones), gammas)))
+        s += 1
+
+
+# ---------------------------------------------------------------------------
 # coefficient formulas
 
 def _compositions(total: int, slots: int):
@@ -351,19 +424,17 @@ def _compositions(total: int, slots: int):
             yield (first,) + rest
 
 
-def hrr_coefficients(t: ToricData) -> tuple[Fraction, ...]:
-    """Counting-polynomial coefficients a_0..a_n from the Bernoulli/mixed-
-    volume formula; asserted equal to the fitted counting polynomial."""
-    if not t.delzant:
-        raise PreconditionViolation("the coefficient formula requires Delzant data")
-    p = t.polytope
-    n = p.dim
-    d = len(t.rays)
-    unit = [divisor_polytope(t, tuple(1 if j == i else 0 for j in range(d))) for i in range(d)]
-    coeffs: list[Fraction] = []
-    for j in range(n + 1):
+def _bernoulli_coefficients(fan: DelzantFan, lead: Sequence[int], slots: int, js: range) -> tuple[Fraction, ...]:
+    """For each j in ``js``, the sum over compositions (l_1..l_slots) of
+    dim - j of ``dim! B(l_1)..B(l_slots) / (j! l_1!..l_slots!)`` times
+    ``V(P(lead), j; D_1, l_1; ..; D_slots, l_slots)``, with D_i the unit
+    divisor of ray i."""
+    n = fan.dim
+    unit = identity(len(lead))
+    out = []
+    for j in js:
         total = Fraction(0)
-        for comp in _compositions(n - j, d):
+        for comp in _compositions(n - j, slots):
             bprod = Fraction(1)
             fact = factorial(j)
             for li in comp:
@@ -371,30 +442,36 @@ def hrr_coefficients(t: ToricData) -> tuple[Fraction, ...]:
                 fact *= factorial(li)
             if bprod == 0:
                 continue
-            args: list[tuple[VirtualPolytope | Polytope, int]] = []
-            if j > 0:
-                args.append((p, j))
-            args += [(unit[i], li) for i, li in enumerate(comp) if li > 0]
-            total += Fraction(factorial(n)) * bprod / fact * mixed_volume(args)
-        coeffs.append(total)
+            args = [(lead, j)] + [(unit[i], li) for i, li in enumerate(comp) if li > 0]
+            total += Fraction(factorial(n)) * bprod / fact * fan.mixed_volume(args)
+        out.append(total)
+    return tuple(out)
 
-    fitted = ehrhart_polynomial(p).poly
-    if Polynomial.of(coeffs) != fitted:
+
+def hrr_coefficients(t: ToricData) -> tuple[Fraction, ...]:
+    """Counting-polynomial coefficients a_0..a_n from the Bernoulli/mixed-
+    volume formula on the fan; asserted equal to the fitted counting
+    polynomial, with the leading coefficient equal to the triangulated
+    volume and the subleading one to half the facet-chart boundary volume."""
+    if not t.delzant:
+        raise PreconditionViolation("the coefficient formula requires Delzant data")
+    p = t.polytope
+    n = p.dim
+    coeffs = _bernoulli_coefficients(delzant_fan(t), t.offsets, len(t.rays), range(n + 1))
+    # checked before the fit: ehrhart_polynomial asserts both identities on
+    # the fitted coefficients, so after a passing fit comparison they could
+    # no longer fail
+    if coeffs[n] != measure(p).volume:
+        raise InternalInconsistency("leading coefficient is not the volume")
+    if coeffs[n - 1] != facet_data(p).boundary_normalized_volume / 2:
+        raise InternalInconsistency(
+            "subleading coefficient is not half the boundary volume"
+        )
+    if Polynomial.of(coeffs) != ehrhart_polynomial(p).poly:
         raise InternalInconsistency(
             "Bernoulli/mixed-volume coefficients disagree with the counting fit"
         )
-    anticanonical = divisor_polytope(t, (1,) * d)
-    if coeffs[n] != measure(p).volume:
-        raise InternalInconsistency("leading coefficient is not the volume")
-    sub_args: list[tuple[VirtualPolytope | Polytope, int]] = []
-    if n - 1 > 0:
-        sub_args.append((p, n - 1))
-    sub_args.append((anticanonical, 1))
-    if coeffs[n - 1] != Fraction(n, 2) * mixed_volume(sub_args):
-        raise InternalInconsistency(
-            "subleading coefficient disagrees with the anticanonical pairing"
-        )
-    return tuple(coeffs)
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -465,34 +542,11 @@ def _cprime_by_counting(p: Polytope, v: tuple[int, ...], q: int) -> tuple[Fracti
 
 def _cprime_by_formula(t: ToricData, v: tuple[int, ...], q: int, roof: Polytope) -> tuple[Fraction, ...]:
     n = t.polytope.dim
-    d = len(t.rays)
     lifted_rays = tuple(r + (0,) for r in t.rays) + ((0,) * n + (1,), v + (-1,))
     lifted_offsets = t.offsets + (0, q)
     tbar = toric_data(lifted_rays, lifted_offsets)
     if tbar.polytope != roof:
         raise InternalInconsistency("rooftop fan data disagrees with the hull")
-    dtot = d + 2
-    side = [
-        divisor_polytope(tbar, tuple(1 if j == i else 0 for j in range(dtot)))
-        for i in range(d)
-    ]
-    roof_divisor = divisor_polytope(
-        tbar, tuple(1 if j == dtot - 1 else 0 for j in range(dtot))
-    )
-    relative = VirtualPolytope.of(roof) + roof_divisor.scale(-q)
-    out = []
-    for j in range(1, n + 2):
-        total = Fraction(0)
-        for comp in _compositions(n + 1 - j, d):
-            bprod = Fraction(1)
-            fact = factorial(j)
-            for li in comp:
-                bprod *= bernoulli(li)
-                fact *= factorial(li)
-            if bprod == 0:
-                continue
-            args: list[tuple[VirtualPolytope, int]] = [(relative, j)]
-            args += [(side[i], li) for i, li in enumerate(comp) if li > 0]
-            total += Fraction(factorial(n + 1)) * bprod / fact * mixed_volume(args)
-        out.append(total)
-    return tuple(out)
+    # the rooftop minus q times its roof divisor, on the rooftop's own fan
+    relative = tbar.offsets[:-1] + (tbar.offsets[-1] - q,)
+    return _bernoulli_coefficients(delzant_fan(tbar), relative, len(t.rays), range(1, n + 2))

@@ -173,7 +173,8 @@ def test_criterion_9_delzant_cross_validation(fixtures):
         assert qb.hrr_coefficients(t) == fitted.coefficients
         bf = qb.barycenter_function(t.polytope)
         for v in directions:
-            rc = qb.rooftop_coefficients(t, v, cross_check=False)
+            rc = qb.rooftop_coefficients(t, v)
+            assert rc.formula_available and rc.formula_values == rc.values
             q0 = rc.q
             assert _cprime_by_counting(t.polytope, v, q0) == rc.values
             assert _cprime_by_counting(t.polytope, v, q0 + 3) == rc.values

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import errno
 import json
+import os
+import sys
 
 import pytest
 
-from qbary.cli import execute
+from qbary.cli import execute, main
 
 
 def run(capsys, *argv):
@@ -195,3 +198,31 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1 and "invalid int value" in err
     code, _, err = run(capsys, "no-such-command")
     assert code == 1 and "invalid choice" in err
+
+
+def test_closed_stdout_exits_1_with_message(monkeypatch, capsys):
+    read_end, write_end = os.pipe()
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return write_end
+
+    monkeypatch.setattr(sys, "argv", ["qbary", "df", "--input", "f1", "--v", "1,1"])
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main()
+        # the descriptor now points at devnull: writing to it succeeds
+        assert os.write(write_end, b"x") == 1
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

@@ -7,8 +7,9 @@ import pytest
 
 import qbary as qb
 from qbary.exactnum import Polynomial
+from qbary.linalg import int_det
 from qbary.polytope import Body, body_from_points
-from qbary.toric import VirtualPolytope
+from qbary.toric import VirtualPolytope, delzant_fan
 
 from conftest import DEL_PEZZO_NAMES
 
@@ -181,6 +182,64 @@ def test_p2_pairwise_divisor_mixed_volumes_are_half():
 
 
 # ---------------------------------------------------------------------------
+# the fan volume polynomial against inclusion-exclusion
+
+DELZANT_2D = ("p2", "f1", "blowup-p1xp1", "cube2", "hexagon", "square-delzant-nonreflexive")
+
+
+def unit(d: int, i: int) -> tuple[int, ...]:
+    return tuple(int(i == j) for j in range(d))
+
+
+def oracle_mixed_volume(t: qb.ToricData, indices) -> F:
+    d = len(t.rays)
+    return qb.mixed_volume([(qb.divisor_polytope(t, unit(d, i)), 1) for i in indices])
+
+
+@pytest.mark.parametrize("name", DELZANT_2D)
+def test_fan_pairs_match_inclusion_exclusion(name):
+    # every D_i.D_j, including self-intersections, which are negative on
+    # blowup-p1xp1 and need a shifted (non-ample) divisor polytope
+    t = tor(name)
+    d = len(t.rays)
+    fan = delzant_fan(t)
+    for i in range(d):
+        for j in range(i, d):
+            via_fan = fan.mixed_volume([(unit(d, i), 1), (unit(d, j), 1)])
+            assert via_fan == oracle_mixed_volume(t, (i, j)), (name, i, j)
+    assert fan.mixed_volume([(t.offsets, 2)]) == qb.measure(t.polytope).volume
+
+
+@pytest.mark.parametrize(
+    "name, triples",
+    [
+        ("cube3", ((0, 1, 2), (0, 0, 1), (1, 3, 5))),
+        ("fano-3-29", ((0, 1, 2), (2, 4, 4), (0, 0, 0))),
+    ],
+)
+def test_fan_triples_match_inclusion_exclusion(name, triples):
+    # fano-3-29 has V(D_2, D_4, D_4) = -1/3 and V(D_0, D_0, D_0) = -1/2
+    t = tor(name)
+    d = len(t.rays)
+    fan = delzant_fan(t)
+    for triple in triples:
+        via_fan = fan.mixed_volume([(unit(d, i), 1) for i in triple])
+        assert via_fan == oracle_mixed_volume(t, triple), (name, triple)
+    assert fan.mixed_volume([(t.offsets, 3)]) == qb.measure(t.polytope).volume
+
+
+def test_fan_cones_are_unimodular_vertex_cones(fixtures):
+    t = tor("hexagon")
+    fan = delzant_fan(t)
+    assert len(fan.cones) == len(t.polytope.vertices)
+    for cone, gamma in fan.cones:
+        assert len(cone) == 2 and all(gamma)
+        assert abs(int_det([t.rays[i] for i in cone])) == 1
+    with pytest.raises(qb.PreconditionViolation):
+        delzant_fan(qb.toric_from_polytope(fixtures["square-reflexive-nondelzant"]))
+
+
+# ---------------------------------------------------------------------------
 # counting coefficients via Bernoulli numbers and mixed volumes
 
 def test_hrr_known_values(fixtures):
@@ -194,10 +253,15 @@ def test_hrr_known_values(fixtures):
     assert qb.hrr_coefficients(unit_square) == (F(1), F(2), F(1))
 
 
-def test_hrr_matches_fit_on_delzant_fixtures(fixtures):
-    for name in ("p2", "f1", "blowup-p1xp1", "cube2", "hexagon"):
+def test_hrr_matches_fit_on_delzant_fixtures():
+    for name in DELZANT_2D + ("cube3", "fano-3-29"):
         t = tor(name)
         assert qb.hrr_coefficients(t) == qb.ehrhart_polynomial(t.polytope).poly.coefficients, name
+
+
+def test_hrr_three_dimensional_values():
+    assert qb.hrr_coefficients(tor("cube3")) == (F(1), F(6), F(12), F(8))
+    assert qb.hrr_coefficients(tor("fano-3-29")) == (F(1), F(37, 6), F(25, 2), F(25, 3))
 
 
 def test_hrr_requires_delzant(fixtures):
@@ -229,11 +293,20 @@ def test_rooftop_coefficients_zero_direction():
     assert rc.q == 1
 
 
-def test_rooftop_coefficients_match_pairing_polynomial(fixtures):
-    # sum_j c'_{j+1} k^j must equal the numerator of <Bc_k, v> over E(k)
-    for name in ("p2", "f1", "blowup-p1xp1", "cube2", "hexagon"):
+def test_rooftop_coefficients_match_pairing_polynomial():
+    # sum_j c'_{j+1} k^j must equal the numerator of <Bc_k, v> over E(k),
+    # and the fan formula on the (Delzant) rooftop must agree with counting
+    cases = [(name, ((1, 0), (0, 1), (1, 1))) for name in ("p2", "f1", "blowup-p1xp1", "cube2", "hexagon")]
+    cases += [(name, ((1, 0, 0), (1, 1, 1), (-1, 2, 0))) for name in ("cube3", "fano-3-29")]
+    for name, directions in cases:
         t = tor(name)
         bf = qb.barycenter_function(t.polytope)
-        for v in ((1, 0), (0, 1), (1, 1)):
-            rc = qb.rooftop_coefficients(t, v, cross_check=False)
+        for v in directions:
+            rc = qb.rooftop_coefficients(t, v)
             assert Polynomial.of(rc.values) == bf.pairing_numerator(v), (name, v)
+            assert rc.formula_available and rc.formula_values == rc.values, (name, v)
+
+
+def test_rooftop_coefficients_fano_threefold():
+    rc = qb.rooftop_coefficients(tor("fano-3-29"), (1, 0, 0))
+    assert rc.values == (F(1, 4), F(13, 8), F(11, 4), F(11, 8))
