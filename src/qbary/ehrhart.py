@@ -12,10 +12,11 @@ scaled by ``k``), so the scan visits only prefixes that extend to points of
 arithmetic.
 
 The Ehrhart polynomial is fitted on the minimal sample set k = 0..dim and
-then validated twice over: exactly at the held-out points k = dim+1..2dim+1,
-and against the classical coefficient identities (leading coefficient =
-volume, subleading = half the lattice-normalized boundary volume, constant
-term = 1).  Any mismatch raises ``InternalInconsistency`` since counting is
+then validated exactly at the held-out points k = dim+1..2dim+1, against
+the classical coefficient identities (leading coefficient = volume,
+subleading = half the lattice-normalized boundary volume), and by
+Ehrhart-Macdonald reciprocity at k = 1 (``E(-1)`` against the interior
+count of P).  Any mismatch raises ``InternalInconsistency`` since counting is
 exact and polynomiality is a theorem, not a modeling assumption.
 """
 
@@ -240,8 +241,10 @@ def ehrhart_polynomial(p: Polytope) -> EhrhartPolynomial:
         raise InternalInconsistency(
             "subleading coefficient is not half the normalized boundary volume"
         )
-    if fit.coefficient(0) != 1:
-        raise InternalInconsistency("constant term is not 1")
+    # Ehrhart-Macdonald reciprocity at k = 1; the constant term 1 would hold
+    # by interpolation, since the fit passes through (0, 1)
+    if fit(-1) != (-1) ** n * interior_count(p, 1):
+        raise InternalInconsistency("counting polynomial fails reciprocity at k=1")
     return EhrhartPolynomial(fit, "fitted")
 
 

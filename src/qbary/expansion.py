@@ -3,14 +3,16 @@ asymptotic expansion in the dilation parameter.
 
 The k-th quantized barycenter of a lattice polytope P is the average of the
 lattice points of kP divided by k.  Coordinate i of the sequence equals
-``Q_i(k) / E(k)`` where E is the counting polynomial of P and Q_i a
-polynomial of degree at most dim P, obtained from the counting polynomial of
-the rooftop polytope over P in direction e_i: the rooftop's fibers over kP
-have ``<u, e_i> + C_i k + 1`` lattice points each, so its count is
-``(C_i k + 1) E(k) + (coordinate sums over kP)``.  Subtracting the prism
-count ``(C_i k + 1) E(k)`` leaves a polynomial with zero constant term whose
-quotient by k is Q_i; both the cancellation and the exactness of that
-division are asserted at runtime.
+``Q_i(k) / E(k)`` where E is the counting polynomial of P and
+``Q_i(k) = S_i(k) / k``, with S_i the coordinate-sum polynomial: the sum of
+the i-th coordinates over the lattice points of kP, a polynomial of degree
+at most dim P + 1 with ``S_i(0) = 0``.  Each S_i is fitted once, on
+k = 0..dim+1, and validated exactly at the held-out points k = dim+2 and
+dim+3; the division by k is exact because the fit passes through (0, 0).
+The same polynomials give the rooftop polytope over P in direction v at
+offset q, whose fibers over kP hold ``<u, v> + q k + 1`` lattice points
+each: its count is ``(q k + 1) E(k) + k <Q(k), v>``, which
+``toric.rooftop_coefficients`` checks against an actual count.
 
 Laurent-expanding Q_i / E at infinity yields the expansion coefficients
 a_0, a_1, ...; a_0 is the barycenter and a_1 has the closed form
@@ -128,13 +130,6 @@ def _rooftop_hull(p: Polytope, direction: tuple[int, ...], q: int) -> Polytope:
     return hull_from_vertices(verts, dimension_cap=max(DIMENSION_CAP, p.dim + 1))
 
 
-def coordinate_rooftop_offset(p: Polytope, i: int) -> int:
-    """Canonical offset for the coordinate rooftop: the height
-    ``u_i + C_i`` must be nonnegative (not necessarily positive) on P."""
-    e_i = tuple(1 if j == i else 0 for j in range(p.dim))
-    return max(0, -support_value(p, e_i))
-
-
 @lru_cache(maxsize=None)
 def barycenter_function(p: Polytope) -> BarycenterFunction:
     """Exact rational-function form of the quantized barycenter sequence."""
@@ -143,34 +138,14 @@ def barycenter_function(p: Polytope) -> BarycenterFunction:
     stats = {k: lattice_point_stats(p, k) for k in range(n + 4)}
     numerators = []
     for i in range(n):
-        ci = coordinate_rooftop_offset(p, i)
-
-        def roof_count(k: int) -> int:
-            cnt, sums = stats[k]
-            return (ci * k + 1) * cnt + sums[i]
-
-        roof = poly_fit([(k, roof_count(k)) for k in range(n + 2)])
+        sums = poly_fit([(k, stats[k][1][i]) for k in range(n + 2)])
         for k in (n + 2, n + 3):
-            if roof(k) != roof_count(k):
+            if sums(k) != stats[k][1][i]:
                 raise InternalInconsistency(
-                    f"rooftop counting polynomial fails validation at k={k}"
+                    f"coordinate-sum polynomial fails validation at k={k}"
                 )
-        dividend = roof - Polynomial.of([1, ci]) * ehr
-        if dividend.coefficient(0) != 0:
-            raise InternalInconsistency(
-                "rooftop-minus-prism count has a nonzero constant term"
-            )
-        numerator = dividend.shift_down()
-        if numerator.degree > n:
-            raise InternalInconsistency("barycenter numerator degree exceeds dim")
-        numerators.append(numerator)
-    bf = BarycenterFunction(tuple(numerators), ehr)
-    for k in range(1, n + 2):
-        if bf.evaluate(k) != quantized_barycenter(p, k).value:
-            raise InternalInconsistency(
-                f"rational form disagrees with enumeration at k={k}"
-            )
-    return bf
+        numerators.append(sums.shift_down())
+    return BarycenterFunction(tuple(numerators), ehr)
 
 
 def a1_closed_form(p: Polytope) -> Vector:

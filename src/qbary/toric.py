@@ -28,11 +28,11 @@ polytopes P(h_1), .., P(h_n) (Khovanskii-Pukhlikov).  ``hrr_coefficients``
 evaluates the formula and insists it reproduce the fitted counting
 polynomial exactly.  The analogous degree-(n+1) formula on the rooftop fan
 gives the numerator coefficients of ``<Bc_k, v>``; ``rooftop_coefficients``
-computes those by the counting route (with an asserted independence of the
-rooftop offset) and cross-checks the fan formula whenever the rooftop is
-itself Delzant.  ``mixed_volume`` and ``divisor_polytope`` remain the
-independent inclusion-exclusion route, used on arbitrary bodies and as the
-test oracle for the fan.
+reads those off the coordinate-sum polynomials of ``barycenter_function``,
+counts the actual rooftop at k = 1 and 2 against them, and cross-checks
+the fan formula whenever the rooftop is itself Delzant.  ``mixed_volume``
+and ``divisor_polytope`` remain the independent inclusion-exclusion route,
+used on arbitrary bodies and as the test oracle for the fan.
 """
 
 from __future__ import annotations
@@ -43,15 +43,15 @@ from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Iterable, Sequence
 
-from .ehrhart import ehrhart_polynomial, lattice_point_stats
+from .ehrhart import count_points, ehrhart_polynomial
 from .errors import (
     AmplenessShiftFailure,
     InternalInconsistency,
     InvalidInput,
     PreconditionViolation,
 )
-from .exactnum import Polynomial, bernoulli, poly_fit
-from .expansion import rooftop
+from .exactnum import Polynomial, bernoulli
+from .expansion import barycenter_function, rooftop
 from .hull import volume_and_barycenter
 from .lattice import primitive
 from .linalg import IntVec, dot, identity, int_det, rank, solve, vec_add, vec_sub
@@ -484,69 +484,46 @@ class RooftopCoefficients:
     formula_values: tuple[Fraction, ...] | None
 
 
-def rooftop_coefficients(t: ToricData, direction: Sequence[int], cross_check: bool | None = None) -> RooftopCoefficients:
-    """c'_j from the rooftop counting route, independent of the offset.
+def rooftop_coefficients(t: ToricData, direction: Sequence[int]) -> RooftopCoefficients:
+    """c'_j, the coefficients of the numerator of ``<Bc_k, v>`` over E(k).
 
-    Fits the rooftop counting polynomial at two offsets q and q+1 and checks
-    the recovered c'_j agree.  When the rooftop polytope is itself Delzant
-    (and ``cross_check`` is not disabled) the degree-(n+1) Bernoulli/mixed-
-    volume formula is evaluated as well and must coincide.
+    They are read off the coordinate-sum polynomials of
+    ``barycenter_function``.  The rooftop at the canonical offset q is
+    counted at k = 1 and 2 and must hold ``(q k + 1) E(k) + k <Q(k), v>``
+    points.  When the rooftop is itself Delzant the degree-(n+1)
+    Bernoulli/mixed-volume formula on its fan must give the same c'_j.
     """
     if not t.delzant:
         raise PreconditionViolation("rooftop coefficients require Delzant data")
     p = t.polytope
     v = tuple(int(x) for x in direction)
-    n = p.dim
-    q0 = 1 - support_value(p, v)
-    first = _cprime_by_counting(p, v, q0)
-    second = _cprime_by_counting(p, v, q0 + 1)
-    if first != second:
-        raise InternalInconsistency("rooftop coefficients depend on the offset")
+    fan = rooftop_fan(t, v)
+    bf = barycenter_function(p)
+    numerator = bf.pairing_numerator(v)
+    values = tuple(numerator.coefficient(j) for j in range(p.dim + 1))
+    roof = rooftop(p, v, fan.q)
+    for k in (1, 2):
+        if count_points(roof, k) != (fan.q * k + 1) * bf.denominator(k) + k * numerator(k):
+            raise InternalInconsistency(
+                f"rooftop count disagrees with the coordinate-sum polynomial at k={k}"
+            )
 
     formula_values = None
-    formula_available = False
-    if cross_check is None:
-        cross_check = True
-    if cross_check:
-        roof = rooftop(p, v, q0)
-        if classify(roof).delzant:
-            formula_available = True
-            formula_values = _cprime_by_formula(t, v, q0, roof)
-            if formula_values != first:
-                raise InternalInconsistency(
-                    "mixed-volume rooftop coefficients disagree with counting"
-                )
-    return RooftopCoefficients(first, q0, formula_available, formula_values)
+    formula_available = classify(roof).delzant
+    if formula_available:
+        formula_values = _cprime_by_formula(t, fan, roof)
+        if formula_values != values:
+            raise InternalInconsistency(
+                "mixed-volume rooftop coefficients disagree with counting"
+            )
+    return RooftopCoefficients(values, fan.q, formula_available, formula_values)
 
 
-def _cprime_by_counting(p: Polytope, v: tuple[int, ...], q: int) -> tuple[Fraction, ...]:
-    n = p.dim
-    a = ehrhart_polynomial(p).poly
-
-    def roof_count(k: int) -> int:
-        cnt, sums = lattice_point_stats(p, k)
-        return (q * k + 1) * cnt + dot(sums, v)
-
-    fit = poly_fit([(k, roof_count(k)) for k in range(n + 2)])
-    for k in (n + 2, n + 3):
-        if fit(k) != roof_count(k):
-            raise InternalInconsistency("rooftop counting fit fails validation")
-    cprime = [
-        fit.coefficient(j) - q * a.coefficient(j - 1) - a.coefficient(j)
-        for j in range(n + 2)
-    ]
-    if cprime[0] != 0:
-        raise InternalInconsistency("c'_0 must vanish")
-    return tuple(cprime[1:])
-
-
-def _cprime_by_formula(t: ToricData, v: tuple[int, ...], q: int, roof: Polytope) -> tuple[Fraction, ...]:
-    n = t.polytope.dim
-    lifted_rays = tuple(r + (0,) for r in t.rays) + ((0,) * n + (1,), v + (-1,))
-    lifted_offsets = t.offsets + (0, q)
-    tbar = toric_data(lifted_rays, lifted_offsets)
+def _cprime_by_formula(t: ToricData, fan: RooftopFan, roof: Polytope) -> tuple[Fraction, ...]:
+    tbar = toric_data(fan.rays, t.offsets + (0, fan.q))
     if tbar.polytope != roof:
         raise InternalInconsistency("rooftop fan data disagrees with the hull")
-    # the rooftop minus q times its roof divisor, on the rooftop's own fan
-    relative = tbar.offsets[:-1] + (tbar.offsets[-1] - q,)
-    return _bernoulli_coefficients(delzant_fan(tbar), relative, len(t.rays), range(1, n + 2))
+    # the rooftop minus q times its roof divisor, on the rooftop's own fan:
+    # P's offsets, then 0 on the floor and q - q on the roof
+    relative = t.offsets + (0, 0)
+    return _bernoulli_coefficients(delzant_fan(tbar), relative, len(t.rays), range(1, t.polytope.dim + 2))

@@ -1,4 +1,5 @@
-"""Shared fixtures: the bundled polytopes and a seeded random corpus."""
+"""Shared fixtures: the bundled polytopes, a seeded random corpus, naive
+oracles and Hypothesis strategies for unimodular maps."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 import qbary as qb
 from qbary.linalg import dot
@@ -125,3 +128,39 @@ def ccw_order(points):
     import math
 
     return sorted(points, key=lambda p: math.atan2(float(p[1] - cy), float(p[0] - cx)))
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis strategies: a polytope with a unimodular map and a translation
+
+@st.composite
+def unimodular(draw, n: int) -> list[list[int]]:
+    """A product of elementary row moves, row swaps and sign flips."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 5))):
+        move = draw(st.sampled_from(("add", "swap", "negate")))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if move == "add" and i != j:
+            s = draw(st.sampled_from((-1, 1)))
+            u[i] = [a + s * b for a, b in zip(u[i], u[j])]
+        elif move == "swap":
+            u[i], u[j] = u[j], u[i]
+        elif move == "negate":
+            u[i] = [-a for a in u[i]]
+    return u
+
+
+@st.composite
+def polytope_and_map(draw, max_dim: int = 4):
+    n = draw(st.integers(1, max_dim))
+    coord = st.integers(-2, 2)
+    points = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 3))
+    try:
+        p = qb.hull_from_vertices(points)
+    except qb.DegenerateInput:
+        assume(False)
+    return p, draw(unimodular(n)), draw(st.tuples(*[st.integers(-5, 5)] * n))
+
+
+def apply_map(u, v):
+    return tuple(sum(a * x for a, x in zip(row, v)) for row in u)

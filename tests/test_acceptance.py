@@ -11,9 +11,8 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import qbary as qb
-from qbary.exactnum import Polynomial
+from qbary.exactnum import Polynomial, poly_fit
 from qbary.linalg import dot
-from qbary.toric import _cprime_by_counting
 
 from conftest import DEL_PEZZO_NAMES, FIXTURE_NAMES, random_corpus
 
@@ -172,13 +171,23 @@ def test_criterion_9_delzant_cross_validation(fixtures):
         fitted = qb.ehrhart_polynomial(t.polytope).poly
         assert qb.hrr_coefficients(t) == fitted.coefficients
         bf = qb.barycenter_function(t.polytope)
+        n = t.polytope.dim
+        a = fitted.coefficient
         for v in directions:
             rc = qb.rooftop_coefficients(t, v)
             assert rc.formula_available and rc.formula_values == rc.values
-            q0 = rc.q
-            assert _cprime_by_counting(t.polytope, v, q0) == rc.values
-            assert _cprime_by_counting(t.polytope, v, q0 + 3) == rc.values
             assert Polynomial.of(rc.values) == bf.pairing_numerator(v)
+            # count the actual rooftops at two offsets: subtracting the prism
+            # (q k + 1) E(k) from either count leaves the same c'_j
+            for q in (rc.q, rc.q + 3):
+                roof = qb.rooftop(t.polytope, v, q)
+                counts = [qb.count_points(roof, k) for k in range(n + 3)]
+                fit = poly_fit(list(enumerate(counts[: n + 2])))
+                assert fit(n + 2) == counts[n + 2]
+                cprime = tuple(
+                    fit.coefficient(j) - q * a(j - 1) - a(j) for j in range(n + 2)
+                )
+                assert cprime == (0,) + rc.values, (v, q)
     _passed(9, "coefficient formula matches fits; rooftop coefficients offset-independent")
 
 

@@ -3,13 +3,12 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 import qbary as qb
 from qbary.ehrhart import lattice_point_stats
 
-from conftest import brute_count, brute_vertex_sum
+from conftest import apply_map, brute_count, brute_vertex_sum, polytope_and_map
 
 
 def test_count_points_paper_examples(fixtures):
@@ -66,49 +65,16 @@ def test_scan_matches_brute_force_oracles(name):
             assert lattice_point_stats(p, k, strict) == expected, (k, strict)
 
 
-@st.composite
-def unimodular(draw, n: int) -> list[list[int]]:
-    """A product of elementary row moves, row swaps and sign flips."""
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(draw(st.integers(0, 5))):
-        move = draw(st.sampled_from(("add", "swap", "negate")))
-        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        if move == "add" and i != j:
-            s = draw(st.sampled_from((-1, 1)))
-            u[i] = [a + s * b for a, b in zip(u[i], u[j])]
-        elif move == "swap":
-            u[i], u[j] = u[j], u[i]
-        elif move == "negate":
-            u[i] = [-a for a in u[i]]
-    return u
-
-
-@st.composite
-def polytope_and_map(draw):
-    n = draw(st.integers(1, 4))
-    coord = st.integers(-2, 2)
-    points = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 3))
-    try:
-        p = qb.hull_from_vertices(points)
-    except qb.DegenerateInput:
-        assume(False)
-    return p, draw(unimodular(n)), draw(st.tuples(*[st.integers(-5, 5)] * n))
-
-
-def _apply(u, v):
-    return tuple(sum(a * x for a, x in zip(row, v)) for row in u)
-
-
 @settings(max_examples=60, deadline=None)
 @given(polytope_and_map())
 def test_counts_and_sums_are_unimodular_invariant(case):
     # k(UP + t) = U(kP) + kt: the counts agree and the sums move by U and kt.
     p, u, t = case
-    image = qb.hull_from_vertices([tuple(a + b for a, b in zip(_apply(u, v), t)) for v in p.vertices])
+    image = qb.hull_from_vertices([tuple(a + b for a, b in zip(apply_map(u, v), t)) for v in p.vertices])
     for k in range(1, 4):
         for strict in (False, True):
             count, sums = lattice_point_stats(p, k, strict)
-            moved = tuple(s + k * ti * count for s, ti in zip(_apply(u, sums), t))
+            moved = tuple(s + k * ti * count for s, ti in zip(apply_map(u, sums), t))
             assert lattice_point_stats(image, k, strict) == (count, moved), (k, strict)
 
 

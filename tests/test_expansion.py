@@ -3,12 +3,13 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
 import qbary as qb
 from qbary.exactnum import Polynomial
 from qbary.linalg import dot
 
-from conftest import brute_count, brute_vertex_sum
+from conftest import apply_map, brute_count, brute_vertex_sum, polytope_and_map
 
 
 def test_quantized_barycenter_f1_figure_values(fixtures):
@@ -106,6 +107,20 @@ def test_barycenter_function_evaluates_to_enumeration(fixtures):
         bf = qb.barycenter_function(p)
         for k in range(1, 6):
             assert bf.evaluate(k) == qb.quantized_barycenter(p, k).value
+
+
+@settings(max_examples=40, deadline=None)
+@given(polytope_and_map(max_dim=3))
+def test_barycenter_numerators_move_with_unimodular_maps(case):
+    # The sums over k(UP + t) are U S(k) + k t E(k), so Q(UP + t) = U Q + t E
+    # as exact polynomials, and E does not move.
+    p, u, t = case
+    image = qb.hull_from_vertices([tuple(a + b for a, b in zip(apply_map(u, v), t)) for v in p.vertices])
+    bf = qb.barycenter_function(p)
+    moved = qb.barycenter_function(image)
+    assert moved.denominator == bf.denominator
+    for row, ti, num in zip(u, t, moved.numerators):
+        assert num == bf.pairing_numerator(row) + bf.denominator * ti
 
 
 # ---------------------------------------------------------------------------

@@ -307,6 +307,21 @@ def test_rooftop_coefficients_match_pairing_polynomial():
             assert rc.formula_available and rc.formula_values == rc.values, (name, v)
 
 
+def test_rooftop_count_check_rejects_swapped_numerators(monkeypatch):
+    # numerators handed out in the wrong axis order must fail against the
+    # actual count of the rooftop
+    true_function = qb.barycenter_function
+
+    def swapped(p):
+        bf = true_function(p)
+        return qb.BarycenterFunction(bf.numerators[::-1], bf.denominator)
+
+    trapezoid = qb.toric_from_polytope(qb.hull_from_vertices([(0, 0), (3, 0), (0, 1), (2, 1)]))
+    monkeypatch.setattr("qbary.toric.barycenter_function", swapped)
+    with pytest.raises(qb.InternalInconsistency, match="rooftop count"):
+        qb.rooftop_coefficients(trapezoid, (1, 0))
+
+
 def test_rooftop_coefficients_fano_threefold():
     rc = qb.rooftop_coefficients(tor("fano-3-29"), (1, 0, 0))
     assert rc.values == (F(1, 4), F(13, 8), F(11, 4), F(11, 8))
