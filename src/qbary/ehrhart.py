@@ -11,13 +11,13 @@ scaled by ``k``), so the scan visits only prefixes that extend to points of
 ``k*P`` instead of the whole bounding box.  Everything is plain integer
 arithmetic.
 
-The Ehrhart polynomial is fitted on the minimal sample set k = 0..dim and
-then validated exactly at the held-out points k = dim+1..2dim+1, against
-the classical coefficient identities (leading coefficient = volume,
-subleading = half the lattice-normalized boundary volume), and by
-Ehrhart-Macdonald reciprocity at k = 1 (``E(-1)`` against the interior
-count of P).  Any mismatch raises ``InternalInconsistency`` since counting is
-exact and polynomiality is a theorem, not a modeling assumption.
+Every fit samples the same dilations k = 0..dim+3, one cached pass each.
+The Ehrhart polynomial is fitted on k = 0..dim and validated exactly at
+k = dim+1..dim+3, against the classical coefficient identities (leading
+coefficient = volume, subleading = half the normalized boundary volume),
+and by Ehrhart-Macdonald reciprocity at k = 1..dim+1 against the interior
+counts.  Any mismatch raises ``InternalInconsistency``: counting is exact
+and polynomiality is a theorem, not a modeling assumption.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Literal
+from typing import Callable, Literal, NamedTuple
 
 from .errors import InternalInconsistency, InvalidInput, Unsupported
 from .exactnum import Polynomial, poly_fit
@@ -86,6 +86,15 @@ def _scan_plan(p: Polytope) -> _ScanPlan:
     return _ScanPlan(order, first, tuple(bounds))
 
 
+class LatticeStats(NamedTuple):
+    """Closed, then interior, count and coordinate sums of ``k*P``."""
+
+    count: int
+    sums: IntVec
+    interior: int
+    interior_sums: IntVec
+
+
 def _pointwise(pick, columns: list[list[int]]) -> list[int]:
     return columns[0] if len(columns) == 1 else list(map(pick, *columns))
 
@@ -103,7 +112,7 @@ def _tally(ys, los: list[int], his: list[int]) -> tuple[int, int, int]:
     return count, ysum, zsum // 2
 
 
-def _pass(p: Polytope, k: int) -> tuple[tuple[int, IntVec], tuple[int, IntVec]]:
+def _pass(p: Polytope, k: int) -> LatticeStats:
     """Closed and interior count and coordinate sums of ``k*P`` for ``k >= 1``.
 
     The scan visits exactly the lattice points of the projections of ``k*P``
@@ -179,44 +188,48 @@ def _pass(p: Polytope, k: int) -> tuple[tuple[int, IntVec], tuple[int, IntVec]]:
         descend(0, k * plan.first[0], k * plan.first[1], slacks)
 
     def unscan(acc: list[int]) -> tuple[int, IntVec]:
-        sums = [0] * n
-        for j, axis in enumerate(plan.order):
-            sums[axis] = acc[j + 1]
-        return acc[0], tuple(sums)
+        return acc[0], tuple(acc[1 + plan.order.index(axis)] for axis in range(n))
 
-    return unscan(closed), unscan(inner)
+    return LatticeStats(*unscan(closed), *unscan(inner))
 
 
 @lru_cache(maxsize=None)
-def lattice_point_stats(p: Polytope, k: int, strict: bool = False) -> tuple[int, IntVec]:
-    """Count and coordinate-wise sum of the lattice points of ``k*P``.
+def lattice_point_stats(p: Polytope, k: int) -> LatticeStats:
+    """Closed and interior counts and coordinate sums of ``k*P``, one pass.
 
-    With ``strict=True`` only interior points (all inequalities strict) are
-    collected.  ``k = 0`` gives the single point at the origin.  Both come
-    out of the same pass; only the one asked for is cached.
+    ``k = 0`` gives the single point at the origin, which has no interior.
     """
     if k < 0:
         raise InvalidInput("dilation factor must be nonnegative")
     if k == 0:
-        if strict:
-            raise InvalidInput("the zero dilation has no interior")
-        return 1, (0,) * p.dim
-    closed, interior = _pass(p, k)
-    return interior if strict else closed
+        zero = (0,) * p.dim
+        return LatticeStats(1, zero, 0, zero)
+    return _pass(p, k)
 
 
 def count_points(p: Polytope, k: int) -> int:
     """Number of lattice points of ``k*P`` for ``k >= 0``."""
     if k < 0:
         raise InvalidInput("negative dilation: use interior_count via reciprocity")
-    return lattice_point_stats(p, k)[0]
+    return lattice_point_stats(p, k).count
 
 
 def interior_count(p: Polytope, k: int) -> int:
     """Number of lattice points strictly inside ``k*P`` for ``k >= 1``."""
     if k < 1:
         raise InvalidInput("interior counts need a positive dilation")
-    return lattice_point_stats(p, k, strict=True)[0]
+    return lattice_point_stats(p, k).interior
+
+
+def fit_on_dilations(p: Polytope, value: Callable[[LatticeStats], int], degree: int, what: str) -> Polynomial:
+    """Polynomial through ``value`` of the records at k = 0..degree, checked
+    exactly at the rest of k = 0..dim+3, the dilations every fit shares."""
+    samples = [(k, value(lattice_point_stats(p, k))) for k in range(p.dim + 4)]
+    fit = poly_fit(samples[: degree + 1])
+    for k, v in samples[degree + 1 :]:
+        if fit(k) != v:
+            raise InternalInconsistency(f"{what} fails held-out validation at k={k}")
+    return fit
 
 
 @dataclass(frozen=True)
@@ -227,24 +240,19 @@ class EhrhartPolynomial:
 
 @lru_cache(maxsize=None)
 def ehrhart_polynomial(p: Polytope) -> EhrhartPolynomial:
-    """Fitted counting polynomial with held-out and coefficient validation."""
+    """Fitted counting polynomial, validated as the module docstring says."""
     n = p.dim
-    fit = poly_fit([(k, count_points(p, k)) for k in range(n + 1)])
-    for k in range(n + 1, 2 * n + 2):
-        if fit(k) != count_points(p, k):
-            raise InternalInconsistency(
-                f"counting polynomial fails held-out validation at k={k}"
-            )
+    fit = fit_on_dilations(p, lambda s: s.count, n, "counting polynomial")
     if fit.coefficient(n) != measure(p).volume:
         raise InternalInconsistency("leading coefficient is not the volume")
     if fit.coefficient(n - 1) != facet_data(p).boundary_normalized_volume / 2:
         raise InternalInconsistency(
             "subleading coefficient is not half the normalized boundary volume"
         )
-    # Ehrhart-Macdonald reciprocity at k = 1; the constant term 1 would hold
-    # by interpolation, since the fit passes through (0, 1)
-    if fit(-1) != (-1) ** n * interior_count(p, 1):
-        raise InternalInconsistency("counting polynomial fails reciprocity at k=1")
+    # Ehrhart-Macdonald reciprocity; the n+1 values E(-1..-(n+1)) alone determine E
+    for k in range(1, n + 2):
+        if fit(-k) != (-1) ** n * interior_count(p, k):
+            raise InternalInconsistency(f"counting polynomial fails reciprocity at k={k}")
     return EhrhartPolynomial(fit, "fitted")
 
 

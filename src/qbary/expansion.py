@@ -8,7 +8,8 @@ lattice points of kP divided by k.  Coordinate i of the sequence equals
 the i-th coordinates over the lattice points of kP, a polynomial of degree
 at most dim P + 1 with ``S_i(0) = 0``.  Each S_i is fitted once, on
 k = 0..dim+1, and validated exactly at the held-out points k = dim+2 and
-dim+3; the division by k is exact because the fit passes through (0, 0).
+dim+3 (``ehrhart.fit_on_dilations``, which E shares); the division by k is
+exact because the fit passes through (0, 0).
 The same polynomials give the rooftop polytope over P in direction v at
 offset q, whose fibers over kP hold ``<u, v> + q k + 1`` lattice points
 each: its count is ``(q k + 1) E(k) + k <Q(k), v>``, which
@@ -28,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .ehrhart import ehrhart_polynomial, lattice_point_stats
+from .ehrhart import ehrhart_polynomial, fit_on_dilations, lattice_point_stats
 from .errors import (
     InsufficientSamples,
     InternalInconsistency,
@@ -36,11 +37,12 @@ from .errors import (
     PreconditionViolation,
     Unsupported,
 )
-from .exactnum import LaurentSeries, Polynomial, RationalFunction, Vector, laurent_expand, poly_fit
+from .exactnum import Polynomial, RationalFunction, Vector, laurent_expand
 from .linalg import dot
 from .polytope import (
     DIMENSION_CAP,
     Polytope,
+    check_direction,
     classify,
     facet_data,
     hull_from_vertices,
@@ -72,6 +74,7 @@ class BarycenterFunction:
 
     def pairing_numerator(self, direction: Sequence[int]) -> Polynomial:
         """Numerator polynomial of ``<Bc_k, direction>`` over the denominator."""
+        check_direction(direction, len(self.numerators))
         total = Polynomial.zero()
         for c, num in zip(direction, self.numerators):
             total = total + num * c
@@ -102,8 +105,8 @@ def quantized_barycenter(p: Polytope, k: int) -> QuantizedBarycenter:
     """Average of the lattice points of ``k*P``, divided by ``k``."""
     if k < 1:
         raise InvalidInput("quantized barycenters need a positive dilation")
-    count, sums = lattice_point_stats(p, k)
-    value = tuple(Fraction(s, k * count) for s in sums)
+    stats = lattice_point_stats(p, k)
+    value = tuple(Fraction(s, k * stats.count) for s in stats.sums)
     if not p.contains(value):
         raise InternalInconsistency("quantized barycenter escaped the polytope")
     return QuantizedBarycenter(k, value)
@@ -121,10 +124,6 @@ def rooftop(p: Polytope, direction: Sequence[int], q: int) -> Polytope:
         raise PreconditionViolation(
             "rooftop offset too small: the roof must stay strictly above the floor"
         )
-    return _rooftop_hull(p, tuple(direction), q)
-
-
-def _rooftop_hull(p: Polytope, direction: tuple[int, ...], q: int) -> Polytope:
     verts = [v + (0,) for v in p.vertices]
     verts += [v + (dot(v, direction) + q,) for v in p.vertices]
     return hull_from_vertices(verts, dimension_cap=max(DIMENSION_CAP, p.dim + 1))
@@ -135,17 +134,8 @@ def barycenter_function(p: Polytope) -> BarycenterFunction:
     """Exact rational-function form of the quantized barycenter sequence."""
     n = p.dim
     ehr = ehrhart_polynomial(p).poly
-    stats = {k: lattice_point_stats(p, k) for k in range(n + 4)}
-    numerators = []
-    for i in range(n):
-        sums = poly_fit([(k, stats[k][1][i]) for k in range(n + 2)])
-        for k in (n + 2, n + 3):
-            if sums(k) != stats[k][1][i]:
-                raise InternalInconsistency(
-                    f"coordinate-sum polynomial fails validation at k={k}"
-                )
-        numerators.append(sums.shift_down())
-    return BarycenterFunction(tuple(numerators), ehr)
+    sums = [fit_on_dilations(p, lambda s: s.sums[i], n + 1, "coordinate-sum polynomial") for i in range(n)]
+    return BarycenterFunction(tuple(s.shift_down() for s in sums), ehr)
 
 
 def a1_closed_form(p: Polytope) -> Vector:

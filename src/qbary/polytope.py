@@ -25,13 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DegenerateInput, InternalInconsistency, InvalidInput, Unsupported, UnboundedInput
 from .exactnum import Vector, rational_to_json
 from .hull import Hull, convex_hull, exact_int_vector, volume_and_barycenter
-from .lattice import AffineLatticeChart, primitive
-from .linalg import IntVec, dot, rank, solve, vec_add, vec_sub
+from .lattice import AffineLatticeChart, hermite_normal_form, primitive
+from .linalg import IntVec, dot, int_det, rank, solve, vec_add, vec_sub
 
 DIMENSION_CAP = 7
 
@@ -146,8 +147,6 @@ def polytope_from_halfspaces(
         raise InvalidInput("no half-spaces given")
     dim = len(normals[0])
     _check_dim(dim, dimension_cap)
-    from math import gcd
-
     rows: list[tuple[IntVec, Fraction]] = []
     for v, b in zip(normals, offsets):
         v = tuple(int(x) for x in v)
@@ -211,8 +210,6 @@ def body_from_points(points: Iterable[Sequence[int]]) -> Body:
     if r == dim:
         return Body(dim, convex_hull(pts).vertices)
     # project to exact integer coordinates on the affine hull, hull there
-    from .lattice import hermite_normal_form
-
     h, _ = hermite_normal_form(dirs)
     basis = [row for row in h if any(x != 0 for x in row)]
     coords = []
@@ -319,15 +316,21 @@ def facet_data(p: Polytope) -> FacetData:
     )
 
 
+def check_direction(direction: Sequence[int], dim: int) -> None:
+    """A direction vector must have one coordinate per ambient axis."""
+    if len(direction) != dim:
+        raise InvalidInput(f"direction has length {len(direction)}, expected {dim}")
+
+
 def support_value(p: Polytope, direction: Sequence[int]) -> int:
     """Support value ``min_{u in P} <u, direction>`` (attained at a vertex)."""
+    check_direction(direction, p.dim)
     return min(dot(v, direction) for v in p.vertices)
 
 
 # ---------------------------------------------------------------------------
 # classification
 
-@lru_cache(maxsize=None)
 def edges(p: Polytope) -> tuple[tuple[int, int], ...]:
     """Vertex-index pairs forming the 1-faces.
 
@@ -354,9 +357,6 @@ def classify(p: Polytope) -> Classification:
     basis of the lattice (determinant +-1).
     """
     reflexive = all(f.offset == 1 for f in p.facets) and p.strictly_contains((0,) * p.dim)
-
-    from .linalg import int_det
-
     neighbors: dict[int, list[int]] = {i: [] for i in range(len(p.vertices))}
     for i, j in edges(p):
         neighbors[i].append(j)

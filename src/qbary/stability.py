@@ -28,7 +28,7 @@ from .errors import InternalInconsistency, InvalidInput, InvalidPolarization, Un
 from .exactnum import LaurentSeries, Polynomial, RationalFunction, laurent_expand
 from .expansion import barycenter_function, quantized_barycenter
 from .linalg import dot, solve
-from .polytope import classify, facet_data, measure, support_value
+from .polytope import check_direction, classify, facet_data, measure, support_value
 from .toric import ToricData
 
 
@@ -181,6 +181,7 @@ def log_discrepancy(t: ToricData, direction: Sequence[int]) -> Fraction:
     p = t.polytope
     v = tuple(int(x) for x in direction)
     n = p.dim
+    check_direction(v, n)
     saw_nonsimplicial = False
     for vid in range(len(p.vertices)):
         incident = [i for i, ids in enumerate(p.incidence) if vid in ids]

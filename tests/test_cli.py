@@ -200,6 +200,14 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1 and "invalid choice" in err
 
 
+@pytest.mark.parametrize("command", ("df", "fan", "rooftop", "rooftop-coeffs"))
+@pytest.mark.parametrize("v", ("1", "1,0,0"))
+def test_direction_of_the_wrong_length_is_an_input_error(capsys, command, v):
+    code, out, err = run(capsys, command, "--input", "p2", "--v", v)
+    assert code == 1 and out == ""
+    assert err == f"error: direction has length {v.count(',') + 1}, expected 2\n"
+
+
 def test_closed_stdout_exits_1_with_message(monkeypatch, capsys):
     read_end, write_end = os.pipe()
 

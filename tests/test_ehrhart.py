@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
+import itertools
 
 import pytest
 from hypothesis import given, settings
 
 import qbary as qb
+from qbary import ehrhart
 from qbary.ehrhart import lattice_point_stats
 
 from conftest import apply_map, brute_count, brute_vertex_sum, polytope_and_map
@@ -56,26 +58,114 @@ SCAN_SHAPES = {
 }
 
 
+def brute_stats(p, k):
+    """The four fields of the counting record, from the box-scan oracles."""
+    return (
+        brute_count(p, k),
+        brute_vertex_sum(p, k),
+        brute_count(p, k, strict=True),
+        brute_vertex_sum(p, k, strict=True),
+    )
+
+
 @pytest.mark.parametrize("name", SCAN_SHAPES)
 def test_scan_matches_brute_force_oracles(name):
     p = qb.hull_from_vertices(SCAN_SHAPES[name])
-    for k in range(1, 5):
-        for strict in (False, True):
-            expected = (brute_count(p, k, strict), brute_vertex_sum(p, k, strict))
-            assert lattice_point_stats(p, k, strict) == expected, (k, strict)
+    for k in range(5):
+        assert lattice_point_stats(p, k) == brute_stats(p, k), k
 
 
 @settings(max_examples=60, deadline=None)
 @given(polytope_and_map())
 def test_counts_and_sums_are_unimodular_invariant(case):
-    # k(UP + t) = U(kP) + kt: the counts agree and the sums move by U and kt.
+    # k(UP + t) = U(kP) + kt: the counts agree and the sums move by U and kt,
+    # for the closed and the interior points alike.
     p, u, t = case
     image = qb.hull_from_vertices([tuple(a + b for a, b in zip(apply_map(u, v), t)) for v in p.vertices])
+
+    def moved(k, count, sums):
+        return count, tuple(s + k * ti * count for s, ti in zip(apply_map(u, sums), t))
+
     for k in range(1, 4):
-        for strict in (False, True):
-            count, sums = lattice_point_stats(p, k, strict)
-            moved = tuple(s + k * ti * count for s, ti in zip(apply_map(u, sums), t))
-            assert lattice_point_stats(image, k, strict) == (count, moved), (k, strict)
+        count, sums, interior, interior_sums = lattice_point_stats(p, k)
+        expected = moved(k, count, sums) + moved(k, interior, interior_sums)
+        assert lattice_point_stats(image, k) == expected, k
+
+
+_FRESH = itertools.count(1000)
+
+
+def fresh_simplex(n):
+    """A skinny n-simplex translated to where no other test's cached
+    polytope lies, so every counting pass on it is new."""
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n - 1)]
+    shift = next(_FRESH)
+    corners = [(0,) * n, *units, tuple(range(2, n + 2))]
+    return qb.hull_from_vertices([tuple(x + shift for x in c) for c in corners])
+
+
+def count_passes(monkeypatch, mutate=None):
+    """Record the dilation of every counting pass, optionally corrupting the
+    record it returns."""
+    seen = []
+    real = ehrhart._pass
+
+    def counted(p, k):
+        seen.append(k)
+        stats = real(p, k)
+        return mutate(k, stats) if mutate else stats
+
+    monkeypatch.setattr(ehrhart, "_pass", counted)
+    return seen
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_one_pass_per_dilation(monkeypatch, n):
+    p = fresh_simplex(n)
+    seen = count_passes(monkeypatch)
+    qb.barycenter_function(p)
+    qb.reciprocity_check(p, n + 1)
+    for k in range(1, n + 4):
+        qb.interior_count(p, k)
+    assert sorted(seen) == list(range(1, n + 4))
+
+
+def off_by_one_at(bad_k, field, axis=None):
+    def mutate(k, stats):
+        if k != bad_k:
+            return stats
+        value = getattr(stats, field)
+        if axis is None:
+            return stats._replace(**{field: value + 1})
+        return stats._replace(**{field: value[:axis] + (value[axis] + 1,) + value[axis + 1 :]})
+
+    return mutate
+
+
+# Each validated dilation of a 3-simplex, corrupted alone, must be caught.
+N = 3
+
+
+@pytest.mark.parametrize("k", range(1, N + 2))
+def test_reciprocity_catches_an_interior_count_off_by_one(monkeypatch, k):
+    count_passes(monkeypatch, off_by_one_at(k, "interior"))
+    with pytest.raises(qb.InternalInconsistency, match=f"reciprocity at k={k}"):
+        qb.ehrhart_polynomial(fresh_simplex(N))
+
+
+@pytest.mark.parametrize("k", range(N + 1, N + 4))
+def test_held_out_counts_catch_a_closed_count_off_by_one(monkeypatch, k):
+    count_passes(monkeypatch, off_by_one_at(k, "count"))
+    with pytest.raises(qb.InternalInconsistency, match=f"counting polynomial fails held-out validation at k={k}"):
+        qb.ehrhart_polynomial(fresh_simplex(N))
+
+
+@pytest.mark.parametrize("k", (N + 2, N + 3))
+@pytest.mark.parametrize("axis", range(N))
+def test_held_out_sums_catch_a_coordinate_sum_off_by_one(monkeypatch, k, axis):
+    count_passes(monkeypatch, off_by_one_at(k, "sums", axis))
+    with pytest.raises(qb.InternalInconsistency, match=f"coordinate-sum polynomial fails held-out validation at k={k}"):
+        qb.barycenter_function(fresh_simplex(N))
 
 
 def test_count_errors():

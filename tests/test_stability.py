@@ -180,3 +180,12 @@ def test_log_discrepancy_unsupported_outside_simplicial_cones():
     # vertex cones of the octahedron have four rays each
     with pytest.raises(qb.Unsupported):
         qb.log_discrepancy(octahedron, (1, 1, 1))
+
+
+@pytest.mark.parametrize("direction", [(1,), (1, 0, 0)])
+def test_direction_of_the_wrong_length_is_invalid(direction):
+    message = f"direction has length {len(direction)}, expected 2"
+    with pytest.raises(qb.InvalidInput, match=message):
+        qb.log_discrepancy(P2, direction)
+    with pytest.raises(qb.InvalidInput, match=message):
+        qb.expected_vanishing_order(P2, direction, 1)
