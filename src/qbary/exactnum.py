@@ -91,10 +91,6 @@ class Polynomial:
     def constant(c: RationalLike) -> "Polynomial":
         return Polynomial.of([c])
 
-    @staticmethod
-    def monomial(degree: int, c: RationalLike = 1) -> "Polynomial":
-        return Polynomial.of([0] * degree + [c])
-
     @property
     def degree(self) -> int:
         """Degree, with the convention that the zero polynomial has degree -1."""

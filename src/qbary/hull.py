@@ -12,9 +12,13 @@ Facets are reported in inward form: primitive integer normal ``v`` and
 integer offset ``b`` with ``<u, v> >= -b`` on the hull and equality on the
 facet.
 
-Triangulation fans out from the lexicographically smallest vertex over the
-recursively triangulated facets (any triangulation yields the same volume
-and barycenter; this one is deterministic).
+Measures never rebuild a hull.  :func:`face_triangulator` walks the face
+lattice that the facets' vertex-index sets already describe: the facets of
+a face are its maximal intersections with the polytope's facets, and a
+face is triangulated by coning its smallest vertex over its facets that do
+not contain it (a pulling triangulation; any triangulation yields the same
+volume and barycenter, this one is deterministic).  The simplices are
+vertex indices, so they stay in the original coordinates.
 """
 
 from __future__ import annotations
@@ -23,10 +27,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DegenerateInput, InternalInconsistency, InvalidInput
-from .lattice import AffineLatticeChart
 from .linalg import IntVec, cross_normal, dot, int_det, rank, vec_sub
 
 
@@ -42,17 +45,6 @@ class Hull:
     dim: int
     vertices: tuple[IntVec, ...]
     facets: tuple[HullFacet, ...]
-
-
-def exact_int_vector(coords: Sequence) -> IntVec:
-    """Convert exact rational coordinates to ints, refusing to round."""
-    out = []
-    for x in coords:
-        f = Fraction(x)
-        if f.denominator != 1:
-            raise InternalInconsistency(f"expected integer coordinate, got {f}")
-        out.append(int(f))
-    return tuple(out)
 
 
 def _dedupe(points: Iterable[Sequence[int]]) -> list[IntVec]:
@@ -176,57 +168,70 @@ def _merge_scaffold(pts: list[IntVec], dim: int, facets) -> Hull:
 
 
 # ---------------------------------------------------------------------------
-# triangulation and measure
+# face lattice, triangulation and measure
 
-def triangulate(points: Iterable[Sequence[int]]) -> tuple[tuple[IntVec, ...], ...]:
-    """Partition the hull of the points into integer simplices."""
-    hull = convex_hull(points)
-    return _triangulate_hull(hull)
+Simplex = tuple[int, ...]
 
 
-def _triangulate_hull(hull: Hull) -> tuple[tuple[IntVec, ...], ...]:
-    if hull.dim == 1:
-        return ((hull.vertices[0], hull.vertices[1]),)
-    apex = hull.vertices[0]
-    apex_id = 0
-    simplices: list[tuple[IntVec, ...]] = []
-    for facet in hull.facets:
-        if apex_id in facet.vertex_ids:
-            continue
-        fpoints = [hull.vertices[i] for i in facet.vertex_ids]
-        if len(fpoints) == hull.dim:
-            simplices.append((apex, *fpoints))
-            continue
-        chart = AffineLatticeChart.for_facet(facet.normal, fpoints)
-        back: dict[IntVec, IntVec] = {}
-        cpoints = []
-        for p in fpoints:
-            cp = exact_int_vector(chart.to_chart(p))
-            back[cp] = p
-            cpoints.append(cp)
-        for sub in triangulate(cpoints):
-            simplices.append((apex, *(back[q] for q in sub)))
-    return tuple(simplices)
+def face_triangulator(facets: Sequence[Iterable[int]]) -> Callable[[Iterable[int]], tuple[Simplex, ...]]:
+    """Pulling triangulations of the faces of a polytope, as vertex indices.
+
+    ``facets`` are the polytope's facets as sets of vertex indices.  The
+    returned function maps a face (a set of vertex indices, such as one
+    facet or all vertices) to simplices of the face's dimension that
+    partition it.  The facets of a face G are the maximal proper nonempty
+    sets ``G & F`` over the polytope's facets F; G is triangulated by coning
+    its smallest vertex index over the triangulations of its facets that do
+    not contain it.  Faces are memoized for the lifetime of the returned
+    function, so a face shared by several facets is triangulated once.
+    """
+    facet_sets = [frozenset(f) for f in facets]
+    memo: dict[frozenset[int], tuple[Simplex, ...]] = {}
+
+    def triangulate(face: Iterable[int]) -> tuple[Simplex, ...]:
+        face = frozenset(face)
+        done = memo.get(face)
+        if done is not None:
+            return done
+        if len(face) == 1:
+            done = (tuple(face),)
+        else:
+            apex = min(face)
+            meets = {face & f for f in facet_sets} - {face, frozenset()}
+            far = [m for m in meets if apex not in m and not any(m < other for other in meets)]
+            done = tuple(
+                (apex, *simplex) for sub in sorted(far, key=sorted) for simplex in triangulate(sub)
+            )
+        memo[face] = done
+        return done
+
+    return triangulate
 
 
-def volume_and_barycenter(points: Iterable[Sequence[int]]) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Exact Euclidean volume and barycenter of the hull of the points.
+def measure_from_facets(
+    vertices: Sequence[IntVec], facets: Sequence[Iterable[int]]
+) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Exact Euclidean volume and barycenter of a full-dimensional polytope
+    given by its vertices and its facets' vertex indices.
 
     Simplex volume is |det| / dim!, simplex barycenter the corner average;
     totals are volume-weighted.
     """
-    simplices = triangulate(points)
-    dim = len(simplices[0][0])
-    total = Fraction(0)
-    moment = [Fraction(0)] * dim
-    for simplex in simplices:
-        corner = simplex[0]
-        vol = Fraction(abs(int_det([vec_sub(p, corner) for p in simplex[1:]])), factorial(dim))
-        if vol == 0:
-            continue
-        total += vol
-        for i in range(dim):
-            moment[i] += vol * Fraction(sum(p[i] for p in simplex), dim + 1)
-    if total == 0:
-        raise DegenerateInput("zero-volume hull")
-    return total, tuple(m / total for m in moment)
+    dim = len(vertices[0])
+    total = 0
+    moment = [0] * dim
+    for simplex in face_triangulator(facets)(range(len(vertices))):
+        corner = vertices[simplex[0]]
+        weight = abs(int_det([vec_sub(vertices[i], corner) for i in simplex[1:]]))
+        if weight == 0:
+            raise InternalInconsistency("flat simplex in a pulling triangulation")
+        total += weight
+        for j in range(dim):
+            moment[j] += weight * sum(vertices[i][j] for i in simplex)
+    return Fraction(total, factorial(dim)), tuple(Fraction(m, total * (dim + 1)) for m in moment)
+
+
+def volume_and_barycenter(points: Iterable[Sequence[int]]) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Exact Euclidean volume and barycenter of the hull of the points."""
+    hull = convex_hull(points)
+    return measure_from_facets(hull.vertices, [f.vertex_ids for f in hull.facets])

@@ -2,9 +2,9 @@
 
 Provides row Hermite normal form with a unimodular transform, primitive
 vectors, and lattice bases of hyperplane sublattices ``{u : <u, v> = 0}``.
-The latter back the affine charts used to measure polytope facets in
-lattice-normalized coordinates: a fundamental cell of the facet's affine
-sublattice gets measure one.
+The latter give :class:`AffineLatticeChart`, integer coordinates on an
+affine lattice hyperplane in which a fundamental cell of its sublattice has
+measure one.
 """
 
 from __future__ import annotations

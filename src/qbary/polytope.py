@@ -6,13 +6,16 @@ dual representation: its lattice vertices and its irredundant half-spaces
 incidence relation.  Construction always goes through the exact hull engine
 so both representations are consistent by construction.
 
-Measures come in two flavors.  :func:`measure` is the Euclidean volume and
-barycenter, computed by fanning a triangulation from the lexicographically
-smallest vertex.  :func:`facet_data` equips each facet with the
-lattice-normalized (dim-1)-measure: the facet is mapped to integer
-coordinates through a lattice chart of its affine hyperplane (a fundamental
-cell of the facet sublattice has measure one there), measured, and the
-barycenter pulled back.
+Measures and edges are read off the incidence relation, which holds the
+whole face lattice; no hull is rebuilt.  :func:`measure` is the Euclidean
+volume and barycenter of a pulling triangulation of P
+(:func:`qbary.hull.face_triangulator`).  :func:`facet_data` equips each
+facet with the lattice-normalized (dim-1)-measure, in which a fundamental
+cell of the facet sublattice has measure one: each simplex of the facet's
+triangulation is weighed by the volume of its cone over a vertex off the
+facet divided by that vertex's lattice height, and the barycenter comes out
+in the original coordinates.  :func:`edges` are the vertex pairs that are
+the whole intersection of the facets holding them.
 
 Lower-dimensional hulls appear only as :class:`Body` values, which is all
 Minkowski sums and mixed volumes need; every other operation requires a
@@ -25,13 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import factorial, gcd
 from typing import Iterable, Sequence
 
 from .errors import DegenerateInput, InternalInconsistency, InvalidInput, Unsupported, UnboundedInput
-from .exactnum import Vector, rational_to_json
-from .hull import Hull, convex_hull, exact_int_vector, volume_and_barycenter
-from .lattice import AffineLatticeChart, hermite_normal_form, primitive
+from .exactnum import Vector
+from .hull import convex_hull, face_triangulator, measure_from_facets
+from .lattice import hermite_normal_form, primitive
 from .linalg import IntVec, dot, int_det, rank, solve, vec_add, vec_sub
 
 DIMENSION_CAP = 7
@@ -55,11 +58,11 @@ class Polytope:
     def facet_vertices(self, i: int) -> tuple[IntVec, ...]:
         return tuple(self.vertices[j] for j in self.incidence[i])
 
-    def contains(self, point: Sequence, dilation: int = 1) -> bool:
-        return all(dot(point, f.normal) >= -f.offset * dilation for f in self.facets)
+    def contains(self, point: Sequence) -> bool:
+        return all(dot(point, f.normal) >= -f.offset for f in self.facets)
 
-    def strictly_contains(self, point: Sequence, dilation: int = 1) -> bool:
-        return all(dot(point, f.normal) > -f.offset * dilation for f in self.facets)
+    def strictly_contains(self, point: Sequence) -> bool:
+        return all(dot(point, f.normal) > -f.offset for f in self.facets)
 
 
 @dataclass(frozen=True)
@@ -285,35 +288,59 @@ def minkowski_sum(a: Polytope | Body, b: Polytope | Body) -> Polytope | Body:
 @lru_cache(maxsize=None)
 def measure(p: Polytope) -> MeasureData:
     """Exact Euclidean volume and barycenter."""
-    vol, bc = volume_and_barycenter(p.vertices)
+    vol, bc = measure_from_facets(p.vertices, p.incidence)
     return MeasureData(vol, bc)
 
 
 @lru_cache(maxsize=None)
 def facet_data(p: Polytope) -> FacetData:
-    """Lattice-normalized facet measures, barycenters, and their aggregates."""
+    """Lattice-normalized facet measures, barycenters, and their aggregates.
+
+    Each facet F is triangulated on P's face lattice.  A simplex S of F and
+    a vertex a of P off F, at lattice height h above F, span an n-simplex of
+    Euclidean volume ``|det| / n!`` = ``nvol(S) h / n``, so S has lattice-
+    normalized measure ``|det| / (h (n-1)!)``; h must divide the determinant.
+    Minkowski's relation ``sum_F nvol(F) u_F = 0`` and the divergence
+    theorem ``sum_F nvol(F) bc_F[i] u_F[j] = -delta_ij vol(P)`` are asserted.
+    """
+    n = p.dim
+    triangulate = face_triangulator(p.incidence)
     measures = []
-    total = Fraction(0)
-    moment = [Fraction(0)] * p.dim
-    for i, facet in enumerate(p.facets):
-        fverts = p.facet_vertices(i)
-        if p.dim == 1:
-            # a facet is a single point; its 0-dimensional measure is 1
-            vol, bc = Fraction(1), tuple(Fraction(x) for x in fverts[0])
-        else:
-            chart = AffineLatticeChart.for_facet(facet.normal, fverts)
-            coords = [exact_int_vector(chart.to_chart(v)) for v in fverts]
-            vol, cbc = volume_and_barycenter(coords)
-            bc = chart.from_chart(cbc)
+    for facet, ids in zip(p.facets, p.incidence):
+        off = next(v for i, v in enumerate(p.vertices) if i not in ids)
+        height = dot(off, facet.normal) + facet.offset
+        total = 0
+        moment = [0] * n
+        for simplex in triangulate(ids):
+            corner = p.vertices[simplex[0]]
+            rows = [vec_sub(p.vertices[i], corner) for i in simplex[1:]] + [vec_sub(off, corner)]
+            weight, rest = divmod(abs(int_det(rows)), height)
+            if rest or weight == 0:
+                raise InternalInconsistency("facet simplex volume not a positive multiple of its height")
+            total += weight
+            for j in range(n):
+                moment[j] += weight * sum(p.vertices[i][j] for i in simplex)
+        vol = Fraction(total, factorial(n - 1))
+        bc = tuple(Fraction(m, total * n) for m in moment)
         measures.append(FacetMeasure(facet.normal, facet.offset, vol, bc))
-        total += vol
-        for j in range(p.dim):
-            moment[j] += vol * bc[j]
+    _check_facet_identities(p, measures)
+    boundary = sum(fm.normalized_volume for fm in measures)
     return FacetData(
         tuple(measures),
-        total,
-        tuple(m / total for m in moment),
+        boundary,
+        tuple(sum(fm.normalized_volume * fm.barycenter[j] for fm in measures) / boundary for j in range(n)),
     )
+
+
+def _check_facet_identities(p: Polytope, measures: Sequence[FacetMeasure]) -> None:
+    vol = measure(p).volume
+    for j in range(p.dim):
+        if sum(fm.normalized_volume * fm.normal[j] for fm in measures) != 0:
+            raise InternalInconsistency("facet measures violate Minkowski's relation")
+        for i in range(p.dim):
+            flux = sum(fm.normalized_volume * fm.barycenter[i] * fm.normal[j] for fm in measures)
+            if flux != (-vol if i == j else 0):
+                raise InternalInconsistency("facet barycenters violate the divergence theorem")
 
 
 def check_direction(direction: Sequence[int], dim: int) -> None:
@@ -334,16 +361,19 @@ def support_value(p: Polytope, direction: Sequence[int]) -> int:
 def edges(p: Polytope) -> tuple[tuple[int, int], ...]:
     """Vertex-index pairs forming the 1-faces.
 
-    A segment between two vertices is an edge exactly when the facets
-    containing both have normals spanning a space of rank dim-1.
+    The smallest face holding two vertices is the intersection of the
+    facets that hold both; the pair is an edge exactly when that face is
+    the pair itself.  (A segment has no facet holding both its vertices,
+    and no edges.)
     """
-    facet_sets = [set(ids) for ids in p.incidence]
+    holds = [set() for _ in p.vertices]
+    for k, ids in enumerate(p.incidence):
+        for i in ids:
+            holds[i].add(k)
     out = []
     for i, j in combinations(range(len(p.vertices)), 2):
-        common = [k for k, s in enumerate(facet_sets) if i in s and j in s]
-        if not common:
-            continue
-        if rank([p.facets[k].normal for k in common]) == p.dim - 1:
+        common = holds[i] & holds[j]
+        if common and not any(m not in (i, j) and common <= holds[m] for m in range(len(p.vertices))):
             out.append((i, j))
     return tuple(out)
 

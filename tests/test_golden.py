@@ -1,0 +1,84 @@
+"""CLI output held byte for byte to recorded golden documents.
+
+``tests/golden/cli.json`` holds, for each command line below, the exit
+status, stdout and stderr of ``python -m qbary.cli``.  The test runs the
+same command lines through ``qbary.cli.execute`` and compares all three
+exactly, so a rewrite of any layer underneath must leave the printed
+results unchanged.  After a deliberate change of output, regenerate the
+file with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from qbary.cli import execute
+
+GOLDEN = Path(__file__).parent / "golden" / "cli.json"
+
+FIXTURES = (
+    "p2",
+    "f1",
+    "blowup-p1xp1",
+    "fano-3-29",
+    "cube2",
+    "cube3",
+    "square-reflexive-nondelzant",
+    "square-delzant-nonreflexive",
+    "hexagon",
+)
+DELZANT = tuple(name for name in FIXTURES if name != "square-reflexive-nondelzant")
+DIM = {name: 3 if name in ("fano-3-29", "cube3") else 2 for name in FIXTURES}
+MIXED_PAIRS = (("p2", "f1"), ("f1", "hexagon"), ("blowup-p1xp1", "cube2"), ("hexagon", "square-delzant-nonreflexive"))
+
+
+def command_lines() -> list[list[str]]:
+    lines = []
+    for name in FIXTURES:
+        for command in (["bc"], ["classify"], ["ehrhart"], ["expand"], ["bck", "--k", "7"], ["delta-seq", "--ks", "1,2,3"]):
+            lines.append([*command, "--input", name])
+    for name in DELZANT:
+        lines.append(["hrr", "--input", name])
+    for name in DELZANT:
+        lines.append(["mixed-volume", "--input", name, "--multiplicities", str(DIM[name])])
+    for a, b in MIXED_PAIRS:
+        lines.append(["mixed-volume", "--input", a, "--input", b])
+    return lines
+
+
+def record() -> None:
+    """Run every command line in a fresh interpreter and write the golden file."""
+    cases = []
+    for argv in command_lines():
+        run = subprocess.run([sys.executable, "-m", "qbary.cli", *argv], capture_output=True, text=True)
+        cases.append({"argv": argv, "status": run.returncode, "stdout": run.stdout, "stderr": run.stderr})
+    GOLDEN.write_text(json.dumps(cases, indent=1) + "\n")
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict[str, dict]:
+    return {" ".join(case["argv"]): case for case in json.loads(GOLDEN.read_text())}
+
+
+def test_golden_file_covers_every_command_line(golden):
+    assert list(golden) == [" ".join(argv) for argv in command_lines()]
+
+
+@pytest.mark.parametrize("argv", command_lines(), ids=" ".join)
+def test_cli_output_is_byte_identical(argv, golden):
+    case = golden[" ".join(argv)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = execute(argv)
+    assert (status, out.getvalue(), err.getvalue()) == (case["status"], case["stdout"], case["stderr"])
+
+
+if __name__ == "__main__":
+    record()

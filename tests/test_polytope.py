@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
+from math import comb, factorial
 
 import pytest
+from hypothesis import assume, given, settings
 
 import qbary as qb
+import qbary.hull
+import qbary.polytope
 from qbary.linalg import dot, vec_add
-from qbary.polytope import Body, body_from_points
+from qbary.polytope import Body, body_from_points, edges
 
-from conftest import FIXTURE_NAMES, shoelace_area, ccw_order
+from conftest import FIXTURE_NAMES, apply_map, ccw_order, polytope_and_map, random_corpus, shoelace_area
 
 
 def brute_facets_2d(points):
@@ -209,6 +214,195 @@ def test_normalized_measure_is_unimodular_invariant_euclidean_is_not(fixtures):
         return sorted(out)
 
     assert euclidean_sq_lengths(p) != euclidean_sq_lengths(mapped)
+
+
+# ---------------------------------------------------------------------------
+# measures on the face lattice
+
+def unit_cube(n):
+    return qb.hull_from_vertices(list(product((0, 1), repeat=n)))
+
+
+def cross_polytope(n):
+    return qb.hull_from_vertices(
+        [tuple(s if i == j else 0 for i in range(n)) for j in range(n) for s in (1, -1)]
+    )
+
+
+def cyclic_4_polytope():
+    # (C(t,1), .., C(t,4)) is a linear image of the moment curve, so six of
+    # its points span the cyclic polytope C(6, 4), with small coordinates
+    return qb.hull_from_vertices([tuple(comb(t, i) if t >= 0 else (-1) ** i for i in range(1, 5)) for t in range(-1, 5)])
+
+
+def _facet_points(p, facet, k):
+    """Lattice points of k*P on the facet's hyperplane, by a box scan over
+    all coordinates but one, solved for the last one."""
+    u, b = facet.normal, facet.offset
+    lo = [k * min(v[i] for v in p.vertices) for i in range(p.dim)]
+    hi = [k * max(v[i] for v in p.vertices) for i in range(p.dim)]
+    c = max((i for i in range(p.dim) if u[i]), key=lambda i: hi[i] - lo[i])
+    others = [i for i in range(p.dim) if i != c]
+    points = []
+    for rest in product(*(range(lo[i], hi[i] + 1) for i in others)):
+        num = -k * b - sum(u[i] * x for i, x in zip(others, rest))
+        if num % u[c]:
+            continue
+        x = list(rest)
+        x.insert(c, num // u[c])
+        if all(dot(x, f.normal) >= -k * f.offset for f in p.facets):
+            points.append(x)
+    return points
+
+
+def _leading_difference(values, degree):
+    # the degree-th finite difference at 0 is degree! times the leading
+    # coefficient of a polynomial of that degree
+    for _ in range(degree):
+        values = [b - a for a, b in zip(values, values[1:])]
+    return F(values[0], factorial(degree))
+
+
+ORACLE_POLYTOPES = {
+    "cube3": lambda: qb.load_fixture("cube3"),
+    "fano-3-29": lambda: qb.load_fixture("fano-3-29"),
+    "octahedron": lambda: cross_polytope(3),
+    "cross-4": lambda: cross_polytope(4),
+    "cyclic-4": cyclic_4_polytope,
+    **{f"corpus-3d-{i}": (lambda i=i: [q for q in random_corpus() if q.dim == 3][i]) for i in range(20)},
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_POLYTOPES)
+def test_facet_data_matches_facet_lattice_point_oracle(name):
+    # E_F(k) = nvol(F) k^(n-1) + ..., and sum_{x in kF} x = nvol(F) bc_F k^n + ...
+    p = ORACLE_POLYTOPES[name]()
+    n = p.dim
+    fd = qb.facet_data(p)
+    for facet, fm in zip(p.facets, fd.facets):
+        counts, sums = [], [[] for _ in range(n)]
+        for k in range(n + 1):
+            points = _facet_points(p, facet, k)
+            counts.append(len(points))
+            for i in range(n):
+                sums[i].append(sum(x[i] for x in points))
+        assert _leading_difference(counts, n) == 0, (name, facet)
+        assert _leading_difference(counts, n - 1) == fm.normalized_volume, (name, facet)
+        for i in range(n):
+            assert _leading_difference(sums[i], n) == fm.normalized_volume * fm.barycenter[i], (name, facet)
+
+
+NO_HULL_POLYTOPES = {
+    "cube3": lambda: qb.load_fixture("cube3"),
+    "fano-3-29": lambda: qb.load_fixture("fano-3-29"),
+    "cube5": lambda: unit_cube(5),
+    "octahedron": lambda: cross_polytope(3),
+}
+
+
+@pytest.mark.parametrize("name", NO_HULL_POLYTOPES)
+def test_measures_and_classification_build_no_hull(name, monkeypatch):
+    p = NO_HULL_POLYTOPES[name]()
+    expected = (qb.measure(p), qb.facet_data(p), qb.classify(p))
+
+    def refuse(points):
+        raise AssertionError("convex_hull called")
+
+    monkeypatch.setattr(qbary.hull, "convex_hull", refuse)
+    monkeypatch.setattr(qbary.polytope, "convex_hull", refuse)
+    got = tuple(fn.__wrapped__(p) for fn in (qb.measure, qb.facet_data, qb.classify))
+    assert got == expected
+
+
+def test_unit_cubes_and_cross_polytopes():
+    for n in range(1, 6):
+        cube, cross = unit_cube(n), cross_polytope(n)
+        assert qb.measure(cube) == qb.MeasureData(F(1), (F(1, 2),) * n)
+        assert qb.measure(cross) == qb.MeasureData(F(2**n, factorial(n)), (F(0),) * n)
+        assert [fm.normalized_volume for fm in qb.facet_data(cube).facets] == [F(1)] * (2 * n)
+        assert [fm.normalized_volume for fm in qb.facet_data(cross).facets] == [F(1, factorial(n - 1))] * 2**n
+        assert len(edges(cube)) == (n * 2 ** (n - 1) if n > 1 else 0)
+        assert len(edges(cross)) == (2 * n * (n - 1) if n > 1 else 0)
+        assert qb.classify(cube).delzant == (n > 1) and qb.classify(cross).reflexive
+
+
+MUTANT_POLYTOPES = {
+    "cube3": lambda: qb.load_fixture("cube3"),
+    "fano-3-29": lambda: qb.load_fixture("fano-3-29"),
+    "cube4": lambda: unit_cube(4),
+}
+
+
+@pytest.mark.parametrize("name", MUTANT_POLYTOPES)
+def test_facet_identities_catch_a_dropped_simplex(name, monkeypatch):
+    p = MUTANT_POLYTOPES[name]()
+    qb.measure(p)
+    real = qbary.hull.face_triangulator
+    target = max(p.incidence, key=lambda ids: len(real(p.incidence)(ids)))
+    assert len(real(p.incidence)(target)) > 1
+
+    def dropping(facets):
+        triangulate = real(facets)
+        return lambda face: triangulate(face)[1:] if tuple(face) == target else triangulate(face)
+
+    monkeypatch.setattr(qbary.polytope, "face_triangulator", dropping)
+    with pytest.raises(qb.InternalInconsistency, match="Minkowski"):
+        qb.facet_data.__wrapped__(p)
+
+
+MOVED_BARYCENTER_POLYTOPES = {
+    **MUTANT_POLYTOPES,
+    "octahedron": lambda: cross_polytope(3),
+    "p2": lambda: qb.load_fixture("p2"),
+}
+
+
+@pytest.mark.parametrize("name", MOVED_BARYCENTER_POLYTOPES)
+def test_facet_identities_catch_a_moved_barycenter(name, monkeypatch):
+    p = MOVED_BARYCENTER_POLYTOPES[name]()
+    qb.measure(p)
+    real = qbary.polytope.FacetMeasure
+    moved = []
+
+    def moving(normal, offset, vol, bc):
+        if not moved:
+            # a step along the facet keeps the barycenter on its hyperplane
+            i = next(i for i, x in enumerate(normal) if x)
+            j = (i + 1) % len(normal)
+            step = [0] * len(normal)
+            step[i], step[j] = F(normal[j], 7), F(-normal[i], 7)
+            bc = vec_add(bc, step)
+            moved.append(bc)
+        return real(normal, offset, vol, bc)
+
+    monkeypatch.setattr(qbary.polytope, "FacetMeasure", moving)
+    with pytest.raises(qb.InternalInconsistency, match="divergence"):
+        qb.facet_data.__wrapped__(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polytope_and_map())
+def test_measures_facets_and_edges_follow_unimodular_maps(case):
+    p, u, t = case
+    assume(p.dim >= 2)
+
+    def move(x):
+        return vec_add(apply_map(u, x), t)
+
+    q = qb.hull_from_vertices([move(v) for v in p.vertices])
+    assert qb.measure(q).volume == qb.measure(p).volume
+    assert qb.measure(q).barycenter == move(qb.measure(p).barycenter)
+    before, after = qb.facet_data(p).facets, qb.facet_data(q).facets
+    assert Counter(fm.normalized_volume for fm in after) == Counter(fm.normalized_volume for fm in before)
+    assert Counter((fm.normalized_volume, fm.barycenter) for fm in after) == Counter(
+        (fm.normalized_volume, move(fm.barycenter)) for fm in before
+    )
+    # Delzant is an affine invariant; reflexive depends on where the origin is
+    assert qb.classify(q).delzant == qb.classify(p).delzant
+    assert qb.classify(qb.hull_from_vertices([apply_map(u, v) for v in p.vertices])) == qb.classify(p)
+    assert {frozenset((q.vertices[i], q.vertices[j])) for i, j in edges(q)} == {
+        frozenset((move(p.vertices[i]), move(p.vertices[j]))) for i, j in edges(p)
+    }
 
 
 # ---------------------------------------------------------------------------
