@@ -29,7 +29,7 @@ from .exactnum import (
     rational_from_json,
     rational_to_json,
 )
-from .lattice import AffineLatticeChart, hermite_normal_form, hyperplane_basis, primitive
+from .lattice import hermite_normal_form, primitive
 from .polytope import (
     Body,
     Classification,

@@ -27,10 +27,6 @@ def vec_sub(a: Sequence, b: Sequence) -> tuple:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vec_scale(a: Sequence, s) -> tuple:
-    return tuple(x * s for x in a)
-
-
 def int_det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix via Bareiss elimination."""
     n = len(rows)

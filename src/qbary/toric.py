@@ -9,30 +9,38 @@ cancellation law).  Mixed volumes extend multilinearly to such combinations;
 over Minkowski sums of sub-multisets, with lower-dimensional sums
 contributing volume zero.
 
-For Delzant data the counting polynomial's coefficients have a closed form:
+For Delzant data the paper gives the counting polynomial's coefficients as
 
     a_j = sum over (l_1..l_d), sum l_i = n - j, of
           n! B(l_1)..B(l_d) / (j! l_1!..l_d!) * V(P, j; D_1, l_1; ..; D_d, l_d)
 
 with B the Bernoulli numbers normalized by B_1 = +1/2 and D_i the virtual
 polytope of the i-th facet divisor.  Every polytope here has the form
-``P(h) = {x : <u_i, x> >= -h_i}`` on the normal fan of P, and these mixed
-volumes come from that fan alone (:class:`DelzantFan`): each vertex cone is
-spanned by a lattice basis of rays, one generic integer vector c has
-integer coordinates gamma in each basis, and Lawrence's formula
+``P(h) = {x : <u_i, x> >= -h_i}`` on the normal fan of P (:class:`DelzantFan`):
+each vertex cone is spanned by a lattice basis of rays, and one generic
+integer vector c has nonzero integer coordinates gamma in each basis.
+Lawrence's formula ``vol P(h) = (1/n!) sum_cones (sum_i gamma_i h_i)^n /
+prod_i gamma_i`` makes the mixed volumes polarizations of one polynomial,
+and grouping the composition sum by cones turns it into the
+Khovanskii-Pukhlikov Todd operator on that polynomial:
 
-    vol P(h) = (1/n!) sum_cones (sum_i gamma_i h_i)^n / prod_i gamma_i
+    a_j = sum_cones L^j / (j! prod gamma) * [x^(n-j)] prod_{i in cone} Td(gamma_i x)
 
-is a polynomial in h whose polarization is the mixed volume of the virtual
-polytopes P(h_1), .., P(h_n) (Khovanskii-Pukhlikov).  ``hrr_coefficients``
-evaluates the formula and insists it reproduce the fitted counting
-polynomial exactly.  The analogous degree-(n+1) formula on the rooftop fan
-gives the numerator coefficients of ``<Bc_k, v>``; ``rooftop_coefficients``
-reads those off the coordinate-sum polynomials of ``barycenter_function``,
-counts the actual rooftop at k = 1 and 2 against them, and cross-checks
-the fan formula whenever the rooftop is itself Delzant.  ``mixed_volume``
-and ``divisor_polytope`` remain the independent inclusion-exclusion route,
-used on arbitrary bodies and as the test oracle for the fan.
+with ``L = sum_i gamma_i h_i`` and ``Td(x) = x / (1 - e^-x) = sum_l B(l)
+x^l / l!``.  Both ``hrr_coefficients`` and the degree-(n+1) formula on the
+rooftop fan in ``rooftop_coefficients`` (where only P's rays carry a Todd
+factor) evaluate this, one truncated power series product per cone.  The composition sum itself, with every mixed
+volume taken by inclusion-exclusion of ``divisor_polytope``s, is what the
+test suite checks the Todd evaluation against.
+
+The checks that stay independent of the fan: ``hrr_coefficients`` must
+reproduce the fitted counting polynomial, its leading coefficient the
+triangulated volume and its subleading one half the boundary measure read
+off the face lattice; the rooftop formula must reproduce the coefficients
+read off the coordinate-sum fit of ``barycenter_function``, and the actual
+rooftop is counted at k = 1 and 2 against those.  ``mixed_volume`` and
+``divisor_polytope`` remain the inclusion-exclusion route for arbitrary
+bodies.
 """
 
 from __future__ import annotations
@@ -299,25 +307,36 @@ def rooftop_fan(t: ToricData, direction: Sequence[int]) -> RooftopFan:
 AMPLE_SHIFT_CAP = 16
 
 
-def _exact_facet_polytope(rays: tuple[IntVec, ...], offsets: Sequence[int]) -> Polytope | None:
-    """The polytope of the given data when every inequality is a facet with
-    exactly the given offset; None otherwise."""
+def _vertex_cones(p: Polytope) -> list[frozenset[IntVec]]:
+    """The facet normals at each vertex of ``p``: its normal fan."""
+    cones: list[set[IntVec]] = [set() for _ in p.vertices]
+    for f, verts in zip(p.facets, p.incidence):
+        for v in verts:
+            cones[v].add(f.normal)
+    return [frozenset(c) for c in cones]
+
+
+def _exact_facet_polytope(t: ToricData, offsets: Sequence[int]) -> Polytope | None:
+    """The polytope of ``t.rays`` with the given offsets when every
+    inequality is a facet with exactly that offset and the vertex cones are
+    those of ``t.polytope``; None otherwise.  From dimension 3 on, the same
+    facet normals allow a different normal fan (a flipped edge)."""
     try:
-        p = polytope_from_halfspaces(rays, offsets)
+        p = polytope_from_halfspaces(t.rays, offsets)
     except InvalidInput:
         return None
-    if set(p.facets) == {Halfspace(r, int(b)) for r, b in zip(rays, offsets)}:
-        return p
-    return None
+    if set(p.facets) != {Halfspace(r, int(b)) for r, b in zip(t.rays, offsets)}:
+        return None
+    return p if set(_vertex_cones(p)) == set(_vertex_cones(t.polytope)) else None
 
 
 @lru_cache(maxsize=None)
 def divisor_polytope(t: ToricData, coeffs: tuple[int, ...]) -> VirtualPolytope:
     """Virtual polytope of the divisor with the given ray coefficients.
 
-    When the data (rays, coeffs) defines a polytope whose facets are exactly
-    the rays the divisor is ample and the polytope itself is returned as a
-    single term.  Otherwise the minimal shift ``m >= 1`` making
+    When the data (rays, coeffs) defines a polytope with the normal fan of
+    ``t.polytope`` the divisor is ample and the polytope itself is returned
+    as a single term.  Otherwise the minimal shift ``m >= 1`` making
     (rays, m*offsets + coeffs) pass that test represents the divisor as the
     formal difference of two ample polytopes.  The zero divisor is the
     origin (the Minkowski-neutral body).
@@ -330,16 +349,14 @@ def divisor_polytope(t: ToricData, coeffs: tuple[int, ...]) -> VirtualPolytope:
     dim = t.polytope.dim
     if all(c == 0 for c in coeffs):
         return VirtualPolytope(dim, ((1, Body(dim, ((0,) * dim,))),))
-    direct = _exact_facet_polytope(t.rays, coeffs)
+    direct = _exact_facet_polytope(t, coeffs)
     if direct is not None:
         return VirtualPolytope.of(direct)
     for m in range(1, AMPLE_SHIFT_CAP + 1):
-        shifted = _exact_facet_polytope(
-            t.rays, tuple(m * b + c for b, c in zip(t.offsets, coeffs))
-        )
+        shifted = _exact_facet_polytope(t, tuple(m * b + c for b, c in zip(t.offsets, coeffs)))
         if shifted is None:
             continue
-        base = _exact_facet_polytope(t.rays, tuple(m * b for b in t.offsets))
+        base = _exact_facet_polytope(t, tuple(m * b for b in t.offsets))
         if base is None:
             raise InternalInconsistency("dilation of the polarization lost a facet")
         return VirtualPolytope.combine(((1, shifted), (-1, base)), dim)
@@ -359,20 +376,6 @@ class DelzantFan:
     dim: int
     cones: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
-    def mixed_volume(self, args: Sequence[tuple[Sequence[int], int]]) -> Fraction:
-        """V(P(h_1), m_1; ..; P(h_r), m_r) for offset vectors h_k (one entry
-        per ray) with multiplicities summing to ``dim``:
-
-            (1/n!) sum_cones prod_k (sum_i gamma_i h_k,i)^m_k / prod_i gamma_i
-        """
-        total = Fraction(0)
-        for cone, gamma in self.cones:
-            num = 1
-            for h, m in args:
-                num *= sum(g * h[i] for i, g in zip(cone, gamma)) ** m
-            total += Fraction(num, prod(gamma))
-        return total / factorial(self.dim)
-
 
 def delzant_fan(t: ToricData) -> DelzantFan:
     """The fan of ``t`` with c = (1, s, s^2, ..) for the smallest s >= 2 at
@@ -387,13 +390,9 @@ def delzant_fan(t: ToricData) -> DelzantFan:
     p = t.polytope
     n = p.dim
     index = {r: i for i, r in enumerate(t.rays)}
-    cones: list[list[int]] = [[] for _ in p.vertices]
-    for f, verts in zip(p.facets, p.incidence):
-        for v in verts:
-            cones[v].append(index[f.normal])
+    cones = [tuple(sorted(index[u] for u in normals)) for normals in _vertex_cones(p)]
     duals = []
     for cone in cones:
-        cone.sort()
         rows = [t.rays[i] for i in cone]
         if len(cone) != n or abs(int_det(rows)) != 1:
             raise InternalInconsistency("a vertex cone of the Delzant fan is not unimodular")
@@ -403,61 +402,44 @@ def delzant_fan(t: ToricData) -> DelzantFan:
         c = tuple(s**k for k in range(n))
         gammas = [tuple(dot(c, w) for w in ws) for ws in duals]
         if all(all(g) for g in gammas):
-            return DelzantFan(n, tuple(zip(map(tuple, cones), gammas)))
+            return DelzantFan(n, tuple(zip(cones, gammas)))
         s += 1
 
 
 # ---------------------------------------------------------------------------
 # coefficient formulas
 
-def _compositions(total: int, slots: int):
-    """Weak compositions of ``total`` skipping parts with a vanishing
-    Bernoulli factor (odd parts >= 3)."""
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        if first >= 3 and first % 2 == 1:
-            continue
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
+def _todd_coefficients(fan: DelzantFan, lead: Sequence[int], slots: int, js: range) -> tuple[Fraction, ...]:
+    """For each j in ``js``, the sum over vertex cones of
 
+        L^j / (j! prod gamma) * [x^(dim - j)] prod_{i in cone, i < slots} Td(gamma_i x)
 
-def _bernoulli_coefficients(fan: DelzantFan, lead: Sequence[int], slots: int, js: range) -> tuple[Fraction, ...]:
-    """For each j in ``js``, the sum over compositions (l_1..l_slots) of
-    dim - j of ``dim! B(l_1)..B(l_slots) / (j! l_1!..l_slots!)`` times
-    ``V(P(lead), j; D_1, l_1; ..; D_slots, l_slots)``, with D_i the unit
-    divisor of ray i."""
+    with ``L = sum_i gamma_i lead_i`` and ``Td(x) = sum_l B(l) x^l / l!``."""
     n = fan.dim
-    unit = identity(len(lead))
-    out = []
-    for j in js:
-        total = Fraction(0)
-        for comp in _compositions(n - j, slots):
-            bprod = Fraction(1)
-            fact = factorial(j)
-            for li in comp:
-                bprod *= bernoulli(li)
-                fact *= factorial(li)
-            if bprod == 0:
-                continue
-            args = [(lead, j)] + [(unit[i], li) for i, li in enumerate(comp) if li > 0]
-            total += Fraction(factorial(n)) * bprod / fact * fan.mixed_volume(args)
-        out.append(total)
-    return tuple(out)
+    todd = [bernoulli(l) / factorial(l) for l in range(n + 1)]
+    out = dict.fromkeys(js, Fraction(0))
+    for cone, gamma in fan.cones:
+        series = [Fraction(1)] + [Fraction(0)] * n
+        for i, g in zip(cone, gamma):
+            if i < slots:
+                factor = [b * g**l for l, b in enumerate(todd)]
+                series = [sum(series[a] * factor[m - a] for a in range(m + 1)) for m in range(n + 1)]
+        lin = sum(g * lead[i] for i, g in zip(cone, gamma))
+        for j in js:
+            out[j] += Fraction(lin**j, factorial(j) * prod(gamma)) * series[n - j]
+    return tuple(out.values())
 
 
 def hrr_coefficients(t: ToricData) -> tuple[Fraction, ...]:
-    """Counting-polynomial coefficients a_0..a_n from the Bernoulli/mixed-
-    volume formula on the fan; asserted equal to the fitted counting
-    polynomial, with the leading coefficient equal to the triangulated
-    volume and the subleading one to half the facet-chart boundary volume."""
+    """Counting-polynomial coefficients a_0..a_n from the Todd evaluation on
+    the fan; asserted equal to the fitted counting polynomial, with the
+    leading coefficient equal to the triangulated volume and the subleading
+    one to half the normalized boundary volume."""
     if not t.delzant:
         raise PreconditionViolation("the coefficient formula requires Delzant data")
     p = t.polytope
     n = p.dim
-    coeffs = _bernoulli_coefficients(delzant_fan(t), t.offsets, len(t.rays), range(n + 1))
+    coeffs = _todd_coefficients(delzant_fan(t), t.offsets, len(t.rays), range(n + 1))
     # checked before the fit: ehrhart_polynomial asserts both identities on
     # the fitted coefficients, so after a passing fit comparison they could
     # no longer fail
@@ -490,8 +472,8 @@ def rooftop_coefficients(t: ToricData, direction: Sequence[int]) -> RooftopCoeff
     They are read off the coordinate-sum polynomials of
     ``barycenter_function``.  The rooftop at the canonical offset q is
     counted at k = 1 and 2 and must hold ``(q k + 1) E(k) + k <Q(k), v>``
-    points.  When the rooftop is itself Delzant the degree-(n+1)
-    Bernoulli/mixed-volume formula on its fan must give the same c'_j.
+    points.  When the rooftop is itself Delzant the degree-(n+1) Todd
+    evaluation on its fan must give the same c'_j.
     """
     if not t.delzant:
         raise PreconditionViolation("rooftop coefficients require Delzant data")
@@ -520,10 +502,11 @@ def rooftop_coefficients(t: ToricData, direction: Sequence[int]) -> RooftopCoeff
 
 
 def _cprime_by_formula(t: ToricData, fan: RooftopFan, roof: Polytope) -> tuple[Fraction, ...]:
-    tbar = toric_data(fan.rays, t.offsets + (0, fan.q))
-    if tbar.polytope != roof:
+    offsets = t.offsets + (0, fan.q)
+    if set(roof.facets) != {Halfspace(r, b) for r, b in zip(fan.rays, offsets)}:
         raise InternalInconsistency("rooftop fan data disagrees with the hull")
+    tbar = ToricData(fan.rays, offsets, roof, classify(roof).reflexive, True)
     # the rooftop minus q times its roof divisor, on the rooftop's own fan:
     # P's offsets, then 0 on the floor and q - q on the roof
     relative = t.offsets + (0, 0)
-    return _bernoulli_coefficients(delzant_fan(tbar), relative, len(t.rays), range(1, t.polytope.dim + 2))
+    return _todd_coefficients(delzant_fan(tbar), relative, len(t.rays), range(1, t.polytope.dim + 2))

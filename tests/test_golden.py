@@ -50,6 +50,10 @@ def command_lines() -> list[list[str]]:
         lines.append(["mixed-volume", "--input", name, "--multiplicities", str(DIM[name])])
     for a, b in MIXED_PAIRS:
         lines.append(["mixed-volume", "--input", a, "--input", b])
+    for name in DELZANT:
+        rest = (0,) * (DIM[name] - 2)
+        for v in ((1, 0, *rest), (-1, 2, *rest)):
+            lines.append(["rooftop-coeffs", "--input", name, "--v", ",".join(map(str, v))])
     return lines
 
 

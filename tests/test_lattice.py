@@ -1,15 +1,11 @@
 from __future__ import annotations
 
-from itertools import combinations
-from math import gcd
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbary as qb
-from qbary.lattice import AffineLatticeChart
-from qbary.linalg import dot, int_det, matmul
+from qbary.linalg import int_det, matmul
 
 
 def _is_row_hnf(h) -> bool:
@@ -74,51 +70,3 @@ def test_primitive():
     assert qb.primitive((1, 1)) == (1, 1)
     with pytest.raises(qb.InvalidInput):
         qb.primitive((0, 0))
-
-
-def _minor_gcd(rows) -> int:
-    n = len(rows[0])
-    g = 0
-    for cols in combinations(range(n), len(rows)):
-        minor = [[row[c] for c in cols] for row in rows]
-        g = gcd(g, abs(int_det(minor)))
-    return g
-
-
-@pytest.mark.parametrize(
-    "v",
-    [(0, 1), (1, 1), (1, -2), (1, 1, 1), (2, 3, 5), (1, 0, 0, -1), (3, -1, 7)],
-)
-def test_hyperplane_basis_generates_kernel_sublattice(v):
-    basis = qb.hyperplane_basis(v)
-    assert len(basis) == len(v) - 1
-    for b in basis:
-        assert dot(b, v) == 0
-    # a true basis of the kernel sublattice, not a finite-index subgroup:
-    # the gcd of the maximal minors must be 1
-    assert _minor_gcd(list(basis)) == 1
-
-
-def test_hyperplane_basis_small_examples():
-    assert qb.hyperplane_basis((0, 1)) == ((1, 0),)
-    assert qb.hyperplane_basis((1, 1)) == ((1, -1),)
-
-
-def test_hyperplane_basis_requires_primitive():
-    with pytest.raises(qb.InvalidInput):
-        qb.hyperplane_basis((2, 4))
-
-
-def test_chart_round_trip_on_facet_lattice_points():
-    # facet x + y = -1 of the degree-8 polygon: lattice points (-1,0),(0,-1)
-    chart = AffineLatticeChart.for_facet((1, 1), [(-1, 0), (0, -1)])
-    for point in [(-1, 0), (0, -1), (1, -2), (-3, 2)]:
-        coords = chart.to_chart(point)
-        assert all(c.denominator == 1 for c in coords)
-        assert chart.from_chart(coords) == point
-
-
-def test_chart_rejects_points_off_hyperplane():
-    chart = AffineLatticeChart.for_facet((1, 1), [(-1, 0), (0, -1)])
-    with pytest.raises(qb.InvalidInput):
-        chart.to_chart((0, 0))

@@ -2,16 +2,19 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 from itertools import permutations
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qbary as qb
 from qbary.exactnum import Polynomial
-from qbary.linalg import int_det
+from qbary.linalg import int_det, solve, vec_add
 from qbary.polytope import Body, body_from_points
-from qbary.toric import VirtualPolytope, delzant_fan
+from qbary.toric import DelzantFan, VirtualPolytope, delzant_fan
 
-from conftest import DEL_PEZZO_NAMES
+from conftest import DEL_PEZZO_NAMES, apply_map, unimodular
 
 
 def tor(name: str) -> qb.ToricData:
@@ -182,13 +185,27 @@ def test_p2_pairwise_divisor_mixed_volumes_are_half():
 
 
 # ---------------------------------------------------------------------------
-# the fan volume polynomial against inclusion-exclusion
+# the fan's cones against inclusion-exclusion, one intersection number at a
+# time (the Todd evaluation only ever sees them summed)
 
 DELZANT_2D = ("p2", "f1", "blowup-p1xp1", "cube2", "hexagon", "square-delzant-nonreflexive")
 
 
 def unit(d: int, i: int) -> tuple[int, ...]:
     return tuple(int(i == j) for j in range(d))
+
+
+def lawrence_mixed_volume(fan, args) -> F:
+    """V(P(h_1), m_1; ..) as the polarization of Lawrence's volume
+    polynomial on the fan's cones: (1/n!) sum_cones prod_k (sum_i gamma_i
+    h_k,i)^m_k / prod_i gamma_i."""
+    total = F(0)
+    for cone, gamma in fan.cones:
+        num = 1
+        for h, m in args:
+            num *= sum(g * h[i] for i, g in zip(cone, gamma)) ** m
+        total += F(num, prod(gamma))
+    return total / factorial(fan.dim)
 
 
 def oracle_mixed_volume(t: qb.ToricData, indices) -> F:
@@ -205,9 +222,9 @@ def test_fan_pairs_match_inclusion_exclusion(name):
     fan = delzant_fan(t)
     for i in range(d):
         for j in range(i, d):
-            via_fan = fan.mixed_volume([(unit(d, i), 1), (unit(d, j), 1)])
+            via_fan = lawrence_mixed_volume(fan, [(unit(d, i), 1), (unit(d, j), 1)])
             assert via_fan == oracle_mixed_volume(t, (i, j)), (name, i, j)
-    assert fan.mixed_volume([(t.offsets, 2)]) == qb.measure(t.polytope).volume
+    assert lawrence_mixed_volume(fan, [(t.offsets, 2)]) == qb.measure(t.polytope).volume
 
 
 @pytest.mark.parametrize(
@@ -223,9 +240,70 @@ def test_fan_triples_match_inclusion_exclusion(name, triples):
     d = len(t.rays)
     fan = delzant_fan(t)
     for triple in triples:
-        via_fan = fan.mixed_volume([(unit(d, i), 1) for i in triple])
+        via_fan = lawrence_mixed_volume(fan, [(unit(d, i), 1) for i in triple])
         assert via_fan == oracle_mixed_volume(t, triple), (name, triple)
-    assert fan.mixed_volume([(t.offsets, 3)]) == qb.measure(t.polytope).volume
+    assert lawrence_mixed_volume(fan, [(t.offsets, 3)]) == qb.measure(t.polytope).volume
+
+
+# ---------------------------------------------------------------------------
+# the paper's composition formula, evaluated as written
+
+def compositions(total: int, slots: int):
+    if slots == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, slots - 1):
+            yield (first,) + rest
+
+
+def paper_formula(t: qb.ToricData, lead, slots: int, js) -> tuple[F, ...]:
+    """a_j = sum over compositions (l_1..l_slots) of dim - j of
+    dim! B(l_1)..B(l_slots) / (j! l_1!..l_slots!) V(P(lead), j; D_1, l_1; ..),
+    every mixed volume by inclusion-exclusion over Minkowski sums."""
+    n = t.polytope.dim
+    body = qb.divisor_polytope(t, lead)
+    divisors = [qb.divisor_polytope(t, unit(len(t.rays), i)) for i in range(slots)]
+    out = []
+    for j in js:
+        total = F(0)
+        for comp in compositions(n - j, slots):
+            weight = F(factorial(n), factorial(j))
+            for l in comp:
+                weight *= qb.bernoulli(l) / factorial(l)
+            if weight:
+                args = [(body, j)] if j else []
+                args += [(divisors[i], l) for i, l in enumerate(comp) if l]
+                total += weight * qb.mixed_volume(args)
+        out.append(total)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", DELZANT_2D + ("cube3",))
+def test_paper_formula_gives_hrr_coefficients(name):
+    t = tor(name)
+    n = t.polytope.dim
+    assert paper_formula(t, t.offsets, len(t.rays), range(n + 1)) == qb.hrr_coefficients(t)
+
+
+@pytest.mark.parametrize(
+    "name, v", [("p2", (1, 0)), ("f1", (1, 1)), ("f1", (-1, 2))], ids=("p2-(1,0)", "f1-(1,1)", "f1-(-1,2)")
+)
+def test_paper_formula_gives_rooftop_coefficients(name, v):
+    # the rooftop minus q times its roof divisor: P's offsets, then 0 on the
+    # floor and q - q on the roof; on f1 in direction (-1, 2) that divisor
+    # is not ample and its shifted representative must keep the normal fan
+    t = tor(name)
+    fan = qb.rooftop_fan(t, v)
+    roof = qb.rooftop(t.polytope, v, fan.q)
+    offsets = tuple(next(f.offset for f in roof.facets if f.normal == r) for r in fan.rays)
+    assert len(roof.facets) == len(fan.rays) and offsets[-2:] == (0, fan.q)
+    cls = qb.classify(roof)
+    tbar = qb.ToricData(fan.rays, offsets, roof, cls.reflexive, cls.delzant)
+    n = t.polytope.dim
+    via_paper = paper_formula(tbar, t.offsets + (0, 0), len(t.rays), range(1, n + 2))
+    assert via_paper == qb.rooftop_coefficients(t, v).values
 
 
 def test_fan_cones_are_unimodular_vertex_cones(fixtures):
@@ -325,3 +403,48 @@ def test_rooftop_count_check_rejects_swapped_numerators(monkeypatch):
 def test_rooftop_coefficients_fano_threefold():
     rc = qb.rooftop_coefficients(tor("fano-3-29"), (1, 0, 0))
     assert rc.values == (F(1, 4), F(13, 8), F(11, 4), F(11, 8))
+
+
+# ---------------------------------------------------------------------------
+# the Todd route under lattice maps, and mutants of it
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_hrr_and_rooftop_coefficients_under_unimodular_maps(data):
+    # hrr is invariant under x -> Ux + s; <Bc_k, v> is invariant under
+    # x -> Ux when the direction maps to U^{-T} v
+    t = tor(data.draw(st.sampled_from(DELZANT_2D + ("cube3", "fano-3-29"))))
+    n = t.polytope.dim
+    u = data.draw(unimodular(n))
+    s = data.draw(st.tuples(*[st.integers(-3, 3)] * n))
+    v = data.draw(st.tuples(*[st.integers(-2, 2)] * n))
+
+    def image(shift):
+        return qb.toric_from_polytope(
+            qb.hull_from_vertices([vec_add(apply_map(u, x), shift) for x in t.polytope.vertices])
+        )
+
+    assert qb.hrr_coefficients(image(s)) == qb.hrr_coefficients(t)
+    w = tuple(int(x) for x in solve(list(zip(*u)), v))
+    assert qb.rooftop_coefficients(image((0,) * n), w).values == qb.rooftop_coefficients(t, v).values
+
+
+@pytest.mark.parametrize("mutant, name", (("drop-cone", "cube3"), ("bernoulli-2", "fano-3-29")))
+def test_todd_route_mutants_fail_the_checks(monkeypatch, mutant, name):
+    # B(2) only ever multiplies some D_i^2, and every D_i^2 vanishes on the
+    # cube, so that mutant needs a threefold with curved divisors
+    if mutant == "drop-cone":
+        true_fan = delzant_fan
+
+        def fan_without_a_cone(t):
+            fan = true_fan(t)
+            return DelzantFan(fan.dim, fan.cones[1:])
+
+        monkeypatch.setattr("qbary.toric.delzant_fan", fan_without_a_cone)
+    else:
+        true_bernoulli = qb.bernoulli
+        monkeypatch.setattr("qbary.toric.bernoulli", lambda l: true_bernoulli(l) + (l == 2))
+    with pytest.raises(qb.InternalInconsistency):
+        qb.hrr_coefficients(tor(name))
+    with pytest.raises(qb.InternalInconsistency):
+        qb.rooftop_coefficients(tor("f1"), (1, 1))
