@@ -52,24 +52,6 @@ from .toric import (
     toric_from_polytope,
 )
 
-COMMANDS = (
-    "count",
-    "bck",
-    "bc",
-    "ehrhart",
-    "reciprocity",
-    "expand",
-    "rooftop",
-    "classify",
-    "mixed-volume",
-    "hrr",
-    "rooftop-coeffs",
-    "delta",
-    "delta-seq",
-    "df",
-    "fan",
-)
-
 
 # ---------------------------------------------------------------------------
 # input plumbing
@@ -424,10 +406,17 @@ _HANDLERS = {
 }
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def execute(argv: Sequence[str]) -> int:
-    parser = build_parser()
+    # built on the first call, so that importing the module stays cheap, and
+    # reused by every later one
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(_attach_vector_values(argv))
+        args = _parser.parse_args(_attach_vector_values(argv))
         if args.command == "mixed-volume":
             outputs = _cmd_mixed_volume(args)
             name = None

@@ -6,7 +6,9 @@ point removes the facets it strictly sees and is joined to the horizon
 ridges, and coplanar simplices are merged into true facets at the end.
 With strict visibility a horizon ridge can never be affinely dependent with
 the inserted point, so the scaffold stays non-degenerate without any
-perturbation.
+perturbation.  The vertices are read off the merged facet planes: a
+boundary point is a vertex exactly when no other input point lies on every
+facet plane through it.
 
 Facets are reported in inward form: primitive integer normal ``v`` and
 integer offset ``b`` with ``<u, v> >= -b`` on the hull and equality on the
@@ -143,28 +145,27 @@ def _merge_scaffold(pts: list[IntVec], dim: int, facets) -> Hull:
             raise InternalInconsistency("facet offset not divisible by normal content")
         planes[(wp, c // g)] = None
 
+    # A boundary point is a vertex iff it is the only input point on every
+    # facet plane through it: those planes cut out the smallest face that
+    # holds the point, and a face is the hull of the input points on it.
     keys = list(planes)
-    incident: dict[int, list[int]] = {}
-    for pid, p in enumerate(pts):
-        hits = [ki for ki, (wp, cp) in enumerate(keys) if dot(p, wp) == cp]
-        if hits:
-            incident[pid] = hits
-    vertex_pts = sorted(
-        pts[pid]
-        for pid, hits in incident.items()
-        if len(hits) >= dim and rank([keys[ki][0] for ki in hits]) == dim
-    )
-    index = {p: i for i, p in enumerate(vertex_pts)}
+    on_plane = [{pid for pid, p in enumerate(pts) if dot(p, wp) == cp} for wp, cp in keys]
+    incident: dict[int, list[set[int]]] = {}
+    for ids in on_plane:
+        for pid in ids:
+            incident.setdefault(pid, []).append(ids)
+    # pts is sorted, so the vertices come out sorted too
+    vertex_ids = sorted(pid for pid, sets in incident.items() if set.intersection(*sets) == {pid})
+    index = {pid: i for i, pid in enumerate(vertex_ids)}
 
     hull_facets = []
-    for wp, cp in keys:
-        inward = tuple(-x for x in wp)
-        ids = tuple(i for i, p in enumerate(vertex_pts) if dot(p, wp) == cp)
+    for (wp, cp), on in zip(keys, on_plane):
+        ids = tuple(sorted(index[pid] for pid in on if pid in index))
         if len(ids) < dim:
             raise InternalInconsistency("facet with too few vertices")
-        hull_facets.append(HullFacet(inward, cp, ids))
+        hull_facets.append(HullFacet(tuple(-x for x in wp), cp, ids))
     hull_facets.sort(key=lambda f: (f.normal, f.offset))
-    return Hull(dim, tuple(vertex_pts), tuple(hull_facets))
+    return Hull(dim, tuple(pts[pid] for pid in vertex_ids), tuple(hull_facets))
 
 
 # ---------------------------------------------------------------------------

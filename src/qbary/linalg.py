@@ -112,7 +112,3 @@ def cross_normal(rows: Sequence[Sequence[int]]) -> IntVec:
 def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[IntVec, ...]:
     cols = list(zip(*b))
     return tuple(tuple(dot(row, col) for col in cols) for row in a)
-
-
-def identity(n: int) -> tuple[IntVec, ...]:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))

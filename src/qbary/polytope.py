@@ -6,16 +6,17 @@ dual representation: its lattice vertices and its irredundant half-spaces
 incidence relation.  Construction always goes through the exact hull engine
 so both representations are consistent by construction.
 
-Measures and edges are read off the incidence relation, which holds the
-whole face lattice; no hull is rebuilt.  :func:`measure` is the Euclidean
-volume and barycenter of a pulling triangulation of P
+Measures and the normal fan are read off the incidence relation, which
+holds the whole face lattice; no hull is rebuilt.  :func:`measure` is the
+Euclidean volume and barycenter of a pulling triangulation of P
 (:func:`qbary.hull.face_triangulator`).  :func:`facet_data` equips each
 facet with the lattice-normalized (dim-1)-measure, in which a fundamental
 cell of the facet sublattice has measure one: each simplex of the facet's
 triangulation is weighed by the volume of its cone over a vertex off the
 facet divided by that vertex's lattice height, and the barycenter comes out
-in the original coordinates.  :func:`edges` are the vertex pairs that are
-the whole intersection of the facets holding them.
+in the original coordinates.  :func:`vertex_cones` lists the facets through
+each vertex, whose normals span that vertex's cone of the normal fan;
+:func:`classify` reads the Delzant condition off them.
 
 Lower-dimensional hulls appear only as :class:`Body` values, which is all
 Minkowski sums and mixed volumes need; every other operation requires a
@@ -34,7 +35,7 @@ from typing import Iterable, Sequence
 from .errors import DegenerateInput, InternalInconsistency, InvalidInput, Unsupported, UnboundedInput
 from .exactnum import Vector
 from .hull import convex_hull, face_triangulator, measure_from_facets
-from .lattice import hermite_normal_form, primitive
+from .lattice import hermite_normal_form
 from .linalg import IntVec, dot, int_det, rank, solve, vec_add, vec_sub
 
 DIMENSION_CAP = 7
@@ -133,11 +134,7 @@ def hull_from_vertices(points: Iterable[Sequence[int]], dimension_cap: int = DIM
     )
 
 
-def polytope_from_halfspaces(
-    normals: Sequence[Sequence[int]],
-    offsets: Sequence[int],
-    dimension_cap: int = DIMENSION_CAP,
-) -> Polytope:
+def polytope_from_halfspaces(normals: Sequence[Sequence[int]], offsets: Sequence[int]) -> Polytope:
     """Bounded full-dimensional intersection of lattice half-spaces.
 
     Vertices are enumerated from all maximal-rank normal subsets; redundant
@@ -149,7 +146,7 @@ def polytope_from_halfspaces(
     if not normals:
         raise InvalidInput("no half-spaces given")
     dim = len(normals[0])
-    _check_dim(dim, dimension_cap)
+    _check_dim(dim, DIMENSION_CAP)
     rows: list[tuple[IntVec, Fraction]] = []
     for v, b in zip(normals, offsets):
         v = tuple(int(x) for x in v)
@@ -176,7 +173,7 @@ def polytope_from_halfspaces(
         raise DegenerateInput("half-space intersection is empty")
     if rank([vec_sub(p, next(iter(candidates))) for p in candidates]) < dim:
         raise DegenerateInput("half-space intersection is not full-dimensional")
-    return hull_from_vertices(sorted(candidates), dimension_cap)
+    return hull_from_vertices(sorted(candidates))
 
 
 def exact_int_vector_or_invalid(point: Sequence[Fraction]) -> IntVec:
@@ -358,24 +355,16 @@ def support_value(p: Polytope, direction: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # classification
 
-def edges(p: Polytope) -> tuple[tuple[int, int], ...]:
-    """Vertex-index pairs forming the 1-faces.
+def vertex_cones(p: Polytope) -> tuple[tuple[int, ...], ...]:
+    """For each vertex, the increasing indices of the facets through it.
 
-    The smallest face holding two vertices is the intersection of the
-    facets that hold both; the pair is an edge exactly when that face is
-    the pair itself.  (A segment has no facet holding both its vertices,
-    and no edges.)
+    Their normals span the vertex's cone of the normal fan.
     """
-    holds = [set() for _ in p.vertices]
+    cones: list[list[int]] = [[] for _ in p.vertices]
     for k, ids in enumerate(p.incidence):
         for i in ids:
-            holds[i].add(k)
-    out = []
-    for i, j in combinations(range(len(p.vertices)), 2):
-        common = holds[i] & holds[j]
-        if common and not any(m not in (i, j) and common <= holds[m] for m in range(len(p.vertices))):
-            out.append((i, j))
-    return tuple(out)
+            cones[i].append(k)
+    return tuple(tuple(c) for c in cones)
 
 
 @lru_cache(maxsize=None)
@@ -383,30 +372,23 @@ def classify(p: Polytope) -> Classification:
     """Reflexive and Delzant flags.
 
     Reflexive: the origin is interior and every facet offset is 1.  Delzant:
-    every vertex lies on exactly dim edges whose primitive directions form a
-    basis of the lattice (determinant +-1).
+    dim > 1 and every vertex lies on exactly dim facets whose normals form a
+    basis of the lattice (determinant +-1).  At such a vertex the primitive
+    edge directions are the dual basis, so this is the same as asking for
+    dim edges whose primitive directions form a lattice basis.
     """
     reflexive = all(f.offset == 1 for f in p.facets) and p.strictly_contains((0,) * p.dim)
-    neighbors: dict[int, list[int]] = {i: [] for i in range(len(p.vertices))}
-    for i, j in edges(p):
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-    delzant = True
-    for i, adj in neighbors.items():
-        if len(adj) != p.dim:
-            delzant = False
-            break
-        dirs = [primitive(vec_sub(p.vertices[j], p.vertices[i])) for j in adj]
-        if abs(int_det(dirs)) != 1:
-            delzant = False
-            break
+    delzant = p.dim > 1 and all(
+        len(cone) == p.dim and abs(int_det([p.facets[k].normal for k in cone])) == 1
+        for cone in vertex_cones(p)
+    )
     return Classification(reflexive, delzant)
 
 
 # ---------------------------------------------------------------------------
 # JSON documents
 
-def polytope_from_document(doc: dict, dimension_cap: int = DIMENSION_CAP) -> tuple[Polytope, str | None]:
+def polytope_from_document(doc: dict) -> tuple[Polytope, str | None]:
     """Build a polytope from a JSON document.
 
     The document carries ``vertices`` and/or ``normals``+``offsets``; when
@@ -423,11 +405,9 @@ def polytope_from_document(doc: dict, dimension_cap: int = DIMENSION_CAP) -> tup
         raise InvalidInput("half-space form needs both normals and offsets")
     if not has_v and not has_h:
         raise InvalidInput("document has neither vertices nor normals/offsets")
-    from_v = hull_from_vertices(_int_rows(doc["vertices"]), dimension_cap) if has_v else None
+    from_v = hull_from_vertices(_int_rows(doc["vertices"])) if has_v else None
     from_h = (
-        polytope_from_halfspaces(_int_rows(doc["normals"]), _int_list(doc["offsets"]), dimension_cap)
-        if has_h
-        else None
+        polytope_from_halfspaces(_int_rows(doc["normals"]), _int_list(doc["offsets"])) if has_h else None
     )
     if from_v and from_h and from_v != from_h:
         raise InvalidInput("vertex and half-space representations disagree")

@@ -28,7 +28,7 @@ from .errors import InternalInconsistency, InvalidInput, InvalidPolarization, Un
 from .exactnum import LaurentSeries, Polynomial, RationalFunction, laurent_expand
 from .expansion import barycenter_function, quantized_barycenter
 from .linalg import dot, solve
-from .polytope import check_direction, classify, facet_data, measure, support_value
+from .polytope import check_direction, classify, facet_data, measure, support_value, vertex_cones
 from .toric import ToricData
 
 
@@ -183,18 +183,12 @@ def log_discrepancy(t: ToricData, direction: Sequence[int]) -> Fraction:
     n = p.dim
     check_direction(v, n)
     saw_nonsimplicial = False
-    for vid in range(len(p.vertices)):
-        incident = [i for i, ids in enumerate(p.incidence) if vid in ids]
-        if len(incident) != n:
+    for cone in vertex_cones(p):
+        if len(cone) != n:
             saw_nonsimplicial = True
             continue
-        rays = [p.facets[i].normal for i in incident]
-        matrix = [[rays[j][i] for j in range(n)] for i in range(n)]
-        try:
-            coords = solve(matrix, v)
-        except InvalidInput:
-            saw_nonsimplicial = True
-            continue
+        # a vertex on exactly n facets has independent normals
+        coords = solve([[p.facets[k].normal[i] for k in cone] for i in range(n)], v)
         if all(c >= 0 for c in coords):
             return sum(coords, Fraction(0))
     detail = " (a non-simplicial vertex cone was skipped)" if saw_nonsimplicial else ""

@@ -16,10 +16,11 @@ For Delzant data the paper gives the counting polynomial's coefficients as
 
 with B the Bernoulli numbers normalized by B_1 = +1/2 and D_i the virtual
 polytope of the i-th facet divisor.  Every polytope here has the form
-``P(h) = {x : <u_i, x> >= -h_i}`` on the normal fan of P (:class:`DelzantFan`):
-each vertex cone is spanned by a lattice basis of rays, and one generic
-integer vector c has nonzero integer coordinates gamma in each basis.
-Lawrence's formula ``vol P(h) = (1/n!) sum_cones (sum_i gamma_i h_i)^n /
+``P(h) = {x : <u_i, x> >= -h_i}`` on the normal fan of P (:class:`DelzantFan`,
+read off :func:`qbary.polytope.vertex_cones`, as is the Delzant flag of
+``classify``): each vertex cone is spanned by a lattice basis of rays, and
+one generic integer vector c has nonzero integer coordinates gamma in each
+basis.  Lawrence's formula ``vol P(h) = (1/n!) sum_cones (sum_i gamma_i h_i)^n /
 prod_i gamma_i`` makes the mixed volumes polarizations of one polynomial,
 and grouping the composition sum by cones turns it into the
 Khovanskii-Pukhlikov Todd operator on that polynomial:
@@ -29,9 +30,10 @@ Khovanskii-Pukhlikov Todd operator on that polynomial:
 with ``L = sum_i gamma_i h_i`` and ``Td(x) = x / (1 - e^-x) = sum_l B(l)
 x^l / l!``.  Both ``hrr_coefficients`` and the degree-(n+1) formula on the
 rooftop fan in ``rooftop_coefficients`` (where only P's rays carry a Todd
-factor) evaluate this, one truncated power series product per cone.  The composition sum itself, with every mixed
-volume taken by inclusion-exclusion of ``divisor_polytope``s, is what the
-test suite checks the Todd evaluation against.
+factor) evaluate this, one truncated power series product per cone.  The
+composition sum itself, with every mixed volume taken by
+inclusion-exclusion of ``divisor_polytope``s, is what the test suite
+checks the Todd evaluation against.
 
 The checks that stay independent of the fan: ``hrr_coefficients`` must
 reproduce the fitted counting polynomial, its leading coefficient the
@@ -48,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 from typing import Iterable, Sequence
 
 from .ehrhart import count_points, ehrhart_polynomial
@@ -62,7 +64,7 @@ from .exactnum import Polynomial, bernoulli
 from .expansion import barycenter_function, rooftop
 from .hull import volume_and_barycenter
 from .lattice import primitive
-from .linalg import IntVec, dot, identity, int_det, rank, solve, vec_add, vec_sub
+from .linalg import IntVec, cross_normal, dot, rank, vec_add, vec_sub
 from .polytope import (
     Body,
     Halfspace,
@@ -75,6 +77,7 @@ from .polytope import (
     measure,
     polytope_from_halfspaces,
     support_value,
+    vertex_cones,
 )
 
 
@@ -251,37 +254,38 @@ def _term_assignments(terms: tuple[tuple[int, Body], ...], mult: int):
 
 @dataclass(frozen=True)
 class ToricData:
-    """Irredundant ray/offset data and its polytope, with smoothness flags."""
+    """Irredundant ray/offset data and its polytope; ``classify(polytope)``
+    says whether it is reflexive or Delzant."""
 
     rays: tuple[IntVec, ...]
     offsets: tuple[int, ...]
     polytope: Polytope
-    reflexive: bool
-    delzant: bool
 
 
 def toric_data(rays: Sequence[Sequence[int]], offsets: Sequence[int]) -> ToricData:
-    prims = tuple(primitive(tuple(int(x) for x in r)) for r in rays)
+    """Ray data ``<u, r_i> >= -b_i``; a ray with content g is divided by g
+    and so is its offset, which g must divide."""
+    rays = [tuple(int(x) for x in r) for r in rays]
     offs = tuple(int(b) for b in offsets)
+    if len(rays) != len(offs):
+        raise InvalidInput("rays and offsets of different lengths")
+    prims = tuple(primitive(r) for r in rays)
+    contents = [gcd(*r) for r in rays]
+    for r, b, g in zip(rays, offs, contents):
+        if b % g:
+            raise InvalidInput(f"offset {b} of ray {r} is not divisible by the ray's content {g}")
+    offs = tuple(b // g for b, g in zip(offs, contents))
     if len(set(prims)) != len(prims):
         raise InvalidInput("duplicate rays")
     p = polytope_from_halfspaces(prims, offs)
     expected = {Halfspace(r, b) for r, b in zip(prims, offs)}
     if set(p.facets) != expected:
         raise InvalidInput("ray data contains redundant or non-facet inequalities")
-    cls = classify(p)
-    return ToricData(prims, offs, p, cls.reflexive, cls.delzant)
+    return ToricData(prims, offs, p)
 
 
 def toric_from_polytope(p: Polytope) -> ToricData:
-    cls = classify(p)
-    return ToricData(
-        tuple(f.normal for f in p.facets),
-        tuple(f.offset for f in p.facets),
-        p,
-        cls.reflexive,
-        cls.delzant,
-    )
+    return ToricData(tuple(f.normal for f in p.facets), tuple(f.offset for f in p.facets), p)
 
 
 @dataclass(frozen=True)
@@ -307,15 +311,6 @@ def rooftop_fan(t: ToricData, direction: Sequence[int]) -> RooftopFan:
 AMPLE_SHIFT_CAP = 16
 
 
-def _vertex_cones(p: Polytope) -> list[frozenset[IntVec]]:
-    """The facet normals at each vertex of ``p``: its normal fan."""
-    cones: list[set[IntVec]] = [set() for _ in p.vertices]
-    for f, verts in zip(p.facets, p.incidence):
-        for v in verts:
-            cones[v].add(f.normal)
-    return [frozenset(c) for c in cones]
-
-
 def _exact_facet_polytope(t: ToricData, offsets: Sequence[int]) -> Polytope | None:
     """The polytope of ``t.rays`` with the given offsets when every
     inequality is a facet with exactly that offset and the vertex cones are
@@ -327,7 +322,9 @@ def _exact_facet_polytope(t: ToricData, offsets: Sequence[int]) -> Polytope | No
         return None
     if set(p.facets) != {Halfspace(r, int(b)) for r, b in zip(t.rays, offsets)}:
         return None
-    return p if set(_vertex_cones(p)) == set(_vertex_cones(t.polytope)) else None
+    # both facet lists are sorted by their normals, which are the same rays,
+    # so facet indices name the same rays in both
+    return p if set(vertex_cones(p)) == set(vertex_cones(t.polytope)) else None
 
 
 @lru_cache(maxsize=None)
@@ -341,7 +338,7 @@ def divisor_polytope(t: ToricData, coeffs: tuple[int, ...]) -> VirtualPolytope:
     formal difference of two ample polytopes.  The zero divisor is the
     origin (the Minkowski-neutral body).
     """
-    if not t.delzant:
+    if not classify(t.polytope).delzant:
         raise PreconditionViolation("divisor polytopes require Delzant data")
     coeffs = tuple(int(c) for c in coeffs)
     if len(coeffs) != len(t.rays):
@@ -382,21 +379,22 @@ def delzant_fan(t: ToricData) -> DelzantFan:
     which no coordinate gamma vanishes.
 
     A vertex lies on exactly dim facets whose rays form a lattice basis
-    (asserted: |det| = 1), so the dual basis -- the primitive edge
-    directions w_i at the vertex -- is integral and gamma_i = <c, w_i>.
+    (``classify``), so the dual basis -- the primitive edge directions w_j
+    at the vertex -- is integral and gamma_j = <c, w_j>.  w_j is the cross
+    product of the other rays, whose pairing with r_j is the determinant
+    +-1; multiplying by that pairing makes it 1.
     """
-    if not t.delzant:
-        raise PreconditionViolation("the fan volume polynomial requires Delzant data")
     p = t.polytope
+    if not classify(p).delzant:
+        raise PreconditionViolation("the fan volume polynomial requires Delzant data")
     n = p.dim
     index = {r: i for i, r in enumerate(t.rays)}
-    cones = [tuple(sorted(index[u] for u in normals)) for normals in _vertex_cones(p)]
+    cones = [tuple(sorted(index[p.facets[k].normal] for k in cone)) for cone in vertex_cones(p)]
     duals = []
     for cone in cones:
         rows = [t.rays[i] for i in cone]
-        if len(cone) != n or abs(int_det(rows)) != 1:
-            raise InternalInconsistency("a vertex cone of the Delzant fan is not unimodular")
-        duals.append([tuple(int(x) for x in solve(rows, e)) for e in identity(n)])
+        ws = [cross_normal(rows[:j] + rows[j + 1 :]) for j in range(n)]
+        duals.append([tuple(dot(r, w) * x for x in w) for r, w in zip(rows, ws)])
     s = 2
     while True:
         c = tuple(s**k for k in range(n))
@@ -435,7 +433,7 @@ def hrr_coefficients(t: ToricData) -> tuple[Fraction, ...]:
     the fan; asserted equal to the fitted counting polynomial, with the
     leading coefficient equal to the triangulated volume and the subleading
     one to half the normalized boundary volume."""
-    if not t.delzant:
+    if not classify(t.polytope).delzant:
         raise PreconditionViolation("the coefficient formula requires Delzant data")
     p = t.polytope
     n = p.dim
@@ -475,7 +473,7 @@ def rooftop_coefficients(t: ToricData, direction: Sequence[int]) -> RooftopCoeff
     points.  When the rooftop is itself Delzant the degree-(n+1) Todd
     evaluation on its fan must give the same c'_j.
     """
-    if not t.delzant:
+    if not classify(t.polytope).delzant:
         raise PreconditionViolation("rooftop coefficients require Delzant data")
     p = t.polytope
     v = tuple(int(x) for x in direction)
@@ -505,7 +503,7 @@ def _cprime_by_formula(t: ToricData, fan: RooftopFan, roof: Polytope) -> tuple[F
     offsets = t.offsets + (0, fan.q)
     if set(roof.facets) != {Halfspace(r, b) for r, b in zip(fan.rays, offsets)}:
         raise InternalInconsistency("rooftop fan data disagrees with the hull")
-    tbar = ToricData(fan.rays, offsets, roof, classify(roof).reflexive, True)
+    tbar = ToricData(fan.rays, offsets, roof)
     # the rooftop minus q times its roof divisor, on the rooftop's own fan:
     # P's offsets, then 0 on the floor and q - q on the roof
     relative = t.offsets + (0, 0)

@@ -4,14 +4,15 @@ oracles and Hypothesis strategies for unimodular maps."""
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
 import qbary as qb
-from qbary.linalg import dot
+from qbary.linalg import dot, int_det, rank
 
 FIXTURE_NAMES = (
     "p2",
@@ -105,6 +106,38 @@ def brute_vertex_sum(p: qb.Polytope, k: int, strict: bool = False) -> tuple[int,
             for i, x in enumerate(pt):
                 sums[i] += x
     return tuple(sums)
+
+
+def brute_edges(p: qb.Polytope) -> list[tuple[int, int]]:
+    """Vertex-index pairs forming the 1-faces.  The facets holding both
+    vertices cut out the smallest face holding both; it is an edge iff
+    there is such a facet and their normals have rank dim - 1.  (A segment
+    has no facet holding both its vertices, and no edges.)"""
+    out = []
+    for i, j in combinations(range(len(p.vertices)), 2):
+        normals = [f.normal for f, ids in zip(p.facets, p.incidence) if i in ids and j in ids]
+        if normals and rank(normals) == p.dim - 1:
+            out.append((i, j))
+    return out
+
+
+def brute_delzant(p: qb.Polytope) -> bool:
+    """Every vertex lies on exactly dim edges whose primitive directions
+    form a lattice basis (determinant +-1)."""
+    adjacent: dict[int, list[int]] = {i: [] for i in range(len(p.vertices))}
+    for i, j in brute_edges(p):
+        adjacent[i].append(j)
+        adjacent[j].append(i)
+    for i, adj in adjacent.items():
+        if len(adj) != p.dim:
+            return False
+        dirs = []
+        for j in adj:
+            d = [b - a for a, b in zip(p.vertices[i], p.vertices[j])]
+            dirs.append([x // gcd(*d) for x in d])
+        if abs(int_det(dirs)) != 1:
+            return False
+    return True
 
 
 def shoelace_area(vertices_ccw) -> object:

@@ -5,9 +5,14 @@ import json
 import os
 import sys
 
+from pathlib import Path
+
 import pytest
 
+import qbary.cli
 from qbary.cli import execute, main
+
+GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 
 
 def run(capsys, *argv):
@@ -198,6 +203,31 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1 and "invalid int value" in err
     code, _, err = run(capsys, "no-such-command")
     assert code == 1 and "invalid choice" in err
+
+
+def test_usage_error_then_a_command_in_one_process(monkeypatch, capsys):
+    # the first call builds the parser and the usage error must not spoil
+    # it for the next; the golden output was recorded in a fresh process
+    monkeypatch.setattr(qbary.cli, "_parser", None)
+    assert run(capsys, "delta-seq", "--input", "f1")[0] == 1
+    parser = qbary.cli._parser
+    argv = ["delta-seq", "--ks", "1,2,3", "--input", "f1"]
+    case = next(c for c in json.loads(GOLDEN.read_text()) if c["argv"] == argv)
+    assert run(capsys, *argv) == (case["status"], case["stdout"], case["stderr"])
+    assert qbary.cli._parser is parser
+
+
+def test_offsets_of_non_primitive_rays_are_divided_by_their_content(tmp_path, capsys):
+    # (2, 0) with offset 1 is x >= -1/2, whose vertices are not lattice points
+    code, out, err = run(capsys, "classify", "--rays", "2,0;0,1;-1,-1", "--offsets", "1,1,1")
+    assert code == 1 and out == "" and "not divisible" in err
+    # (2, 0) with offset 2 is x >= -1: this is P^2
+    doc = tmp_path / "p2.json"
+    doc.write_text(json.dumps({"normals": [[2, 0], [0, 1], [-1, -1]], "offsets": [2, 1, 1]}))
+    code, out, _ = run(capsys, "delta", "--input", str(doc))
+    assert code == 0
+    assert json.loads(out)["outputs"] == json.loads(run(capsys, "delta", "--input", "p2")[1])["outputs"]
+    assert json.loads(out)["outputs"]["delta"] == 1
 
 
 @pytest.mark.parametrize("command", ("df", "fan", "rooftop", "rooftop-coeffs"))

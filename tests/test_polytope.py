@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 from math import comb, factorial
 
 import pytest
@@ -12,9 +12,18 @@ import qbary as qb
 import qbary.hull
 import qbary.polytope
 from qbary.linalg import dot, vec_add
-from qbary.polytope import Body, body_from_points, edges
+from qbary.polytope import Body, body_from_points
 
-from conftest import FIXTURE_NAMES, apply_map, ccw_order, polytope_and_map, random_corpus, shoelace_area
+from conftest import (
+    FIXTURE_NAMES,
+    apply_map,
+    brute_delzant,
+    brute_edges,
+    ccw_order,
+    polytope_and_map,
+    random_corpus,
+    shoelace_area,
+)
 
 
 def brute_facets_2d(points):
@@ -321,9 +330,41 @@ def test_unit_cubes_and_cross_polytopes():
         assert qb.measure(cross) == qb.MeasureData(F(2**n, factorial(n)), (F(0),) * n)
         assert [fm.normalized_volume for fm in qb.facet_data(cube).facets] == [F(1)] * (2 * n)
         assert [fm.normalized_volume for fm in qb.facet_data(cross).facets] == [F(1, factorial(n - 1))] * 2**n
-        assert len(edges(cube)) == (n * 2 ** (n - 1) if n > 1 else 0)
-        assert len(edges(cross)) == (2 * n * (n - 1) if n > 1 else 0)
-        assert qb.classify(cube).delzant == (n > 1) and qb.classify(cross).reflexive
+        assert len(brute_edges(cube)) == (n * 2 ** (n - 1) if n > 1 else 0)
+        assert len(brute_edges(cross)) == (2 * n * (n - 1) if n > 1 else 0)
+        assert qb.classify(cube).delzant == brute_delzant(cube) == (n > 1)
+        assert (qb.classify(cross).delzant, brute_delzant(cross)) == (False, False)
+        assert qb.classify(cross).reflexive
+
+
+def test_delzant_matches_the_edge_oracle(fixtures, corpus):
+    for p in [*fixtures.values(), *corpus]:
+        assert qb.classify(p).delzant == brute_delzant(p), p
+
+
+def test_edge_oracle_catches_delzant_without_the_determinant(fixtures, monkeypatch):
+    # every vertex of this square is simple, but its normals (+-1, +-1)
+    # have determinant 2 at each vertex
+    p = fixtures["square-reflexive-nondelzant"]
+    assert not brute_delzant(p)
+    monkeypatch.setattr(qbary.polytope, "int_det", lambda rows: 1)
+    assert qb.classify.__wrapped__(p).delzant != brute_delzant(p)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_hull_drops_points_on_faces(n):
+    # 2 * cube with the midpoint of every vertex pair (the lattice points of
+    # every face), and 2 * cross-polytope with its edge midpoints; from
+    # n = 4 on such a midpoint lies on dim facets of the cross-polytope
+    cube = [tuple(2 * x for x in v) for v in product((0, 1), repeat=n)]
+    cross = [tuple(2 * s * (i == j) for i in range(n)) for j in range(n) for s in (1, -1)]
+    cube_extra = [tuple((a + b) // 2 for a, b in zip(u, v)) for u, v in combinations(cube, 2)]
+    cross_edges = [(u, v) for u, v in combinations(cross, 2) if vec_add(u, v) != (0,) * n]
+    cross_extra = [tuple((a + b) // 2 for a, b in zip(u, v)) for u, v in cross_edges]
+    for vertices, extra in ((cube, cube_extra), (cross, cross_extra)):
+        p = qb.hull_from_vertices(vertices + extra)
+        assert p.vertices == tuple(sorted(vertices))
+        assert p == qb.hull_from_vertices(vertices)
 
 
 MUTANT_POLYTOPES = {
@@ -398,10 +439,10 @@ def test_measures_facets_and_edges_follow_unimodular_maps(case):
         (fm.normalized_volume, move(fm.barycenter)) for fm in before
     )
     # Delzant is an affine invariant; reflexive depends on where the origin is
-    assert qb.classify(q).delzant == qb.classify(p).delzant
+    assert qb.classify(q).delzant == qb.classify(p).delzant == brute_delzant(p)
     assert qb.classify(qb.hull_from_vertices([apply_map(u, v) for v in p.vertices])) == qb.classify(p)
-    assert {frozenset((q.vertices[i], q.vertices[j])) for i, j in edges(q)} == {
-        frozenset((move(p.vertices[i]), move(p.vertices[j]))) for i, j in edges(p)
+    assert {frozenset((q.vertices[i], q.vertices[j])) for i, j in brute_edges(q)} == {
+        frozenset((move(p.vertices[i]), move(p.vertices[j]))) for i, j in brute_edges(p)
     }
 
 

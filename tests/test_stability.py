@@ -52,7 +52,7 @@ def test_delta_limits():
 def test_delta_polarization_guard():
     # deliberately inconsistent data: offset -1 pushes one pairing negative
     f1 = qb.load_fixture("f1")
-    bogus = ToricData(F1.rays, (1, 1, 1, -1), f1, False, False)
+    bogus = ToricData(F1.rays, (1, 1, 1, -1), f1)
     with pytest.raises(qb.InvalidPolarization):
         qb.delta_k(bogus, 1)
     with pytest.raises(qb.InvalidInput):

@@ -299,8 +299,7 @@ def test_paper_formula_gives_rooftop_coefficients(name, v):
     roof = qb.rooftop(t.polytope, v, fan.q)
     offsets = tuple(next(f.offset for f in roof.facets if f.normal == r) for r in fan.rays)
     assert len(roof.facets) == len(fan.rays) and offsets[-2:] == (0, fan.q)
-    cls = qb.classify(roof)
-    tbar = qb.ToricData(fan.rays, offsets, roof, cls.reflexive, cls.delzant)
+    tbar = qb.ToricData(fan.rays, offsets, roof)
     n = t.polytope.dim
     via_paper = paper_formula(tbar, t.offsets + (0, 0), len(t.rays), range(1, n + 2))
     assert via_paper == qb.rooftop_coefficients(t, v).values
