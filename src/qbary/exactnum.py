@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import InvalidInput, NotBoundedAtInfinity
@@ -196,27 +196,48 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def poly_fit(samples: Sequence[tuple[RationalLike, RationalLike]]) -> Polynomial:
-    """Unique interpolating polynomial of degree < len(samples), via Lagrange.
+    """Unique interpolating polynomial of degree < len(samples).
 
-    The abscissae must be pairwise distinct; interpolation is exact.
+    The abscissae must be pairwise distinct; interpolation is exact.  The
+    master product ``M(k) = prod_j (k - x_j)`` is built once; sample ``i``
+    contributes ``M(k) / (k - x_i)``, got by synthetic division, times the
+    weight ``y_i / prod_{j != i} (x_i - x_j)``.  The weights are brought to
+    one common denominator, so the contributions are summed as integer
+    multiples and each coefficient is divided once at the end.  Integral
+    abscissae stay Python ints throughout.
     """
     if not samples:
         raise InvalidInput("need at least one sample")
-    xs = [Fraction(x) for x, _ in samples]
-    ys = [Fraction(y) for _, y in samples]
+    xs = [_int_if_integral(x) for x, _ in samples]
     if len(set(xs)) != len(xs):
         raise InvalidInput("duplicate abscissa in interpolation samples")
-    total = Polynomial.zero()
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
+    master = [1]  # lowest degree first
+    for x in xs:
+        master = [a - x * b for a, b in zip([0] + master, master + [0])]
+    terms = []
+    for i, (xi, (_, yi)) in enumerate(zip(xs, samples)):
         if yi == 0:
             continue
-        term = Polynomial.constant(yi)
+        scale = 1
         for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            term = term * Polynomial.of([-xj, 1]) * (1 / (xi - xj))
-        total = total + term
-    return total
+            if j != i:
+                scale *= xi - xj
+        quotient = [1]  # highest degree first while dividing by (k - xi)
+        for c in master[-2:0:-1]:
+            quotient.append(c + xi * quotient[-1])
+        terms.append((Fraction(yi, scale), quotient))
+    common = lcm(*(w.denominator for w, _ in terms))
+    total = [0] * len(xs)
+    for w, quotient in terms:
+        multiple = w.numerator * (common // w.denominator)
+        for e, c in enumerate(quotient):
+            total[e] += multiple * c
+    return Polynomial.of(Fraction(c, common) for c in reversed(total))
+
+
+def _int_if_integral(q: RationalLike) -> RationalLike:
+    q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +265,6 @@ class RationalFunction:
             den = den.divmod(g)[0]
         # scale so the denominator has coprime integer coefficients and a
         # positive leading coefficient
-        from math import gcd, lcm
-
         denoms = [c.denominator for c in den.coefficients]
         scale = Fraction(lcm(*denoms) if denoms else 1)
         ints = [int(c * scale) for c in den.coefficients]

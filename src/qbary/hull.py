@@ -32,7 +32,7 @@ from math import factorial, gcd
 from typing import Callable, Iterable, Sequence
 
 from .errors import DegenerateInput, InternalInconsistency, InvalidInput
-from .linalg import IntVec, cross_normal, dot, int_det, rank, vec_sub
+from .linalg import IntVec, cross_normal, dot, independent_rows, int_det, vec_sub
 
 
 @dataclass(frozen=True)
@@ -120,18 +120,12 @@ def convex_hull(points: Iterable[Sequence[int]]) -> Hull:
 
 
 def _initial_simplex(pts: list[IntVec], dim: int) -> list[IntVec]:
-    base = [pts[0]]
-    dirs: list[IntVec] = []
-    for p in pts[1:]:
-        cand = dirs + [vec_sub(p, pts[0])]
-        if rank(cand) > len(dirs):
-            base.append(p)
-            dirs = cand
-        if len(base) == dim + 1:
-            return base
-    raise DegenerateInput(
-        f"points span an affine space of dimension {len(base) - 1} < {dim}"
-    )
+    chosen = independent_rows(vec_sub(p, pts[0]) for p in pts[1:])
+    if len(chosen) < dim:
+        raise DegenerateInput(
+            f"points span an affine space of dimension {len(chosen)} < {dim}"
+        )
+    return [pts[0]] + [pts[i + 1] for i in chosen]
 
 
 def _merge_scaffold(pts: list[IntVec], dim: int, facets) -> Hull:

@@ -1,14 +1,16 @@
 """Small exact linear-algebra helpers shared by the geometry modules.
 
 Everything here works on plain tuples/lists of ints or Fractions; matrices
-are sequences of rows.  Integer determinants use fraction-free Bareiss
-elimination so intermediate values stay integral.
+are sequences of rows.  Integer determinants (Bareiss) and ranks (an
+integer echelon basis) use fraction-free elimination, so intermediate
+values stay integral.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from math import gcd
+from typing import Iterable, Sequence
 
 from .errors import InvalidInput
 
@@ -52,28 +54,36 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    """Rank over the rationals (exact Gaussian elimination)."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    if not m:
-        return 0
-    cols = len(m[0])
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+def independent_rows(rows: Iterable[Sequence[int]]) -> list[int]:
+    """Indices of the integer rows independent of the rows before them, in
+    order, stopping once the chosen rows span the whole space.
+
+    The chosen rows are kept as an integer echelon basis, each zero at the
+    pivots of the rows before it, and divided by its content; a row is
+    independent exactly when it does not reduce to zero against the basis.
+    """
+    chosen: list[int] = []
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
+    for i, row in enumerate(rows):
+        v = list(row)
+        for c, b in basis:
+            if v[c]:
+                f, g = b[c], v[c]
+                v = [f * x - g * y for x, y in zip(v, b)]
+        pivot = next((c for c, x in enumerate(v) if x), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
+        content = gcd(*v)
+        basis.append((pivot, [x // content for x in v]))
+        chosen.append(i)
+        if len(chosen) == len(v):
             break
-    return r
+    return chosen
+
+
+def rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank of an integer matrix over the rationals."""
+    return len(independent_rows(rows))
 
 
 def solve(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...]:

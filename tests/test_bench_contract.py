@@ -8,6 +8,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import qbary as qb
 import qbary.ehrhart
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -31,3 +32,19 @@ def test_every_traced_function_exists():
 def test_counting_keeps_its_cache_info():
     # the counting spans read cache_info() to tell cache hits from scans
     assert callable(qbary.ehrhart.lattice_point_stats.cache_info)
+
+
+def test_poly_fit_spans_count_one_fit_per_polynomial(monkeypatch):
+    # exactnum.poly_fit.calls reads as the number of fits: a fresh
+    # n-polytope's barycenter function fits E once and S_i once per axis
+    calls = []
+    true_fit = qbary.ehrhart.poly_fit
+
+    def counted_fit(samples):
+        calls.append(samples)
+        return true_fit(samples)
+
+    monkeypatch.setattr(qbary.ehrhart, "poly_fit", counted_fit)
+    p = qb.hull_from_vertices([(0, 0, 0), (2, 1, 0), (0, 3, 1), (1, 0, 3)])  # used by no other test
+    qb.barycenter_function(p)
+    assert len(calls) == p.dim + 1

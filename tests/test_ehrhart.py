@@ -9,6 +9,7 @@ from hypothesis import given, settings
 import qbary as qb
 from qbary import ehrhart
 from qbary.ehrhart import lattice_point_stats
+from qbary.exactnum import Polynomial
 
 from conftest import apply_map, brute_count, brute_vertex_sum, polytope_and_map
 
@@ -237,3 +238,26 @@ def test_reflexive_closed_form_rejects_out_of_scope(fixtures):
     segment = qb.hull_from_vertices([(-1,), (1,)])
     with pytest.raises(qb.Unsupported):
         qb.reflexive_closed_form(segment)
+
+
+def test_held_out_validation_rejects_a_fit_that_only_matches_its_samples(monkeypatch):
+    # adding prod_{i=0..d} (k - i) keeps every sample k = 0..d of a degree-d
+    # fit but changes every other value
+    true_fit = ehrhart.poly_fit
+
+    def wrong_fit(samples):
+        vanishing = Polynomial.constant(1)
+        for i in range(len(samples)):
+            vanishing = vanishing * Polynomial.of([-i, 1])
+        return true_fit(samples) + vanishing
+
+    # polytopes no other test uses, so no fit is cached yet
+    counted = qb.hull_from_vertices([(0, 0, 0), (3, 1, 0), (0, 2, 1), (1, 0, 2)])
+    summed = qb.hull_from_vertices([(0, 0), (3, 1), (1, 4), (-1, 2)])
+    qb.ehrhart_polynomial(summed)
+    monkeypatch.setattr(ehrhart, "poly_fit", wrong_fit)
+    held_out = f"counting polynomial fails held-out validation at k={counted.dim + 1}"
+    with pytest.raises(qb.InternalInconsistency, match=held_out):
+        qb.ehrhart_polynomial(counted)
+    with pytest.raises(qb.InternalInconsistency, match="coordinate-sum polynomial fails held-out validation"):
+        qb.barycenter_function(summed)

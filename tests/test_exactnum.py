@@ -4,11 +4,12 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qbary as qb
 from qbary.exactnum import Polynomial, RationalFunction, rational_from_json, rational_to_json
+from qbary.linalg import solve
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +47,31 @@ def test_poly_fit_reproduces_held_out_samples(coeffs):
     assert fit == poly
     for k in range(n_samples, n_samples + 4):
         assert fit(k) == poly(k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.fractions(min_value=-9, max_value=9, max_denominator=5),
+            st.one_of(st.just(F(0)), st.fractions(min_value=-20, max_value=20, max_denominator=7)),
+        ),
+        min_size=1,
+        max_size=7,
+        unique_by=lambda sample: sample[0],
+    )
+)
+@example([(F(-3, 2), F(0)), (F(4), F(0)), (F(0), F(0))])
+@example([(F(-7, 3), F(5, 2))])
+def test_poly_fit_matches_the_vandermonde_solve_on_general_abscissae(samples):
+    # distinct rational abscissae in any order; the oracle is Gaussian
+    # elimination on the Vandermonde system, not interpolation
+    fit = qb.poly_fit(samples)
+    assert fit.degree < len(samples)
+    for x, y in samples:
+        assert fit(x) == y
+    vandermonde = [[x**e for e in range(len(samples))] for x, _ in samples]
+    assert fit == Polynomial.of(solve(vandermonde, [y for _, y in samples]))
 
 
 def test_polynomial_divmod_exact():

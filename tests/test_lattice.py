@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbary as qb
-from qbary.linalg import int_det, matmul
+from qbary.linalg import independent_rows, int_det, matmul, rank
 
 
 def _is_row_hnf(h) -> bool:
@@ -62,6 +64,37 @@ def test_hnf_properties_random(rows):
     assert matmul(u, a) == h
     assert abs(int_det(u)) == 1
     assert _is_row_hnf(h)
+
+
+def _minor_rank(rows) -> int:
+    """Largest size of a nonzero square minor."""
+    cols = len(rows[0]) if rows else 0
+    return max(
+        (
+            k
+            for k in range(1, min(len(rows), cols) + 1)
+            for rs in combinations(rows, k)
+            for cs in combinations(range(cols), k)
+            if int_det([[r[c] for c in cs] for r in rs])
+        ),
+        default=0,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.integers(min_value=-2, max_value=2), min_size=cols, max_size=cols),
+            max_size=6,
+        )
+    )
+)
+def test_independent_rows_grow_the_minor_rank(rows):
+    # a row is chosen exactly when it raises the rank of the rows up to it
+    grows = [i for i in range(len(rows)) if _minor_rank(rows[: i + 1]) > _minor_rank(rows[:i])]
+    assert independent_rows(rows) == grows
+    assert rank(rows) == _minor_rank(rows)
 
 
 def test_primitive():
