@@ -1,14 +1,19 @@
 """Exact convex hulls and triangulations of integer point sets.
 
-The hull is built incrementally (beneath-beyond) with all-integer
-predicates: a simplicial scaffold of the boundary is maintained, each new
-point removes the facets it strictly sees and is joined to the horizon
-ridges, and coplanar simplices are merged into true facets at the end.
-With strict visibility a horizon ridge can never be affinely dependent with
-the inserted point, so the scaffold stays non-degenerate without any
-perturbation.  The vertices are read off the merged facet planes: a
-boundary point is a vertex exactly when no other input point lies on every
-facet plane through it.
+Hulls are built by double description (Fukuda–Prodon, 1996) over true
+facets, in integers.  A facet is a primitive outward normal ``w``, an
+offset ``c`` with ``<x, w> <= c`` on the hull, and the set Z of inserted
+points on its plane.  From a simplex, the points are inserted in sorted
+order.  Let ``s = <p, w> - c`` for the point p.  A violated facet f
+(``s_f > 0``) and a facet g with ``s_g < 0`` give the new facet
+``s_f·w_g - s_g·w_f`` through p when they are adjacent, that is, when no
+third facet's Z contains ``Z_f & Z_g``.  This combinatorial test is exact
+also when Z holds non-vertices.  The violated facets then go, and p joins
+the Z of every facet whose plane holds it.  Each facet is made once, as a
+true facet of the hull so far, so no coplanar pieces are left to merge.
+A point is a vertex iff no other input point lies on every facet through
+it: those facets cut out the smallest face holding the point, and a face
+is the hull of the input points on it.
 
 Facets are reported in inward form: primitive integer normal ``v`` and
 integer offset ``b`` with ``<u, v> >= -b`` on the hull and equality on the
@@ -25,7 +30,6 @@ vertex indices, so they stay in the original coordinates.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
@@ -65,101 +69,96 @@ def convex_hull(points: Iterable[Sequence[int]]) -> Hull:
     dim = len(pts[0])
     if dim < 1:
         raise InvalidInput("ambient dimension must be at least 1")
-    if dim == 1:
-        lo, hi = pts[0][0], pts[-1][0]
-        if lo == hi:
-            raise DegenerateInput("hull of a single point is not full-dimensional")
-        return Hull(
-            1,
-            ((lo,), (hi,)),
-            (HullFacet((-1,), hi, (1,)), HullFacet((1,), -lo, (0,))),
-        )
+    if dim == 1 and len(pts) == 1:
+        raise DegenerateInput("hull of a single point is not full-dimensional")
 
+    # A facet is (w, c, z): <x, w> <= c on the hull, z the bitmask of the
+    # inserted points on its plane.  On the simplex with edges e_j at the
+    # corner, the cross normal of the edges but e_j meets e_j in +-det, so
+    # the outward normals of the d facets through the corner sum to minus
+    # the outward normal of the facet opposite it.
     base = _initial_simplex(pts, dim)
-    interior_sum = tuple(sum(p[i] for p in base) for i in range(dim))
-    scale = dim + 1
-    id_of = {p: i for i, p in enumerate(pts)}
-    base_ids = [id_of[p] for p in base]
-
-    def make_facet(ids: tuple[int, ...]):
-        corner = pts[ids[0]]
-        w = cross_normal([vec_sub(pts[i], corner) for i in ids[1:]])
-        if all(x == 0 for x in w):
-            raise InternalInconsistency("degenerate facet in hull scaffold")
-        c = dot(corner, w)
-        side = dot(interior_sum, w) - scale * c
+    corner, full = pts[base[0]], sum(1 << i for i in base)
+    edges = [vec_sub(pts[i], corner) for i in base[1:]]
+    facets, far = [], (0,) * dim
+    for j, drop in enumerate(base[1:]):
+        w = cross_normal(edges[:j] + edges[j + 1:])
+        if not any(w):
+            raise InternalInconsistency("degenerate facet of the initial simplex")
+        side = dot(edges[j], w)
         if side > 0:
-            w, c = tuple(-x for x in w), -c
+            w = tuple(-x for x in w)
         elif side == 0:
-            raise InternalInconsistency("interior reference point on a facet plane")
-        return (frozenset(ids), w, c)
+            raise InternalInconsistency("opposite vertex on a facet plane")
+        far = vec_sub(far, w)
+        facets.append(_primitive(w, dot(corner, w), full ^ 1 << drop))
+    facets.append(_primitive(far, dot(pts[base[1]], far), full ^ 1 << base[0]))
 
-    facets = []
-    for drop in range(dim + 1):
-        facets.append(make_facet(tuple(base_ids[i] for i in range(dim + 1) if i != drop)))
-
-    in_hull = set(base_ids)
     for pid, p in enumerate(pts):
-        if pid in in_hull:
+        if pid in base:
             continue
-        in_hull.add(pid)
-        visible = [f for f in facets if dot(p, f[1]) > f[2]]
-        if not visible:
-            continue
-        ridge_count: Counter = Counter()
-        for ids, _, _ in visible:
-            for ex in ids:
-                ridge_count[ids - {ex}] += 1
-        horizon = [r for r, cnt in ridge_count.items() if cnt == 1]
-        visible_ids = {id(f) for f in visible}
-        facets = [f for f in facets if id(f) not in visible_ids]
-        for ridge in horizon:
-            facets.append(make_facet(tuple(sorted(ridge)) + (pid,)))
+        bit = 1 << pid
+        sides = [dot(p, w) - c for w, c, _ in facets]
+        new = []
+        if max(sides) > 0:
+            masks = [z for _, _, z in facets]
+            below = [(s, f) for s, f in zip(sides, facets) if s < 0]
+            for sf, (wf, cf, zf) in zip(sides, facets):
+                if sf <= 0:
+                    continue
+                for sg, (wg, cg, zg) in below:
+                    common = zf & zg
+                    if common.bit_count() >= dim - 1 and _adjacent(common, masks):
+                        w = tuple(sf * a - sg * b for a, b in zip(wg, wf))
+                        new.append(_primitive(w, sf * cg - sg * cf, common | bit))
+        facets = [(w, c, z | bit if s == 0 else z) for s, (w, c, z) in zip(sides, facets) if s <= 0] + new
 
-    return _merge_scaffold(pts, dim, facets)
+    # the AND of the facets through a point is the smallest face holding it
+    through: dict[int, int] = {}
+    for _, _, z in facets:
+        for pid in _ids(z):
+            through[pid] = through.get(pid, z) & z
+    # pts is sorted, so the vertices come out sorted too
+    vertex_ids = sorted(pid for pid, z in through.items() if z == 1 << pid)
+    index = {pid: i for i, pid in enumerate(vertex_ids)}
+
+    hull_facets = []
+    for w, c, z in facets:
+        ids = tuple(index[pid] for pid in _ids(z) if pid in index)
+        if len(ids) < dim:
+            raise InternalInconsistency("facet with too few vertices")
+        hull_facets.append(HullFacet(tuple(-x for x in w), c, ids))
+    hull_facets.sort(key=lambda f: (f.normal, f.offset))
+    return Hull(dim, tuple(pts[pid] for pid in vertex_ids), tuple(hull_facets))
 
 
-def _initial_simplex(pts: list[IntVec], dim: int) -> list[IntVec]:
+def _initial_simplex(pts: list[IntVec], dim: int) -> list[int]:
     chosen = independent_rows(vec_sub(p, pts[0]) for p in pts[1:])
     if len(chosen) < dim:
         raise DegenerateInput(
             f"points span an affine space of dimension {len(chosen)} < {dim}"
         )
-    return [pts[0]] + [pts[i + 1] for i in chosen]
+    return [0] + [i + 1 for i in chosen]
 
 
-def _merge_scaffold(pts: list[IntVec], dim: int, facets) -> Hull:
-    planes: dict[tuple[IntVec, int], None] = {}
-    for _, w, c in facets:
-        g = 0
-        for x in w:
-            g = gcd(g, x)
-        wp = tuple(x // g for x in w)
-        if c % g:
-            raise InternalInconsistency("facet offset not divisible by normal content")
-        planes[(wp, c // g)] = None
+def _primitive(w: IntVec, c: int, z: int) -> tuple[IntVec, int, int]:
+    g = gcd(*w)
+    if c % g:
+        raise InternalInconsistency("facet offset not divisible by normal content")
+    return tuple(x // g for x in w), c // g, z
 
-    # A boundary point is a vertex iff it is the only input point on every
-    # facet plane through it: those planes cut out the smallest face that
-    # holds the point, and a face is the hull of the input points on it.
-    keys = list(planes)
-    on_plane = [{pid for pid, p in enumerate(pts) if dot(p, wp) == cp} for wp, cp in keys]
-    incident: dict[int, list[set[int]]] = {}
-    for ids in on_plane:
-        for pid in ids:
-            incident.setdefault(pid, []).append(ids)
-    # pts is sorted, so the vertices come out sorted too
-    vertex_ids = sorted(pid for pid, sets in incident.items() if set.intersection(*sets) == {pid})
-    index = {pid: i for i, pid in enumerate(vertex_ids)}
 
-    hull_facets = []
-    for (wp, cp), on in zip(keys, on_plane):
-        ids = tuple(sorted(index[pid] for pid in on if pid in index))
-        if len(ids) < dim:
-            raise InternalInconsistency("facet with too few vertices")
-        hull_facets.append(HullFacet(tuple(-x for x in wp), cp, ids))
-    hull_facets.sort(key=lambda f: (f.normal, f.offset))
-    return Hull(dim, tuple(pts[pid] for pid in vertex_ids), tuple(hull_facets))
+def _adjacent(common: int, masks: Sequence[int]) -> bool:
+    """Whether the two facets whose point sets meet in ``common`` are
+    adjacent: no third facet's point set contains ``common``."""
+    return len([z for z in masks if common & z == common]) == 2
+
+
+def _ids(mask: int) -> Iterable[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # ---------------------------------------------------------------------------

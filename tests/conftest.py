@@ -4,15 +4,16 @@ oracles and Hypothesis strategies for unimodular maps."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
 import qbary as qb
-from qbary.linalg import dot, int_det, rank
+from qbary.linalg import dot, int_det
 
 FIXTURE_NAMES = (
     "p2",
@@ -69,6 +70,91 @@ def corpus() -> list[qb.Polytope]:
 # ---------------------------------------------------------------------------
 # independent oracles (deliberately naive implementations)
 
+def reduced_echelon(rows) -> tuple[list[int], list[list[Fraction]]]:
+    """Pivot columns and nonzero rows of the reduced row echelon form, by
+    Gauss-Jordan elimination over ``Fraction``; kept apart from
+    ``qbary.linalg`` so the oracles below share nothing with the library."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                m[i] = [a - m[i][col] * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    return pivots, m[: len(pivots)]
+
+
+def fraction_rank(rows) -> int:
+    return len(reduced_echelon(rows)[0])
+
+
+def fraction_solve(matrix, rhs) -> tuple[Fraction, ...]:
+    """The solution of a nonsingular square system."""
+    pivots, m = reduced_echelon([list(row) + [b] for row, b in zip(matrix, rhs)])
+    assert pivots == list(range(len(matrix)))
+    return tuple(row[-1] for row in m)
+
+
+def _plane_normal(points) -> tuple[int, ...] | None:
+    """Primitive integer normal of the hyperplane through ``dim`` points in
+    dimension ``dim``, or None when they do not span one."""
+    dim = len(points[0])
+    pivots, m = reduced_echelon([[a - b for a, b in zip(q, points[0])] for q in points[1:]])
+    if len(pivots) < dim - 1:
+        return None
+    free = next(c for c in range(dim) if c not in pivots)
+    w = [Fraction(0)] * dim
+    w[free] = Fraction(1)
+    for row, c in zip(m, pivots):
+        w[c] = -row[free]
+    scale = lcm(*(x.denominator for x in w))
+    ints = [int(x * scale) for x in w]
+    return tuple(x // gcd(*ints) for x in ints)
+
+
+def brute_hull(points):
+    """``(vertices, facets)`` of the hull of integer points by brute force,
+    or None when the points are not full-dimensional.
+
+    Every ``dim``-subset spanning a hyperplane gives a candidate plane, kept
+    when all points lie on one side of it: such a plane holds ``dim``
+    affinely independent points of the hull, so it is a facet plane.  A
+    point is a vertex iff the normals of the facets through it have rank
+    ``dim``.  Facets are ``(inward normal, offset, vertex ids)`` with
+    ``<x, normal> >= -offset``, sorted, in the form ``convex_hull`` gives.
+    """
+    pts = sorted(set(tuple(p) for p in points))
+    dim = len(pts[0])
+    if fraction_rank([[a - b for a, b in zip(q, pts[0])] for q in pts]) < dim:
+        return None
+    planes = set()
+    for subset in combinations(pts, dim):
+        w = _plane_normal(subset)
+        if w is None:
+            continue
+        c = dot(subset[0], w)
+        sides = {(dot(q, w) > c) - (dot(q, w) < c) for q in pts}
+        if {1, -1} <= sides:
+            continue
+        planes.add((w, -c) if 1 in sides else (tuple(-x for x in w), c))
+    vertices = tuple(
+        q for q in pts if fraction_rank([v for v, b in planes if dot(q, v) == -b]) == dim
+    )
+    facets = tuple(
+        sorted(
+            (v, b, tuple(i for i, q in enumerate(vertices) if dot(q, v) == -b))
+            for v, b in planes
+        )
+    )
+    return vertices, facets
+
+
 def brute_count(p: qb.Polytope, k: int, strict: bool = False) -> int:
     """Box scan with per-point inequality tests; independent of the library's
     interval-based counter."""
@@ -116,7 +202,7 @@ def brute_edges(p: qb.Polytope) -> list[tuple[int, int]]:
     out = []
     for i, j in combinations(range(len(p.vertices)), 2):
         normals = [f.normal for f, ids in zip(p.facets, p.incidence) if i in ids and j in ids]
-        if normals and rank(normals) == p.dim - 1:
+        if normals and fraction_rank(normals) == p.dim - 1:
             out.append((i, j))
     return out
 

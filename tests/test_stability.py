@@ -3,12 +3,13 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
 import qbary as qb
-from qbary.linalg import dot
+from qbary.linalg import dot, vec_add
 from qbary.toric import ToricData
 
-from conftest import DEL_PEZZO_NAMES
+from conftest import DEL_PEZZO_NAMES, apply_map, fraction_solve, polytope_and_map
 
 
 def tor(name: str) -> qb.ToricData:
@@ -189,3 +190,21 @@ def test_direction_of_the_wrong_length_is_invalid(direction):
         qb.log_discrepancy(P2, direction)
     with pytest.raises(qb.InvalidInput, match=message):
         qb.expected_vanishing_order(P2, direction, 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(polytope_and_map(max_dim=3))
+def test_thresholds_follow_unimodular_maps(case):
+    # under x -> Ux + t a ray v becomes U^{-T} v, and since
+    # <Ux + t, U^{-T} v> = <x, v> + <t, U^{-T} v> the offset b becomes
+    # b - <t, U^{-T} v>; every pairing <Bc_k, v_i> + b_i is then unchanged
+    p, u, t = case
+    tp = qb.toric_from_polytope(p)
+    transpose = list(zip(*u))
+    rays = [tuple(int(x) for x in fraction_solve(transpose, ray)) for ray in tp.rays]
+    offsets = [b - dot(t, ray) for b, ray in zip(tp.offsets, rays)]
+    tq = qb.toric_data(rays, offsets)
+    assert tq.polytope == qb.hull_from_vertices([vec_add(apply_map(u, v), t) for v in p.vertices])
+    for k in (1, 2, 3):
+        assert qb.delta_k(tq, k) == qb.delta_k(tp, k)
+    assert qb.delta_sequence(tq, [1, 2], order=3) == qb.delta_sequence(tp, [1, 2], order=3)
