@@ -11,13 +11,16 @@ scaled by ``k``), so the scan visits only prefixes that extend to points of
 ``k*P`` instead of the whole bounding box.  Everything is plain integer
 arithmetic.
 
-Every fit samples the same dilations k = 0..dim+3, one cached pass each.
-The Ehrhart polynomial is fitted on k = 0..dim and validated exactly at
-k = dim+1..dim+3, against the classical coefficient identities (leading
-coefficient = volume, subleading = half the normalized boundary volume),
-and by Ehrhart-Macdonald reciprocity at k = 1..dim+1 against the interior
-counts.  Any mismatch raises ``InternalInconsistency``: counting is exact
-and polynomiality is a theorem, not a modeling assumption.
+Every fit reads the same dilations k = 0..dim+1, one cached pass each, and
+is validated by Ehrhart-Macdonald reciprocity against the interior records
+of those passes: ``f(-k) = (-1)^d`` times the interior value at k = 1..dim+1,
+for the counting polynomial (d = dim) and for each coordinate-sum
+polynomial (d = dim+1).  The Ehrhart polynomial is fitted on k = 0..dim and
+also validated exactly at the held-out k = dim+1 and against the classical
+coefficient identities (leading coefficient = volume, subleading = half the
+normalized boundary volume).  Any mismatch raises ``InternalInconsistency``:
+counting is exact and polynomiality is a theorem, not a modeling
+assumption.
 """
 
 from __future__ import annotations
@@ -221,14 +224,29 @@ def interior_count(p: Polytope, k: int) -> int:
     return lattice_point_stats(p, k).interior
 
 
-def fit_on_dilations(p: Polytope, value: Callable[[LatticeStats], int], degree: int, what: str) -> Polynomial:
-    """Polynomial through ``value`` of the records at k = 0..degree, checked
-    exactly at the rest of k = 0..dim+3, the dilations every fit shares."""
-    samples = [(k, value(lattice_point_stats(p, k))) for k in range(p.dim + 4)]
-    fit = poly_fit(samples[: degree + 1])
-    for k, v in samples[degree + 1 :]:
-        if fit(k) != v:
+def fit_on_dilations(p: Polytope, value: Callable[[int, IntVec], int], degree: int, what: str) -> Polynomial:
+    """Polynomial of degree ``degree <= dim+1`` through the closed values at
+    k = 0..degree, validated on the records at k = 0..dim+1 that every fit
+    shares.
+
+    ``value`` reads one quantity off a count and its coordinate sums, and is
+    applied to the closed and to the interior half of each record.  The fit
+    must match the closed values at the rest of k = 0..dim+1, and satisfy
+    Ehrhart-Macdonald reciprocity ``fit(-k) = (-1)^degree`` times the interior
+    value at k = 1..dim+1.  That sign holds for the count (degree dim) and
+    for a coordinate sum (degree dim+1: a weight of degree 1, Brion-Vergne).
+    """
+    records = [lattice_point_stats(p, k) for k in range(p.dim + 2)]
+    closed = [value(r.count, r.sums) for r in records]
+    interior = [value(r.interior, r.interior_sums) for r in records]
+    fit = poly_fit(list(enumerate(closed[: degree + 1])))
+    for k in range(degree + 1, p.dim + 2):
+        if fit(k) != closed[k]:
             raise InternalInconsistency(f"{what} fails held-out validation at k={k}")
+    sign = (-1) ** degree
+    for k in range(1, p.dim + 2):
+        if fit(-k) != sign * interior[k]:
+            raise InternalInconsistency(f"{what} fails reciprocity at k={k}")
     return fit
 
 
@@ -242,17 +260,13 @@ class EhrhartPolynomial:
 def ehrhart_polynomial(p: Polytope) -> EhrhartPolynomial:
     """Fitted counting polynomial, validated as the module docstring says."""
     n = p.dim
-    fit = fit_on_dilations(p, lambda s: s.count, n, "counting polynomial")
+    fit = fit_on_dilations(p, lambda count, sums: count, n, "counting polynomial")
     if fit.coefficient(n) != measure(p).volume:
         raise InternalInconsistency("leading coefficient is not the volume")
     if fit.coefficient(n - 1) != facet_data(p).boundary_normalized_volume / 2:
         raise InternalInconsistency(
             "subleading coefficient is not half the normalized boundary volume"
         )
-    # Ehrhart-Macdonald reciprocity; the n+1 values E(-1..-(n+1)) alone determine E
-    for k in range(1, n + 2):
-        if fit(-k) != (-1) ** n * interior_count(p, k):
-            raise InternalInconsistency(f"counting polynomial fails reciprocity at k={k}")
     return EhrhartPolynomial(fit, "fitted")
 
 

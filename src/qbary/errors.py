@@ -3,9 +3,10 @@
 Every failure mode has a dedicated class so callers (and the CLI exit-code
 mapping) can distinguish bad input from an internal identity check that
 failed.  ``InternalInconsistency`` is special: it is raised when two exact
-computations that must agree (an interpolation and its held-out samples, a
-closed form and an enumeration, ...) disagree, which always indicates a bug
-rather than bad data.
+computations that must agree (an interpolation and its held-out samples or
+its reciprocity values on the interior points, a closed form and an
+enumeration, ...) disagree, which always indicates a bug rather than bad
+data.
 """
 
 from __future__ import annotations

@@ -7,9 +7,12 @@ lattice points of kP divided by k.  Coordinate i of the sequence equals
 ``Q_i(k) = S_i(k) / k``, with S_i the coordinate-sum polynomial: the sum of
 the i-th coordinates over the lattice points of kP, a polynomial of degree
 at most dim P + 1 with ``S_i(0) = 0``.  Each S_i is fitted once, on
-k = 0..dim+1, and validated exactly at the held-out points k = dim+2 and
-dim+3 (``ehrhart.fit_on_dilations``, which E shares); the division by k is
-exact because the fit passes through (0, 0).
+k = 0..dim+1, and validated exactly by reciprocity against the interior
+records of the same passes, ``S_i(-k) = (-1)^(dim+1)`` times the sum of the
+i-th coordinates over the interior of kP at k = 1..dim+1
+(``ehrhart.fit_on_dilations``, which E shares); those values and
+``S_i(0) = 0`` alone determine S_i.  The division by k is exact because the
+fit passes through (0, 0).
 The same polynomials give the rooftop polytope over P in direction v at
 offset q, whose fibers over kP hold ``<u, v> + q k + 1`` lattice points
 each: its count is ``(q k + 1) E(k) + k <Q(k), v>``, which
@@ -134,7 +137,7 @@ def barycenter_function(p: Polytope) -> BarycenterFunction:
     """Exact rational-function form of the quantized barycenter sequence."""
     n = p.dim
     ehr = ehrhart_polynomial(p).poly
-    sums = [fit_on_dilations(p, lambda s: s.sums[i], n + 1, "coordinate-sum polynomial") for i in range(n)]
+    sums = [fit_on_dilations(p, lambda count, sums: sums[i], n + 1, "coordinate-sum polynomial") for i in range(n)]
     return BarycenterFunction(tuple(s.shift_down() for s in sums), ehr)
 
 

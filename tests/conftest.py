@@ -13,7 +13,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 import qbary as qb
-from qbary.linalg import dot, int_det
+from qbary.linalg import dot
 
 FIXTURE_NAMES = (
     "p2",
@@ -92,6 +92,25 @@ def reduced_echelon(rows) -> tuple[list[int], list[list[Fraction]]]:
 
 def fraction_rank(rows) -> int:
     return len(reduced_echelon(rows)[0])
+
+
+def fraction_det(rows) -> Fraction:
+    """Determinant of a square matrix by Gaussian elimination over
+    ``Fraction``, kept apart from ``qbary.linalg.int_det``."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        pivot = next((i for i in range(col, len(m)) if m[i][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for i in range(col + 1, len(m)):
+            ratio = m[i][col] / m[col][col]
+            m[i] = [a - ratio * b for a, b in zip(m[i], m[col])]
+    return det
 
 
 def fraction_solve(matrix, rhs) -> tuple[Fraction, ...]:
@@ -221,7 +240,7 @@ def brute_delzant(p: qb.Polytope) -> bool:
         for j in adj:
             d = [b - a for a, b in zip(p.vertices[i], p.vertices[j])]
             dirs.append([x // gcd(*d) for x in d])
-        if abs(int_det(dirs)) != 1:
+        if abs(fraction_det(dirs)) != 1:
             return False
     return True
 

@@ -122,13 +122,13 @@ def count_passes(monkeypatch, mutate=None):
 
 @pytest.mark.parametrize("n", (3, 4))
 def test_one_pass_per_dilation(monkeypatch, n):
+    # every fit and its validation read k = 0..n+1 and nothing above
     p = fresh_simplex(n)
     seen = count_passes(monkeypatch)
+    qb.ehrhart_polynomial(p)
     qb.barycenter_function(p)
     qb.reciprocity_check(p, n + 1)
-    for k in range(1, n + 4):
-        qb.interior_count(p, k)
-    assert sorted(seen) == list(range(1, n + 4))
+    assert sorted(seen) == list(range(1, n + 2))
 
 
 def off_by_one_at(bad_k, field, axis=None):
@@ -143,29 +143,35 @@ def off_by_one_at(bad_k, field, axis=None):
     return mutate
 
 
-# Each validated dilation of a 3-simplex, corrupted alone, must be caught.
+# Each field of each counted dilation k = 1..n+1 of a 3-simplex, corrupted
+# alone, must be caught.
 N = 3
 
 
 @pytest.mark.parametrize("k", range(1, N + 2))
 def test_reciprocity_catches_an_interior_count_off_by_one(monkeypatch, k):
     count_passes(monkeypatch, off_by_one_at(k, "interior"))
-    with pytest.raises(qb.InternalInconsistency, match=f"reciprocity at k={k}"):
+    with pytest.raises(qb.InternalInconsistency, match=f"counting polynomial fails reciprocity at k={k}"):
         qb.ehrhart_polynomial(fresh_simplex(N))
 
 
-@pytest.mark.parametrize("k", range(N + 1, N + 4))
+@pytest.mark.parametrize("k", range(1, N + 2))
 def test_held_out_counts_catch_a_closed_count_off_by_one(monkeypatch, k):
+    # a count below n+1 moves the fit, which then misses the count at n+1
     count_passes(monkeypatch, off_by_one_at(k, "count"))
-    with pytest.raises(qb.InternalInconsistency, match=f"counting polynomial fails held-out validation at k={k}"):
+    with pytest.raises(qb.InternalInconsistency, match=f"counting polynomial fails held-out validation at k={N + 1}"):
         qb.ehrhart_polynomial(fresh_simplex(N))
 
 
-@pytest.mark.parametrize("k", (N + 2, N + 3))
+@pytest.mark.parametrize("k", range(1, N + 2))
 @pytest.mark.parametrize("axis", range(N))
-def test_held_out_sums_catch_a_coordinate_sum_off_by_one(monkeypatch, k, axis):
-    count_passes(monkeypatch, off_by_one_at(k, "sums", axis))
-    with pytest.raises(qb.InternalInconsistency, match=f"coordinate-sum polynomial fails held-out validation at k={k}"):
+@pytest.mark.parametrize("field", ("sums", "interior_sums"))
+def test_reciprocity_catches_a_coordinate_sum_off_by_one(monkeypatch, field, axis, k):
+    # the coordinate-sum fit uses every closed sum, so a wrong one moves it
+    # off its reciprocity value at k = 1; a wrong interior sum shows at its k
+    count_passes(monkeypatch, off_by_one_at(k, field, axis))
+    first = k if field == "interior_sums" else 1
+    with pytest.raises(qb.InternalInconsistency, match=f"coordinate-sum polynomial fails reciprocity at k={first}"):
         qb.barycenter_function(fresh_simplex(N))
 
 
@@ -242,7 +248,9 @@ def test_reflexive_closed_form_rejects_out_of_scope(fixtures):
 
 def test_held_out_validation_rejects_a_fit_that_only_matches_its_samples(monkeypatch):
     # adding prod_{i=0..d} (k - i) keeps every sample k = 0..d of a degree-d
-    # fit but changes every other value
+    # fit but changes every other value: the counting fit misses its held-out
+    # count at k = n+1, and the coordinate-sum fit, which has no held-out
+    # sample, its reciprocity value at k = 1
     true_fit = ehrhart.poly_fit
 
     def wrong_fit(samples):
@@ -259,5 +267,5 @@ def test_held_out_validation_rejects_a_fit_that_only_matches_its_samples(monkeyp
     held_out = f"counting polynomial fails held-out validation at k={counted.dim + 1}"
     with pytest.raises(qb.InternalInconsistency, match=held_out):
         qb.ehrhart_polynomial(counted)
-    with pytest.raises(qb.InternalInconsistency, match="coordinate-sum polynomial fails held-out validation"):
+    with pytest.raises(qb.InternalInconsistency, match="coordinate-sum polynomial fails reciprocity at k=1"):
         qb.barycenter_function(summed)

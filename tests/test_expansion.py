@@ -109,6 +109,18 @@ def test_barycenter_function_evaluates_to_enumeration(fixtures):
             assert bf.evaluate(k) == qb.quantized_barycenter(p, k).value
 
 
+def test_coordinate_sums_satisfy_reciprocity_on_the_interior(fixtures, corpus):
+    # S_i(-k) = (-1)^(n+1) times the sum of coordinate i over the interior of
+    # kP, with S_i(k) = k Q_i(k): the box-scan oracle, not the counting pass,
+    # pins the sign that validates every coordinate-sum fit
+    for p in list(fixtures.values()) + corpus[:8]:
+        n = p.dim
+        numerators = qb.barycenter_function(p).numerators
+        for k in range(1, n + 2):
+            expected = tuple((-1) ** (n + 1) * s for s in brute_vertex_sum(p, k, strict=True))
+            assert tuple(-k * q(-k) for q in numerators) == expected, (p.vertices, k)
+
+
 @settings(max_examples=40, deadline=None)
 @given(polytope_and_map(max_dim=3))
 def test_barycenter_numerators_move_with_unimodular_maps(case):
