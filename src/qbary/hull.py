@@ -19,6 +19,11 @@ Facets are reported in inward form: primitive integer normal ``v`` and
 integer offset ``b`` with ``<u, v> >= -b`` on the hull and equality on the
 facet.
 
+The same engine serves both directions of Minkowski–Weyl duality: points
+to facets directly, and half-spaces to vertices through the facets at the
+origin of a hull one dimension up
+(:func:`qbary.polytope.polytope_from_halfspaces`).
+
 Measures never rebuild a hull.  :func:`face_triangulator` walks the face
 lattice that the facets' vertex-index sets already describe: the facets of
 a face are its maximal intersections with the polytope's facets, and a

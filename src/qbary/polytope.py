@@ -4,7 +4,9 @@ A :class:`Polytope` is a full-dimensional convex lattice polytope held in
 dual representation: its lattice vertices and its irredundant half-spaces
 ``<u, v_i> >= -b_i`` with primitive integer normals, plus the facet/vertex
 incidence relation.  Construction always goes through the exact hull engine
-so both representations are consistent by construction.
+so both representations are consistent by construction.  The engine serves
+both directions: a vertex set is hulled directly, and a half-space set is
+turned into vertices by one hull one dimension up (Minkowski–Weyl duality).
 
 Measures and the normal fan are read off the incidence relation, which
 holds the whole face lattice; no hull is rebuilt.  :func:`measure` is the
@@ -28,15 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import factorial, gcd
+from math import factorial
 from typing import Iterable, Sequence
 
 from .errors import DegenerateInput, InternalInconsistency, InvalidInput, Unsupported, UnboundedInput
 from .exactnum import Vector
 from .hull import convex_hull, face_triangulator, measure_from_facets
-from .lattice import hermite_normal_form
-from .linalg import IntVec, dot, int_det, rank, solve, vec_add, vec_sub
+from .lattice import hermite_normal_form, primitive
+from .linalg import IntVec, dot, int_det, rank, vec_add, vec_sub
 
 DIMENSION_CAP = 7
 
@@ -137,9 +138,15 @@ def hull_from_vertices(points: Iterable[Sequence[int]], dimension_cap: int = DIM
 def polytope_from_halfspaces(normals: Sequence[Sequence[int]], offsets: Sequence[int]) -> Polytope:
     """Bounded full-dimensional intersection of lattice half-spaces.
 
-    Vertices are enumerated from all maximal-rank normal subsets; redundant
-    inequalities disappear when the hull is rebuilt from the vertices.  The
-    intersection must be a lattice polytope (integer vertices).
+    By Minkowski–Weyl duality the vertices come out of one hull in
+    dimension n+1.  The homogenization cone ``{(x, s) : <x, v_i> + b_i s >= 0,
+    s >= 0}`` of P is dual to the cone over the points ``(v_i, b_i)`` and
+    ``e_{n+1}``, so the inward normals ``(x, s)`` of the facets through 0 of
+    ``conv(0, e_{n+1}, (v_i, b_i))`` are its extreme rays, and ``x / s`` are
+    the vertices of P.  A normal is primitive, so its vertex is a lattice
+    point iff ``s == 1``.  No facet through 0 means P is empty; 0 not a
+    vertex means the cone, and so P, is not full-dimensional.  Redundant
+    inequalities disappear when the hull is rebuilt from the vertices.
     """
     if len(normals) != len(offsets):
         raise InvalidInput("normals and offsets of different lengths")
@@ -147,39 +154,26 @@ def polytope_from_halfspaces(normals: Sequence[Sequence[int]], offsets: Sequence
         raise InvalidInput("no half-spaces given")
     dim = len(normals[0])
     _check_dim(dim, DIMENSION_CAP)
-    rows: list[tuple[IntVec, Fraction]] = []
-    for v, b in zip(normals, offsets):
-        v = tuple(int(x) for x in v)
+    rows = [tuple(int(x) for x in v) for v in normals]
+    for v in rows:
         if len(v) != dim:
             raise InvalidInput("normals of mixed dimension")
-        if all(x == 0 for x in v):
+        if not any(v):
             raise InvalidInput("zero normal vector")
-        g = 0
-        for x in v:
-            g = gcd(g, x)
-        rows.append((tuple(x // g for x in v), Fraction(int(b), g)))
+    # parallel normals must meet as one point of the normals' hull
+    _require_bounded([primitive(v) for v in rows])
 
-    _require_bounded([v for v, _ in rows])
-
-    candidates: set[IntVec] = set()
-    for subset in combinations(range(len(rows)), dim):
-        matrix = [rows[i][0] for i in subset]
-        if rank(matrix) < dim:
-            continue
-        point = solve(matrix, [-rows[i][1] for i in subset])
-        if all(dot(point, v) >= -b for v, b in rows):
-            candidates.add(exact_int_vector_or_invalid(point))
-    if not candidates:
+    origin = (0,) * (dim + 1)
+    dual = convex_hull([origin, origin[1:] + (1,), *(v + (int(b),) for v, b in zip(rows, offsets))])
+    rays = [f.normal for f in dual.facets if f.offset == 0]
+    if not rays:
         raise DegenerateInput("half-space intersection is empty")
-    if rank([vec_sub(p, next(iter(candidates))) for p in candidates]) < dim:
+    for *x, s in rays:
+        if s != 1:
+            raise InvalidInput(f"vertex {tuple(Fraction(a, s) for a in x)} is not a lattice point")
+    if origin not in dual.vertices:
         raise DegenerateInput("half-space intersection is not full-dimensional")
-    return hull_from_vertices(sorted(candidates))
-
-
-def exact_int_vector_or_invalid(point: Sequence[Fraction]) -> IntVec:
-    if any(Fraction(x).denominator != 1 for x in point):
-        raise InvalidInput(f"vertex {tuple(point)} is not a lattice point")
-    return tuple(int(x) for x in point)
+    return hull_from_vertices(sorted(ray[:-1] for ray in rays))
 
 
 def _require_bounded(normals: Sequence[IntVec]) -> None:

@@ -174,6 +174,67 @@ def brute_hull(points):
     return vertices, facets
 
 
+def brute_halfspace_vertices(normals, offsets) -> list[tuple[Fraction, ...]]:
+    """Sorted vertices of ``{x : <x, v_i> >= -b_i}`` by brute force; empty
+    when the intersection is.
+
+    Every ``n``-subset of the rows of full rank meets in one point, kept
+    when it satisfies every row: the vertices of a pointed polyhedron are
+    exactly these points.  That is C(m, n) ``Fraction`` solves, so keep the
+    row count m small.
+    """
+    n = len(normals[0])
+    found = set()
+    for subset in combinations(range(len(normals)), n):
+        matrix = [normals[i] for i in subset]
+        if fraction_rank(matrix) < n:
+            continue
+        point = fraction_solve(matrix, [-offsets[i] for i in subset])
+        if all(sum(a * x for a, x in zip(point, v)) >= -b for v, b in zip(normals, offsets)):
+            found.add(point)
+    return sorted(found)
+
+
+def random_halfspace_descriptions(seed: int, count: int, dims=(1, 2, 3), max_rows: int = 10):
+    """Seeded bounded H-descriptions ``(normals, offsets)``, deterministic
+    across runs.
+
+    Each starts from the facets of a random lattice polytope, whose normals
+    positively span, and adds redundant and tangent rows.  Rows are scaled
+    to non-primitive normals with scaled offsets and shuffled.  Some
+    offsets are moved, and some facets are paired with their opposite, which
+    gives empty, lower-dimensional and rational intersections.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice(dims)
+        pts = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(n + 1, n + 3))]
+        try:
+            p = qb.hull_from_vertices(pts)
+        except qb.QbaryError:
+            continue
+        rows = [(f.normal, f.offset) for f in p.facets]
+        if len(rows) > max_rows:
+            continue
+        while len(rows) < max_rows and rng.random() < 0.5:
+            v = tuple(rng.randint(-2, 2) for _ in range(n))
+            if any(v):
+                # tangent to P at shift 0, redundant above it
+                rows.append((v, rng.choice((0, 0, 1, 2)) - min(dot(x, v) for x in p.vertices)))
+        if len(rows) < max_rows and rng.random() < 0.2:
+            v, b = rng.choice(rows[: len(p.facets)])
+            rows.append((tuple(-x for x in v), -b - rng.choice((0, 0, 1))))
+        scales = [rng.choice((1, 1, 1, 2, 3)) for _ in rows]
+        rows = [(tuple(c * x for x in v), c * b) for c, (v, b) in zip(scales, rows)]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            i = rng.randrange(len(rows))
+            rows[i] = (rows[i][0], rows[i][1] + rng.choice((-3, -2, -1, 1)))
+        rng.shuffle(rows)
+        out.append(([v for v, _ in rows], [b for _, b in rows]))
+    return out
+
+
 def brute_count(p: qb.Polytope, k: int, strict: bool = False) -> int:
     """Box scan with per-point inequality tests; independent of the library's
     interval-based counter."""

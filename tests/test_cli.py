@@ -5,6 +5,7 @@ import json
 import os
 import sys
 
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,14 @@ def test_inline_rays(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["outputs"] == {"reflexive": True, "delzant": True}
+
+
+def test_inline_rays_of_the_5d_cross_polytope(capsys):
+    # 32 facets: C(32, 5) subset solves would take minutes
+    signs = [",".join(map(str, s)) for s in product((-1, 1), repeat=5)]
+    code, out, _ = run(capsys, "classify", "--rays", ";".join(signs), "--offsets", ",".join(["1"] * 32))
+    assert code == 0
+    assert json.loads(out)["outputs"] == {"reflexive": True, "delzant": False}
 
 
 def test_count_and_fan(capsys):

@@ -37,6 +37,19 @@ FIXTURES = (
 DELZANT = tuple(name for name in FIXTURES if name != "square-reflexive-nondelzant")
 DIM = {name: 3 if name in ("fano-3-29", "cube3") else 2 for name in FIXTURES}
 MIXED_PAIRS = (("p2", "f1"), ("f1", "hexagon"), ("blowup-p1xp1", "cube2"), ("hexagon", "square-delzant-nonreflexive"))
+# Ray data given inline, which builds the polytope from its half-spaces.
+INLINE = {
+    "p2": ("-1,-1;0,1;1,0", "1,1,1"),
+    "f1": ("1,0;0,1;-1,-1;1,1", "1,1,1,1"),
+    "cube3": ("-1,0,0;0,-1,0;0,0,-1;0,0,1;0,1,0;1,0,0", "1,1,1,1,1,1"),
+}
+INLINE_REFUSED = (
+    ("1,0;0,1;-1,-1;1,1", "1,1,1,5"),  # a redundant inequality
+    ("1,0;0,1;-1,0", "1,1,1"),  # normals that do not positively span
+    ("1,0;0,1", "1,1"),  # normals that do not span
+    ("1,0;-1,0;0,1;0,-1", "-1,0,1,1"),  # an empty intersection
+    ("1,0;0,1;-1,-2", "0,0,3"),  # one vertex, (0, 3/2), off the lattice
+)
 
 
 def command_lines() -> list[list[str]]:
@@ -54,6 +67,12 @@ def command_lines() -> list[list[str]]:
         rest = (0,) * (DIM[name] - 2)
         for v in ((1, 0, *rest), (-1, 2, *rest)):
             lines.append(["rooftop-coeffs", "--input", name, "--v", ",".join(map(str, v))])
+    for name, (rays, offsets) in INLINE.items():
+        for command in ("classify", "bc", "expand", "hrr"):
+            lines.append([command, "--rays", rays, "--offsets", offsets])
+    lines.append(["delta", "--rays", INLINE["f1"][0], "--offsets", INLINE["f1"][1]])
+    for rays, offsets in INLINE_REFUSED:
+        lines.append(["classify", "--rays", rays, "--offsets", offsets])
     return lines
 
 

@@ -21,9 +21,12 @@ from conftest import (
     apply_map,
     brute_delzant,
     brute_edges,
+    brute_halfspace_vertices,
     ccw_order,
+    fraction_rank,
     polytope_and_map,
     random_corpus,
+    random_halfspace_descriptions,
     shoelace_area,
 )
 
@@ -104,6 +107,54 @@ def test_halfspaces_square_and_errors():
     with pytest.raises(qb.InvalidInput):
         # vertices at half-integers: not a lattice polytope
         qb.polytope_from_halfspaces([(2, 0), (-2, 0), (0, 1), (0, -1)], [1, 1, 1, 1])
+
+
+def _halfspace_verdict(normals, offsets):
+    """The oracle's answer: ``Polytope`` with the lattice vertices, or the
+    error class with the messages it may carry."""
+    vertices = brute_halfspace_vertices(normals, offsets)
+    off_lattice = [v for v in vertices if any(x.denominator != 1 for x in v)]
+    if off_lattice:
+        return qb.InvalidInput, {f"vertex {v} is not a lattice point" for v in off_lattice}
+    if not vertices:
+        return qb.DegenerateInput, {"half-space intersection is empty"}
+    if fraction_rank([[a - b for a, b in zip(v, vertices[0])] for v in vertices]) < len(normals[0]):
+        return qb.DegenerateInput, {"half-space intersection is not full-dimensional"}
+    return qb.Polytope, tuple(tuple(int(x) for x in v) for v in vertices)
+
+
+def test_halfspaces_match_the_subset_oracle(fixtures, corpus):
+    cases = [([f.normal for f in p.facets], [f.offset for f in p.facets]) for p in [*fixtures.values(), *corpus]]
+    cases += random_halfspace_descriptions(20261018, 160)
+    kinds = Counter()
+    for normals, offsets in cases:
+        kind, detail = _halfspace_verdict(normals, offsets)
+        try:
+            p = qb.polytope_from_halfspaces(normals, offsets)
+        except qb.QbaryError as exc:
+            assert type(exc) is kind and str(exc) in detail, (normals, offsets, exc)
+            kinds[str(exc).split(" is ")[-1]] += 1
+            continue
+        assert kind is qb.Polytope, (normals, offsets, p)
+        assert p.vertices == detail and p == qb.hull_from_vertices(detail), (normals, offsets)
+        kinds["lattice"] += 1
+    # every branch is reached: built, rational vertex, empty, lower-dimensional
+    assert len(kinds) == 4 and min(kinds.values()) >= 10, kinds
+
+
+def test_cross_polytopes_and_huge_offsets_from_halfspaces():
+    # 32, 64 and 128 facets: C(m, n) subset solves would not finish
+    for n in (5, 6, 7):
+        signs = list(product((-1, 1), repeat=n))
+        p = qb.polytope_from_halfspaces(signs, [1] * len(signs))
+        assert p == cross_polytope(n)
+    # x_i >= -b_i and x_1 + x_2 + x_3 <= 2·10^30
+    big = 10**30
+    lower = (big + 1, big - 2, big)
+    simplex = qb.polytope_from_halfspaces([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], [*lower, 2 * big])
+    corner = tuple(-b for b in lower)
+    far = [corner[:i] + (2 * big - sum(corner) + corner[i],) + corner[i + 1:] for i in range(3)]
+    assert simplex.vertices == tuple(sorted([corner, *far]))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
