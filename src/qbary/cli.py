@@ -5,6 +5,12 @@ Reads polytopes or ray data from JSON documents (or inline ``--rays`` /
 JSON (default) or an aligned table (``--table``).  All printed numbers are
 exact; ``--approx`` adds a clearly marked display-only decimal rendering.
 
+One process resolves each document once: an ``--input`` document is keyed
+by its canonical JSON, and the last 64 keys keep their polytope and toric
+data, so a session of commands on one document builds them on the first
+command only.  The key is the content, so an edited file is never served
+stale; a refusal is not kept and is raised again on every call.
+
 Exit codes: 0 on success, 1 on any input problem or when the reader closes
 stdout early, 2 when an internal exact-identity check failed (two routes
 that must agree disagreed).
@@ -18,6 +24,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from . import data as fixtures
@@ -96,9 +103,22 @@ def _resolve_input(args) -> tuple[Polytope, ToricData, str | None]:
     if not args.input:
         raise InvalidInput("an input is required (--input FILE or --rays/--offsets)")
     doc = _load_document(args.input)
+    return _resolve_document(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+
+
+# Documents resolved in this process, keyed by their content, so that a
+# session of commands on one document builds its polytope once.
+_RESOLVED_DOCUMENTS = 64
+
+
+@lru_cache(maxsize=_RESOLVED_DOCUMENTS)
+def _resolve_document(key: str) -> tuple[Polytope, ToricData, str | None]:
+    """Polytope, toric data and name of the document with canonical JSON
+    ``key``.  A refusal raises again on every call, as nothing is cached."""
+    doc = json.loads(key)
     polytope, name = polytope_from_document(doc)
     if "normals" in doc:
-        t = toric_data(doc["normals"], doc["offsets"])
+        t = toric_data(doc["normals"], doc["offsets"], polytope=polytope)
     else:
         t = toric_from_polytope(polytope)
     return polytope, t, name

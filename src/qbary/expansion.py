@@ -43,12 +43,11 @@ from .errors import (
 from .exactnum import Polynomial, RationalFunction, Vector, laurent_expand
 from .linalg import dot
 from .polytope import (
-    DIMENSION_CAP,
+    Halfspace,
     Polytope,
     check_direction,
     classify,
     facet_data,
-    hull_from_vertices,
     measure,
     support_value,
 )
@@ -119,17 +118,39 @@ def rooftop(p: Polytope, direction: Sequence[int], q: int) -> Polytope:
     """The lattice polytope ``{(u, h) : u in P, 0 <= h <= <u, direction> + q}``.
 
     Lives one dimension up; requires ``<u, direction> + q > 0`` on P, i.e.
-    ``q`` strictly above the negated support value.  Its facet normals are
-    the lifted normals of P together with the floor ``(0, .., 0, 1)`` and the
-    roof ``(direction, -1)``.
+    ``q`` strictly above the negated support value.  It is read off P's
+    face lattice, with no hull: the roof stays strictly above the floor, so
+    every bottom copy ``(v, 0)`` and top copy ``(v, <v, direction> + q)`` of
+    a vertex is a vertex.  The facets are each facet of P lifted as
+    ``(normal, 0)`` through both copies of its vertices, the floor
+    ``(0, .., 0, 1)`` with offset 0 through the bottom copies, and the roof
+    ``(direction, -1)`` with offset q through the top copies.  Vertices and
+    facets come sorted, as the hull engine gives them.
     """
     if q + support_value(p, direction) <= 0:
         raise PreconditionViolation(
             "rooftop offset too small: the roof must stay strictly above the floor"
         )
-    verts = [v + (0,) for v in p.vertices]
-    verts += [v + (dot(v, direction) + q,) for v in p.vertices]
-    return hull_from_vertices(verts, dimension_cap=max(DIMENSION_CAP, p.dim + 1))
+    d = tuple(int(x) for x in direction)
+    bottom = [v + (0,) for v in p.vertices]
+    top = [v + (dot(v, d) + q,) for v in p.vertices]
+    vertices = sorted(bottom + top)
+    index = {v: i for i, v in enumerate(vertices)}
+    down = [index[v] for v in bottom]
+    up = [index[v] for v in top]
+    faces = [
+        (Halfspace(f.normal + (0,), f.offset), [down[j] for j in ids] + [up[j] for j in ids])
+        for f, ids in zip(p.facets, p.incidence)
+    ]
+    faces.append((Halfspace((0,) * p.dim + (1,), 0), down))
+    faces.append((Halfspace(d + (-1,), q), up))
+    faces.sort(key=lambda face: (face[0].normal, face[0].offset))
+    return Polytope(
+        p.dim + 1,
+        tuple(vertices),
+        tuple(h for h, _ in faces),
+        tuple(tuple(sorted(ids)) for _, ids in faces),
+    )
 
 
 @lru_cache(maxsize=None)

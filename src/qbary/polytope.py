@@ -3,10 +3,12 @@
 A :class:`Polytope` is a full-dimensional convex lattice polytope held in
 dual representation: its lattice vertices and its irredundant half-spaces
 ``<u, v_i> >= -b_i`` with primitive integer normals, plus the facet/vertex
-incidence relation.  Construction always goes through the exact hull engine
-so both representations are consistent by construction.  The engine serves
+incidence relation.  Construction goes through the exact hull engine so
+both representations are consistent by construction.  The engine serves
 both directions: a vertex set is hulled directly, and a half-space set is
 turned into vertices by one hull one dimension up (Minkowski–Weyl duality).
+The one exception is the rooftop over P (:func:`qbary.expansion.rooftop`),
+whose face lattice is read off P's in closed form.
 
 Measures and the normal fan are read off the incidence relation, which
 holds the whole face lattice; no hull is rebuilt.  :func:`measure` is the
@@ -109,14 +111,14 @@ class Classification:
 # ---------------------------------------------------------------------------
 # construction
 
-def _check_dim(dim: int, dimension_cap: int) -> None:
-    if dim > dimension_cap:
+def _check_dim(dim: int) -> None:
+    if dim > DIMENSION_CAP:
         raise Unsupported(
-            f"dimension {dim} above the configured cap {dimension_cap}"
+            f"dimension {dim} above the configured cap {DIMENSION_CAP}"
         )
 
 
-def hull_from_vertices(points: Iterable[Sequence[int]], dimension_cap: int = DIMENSION_CAP) -> Polytope:
+def hull_from_vertices(points: Iterable[Sequence[int]]) -> Polytope:
     """Full-dimensional lattice polytope from a generating point set.
 
     Non-extreme input points are dropped; raises ``DegenerateInput`` when the
@@ -125,7 +127,7 @@ def hull_from_vertices(points: Iterable[Sequence[int]], dimension_cap: int = DIM
     pts = [tuple(int(x) for x in p) for p in points]
     if not pts:
         raise InvalidInput("empty vertex set")
-    _check_dim(len(pts[0]), dimension_cap)
+    _check_dim(len(pts[0]))
     hull = convex_hull(pts)
     return Polytope(
         hull.dim,
@@ -153,7 +155,7 @@ def polytope_from_halfspaces(normals: Sequence[Sequence[int]], offsets: Sequence
     if not normals:
         raise InvalidInput("no half-spaces given")
     dim = len(normals[0])
-    _check_dim(dim, DIMENSION_CAP)
+    _check_dim(dim)
     rows = [tuple(int(x) for x in v) for v in normals]
     for v in rows:
         if len(v) != dim:

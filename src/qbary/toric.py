@@ -262,9 +262,16 @@ class ToricData:
     polytope: Polytope
 
 
-def toric_data(rays: Sequence[Sequence[int]], offsets: Sequence[int]) -> ToricData:
+def toric_data(
+    rays: Sequence[Sequence[int]], offsets: Sequence[int], *, polytope: Polytope | None = None
+) -> ToricData:
     """Ray data ``<u, r_i> >= -b_i``; a ray with content g is divided by g
-    and so is its offset, which g must divide."""
+    and so is its offset, which g must divide.
+
+    A ``polytope`` already built from these half-spaces is used instead of
+    building it again.  Either way its facets must be exactly the given
+    half-spaces, and so it is their intersection.
+    """
     rays = [tuple(int(x) for x in r) for r in rays]
     offs = tuple(int(b) for b in offsets)
     if len(rays) != len(offs):
@@ -277,7 +284,7 @@ def toric_data(rays: Sequence[Sequence[int]], offsets: Sequence[int]) -> ToricDa
     offs = tuple(b // g for b, g in zip(offs, contents))
     if len(set(prims)) != len(prims):
         raise InvalidInput("duplicate rays")
-    p = polytope_from_halfspaces(prims, offs)
+    p = polytope if polytope is not None else polytope_from_halfspaces(prims, offs)
     expected = {Halfspace(r, b) for r, b in zip(prims, offs)}
     if set(p.facets) != expected:
         raise InvalidInput("ray data contains redundant or non-facet inequalities")

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import qbary.cli
+import qbary.hull
 from qbary.cli import execute, main
+from qbary.data import fixture_document
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 
@@ -273,3 +275,110 @@ def test_closed_stdout_exits_1_with_message(monkeypatch, capsys):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# one process resolves each document once
+
+def session(path: str, dim: int) -> list[list[str]]:
+    """The ten commands of a session on one polytope."""
+    pad = ",0" * (dim - 2)
+    commands = (
+        ["bc"],
+        ["classify"],
+        ["ehrhart"],
+        ["bck", "--k", "2"],
+        ["delta"],
+        ["delta", "--k", "2"],
+        ["fan", "--v", "1,0" + pad],
+        ["df", "--v", "1,1" + pad],
+        ["count", "--k", "3"],
+        ["rooftop", "--v", "-1,2" + pad],
+    )
+    return [[*command, "--input", path] for command in commands]
+
+
+def count_hulls(monkeypatch) -> list:
+    """Record every ``convex_hull`` call, wherever a module imported it."""
+    real, calls = qbary.hull.convex_hull, []
+
+    def counted(points):
+        calls.append(points)
+        return real(points)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__dict__", {}).get("convex_hull") is real:
+            monkeypatch.setattr(module, "convex_hull", counted)
+    return calls
+
+
+def write_document(path: Path, doc) -> str:
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", ("f1", "cube3"))
+def test_warm_session_builds_no_hull(name, tmp_path, capsys, monkeypatch):
+    path = write_document(tmp_path / f"{name}.json", fixture_document(name))
+    lines = session(path, 3 if name == "cube3" else 2)
+    qbary.cli._resolve_document.cache_clear()
+    calls = count_hulls(monkeypatch)
+    passes = []
+    for _ in range(2):
+        calls.clear()
+        outputs = [run(capsys, *argv) for argv in lines]
+        passes.append((len(calls), outputs))
+    (cold, first), (warm, second) = passes
+    assert all(code == 0 for code, _, _ in first)
+    assert cold > 0 and warm == 0
+    assert second == first
+
+
+def test_an_edited_document_is_not_served_stale(tmp_path, capsys):
+    path = tmp_path / "square.json"
+    volumes = []
+    for side in (1, 2):
+        write_document(path, {"vertices": [[0, 0], [side, 0], [0, side], [side, side]]})
+        code, out, _ = run(capsys, "bc", "--input", str(path))
+        assert code == 0
+        volumes.append(json.loads(out)["outputs"]["volume"])
+    assert volumes == [1, 4]
+
+
+def test_a_fixture_and_a_file_of_the_same_content_share_one_entry(tmp_path, capsys):
+    path = write_document(tmp_path / "copy.json", fixture_document("f1"))
+    qbary.cli._resolve_document.cache_clear()
+    _, by_name, _ = run(capsys, "classify", "--input", "f1")
+    hits = qbary.cli._resolve_document.cache_info().hits
+    _, by_path, _ = run(capsys, "classify", "--input", path)
+    info = qbary.cli._resolve_document.cache_info()
+    assert (info.hits, info.misses) == (hits + 1, 1)
+    assert by_path == by_name
+
+
+@pytest.mark.parametrize(
+    "text",
+    (
+        '{"vertices": [[0, 0], ',
+        json.dumps({"vertices": [[0, 0], [1, 0], [0, 1]], "normals": [[1, 0], [0, 1], [-1, -1]], "offsets": [1, 1, 1]}),
+        json.dumps({"vertices": [[0, 0], [1, 1], [2, 2]]}),
+        json.dumps({"normals": [[2, 0], [0, 1], [-1, -1]], "offsets": [1, 1, 1]}),
+    ),
+    ids=("malformed", "inconsistent", "degenerate", "off-lattice"),
+)
+def test_a_refused_document_fails_the_same_way_twice(text, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    first = run(capsys, "classify", "--input", str(path))
+    assert first[0] == 1 and first[1] == "" and first[2].startswith("error:")
+    assert run(capsys, "classify", "--input", str(path)) == first
+
+
+def test_the_registry_is_bounded(tmp_path, capsys):
+    qbary.cli._resolve_document.cache_clear()
+    for i in range(74):
+        square = [[i, 0], [i + 1, 0], [i, 1], [i + 1, 1]]
+        path = write_document(tmp_path / f"{i}.json", {"vertices": square})
+        assert run(capsys, "classify", "--input", path)[0] == 0
+    info = qbary.cli._resolve_document.cache_info()
+    assert info.misses == 74 and info.currsize <= 64

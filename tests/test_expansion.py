@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -77,6 +78,24 @@ def test_rooftop_counting_identity_across_fixtures(fixtures):
             cnt = qb.count_points(p, k)
             pairing = dot(brute_vertex_sum(p, k), v)
             assert direct == (q * k + 1) * cnt + pairing
+
+
+def test_rooftop_equals_the_hull_of_its_points(fixtures, corpus):
+    # the rooftop is read off P's face lattice; the hull engine on the same
+    # 2|V| points is the second route, and must give the identical Polytope
+    rng = random.Random(20261018)
+    cases = 0
+    for p in [*fixtures.values(), *corpus, qb.hull_from_vertices([(-1,), (1,)])]:
+        directions = [(0,) * p.dim, (1,) + (0,) * (p.dim - 1)]
+        directions += [tuple(rng.randint(-3, 3) for _ in range(p.dim)) for _ in range(3)]
+        for v in directions:
+            low = 1 - qb.support_value(p, v)
+            for q in (low, low + rng.randint(1, 5)):
+                roof = qb.rooftop(p, v, q)
+                points = [u + (0,) for u in p.vertices] + [u + (dot(u, v) + q,) for u in p.vertices]
+                assert roof == qb.hull_from_vertices(points), (p, v, q)
+                cases += 1
+    assert cases >= 500
 
 
 def test_rooftop_offset_precondition(fixtures):
