@@ -2,9 +2,16 @@
 
 Counting is one pass over the lattice points of ``k*P`` that yields the
 closed count, the interior count and both coordinate sums together.  The
-widest axis is scanned last and never looped over: for each fixed prefix of
-leading coordinates its feasible range is solved from the facet
-inequalities, and counts and sums are accumulated in closed form.  Every
+axis along which P's fibers are longest on average is scanned last and
+never looped over: for each fixed prefix of leading coordinates its
+feasible range is solved from the facet inequalities, and counts and sums
+are accumulated in closed form.  That axis is the one of least *shadow*,
+the (dim-1)-volume of P's projection along it, read off the facet measures
+by Cauchy's projection formula (``shadow_i = sum of u_F[i] nvol(F)`` over
+the facets with ``u_F[i] > 0``); the other axes follow by decreasing
+shadow.  The records do not depend on the order, only the work does: the
+innermost loop runs over the lattice points of the projection along the
+last axis, about ``shadow k^(dim-1)`` of them.  Every
 outer coordinate is bounded by the facets of P's projection onto the
 leading coordinates scanned so far (hulls built once per polytope and
 scaled by ``k``), so the scan visits only prefixes that extend to points of
@@ -60,12 +67,20 @@ def _bounds(halfspaces: list[tuple[IntVec, int]]) -> _Bounds:
 class _ScanPlan:
     """How one polytope is scanned, for every dilation.
 
-    Scan coordinate ``j`` is original axis ``order[j]``; the widest axis is
-    scanned last and solved in closed form.  ``first`` is the range of scan
-    coordinate 0 over P.  ``bounds[j - 1]`` bounds scan coordinate ``j``:
-    for ``j < dim - 1`` by the facets of P's projection onto scan
-    coordinates ``0..j`` that are not parallel to axis ``j``, and for the
-    last coordinate by all of P's facets.
+    Scan coordinate ``j`` is original axis ``order[j]``.  The axes go by
+    decreasing shadow (:func:`_shadows`), ties by index, so the last one,
+    solved in closed form, is the axis of least shadow.  ``vol(P)`` is the
+    shadow along an axis times the mean length of P's fibers along it, so
+    that axis has the longest fibers on average.  The row coordinate runs
+    over the lattice points of the projection of ``k*P`` along the last
+    axis, about ``shadow * k^(dim-1)`` of them, so no other last axis makes
+    fewer rows for large k.  In dimension 2 a shadow is the width along the
+    other axis, and the wider axis, the higher index on a tie, is solved.
+
+    ``first`` is the range of scan coordinate 0 over P.  ``bounds[j - 1]``
+    bounds scan coordinate ``j``: for ``j < dim - 1`` by the facets of P's
+    projection onto scan coordinates ``0..j`` that are not parallel to axis
+    ``j``, and for the last coordinate by all of P's facets.
     """
 
     order: tuple[int, ...]
@@ -73,12 +88,24 @@ class _ScanPlan:
     bounds: tuple[_Bounds, ...]
 
 
-@lru_cache(maxsize=None)
-def _scan_plan(p: Polytope) -> _ScanPlan:
+def _shadows(p: Polytope) -> list[Fraction]:
+    """``shadow_i = sum over facets F with u_F[i] > 0 of u_F[i] nvol(F)``.
+
+    By Cauchy's projection formula this is the (dim-1)-volume of P's
+    projection along e_i: the facets whose normals point one way along e_i
+    cover that projection once, and a facet with primitive normal u, whose
+    Euclidean area is ``nvol(F) |u|``, covers ``|u[i]| / |u|`` of it.
+    """
+    facets = facet_data(p).facets
+    return [
+        sum(fm.normal[i] * fm.normalized_volume for fm in facets if fm.normal[i] > 0)
+        for i in range(p.dim)
+    ]
+
+
+def _plan(p: Polytope, order: tuple[int, ...]) -> _ScanPlan:
+    """The scan of P in the given axis order."""
     n = p.dim
-    widths = [max(v[i] for v in p.vertices) - min(v[i] for v in p.vertices) for i in range(n)]
-    last = max(range(n), key=lambda i: (widths[i], i))
-    order = tuple(i for i in range(n) if i != last) + (last,)
     verts = [tuple(v[i] for i in order) for v in p.vertices]
     bounds = []
     for j in range(1, n - 1):
@@ -87,6 +114,12 @@ def _scan_plan(p: Polytope) -> _ScanPlan:
     bounds.append(_bounds([(tuple(f.normal[i] for i in order), f.offset) for f in p.facets]))
     first = (min(v[0] for v in verts), max(v[0] for v in verts))
     return _ScanPlan(order, first, tuple(bounds))
+
+
+@lru_cache(maxsize=None)
+def _scan_plan(p: Polytope) -> _ScanPlan:
+    shadows = _shadows(p)
+    return _plan(p, tuple(sorted(range(p.dim), key=lambda i: (-shadows[i], i))))
 
 
 class LatticeStats(NamedTuple):

@@ -192,8 +192,8 @@ def face_triangulator(facets: Sequence[Iterable[int]]) -> Callable[[Iterable[int
         done = memo.get(face)
         if done is not None:
             return done
-        if len(face) == 1:
-            done = (tuple(face),)
+        if len(face) <= 2:  # a vertex or an edge is its own simplex
+            done = (tuple(sorted(face)),)
         else:
             apex = min(face)
             meets = {face & f for f in facet_sets} - {face, frozenset()}

@@ -18,7 +18,8 @@ facet with the lattice-normalized (dim-1)-measure, in which a fundamental
 cell of the facet sublattice has measure one: each simplex of the facet's
 triangulation is weighed by the volume of its cone over a vertex off the
 facet divided by that vertex's lattice height, and the barycenter comes out
-in the original coordinates.  :func:`vertex_cones` lists the facets through
+in the original coordinates.  Its sums stay integers until Minkowski's
+relation and the divergence theorem have been checked on them.  :func:`vertex_cones` lists the facets through
 each vertex, whose normals span that vertex's cone of the normal fan;
 :func:`classify` reads the Delzant condition off them.
 
@@ -293,46 +294,69 @@ def facet_data(p: Polytope) -> FacetData:
     a vertex a of P off F, at lattice height h above F, span an n-simplex of
     Euclidean volume ``|det| / n!`` = ``nvol(S) h / n``, so S has lattice-
     normalized measure ``|det| / (h (n-1)!)``; h must divide the determinant.
-    Minkowski's relation ``sum_F nvol(F) u_F = 0`` and the divergence
-    theorem ``sum_F nvol(F) bc_F[i] u_F[j] = -delta_ij vol(P)`` are asserted.
+
+    Everything up to the public fractions is an integer.  The weight of S
+    is ``w_S = |det| / h``, a positive integer; F's total is
+    ``total_F = sum_S w_S = (n-1)! nvol(F)`` and its moment is ``moment_F =
+    sum_S w_S (sum of S's vertices) = n total_F bc_F``.  Two identities are
+    asserted on these integers: Minkowski's relation ``sum_F total_F u_F =
+    0`` and the divergence theorem ``sum_F moment_F[i] u_F[j] = -delta_ij
+    n! vol(P)``, with ``vol(P)`` from :func:`measure`.  Only then are the
+    fractions ``nvol(F) = total_F / (n-1)!`` and ``bc_F = moment_F / (n
+    total_F)`` built, each once.
     """
     n = p.dim
+    weighed = _facet_moments(p)
+    _check_facet_identities(p, weighed)
+    unit = factorial(n - 1)
+    measures = tuple(
+        FacetMeasure(f.normal, f.offset, Fraction(total, unit), tuple(Fraction(m, n * total) for m in moment))
+        for f, (total, moment) in zip(p.facets, weighed)
+    )
+    boundary = sum(total for total, _ in weighed)
+    moments = [sum(column) for column in zip(*(moment for _, moment in weighed))]
+    return FacetData(
+        measures,
+        Fraction(boundary, unit),
+        tuple(Fraction(m, n * boundary) for m in moments),
+    )
+
+
+def _facet_moments(p: Polytope) -> list[tuple[int, list[int]]]:
+    """Per facet, in order, the integer total and moment of its simplices'
+    weights (see :func:`facet_data`)."""
     triangulate = face_triangulator(p.incidence)
-    measures = []
+    verts = p.vertices
+    out = []
     for facet, ids in zip(p.facets, p.incidence):
-        off = next(v for i, v in enumerate(p.vertices) if i not in ids)
+        on = set(ids)
+        off = next(v for i, v in enumerate(verts) if i not in on)
         height = dot(off, facet.normal) + facet.offset
         total = 0
-        moment = [0] * n
-        for simplex in triangulate(ids):
-            corner = p.vertices[simplex[0]]
-            rows = [vec_sub(p.vertices[i], corner) for i in simplex[1:]] + [vec_sub(off, corner)]
+        moment = [0] * p.dim
+        # a facet with n vertices is a simplex, its own triangulation
+        for simplex in (ids,) if len(ids) == p.dim else triangulate(ids):
+            # the cone over S from off: an n-simplex of volume |det| / n!
+            rows = [[a - b for a, b in zip(verts[i], off)] for i in simplex]
             weight, rest = divmod(abs(int_det(rows)), height)
             if rest or weight == 0:
                 raise InternalInconsistency("facet simplex volume not a positive multiple of its height")
             total += weight
-            for j in range(n):
-                moment[j] += weight * sum(p.vertices[i][j] for i in simplex)
-        vol = Fraction(total, factorial(n - 1))
-        bc = tuple(Fraction(m, total * n) for m in moment)
-        measures.append(FacetMeasure(facet.normal, facet.offset, vol, bc))
-    _check_facet_identities(p, measures)
-    boundary = sum(fm.normalized_volume for fm in measures)
-    return FacetData(
-        tuple(measures),
-        boundary,
-        tuple(sum(fm.normalized_volume * fm.barycenter[j] for fm in measures) / boundary for j in range(n)),
-    )
+            moment = [m + weight * sum(column) for m, column in zip(moment, zip(*(verts[i] for i in simplex)))]
+        out.append((total, moment))
+    return out
 
 
-def _check_facet_identities(p: Polytope, measures: Sequence[FacetMeasure]) -> None:
-    vol = measure(p).volume
+def _check_facet_identities(p: Polytope, weighed: Sequence[tuple[int, Sequence[int]]]) -> None:
+    normals = [f.normal for f in p.facets]
     for j in range(p.dim):
-        if sum(fm.normalized_volume * fm.normal[j] for fm in measures) != 0:
+        if sum(total * u[j] for (total, _), u in zip(weighed, normals)) != 0:
             raise InternalInconsistency("facet measures violate Minkowski's relation")
-        for i in range(p.dim):
-            flux = sum(fm.normalized_volume * fm.barycenter[i] * fm.normal[j] for fm in measures)
-            if flux != (-vol if i == j else 0):
+    scaled = measure(p).volume * factorial(p.dim)  # n! vol(P), an integer
+    for i in range(p.dim):
+        for j in range(p.dim):
+            flux = sum(moment[i] * u[j] for (_, moment), u in zip(weighed, normals))
+            if flux != (-scaled if i == j else 0):
                 raise InternalInconsistency("facet barycenters violate the divergence theorem")
 
 

@@ -507,10 +507,7 @@ def rooftop_coefficients(t: ToricData, direction: Sequence[int]) -> RooftopCoeff
 
 
 def _cprime_by_formula(t: ToricData, fan: RooftopFan, roof: Polytope) -> tuple[Fraction, ...]:
-    offsets = t.offsets + (0, fan.q)
-    if set(roof.facets) != {Halfspace(r, b) for r, b in zip(fan.rays, offsets)}:
-        raise InternalInconsistency("rooftop fan data disagrees with the hull")
-    tbar = ToricData(fan.rays, offsets, roof)
+    tbar = ToricData(fan.rays, t.offsets + (0, fan.q), roof)
     # the rooftop minus q times its roof divisor, on the rooftop's own fan:
     # P's offsets, then 0 on the floor and q - q on the roof
     relative = t.offsets + (0, 0)

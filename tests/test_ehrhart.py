@@ -5,11 +5,13 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qbary as qb
 from qbary import ehrhart
 from qbary.ehrhart import lattice_point_stats
 from qbary.exactnum import Polynomial
+from qbary.hull import volume_and_barycenter
 
 from conftest import apply_map, brute_count, brute_vertex_sum, polytope_and_map
 
@@ -42,9 +44,12 @@ def test_interior_count_examples_and_oracle(fixtures):
 
 
 # Shapes that take each path of the projection-bounded scan: no outer
-# coordinate (dim 1), skinny simplices that fill little of their box, a
-# widest axis that is not the last one, facets parallel to the innermost
-# axis, and negative coordinates.
+# coordinate (dim 1), skinny simplices that fill little of their box and
+# whose widest axis has the shortest fibers, shapes planned out of index
+# order (a widest axis first or second), facets parallel to the innermost
+# axis, negative coordinates, and a product whose longest fibers run along
+# an axis other than the widest (box(1, 2) x 2 * triangle: widths 1, 2, 2,
+# 2, shadows 4, 2, 4, 4).
 SCAN_SHAPES = {
     "segment": [(0,), (1,)],
     "negative segment": [(-3,), (2,)],
@@ -56,6 +61,9 @@ SCAN_SHAPES = {
     "trapezoid": [(0, 0), (3, 0), (0, 1), (2, 1)],
     "prism": [(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 3), (2, 0, 3), (0, 1, 3)],
     "negative coordinates": [(-3, -1, -2), (1, -2, 0), (-1, 2, -1), (0, -1, 3)],
+    "box times twice a triangle": [
+        (a, b, c, d) for a in (0, 1) for b in (0, 2) for c, d in ((0, 0), (2, 0), (0, 2))
+    ],
 }
 
 
@@ -70,10 +78,71 @@ def brute_stats(p, k):
 
 
 @pytest.mark.parametrize("name", SCAN_SHAPES)
-def test_scan_matches_brute_force_oracles(name):
+def test_scan_matches_brute_force_oracles(name, monkeypatch):
+    # the records do not depend on the plan: the planner's axis order and
+    # every other one count the same points
     p = qb.hull_from_vertices(SCAN_SHAPES[name])
-    for k in range(5):
-        assert lattice_point_stats(p, k) == brute_stats(p, k), k
+    expected = [brute_stats(p, k) for k in range(5)]
+    assert [lattice_point_stats(p, k) for k in range(5)] == expected
+    for order in itertools.permutations(range(p.dim)):
+        plan = ehrhart._plan(p, order)
+        monkeypatch.setattr(ehrhart, "_scan_plan", lambda q, plan=plan: plan)
+        assert [lattice_point_stats.__wrapped__(p, k) for k in range(5)] == expected, order
+
+
+def projection_shadow(p, axis):
+    """The volume of the hull of P's vertices projected along e_axis; a
+    point, in dimension 1, has volume 1."""
+    if p.dim == 1:
+        return 1
+    volume, _ = volume_and_barycenter([v[:axis] + v[axis + 1 :] for v in p.vertices])
+    return volume
+
+
+def shadow_mismatches(shadows, polytopes):
+    return [(p.vertices, i) for p in polytopes for i, s in enumerate(shadows(p)) if s != projection_shadow(p, i)]
+
+
+def test_shadows_are_projection_volumes(fixtures, corpus):
+    polytopes = [*fixtures.values(), *corpus, *map(qb.hull_from_vertices, SCAN_SHAPES.values())]
+    assert shadow_mismatches(ehrhart._shadows, polytopes) == []
+
+    def unhalved(p):
+        # both sides of the projection: twice the shadow
+        facets = qb.facet_data(p).facets
+        return [sum(abs(fm.normal[i]) * fm.normalized_volume for fm in facets) for i in range(p.dim)]
+
+    assert len(shadow_mismatches(unhalved, polytopes)) == sum(p.dim for p in polytopes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polytope_and_map(), st.data())
+def test_shadows_and_scan_order_follow_signed_permutations(case, data):
+    # coordinate i of the image is signs[i] times coordinate perm[i] of P
+    p, _, _ = case
+    assert shadow_mismatches(ehrhart._shadows, [p]) == []
+    perm = data.draw(st.permutations(range(p.dim)))
+    signs = data.draw(st.tuples(*[st.sampled_from((1, -1))] * p.dim))
+    image = qb.hull_from_vertices([tuple(s * v[j] for s, j in zip(signs, perm)) for v in p.vertices])
+    shadows = ehrhart._shadows(p)
+    assert ehrhart._shadows(image) == [shadows[j] for j in perm]
+    if len(set(shadows)) == p.dim:
+        assert tuple(perm[i] for i in ehrhart._scan_plan(image).order) == ehrhart._scan_plan(p).order
+
+
+def test_plane_order_solves_the_wider_axis(fixtures, corpus):
+    # in dimension 2 a shadow is the width of the other axis, so the wider
+    # axis is solved in closed form, the higher index on a tie
+    for p in [*fixtures.values(), *corpus]:
+        if p.dim == 2:
+            widths = [max(v[i] for v in p.vertices) - min(v[i] for v in p.vertices) for i in range(2)]
+            assert ehrhart._scan_plan(p).order[-1] == max(range(2), key=lambda i: (widths[i], i))
+
+
+def test_longest_fibers_are_solved_rather_than_the_widest_axis():
+    p = qb.hull_from_vertices(SCAN_SHAPES["box times twice a triangle"])
+    assert ehrhart._shadows(p) == [4, 2, 4, 4]
+    assert ehrhart._scan_plan(p).order == (0, 2, 3, 1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,6 +6,13 @@ same command lines through ``qbary.cli.execute`` and compares all three
 exactly, so a rewrite of any layer underneath must leave the printed
 results unchanged.  After a deliberate change of output, regenerate the
 file with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+
+``PYTHONPATH=src python tests/test_golden.py --check`` replays the file the
+same way with the standard library alone, so it runs on any supported
+Python with no test dependencies; it prints every command line whose output
+differs and exits 1 if there is one.  Under pytest the command lines are
+parametrized by ``pytest_generate_tests``, so this module never imports
+pytest.
 """
 
 from __future__ import annotations
@@ -16,8 +23,6 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-
-import pytest
 
 from qbary.cli import execute
 
@@ -85,13 +90,22 @@ def record() -> None:
     GOLDEN.write_text(json.dumps(cases, indent=1) + "\n")
 
 
-@pytest.fixture(scope="module")
 def golden() -> dict[str, dict]:
+    """The recorded cases by command line."""
     return {" ".join(case["argv"]): case for case in json.loads(GOLDEN.read_text())}
 
 
-def test_golden_file_covers_every_command_line(golden):
-    assert list(golden) == [" ".join(argv) for argv in command_lines()]
+def pytest_generate_tests(metafunc) -> None:
+    if "argv" in metafunc.fixturenames:
+        metafunc.parametrize("argv", command_lines(), ids=" ".join)
+
+
+def test_golden_file_covers_every_command_line():
+    assert list(golden()) == [" ".join(argv) for argv in command_lines()]
+
+
+def recorded(case: dict) -> tuple[int, str, str]:
+    return case["status"], case["stdout"], case["stderr"]
 
 
 def run_line(argv: list[str]) -> tuple[int, str, str]:
@@ -101,18 +115,33 @@ def run_line(argv: list[str]) -> tuple[int, str, str]:
     return status, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("argv", command_lines(), ids=" ".join)
-def test_cli_output_is_byte_identical(argv, golden):
-    case = golden[" ".join(argv)]
-    assert run_line(argv) == (case["status"], case["stdout"], case["stderr"])
+def test_cli_output_is_byte_identical(argv):
+    assert run_line(argv) == recorded(golden()[" ".join(argv)])
 
 
-def test_replay_in_one_process_is_byte_identical(golden):
+def test_replay_in_one_process_is_byte_identical():
     # the second pass finds every document resolved and every cache warm
     for _ in range(2):
-        for case in golden.values():
-            assert run_line(case["argv"]) == (case["status"], case["stdout"], case["stderr"]), case["argv"]
+        for case in golden().values():
+            assert run_line(case["argv"]) == recorded(case), case["argv"]
+
+
+def check() -> int:
+    """Replay the golden file in this process and report every difference;
+    the status is 1 if there is one."""
+    cases = golden()
+    diffs = [line for line, case in cases.items() if run_line(case["argv"]) != recorded(case)]
+    if list(cases) != [" ".join(argv) for argv in command_lines()]:
+        diffs.append("(the recorded command lines are not command_lines())")
+    for line in diffs:
+        print(f"differs: {line}", file=sys.stderr)
+    print(f"{len(cases)} command lines replayed, {len(diffs)} differ")
+    return 1 if diffs else 0
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
+    if sys.argv[1:]:
+        sys.exit("usage: test_golden.py [--check]")
     record()

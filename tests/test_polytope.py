@@ -4,6 +4,8 @@ from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import comb, factorial
+import pickle
+import random
 import sys
 
 import pytest
@@ -13,8 +15,8 @@ import qbary as qb
 import qbary.hull
 import qbary.linalg
 import qbary.polytope
-from qbary.linalg import dot, vec_add
-from qbary.polytope import Body, body_from_points
+from qbary.linalg import dot, int_det, vec_add, vec_sub
+from qbary.polytope import Body, FacetData, FacetMeasure, body_from_points
 
 from conftest import (
     FIXTURE_NAMES,
@@ -458,25 +460,72 @@ MOVED_BARYCENTER_POLYTOPES = {
 
 @pytest.mark.parametrize("name", MOVED_BARYCENTER_POLYTOPES)
 def test_facet_identities_catch_a_moved_barycenter(name, monkeypatch):
+    # one facet's integer moment takes a step along the facet: its
+    # barycenter stays on the facet's hyperplane and every total, so
+    # Minkowski's relation, stays as it was
     p = MOVED_BARYCENTER_POLYTOPES[name]()
     qb.measure(p)
-    real = qbary.polytope.FacetMeasure
-    moved = []
+    real = qbary.polytope._facet_moments
 
-    def moving(normal, offset, vol, bc):
-        if not moved:
-            # a step along the facet keeps the barycenter on its hyperplane
-            i = next(i for i, x in enumerate(normal) if x)
-            j = (i + 1) % len(normal)
-            step = [0] * len(normal)
-            step[i], step[j] = F(normal[j], 7), F(-normal[i], 7)
-            bc = vec_add(bc, step)
-            moved.append(bc)
-        return real(normal, offset, vol, bc)
+    def moving(q):
+        (total, moment), *rest = real(q)
+        normal = q.facets[0].normal
+        i = next(i for i, x in enumerate(normal) if x)
+        j = (i + 1) % len(normal)
+        moved = list(moment)
+        moved[i] += normal[j]
+        moved[j] -= normal[i]
+        return [(total, moved), *rest]
 
-    monkeypatch.setattr(qbary.polytope, "FacetMeasure", moving)
+    monkeypatch.setattr(qbary.polytope, "_facet_moments", moving)
     with pytest.raises(qb.InternalInconsistency, match="divergence"):
         qb.facet_data.__wrapped__(p)
+
+
+def fraction_facet_data(p):
+    """facet_data summed in fractions facet by facet and simplex by simplex,
+    the identities left out: what the integer totals and moments must
+    reproduce object for object."""
+    n = p.dim
+    triangulate = qbary.hull.face_triangulator(p.incidence)
+    measures = []
+    for facet, ids in zip(p.facets, p.incidence):
+        off = next(v for i, v in enumerate(p.vertices) if i not in ids)
+        height = dot(off, facet.normal) + facet.offset
+        vol, weighted = F(0), [F(0)] * n
+        for simplex in triangulate(ids):
+            corner = p.vertices[simplex[0]]
+            rows = [vec_sub(p.vertices[i], corner) for i in simplex[1:]] + [vec_sub(off, corner)]
+            piece = F(abs(int_det(rows)), height * factorial(n - 1))
+            vol += piece
+            for j in range(n):
+                weighted[j] += piece * F(sum(p.vertices[i][j] for i in simplex), n)
+        measures.append(FacetMeasure(facet.normal, facet.offset, vol, tuple(w / vol for w in weighted)))
+    boundary = sum(fm.normalized_volume for fm in measures)
+    return FacetData(
+        tuple(measures),
+        boundary,
+        tuple(sum(fm.normalized_volume * fm.barycenter[j] for fm in measures) / boundary for j in range(n)),
+    )
+
+
+def random_polytopes(seed, count, dims):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice(dims)
+        points = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(n + 1, n + 4))]
+        try:
+            out.append(qb.hull_from_vertices(points))
+        except qb.DegenerateInput:
+            continue
+    return out
+
+
+def test_facet_data_equals_its_fraction_sums(fixtures, corpus):
+    # pickles compare the types as well as the values
+    for p in [*fixtures.values(), *corpus, *random_polytopes(20261018, 500, range(1, 6))]:
+        assert pickle.dumps(qb.facet_data(p)) == pickle.dumps(fraction_facet_data(p)), p.vertices
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,7 +12,8 @@ import qbary as qb
 from qbary.exactnum import Polynomial
 from qbary.linalg import int_det, solve, vec_add
 from qbary.polytope import Body, body_from_points
-from qbary.toric import DelzantFan, VirtualPolytope, delzant_fan
+from qbary import toric
+from qbary.toric import DelzantFan, RooftopFan, VirtualPolytope, delzant_fan
 
 from conftest import DEL_PEZZO_NAMES, apply_map, unimodular
 
@@ -303,6 +304,67 @@ def test_paper_formula_gives_rooftop_coefficients(name, v):
     n = t.polytope.dim
     via_paper = paper_formula(tbar, t.offsets + (0, 0), len(t.rays), range(1, n + 2))
     assert via_paper == qb.rooftop_coefficients(t, v).values
+
+
+def swap_ray_and_floor(fan):
+    # the floor gets P's offset and a Todd factor, the ray neither
+    return RooftopFan((fan.rays[-2], *fan.rays[1:-2], fan.rays[0], fan.rays[-1]), fan.q)
+
+
+def reverse_rays(fan):
+    # P's rays meet each other's offsets
+    return RooftopFan((*fan.rays[-3::-1], *fan.rays[-2:]), fan.q)
+
+
+@pytest.mark.parametrize(
+    "corrupt, make, v",
+    [
+        (swap_ray_and_floor, lambda: tor("p2"), (1, 0)),
+        (swap_ray_and_floor, lambda: tor("f1"), (-1, 2)),
+        (swap_ray_and_floor, lambda: tor("cube3"), (1, 0, 0)),
+        # f1 moved off the origin, so that its offsets differ
+        (reverse_rays, lambda: qb.toric_from_polytope(qb.translate(qb.load_fixture("f1"), (2, 1))), (1, 1)),
+    ],
+    ids=("p2-swapped", "f1-swapped", "cube3-swapped", "shifted-f1-reversed"),
+)
+def test_rooftop_formula_catches_corrupted_fan_rays(monkeypatch, corrupt, make, v):
+    # the rooftop is built from P, not from the fan, so only the formula
+    # sees the rays: it must then disagree with the counted c'_j
+    t = make()
+    real = toric.rooftop_fan
+    monkeypatch.setattr(toric, "rooftop_fan", lambda t, d: corrupt(real(t, d)))
+    with pytest.raises(qb.InternalInconsistency, match="mixed-volume rooftop coefficients disagree with counting"):
+        qb.rooftop_coefficients(t, v)
+
+
+def shift_q(real, shift):
+    def fan(t, direction):
+        f = real(t, direction)
+        return RooftopFan(f.rays, f.q + shift)
+
+    return fan
+
+
+@pytest.mark.parametrize("name, v", [("p2", (1, 0)), ("f1", (-1, 2)), ("cube3", (1, 0, 0))])
+def test_rooftop_checks_catch_a_corrupted_q(monkeypatch, name, v):
+    t = tor(name)
+    expected = qb.rooftop_coefficients(t, v).values
+    real_fan, real_roof = toric.rooftop_fan, toric.rooftop
+    # a q one too low puts the roof on the floor, which the rooftop refuses
+    monkeypatch.setattr(toric, "rooftop_fan", shift_q(real_fan, -1))
+    with pytest.raises(qb.PreconditionViolation, match="rooftop offset too small"):
+        qb.rooftop_coefficients(t, v)
+    # a rooftop one higher than the q it is counted against is caught by
+    # the counts at k = 1, 2
+    monkeypatch.setattr(toric, "rooftop_fan", real_fan)
+    monkeypatch.setattr(toric, "rooftop", lambda p, d, q: real_roof(p, d, q + 1))
+    with pytest.raises(qb.InternalInconsistency, match="rooftop count disagrees with the coordinate-sum polynomial at k=1"):
+        qb.rooftop_coefficients(t, v)
+    # a q one too high is no fault: the c'_j do not depend on q, and the
+    # rooftop counts hold at every q above the floor
+    monkeypatch.setattr(toric, "rooftop", real_roof)
+    monkeypatch.setattr(toric, "rooftop_fan", shift_q(real_fan, 1))
+    assert qb.rooftop_coefficients(t, v).values == expected
 
 
 def test_fan_cones_are_unimodular_vertex_cones(fixtures):
