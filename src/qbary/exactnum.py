@@ -283,10 +283,6 @@ class RationalFunction:
             raise InvalidInput(f"denominator vanishes at {k}")
         return self.num(k) / d
 
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
 
 @dataclass(frozen=True)
 class LaurentSeries:

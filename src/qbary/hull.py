@@ -31,6 +31,12 @@ face is triangulated by coning its smallest vertex over its facets that do
 not contain it (a pulling triangulation; any triangulation yields the same
 volume and barycenter, this one is deterministic).  The simplices are
 vertex indices, so they stay in the original coordinates.
+:func:`face_moments` makes one walk per polytope: each facet is
+triangulated once and each of its simplices is coned from a vertex off the
+facet, one determinant each.  Vertex 0 is that vertex for every facet that
+misses it, and those cones are the pulling triangulation of the polytope,
+so the same determinants give its volume and barycenter and, divided by
+the lattice height of the cone's apex, every facet's measure.
 """
 
 from __future__ import annotations
@@ -207,30 +213,49 @@ def face_triangulator(facets: Sequence[Iterable[int]]) -> Callable[[Iterable[int
     return triangulate
 
 
-def measure_from_facets(
-    vertices: Sequence[IntVec], facets: Sequence[Iterable[int]]
-) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Exact Euclidean volume and barycenter of a full-dimensional polytope
-    given by its vertices and its facets' vertex indices.
+def face_moments(
+    vertices: Sequence[IntVec], facets: Sequence[tuple[IntVec, Sequence[int]]]
+) -> tuple[int, list[int], list[tuple[int, list[int]]]]:
+    """Integer volume, barycenter and facet measures of a full-dimensional
+    polytope; ``facets`` are (inward normal, increasing vertex indices).
 
-    Simplex volume is |det| / dim!, simplex barycenter the corner average;
-    totals are volume-weighted.
+    Each simplex S of a facet F (a facet with dim vertices is its own
+    simplex) is coned from the first vertex a off F, an n-simplex of volume
+    ``|det| / n!``.  At lattice height h of a above F, S weighs ``w_S =
+    |det| / h``, a positive integer: (n-1)! times S's lattice-normalized
+    measure.  Returns ``(volume, moment, weighed)``, where ``weighed[F] =
+    (total_F, moment_F)`` with ``total_F = sum_S w_S = (n-1)! nvol(F)`` and
+    ``moment_F = sum_S w_S (sum of S's vertices) = n total_F bc_F``.  The
+    cones from vertex 0 are the pulling triangulation of P, so over them
+    ``volume = sum |det| = n! vol(P)`` and ``moment = sum |det| (sum of the
+    cone's vertices) = (n+1) volume bc(P)``.
     """
     dim = len(vertices[0])
-    total = 0
-    moment = [0] * dim
-    for simplex in face_triangulator(facets)(range(len(vertices))):
-        corner = vertices[simplex[0]]
-        weight = abs(int_det([vec_sub(vertices[i], corner) for i in simplex[1:]]))
-        if weight == 0:
-            raise InternalInconsistency("flat simplex in a pulling triangulation")
-        total += weight
-        for j in range(dim):
-            moment[j] += weight * sum(vertices[i][j] for i in simplex)
-    return Fraction(total, factorial(dim)), tuple(Fraction(m, total * (dim + 1)) for m in moment)
+    triangulate = face_triangulator([ids for _, ids in facets])
+    volume, moment, weighed = 0, [0] * dim, []
+    for normal, ids in facets:
+        on = set(ids)
+        apex = next(i for i in range(len(vertices)) if i not in on)
+        corner = vertices[apex]
+        height = dot(vec_sub(corner, vertices[ids[0]]), normal)
+        total, facet_moment = 0, [0] * dim
+        for simplex in (ids,) if len(ids) == dim else triangulate(ids):
+            det = abs(int_det([vec_sub(vertices[i], corner) for i in simplex]))
+            weight, rest = divmod(det, height)
+            if rest or weight == 0:
+                raise InternalInconsistency("facet simplex volume not a positive multiple of its height")
+            sums = [sum(column) for column in zip(*(vertices[i] for i in simplex))]
+            total += weight
+            facet_moment = [m + weight * x for m, x in zip(facet_moment, sums)]
+            if apex == 0:
+                volume += det
+                moment = [m + det * (x + c) for m, x, c in zip(moment, sums, corner)]
+        weighed.append((total, facet_moment))
+    return volume, moment, weighed
 
 
 def volume_and_barycenter(points: Iterable[Sequence[int]]) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact Euclidean volume and barycenter of the hull of the points."""
     hull = convex_hull(points)
-    return measure_from_facets(hull.vertices, [f.vertex_ids for f in hull.facets])
+    volume, moment, _ = face_moments(hull.vertices, [(f.normal, f.vertex_ids) for f in hull.facets])
+    return Fraction(volume, factorial(hull.dim)), tuple(Fraction(m, volume * (hull.dim + 1)) for m in moment)

@@ -11,16 +11,16 @@ The one exception is the rooftop over P (:func:`qbary.expansion.rooftop`),
 whose face lattice is read off P's in closed form.
 
 Measures and the normal fan are read off the incidence relation, which
-holds the whole face lattice; no hull is rebuilt.  :func:`measure` is the
-Euclidean volume and barycenter of a pulling triangulation of P
-(:func:`qbary.hull.face_triangulator`).  :func:`facet_data` equips each
-facet with the lattice-normalized (dim-1)-measure, in which a fundamental
-cell of the facet sublattice has measure one: each simplex of the facet's
-triangulation is weighed by the volume of its cone over a vertex off the
-facet divided by that vertex's lattice height, and the barycenter comes out
-in the original coordinates.  Its sums stay integers until Minkowski's
-relation and the divergence theorem have been checked on them.  :func:`vertex_cones` lists the facets through
-each vertex, whose normals span that vertex's cone of the normal fan;
+holds the whole face lattice; no hull is rebuilt.  :func:`measure` and
+:func:`facet_data` read one record per polytope, made by one walk of the
+face lattice (:func:`qbary.hull.face_moments`): each facet is triangulated
+once, and one determinant per facet simplex gives both the Euclidean
+volume and barycenter of P and each facet's lattice-normalized
+(dim-1)-measure, in which a fundamental cell of the facet sublattice has
+measure one, with its barycenter in the original coordinates.  The sums
+stay integers until Minkowski's relation and the divergence theorem have
+been checked on them.  :func:`vertex_cones` lists the facets through each
+vertex, whose normals span that vertex's cone of the normal fan;
 :func:`classify` reads the Delzant condition off them.
 
 Lower-dimensional hulls appear only as :class:`Body` values, which is all
@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 from .errors import DegenerateInput, InternalInconsistency, InvalidInput, Unsupported, UnboundedInput
 from .exactnum import Vector
-from .hull import convex_hull, face_triangulator, measure_from_facets
+from .hull import convex_hull, face_moments
 from .lattice import hermite_normal_form, primitive
 from .linalg import IntVec, dot, int_det, rank, vec_add, vec_sub
 
@@ -279,85 +279,47 @@ def minkowski_sum(a: Polytope | Body, b: Polytope | Body) -> Polytope | Body:
 # ---------------------------------------------------------------------------
 # measures
 
-@lru_cache(maxsize=None)
 def measure(p: Polytope) -> MeasureData:
     """Exact Euclidean volume and barycenter."""
-    vol, bc = measure_from_facets(p.vertices, p.incidence)
-    return MeasureData(vol, bc)
+    return _measures(p)[0]
+
+
+def facet_data(p: Polytope) -> FacetData:
+    """Lattice-normalized facet measures, barycenters, and their aggregates."""
+    return _measures(p)[1]
 
 
 @lru_cache(maxsize=None)
-def facet_data(p: Polytope) -> FacetData:
-    """Lattice-normalized facet measures, barycenters, and their aggregates.
+def _measures(p: Polytope) -> tuple[MeasureData, FacetData]:
+    """Both measures of P from one walk, :func:`qbary.hull.face_moments`.
 
-    Each facet F is triangulated on P's face lattice.  A simplex S of F and
-    a vertex a of P off F, at lattice height h above F, span an n-simplex of
-    Euclidean volume ``|det| / n!`` = ``nvol(S) h / n``, so S has lattice-
-    normalized measure ``|det| / (h (n-1)!)``; h must divide the determinant.
-
-    Everything up to the public fractions is an integer.  The weight of S
-    is ``w_S = |det| / h``, a positive integer; F's total is
-    ``total_F = sum_S w_S = (n-1)! nvol(F)`` and its moment is ``moment_F =
-    sum_S w_S (sum of S's vertices) = n total_F bc_F``.  Two identities are
-    asserted on these integers: Minkowski's relation ``sum_F total_F u_F =
-    0`` and the divergence theorem ``sum_F moment_F[i] u_F[j] = -delta_ij
-    n! vol(P)``, with ``vol(P)`` from :func:`measure`.  Only then are the
-    fractions ``nvol(F) = total_F / (n-1)!`` and ``bc_F = moment_F / (n
-    total_F)`` built, each once.
+    Its integers are checked before any fraction is built: Minkowski's
+    relation ``sum_F total_F u_F = 0`` and the divergence theorem ``sum_F
+    moment_F[i] u_F[j] = -delta_ij n! vol(P)``, with ``n! vol(P)`` summed
+    from determinants, not from the facet weights.
     """
     n = p.dim
-    weighed = _facet_moments(p)
-    _check_facet_identities(p, weighed)
-    unit = factorial(n - 1)
-    measures = tuple(
-        FacetMeasure(f.normal, f.offset, Fraction(total, unit), tuple(Fraction(m, n * total) for m in moment))
-        for f, (total, moment) in zip(p.facets, weighed)
-    )
-    boundary = sum(total for total, _ in weighed)
-    moments = [sum(column) for column in zip(*(moment for _, moment in weighed))]
-    return FacetData(
-        measures,
-        Fraction(boundary, unit),
-        tuple(Fraction(m, n * boundary) for m in moments),
-    )
-
-
-def _facet_moments(p: Polytope) -> list[tuple[int, list[int]]]:
-    """Per facet, in order, the integer total and moment of its simplices'
-    weights (see :func:`facet_data`)."""
-    triangulate = face_triangulator(p.incidence)
-    verts = p.vertices
-    out = []
-    for facet, ids in zip(p.facets, p.incidence):
-        on = set(ids)
-        off = next(v for i, v in enumerate(verts) if i not in on)
-        height = dot(off, facet.normal) + facet.offset
-        total = 0
-        moment = [0] * p.dim
-        # a facet with n vertices is a simplex, its own triangulation
-        for simplex in (ids,) if len(ids) == p.dim else triangulate(ids):
-            # the cone over S from off: an n-simplex of volume |det| / n!
-            rows = [[a - b for a, b in zip(verts[i], off)] for i in simplex]
-            weight, rest = divmod(abs(int_det(rows)), height)
-            if rest or weight == 0:
-                raise InternalInconsistency("facet simplex volume not a positive multiple of its height")
-            total += weight
-            moment = [m + weight * sum(column) for m, column in zip(moment, zip(*(verts[i] for i in simplex)))]
-        out.append((total, moment))
-    return out
-
-
-def _check_facet_identities(p: Polytope, weighed: Sequence[tuple[int, Sequence[int]]]) -> None:
     normals = [f.normal for f in p.facets]
-    for j in range(p.dim):
+    volume, moment, weighed = face_moments(p.vertices, list(zip(normals, p.incidence)))
+    for j in range(n):
         if sum(total * u[j] for (total, _), u in zip(weighed, normals)) != 0:
             raise InternalInconsistency("facet measures violate Minkowski's relation")
-    scaled = measure(p).volume * factorial(p.dim)  # n! vol(P), an integer
-    for i in range(p.dim):
-        for j in range(p.dim):
-            flux = sum(moment[i] * u[j] for (_, moment), u in zip(weighed, normals))
-            if flux != (-scaled if i == j else 0):
+    for i in range(n):
+        for j in range(n):
+            flux = sum(facet_moment[i] * u[j] for (_, facet_moment), u in zip(weighed, normals))
+            if flux != (-volume if i == j else 0):
                 raise InternalInconsistency("facet barycenters violate the divergence theorem")
+    unit = factorial(n - 1)
+    measures = tuple(
+        FacetMeasure(f.normal, f.offset, Fraction(total, unit), tuple(Fraction(m, n * total) for m in facet_moment))
+        for f, (total, facet_moment) in zip(p.facets, weighed)
+    )
+    boundary = sum(total for total, _ in weighed)
+    boundary_moment = [sum(column) for column in zip(*(facet_moment for _, facet_moment in weighed))]
+    return (
+        MeasureData(Fraction(volume, n * unit), tuple(Fraction(m, volume * (n + 1)) for m in moment)),
+        FacetData(measures, Fraction(boundary, unit), tuple(Fraction(m, n * boundary) for m in boundary_moment)),
+    )
 
 
 def check_direction(direction: Sequence[int], dim: int) -> None:

@@ -389,11 +389,13 @@ def delzant_fan(t: ToricData) -> DelzantFan:
     (``classify``), so the dual basis -- the primitive edge directions w_j
     at the vertex -- is integral and gamma_j = <c, w_j>.  w_j is the cross
     product of the other rays, whose pairing with r_j is the determinant
-    +-1; multiplying by that pairing makes it 1.
+    +-1; multiplying by that pairing makes it 1.  The half-spaces of
+    ``t`` must be exactly the facets of its polytope.
     """
     p = t.polytope
     if not classify(p).delzant:
         raise PreconditionViolation("the fan volume polynomial requires Delzant data")
+    _require_facets(t)
     n = p.dim
     index = {r: i for i, r in enumerate(t.rays)}
     cones = [tuple(sorted(index[p.facets[k].normal] for k in cone)) for cone in vertex_cones(p)]
@@ -409,6 +411,12 @@ def delzant_fan(t: ToricData) -> DelzantFan:
         if all(all(g) for g in gammas):
             return DelzantFan(n, tuple(zip(cones, gammas)))
         s += 1
+
+
+def _require_facets(t: ToricData) -> None:
+    # the ToricData constructor itself validates nothing
+    if sorted(zip(t.rays, t.offsets)) != sorted((f.normal, f.offset) for f in t.polytope.facets):
+        raise PreconditionViolation("the rays and offsets are not the facets of the polytope")
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +486,12 @@ def rooftop_coefficients(t: ToricData, direction: Sequence[int]) -> RooftopCoeff
     ``barycenter_function``.  The rooftop at the canonical offset q is
     counted at k = 1 and 2 and must hold ``(q k + 1) E(k) + k <Q(k), v>``
     points.  When the rooftop is itself Delzant the degree-(n+1) Todd
-    evaluation on its fan must give the same c'_j.
+    evaluation on its fan must give the same c'_j.  The half-spaces of
+    ``t`` must be exactly the facets of its polytope.
     """
     if not classify(t.polytope).delzant:
         raise PreconditionViolation("rooftop coefficients require Delzant data")
+    _require_facets(t)
     p = t.polytope
     v = tuple(int(x) for x in direction)
     fan = rooftop_fan(t, v)
@@ -507,7 +517,10 @@ def rooftop_coefficients(t: ToricData, direction: Sequence[int]) -> RooftopCoeff
 
 
 def _cprime_by_formula(t: ToricData, fan: RooftopFan, roof: Polytope) -> tuple[Fraction, ...]:
-    tbar = ToricData(fan.rays, t.offsets + (0, fan.q), roof)
+    # the rooftop's own half-spaces in the fan's ray order; a fan that pairs
+    # P's rays with the wrong offsets shows in the formula's values
+    offsets = {f.normal: f.offset for f in roof.facets}
+    tbar = ToricData(fan.rays, tuple(offsets[r] for r in fan.rays), roof)
     # the rooftop minus q times its roof divisor, on the rooftop's own fan:
     # P's offsets, then 0 on the floor and q - q on the roof
     relative = t.offsets + (0, 0)

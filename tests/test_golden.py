@@ -55,6 +55,19 @@ INLINE_REFUSED = (
     ("1,0;-1,0;0,1;0,-1", "-1,0,1,1"),  # an empty intersection
     ("1,0;0,1;-1,-2", "0,0,3"),  # one vertex, (0, 3/2), off the lattice
 )
+# Measures off longer face walks, given inline: a 4-simplex away from the
+# origin, each facet coned from the vertex it misses, and the unit 5-cube,
+# whose ten facets are 4-cubes of 24 simplices each.
+INLINE_MEASURED = (
+    # conv((1,1,1,1), (1,2,1,3), (1,4,1,2), (2,1,3,1), (3,1,2,1)), away from 0
+    ("-5,-3,-5,-6;-1,0,2,0;0,-1,0,3;0,2,0,-1;2,0,-1,0", "34,-1,-2,-1,-1"),
+    # the unit 5-cube
+    (
+        "-1,0,0,0,0;0,-1,0,0,0;0,0,-1,0,0;0,0,0,-1,0;0,0,0,0,-1;"
+        "0,0,0,0,1;0,0,0,1,0;0,0,1,0,0;0,1,0,0,0;1,0,0,0,0",
+        "1,1,1,1,1,0,0,0,0,0",
+    ),
+)
 
 
 def command_lines() -> list[list[str]]:
@@ -78,6 +91,9 @@ def command_lines() -> list[list[str]]:
     lines.append(["delta", "--rays", INLINE["f1"][0], "--offsets", INLINE["f1"][1]])
     for rays, offsets in INLINE_REFUSED:
         lines.append(["classify", "--rays", rays, "--offsets", offsets])
+    for rays, offsets in INLINE_MEASURED:
+        for command in ("bc", "classify"):
+            lines.append([command, "--rays", rays, "--offsets", offsets])
     return lines
 
 

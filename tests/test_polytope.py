@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import comb, factorial
@@ -374,8 +375,37 @@ def test_measures_and_classification_build_no_hull(name, monkeypatch):
 
     monkeypatch.setattr(qbary.hull, "convex_hull", refuse)
     monkeypatch.setattr(qbary.polytope, "convex_hull", refuse)
-    got = tuple(fn.__wrapped__(p) for fn in (qb.measure, qb.facet_data, qb.classify))
+    got = (*qbary.polytope._measures.__wrapped__(p), qb.classify.__wrapped__(p))
     assert got == expected
+
+
+DETERMINANTS_PER_WALK = {
+    "cube3": (lambda: qb.load_fixture("cube3"), 12),
+    "cube5": (lambda: unit_cube(5), 240),
+    "cross-4": (lambda: cross_polytope(4), 16),
+}
+
+
+@pytest.mark.parametrize("name", DETERMINANTS_PER_WALK)
+def test_one_determinant_per_facet_simplex(name, monkeypatch):
+    # the volume is summed from the determinants the facets already take,
+    # so a cold measure and facet_data take one per facet simplex
+    build, expected = DETERMINANTS_PER_WALK[name]
+    p = build()
+    triangulate = qbary.hull.face_triangulator(p.incidence)
+    simplices = sum(1 if len(ids) == p.dim else len(triangulate(ids)) for ids in p.incidence)
+    calls = []
+    real = qbary.hull.int_det
+
+    def counted(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(qbary.polytope, "_measures", lru_cache(maxsize=None)(qbary.polytope._measures.__wrapped__))
+    monkeypatch.setattr(qbary.hull, "int_det", counted)
+    qb.measure(p)
+    qb.facet_data(p)
+    assert len(calls) == simplices == expected
 
 
 def test_unit_cubes_and_cross_polytopes():
@@ -437,7 +467,6 @@ MUTANT_POLYTOPES = {
 @pytest.mark.parametrize("name", MUTANT_POLYTOPES)
 def test_facet_identities_catch_a_dropped_simplex(name, monkeypatch):
     p = MUTANT_POLYTOPES[name]()
-    qb.measure(p)
     real = qbary.hull.face_triangulator
     target = max(p.incidence, key=lambda ids: len(real(p.incidence)(ids)))
     assert len(real(p.incidence)(target)) > 1
@@ -446,9 +475,9 @@ def test_facet_identities_catch_a_dropped_simplex(name, monkeypatch):
         triangulate = real(facets)
         return lambda face: triangulate(face)[1:] if tuple(face) == target else triangulate(face)
 
-    monkeypatch.setattr(qbary.polytope, "face_triangulator", dropping)
+    monkeypatch.setattr(qbary.hull, "face_triangulator", dropping)
     with pytest.raises(qb.InternalInconsistency, match="Minkowski"):
-        qb.facet_data.__wrapped__(p)
+        qbary.polytope._measures.__wrapped__(p)
 
 
 MOVED_BARYCENTER_POLYTOPES = {
@@ -464,22 +493,38 @@ def test_facet_identities_catch_a_moved_barycenter(name, monkeypatch):
     # barycenter stays on the facet's hyperplane and every total, so
     # Minkowski's relation, stays as it was
     p = MOVED_BARYCENTER_POLYTOPES[name]()
-    qb.measure(p)
-    real = qbary.polytope._facet_moments
+    real = qbary.polytope.face_moments
 
-    def moving(q):
-        (total, moment), *rest = real(q)
-        normal = q.facets[0].normal
+    def moving(vertices, facets):
+        volume, moment, ((total, facet_moment), *rest) = real(vertices, facets)
+        normal = facets[0][0]
         i = next(i for i, x in enumerate(normal) if x)
         j = (i + 1) % len(normal)
-        moved = list(moment)
+        moved = list(facet_moment)
         moved[i] += normal[j]
         moved[j] -= normal[i]
-        return [(total, moved), *rest]
+        return volume, moment, [(total, moved), *rest]
 
-    monkeypatch.setattr(qbary.polytope, "_facet_moments", moving)
+    monkeypatch.setattr(qbary.polytope, "face_moments", moving)
     with pytest.raises(qb.InternalInconsistency, match="divergence"):
-        qb.facet_data.__wrapped__(p)
+        qbary.polytope._measures.__wrapped__(p)
+
+
+@pytest.mark.parametrize("name", MUTANT_POLYTOPES)
+def test_facet_identities_catch_a_volume_off_by_one(name, monkeypatch):
+    # every facet weight and moment stays as it was, so Minkowski's relation
+    # holds; n! vol(P), summed from the determinants of the cones from
+    # vertex 0, is one too large
+    p = MUTANT_POLYTOPES[name]()
+    real = qbary.polytope.face_moments
+
+    def miscounting(vertices, facets):
+        volume, moment, weighed = real(vertices, facets)
+        return volume + 1, moment, weighed
+
+    monkeypatch.setattr(qbary.polytope, "face_moments", miscounting)
+    with pytest.raises(qb.InternalInconsistency, match="divergence"):
+        qbary.polytope._measures.__wrapped__(p)
 
 
 def fraction_facet_data(p):

@@ -409,6 +409,27 @@ def test_hrr_requires_delzant(fixtures):
         qb.hrr_coefficients(t)
 
 
+MISMATCHED_TORIC_DATA = {
+    # P^2's rays miss the facet normal (1, 1) of f1
+    "missing ray": (((1, 0), (0, 1), (-1, -1)), (1, 1, 1)),
+    # f1's rays with the offset of (1, 1) one too large
+    "wrong offset": (((-1, -1), (0, 1), (1, 0), (1, 1)), (1, 1, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("case", MISMATCHED_TORIC_DATA)
+def test_toric_data_that_misses_its_polytope_is_refused(case):
+    # the public constructor validates nothing; the fan refuses half-spaces
+    # that are not the polytope's facets before any ray is looked up
+    rays, offsets = MISMATCHED_TORIC_DATA[case]
+    t = qb.ToricData(rays, offsets, qb.load_fixture("f1"))
+    with pytest.raises(qb.PreconditionViolation, match="not the facets"):
+        qb.hrr_coefficients(t)
+    for v in ((1, 0), (-1, 2)):
+        with pytest.raises(qb.PreconditionViolation, match="not the facets"):
+            qb.rooftop_coefficients(t, v)
+
+
 # ---------------------------------------------------------------------------
 # rooftop coefficients
 
