@@ -18,16 +18,17 @@ scaled by ``k``), so the scan visits only prefixes that extend to points of
 ``k*P`` instead of the whole bounding box.  Everything is plain integer
 arithmetic.
 
-Every fit reads the same dilations k = 0..dim+1, one cached pass each, and
-is validated by Ehrhart-Macdonald reciprocity against the interior records
-of those passes: ``f(-k) = (-1)^d`` times the interior value at k = 1..dim+1,
-for the counting polynomial (d = dim) and for each coordinate-sum
-polynomial (d = dim+1).  The Ehrhart polynomial is fitted on k = 0..dim and
-also validated exactly at the held-out k = dim+1 and against the classical
-coefficient identities (leading coefficient = volume, subleading = half the
-normalized boundary volume).  Any mismatch raises ``InternalInconsistency``:
-counting is exact and polynomiality is a theorem, not a modeling
-assumption.
+Every fit reads the same dilations k = 0..dim, one cached pass each.  By
+Ehrhart-Macdonald reciprocity the interior records of those passes are
+exact samples at k = -1..-dim: ``f(-k) = (-1)^d`` times the interior value
+at k, for the counting polynomial (d = dim) and for each coordinate-sum
+polynomial (d = dim+1).  A fit of degree d passes through d+1 of these
+2 dim + 1 samples and must match the others, and its top two coefficients
+must equal measures that do not count: the volume and half the normalized
+boundary volume for the counting polynomial, the moment ``vol Bc_i`` and
+half the boundary moment ``B bBc_i / 2`` for the sum of coordinate i.  Any
+mismatch raises ``InternalInconsistency``: counting is exact and
+polynomiality is a theorem, not a modeling assumption.
 """
 
 from __future__ import annotations
@@ -257,29 +258,42 @@ def interior_count(p: Polytope, k: int) -> int:
     return lattice_point_stats(p, k).interior
 
 
-def fit_on_dilations(p: Polytope, value: Callable[[int, IntVec], int], degree: int, what: str) -> Polynomial:
-    """Polynomial of degree ``degree <= dim+1`` through the closed values at
-    k = 0..degree, validated on the records at k = 0..dim+1 that every fit
-    shares.
+def fit_on_dilations(
+    p: Polytope,
+    value: Callable[[int, IntVec], int],
+    degree: int,
+    top: tuple[Fraction, Fraction],
+    what: str,
+) -> Polynomial:
+    """Polynomial of degree ``degree <= dim+1`` read off the records at
+    k = 0..dim that every fit shares, with leading and subleading
+    coefficients ``top``.
 
-    ``value`` reads one quantity off a count and its coordinate sums, and is
-    applied to the closed and to the interior half of each record.  The fit
-    must match the closed values at the rest of k = 0..dim+1, and satisfy
-    Ehrhart-Macdonald reciprocity ``fit(-k) = (-1)^degree`` times the interior
-    value at k = 1..dim+1.  That sign holds for the count (degree dim) and
-    for a coordinate sum (degree dim+1: a weight of degree 1, Brion-Vergne).
+    ``value`` reads one quantity off a count and its coordinate sums.  Its
+    closed value at k is a sample at k, and by Ehrhart-Macdonald reciprocity
+    ``(-1)^degree`` times its interior value at k is a sample at -k.  That
+    sign holds for the count (degree dim) and for a coordinate sum (degree
+    dim+1: a weight of degree 1, Brion-Vergne).  The fit passes through the
+    first ``degree + 1`` samples in the order 0, 1, -1, 2, -2, .. and must
+    match every other one.  Changing any one sample of the fit changes its
+    leading coefficient, so the identities on the top two coefficients
+    check the fitted samples too.
     """
-    records = [lattice_point_stats(p, k) for k in range(p.dim + 2)]
-    closed = [value(r.count, r.sums) for r in records]
-    interior = [value(r.interior, r.interior_sums) for r in records]
-    fit = poly_fit(list(enumerate(closed[: degree + 1])))
-    for k in range(degree + 1, p.dim + 2):
-        if fit(k) != closed[k]:
-            raise InternalInconsistency(f"{what} fails held-out validation at k={k}")
+    records = [lattice_point_stats(p, k) for k in range(p.dim + 1)]
     sign = (-1) ** degree
-    for k in range(1, p.dim + 2):
-        if fit(-k) != sign * interior[k]:
-            raise InternalInconsistency(f"{what} fails reciprocity at k={k}")
+    samples = [(0, value(records[0].count, records[0].sums))]
+    for k, r in enumerate(records[1:], 1):
+        samples += [(k, value(r.count, r.sums)), (-k, sign * value(r.interior, r.interior_sums))]
+    fit = poly_fit(samples[: degree + 1])
+    for x, y in samples[degree + 1 :]:
+        if fit(x) != y:
+            check = "held-out validation" if x > 0 else "reciprocity"
+            raise InternalInconsistency(f"{what} fails {check} at k={abs(x)}")
+    for i, (name, expected) in enumerate(zip(("leading", "subleading"), top)):
+        if fit.coefficient(degree - i) != expected:
+            raise InternalInconsistency(
+                f"{what} has {name} coefficient {fit.coefficient(degree - i)}, not {expected}"
+            )
     return fit
 
 
@@ -291,15 +305,11 @@ class EhrhartPolynomial:
 
 @lru_cache(maxsize=None)
 def ehrhart_polynomial(p: Polytope) -> EhrhartPolynomial:
-    """Fitted counting polynomial, validated as the module docstring says."""
-    n = p.dim
-    fit = fit_on_dilations(p, lambda count, sums: count, n, "counting polynomial")
-    if fit.coefficient(n) != measure(p).volume:
-        raise InternalInconsistency("leading coefficient is not the volume")
-    if fit.coefficient(n - 1) != facet_data(p).boundary_normalized_volume / 2:
-        raise InternalInconsistency(
-            "subleading coefficient is not half the normalized boundary volume"
-        )
+    """Counting polynomial read off the samples at k = -dim..dim, with
+    leading coefficient the volume and subleading coefficient half the
+    normalized boundary volume, validated as the module docstring says."""
+    top = (measure(p).volume, facet_data(p).boundary_normalized_volume / 2)
+    fit = fit_on_dilations(p, lambda count, sums: count, p.dim, top, "counting polynomial")
     return EhrhartPolynomial(fit, "fitted")
 
 

@@ -301,23 +301,28 @@ class LaurentSeries:
         return LaurentSeries(self.coefficients[:order])
 
 
-def laurent_expand(f: RationalFunction, order: int) -> LaurentSeries:
-    """First ``order`` coefficients of the expansion of ``f`` at ``k = oo``.
+def laurent_expand(num: Polynomial, den: Polynomial, order: int) -> LaurentSeries:
+    """First ``order`` coefficients of the expansion of ``num / den`` at
+    ``k = oo``.
 
-    Substituting ``t = 1/k`` turns ``f`` into a quotient of polynomials in
+    Substituting ``t = 1/k`` turns the quotient into one of polynomials in
     ``t`` with invertible (nonzero constant term) denominator, which is then
-    divided as a formal power series.  Requires deg(num) <= deg(den).
+    divided as a formal power series.  The expansion is that of the function,
+    so a factor common to ``num`` and ``den`` need not be cancelled first.
+    Requires deg(num) <= deg(den).
     """
     if order < 0:
         raise InvalidInput("order must be nonnegative")
-    if f.num.degree > f.den.degree:
+    if den.is_zero:
+        raise InvalidInput("rational function with zero denominator")
+    if num.degree > den.degree:
         raise NotBoundedAtInfinity(
-            f"numerator degree {f.num.degree} exceeds denominator degree {f.den.degree}"
+            f"numerator degree {num.degree} exceeds denominator degree {den.degree}"
         )
-    d = f.den.degree
-    num_rev = [f.num.coefficient(d - j) for j in range(order)]
-    den_rev = [f.den.coefficient(d - j) for j in range(order)]
-    lead = f.den.coefficient(d)
+    d = den.degree
+    num_rev = [num.coefficient(d - j) for j in range(order)]
+    den_rev = [den.coefficient(d - j) for j in range(order)]
+    lead = den.leading
     out: list[Fraction] = []
     for j in range(order):
         acc = num_rev[j]

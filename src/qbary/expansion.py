@@ -6,12 +6,14 @@ lattice points of kP divided by k.  Coordinate i of the sequence equals
 ``Q_i(k) / E(k)`` where E is the counting polynomial of P and
 ``Q_i(k) = S_i(k) / k``, with S_i the coordinate-sum polynomial: the sum of
 the i-th coordinates over the lattice points of kP, a polynomial of degree
-at most dim P + 1 with ``S_i(0) = 0``.  Each S_i is fitted once, on
-k = 0..dim+1, and validated exactly by reciprocity against the interior
-records of the same passes, ``S_i(-k) = (-1)^(dim+1)`` times the sum of the
-i-th coordinates over the interior of kP at k = 1..dim+1
-(``ehrhart.fit_on_dilations``, which E shares); those values and
-``S_i(0) = 0`` alone determine S_i.  The division by k is exact because the
+at most dim P + 1 with ``S_i(0) = 0``.  Each S_i is fitted once, on the
+counting passes k = 0..dim that E shares (``ehrhart.fit_on_dilations``):
+the closed sums are its values at k, and by reciprocity
+``S_i(-k) = (-1)^(dim+1)`` times the sum of the i-th coordinates over the
+interior of kP.  The fit must match the samples it does not pass through,
+and its top two coefficients must be the moment ``vol Bc_i`` and half the
+boundary moment ``B bBc_i / 2``, with B and bBc the lattice-normalized
+boundary volume and barycenter.  The division by k is exact because the
 fit passes through (0, 0).
 The same polynomials give the rooftop polytope over P in direction v at
 offset q, whose fibers over kP hold ``<u, v> + q k + 1`` lattice points
@@ -19,7 +21,9 @@ each: its count is ``(q k + 1) E(k) + k <Q(k), v>``, which
 ``toric.rooftop_coefficients`` checks against an actual count.
 
 Laurent-expanding Q_i / E at infinity yields the expansion coefficients
-a_0, a_1, ...; a_0 is the barycenter and a_1 has the closed form
+a_0, a_1, ...; no common factor of Q_i and E is cancelled first, as the
+expansion of a function does not depend on its presentation.  a_0 is the
+barycenter and a_1 has the closed form
 ``(boundary_vol / (2 vol)) * (boundary_barycenter - barycenter)`` in terms of
 the lattice-normalized boundary measure, both of which are asserted against
 the independently computed geometry.
@@ -40,7 +44,7 @@ from .errors import (
     PreconditionViolation,
     Unsupported,
 )
-from .exactnum import Polynomial, RationalFunction, Vector, laurent_expand
+from .exactnum import Polynomial, Vector, laurent_expand
 from .linalg import dot
 from .polytope import (
     Halfspace,
@@ -71,9 +75,6 @@ class BarycenterFunction:
     numerators: tuple[Polynomial, ...]
     denominator: Polynomial
 
-    def coordinate(self, i: int) -> RationalFunction:
-        return RationalFunction.of(self.numerators[i], self.denominator)
-
     def pairing_numerator(self, direction: Sequence[int]) -> Polynomial:
         """Numerator polynomial of ``<Bc_k, direction>`` over the denominator."""
         check_direction(direction, len(self.numerators))
@@ -81,9 +82,6 @@ class BarycenterFunction:
         for c, num in zip(direction, self.numerators):
             total = total + num * c
         return total
-
-    def pairing(self, direction: Sequence[int]) -> RationalFunction:
-        return RationalFunction.of(self.pairing_numerator(direction), self.denominator)
 
     def evaluate(self, k: int) -> Vector:
         den = self.denominator(k)
@@ -155,10 +153,20 @@ def rooftop(p: Polytope, direction: Sequence[int], q: int) -> Polytope:
 
 @lru_cache(maxsize=None)
 def barycenter_function(p: Polytope) -> BarycenterFunction:
-    """Exact rational-function form of the quantized barycenter sequence."""
-    n = p.dim
+    """Exact rational-function form of the quantized barycenter sequence.
+
+    The sum of coordinate i over kP has leading coefficient ``vol Bc_i`` and
+    subleading coefficient ``B bBc_i / 2``, half the moment of the
+    lattice-normalized boundary measure."""
     ehr = ehrhart_polynomial(p).poly
-    sums = [fit_on_dilations(p, lambda count, sums: sums[i], n + 1, "coordinate-sum polynomial") for i in range(n)]
+    geo, boundary = measure(p), facet_data(p)
+    sums = []
+    for i in range(p.dim):
+        top = (
+            geo.volume * geo.barycenter[i],
+            boundary.boundary_normalized_volume * boundary.boundary_barycenter[i] / 2,
+        )
+        sums.append(fit_on_dilations(p, lambda count, sums: sums[i], p.dim + 1, top, "coordinate-sum polynomial"))
     return BarycenterFunction(tuple(s.shift_down() for s in sums), ehr)
 
 
@@ -184,7 +192,7 @@ def asymptotic_coefficients(p: Polytope, order: int | None = None) -> ExpansionC
     if order < 1:
         raise InvalidInput("expansion order must be at least 1")
     bf = barycenter_function(p)
-    per_coord = [laurent_expand(bf.coordinate(i), order) for i in range(p.dim)]
+    per_coord = [laurent_expand(num, bf.denominator, order) for num in bf.numerators]
     terms = tuple(
         tuple(series.coefficient(j) for series in per_coord) for j in range(order)
     )
@@ -275,7 +283,7 @@ def df_coefficients(p: Polytope, direction: Sequence[int], order: int) -> tuple[
     if order < 1:
         raise InvalidInput("order must be at least 1")
     bf = barycenter_function(p)
-    series = laurent_expand(bf.pairing(direction), order)
+    series = laurent_expand(bf.pairing_numerator(direction), bf.denominator, order)
     if series.coefficient(0) != dot(measure(p).barycenter, direction):
         raise InternalInconsistency("DF_0 differs from the barycenter pairing")
     if order >= 2 and series.coefficient(1) != dot(a1_closed_form(p), direction):

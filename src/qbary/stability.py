@@ -29,7 +29,7 @@ from .exactnum import LaurentSeries, Polynomial, RationalFunction, laurent_expan
 from .expansion import barycenter_function, quantized_barycenter
 from .linalg import dot, solve
 from .polytope import check_direction, classify, facet_data, measure, support_value, vertex_cones
-from .toric import ToricData
+from .toric import ToricData, _require_facets
 
 
 @dataclass(frozen=True)
@@ -61,14 +61,18 @@ def _threshold(t: ToricData, bc: Sequence[Fraction]) -> tuple[Fraction, tuple[in
 
 
 def delta_k(t: ToricData, k: int) -> tuple[Fraction, tuple[int, ...]]:
-    """k-th threshold with the set of rays attaining it."""
+    """k-th threshold with the set of rays attaining it.  The half-spaces of
+    ``t`` must be exactly the facets of its polytope."""
     if k < 1:
         raise InvalidInput("threshold index must be positive")
+    _require_facets(t)
     return _threshold(t, quantized_barycenter(t.polytope, k).value)
 
 
 def delta(t: ToricData) -> tuple[Fraction, tuple[int, ...]]:
-    """Limit threshold from the classical barycenter."""
+    """Limit threshold from the classical barycenter.  The half-spaces of
+    ``t`` must be exactly the facets of its polytope."""
+    _require_facets(t)
     return _threshold(t, measure(t.polytope).barycenter)
 
 
@@ -95,14 +99,16 @@ def delta_sequence(t: ToricData, ks: Sequence[int], order: int = 2) -> DeltaSequ
     lexicographically; expansions that agree to high order are compared as
     exact rational functions, and exact ties are reported together.  k0 is
     one past the largest dilation at which any strictly smaller facet still
-    ties or wins, located by scanning up to an exact root bound.
+    ties or wins, located by scanning up to an exact root bound.  The
+    half-spaces of ``t`` must be exactly the facets of its polytope.
     """
     if order < 2:
         raise InvalidInput("expansion order must be at least 2")
+    _require_facets(t)
     nums, den = _facet_numerators(t)
     n = t.polytope.dim
     depth = max(order, n + 2)
-    series = [laurent_expand(RationalFunction.of(num, den), depth) for num in nums]
+    series = [laurent_expand(num, den, depth) for num in nums]
     best = max(range(len(nums)), key=lambda i: series[i].coefficients)
     dominant_rays = tuple(i for i in range(len(nums)) if nums[i] == nums[best])
 
@@ -119,7 +125,7 @@ def delta_sequence(t: ToricData, ks: Sequence[int], order: int = 2) -> DeltaSequ
                 break
 
     dominant = RationalFunction.of(den, nums[best])
-    asym = laurent_expand(dominant, order)
+    asym = laurent_expand(den, nums[best], order)
 
     limit, limit_argmin = delta(t)
     if asym.coefficient(0) != limit:

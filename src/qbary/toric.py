@@ -453,9 +453,9 @@ def hrr_coefficients(t: ToricData) -> tuple[Fraction, ...]:
     p = t.polytope
     n = p.dim
     coeffs = _todd_coefficients(delzant_fan(t), t.offsets, len(t.rays), range(n + 1))
-    # checked before the fit: ehrhart_polynomial asserts both identities on
-    # the fitted coefficients, so after a passing fit comparison they could
-    # no longer fail
+    # checked before the fit: fit_on_dilations asserts both identities on
+    # the fitted counting polynomial, so after a passing fit comparison they
+    # could no longer fail
     if coeffs[n] != measure(p).volume:
         raise InternalInconsistency("leading coefficient is not the volume")
     if coeffs[n - 1] != facet_data(p).boundary_normalized_volume / 2:

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from fractions import Fraction as F
+import io
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbary as qb
-from qbary import ehrhart
+from qbary import ehrhart, expansion
+from qbary.cli import execute
 from qbary.ehrhart import lattice_point_stats
 from qbary.exactnum import Polynomial
 from qbary.hull import volume_and_barycenter
@@ -191,13 +196,13 @@ def count_passes(monkeypatch, mutate=None):
 
 @pytest.mark.parametrize("n", (3, 4))
 def test_one_pass_per_dilation(monkeypatch, n):
-    # every fit and its validation read k = 0..n+1 and nothing above
+    # every fit and its validation read k = 0..n and nothing above
     p = fresh_simplex(n)
     seen = count_passes(monkeypatch)
     qb.ehrhart_polynomial(p)
     qb.barycenter_function(p)
-    qb.reciprocity_check(p, n + 1)
-    assert sorted(seen) == list(range(1, n + 2))
+    qb.reciprocity_check(p, n)
+    assert sorted(seen) == list(range(1, n + 1))
 
 
 def off_by_one_at(bad_k, field, axis=None):
@@ -212,36 +217,148 @@ def off_by_one_at(bad_k, field, axis=None):
     return mutate
 
 
-# Each field of each counted dilation k = 1..n+1 of a 3-simplex, corrupted
+# Each field of each counted dilation k = 1..n of a 4-simplex, corrupted
 # alone, must be caught.
-N = 3
+N = 4
 
 
-@pytest.mark.parametrize("k", range(1, N + 2))
+# The check a record corrupted at k fails first.  The samples run 0, 1, -1,
+# 2, -2, .., 4, -4: the closed value at k sits at k, the interior value at
+# -k.  The counting fit (degree 4) passes through the first five and the
+# coordinate-sum fit (degree 5) through the first six, and each is checked
+# on the rest in that order.  A corrupted sample among the rest fails its
+# own check; one the fit passes through moves the fit off every other
+# sample, so the first of the rest fails.
+HELD_OUT_3, HELD_OUT_4 = "held-out validation at k=3", "held-out validation at k=4"
+RECIPROCITY_3, RECIPROCITY_4 = "reciprocity at k=3", "reciprocity at k=4"
+FIRST_MISS = {
+    "count": (HELD_OUT_3, HELD_OUT_3, HELD_OUT_3, HELD_OUT_4),
+    "interior": (HELD_OUT_3, HELD_OUT_3, RECIPROCITY_3, RECIPROCITY_4),
+    "sums": (RECIPROCITY_3, RECIPROCITY_3, RECIPROCITY_3, HELD_OUT_4),
+    "interior_sums": (RECIPROCITY_3, RECIPROCITY_3, RECIPROCITY_3, RECIPROCITY_4),
+}
+
+
+@pytest.mark.parametrize("k", range(1, N + 1))
 def test_reciprocity_catches_an_interior_count_off_by_one(monkeypatch, k):
     count_passes(monkeypatch, off_by_one_at(k, "interior"))
-    with pytest.raises(qb.InternalInconsistency, match=f"counting polynomial fails reciprocity at k={k}"):
+    with pytest.raises(qb.InternalInconsistency, match=f"counting polynomial fails {FIRST_MISS['interior'][k - 1]}"):
         qb.ehrhart_polynomial(fresh_simplex(N))
 
 
-@pytest.mark.parametrize("k", range(1, N + 2))
+@pytest.mark.parametrize("k", range(1, N + 1))
 def test_held_out_counts_catch_a_closed_count_off_by_one(monkeypatch, k):
-    # a count below n+1 moves the fit, which then misses the count at n+1
+    # a count the fit passes through moves it off the first held-out count
     count_passes(monkeypatch, off_by_one_at(k, "count"))
-    with pytest.raises(qb.InternalInconsistency, match=f"counting polynomial fails held-out validation at k={N + 1}"):
+    with pytest.raises(qb.InternalInconsistency, match=f"counting polynomial fails {FIRST_MISS['count'][k - 1]}"):
         qb.ehrhart_polynomial(fresh_simplex(N))
 
 
-@pytest.mark.parametrize("k", range(1, N + 2))
+@pytest.mark.parametrize("k", range(1, N + 1))
 @pytest.mark.parametrize("axis", range(N))
 @pytest.mark.parametrize("field", ("sums", "interior_sums"))
 def test_reciprocity_catches_a_coordinate_sum_off_by_one(monkeypatch, field, axis, k):
-    # the coordinate-sum fit uses every closed sum, so a wrong one moves it
-    # off its reciprocity value at k = 1; a wrong interior sum shows at its k
     count_passes(monkeypatch, off_by_one_at(k, field, axis))
-    first = k if field == "interior_sums" else 1
-    with pytest.raises(qb.InternalInconsistency, match=f"coordinate-sum polynomial fails reciprocity at k={first}"):
+    with pytest.raises(qb.InternalInconsistency, match=f"coordinate-sum polynomial fails {FIRST_MISS[field][k - 1]}"):
         qb.barycenter_function(fresh_simplex(N))
+
+
+def test_top_coefficients_alone_check_the_sums_of_a_segment(monkeypatch):
+    # in dimension 1 each coordinate-sum fit passes through all three
+    # samples k = 0, 1, -1, so only its top two coefficients check it
+    count_passes(monkeypatch, off_by_one_at(1, "sums", 0))
+    segment = qb.hull_from_vertices([(next(_FRESH),), (next(_FRESH) + 3,)])
+    with pytest.raises(qb.InternalInconsistency, match="coordinate-sum polynomial has leading coefficient"):
+        qb.barycenter_function(segment)
+
+
+def wrong_measure(which):
+    """The measures a fit's top two coefficients are checked against, one
+    of them off by one."""
+    real_measure, real_facets = ehrhart.measure, ehrhart.facet_data
+
+    def first_plus_one(v):
+        return (v[0] + 1,) + v[1:]
+
+    def measure(p):
+        m = real_measure(p)
+        if which == "volume":
+            return replace(m, volume=m.volume + 1)
+        if which == "barycenter":
+            return replace(m, barycenter=first_plus_one(m.barycenter))
+        return m
+
+    def facet_data(p):
+        fd = real_facets(p)
+        if which == "boundary volume":
+            return replace(fd, boundary_normalized_volume=fd.boundary_normalized_volume + 1)
+        if which == "boundary barycenter":
+            return replace(fd, boundary_barycenter=first_plus_one(fd.boundary_barycenter))
+        return fd
+
+    return measure, facet_data
+
+
+@pytest.mark.parametrize(
+    "which, module, message",
+    [
+        ("volume", ehrhart, "counting polynomial has leading coefficient"),
+        ("boundary volume", ehrhart, "counting polynomial has subleading coefficient"),
+        ("barycenter", expansion, "coordinate-sum polynomial has leading coefficient"),
+        ("boundary barycenter", expansion, "coordinate-sum polynomial has subleading coefficient"),
+    ],
+)
+def test_each_top_coefficient_identity_can_fail(monkeypatch, which, module, message):
+    p = fresh_simplex(3)
+    measure, facet_data = wrong_measure(which)
+    monkeypatch.setattr(module, "measure", measure)
+    monkeypatch.setattr(module, "facet_data", facet_data)
+    with pytest.raises(qb.InternalInconsistency, match=message):
+        qb.barycenter_function(p)
+
+
+# The closed and the interior sums of axes 0 and 1 swapped in every pass:
+# each coordinate-sum fit is then the true fit of the other axis, and meets
+# every sample check, but not its moment.
+SWAP_SIMPLEX = [(0, 0, 0), (2, 0, 0), (0, 3, 0), (1, 1, 2)]
+
+
+def swap_axes_0_and_1(k, stats):
+    def swapped(v):
+        return (v[1], v[0]) + v[2:]
+
+    return stats._replace(sums=swapped(stats.sums), interior_sums=swapped(stats.interior_sums))
+
+
+@pytest.fixture
+def swapped_axes(monkeypatch):
+    """Counting passes with axes 0 and 1 swapped; the simplex is a fixed
+    one, so the caches are emptied before and after to keep the swapped
+    records and fits from any other test."""
+
+    def clear():
+        for cached in (lattice_point_stats, qb.ehrhart_polynomial, qb.barycenter_function):
+            cached.cache_clear()
+
+    clear()
+    count_passes(monkeypatch, swap_axes_0_and_1)
+    yield
+    clear()
+
+
+def test_moment_identity_catches_swapped_axes(swapped_axes):
+    with pytest.raises(qb.InternalInconsistency, match="coordinate-sum polynomial has leading coefficient"):
+        qb.barycenter_function(qb.hull_from_vertices(SWAP_SIMPLEX))
+
+
+def test_bck_refuses_swapped_axes(swapped_axes, tmp_path):
+    document = tmp_path / "simplex.json"
+    document.write_text(json.dumps({"vertices": SWAP_SIMPLEX}))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = execute(["bck", "--k", "3", "--input", str(document)])
+    assert (status, out.getvalue()) == (2, "")
+    assert "coordinate-sum polynomial has leading coefficient" in err.getvalue()
 
 
 def test_count_errors():
@@ -316,16 +433,17 @@ def test_reflexive_closed_form_rejects_out_of_scope(fixtures):
 
 
 def test_held_out_validation_rejects_a_fit_that_only_matches_its_samples(monkeypatch):
-    # adding prod_{i=0..d} (k - i) keeps every sample k = 0..d of a degree-d
-    # fit but changes every other value: the counting fit misses its held-out
-    # count at k = n+1, and the coordinate-sum fit, which has no held-out
-    # sample, its reciprocity value at k = 1
+    # adding the product of (k - x) over the abscissae x of the fit keeps
+    # every sample the fit passes through but changes every other value:
+    # with samples at 0, 1, -1, 2, -2, .., the degree-3 counting fit of a
+    # 3-polytope and the degree-3 coordinate-sum fit of a polygon both miss
+    # their reciprocity value at k = 2 first
     true_fit = ehrhart.poly_fit
 
     def wrong_fit(samples):
         vanishing = Polynomial.constant(1)
-        for i in range(len(samples)):
-            vanishing = vanishing * Polynomial.of([-i, 1])
+        for x, _ in samples:
+            vanishing = vanishing * Polynomial.of([-x, 1])
         return true_fit(samples) + vanishing
 
     # polytopes no other test uses, so no fit is cached yet
@@ -333,8 +451,7 @@ def test_held_out_validation_rejects_a_fit_that_only_matches_its_samples(monkeyp
     summed = qb.hull_from_vertices([(0, 0), (3, 1), (1, 4), (-1, 2)])
     qb.ehrhart_polynomial(summed)
     monkeypatch.setattr(ehrhart, "poly_fit", wrong_fit)
-    held_out = f"counting polynomial fails held-out validation at k={counted.dim + 1}"
-    with pytest.raises(qb.InternalInconsistency, match=held_out):
+    with pytest.raises(qb.InternalInconsistency, match="counting polynomial fails reciprocity at k=2"):
         qb.ehrhart_polynomial(counted)
-    with pytest.raises(qb.InternalInconsistency, match="coordinate-sum polynomial fails reciprocity at k=1"):
+    with pytest.raises(qb.InternalInconsistency, match="coordinate-sum polynomial fails reciprocity at k=2"):
         qb.barycenter_function(summed)

@@ -97,21 +97,28 @@ def test_laurent_barycenter_coordinate_example():
     # at k=1 must be 1/9 and the leading expansion terms are fixed
     f = RationalFunction.of(Polynomial.of([1, 3, 2]), Polynomial.of([6, 24, 24]))
     assert f(1) == F(1, 9)
-    series = qb.laurent_expand(f, 3)
+    series = qb.laurent_expand(f.num, f.den, 3)
     assert series.coefficients == (F(1, 12), F(1, 24), F(-1, 48))
+    # the expansion is that of the function: a common factor changes nothing
+    common = Polynomial.of([3, -1, 2])
+    unreduced = qb.laurent_expand(f.num * common, f.den * common, 3)
+    assert unreduced == series
 
 
 def test_laurent_identity_and_geometric():
-    ident = RationalFunction.of(Polynomial.of([0, 1]), Polynomial.of([0, 1]))
-    assert qb.laurent_expand(ident, 4).coefficients == (F(1), F(0), F(0), F(0))
-    geom = RationalFunction.of(Polynomial.of([1]), Polynomial.of([1, 1]))
-    assert qb.laurent_expand(geom, 3).coefficients == (F(0), F(1), F(-1))
+    k = Polynomial.of([0, 1])
+    assert qb.laurent_expand(k, k, 4).coefficients == (F(1), F(0), F(0), F(0))
+    assert qb.laurent_expand(Polynomial.of([1]), Polynomial.of([1, 1]), 3).coefficients == (F(0), F(1), F(-1))
 
 
 def test_laurent_rejects_growth_at_infinity():
-    f = RationalFunction.of(Polynomial.of([0, 0, 1]), Polynomial.of([1, 1]))
     with pytest.raises(qb.NotBoundedAtInfinity):
-        qb.laurent_expand(f, 2)
+        qb.laurent_expand(Polynomial.of([0, 0, 1]), Polynomial.of([1, 1]), 2)
+    # the degrees decide, whatever factor the two share
+    with pytest.raises(qb.NotBoundedAtInfinity):
+        qb.laurent_expand(Polynomial.of([0, 0, 1, 1]), Polynomial.of([1, 2, 1]), 2)
+    with pytest.raises(qb.InvalidInput, match="zero denominator"):
+        qb.laurent_expand(Polynomial.of([1]), Polynomial.zero(), 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -123,10 +130,11 @@ def test_laurent_rejects_growth_at_infinity():
 def test_laurent_prefix_stability(num, den, order):
     den_poly = Polynomial.of(den + [1])
     num_poly = Polynomial.of(num[: len(den_poly.coefficients)])
-    f = RationalFunction.of(num_poly, den_poly)
-    long = qb.laurent_expand(f, order + 3)
-    short = qb.laurent_expand(f, order)
+    long = qb.laurent_expand(num_poly, den_poly, order + 3)
+    short = qb.laurent_expand(num_poly, den_poly, order)
     assert long.truncate(order) == short
+    f = RationalFunction.of(num_poly, den_poly)
+    assert qb.laurent_expand(f.num, f.den, order) == short
 
 
 def test_rational_function_canonical_form():

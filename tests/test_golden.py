@@ -68,6 +68,9 @@ INLINE_MEASURED = (
         "1,1,1,1,1,0,0,0,0,0",
     ),
 )
+# The segment [0, 3]: in dimension 1 each coordinate-sum polynomial is
+# fitted on every sample there is, so only its top two coefficients check it.
+SEGMENT = ("1;-1", "0,3")
 
 
 def command_lines() -> list[list[str]]:
@@ -94,6 +97,11 @@ def command_lines() -> list[list[str]]:
     for rays, offsets in INLINE_MEASURED:
         for command in ("bc", "classify"):
             lines.append([command, "--rays", rays, "--offsets", offsets])
+    for command in (["expand"], ["ehrhart"], ["bck", "--k", "5"], ["delta-seq", "--ks", "1,2"]):
+        lines.append([*command, "--rays", SEGMENT[0], "--offsets", SEGMENT[1]])
+    for rays, offsets in INLINE_MEASURED:
+        for command in (["expand"], ["bck", "--k", "3"]):
+            lines.append([*command, "--rays", rays, "--offsets", offsets])
     return lines
 
 

@@ -51,13 +51,34 @@ def test_delta_limits():
 
 
 def test_delta_polarization_guard():
-    # deliberately inconsistent data: offset -1 pushes one pairing negative
+    # deliberately inconsistent data: offset -1 would push one pairing
+    # negative, and is refused before any pairing as not f1's facets
     f1 = qb.load_fixture("f1")
     bogus = ToricData(F1.rays, (1, 1, 1, -1), f1)
-    with pytest.raises(qb.InvalidPolarization):
+    with pytest.raises(qb.PreconditionViolation, match="not the facets"):
         qb.delta_k(bogus, 1)
     with pytest.raises(qb.InvalidInput):
         qb.delta_k(F1, 0)
+
+
+# P^2's rays and offsets paired with f1, which has a fourth facet: the
+# threshold would be read off the wrong half-spaces (12/13, not f1's 6/7)
+MISMATCHED = ToricData(P2.rays, P2.offsets, qb.load_fixture("f1"))
+
+
+def test_delta_refuses_half_spaces_that_are_not_the_facets():
+    with pytest.raises(qb.PreconditionViolation, match="not the facets"):
+        qb.delta(MISMATCHED)
+
+
+def test_delta_k_refuses_half_spaces_that_are_not_the_facets():
+    with pytest.raises(qb.PreconditionViolation, match="not the facets"):
+        qb.delta_k(MISMATCHED, 1)
+
+
+def test_delta_sequence_refuses_half_spaces_that_are_not_the_facets():
+    with pytest.raises(qb.PreconditionViolation, match="not the facets"):
+        qb.delta_sequence(MISMATCHED, [1, 2])
 
 
 def test_delta_sequence_f1():
