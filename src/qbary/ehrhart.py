@@ -3,20 +3,23 @@
 Counting is one pass over the lattice points of ``k*P`` that yields the
 closed count, the interior count and both coordinate sums together.  The
 axis along which P's fibers are longest on average is scanned last and
-never looped over: for each fixed prefix of leading coordinates its
-feasible range is solved from the facet inequalities, and counts and sums
-are accumulated in closed form.  That axis is the one of least *shadow*,
-the (dim-1)-volume of P's projection along it, read off the facet measures
-by Cauchy's projection formula (``shadow_i = sum of u_F[i] nvol(F)`` over
-the facets with ``u_F[i] > 0``); the other axes follow by decreasing
-shadow.  The records do not depend on the order, only the work does: the
-innermost loop runs over the lattice points of the projection along the
-last axis, about ``shadow k^(dim-1)`` of them.  Every
-outer coordinate is bounded by the facets of P's projection onto the
-leading coordinates scanned so far (hulls built once per polytope and
-scaled by ``k``), so the scan visits only prefixes that extend to points of
-``k*P`` instead of the whole bounding box.  Everything is plain integer
-arithmetic.
+never looped over.  A *row* fixes every coordinate but the last two; one
+loop over its second-to-last coordinate y solves the closed and the
+interior fiber above each y from the facet inequalities and tallies both,
+counts and sums in closed form.  A facet whose last-axis coefficient is
++-1 bounds those fibers by ranges, with no division.  The last axis is the
+one of least *shadow*, the (dim-1)-volume of P's projection along it, read
+off the facet measures by Cauchy's projection formula (``shadow_i = sum of
+u_F[i] nvol(F)`` over the facets with ``u_F[i] > 0``); the other axes follow
+by decreasing shadow.  The records do not depend on the order, only the
+work does: y runs over the lattice points of the projection along the last
+axis, about ``shadow k^(dim-1)`` of them.  Every outer coordinate is
+bounded by the facets of P's projection onto the leading coordinates
+scanned so far (hulls built once per polytope and scaled by ``k``), so the
+scan visits only prefixes that extend to points of ``k*P`` instead of the
+whole bounding box.  The slacks of these inequalities are integers kept up
+to date as the scan steps, and a step of one coordinate moves only the
+slacks of the inequalities that involve it: 2 of the 2 dim on a box.
 
 Every fit reads the same dilations k = 0..dim, one cached pass each.  By
 Ehrhart-Macdonald reciprocity the interior records of those passes are
@@ -36,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from typing import Callable, Literal, NamedTuple
 
 from .errors import InternalInconsistency, InvalidInput, Unsupported
@@ -132,21 +136,15 @@ class LatticeStats(NamedTuple):
     interior_sums: IntVec
 
 
-def _pointwise(pick, columns: list[list[int]]) -> list[int]:
-    return columns[0] if len(columns) == 1 else list(map(pick, *columns))
-
-
-def _tally(ys, los: list[int], his: list[int]) -> tuple[int, int, int]:
-    """Points, sum of the row coordinate and sum of the last coordinate over
-    the fibers ``los[i]..his[i]`` above the row coordinates ``ys``."""
-    count = ysum = zsum = 0
-    for y, lo, hi in zip(ys, los, his):
-        if hi >= lo:
-            m = hi - lo + 1
-            count += m
-            ysum += y * m
-            zsum += (lo + hi) * m
-    return count, ysum, zsum // 2
+def _floors(r: int, step: int, length: int, c: int):
+    """``x // c`` and ``(x - 1) // c`` for ``x = r, r + step, ..``, ``length``
+    values: ranges for a unit ``c``, endless for a zero step."""
+    if not step:
+        return repeat(r // c), repeat((r - 1) // c)
+    xs = range(r, r + step * length, step)
+    if c == 1:
+        return xs, range(r - 1, r - 1 + step * length, step)
+    return [x // c for x in xs], [(x - 1) // c for x in xs]
 
 
 def _pass(p: Polytope, k: int) -> LatticeStats:
@@ -155,68 +153,95 @@ def _pass(p: Polytope, k: int) -> LatticeStats:
     The scan visits exactly the lattice points of the projections of ``k*P``
     onto the leading scan coordinates.  The slack ``r`` of an inequality
     (its left side minus its right side, the scanned coordinates substituted)
-    is kept up to date as the scan moves.  A lattice point is interior when
-    every slack is at least 1.
+    is kept up to date as the scan moves: a step of scan coordinate j moves
+    only the slacks whose column j is nonzero.  A lattice point is interior
+    when every slack is at least 1.
     """
     plan = _scan_plan(p)
     n = p.dim
     facets = plan.bounds[-1]
     steps = facets.cols[-1] if n > 1 else (0,) * len(facets.coefs)
-    x = [0] * n  # the scan prefix
+    # P's facets by their role along a row, where r = slack + s*y with y the
+    # row coordinate: c*z >= -r bounds the last coordinate z from below
+    # (c > 0) or above (c < 0); the others hold on the whole row, and the
+    # interior needs r >= 1, which bounds y unless s = 0.
+    roles = [(f, s, c) for f, (s, c) in enumerate(zip(steps, facets.coefs))]
+    below = [(f, s, c) for f, s, c in roles if c > 0]
+    above = [(f, s, -c) for f, s, c in roles if c < 0]
+    rising = [(f, s) for f, s, c in roles if not c and s > 0]
+    falling = [(f, -s) for f, s, c in roles if not c and s < 0]
+    flat = [f for f, s, c in roles if not c and not s]
+    # moves[j][g]: the nonzero entries of column j at bounds level j+g;
+    # limits[j]: the bounds on scan coordinate j+1 from below and above
+    moves = [[[(f, a) for f, a in enumerate(b.cols[j]) if a] for b in plan.bounds[j:]] for j in range(n - 2)]
+    limits = [
+        ([(f, c) for f, c in enumerate(b.coefs) if c > 0], [(f, -c) for f, c in enumerate(b.coefs) if c < 0])
+        for b in plan.bounds
+    ]
     closed = [0] * (n + 1)  # count, then the sums in scan order
     inner = [0] * (n + 1)
 
-    def add(acc: list[int], count: int, ysum: int, zsum: int) -> None:
-        acc[0] += count
-        for i in range(n - 2):
-            acc[i + 1] += x[i] * count
-        if n > 1:
-            acc[n - 1] += ysum
-        acc[n] += zsum
+    def least(facets: list[tuple[int, int, int]], slack: list[int], lo: int, length: int):
+        # the pointwise least of _floors over the facets along the row
+        ends = [_floors(slack[f] + s * lo, s, length, c) for f, s, c in facets]
+        if len(ends) == 1:
+            return ends[0]
+        return map(min, *(a for a, _ in ends)), map(min, *(b for _, b in ends))
 
     def row(lo: int, hi: int, slack: list[int]) -> None:
-        # Scan coordinate n-2 runs over lo..hi and the last one over a fiber
-        # c*z >= -r (or >= 1 - r) per facet, with r affine along the row.
-        length = hi - lo + 1
-        lows, highs, ilows, ihighs = [], [], [], []
-        ia, ib = lo, hi  # where the facets parallel to z leave room inside
-        for r0, step, c in zip(slack, steps, facets.coefs):
-            r0 += step * lo
-            if c:
-                rs = range(r0, r0 + step * length, step) if step else [r0] * length
-                if c > 0:
-                    lows.append([-(r // c) for r in rs])
-                    ilows.append([-((r - 1) // c) for r in rs])
-                else:
-                    highs.append([r // -c for r in rs])
-                    ihighs.append([(r - 1) // -c for r in rs])
-            elif step > 0:
-                ia = max(ia, lo - (r0 - 1) // step)
-            elif step < 0:
-                ib = min(ib, lo + (r0 - 1) // -step)
-            elif r0 < 1:
-                ib = ia - 1
-        ys = range(lo, hi + 1)
-        add(closed, *_tally(ys, _pointwise(max, lows), _pointwise(min, highs)))
-        cut = slice(ia - lo, max(ib - lo + 1, 0))
-        ilo, ihi = _pointwise(max, ilows), _pointwise(min, ihighs)
-        add(inner, *_tally(ys[cut], ilo[cut], ihi[cut]))
+        # The closed fiber above y is -a..b, and the interior one -ia..ib
+        # when y is in ilo..ihi, where the facets with c = 0 leave room.
+        lows, ilows = least(below, slack, lo, hi - lo + 1)
+        highs, ihighs = least(above, slack, lo, hi - lo + 1)
+        ilo, ihi = lo, hi
+        for f, s in rising:
+            ilo = max(ilo, -((slack[f] - 1) // s))
+        for f, s in falling:
+            ihi = min(ihi, (slack[f] - 1) // s)
+        for f in flat:
+            if slack[f] < 1:
+                ihi = ilo - 1
+        count = ysum = zsum = icount = iysum = izsum = 0
+        for y, a, b, ia, ib in zip(range(lo, hi + 1), lows, highs, ilows, ihighs):
+            m = a + b + 1
+            if m > 0:
+                count += m
+                ysum += y * m
+                zsum += (b - a) * m
+                m = ia + ib + 1
+                if m > 0 and ilo <= y <= ihi:
+                    icount += m
+                    iysum += y * m
+                    izsum += (ib - ia) * m
+        closed[0] += count
+        closed[n - 1] += ysum  # y = 0 in dimension 1
+        closed[n] += zsum // 2
+        inner[0] += icount
+        inner[n - 1] += iysum
+        inner[n] += izsum // 2
 
     def descend(j: int, lo: int, hi: int, slacks: list[list[int]]) -> None:
         # slacks[g]: the slacks of the bounds on scan coordinate j+1+g
         if j == n - 2:
             row(lo, hi, slacks[-1])
             return
-        deeper = plan.bounds[j:]
-        cur = [[r + a * lo for r, a in zip(s, b.cols[j])] for s, b in zip(slacks, deeper)]
-        nxt = deeper[0].coefs
+        cur = [s[:] for s in slacks]
+        for s, move in zip(cur, moves[j]):
+            for f, step in move:
+                s[f] += step * lo
+        head, rest = cur[0], cur[1:]
+        from_below, from_above = limits[j]
         for xj in range(lo, hi + 1):
-            x[j] = xj
-            los = [-(r // c) for r, c in zip(cur[0], nxt) if c > 0]
-            his = [r // -c for r, c in zip(cur[0], nxt) if c < 0]
-            if max(los) <= min(his):
-                descend(j + 1, max(los), min(his), cur[1:])
-            cur = [[r + a for r, a in zip(s, b.cols[j])] for s, b in zip(cur, deeper)]
+            a = -min([head[f] // c for f, c in from_below])
+            b = min([head[f] // c for f, c in from_above])
+            if a <= b:
+                count, icount = closed[0], inner[0]
+                descend(j + 1, a, b, rest)
+                closed[j + 1] += xj * (closed[0] - count)
+                inner[j + 1] += xj * (inner[0] - icount)
+            for s, move in zip(cur, moves[j]):
+                for f, step in move:
+                    s[f] += step
 
     slacks = [[k * b for b in bounds.offsets] for bounds in plan.bounds]
     if n == 1:

@@ -10,6 +10,8 @@ Conventions
   empty coefficient tuple.
 * A Laurent series at infinity stores ``c_0, c_1, ...`` where the ``j``-th
   entry multiplies ``k^(-j)``.
+* Values and Laurent expansions run on integers: numerators over an lcm of
+  denominators, with one Fraction per result.
 * Bernoulli numbers follow the Todd normalization ``x / (1 - exp(-x))``,
   which fixes ``B_1 = +1/2``; all other values agree with the classical
   convention.
@@ -113,10 +115,15 @@ class Polynomial:
         return Fraction(0)
 
     def __call__(self, k: RationalLike) -> Fraction:
-        acc = Fraction(0)
+        # Horner on the integer numerators over their lcm, homogenized in
+        # k = u/v: the sum of c_i u^i v^(d-i), then divided by v^d.
+        den = lcm(*(c.denominator for c in self.coefficients))
+        u, v = k.numerator, k.denominator
+        acc, scale = 0, 1
         for c in reversed(self.coefficients):
-            acc = acc * k + c
-        return acc
+            acc = acc * u + c.numerator * (den // c.denominator) * scale
+            scale *= v
+        return Fraction(acc, den * scale // v) if acc else Fraction(0)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coefficients, other.coefficients
@@ -319,17 +326,23 @@ def laurent_expand(num: Polynomial, den: Polynomial, order: int) -> LaurentSerie
         raise NotBoundedAtInfinity(
             f"numerator degree {num.degree} exceeds denominator degree {den.degree}"
         )
-    d = den.degree
-    num_rev = [num.coefficient(d - j) for j in range(order)]
-    den_rev = [den.coefficient(d - j) for j in range(order)]
-    lead = den.leading
-    out: list[Fraction] = []
+    # Times the lcm of their denominators, num and den have integer
+    # coefficients n_j and d_j at k^(deg den - j).  Term j times l^(j+1), with
+    # l = d_0, is the integer t_j = l^j n_j - sum_{i<j} t_i d_{j-i} l^(j-1-i).
+    scale, d = lcm(*(c.denominator for c in num.coefficients + den.coefficients)), den.degree
+    n_rev, d_rev = (
+        [c.numerator * (scale // c.denominator) for c in map(p.coefficient, range(d, d - order, -1))]
+        for p in (num, den)
+    )
+    lead = den.leading.numerator * (scale // den.leading.denominator)
+    powers, terms = [1], []
     for j in range(order):
-        acc = num_rev[j]
+        t = n_rev[j] * powers[j]
         for i in range(j):
-            acc -= out[i] * den_rev[j - i]
-        out.append(acc / lead)
-    return LaurentSeries(tuple(out))
+            t -= terms[i] * d_rev[j - i] * powers[j - 1 - i]
+        terms.append(t)
+        powers.append(powers[j] * lead)
+    return LaurentSeries(tuple(Fraction(t, l) for t, l in zip(terms, powers[1:])))
 
 
 # ---------------------------------------------------------------------------

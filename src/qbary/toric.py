@@ -345,6 +345,7 @@ def divisor_polytope(t: ToricData, coeffs: tuple[int, ...]) -> VirtualPolytope:
     formal difference of two ample polytopes.  The zero divisor is the
     origin (the Minkowski-neutral body).
     """
+    _require_facets(t)
     if not classify(t.polytope).delzant:
         raise PreconditionViolation("divisor polytopes require Delzant data")
     coeffs = tuple(int(c) for c in coeffs)

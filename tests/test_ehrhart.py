@@ -69,6 +69,17 @@ SCAN_SHAPES = {
     "box times twice a triangle": [
         (a, b, c, d) for a in (0, 1) for b in (0, 2) for c, d in ((0, 0), (2, 0), (0, 2))
     ],
+    # each facet involves one axis: a step moves 2 of the 10 slacks
+    "unit 5-cube": list(itertools.product((0, 1), repeat=5)),
+    "box times a quadrilateral": [
+        (a, b, c, d) for a in (0, 1) for b in (0, 1) for c, d in ((0, 0), (2, 0), (0, 1), (1, 2))
+    ],
+    # every facet involves every axis
+    "4-D cross-polytope": [tuple(s * (i == j) for i in range(4)) for j in range(4) for s in (1, -1)],
+    # last-axis coefficients -2, -1, 0 and 3 in the planner's order
+    "mixed coefficients": [(0, 0, 0), (3, -2, -1), (-1, -2, 1), (2, 2, -2)],
+    # the facets x_0 = 0 and x_0 = 1 are parallel to both inner axes
+    "prism over a 3-simplex": [(a, *v) for a in (0, 1) for v in ((0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3))],
 }
 
 

@@ -137,6 +137,68 @@ def test_laurent_prefix_stability(num, den, order):
     assert qb.laurent_expand(f.num, f.den, order) == short
 
 
+def reference_laurent(num: Polynomial, den: Polynomial, order: int) -> tuple[F, ...]:
+    """Long division of power series in t = 1/k over Fractions: term j is
+    ``(n_j - sum_{i<j} t_i d_{j-i}) / d_0`` with ``n_j``, ``d_j`` the
+    coefficients of ``k^(deg den - j)``."""
+    d = den.degree
+    out: list[F] = []
+    for j in range(order):
+        acc = num.coefficient(d - j)
+        for i in range(j):
+            acc -= out[i] * den.coefficient(d - j + i)
+        out.append(acc / den.leading)
+    return tuple(out)
+
+
+COEFFICIENT = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def quotients(draw):
+    """A numerator of degree at most that of a nonzero denominator, and an
+    order from 0 to 2 deg + 3."""
+    den = Polynomial.of(draw(st.lists(COEFFICIENT, max_size=5)) + [draw(COEFFICIENT.filter(bool))])
+    num = Polynomial.of(draw(st.lists(COEFFICIENT, max_size=den.degree + 1)))
+    return num, den, draw(st.integers(min_value=0, max_value=2 * den.degree + 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(quotients())
+@example((Polynomial.of([1, F(1, 2), 3]), Polynomial.of([F(3, 4), 5, F(-2, 7)]), 7))  # negative leading coefficient
+@example((Polynomial.zero(), Polynomial.of([1, 1]), 5))  # zero numerator
+@example((Polynomial.of([F(-5, 3)]), Polynomial.of([F(2, 9)]), 3))  # constant denominator
+@example((Polynomial.of([1, 2]), Polynomial.of([3, 4]), 0))  # order 0
+def test_laurent_matches_fraction_long_division(case):
+    num, den, order = case
+    assert qb.laurent_expand(num, den, order).coefficients == reference_laurent(num, den, order)
+
+
+def reference_value(poly: Polynomial, k) -> F:
+    acc = F(0)
+    for c in reversed(poly.coefficients):
+        acc = acc * k + c
+    return acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(COEFFICIENT, max_size=7),
+    st.integers(min_value=-40, max_value=40),
+    st.fractions(min_value=-10, max_value=10, max_denominator=30),
+)
+def test_polynomial_value_matches_fraction_horner(coeffs, n, q):
+    poly = Polynomial.of(coeffs)
+    for k in (n, q):
+        value = poly(k)
+        assert type(value) is F and value == reference_value(poly, k)
+
+
+def test_zero_polynomial_vanishes_everywhere():
+    for k in (0, -3, F(5, 7)):
+        assert Polynomial.zero()(k) == 0 and type(Polynomial.zero()(k)) is F
+
+
 def test_rational_function_canonical_form():
     # common factor removed, denominator integer-primitive with positive lead
     f = RationalFunction.of(Polynomial.of([1, 3, 2]), Polynomial.of([2, 6, 4]))

@@ -71,6 +71,15 @@ INLINE_MEASURED = (
 # The segment [0, 3]: in dimension 1 each coordinate-sum polynomial is
 # fitted on every sample there is, so only its top two coefficients check it.
 SEGMENT = ("1;-1", "0,3")
+# Counting at larger dilations: the unit 5-cube, whose every facet involves
+# one axis; [0,1]^2 x conv((0,0),(2,0),(0,1),(1,2)), with facets of every
+# role along a scan row; and the 4-D cross-polytope, whose sixteen facets
+# involve every axis.
+BOX_QUAD = ("1,0,0,0;-1,0,0,0;0,1,0,0;0,-1,0,0;0,0,0,1;0,0,-2,-1;0,0,1,-1;0,0,1,0", "0,1,0,1,0,4,1,0")
+CROSS4 = (
+    ";".join(f"{a},{b},{c},{d}" for a in (-1, 1) for b in (-1, 1) for c in (-1, 1) for d in (-1, 1)),
+    ",".join(["1"] * 16),
+)
 
 
 def command_lines() -> list[list[str]]:
@@ -102,6 +111,10 @@ def command_lines() -> list[list[str]]:
     for rays, offsets in INLINE_MEASURED:
         for command in (["expand"], ["bck", "--k", "3"]):
             lines.append([*command, "--rays", rays, "--offsets", offsets])
+    for command in (["bck", "--k", "12"], ["reciprocity", "--kmax", "6"]):
+        lines.append([*command, "--rays", INLINE_MEASURED[1][0], "--offsets", INLINE_MEASURED[1][1]])
+    lines.append(["delta-seq", "--ks", "1,2,3", "--rays", BOX_QUAD[0], "--offsets", BOX_QUAD[1]])
+    lines.append(["expand", "--rays", CROSS4[0], "--offsets", CROSS4[1]])
     return lines
 
 

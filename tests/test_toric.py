@@ -430,6 +430,15 @@ def test_toric_data_that_misses_its_polytope_is_refused(case):
             qb.rooftop_coefficients(t, v)
 
 
+@pytest.mark.parametrize("case", MISMATCHED_TORIC_DATA)
+def test_divisor_polytope_of_toric_data_that_misses_its_polytope_is_refused(case):
+    # refused as a precondition, not as a divisor that no ample shift represents
+    rays, offsets = MISMATCHED_TORIC_DATA[case]
+    t = qb.ToricData(rays, offsets, qb.load_fixture("f1"))
+    with pytest.raises(qb.PreconditionViolation, match="not the facets"):
+        qb.divisor_polytope(t, (1,) * len(rays))
+
+
 # ---------------------------------------------------------------------------
 # rooftop coefficients
 
