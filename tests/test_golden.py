@@ -80,6 +80,12 @@ CROSS4 = (
     ";".join(f"{a},{b},{c},{d}" for a in (-1, 1) for b in (-1, 1) for c in (-1, 1) for d in (-1, 1)),
     ",".join(["1"] * 16),
 )
+# Long scan rows of several envelope pieces: the octagon
+# conv((0,0),(3,-1),(5,0),(6,2),(5,4),(3,5),(0,4),(-1,2)), whose solved axis
+# has coefficients +-1 and +-2 with four facets on each side, and the skinny
+# 4-simplex conv(0, e_1, e_2, e_3, (3,2,3,4)).
+OCTAGON = ("-2,-1;-2,1;-1,-2;-1,2;1,-3;1,3;2,-1;2,1", "14,10,13,5,12,0,4,0")
+SKINNY4 = ("-4,-4,-4,7;0,0,0,1;0,0,4,-3;0,2,0,-1;4,0,0,-3", "4,0,0,0,0")
 
 
 def command_lines() -> list[list[str]]:
@@ -115,6 +121,8 @@ def command_lines() -> list[list[str]]:
         lines.append([*command, "--rays", INLINE_MEASURED[1][0], "--offsets", INLINE_MEASURED[1][1]])
     lines.append(["delta-seq", "--ks", "1,2,3", "--rays", BOX_QUAD[0], "--offsets", BOX_QUAD[1]])
     lines.append(["expand", "--rays", CROSS4[0], "--offsets", CROSS4[1]])
+    lines.append(["count", "--k", "40", "--rays", OCTAGON[0], "--offsets", OCTAGON[1]])
+    lines.append(["bck", "--k", "12", "--rays", SKINNY4[0], "--offsets", SKINNY4[1]])
     return lines
 
 
