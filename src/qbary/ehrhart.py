@@ -1,19 +1,26 @@
 """Lattice-point counting in dilations and Ehrhart polynomials.
 
 Counting is one pass over the lattice points of ``k*P`` that yields the
-closed count, the interior count and both coordinate sums together.  The
-axis along which P's fibers are longest on average is scanned last and
-never looped over.  A *row* fixes every coordinate but the last two; one
-loop over its second-to-last coordinate y solves the closed and the
-interior fiber above each y from the facet inequalities and tallies both,
-counts and sums in closed form.  A facet whose last-axis coefficient is
-+-1 bounds those fibers by ranges, with no division.  The last axis is the
-one of least *shadow*, the (dim-1)-volume of P's projection along it, read
-off the facet measures by Cauchy's projection formula (``shadow_i = sum of
-u_F[i] nvol(F)`` over the facets with ``u_F[i] > 0``); the other axes follow
-by decreasing shadow.  The records do not depend on the order, only the
-work does: y runs over the lattice points of the projection along the last
-axis, about ``shadow k^(dim-1)`` of them.  Every outer coordinate is
+closed count, the interior count and both coordinate sums together.  A
+*row* fixes every scan coordinate but the last two, y and z.  Over a row the
+fiber above y is ``-a(y)..b(y)``, where ``a(y)`` is the least of the floors
+``(r + s y) // c`` over the facets that bound z from below, and ``b(y)`` the
+same over those above.  The row's count and sums are sums of a, b, y a,
+y b, a^2 and b^2.  At the breakpoints of the two lower envelopes, found by
+integer cross-multiplication, they split into floor sums, each solved by a
+Euclid-like recursion, or as an arithmetic series when c divides s.  The
+interior fiber is the same with every slack lowered by 1, on the range of y
+where the two real interior envelopes sum to at least 0.  So a row costs
+O(facets + envelope pieces) whatever its length, and a pass visits the
+lattice points of the projection of ``k*P`` onto the first ``dim - 2`` scan
+coordinates, about ``k^(dim-2)`` times that projection's volume; in
+dimensions 1 and 2 a pass is one row.
+
+The axes go by decreasing *shadow*, the (dim-1)-volume of P's projection
+along an axis, read off the facet measures by Cauchy's projection formula
+(``shadow_i = sum of u_F[i] nvol(F)`` over the facets with ``u_F[i] > 0``),
+so the two axes of least shadow are summed in closed form.  The records do
+not depend on the order, only the work does.  Every outer coordinate is
 bounded by the facets of P's projection onto the leading coordinates
 scanned so far (hulls built once per polytope and scaled by ``k``), so the
 scan visits only prefixes that extend to points of ``k*P`` instead of the
@@ -38,8 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import repeat
+from functools import cmp_to_key, lru_cache
 from typing import Callable, Literal, NamedTuple
 
 from .errors import InternalInconsistency, InvalidInput, Unsupported
@@ -73,14 +79,13 @@ class _ScanPlan:
     """How one polytope is scanned, for every dilation.
 
     Scan coordinate ``j`` is original axis ``order[j]``.  The axes go by
-    decreasing shadow (:func:`_shadows`), ties by index, so the last one,
-    solved in closed form, is the axis of least shadow.  ``vol(P)`` is the
-    shadow along an axis times the mean length of P's fibers along it, so
-    that axis has the longest fibers on average.  The row coordinate runs
-    over the lattice points of the projection of ``k*P`` along the last
-    axis, about ``shadow * k^(dim-1)`` of them, so no other last axis makes
-    fewer rows for large k.  In dimension 2 a shadow is the width along the
-    other axis, and the wider axis, the higher index on a tie, is solved.
+    decreasing shadow (:func:`_shadows`), ties by index, so the last two,
+    summed in closed form, are the axes of least shadow.  A pass makes one
+    row per lattice point of the projection of ``k*P`` onto the first
+    ``dim - 2`` scan coordinates, about ``k^(dim-2)`` times the volume of
+    P's projection along the last two axes; the shadow order need not
+    minimize that volume.  In dimension 2 a pass is one row in either
+    order, and the wider axis, the higher index on a tie, is the last.
 
     ``first`` is the range of scan coordinate 0 over P.  ``bounds[j - 1]``
     bounds scan coordinate ``j``: for ``j < dim - 1`` by the facets of P's
@@ -136,26 +141,163 @@ class LatticeStats(NamedTuple):
     interior_sums: IntVec
 
 
-def _floors(r: int, step: int, length: int, c: int):
-    """``x // c`` and ``(x - 1) // c`` for ``x = r, r + step, ..``, ``length``
-    values: ranges for a unit ``c``, endless for a zero step."""
-    if not step:
-        return repeat(r // c), repeat((r - 1) // c)
-    xs = range(r, r + step * length, step)
-    if c == 1:
-        return xs, range(r - 1, r - 1 + step * length, step)
-    return [x // c for x in xs], [(x - 1) // c for x in xs]
+def _euclid(a: int, b: int, c: int, n: int) -> tuple[int, int, int]:
+    """Sums over ``i = 0..n`` of ``t``, ``i t`` and ``t^2`` for
+    ``t = (a i + b) // c``, with ``a, b >= 0`` and ``c > 0``.
+
+    Euclid-like: reducing ``a`` and ``b`` mod ``c`` peels off polynomial
+    sums, and then counting the lattice points under the line by rows
+    instead of columns swaps the roles of ``a`` and ``c``.
+    """
+    if a >= c or b >= c:
+        qa, a = divmod(a, c)
+        qb, b = divmod(b, c)
+        f, g, h = _euclid(a, b, c, n)
+        s1 = n * (n + 1) // 2
+        s2 = s1 * (2 * n + 1) // 3
+        return (
+            f + qa * s1 + qb * (n + 1),
+            g + qa * s2 + qb * s1,
+            h + qa * qa * s2 + qb * qb * (n + 1) + 2 * (qa * qb * s1 + qb * f + qa * g),
+        )
+    m = (a * n + b) // c
+    if not m:
+        return 0, 0, 0
+    f1, g1, h1 = _euclid(c, c - b - 1, a, m - 1)
+    f = n * m - f1
+    return f, (m * n * (n + 1) - h1 - f1) // 2, n * m * (m + 1) - 2 * (g1 + f1) - f
+
+
+def _floor_sums(r: int, s: int, c: int, lo: int, hi: int) -> tuple[int, int, int]:
+    """Sums over ``y = lo..hi`` (maybe empty) of ``q``, ``y q`` and ``q^2`` for
+    ``q = (r + s y) // c``, ``c > 0``: an arithmetic series when ``c``
+    divides ``s``, and otherwise one plus :func:`_euclid`'s remainder."""
+    n = hi - lo + 1
+    if n < 1:
+        return 0, 0, 0
+    if not s:
+        q = r // c
+        return q * n, q * (lo + hi) * n // 2, q * q * n
+    alpha, s1 = divmod(s, c)
+    beta, b1 = divmod(r + s * lo, c)
+    # q at y = lo + i is alpha i + beta + (s1 i + b1) // c, with i = 0..n-1
+    i1 = n * (n - 1) // 2
+    i2 = i1 * (2 * n - 1) // 3
+    sq = alpha * i1 + beta * n
+    siq = alpha * i2 + beta * i1
+    sqq = alpha * alpha * i2 + 2 * alpha * beta * i1 + beta * beta * n
+    if s1:
+        f, g, h = _euclid(s1, b1, c, n - 1)
+        sq += f
+        siq += g
+        sqq += h + 2 * (alpha * g + beta * f)
+    return sq, siq + lo * sq, sqq
+
+
+# lines (f, s, c) with c > 0 by decreasing slope s / c
+_by_slope = cmp_to_key(lambda u, v: v[1] * u[2] - u[1] * v[2])
+
+
+def _envelope(
+    lines: list[tuple[int, int, int]], slack: list[int], shift: int, lo: int, hi: int
+) -> list[tuple[int, int, int, int]]:
+    """Pieces ``(s, c, r, start)`` of ``min_f (slack[f] - shift + s y) // c``
+    over ``y = lo..hi``, for lines ``(f, s, c)`` with ``c > 0`` sorted by
+    decreasing slope ``s / c``.
+
+    Each piece runs from its start to the next piece's start minus 1, the
+    last one to ``hi``.  Floors keep the order of the real lines, so the
+    pieces are those of the real lower envelope, with every breakpoint
+    found by cross-multiplication: the line on top of the stack is at most
+    the new one exactly up to ``y = e // d``.
+    """
+    stack: list[tuple[int, int, int, int]] = []
+    for f, s, c in lines:
+        r = slack[f] - shift
+        start = lo
+        while stack:
+            s0, c0, r0, start0 = stack[-1]
+            d = c * s0 - c0 * s
+            e = c0 * r - c * r0
+            if d:
+                if e // d >= start0:
+                    start = e // d + 1
+                    break
+            elif e >= 0:  # parallel and nowhere lower
+                start = hi + 1
+                break
+            stack.pop()
+        if start <= hi:
+            stack.append((s, c, r, start))
+    return stack
+
+
+def _piece_sums(pieces, lo: int, hi: int, end: int) -> tuple[int, int, int]:
+    """:func:`_floor_sums` over the envelope ``pieces``, which end at
+    ``end``, clipped to ``lo..hi``."""
+    f = g = h = 0
+    last = len(pieces) - 1
+    for i, (s, c, r, start) in enumerate(pieces):
+        stop = pieces[i + 1][3] - 1 if i < last else end
+        if start < lo:
+            start = lo
+        if stop > hi:
+            stop = hi
+        if start <= stop:
+            df, dg, dh = _floor_sums(r, s, c, start, stop)
+            f += df
+            g += dg
+            h += dh
+    return f, g, h
+
+
+def _meet(s1: int, c1: int, r1: int, s2: int, c2: int, r2: int, lo: int, hi: int) -> tuple[int, int]:
+    """The ``y`` in ``lo..hi`` with ``(r1 + s1 y) / c1 + (r2 + s2 y) / c2 >= 0``,
+    an interval, empty if its first end is greater."""
+    e = c2 * s1 + c1 * s2
+    k = c2 * r1 + c1 * r2
+    if e > 0:
+        return max(lo, -(k // e)), hi
+    if e < 0:
+        return lo, min(hi, k // -e)
+    return (lo, hi) if k >= 0 else (hi + 1, hi)
+
+
+def _nonnegative(low, high, lo: int, hi: int) -> tuple[int, int]:
+    """The range of ``y`` in ``lo..hi`` where the real envelopes of the
+    pieces ``low`` and ``high`` (both over ``lo..hi``) sum to at least 0.
+    Their sum is concave, so the range is an interval."""
+    first, last = hi + 1, hi
+    i = j = 0
+    y = lo
+    while y <= hi:
+        s1, c1, r1, _ = low[i]
+        s2, c2, r2, _ = high[j]
+        end1 = low[i + 1][3] - 1 if i + 1 < len(low) else hi
+        end2 = high[j + 1][3] - 1 if j + 1 < len(high) else hi
+        end = min(end1, end2)
+        a, b = _meet(s1, c1, r1, s2, c2, r2, y, end)
+        if a <= b:
+            first = min(first, a)
+            last = b
+        if end == end1:
+            i += 1
+        if end == end2:
+            j += 1
+        y = end + 1
+    return first, last
 
 
 def _pass(p: Polytope, k: int) -> LatticeStats:
     """Closed and interior count and coordinate sums of ``k*P`` for ``k >= 1``.
 
     The scan visits exactly the lattice points of the projections of ``k*P``
-    onto the leading scan coordinates.  The slack ``r`` of an inequality
-    (its left side minus its right side, the scanned coordinates substituted)
-    is kept up to date as the scan moves: a step of scan coordinate j moves
-    only the slacks whose column j is nonzero.  A lattice point is interior
-    when every slack is at least 1.
+    onto the first ``dim - 2`` scan coordinates, and sums each row, over the
+    last two, in closed form.  The slack ``r`` of an inequality (its left
+    side minus its right side, the scanned coordinates substituted) is kept
+    up to date as the scan moves: a step of scan coordinate j moves only the
+    slacks whose column j is nonzero.  A lattice point is interior when
+    every slack is at least 1.
     """
     plan = _scan_plan(p)
     n = p.dim
@@ -166,14 +308,16 @@ def _pass(p: Polytope, k: int) -> LatticeStats:
     # (c > 0) or above (c < 0); the others hold on the whole row, and the
     # interior needs r >= 1, which bounds y unless s = 0.
     roles = [(f, s, c) for f, (s, c) in enumerate(zip(steps, facets.coefs))]
-    below = [(f, s, c) for f, s, c in roles if c > 0]
-    above = [(f, s, -c) for f, s, c in roles if c < 0]
+    below = sorted([(f, s, c) for f, s, c in roles if c > 0], key=_by_slope)
+    above = sorted([(f, s, -c) for f, s, c in roles if c < 0], key=_by_slope)
     rising = [(f, s) for f, s, c in roles if not c and s > 0]
     falling = [(f, -s) for f, s, c in roles if not c and s < 0]
     flat = [f for f, s, c in roles if not c and not s]
-    # moves[j][g]: the nonzero entries of column j at bounds level j+g;
+    # one facet on each side: its line is the envelope
+    one = below[0] + above[0] if len(below) == len(above) == 1 else None
+    # moves[j]: the nonzero entries (g, f, a) of column j at bounds level j+g;
     # limits[j]: the bounds on scan coordinate j+1 from below and above
-    moves = [[[(f, a) for f, a in enumerate(b.cols[j]) if a] for b in plan.bounds[j:]] for j in range(n - 2)]
+    moves = [[(g, f, a) for g, b in enumerate(plan.bounds[j:]) for f, a in enumerate(b.cols[j]) if a] for j in range(n - 2)]
     limits = [
         ([(f, c) for f, c in enumerate(b.coefs) if c > 0], [(f, -c) for f, c in enumerate(b.coefs) if c < 0])
         for b in plan.bounds
@@ -181,18 +325,29 @@ def _pass(p: Polytope, k: int) -> LatticeStats:
     closed = [0] * (n + 1)  # count, then the sums in scan order
     inner = [0] * (n + 1)
 
-    def least(facets: list[tuple[int, int, int]], slack: list[int], lo: int, length: int):
-        # the pointwise least of _floors over the facets along the row
-        ends = [_floors(slack[f] + s * lo, s, length, c) for f, s, c in facets]
-        if len(ends) == 1:
-            return ends[0]
-        return map(min, *(a for a, _ in ends)), map(min, *(b for _, b in ends))
+    def tally(acc: list[int], lo: int, hi: int, sa, sb) -> None:
+        # The fiber above y is -a(y)..b(y): a + b + 1 points, which sum to
+        # (b^2 + b - a^2 - a) / 2, with sa and sb the sums of a and b, y a
+        # and y b, a^2 and b^2 over y = lo..hi.
+        length = hi - lo + 1
+        acc[0] += sa[0] + sb[0] + length
+        acc[n - 1] += sa[1] + sb[1] + (lo + hi) * length // 2  # y = 0 in dimension 1
+        acc[n] += (sb[2] + sb[0] - sa[2] - sa[0]) // 2
 
     def row(lo: int, hi: int, slack: list[int]) -> None:
-        # The closed fiber above y is -a..b, and the interior one -ia..ib
-        # when y is in ilo..ihi, where the facets with c = 0 leave room.
-        lows, ilows = least(below, slack, lo, hi - lo + 1)
-        highs, ihighs = least(above, slack, lo, hi - lo + 1)
+        # a(y) = min over the facets below of (r + s y) // c, b(y) the same
+        # above.  On the projection of k*P the real fiber is not empty, so
+        # a + b + 1 >= 0 there and every y of the row counts.
+        if one:
+            f1, s1, c1, f2, s2, c2 = one
+            tally(closed, lo, hi, _floor_sums(slack[f1], s1, c1, lo, hi), _floor_sums(slack[f2], s2, c2, lo, hi))
+        else:
+            low = _envelope(below, slack, 0, lo, hi)
+            high = _envelope(above, slack, 0, lo, hi)
+            tally(closed, lo, hi, _piece_sums(low, lo, hi, hi), _piece_sums(high, lo, hi, hi))
+        # The interior fiber is the same with r - 1, for y in ilo..ihi where
+        # the facets with c = 0 leave room.  Its length is >= 0 where the
+        # real interior envelopes sum to >= 0 and <= 0 elsewhere.
         ilo, ihi = lo, hi
         for f, s in rising:
             ilo = max(ilo, -((slack[f] - 1) // s))
@@ -200,52 +355,49 @@ def _pass(p: Polytope, k: int) -> LatticeStats:
             ihi = min(ihi, (slack[f] - 1) // s)
         for f in flat:
             if slack[f] < 1:
-                ihi = ilo - 1
-        count = ysum = zsum = icount = iysum = izsum = 0
-        for y, a, b, ia, ib in zip(range(lo, hi + 1), lows, highs, ilows, ihighs):
-            m = a + b + 1
-            if m > 0:
-                count += m
-                ysum += y * m
-                zsum += (b - a) * m
-                m = ia + ib + 1
-                if m > 0 and ilo <= y <= ihi:
-                    icount += m
-                    iysum += y * m
-                    izsum += (ib - ia) * m
-        closed[0] += count
-        closed[n - 1] += ysum  # y = 0 in dimension 1
-        closed[n] += zsum // 2
-        inner[0] += icount
-        inner[n - 1] += iysum
-        inner[n] += izsum // 2
+                return
+        if ilo > ihi:
+            return
+        if one:
+            r1, r2 = slack[f1] - 1, slack[f2] - 1
+            first, last = _meet(s1, c1, r1, s2, c2, r2, ilo, ihi)
+            if first <= last:
+                tally(inner, first, last, _floor_sums(r1, s1, c1, first, last), _floor_sums(r2, s2, c2, first, last))
+            return
+        low = _envelope(below, slack, 1, ilo, ihi)
+        high = _envelope(above, slack, 1, ilo, ihi)
+        first, last = _nonnegative(low, high, ilo, ihi)
+        if first <= last:
+            tally(inner, first, last, _piece_sums(low, first, last, ihi), _piece_sums(high, first, last, ihi))
 
     def descend(j: int, lo: int, hi: int, slacks: list[list[int]]) -> None:
         # slacks[g]: the slacks of the bounds on scan coordinate j+1+g
-        if j == n - 2:
-            row(lo, hi, slacks[-1])
-            return
         cur = [s[:] for s in slacks]
-        for s, move in zip(cur, moves[j]):
-            for f, step in move:
-                s[f] += step * lo
+        touched = [(cur[g], f, a) for g, f, a in moves[j]]
+        for s, f, step in touched:
+            s[f] += step * lo
         head, rest = cur[0], cur[1:]
+        last = rest[0] if j == n - 3 else None
         from_below, from_above = limits[j]
         for xj in range(lo, hi + 1):
             a = -min([head[f] // c for f, c in from_below])
             b = min([head[f] // c for f, c in from_above])
             if a <= b:
                 count, icount = closed[0], inner[0]
-                descend(j + 1, a, b, rest)
+                if last is None:
+                    descend(j + 1, a, b, rest)
+                else:
+                    row(a, b, last)
                 closed[j + 1] += xj * (closed[0] - count)
                 inner[j + 1] += xj * (inner[0] - icount)
-            for s, move in zip(cur, moves[j]):
-                for f, step in move:
-                    s[f] += step
+            for s, f, step in touched:
+                s[f] += step
 
     slacks = [[k * b for b in bounds.offsets] for bounds in plan.bounds]
     if n == 1:
         row(0, 0, slacks[0])
+    elif n == 2:
+        row(k * plan.first[0], k * plan.first[1], slacks[0])
     else:
         descend(0, k * plan.first[0], k * plan.first[1], slacks)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import subprocess
 import sys
 
 from itertools import product
@@ -204,6 +205,31 @@ def test_vector_options_take_negative_values(capsys, spaced, joined):
     code, out, err = run(capsys, *spaced)
     assert code == 0, err
     assert run(capsys, *joined) == (0, out, "")
+
+
+# {x >= -1, y >= -1, x + y <= 10^20 - 1}, a triangle of side M = 10^20 + 1:
+# its one scan row is summed in closed form, so counting does not walk its
+# 10^40 points.
+HUGE_TRIANGLE = ("--rays", "1,0;0,1;-1,-1", "--offsets", "1,1,99999999999999999999")
+
+
+@pytest.mark.parametrize(
+    "argv, outputs",
+    [
+        # (M + 1)(M + 2) / 2 points
+        (["count", "--k", "1"], {"count": 5000000000000000000250000000000000000003}),
+        (["bck", "--k", "3"], {"Bc_k": ["99999999999999999998/3"] * 2}),
+    ],
+    ids=("count", "bck"),
+)
+def test_a_triangle_of_side_10_to_the_20_returns_promptly(argv, outputs):
+    src = str(Path(qbary.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run(
+        [sys.executable, "-m", "qbary.cli", *argv, *HUGE_TRIANGLE], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert json.loads(run.stdout)["outputs"] == outputs
 
 
 def test_usage_errors_exit_1(capsys):

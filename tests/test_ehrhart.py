@@ -18,7 +18,7 @@ from qbary.ehrhart import lattice_point_stats
 from qbary.exactnum import Polynomial
 from qbary.hull import volume_and_barycenter
 
-from conftest import apply_map, brute_count, brute_vertex_sum, polytope_and_map
+from conftest import apply_map, brute_count, polytope_and_map
 
 
 def test_count_points_paper_examples(fixtures):
@@ -83,27 +83,137 @@ SCAN_SHAPES = {
 }
 
 
-def brute_stats(p, k):
-    """The four fields of the counting record, from the box-scan oracles."""
-    return (
-        brute_count(p, k),
-        brute_vertex_sum(p, k),
-        brute_count(p, k, strict=True),
-        brute_vertex_sum(p, k, strict=True),
-    )
+def box_scan(p, k):
+    """The four fields of the counting record from one scan of the bounding
+    box of ``k*P``: a point counts when its least facet slack is >= 0, and
+    is interior when it is >= 1."""
+    ranges = [range(k * min(v[i] for v in p.vertices), k * max(v[i] for v in p.vertices) + 1) for i in range(p.dim)]
+    facets = [(f.normal, k * f.offset) for f in p.facets]
+    count = interior = 0
+    sums, interior_sums = [0] * p.dim, [0] * p.dim
+    for x in itertools.product(*ranges):
+        slack = min(sum(ui * xi for ui, xi in zip(u, x)) + offset for u, offset in facets)
+        if slack >= 0:
+            count += 1
+            sums = [s + xi for s, xi in zip(sums, x)]
+            if slack >= 1:
+                interior += 1
+                interior_sums = [s + xi for s, xi in zip(interior_sums, x)]
+    return count, tuple(sums), interior, tuple(interior_sums)
+
+
+def assert_scan_matches(p, ks, expected, monkeypatch):
+    # the records do not depend on the plan: the planner's axis order and
+    # every other one count the same points
+    assert [lattice_point_stats(p, k) for k in ks] == expected
+    for order in itertools.permutations(range(p.dim)):
+        plan = ehrhart._plan(p, order)
+        monkeypatch.setattr(ehrhart, "_scan_plan", lambda q, plan=plan: plan)
+        assert [lattice_point_stats.__wrapped__(p, k) for k in ks] == expected, order
 
 
 @pytest.mark.parametrize("name", SCAN_SHAPES)
 def test_scan_matches_brute_force_oracles(name, monkeypatch):
-    # the records do not depend on the plan: the planner's axis order and
-    # every other one count the same points
     p = qb.hull_from_vertices(SCAN_SHAPES[name])
-    expected = [brute_stats(p, k) for k in range(5)]
-    assert [lattice_point_stats(p, k) for k in range(5)] == expected
-    for order in itertools.permutations(range(p.dim)):
-        plan = ehrhart._plan(p, order)
-        monkeypatch.setattr(ehrhart, "_scan_plan", lambda q, plan=plan: plan)
-        assert [lattice_point_stats.__wrapped__(p, k) for k in range(5)] == expected, order
+    assert_scan_matches(p, range(5), [box_scan(p, k) for k in range(5)], monkeypatch)
+
+
+OCTAGON = [(0, 0), (3, -1), (5, 0), (6, 2), (5, 4), (3, 5), (0, 4), (-1, 2)]
+# Long rows of several envelope pieces.  The octagon's solved axis has
+# coefficients +-1 and +-2, four facets on each side; the prism's first
+# scan axis is its height, so its two end facets are parallel to both
+# inner axes.
+LONG_ROWS = {
+    "octagon": (OCTAGON, (1, 2, 3, 4, 7, 10, 13, 14, 15)),
+    "prism over the octagon": ([(h, *v) for h in (0, 1) for v in OCTAGON], (1, 2, 5, 15)),
+}
+
+
+@pytest.mark.parametrize("name", LONG_ROWS)
+def test_long_multi_piece_rows_match_a_box_scan(name, monkeypatch):
+    vertices, ks = LONG_ROWS[name]
+    p = qb.hull_from_vertices(vertices)
+    plan = ehrhart._scan_plan(p)
+    facets = plan.bounds[-1]
+    assert sorted(c for c in facets.coefs if c) == [-2, -2, -1, -1, 1, 1, 2, 2]
+    if p.dim == 3:
+        assert plan.order[0] == 0
+        assert sum(not c and not s for s, c in zip(facets.cols[-1], facets.coefs)) == 2
+    assert_scan_matches(p, ks, [box_scan(p, k) for k in ks], monkeypatch)
+
+
+def direct_sums(values):
+    """Sums of q, y q and q^2 over pairs (y, q)."""
+    return sum(q for _, q in values), sum(y * q for y, q in values), sum(q * q for _, q in values)
+
+
+RANGE_LENGTHS = st.one_of(st.just(0), st.just(1), st.integers(-2, 30), st.integers(0, 2000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.integers(-60, 60), st.integers(-(10**25), 10**25)),
+    st.one_of(st.integers(-500, 500), st.integers(-(10**30), 10**30)),
+    st.integers(1, 50),
+    st.integers(-100, 100),
+    RANGE_LENGTHS,
+)
+def test_floor_sums_match_direct_summation(s, r, c, lo, length):
+    hi = lo + length - 1
+    expected = direct_sums([(y, (r + s * y) // c) for y in range(lo, hi + 1)])
+    assert ehrhart._floor_sums(r, s, c, lo, hi) == expected
+
+
+@st.composite
+def line_sets(draw, max_lines=5):
+    """1..max_lines lines (s, c, r), the value at y being (r + s y) / c;
+    some share a slope, and some may pass through one lattice point."""
+    lines = []
+    tie = (draw(st.integers(-10, 10)), draw(st.integers(-6, 6)))
+    for _ in range(draw(st.integers(1, max_lines))):
+        s, c = draw(st.integers(-6, 6)), draw(st.integers(1, 6))
+        if lines and draw(st.booleans()):
+            s0, c0, _ = draw(st.sampled_from(lines))
+            m = draw(st.integers(1, 3))
+            s, c = s0 * m, c0 * m
+        if draw(st.booleans()):
+            r = c * tie[1] - s * tie[0]
+        else:
+            r = draw(st.integers(-60, 60))
+        lines.append((s, c, r))
+    return lines
+
+
+def envelope(lines, lo, hi):
+    """The envelope pieces of ``lines`` over ``lo..hi``, built as the
+    counting pass builds them: lines sorted by slope, slacks by index."""
+    ordered = sorted([(f, s, c) for f, (s, c, _) in enumerate(lines)], key=ehrhart._by_slope)
+    return ehrhart._envelope(ordered, [r for _, _, r in lines], 0, lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_sets(), st.integers(-15, 15), st.integers(1, 40), st.data())
+def test_envelope_sums_match_the_pointwise_minimum(lines, lo, length, data):
+    hi = lo + length - 1
+    pieces = envelope(lines, lo, hi)
+    least = {y: min((r + s * y) // c for s, c, r in lines) for y in range(lo, hi + 1)}
+    assert ehrhart._piece_sums(pieces, lo, hi, hi) == direct_sums(least.items())
+    a = data.draw(st.integers(lo, hi))
+    b = data.draw(st.integers(a - 1, hi))
+    assert ehrhart._piece_sums(pieces, a, b, hi) == direct_sums([(y, least[y]) for y in range(a, b + 1)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_sets(3), line_sets(3), st.integers(-15, 15), st.integers(1, 40))
+def test_nonnegative_range_matches_the_real_envelopes(low, high, lo, length):
+    hi = lo + length - 1
+
+    def real(lines, y):
+        return min(F(r + s * y, c) for s, c, r in lines)
+
+    where = [y for y in range(lo, hi + 1) if real(low, y) + real(high, y) >= 0]
+    first, last = ehrhart._nonnegative(envelope(low, lo, hi), envelope(high, lo, hi), lo, hi)
+    assert list(range(first, last + 1)) == where
 
 
 def projection_shadow(p, axis):
