@@ -18,10 +18,11 @@ with B the Bernoulli numbers normalized by B_1 = +1/2 and D_i the virtual
 polytope of the i-th facet divisor.  Every polytope here has the form
 ``P(h) = {x : <u_i, x> >= -h_i}`` on the normal fan of P (:class:`DelzantFan`,
 read off :func:`qbary.polytope.vertex_cones`, as is the Delzant flag of
-``classify``): each vertex cone is spanned by a lattice basis of rays, and
-one generic integer vector c has nonzero integer coordinates gamma in each
-basis.  Lawrence's formula ``vol P(h) = (1/n!) sum_cones (sum_i gamma_i h_i)^n /
-prod_i gamma_i`` makes the mixed volumes polarizations of one polynomial,
+``classify``): each vertex cone is spanned by a lattice basis of rays,
+whose dual basis is the primitive edge directions at the vertex, read off
+the incidence, and one generic integer vector c has nonzero integer
+coordinates gamma in each basis.  Lawrence's formula ``vol P(h) = (1/n!)
+sum_cones (sum_i gamma_i h_i)^n / prod_i gamma_i`` makes the mixed volumes polarizations of one polynomial,
 and grouping the composition sum by cones turns it into the
 Khovanskii-Pukhlikov Todd operator on that polynomial:
 
@@ -30,8 +31,10 @@ Khovanskii-Pukhlikov Todd operator on that polynomial:
 with ``L = sum_i gamma_i h_i`` and ``Td(x) = x / (1 - e^-x) = sum_l B(l)
 x^l / l!``.  Both ``hrr_coefficients`` and the degree-(n+1) formula on the
 rooftop fan in ``rooftop_coefficients`` (where only P's rays carry a Todd
-factor) evaluate this, one truncated power series product per cone.  The
-composition sum itself, with every mixed volume taken by
+factor) evaluate this, one truncated power series product per cone, in
+integers: scaled by the lcm D of the denominators of B(l)/l!, each cone's
+product has integer coefficients, and the cones are summed over one common
+denominator.  The composition sum itself, with every mixed volume taken by
 inclusion-exclusion of ``divisor_polytope``s, is what the test suite
 checks the Todd evaluation against.
 
@@ -50,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .ehrhart import count_points, ehrhart_polynomial
@@ -64,7 +67,7 @@ from .exactnum import Polynomial, bernoulli
 from .expansion import barycenter_function, rooftop
 from .hull import volume_and_barycenter
 from .lattice import primitive
-from .linalg import IntVec, cross_normal, dot, rank, vec_add, vec_sub
+from .linalg import IntVec, dot, rank, vec_add, vec_sub
 from .polytope import (
     Body,
     Halfspace,
@@ -386,12 +389,14 @@ def delzant_fan(t: ToricData) -> DelzantFan:
     """The fan of ``t`` with c = (1, s, s^2, ..) for the smallest s >= 2 at
     which no coordinate gamma vanishes.
 
-    A vertex lies on exactly dim facets whose rays form a lattice basis
-    (``classify``), so the dual basis -- the primitive edge directions w_j
-    at the vertex -- is integral and gamma_j = <c, w_j>.  w_j is the cross
-    product of the other rays, whose pairing with r_j is the determinant
-    +-1; multiplying by that pairing makes it 1.  The half-spaces of
-    ``t`` must be exactly the facets of its polytope.
+    A vertex lies on exactly dim facets whose rays r_i form a lattice basis
+    (``classify``), so the dual basis w_j is integral and gamma_j = <c, w_j>.
+    w_j is the primitive direction of the edge that leaves the vertex off
+    facet j: the edge's other endpoint is the one other vertex on the
+    cone's remaining dim - 1 facets, read off the incidence.  Every cone
+    must then pair ``<r_i, w_j> = delta_ij``; an edge without exactly two
+    vertices, or a pairing that fails, is an ``InternalInconsistency``.
+    The half-spaces of ``t`` must be exactly the facets of its polytope.
     """
     p = t.polytope
     if not classify(p).delzant:
@@ -399,12 +404,29 @@ def delzant_fan(t: ToricData) -> DelzantFan:
     _require_facets(t)
     n = p.dim
     index = {r: i for i, r in enumerate(t.rays)}
-    cones = [tuple(sorted(index[p.facets[k].normal] for k in cone)) for cone in vertex_cones(p)]
-    duals = []
-    for cone in cones:
-        rows = [t.rays[i] for i in cone]
-        ws = [cross_normal(rows[:j] + rows[j + 1 :]) for j in range(n)]
-        duals.append([tuple(dot(r, w) * x for x in w) for r, w in zip(rows, ws)])
+    on_facet = [sum(1 << i for i in ids) for ids in p.incidence]
+    cones, duals = [], []
+    for vi, facets in enumerate(vertex_cones(p)):
+        facets = sorted(facets, key=lambda k: index[p.facets[k].normal])
+        rows = [p.facets[k].normal for k in facets]
+        ws = []
+        for j in range(n):
+            edge = -1
+            for k in facets[:j] + facets[j + 1 :]:
+                edge &= on_facet[k]
+            if edge.bit_count() != 2 or not (edge >> vi) & 1:
+                raise InternalInconsistency(
+                    f"the edge off facet {facets[j]} at vertex {vi} does not have two vertices"
+                )
+            other = (edge ^ (1 << vi)).bit_length() - 1
+            w = primitive(vec_sub(p.vertices[other], p.vertices[vi]))
+            if any(dot(r, w) != (i == j) for i, r in enumerate(rows)):
+                raise InternalInconsistency(
+                    f"the edge directions at vertex {vi} are not the dual basis of its rays"
+                )
+            ws.append(w)
+        cones.append(tuple(index[r] for r in rows))
+        duals.append(ws)
     s = 2
     while True:
         c = tuple(s**k for k in range(n))
@@ -428,20 +450,32 @@ def _todd_coefficients(fan: DelzantFan, lead: Sequence[int], slots: int, js: ran
 
         L^j / (j! prod gamma) * [x^(dim - j)] prod_{i in cone, i < slots} Td(gamma_i x)
 
-    with ``L = sum_i gamma_i lead_i`` and ``Td(x) = sum_l B(l) x^l / l!``."""
+    with ``L = sum_i gamma_i lead_i`` and ``Td(x) = sum_l B(l) x^l / l!``.
+
+    In integers: ``D Td`` has integer coefficients for D the lcm of the
+    denominators of B(l)/l!, l <= dim, so a cone with m Todd factors has an
+    integer product series, and its terms are summed as numerators over the
+    common denominator ``j! D^dim lcm(prod gamma)``."""
     n = fan.dim
     todd = [bernoulli(l) / factorial(l) for l in range(n + 1)]
-    out = dict.fromkeys(js, Fraction(0))
-    for cone, gamma in fan.cones:
-        series = [Fraction(1)] + [Fraction(0)] * n
+    d = lcm(*(b.denominator for b in todd))
+    todd = [b.numerator * (d // b.denominator) for b in todd]
+    dens = [prod(gamma) for _, gamma in fan.cones]
+    common = lcm(*dens)
+    out = dict.fromkeys(js, 0)
+    for (cone, gamma), den in zip(fan.cones, dens):
+        series = [1] + [0] * n
+        scale = common // den
         for i, g in zip(cone, gamma):
             if i < slots:
                 factor = [b * g**l for l, b in enumerate(todd)]
                 series = [sum(series[a] * factor[m - a] for a in range(m + 1)) for m in range(n + 1)]
+            else:
+                scale *= d  # keeps every cone over D^dim
         lin = sum(g * lead[i] for i, g in zip(cone, gamma))
         for j in js:
-            out[j] += Fraction(lin**j, factorial(j) * prod(gamma)) * series[n - j]
-    return tuple(out.values())
+            out[j] += lin**j * series[n - j] * scale
+    return tuple(Fraction(num, factorial(j) * d**n * common) for j, num in out.items())
 
 
 def hrr_coefficients(t: ToricData) -> tuple[Fraction, ...]:

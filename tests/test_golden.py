@@ -86,6 +86,14 @@ CROSS4 = (
 # 4-simplex conv(0, e_1, e_2, e_3, (3,2,3,4)).
 OCTAGON = ("-2,-1;-2,1;-1,-2;-1,2;1,-3;1,3;2,-1;2,1", "14,10,13,5,12,0,4,0")
 SKINNY4 = ("-4,-4,-4,7;0,0,0,1;0,0,4,-3;0,2,0,-1;4,0,0,-3", "4,0,0,0,0")
+# The Todd route in dimension 4, given inline: [-1,1]^4, the anticanonical
+# P^4, and the Hirzebruch trapezoid conv((0,0),(3,0),(0,1),(2,1)) times
+# 2 Delta_2, which is Delzant but not reflexive, with unequal offsets.
+DELZANT4 = (
+    ("1,0,0,0;-1,0,0,0;0,1,0,0;0,-1,0,0;0,0,1,0;0,0,-1,0;0,0,0,1;0,0,0,-1", "1,1,1,1,1,1,1,1"),
+    ("1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1;-1,-1,-1,-1", "1,1,1,1,1"),
+    ("1,0,0,0;0,1,0,0;0,-1,0,0;-1,-1,0,0;0,0,1,0;0,0,0,1;0,0,-1,-1", "0,0,1,3,0,0,2"),
+)
 
 
 def command_lines() -> list[list[str]]:
@@ -123,6 +131,10 @@ def command_lines() -> list[list[str]]:
     lines.append(["expand", "--rays", CROSS4[0], "--offsets", CROSS4[1]])
     lines.append(["count", "--k", "40", "--rays", OCTAGON[0], "--offsets", OCTAGON[1]])
     lines.append(["bck", "--k", "12", "--rays", SKINNY4[0], "--offsets", SKINNY4[1]])
+    for rays, offsets in DELZANT4:
+        lines.append(["hrr", "--rays", rays, "--offsets", offsets])
+        for v in ("1,0,0,0", "-1,2,0,1"):
+            lines.append(["rooftop-coeffs", "--rays", rays, "--offsets", offsets, f"--v={v}"])
     return lines
 
 

@@ -15,7 +15,7 @@ from qbary.polytope import Body, body_from_points
 from qbary import toric
 from qbary.toric import DelzantFan, RooftopFan, VirtualPolytope, delzant_fan
 
-from conftest import DEL_PEZZO_NAMES, apply_map, unimodular
+from conftest import DEL_PEZZO_NAMES, apply_map, fraction_det, polytope_and_map, unimodular
 
 
 def tor(name: str) -> qb.ToricData:
@@ -190,6 +190,7 @@ def test_p2_pairwise_divisor_mixed_volumes_are_half():
 # time (the Todd evaluation only ever sees them summed)
 
 DELZANT_2D = ("p2", "f1", "blowup-p1xp1", "cube2", "hexagon", "square-delzant-nonreflexive")
+DELZANT_FIXTURES = DELZANT_2D + ("cube3", "fano-3-29")
 
 
 def unit(d: int, i: int) -> tuple[int, ...]:
@@ -281,6 +282,15 @@ def paper_formula(t: qb.ToricData, lead, slots: int, js) -> tuple[F, ...]:
     return tuple(out)
 
 
+def rooftop_toric(t: qb.ToricData, v) -> qb.ToricData:
+    """The rooftop in direction v at the canonical q, with its half-spaces in
+    the rooftop fan's ray order."""
+    fan = qb.rooftop_fan(t, v)
+    roof = qb.rooftop(t.polytope, v, fan.q)
+    offsets = {f.normal: f.offset for f in roof.facets}
+    return qb.ToricData(fan.rays, tuple(offsets[r] for r in fan.rays), roof)
+
+
 @pytest.mark.parametrize("name", DELZANT_2D + ("cube3",))
 def test_paper_formula_gives_hrr_coefficients(name):
     t = tor(name)
@@ -296,11 +306,8 @@ def test_paper_formula_gives_rooftop_coefficients(name, v):
     # floor and q - q on the roof; on f1 in direction (-1, 2) that divisor
     # is not ample and its shifted representative must keep the normal fan
     t = tor(name)
-    fan = qb.rooftop_fan(t, v)
-    roof = qb.rooftop(t.polytope, v, fan.q)
-    offsets = tuple(next(f.offset for f in roof.facets if f.normal == r) for r in fan.rays)
-    assert len(roof.facets) == len(fan.rays) and offsets[-2:] == (0, fan.q)
-    tbar = qb.ToricData(fan.rays, offsets, roof)
+    tbar = rooftop_toric(t, v)
+    assert len(tbar.polytope.facets) == len(tbar.rays) and tbar.offsets[-2:] == (0, qb.rooftop_fan(t, v).q)
     n = t.polytope.dim
     via_paper = paper_formula(tbar, t.offsets + (0, 0), len(t.rays), range(1, n + 2))
     assert via_paper == qb.rooftop_coefficients(t, v).values
@@ -393,7 +400,7 @@ def test_hrr_known_values(fixtures):
 
 
 def test_hrr_matches_fit_on_delzant_fixtures():
-    for name in DELZANT_2D + ("cube3", "fano-3-29"):
+    for name in DELZANT_FIXTURES:
         t = tor(name)
         assert qb.hrr_coefficients(t) == qb.ehrhart_polynomial(t.polytope).poly.coefficients, name
 
@@ -504,7 +511,7 @@ def test_rooftop_coefficients_fano_threefold():
 def test_hrr_and_rooftop_coefficients_under_unimodular_maps(data):
     # hrr is invariant under x -> Ux + s; <Bc_k, v> is invariant under
     # x -> Ux when the direction maps to U^{-T} v
-    t = tor(data.draw(st.sampled_from(DELZANT_2D + ("cube3", "fano-3-29"))))
+    t = tor(data.draw(st.sampled_from(DELZANT_FIXTURES)))
     n = t.polytope.dim
     u = data.draw(unimodular(n))
     s = data.draw(st.tuples(*[st.integers(-3, 3)] * n))
@@ -539,3 +546,188 @@ def test_todd_route_mutants_fail_the_checks(monkeypatch, mutant, name):
         qb.hrr_coefficients(tor(name))
     with pytest.raises(qb.InternalInconsistency):
         qb.rooftop_coefficients(tor("f1"), (1, 1))
+
+
+# ---------------------------------------------------------------------------
+# the integer Todd kernel against a Fraction reference, and closed forms
+
+ROOFTOP_DIRECTIONS = ((1, 0), (0, 1), (1, 1), (-1, 2))
+
+
+def reference_todd(fan, lead, slots, js) -> tuple[F, ...]:
+    """The sum of ``toric._todd_coefficients`` term by term in Fractions:
+    for each j, over the cones, L^j / (j! prod gamma) times the x^(dim - j)
+    coefficient of the product of Td(gamma_i x) over the cone's rays i <
+    slots."""
+    n = fan.dim
+    todd = [qb.bernoulli(l) / factorial(l) for l in range(n + 1)]
+    out = dict.fromkeys(js, F(0))
+    for cone, gamma in fan.cones:
+        series = [F(1)] + [F(0)] * n
+        for i, g in zip(cone, gamma):
+            if i < slots:
+                factor = [b * g**l for l, b in enumerate(todd)]
+                series = [sum(series[a] * factor[m - a] for a in range(m + 1)) for m in range(n + 1)]
+        lin = sum(g * lead[i] for i, g in zip(cone, gamma))
+        for j in js:
+            out[j] += F(lin**j, factorial(j) * prod(gamma)) * series[n - j]
+    return tuple(out.values())
+
+
+def box(n: int) -> qb.ToricData:
+    """[-1, 1]^n."""
+    rays = [unit(n, i) for i in range(n)] + [tuple(-x for x in unit(n, i)) for i in range(n)]
+    return qb.toric_data(rays, [1] * (2 * n))
+
+
+def anticanonical(n: int) -> qb.ToricData:
+    """{x_i >= -1, sum x_i <= 1}, a translate of (n + 1) Delta_n."""
+    return qb.toric_data([unit(n, i) for i in range(n)] + [(-1,) * n], [1] * (n + 1))
+
+
+def todd_cases():
+    """(fan, lead, slots, js) for the hrr sum on every Delzant fixture, the
+    boxes and anticanonical simplices of dimension 2..7, and the rooftop sum
+    on every fixture's rooftop in each direction."""
+    inputs = [tor(name) for name in DELZANT_FIXTURES]
+    inputs += [make(n) for n in range(2, 8) for make in (box, anticanonical)]
+    for t in inputs:
+        n = t.polytope.dim
+        yield delzant_fan(t), t.offsets, len(t.rays), range(n + 1)
+    for name in DELZANT_FIXTURES:
+        t = tor(name)
+        n = t.polytope.dim
+        for v in ROOFTOP_DIRECTIONS:
+            roof = rooftop_toric(t, v + (0,) * (n - 2))
+            assert qb.classify(roof.polytope).delzant
+            # P's offsets, then 0 on the floor and q - q on the roof
+            yield delzant_fan(roof), t.offsets + (0, 0), len(t.rays), range(1, n + 2)
+
+
+def test_todd_kernel_matches_the_fraction_reference():
+    for fan, lead, slots, js in todd_cases():
+        assert toric._todd_coefficients(fan, lead, slots, js) == reference_todd(fan, lead, slots, js), (fan.dim, lead)
+
+
+def expand_linear_factors(factors, scale) -> tuple[F, ...]:
+    """Coefficients of prod (a k + b) / scale over the (a, b) in factors."""
+    coeffs = [F(1, scale)]
+    for a, b in factors:
+        coeffs = [b * c + a * (coeffs[m - 1] if m else 0) for m, c in enumerate(coeffs + [0])]
+    return tuple(coeffs)
+
+
+def test_todd_kernel_gives_closed_forms_at_the_dimension_cap():
+    # no counting: [-1,1]^7 holds (2k+1)^7 points of kP and the anticanonical
+    # 7-simplex, a translate of 8 Delta_7, holds C(8k+7, 7)
+    cases = ((box(7), [(2, 1)] * 7, 1), (anticanonical(7), [(8, i) for i in range(1, 8)], factorial(7)))
+    for t, factors, scale in cases:
+        got = toric._todd_coefficients(delzant_fan(t), t.offsets, len(t.rays), range(8))
+        assert got == expand_linear_factors(factors, scale)
+
+
+# ---------------------------------------------------------------------------
+# the fan read off the incidence against a cross-product reference
+
+def cross_product_fan(t: qb.ToricData) -> DelzantFan:
+    """Each vertex cone's dual basis as cofactor cross products of the other
+    rays, scaled by the pairing with the ray itself; the same choice of c as
+    ``delzant_fan``."""
+    p = t.polytope
+    n = p.dim
+    index = {r: i for i, r in enumerate(t.rays)}
+    # the facets through each vertex from its coordinates, not the incidence
+    cones = [
+        tuple(sorted(index[f.normal] for f in p.facets if sum(a * b for a, b in zip(v, f.normal)) == -f.offset))
+        for v in p.vertices
+    ]
+    duals = []
+    for cone in cones:
+        rows = [t.rays[i] for i in cone]
+        ws = []
+        for j in range(n):
+            others = rows[:j] + rows[j + 1 :]
+            w = tuple((-1) ** c * fraction_det([r[:c] + r[c + 1 :] for r in others]) for c in range(n))
+            pairing = sum(a * b for a, b in zip(rows[j], w))
+            assert abs(pairing) == 1
+            ws.append(tuple(int(x * pairing) for x in w))
+        duals.append(ws)
+    s = 2
+    while True:
+        c = tuple(s**k for k in range(n))
+        gammas = [tuple(sum(a * b for a, b in zip(c, w)) for w in ws) for ws in duals]
+        if all(all(g) for g in gammas):
+            return DelzantFan(n, tuple(zip(cones, gammas)))
+        s += 1
+
+
+def test_fan_reader_matches_the_cross_product_reference():
+    inputs = [tor(name) for name in DELZANT_FIXTURES]
+    inputs += [make(n) for n in range(2, 6) for make in (box, anticanonical)]
+    inputs += [
+        rooftop_toric(tor(name), v + (0,) * (tor(name).polytope.dim - 2))
+        for name in DELZANT_FIXTURES
+        for v in ROOFTOP_DIRECTIONS
+    ]
+    for t in inputs:
+        assert delzant_fan(t) == cross_product_fan(t), t.rays
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_fan_reader_on_lattice_images_of_the_fixtures(data):
+    t = tor(data.draw(st.sampled_from(DELZANT_FIXTURES)))
+    n = t.polytope.dim
+    u = data.draw(unimodular(n))
+    s = data.draw(st.tuples(*[st.integers(-5, 5)] * n))
+    image = qb.toric_from_polytope(
+        qb.hull_from_vertices([vec_add(apply_map(u, x), s) for x in t.polytope.vertices])
+    )
+    assert delzant_fan(image) == cross_product_fan(image)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polytope_and_map(max_dim=3))
+def test_fan_reader_on_random_lattice_images(case):
+    # the Delzant ones match the reference; the others are refused up front
+    p, u, s = case
+    t = qb.toric_from_polytope(qb.hull_from_vertices([vec_add(apply_map(u, x), s) for x in p.vertices]))
+    if qb.classify(t.polytope).delzant:
+        assert delzant_fan(t) == cross_product_fan(t)
+    else:
+        with pytest.raises(qb.PreconditionViolation):
+            delzant_fan(t)
+
+
+@pytest.mark.parametrize("name", ("cube2", "f1", "hexagon", "cube3", "fano-3-29"))
+def test_fan_reader_catches_an_incidence_that_misplaces_a_vertex(name):
+    # two vertices trade coordinates: the incidence still names Delzant
+    # cones, but the edges it names no longer run along the dual basis
+    t = tor(name)
+    p = t.polytope
+    for a in range(len(p.vertices)):
+        for b in range(a + 1, len(p.vertices)):
+            vertices = list(p.vertices)
+            vertices[a], vertices[b] = vertices[b], vertices[a]
+            bad = qb.Polytope(p.dim, tuple(vertices), p.facets, p.incidence)
+            assert qb.classify(bad).delzant
+            with pytest.raises(qb.InternalInconsistency, match="not the dual basis"):
+                delzant_fan(qb.ToricData(t.rays, t.offsets, bad))
+
+
+@pytest.mark.parametrize("name", ("cube2", "f1", "hexagon", "cube3", "fano-3-29"))
+def test_fan_reader_catches_a_cone_with_a_swapped_facet(monkeypatch, name):
+    # one facet of one cone is replaced by a facet that misses the vertex:
+    # some "edge" then does not have the vertex and one other as its ends
+    t = tor(name)
+    true_cones = toric.vertex_cones(t.polytope)
+    for vi, cone in enumerate(true_cones):
+        for pos in range(len(cone)):
+            for k in range(len(t.polytope.facets)):
+                if k in cone:
+                    continue
+                swapped = tuple(sorted(cone[:pos] + (k,) + cone[pos + 1 :]))
+                cones = true_cones[:vi] + (swapped,) + true_cones[vi + 1 :]
+                monkeypatch.setattr(toric, "vertex_cones", lambda p, cones=cones: cones)
+                with pytest.raises(qb.InternalInconsistency):
+                    delzant_fan(t)
