@@ -135,6 +135,16 @@ def command_lines() -> list[list[str]]:
         lines.append(["hrr", "--rays", rays, "--offsets", offsets])
         for v in ("1,0,0,0", "-1,2,0,1"):
             lines.append(["rooftop-coeffs", "--rays", rays, "--offsets", offsets, f"--v={v}"])
+    for name in FIXTURES:
+        rest = ",0" * (DIM[name] - 2)
+        for v in ("1,0", "-1,2"):
+            lines.append(["df", "--input", name, f"--v={v}{rest}", "--order", "5"])
+        for k in ("2", "5"):
+            lines.append(["delta", "--input", name, "--k", k])
+        lines.append(["reciprocity", "--input", name, "--kmax", "5"])
+    for source in (["--input", "cube3"], ["--input", "fano-3-29"], ["--rays", INLINE_MEASURED[1][0], "--offsets", INLINE_MEASURED[1][1]]):
+        lines.append(["delta-seq", "--ks", "1,2,3,5", "--order", "5", *source])
+        lines.append(["expand", "--order", "8", *source])
     return lines
 
 
