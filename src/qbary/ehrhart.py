@@ -463,7 +463,7 @@ def fit_on_dilations(
         samples += [(k, value(r.count, r.sums)), (-k, sign * value(r.interior, r.interior_sums))]
     fit = poly_fit(samples[: degree + 1])
     for x, y in samples[degree + 1 :]:
-        if fit(x) != y:
+        if fit.numerator_at(x) != y * fit.denominator:
             check = "held-out validation" if x > 0 else "reciprocity"
             raise InternalInconsistency(f"{what} fails {check} at k={abs(x)}")
     for i, (name, expected) in enumerate(zip(("leading", "subleading"), top)):
@@ -521,9 +521,9 @@ def reciprocity_check(p: Polytope, k_max: int) -> ReciprocityReport:
     reflexive = classify(p).reflexive
     entries = []
     for k in range(1, k_max + 1):
-        at_neg = ehr(-k)
-        general_ok = at_neg == sign * interior_count(p, k)
-        reflexive_ok = (at_neg == sign * count_points(p, k - 1)) if reflexive else None
+        at_neg = sign * ehr.numerator_at(-k)  # sign E(-k), times the denominator
+        general_ok = at_neg == interior_count(p, k) * ehr.denominator
+        reflexive_ok = (at_neg == count_points(p, k - 1) * ehr.denominator) if reflexive else None
         entries.append(ReciprocityEntry(k, general_ok, reflexive_ok))
     return ReciprocityReport(tuple(entries))
 

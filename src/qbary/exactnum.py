@@ -3,15 +3,16 @@ rational functions, Laurent expansions at infinity, Bernoulli numbers.
 
 Conventions
 -----------
-* All scalars are ``fractions.Fraction`` values (always reduced, positive
-  denominator); ``Rational`` is an alias for it.
-* Polynomials are dense coefficient tuples in the dilation variable ``k``,
-  lowest degree first, trailing zeros trimmed.  The zero polynomial has an
-  empty coefficient tuple.
+* A polynomial in the dilation variable ``k`` holds integer numerators over
+  one positive denominator, lowest degree first, in lowest terms with
+  trailing zeros trimmed.  The zero polynomial is ``((), 1)``.
+* Arithmetic, interpolation, values, gcds and Laurent expansions run on
+  those integers, with one gcd normalization per result.
+* ``fractions.Fraction`` values appear only at the API: coefficients,
+  values, series terms and scalars passed in.  ``Rational`` is an alias for
+  it.
 * A Laurent series at infinity stores ``c_0, c_1, ...`` where the ``j``-th
   entry multiplies ``k^(-j)``.
-* Values and Laurent expansions run on integers: numerators over an lcm of
-  denominators, with one Fraction per result.
 * Bernoulli numbers follow the Todd normalization ``x / (1 - exp(-x))``,
   which fixes ``B_1 = +1/2``; all other values agree with the classical
   convention.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence, Union
 
@@ -67,87 +69,126 @@ def vector_to_json(v: Sequence[RationalLike]) -> list[int | str]:
 # ---------------------------------------------------------------------------
 # polynomials
 
+def integer_numerators(values: Iterable[RationalLike]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over their least common denominator."""
+    values = list(values)
+    den = lcm(*(q.denominator for q in values))
+    return [q.numerator * (den // q.denominator) for q in values], den
+
+
 @dataclass(frozen=True)
 class Polynomial:
-    """Dense univariate polynomial with Fraction coefficients.
+    """Dense univariate polynomial: integer numerators over one denominator.
 
-    ``coefficients[i]`` multiplies ``k**i``; trailing zeros are trimmed so the
-    leading coefficient is nonzero unless the polynomial is zero (empty
-    tuple).
+    ``numerators[i] / denominator`` is the coefficient of ``k**i``.  The form
+    is canonical, so equal polynomials compare and hash equal: trailing zeros
+    are trimmed, the denominator is positive and shares no factor with all
+    the numerators, and the zero polynomial is ``((), 1)``.  Build instances
+    through :meth:`of` or :meth:`over`.
     """
 
-    coefficients: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int = 1
+
+    @staticmethod
+    def over(numerators: Iterable[int], denominator: int) -> "Polynomial":
+        """``numerators[i] / denominator`` at ``k**i``, in lowest terms."""
+        if not denominator:
+            raise InvalidInput("polynomial with zero denominator")
+        nums = list(numerators)
+        while nums and not nums[-1]:
+            nums.pop()
+        if not nums:
+            return _ZERO
+        g = gcd(denominator, *nums)
+        if denominator < 0:
+            g = -g
+        return Polynomial(tuple(c // g for c in nums), denominator // g)
 
     @staticmethod
     def of(coeffs: Iterable[RationalLike]) -> "Polynomial":
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return Polynomial(tuple(cs))
+        return Polynomial.over(*integer_numerators(Fraction(c) for c in coeffs))
 
     @staticmethod
     def zero() -> "Polynomial":
-        return Polynomial(())
+        return _ZERO
 
     @staticmethod
     def constant(c: RationalLike) -> "Polynomial":
         return Polynomial.of([c])
 
     @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest degree first."""
+        return tuple(Fraction(c, self.denominator) for c in self.numerators)
+
+    @property
     def degree(self) -> int:
         """Degree, with the convention that the zero polynomial has degree -1."""
-        return len(self.coefficients) - 1
+        return len(self.numerators) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self.numerators
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise InvalidInput("zero polynomial has no leading coefficient")
-        return self.coefficients[-1]
+        return Fraction(self.numerators[-1], self.denominator)
 
     def coefficient(self, i: int) -> Fraction:
         """Coefficient of ``k**i`` (zero outside the stored range)."""
-        if 0 <= i < len(self.coefficients):
-            return self.coefficients[i]
+        if 0 <= i < len(self.numerators):
+            return Fraction(self.numerators[i], self.denominator)
         return Fraction(0)
 
     def __call__(self, k: RationalLike) -> Fraction:
-        # Horner on the integer numerators over their lcm, homogenized in
-        # k = u/v: the sum of c_i u^i v^(d-i), then divided by v^d.
-        den = lcm(*(c.denominator for c in self.coefficients))
+        # Horner homogenized in k = u/v: the sum of n_i u^i v^(d-i), then
+        # divided by v^d and the denominator.
         u, v = k.numerator, k.denominator
         acc, scale = 0, 1
-        for c in reversed(self.coefficients):
-            acc = acc * u + c.numerator * (den // c.denominator) * scale
+        for c in reversed(self.numerators):
+            acc = acc * u + c * scale
             scale *= v
-        return Fraction(acc, den * scale // v) if acc else Fraction(0)
+        return Fraction(acc, self.denominator * scale // v) if acc else Fraction(0)
+
+    def numerator_at(self, k: int) -> int:
+        """``denominator * self(k)``, an integer for integer ``k``."""
+        acc = 0
+        for c in reversed(self.numerators):
+            acc = acc * k + c
+        return acc
+
+    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
+        a, b = self.numerators, other.numerators
+        den = lcm(self.denominator, other.denominator)
+        sa, sb = den // self.denominator, sign * (den // other.denominator)
+        out = [c * sa for c in a] + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] += c * sb
+        return Polynomial.over(out, den)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial.of(out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coefficients))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "Polynomial":
+        return Polynomial(tuple(-c for c in self.numerators), self.denominator)
 
     def __mul__(self, other: "Polynomial | RationalLike") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            return Polynomial.of(c * other for c in self.coefficients)
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients))
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return Polynomial.of(out)
+            return Polynomial.over((c * other.numerator for c in self.numerators), self.denominator * other.denominator)
+        a, b = self.numerators, other.numerators
+        if not a or not b:
+            return _ZERO
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return Polynomial.over(out, self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
@@ -155,24 +196,18 @@ class Polynomial:
         """Exact Euclidean division: self = q*other + r with deg r < deg other."""
         if other.is_zero:
             raise InvalidInput("polynomial division by zero")
-        rem = list(self.coefficients)
-        q = [Fraction(0)] * max(0, len(rem) - len(other.coefficients) + 1)
-        d = other.degree
-        lead = other.leading
-        for i in range(len(rem) - 1, d - 1, -1):
-            if rem[i] == 0:
-                continue
-            factor = rem[i] / lead
-            q[i - d] = factor
-            for j, c in enumerate(other.coefficients):
-                rem[i - d + j] -= factor * c
-        return Polynomial.of(q), Polynomial.of(rem)
+        # s a = q b + r on the numerators, so self = q db / (s da) other + r / (s da)
+        q, r, s = _pseudo_divide(self.numerators, other.numerators)
+        den = s * self.denominator
+        return Polynomial.over((c * other.denominator for c in q), den), Polynomial.over(r, den)
 
     def shift_down(self) -> "Polynomial":
         """Exact division by ``k``; the constant term must vanish."""
-        if not self.is_zero and self.coefficients[0] != 0:
+        if self.is_zero:
+            return self
+        if self.numerators[0]:
             raise InvalidInput("polynomial has nonzero constant term")
-        return Polynomial(self.coefficients[1:])
+        return Polynomial(self.numerators[1:], self.denominator)
 
     def to_json(self) -> list[int | str]:
         return [rational_to_json(c) for c in self.coefficients]
@@ -193,58 +228,105 @@ class Polynomial:
         return " + ".join(reversed(parts))
 
 
+_ZERO = Polynomial(())
+
+
+def _pseudo_divide(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Integer pseudo-division of coefficient lists, lowest degree first:
+    ``s a = q b + r`` with ``deg r < deg b`` and ``s`` a power of b's leading
+    coefficient.  Each step scales by that coefficient, so nothing divides."""
+    rem, lead, d = list(a), b[-1], len(b) - 1
+    q, s = [0] * max(0, len(a) - d), 1
+    for i in range(len(a) - 1, d - 1, -1):
+        c = rem[i]
+        if not c:
+            continue
+        s *= lead
+        q = [x * lead for x in q]
+        q[i - d] = c
+        for j in range(i - d):
+            rem[j] *= lead
+        for j, y in enumerate(b[:-1], i - d):
+            rem[j] = rem[j] * lead - c * y
+        rem[i] = 0
+    return q, rem[:d], s
+
+
+def _primitive(a: Sequence[int]) -> list[int]:
+    """Trimmed integer coefficients divided by their content."""
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    g = gcd(*a)
+    return [c // g for c in a] if g > 1 else a
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor (the constant 1 for coprime inputs)."""
-    while not b.is_zero:
-        a, b = b, a.divmod(b)[1]
-    if a.is_zero:
-        return a
-    return a * (1 / a.leading)
+    """Monic greatest common divisor (the constant 1 for coprime inputs).
+
+    A primitive remainder sequence on the integer numerators: each
+    pseudo-remainder is divided by its content, which keeps the
+    coefficients small and changes the gcd only by a constant factor."""
+    x, y = _primitive(a.numerators), _primitive(b.numerators)
+    while y:
+        x, y = y, _primitive(_pseudo_divide(x, y)[1])
+    return Polynomial.over(x, x[-1]) if x else _ZERO
+
+
+@lru_cache(maxsize=32)
+def _lagrange_basis(xs: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer Lagrange basis at distinct integer abscissae: row ``i`` over
+    the common denominator is the polynomial that is 1 at ``xs[i]`` and 0
+    at the others, lowest degree first.
+
+    The master product ``M(k) = prod_j (k - x_j)`` is built once; row ``i``
+    is ``M(k) / (k - x_i)``, got by synthetic division, over
+    ``prod_{j != i} (x_i - x_j)``.
+    """
+    master = [1]  # lowest degree first
+    for x in xs:
+        master = [a - x * b for a, b in zip([0] + master, master + [0])]
+    rows, weights = [], []
+    for i, xi in enumerate(xs):
+        weight = 1
+        for j, xj in enumerate(xs):
+            if j != i:
+                weight *= xi - xj
+        quotient = [1]  # highest degree first while dividing by (k - xi)
+        for c in master[-2:0:-1]:
+            quotient.append(c + xi * quotient[-1])
+        rows.append(quotient[::-1])
+        weights.append(weight)
+    common = lcm(*weights)
+    return tuple(tuple(c * (common // w) for c in row) for row, w in zip(rows, weights)), common
 
 
 def poly_fit(samples: Sequence[tuple[RationalLike, RationalLike]]) -> Polynomial:
     """Unique interpolating polynomial of degree < len(samples).
 
-    The abscissae must be pairwise distinct; interpolation is exact.  The
-    master product ``M(k) = prod_j (k - x_j)`` is built once; sample ``i``
-    contributes ``M(k) / (k - x_i)``, got by synthetic division, times the
-    weight ``y_i / prod_{j != i} (x_i - x_j)``.  The weights are brought to
-    one common denominator, so the contributions are summed as integer
-    multiples and each coefficient is divided once at the end.  Integral
-    abscissae stay Python ints throughout.
+    The abscissae must be pairwise distinct; interpolation is exact and runs
+    on integers.  The abscissae ``x_i = X_i / V`` and the samples
+    ``y_i = Y_i / W`` are brought to common denominators.  The fit at the
+    integers ``X_i`` sums the integer Lagrange basis rows times ``Y_i``,
+    and its coefficient of ``k^e``, times ``V^e``, is that of the fit at
+    ``x_i``.  The basis depends only on the abscissae and is cached for a
+    few of them.
     """
     if not samples:
         raise InvalidInput("need at least one sample")
-    xs = [_int_if_integral(x) for x, _ in samples]
+    xs, v = integer_numerators(x for x, _ in samples)
     if len(set(xs)) != len(xs):
         raise InvalidInput("duplicate abscissa in interpolation samples")
-    master = [1]  # lowest degree first
-    for x in xs:
-        master = [a - x * b for a, b in zip([0] + master, master + [0])]
-    terms = []
-    for i, (xi, (_, yi)) in enumerate(zip(xs, samples)):
-        if yi == 0:
-            continue
-        scale = 1
-        for j, xj in enumerate(xs):
-            if j != i:
-                scale *= xi - xj
-        quotient = [1]  # highest degree first while dividing by (k - xi)
-        for c in master[-2:0:-1]:
-            quotient.append(c + xi * quotient[-1])
-        terms.append((Fraction(yi, scale), quotient))
-    common = lcm(*(w.denominator for w, _ in terms))
+    ys, w = integer_numerators(y for _, y in samples)
+    rows, common = _lagrange_basis(tuple(xs))
     total = [0] * len(xs)
-    for w, quotient in terms:
-        multiple = w.numerator * (common // w.denominator)
-        for e, c in enumerate(quotient):
-            total[e] += multiple * c
-    return Polynomial.of(Fraction(c, common) for c in reversed(total))
-
-
-def _int_if_integral(q: RationalLike) -> RationalLike:
-    q = Fraction(q)
-    return q.numerator if q.denominator == 1 else q
+    for y, row in zip(ys, rows):
+        if y:
+            for e, c in enumerate(row):
+                total[e] += y * c
+    if v != 1:
+        total = [c * v**e for e, c in enumerate(total)]
+    return Polynomial.over(total, common * w)
 
 
 # ---------------------------------------------------------------------------
@@ -267,21 +349,13 @@ class RationalFunction:
         if den.is_zero:
             raise InvalidInput("rational function with zero denominator")
         g = poly_gcd(num, den)
-        if not g.is_zero and g.degree > 0:
+        if g.degree > 0:
             num = num.divmod(g)[0]
             den = den.divmod(g)[0]
         # scale so the denominator has coprime integer coefficients and a
         # positive leading coefficient
-        denoms = [c.denominator for c in den.coefficients]
-        scale = Fraction(lcm(*denoms) if denoms else 1)
-        ints = [int(c * scale) for c in den.coefficients]
-        g_int = 0
-        for v in ints:
-            g_int = gcd(g_int, v)
-        if g_int:
-            scale /= g_int
-        if den.leading * scale < 0:
-            scale = -scale
+        content = gcd(*den.numerators)
+        scale = Fraction(den.denominator, content if den.numerators[-1] > 0 else -content)
         return RationalFunction(num * scale, den * scale)
 
     def __call__(self, k: RationalLike) -> Fraction:
@@ -326,15 +400,16 @@ def laurent_expand(num: Polynomial, den: Polynomial, order: int) -> LaurentSerie
         raise NotBoundedAtInfinity(
             f"numerator degree {num.degree} exceeds denominator degree {den.degree}"
         )
-    # Times the lcm of their denominators, num and den have integer
-    # coefficients n_j and d_j at k^(deg den - j).  Term j times l^(j+1), with
-    # l = d_0, is the integer t_j = l^j n_j - sum_{i<j} t_i d_{j-i} l^(j-1-i).
-    scale, d = lcm(*(c.denominator for c in num.coefficients + den.coefficients)), den.degree
+    # num / den = (N / D) (den.denominator / num.denominator) for the integer
+    # numerators N and D, with coefficients n_j and d_j at k^(deg den - j).
+    # Term j of N / D times l^(j+1), with l = d_0, is the integer
+    # t_j = l^j n_j - sum_{i<j} t_i d_{j-i} l^(j-1-i).
+    d = den.degree
     n_rev, d_rev = (
-        [c.numerator * (scale // c.denominator) for c in map(p.coefficient, range(d, d - order, -1))]
+        [p.numerators[e] if 0 <= e < len(p.numerators) else 0 for e in range(d, d - order, -1)]
         for p in (num, den)
     )
-    lead = den.leading.numerator * (scale // den.leading.denominator)
+    lead = den.numerators[-1]
     powers, terms = [1], []
     for j in range(order):
         t = n_rev[j] * powers[j]
@@ -342,7 +417,9 @@ def laurent_expand(num: Polynomial, den: Polynomial, order: int) -> LaurentSerie
             t -= terms[i] * d_rev[j - i] * powers[j - 1 - i]
         terms.append(t)
         powers.append(powers[j] * lead)
-    return LaurentSeries(tuple(Fraction(t, l) for t, l in zip(terms, powers[1:])))
+    return LaurentSeries(
+        tuple(Fraction(t * den.denominator, l * num.denominator) for t, l in zip(terms, powers[1:]))
+    )
 
 
 # ---------------------------------------------------------------------------

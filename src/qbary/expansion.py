@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 from .ehrhart import ehrhart_polynomial, fit_on_dilations, lattice_point_stats
@@ -78,10 +79,13 @@ class BarycenterFunction:
     def pairing_numerator(self, direction: Sequence[int]) -> Polynomial:
         """Numerator polynomial of ``<Bc_k, direction>`` over the denominator."""
         check_direction(direction, len(self.numerators))
-        total = Polynomial.zero()
+        den = lcm(*(num.denominator for num in self.numerators))
+        total = [0] * max(len(num.numerators) for num in self.numerators)
         for c, num in zip(direction, self.numerators):
-            total = total + num * c
-        return total
+            scale = c * (den // num.denominator)
+            for e, x in enumerate(num.numerators):
+                total[e] += scale * x
+        return Polynomial.over(total, den)
 
     def evaluate(self, k: int) -> Vector:
         den = self.denominator(k)
@@ -106,10 +110,11 @@ def quantized_barycenter(p: Polytope, k: int) -> QuantizedBarycenter:
     if k < 1:
         raise InvalidInput("quantized barycenters need a positive dilation")
     stats = lattice_point_stats(p, k)
-    value = tuple(Fraction(s, k * stats.count) for s in stats.sums)
-    if not p.contains(value):
+    # the value is sums / scale: <value, normal> >= -offset, times scale
+    scale = k * stats.count
+    if any(dot(stats.sums, f.normal) < -f.offset * scale for f in p.facets):
         raise InternalInconsistency("quantized barycenter escaped the polytope")
-    return QuantizedBarycenter(k, value)
+    return QuantizedBarycenter(k, tuple(Fraction(s, scale) for s in stats.sums))
 
 
 def rooftop(p: Polytope, direction: Sequence[int], q: int) -> Polytope:

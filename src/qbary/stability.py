@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import InternalInconsistency, InvalidInput, InvalidPolarization, Unsupported
-from .exactnum import LaurentSeries, Polynomial, RationalFunction, laurent_expand
+from .exactnum import LaurentSeries, Polynomial, RationalFunction, integer_numerators, laurent_expand
 from .expansion import barycenter_function, quantized_barycenter
 from .linalg import dot, solve
 from .polytope import check_direction, classify, facet_data, measure, support_value, vertex_cones
@@ -51,13 +52,15 @@ class DeltaSequence:
 
 
 def _threshold(t: ToricData, bc: Sequence[Fraction]) -> tuple[Fraction, tuple[int, ...]]:
-    dens = [dot(bc, ray) + b for ray, b in zip(t.rays, t.offsets)]
-    if any(d <= 0 for d in dens):
+    # the pairings <bc, v_i> + b_i, all over one common denominator
+    coords, den = integer_numerators(bc)
+    pairings = [dot(coords, ray) + b * den for ray, b in zip(t.rays, t.offsets)]
+    if any(d <= 0 for d in pairings):
         raise InvalidPolarization(
             "a facet pairing is nonpositive; the data does not polarize"
         )
-    top = max(dens)
-    return 1 / top, tuple(i for i, d in enumerate(dens) if d == top)
+    top = max(pairings)
+    return Fraction(den, top), tuple(i for i, d in enumerate(pairings) if d == top)
 
 
 def delta_k(t: ToricData, k: int) -> tuple[Fraction, tuple[int, ...]]:
@@ -86,9 +89,7 @@ def _facet_numerators(t: ToricData) -> tuple[list[Polynomial], Polynomial]:
 
 def _root_bound(poly: Polynomial) -> int:
     """Cauchy bound: all real roots have absolute value below the result."""
-    lead = abs(poly.leading)
-    bound = 1 + max(abs(c) / lead for c in poly.coefficients)
-    return int(bound) + 1
+    return 2 + max(map(abs, poly.numerators)) // abs(poly.numerators[-1])
 
 
 def delta_sequence(t: ToricData, ks: Sequence[int], order: int = 2) -> DeltaSequence:
@@ -96,31 +97,38 @@ def delta_sequence(t: ToricData, ks: Sequence[int], order: int = 2) -> DeltaSequ
     threshold k0, and the asymptotic expansion.
 
     The dominant facet maximizes the Laurent expansion of its pairing
-    lexicographically; expansions that agree to high order are compared as
-    exact rational functions, and exact ties are reported together.  k0 is
-    one past the largest dilation at which any strictly smaller facet still
-    ties or wins, located by scanning up to an exact root bound.  The
-    half-spaces of ``t`` must be exactly the facets of its polytope.
+    lexicographically, which is read off the numerators over one common
+    denominator, and exact ties are reported together.  k0 is one past the
+    largest dilation at which any strictly smaller facet still ties or wins,
+    located by scanning up to an exact root bound.  The half-spaces of ``t``
+    must be exactly the facets of its polytope.
     """
     if order < 2:
         raise InvalidInput("expansion order must be at least 2")
     _require_facets(t)
     nums, den = _facet_numerators(t)
-    n = t.polytope.dim
-    depth = max(order, n + 2)
-    series = [laurent_expand(num, den, depth) for num in nums]
-    best = max(range(len(nums)), key=lambda i: series[i].coefficients)
+    # Over one positive denominator, and with E's leading coefficient (the
+    # volume) positive, the expansions of the pairings at infinity order
+    # lexicographically as their numerators do from the top degree down.
+    common = lcm(*(num.denominator for num in nums))
+    width = max(len(num.numerators) for num in nums)
+    keys = [
+        (0,) * (width - len(num.numerators))
+        + tuple(c * (common // num.denominator) for c in reversed(num.numerators))
+        for num in nums
+    ]
+    best = max(range(len(nums)), key=keys.__getitem__)
     dominant_rays = tuple(i for i in range(len(nums)) if nums[i] == nums[best])
 
+    # by the choice of best, its difference with any other facet has a
+    # positive leading coefficient
     k0 = 1
     for i, num in enumerate(nums):
-        if num == nums[best]:
+        if i in dominant_rays:
             continue
         diff = nums[best] - num
-        if diff.leading <= 0:
-            raise InternalInconsistency("dominant facet does not dominate")
         for k in range(_root_bound(diff), 0, -1):
-            if diff(k) <= 0:
+            if diff.numerator_at(k) <= 0:
                 k0 = max(k0, k + 1)
                 break
 

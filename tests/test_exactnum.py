@@ -1,14 +1,14 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qbary as qb
-from qbary.exactnum import Polynomial, RationalFunction, rational_from_json, rational_to_json
+from qbary.exactnum import Polynomial, RationalFunction, poly_gcd, rational_from_json, rational_to_json
 from qbary.linalg import solve
 
 
@@ -207,6 +207,153 @@ def test_rational_function_canonical_form():
     h = RationalFunction.of(Polynomial.of([0, 1]), Polynomial.of([0, -2]))
     assert h.den.leading > 0
     assert h(5) == F(-1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the integer representation against a Fraction reference: coefficient
+# tuples lowest degree first, trailing zeros trimmed
+
+def ref_trim(coeffs) -> tuple[F, ...]:
+    cs = [F(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b, sign=1) -> tuple[F, ...]:
+    n = max(len(a), len(b))
+    return ref_trim((a[i] if i < len(a) else 0) + sign * (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def ref_mul(a, b) -> tuple[F, ...]:
+    out = [F(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_divmod(a, b) -> tuple[tuple[F, ...], tuple[F, ...]]:
+    rem, d = list(a), len(b) - 1
+    q = [F(0)] * max(0, len(a) - d)
+    for i in range(len(a) - 1, d - 1, -1):
+        factor = rem[i] / b[-1]
+        q[i - d] = factor
+        for j, c in enumerate(b):
+            rem[i - d + j] -= factor * c
+    return ref_trim(q), ref_trim(rem)
+
+
+def ref_gcd(a, b) -> tuple[F, ...]:
+    """Monic gcd by Euclid over Fractions."""
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return tuple(c / a[-1] for c in a)
+
+
+def ref_canonical(num, den) -> tuple[tuple[F, ...], tuple[F, ...]]:
+    """The reduced pair with a primitive integer denominator of positive lead."""
+    g = ref_gcd(num, den)
+    num, den = ref_divmod(num, g)[0], ref_divmod(den, g)[0]
+    common = lcm(*(c.denominator for c in den))
+    scale = F(common, gcd(*(int(c * common) for c in den)))
+    if den[-1] < 0:
+        scale = -scale
+    return ref_trim(c * scale for c in num), ref_trim(c * scale for c in den)
+
+
+def is_canonical(p: Polynomial) -> bool:
+    return p.denominator > 0 and gcd(p.denominator, *p.numerators) == 1 and (not p.numerators or p.numerators[-1] != 0)
+
+
+POLY = st.lists(COEFFICIENT, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(POLY, POLY, COEFFICIENT, st.integers(min_value=-30, max_value=30), st.fractions(min_value=-6, max_value=6, max_denominator=9))
+@example([], [], F(0), 0, F(0))
+@example([F(1, 2), 0, 0], [F(-1, 2)], F(-3, 4), 7, F(1, 3))  # trailing zeros, a sum that cancels to a constant
+def test_polynomial_arithmetic_matches_the_fraction_reference(a, b, q, n, x):
+    pa, pb = Polynomial.of(a), Polynomial.of(b)
+    ra, rb = ref_trim(a), ref_trim(b)
+    results = {
+        "of": (pa, ra),
+        "+": (pa + pb, ref_add(ra, rb)),
+        "-": (pa - pb, ref_add(ra, rb, -1)),
+        "neg": (-pa, ref_add((), ra, -1)),
+        "*poly": (pa * pb, ref_mul(ra, rb)),
+        "*int": (pa * n, ref_trim(c * n for c in ra)),
+        "int*": (n * pa, ref_trim(c * n for c in ra)),
+        "*fraction": (pa * q, ref_trim(c * q for c in ra)),
+        "fraction*": (q * pa, ref_trim(c * q for c in ra)),
+        "shift_down": ((pa * Polynomial.of([0, 1])).shift_down(), ra),
+    }
+    if rb:
+        results["divmod q"] = (pa.divmod(pb)[0], ref_divmod(ra, rb)[0])
+        results["divmod r"] = (pa.divmod(pb)[1], ref_divmod(ra, rb)[1])
+    for what, (got, want) in results.items():
+        assert got.coefficients == want, what
+        assert is_canonical(got), what
+    assert pa.degree == len(ra) - 1
+    assert Polynomial.of((0, *ra)).shift_down() == pa
+    for k in (n, x):
+        assert pa(k) == reference_value(pa, k) == sum((c * F(k) ** i for i, c in enumerate(ra)), F(0))
+    assert pa.numerator_at(n) == pa(n) * pa.denominator
+
+
+@settings(max_examples=100, deadline=None)
+@given(POLY, POLY.filter(any), st.integers(min_value=-9, max_value=9).filter(bool))
+def test_one_polynomial_built_by_different_routes_is_one_value(a, b, n):
+    pa, pb = Polynomial.of(a), Polynomial.of(b)
+    routes = [
+        Polynomial.of(pa.coefficients),
+        Polynomial.over([c * 6 * n for c in pa.numerators], pa.denominator * 6 * n),
+        (pa + pb) - pb,
+        pb + pa - pb,
+        -(-pa),
+        pa * 1,
+        pa * F(3, 7) * F(7, 3),
+        (pa * pb).divmod(pb)[0],
+        (pa * Polynomial.of([0, 1])).shift_down(),
+        qb.poly_fit([(k, pa(k)) for k in range(-2, len(a) + 1)]),
+        qb.poly_fit([(F(k, 3), pa(F(k, 3))) for k in range(len(a) + 1)]),
+    ]
+    for route in routes:
+        assert route == pa and hash(route) == hash(pa)
+        assert (route.numerators, route.denominator) == (pa.numerators, pa.denominator)
+    assert Polynomial.zero() == Polynomial.of([0, 0]) == pa - pa
+    assert (Polynomial.zero().numerators, Polynomial.zero().denominator) == ((), 1)
+
+
+def test_over_rejects_a_zero_denominator():
+    with pytest.raises(qb.InvalidInput):
+        Polynomial.over([1, 2], 0)
+
+
+@st.composite
+def gcd_cases(draw):
+    """Two polynomials with a planted common factor of degree 0 to 3."""
+    small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    factor = draw(st.lists(small, max_size=3)) + [draw(small.filter(bool))]
+    u, v = draw(st.lists(small, max_size=3)), draw(st.lists(small, max_size=3))
+    return Polynomial.of(ref_mul(factor, ref_trim(u))), Polynomial.of(ref_mul(factor, ref_trim(v)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gcd_cases())
+@example((Polynomial.zero(), Polynomial.zero()))
+@example((Polynomial.zero(), Polynomial.of([F(-2, 3), 4])))
+@example((Polynomial.of([F(5, 2)]), Polynomial.of([1, 2, 3])))  # a constant
+@example((Polynomial.of([1, 1]), Polynomial.of([-1, 1])))  # coprime
+@example((Polynomial.of([2, -3, 1]), Polynomial.of([-6, 5, -1])))  # (k-1)(k-2) and -(k-2)(k-3)
+def test_poly_gcd_matches_fraction_euclid(case):
+    a, b = case
+    g = poly_gcd(a, b)
+    assert g.coefficients == ref_gcd(a.coefficients, b.coefficients)
+    assert is_canonical(g)
+    if not b.is_zero:
+        f = RationalFunction.of(a, b)
+        assert (f.num.coefficients, f.den.coefficients) == ref_canonical(a.coefficients, b.coefficients)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import qbary as qb
+import qbary.expansion
 from qbary.exactnum import Polynomial
 from qbary.linalg import dot
 
@@ -34,6 +35,28 @@ def test_quantized_barycenter_matches_brute_force(fixtures):
             count = brute_count(p, k)
             expected = tuple(F(s, k * count) for s in sums)
             assert qb.quantized_barycenter(p, k).value == expected
+
+
+def test_a_quantized_barycenter_outside_kp_is_an_inconsistency(monkeypatch, fixtures):
+    # f1 is {x >= -1, y >= -1, -1 <= x + y <= 1}: coordinate sums whose
+    # average is its vertex (-1, 0) pass; one unit past a facet, or far
+    # outside, they are caught
+    f1 = fixtures["f1"]
+    true_stats = qbary.expansion.lattice_point_stats
+
+    def patch(sums):
+        def stats(p, k):
+            r = true_stats(p, k)
+            return r._replace(sums=sums(k * r.count))
+        monkeypatch.setattr(qbary.expansion, "lattice_point_stats", stats)
+
+    for k in (1, 3):
+        patch(lambda scale: (-scale, 0))
+        assert qb.quantized_barycenter(f1, k).value == (-1, 0)
+        for outside in (lambda scale: (-scale - 1, 0), lambda scale: (0, -scale - 1), lambda scale: (5 * scale, 5 * scale)):
+            patch(outside)
+            with pytest.raises(qb.InternalInconsistency, match="escaped the polytope"):
+                qb.quantized_barycenter(f1, k)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import qbary as qb
+import qbary.stability
 from qbary.linalg import dot, vec_add
 from qbary.toric import ToricData
 
@@ -59,6 +60,38 @@ def test_delta_polarization_guard():
         qb.delta_k(bogus, 1)
     with pytest.raises(qb.InvalidInput):
         qb.delta_k(F1, 0)
+
+
+def test_a_barycenter_outside_the_polytope_does_not_polarize():
+    # <bc, v_i> + b_i over one denominator: f1 is {x >= -1, y >= -1,
+    # x + y <= 1, x + y >= -1}, so (-3/2, 1/3) is outside the first facet,
+    # (-1, 1/3) on it and (-1/2, 1/3) inside
+    threshold = qb.stability._threshold
+    for outside in ((F(-3, 2), F(1, 3)), (F(-1), F(1, 3)), (F(3, 4), F(1, 2))):
+        with pytest.raises(qb.InvalidPolarization, match="nonpositive"):
+            threshold(F1, outside)
+    assert threshold(F1, (F(-1, 2), F(1, 3))) == (F(3, 4), (1,))
+    assert threshold(F1, (F(0), F(0))) == (F(1), (0, 1, 2, 3))
+
+
+# Polytopes whose dominant facet takes over only from k0 = 6 and k0 = 10:
+# every other facet ties or wins at k0 - 1, so the scan must reach there.
+LATE_DOMINANCE = (
+    (((-3, -1), (-3, 0), (-1, 2), (1, -2), (2, 1)), 6),
+    (((-3, 1, 1), (-2, -3, 3), (-1, 1, 3), (1, 0, -1), (2, -2, 0)), 10),
+)
+
+
+@pytest.mark.parametrize("vertices, k0", LATE_DOMINANCE)
+def test_k0_is_where_the_dominant_facet_takes_over(vertices, k0):
+    # the oracle is the enumerated threshold at each k, not the root scan
+    t = qb.toric_from_polytope(qb.hull_from_vertices(vertices))
+    seq = qb.delta_sequence(t, [1])
+    assert seq.k0 == k0
+    for k in range(k0, k0 + 3):
+        value, argmin = qb.delta_k(t, k)
+        assert argmin == seq.dominant_rays and value == seq.dominant(k)
+    assert qb.delta_k(t, k0 - 1)[1] != seq.dominant_rays
 
 
 # P^2's rays and offsets paired with f1, which has a fourth facet: the
