@@ -180,7 +180,8 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial | RationalLike") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            return Polynomial.over((c * other.numerator for c in self.numerators), self.denominator * other.denominator)
+            nums = (c * other.numerator for c in self.numerators)
+            return Polynomial.over(nums, self.denominator * other.denominator)
         a, b = self.numerators, other.numerators
         if not a or not b:
             return _ZERO

@@ -66,7 +66,7 @@ def test_a_barycenter_outside_the_polytope_does_not_polarize():
     # <bc, v_i> + b_i over one denominator: f1 is {x >= -1, y >= -1,
     # x + y <= 1, x + y >= -1}, so (-3/2, 1/3) is outside the first facet,
     # (-1, 1/3) on it and (-1/2, 1/3) inside
-    threshold = qb.stability._threshold
+    threshold = qbary.stability._threshold
     for outside in ((F(-3, 2), F(1, 3)), (F(-1), F(1, 3)), (F(3, 4), F(1, 2))):
         with pytest.raises(qb.InvalidPolarization, match="nonpositive"):
             threshold(F1, outside)
