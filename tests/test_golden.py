@@ -94,6 +94,24 @@ DELZANT4 = (
     ("1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1;-1,-1,-1,-1", "1,1,1,1,1"),
     ("1,0,0,0;0,1,0,0;0,-1,0,0;-1,-1,0,0;0,0,1,0;0,0,0,1;0,0,-1,-1", "0,0,1,3,0,0,2"),
 )
+# Measures off faces that are not simplices, given inline: [-1,1]^6, whose
+# faces are all cubes; [0,1] x [0,2] x 2 Delta_2, whose facets are prisms
+# and boxes; and the hull of (-40,51,39,-67), (-6,54,21,60),
+# (48,-84,55,-97), (20,-34,41,-41), (-51,83,20,38), (40,21,1,63),
+# (-62,-41,62,-62) and (33,-1,89,-97), which has 7 vertices and 12 facets
+# and is not simple.  With BOX_QUAD and CROSS4 these take bc and expand.
+CUBE6 = (
+    ";".join(",".join(str(s * (i == j)) for i in range(6)) for j in range(6) for s in (1, -1)),
+    ",".join(["1"] * 12),
+)
+BOX12_TRIANGLE = ("1,0,0,0;-1,0,0,0;0,1,0,0;0,-1,0,0;0,0,1,0;0,0,0,1;0,0,-1,-1", "0,1,0,2,0,0,2")
+HULL8 = (
+    "-124673,488585,-1247725,-742546;-61924,205486,-528947,-316466;-54686,-75145,131,12797;"
+    "-44401,189952,-457748,-281366;-32060,-22030,39635,26231;-7240,-10080,1655,2613;"
+    "18340,-15325,-43480,-1276;47690,42187,33559,-43463;51542,-16283,-303815,-113081;"
+    "91480,90530,429995,90287;158450,101170,538165,83149;180700,4070,69785,548957",
+    "43623357,18628059,2959143,15970854,52842,335006,3125403,-88917,14353509,-11678406,-14239122,41078934",
+)
 
 
 def command_lines() -> list[list[str]]:
@@ -145,6 +163,13 @@ def command_lines() -> list[list[str]]:
     for source in (["--input", "cube3"], ["--input", "fano-3-29"], ["--rays", INLINE_MEASURED[1][0], "--offsets", INLINE_MEASURED[1][1]]):
         lines.append(["delta-seq", "--ks", "1,2,3,5", "--order", "5", *source])
         lines.append(["expand", "--order", "8", *source])
+    for rays, offsets in (CUBE6, BOX_QUAD, BOX12_TRIANGLE, HULL8):
+        for command in ("bc", "expand"):
+            lines.append([command, "--rays", rays, "--offsets", offsets])
+    # CROSS4's expand line is recorded above
+    lines.append(["bc", "--rays", CROSS4[0], "--offsets", CROSS4[1]])
+    # the Minkowski sums of a cube and fano-3-29 have parallelogram facets
+    lines.append(["mixed-volume", "--input", "cube3", "--input", "fano-3-29", "--multiplicities", "1,2"])
     return lines
 
 
