@@ -189,8 +189,8 @@ def a1_closed_form(p: Polytope) -> Vector:
 def asymptotic_coefficients(p: Polytope, order: int | None = None) -> ExpansionCoefficients:
     """Coefficients a_0..a_{order-1} of the barycenter expansion at infinity.
 
-    Defaults to ``2 dim + 2`` terms.  a_0 is checked against the triangulated
-    barycenter and a_1 against its boundary-measure closed form.
+    Defaults to ``2 dim + 2`` terms.  a_0 is checked against the barycenter
+    from the face walk and a_1 against its boundary-measure closed form.
     """
     if order is None:
         order = 2 * p.dim + 2

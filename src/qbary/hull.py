@@ -24,19 +24,17 @@ to facets directly, and half-spaces to vertices through the facets at the
 origin of a hull one dimension up
 (:func:`qbary.polytope.polytope_from_halfspaces`).
 
-Measures never rebuild a hull.  :func:`face_triangulator` walks the face
-lattice that the facets' vertex-index sets already describe: the facets of
-a face are its maximal intersections with the polytope's facets, and a
-face is triangulated by coning its smallest vertex over its facets that do
-not contain it (a pulling triangulation; any triangulation yields the same
-volume and barycenter, this one is deterministic).  The simplices are
-vertex indices, so they stay in the original coordinates.
-:func:`face_moments` makes one walk per polytope: each facet is
-triangulated once and each of its simplices is coned from a vertex off the
-facet, one determinant each.  Vertex 0 is that vertex for every facet that
-misses it, and those cones are the pulling triangulation of the polytope,
-so the same determinants give its volume and barycenter and, divided by
-the lattice height of the cone's apex, every facet's measure.
+Measures never rebuild a hull.  The facets' vertex-index sets already
+describe the face lattice: the facets of a face are its maximal
+intersections with the polytope's facets.  :func:`face_triangulator`
+cones each face's smallest vertex over its facets that miss it (a pulling
+triangulation, kept as vertex indices in the original coordinates).
+:func:`face_moments` walks the same cones without listing simplices: a
+facet that is a simplex takes one determinant with a vertex off it, and
+any other facet is summed over the faces below it, each face once, from
+the sparse Plücker vectors of its pyramids.  The pyramids from vertex 0
+over the facets that miss it partition the polytope, so the facet
+measures and the heights of vertex 0 give its volume and barycenter.
 """
 
 from __future__ import annotations
@@ -213,43 +211,117 @@ def face_triangulator(facets: Sequence[Iterable[int]]) -> Callable[[Iterable[int
     return triangulate
 
 
+def _far_facets(face: int, dim: int, masks: Sequence[int]) -> list[int]:
+    """The facets of a face that miss its least vertex, as vertex bitmasks.
+
+    ``face`` is a vertex bitmask of dimension ``dim``; ``masks`` are the
+    polytope's facets.  A simplex has one, the facet opposite its least
+    vertex.  Otherwise the facets of the face are its maximal proper
+    nonempty intersections with the polytope's facets, the rule
+    :func:`face_triangulator` follows.
+    """
+    low = face & -face
+    if face.bit_count() == dim + 1:
+        return [face ^ low]
+    meets = {face & m for m in masks} - {face, 0}
+    return [m for m in meets if not m & low and not any(m & o == m != o for o in meets)]
+
+
+def _wedge(edge: IntVec, omega: dict[int, int]) -> dict[int, int]:
+    """``edge ∧ omega`` for a Plücker vector held sparsely as {bitmask of
+    its coordinate set: coefficient}, with ``e_i ∧ e_S = (-1)^{|S ∩ [0, i)|}
+    e_{S ∪ {i}}``."""
+    out: dict[int, int] = {}
+    for i, x in enumerate(edge):
+        if x:
+            bit = 1 << i
+            for s, c in omega.items():
+                if not s & bit:
+                    term = -x * c if (s & (bit - 1)).bit_count() & 1 else x * c
+                    out[s | bit] = out.get(s | bit, 0) + term
+    return {s: c for s, c in out.items() if c}
+
+
 def face_moments(
     vertices: Sequence[IntVec], facets: Sequence[tuple[IntVec, Sequence[int]]]
 ) -> tuple[int, list[int], list[tuple[int, list[int]]]]:
     """Integer volume, barycenter and facet measures of a full-dimensional
     polytope; ``facets`` are (inward normal, increasing vertex indices).
 
-    Each simplex S of a facet F (a facet with dim vertices is its own
-    simplex) is coned from the first vertex a off F, an n-simplex of volume
-    ``|det| / n!``.  At lattice height h of a above F, S weighs ``w_S =
-    |det| / h``, a positive integer: (n-1)! times S's lattice-normalized
-    measure.  Returns ``(volume, moment, weighed)``, where ``weighed[F] =
-    (total_F, moment_F)`` with ``total_F = sum_S w_S = (n-1)! nvol(F)`` and
-    ``moment_F = sum_S w_S (sum of S's vertices) = n total_F bc_F``.  The
-    cones from vertex 0 are the pulling triangulation of P, so over them
-    ``volume = sum |det| = n! vol(P)`` and ``moment = sum |det| (sum of the
-    cone's vertices) = (n+1) volume bc(P)``.
+    A face G of dimension d has the weight ``W_G = d! nvol(G)``, where
+    ``nvol`` is the volume in which a fundamental cell of G's sublattice
+    has volume one, and the moment ``M_G = (d+1) W_G bc(G)``.
+
+    A facet F that is a simplex is coned from the first vertex a off F: at
+    lattice height h of a above F, ``W_F = |det| / h``, a positive integer,
+    and ``M_F = W_F · (the sum of F's vertices)``.
+
+    Any other facet is walked down its face lattice, each face once,
+    memoized by its vertex bitmask.  A face G with least vertex g is the
+    union of the pyramids from g over its facets H that miss g.  For a
+    vertex h of H, the pyramid's Plücker vector ``(h - g) ∧ Ω(H)`` has
+    content ``W_cone``, and ``W_cone / W_H`` is g's lattice height above H,
+    a positive integer.  Each term is turned to a positive first
+    coordinate and ``Ω(G)`` is their sum.  ``W_G = sum W_cone`` must be the
+    content of ``Ω(G)``: the terms are multiples of one primitive vector,
+    since a basis of a saturated lattice has a primitive Plücker vector,
+    and their contents add up only if they agree in orientation.  ``M_G =
+    W_G g + sum (W_cone / W_H) M_H``.  A vertex v has ``Ω = 1``, ``W = 1``
+    and ``M = v``.
+
+    Returns ``(volume, moment, weighed)`` with ``weighed[F] = (W_F, M_F)``.
+    The pyramids from vertex 0 over the facets F that miss it, at lattice
+    heights ``h_F``, partition P, so ``volume = sum h_F W_F = n! vol(P)``
+    and ``moment = sum h_F (W_F v_0 + M_F) = (n+1) volume bc(P)``.
     """
     dim = len(vertices[0])
-    triangulate = face_triangulator([ids for _, ids in facets])
+    masks = [sum(1 << i for i in ids) for _, ids in facets]
+    memo: dict[int, tuple[dict[int, int], int, list[int]]] = {}
+
+    def walk(face: int, d: int) -> tuple[dict[int, int], int, list[int]]:
+        done = memo.get(face)
+        if done is not None:
+            return done
+        corner = vertices[(face & -face).bit_length() - 1]
+        if d == 0:
+            done = {0: 1}, 1, list(corner)
+        else:
+            omega: dict[int, int] = {}
+            total, moment = 0, [0] * dim
+            for sub in _far_facets(face, d, masks):
+                sub_omega, sub_total, sub_moment = walk(sub, d - 1)
+                term = _wedge(vec_sub(vertices[(sub & -sub).bit_length() - 1], corner), sub_omega)
+                weight = gcd(*term.values())
+                height, rest = divmod(weight, sub_total)
+                if rest or height == 0:
+                    raise InternalInconsistency("pyramid volume not a positive multiple of its base's")
+                sign = 1 if term[min(term)] > 0 else -1
+                for s, c in term.items():
+                    omega[s] = omega.get(s, 0) + sign * c
+                total += weight
+                moment = [m + height * x for m, x in zip(moment, sub_moment)]
+            if gcd(*omega.values()) != total:
+                raise InternalInconsistency("face pyramids disagree in orientation")
+            done = omega, total, [m + total * c for m, c in zip(moment, corner)]
+        memo[face] = done
+        return done
+
+    first = vertices[0]
     volume, moment, weighed = 0, [0] * dim, []
-    for normal, ids in facets:
-        on = set(ids)
-        apex = next(i for i in range(len(vertices)) if i not in on)
-        corner = vertices[apex]
-        height = dot(vec_sub(corner, vertices[ids[0]]), normal)
-        total, facet_moment = 0, [0] * dim
-        for simplex in (ids,) if len(ids) == dim else triangulate(ids):
-            det = abs(int_det([vec_sub(vertices[i], corner) for i in simplex]))
-            weight, rest = divmod(det, height)
-            if rest or weight == 0:
+    for (normal, ids), mask in zip(facets, masks):
+        apex = vertices[(~mask & (mask + 1)).bit_length() - 1]  # the first vertex off F
+        height = dot(vec_sub(apex, vertices[ids[0]]), normal)
+        if len(ids) == dim:
+            det = abs(int_det([vec_sub(vertices[i], apex) for i in ids]))
+            total, rest = divmod(det, height)
+            if rest or total == 0:
                 raise InternalInconsistency("facet simplex volume not a positive multiple of its height")
-            sums = [sum(column) for column in zip(*(vertices[i] for i in simplex))]
-            total += weight
-            facet_moment = [m + weight * x for m, x in zip(facet_moment, sums)]
-            if apex == 0:
-                volume += det
-                moment = [m + det * (x + c) for m, x, c in zip(moment, sums, corner)]
+            facet_moment = [total * sum(column) for column in zip(*(vertices[i] for i in ids))]
+        else:
+            _, total, facet_moment = walk(mask, dim - 1)
+        if not mask & 1:
+            volume += height * total
+            moment = [m + height * (total * c + x) for m, c, x in zip(moment, first, facet_moment)]
         weighed.append((total, facet_moment))
     return volume, moment, weighed
 

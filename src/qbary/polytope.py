@@ -13,13 +13,15 @@ whose face lattice is read off P's in closed form.
 Measures and the normal fan are read off the incidence relation, which
 holds the whole face lattice; no hull is rebuilt.  :func:`measure` and
 :func:`facet_data` read one record per polytope, made by one walk of the
-face lattice (:func:`qbary.hull.face_moments`): each facet is triangulated
-once, and one determinant per facet simplex gives both the Euclidean
-volume and barycenter of P and each facet's lattice-normalized
-(dim-1)-measure, in which a fundamental cell of the facet sublattice has
-measure one, with its barycenter in the original coordinates.  The sums
-stay integers until Minkowski's relation and the divergence theorem have
-been checked on them.  :func:`vertex_cones` lists the facets through each
+face lattice (:func:`qbary.hull.face_moments`).  It gives each facet's
+lattice-normalized (dim-1)-measure, in which a fundamental cell of the
+facet sublattice has measure one, with its barycenter in the original
+coordinates: one determinant for a facet that is a simplex, and pyramid
+heights read off sparse Plücker vectors, each face once, for any other.
+The facets' measures and the lattice heights of vertex 0 above them give
+the Euclidean volume and barycenter of P.  The sums stay integers until
+Minkowski's relation and the divergence theorem have been checked on
+them.  :func:`vertex_cones` lists the facets through each
 vertex, whose normals span that vertex's cone of the normal fan;
 :func:`classify` reads the Delzant condition off them.
 
@@ -296,7 +298,8 @@ def _measures(p: Polytope) -> tuple[MeasureData, FacetData]:
     Its integers are checked before any fraction is built: Minkowski's
     relation ``sum_F total_F u_F = 0`` and the divergence theorem ``sum_F
     moment_F[i] u_F[j] = -delta_ij n! vol(P)``, with ``n! vol(P)`` summed
-    from determinants, not from the facet weights.
+    from the facet weights of the pyramids from vertex 0, not from the
+    facet moments.
     """
     n = p.dim
     normals = [f.normal for f in p.facets]

@@ -40,8 +40,8 @@ checks the Todd evaluation against.
 
 The checks that stay independent of the fan: ``hrr_coefficients`` must
 reproduce the fitted counting polynomial, its leading coefficient the
-triangulated volume and its subleading one half the boundary measure read
-off the face lattice; the rooftop formula must reproduce the coefficients
+volume and its subleading one half the boundary measure, both read off
+the face lattice; the rooftop formula must reproduce the coefficients
 read off the coordinate-sum fit of ``barycenter_function``, and the actual
 rooftop is counted at k = 1 and 2 against those.  ``mixed_volume`` and
 ``divisor_polytope`` remain the inclusion-exclusion route for arbitrary
@@ -481,8 +481,8 @@ def _todd_coefficients(fan: DelzantFan, lead: Sequence[int], slots: int, js: ran
 def hrr_coefficients(t: ToricData) -> tuple[Fraction, ...]:
     """Counting-polynomial coefficients a_0..a_n from the Todd evaluation on
     the fan; asserted equal to the fitted counting polynomial, with the
-    leading coefficient equal to the triangulated volume and the subleading
-    one to half the normalized boundary volume."""
+    leading coefficient equal to the volume from the face walk and the
+    subleading one to half the normalized boundary volume."""
     if not classify(t.polytope).delzant:
         raise PreconditionViolation("the coefficient formula requires Delzant data")
     p = t.polytope

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import comb, factorial
@@ -26,6 +25,7 @@ from conftest import (
     brute_edges,
     brute_halfspace_vertices,
     ccw_order,
+    fraction_det,
     fraction_rank,
     polytope_and_map,
     random_corpus,
@@ -379,21 +379,21 @@ def test_measures_and_classification_build_no_hull(name, monkeypatch):
     assert got == expected
 
 
-DETERMINANTS_PER_WALK = {
-    "cube3": (lambda: qb.load_fixture("cube3"), 12),
-    "cube5": (lambda: unit_cube(5), 240),
-    "cross-4": (lambda: cross_polytope(4), 16),
+COUNTED_POLYTOPES = {
+    "cube3": lambda: qb.load_fixture("cube3"),
+    "cube5": lambda: unit_cube(5),
+    "cross-4": lambda: cross_polytope(4),
 }
 
 
-@pytest.mark.parametrize("name", DETERMINANTS_PER_WALK)
+DETERMINANTS = {"cube3": 0, "cube5": 0, "cross-4": 16}
+
+
+@pytest.mark.parametrize("name", DETERMINANTS)
 def test_one_determinant_per_facet_simplex(name, monkeypatch):
-    # the volume is summed from the determinants the facets already take,
-    # so a cold measure and facet_data take one per facet simplex
-    build, expected = DETERMINANTS_PER_WALK[name]
-    p = build()
-    triangulate = qbary.hull.face_triangulator(p.incidence)
-    simplices = sum(1 if len(ids) == p.dim else len(triangulate(ids)) for ids in p.incidence)
+    # a facet that is a simplex takes one determinant, coned from a vertex
+    # off it; every other facet is summed by the face walk, which takes none
+    p, expected = COUNTED_POLYTOPES[name](), DETERMINANTS[name]
     calls = []
     real = qbary.hull.int_det
 
@@ -401,11 +401,47 @@ def test_one_determinant_per_facet_simplex(name, monkeypatch):
         calls.append(rows)
         return real(rows)
 
-    monkeypatch.setattr(qbary.polytope, "_measures", lru_cache(maxsize=None)(qbary.polytope._measures.__wrapped__))
     monkeypatch.setattr(qbary.hull, "int_det", counted)
-    qb.measure(p)
-    qb.facet_data(p)
-    assert len(calls) == simplices == expected
+    qbary.polytope._measures.__wrapped__(p)
+    assert len(calls) == sum(len(ids) == p.dim for ids in p.incidence) == expected
+
+
+def pyramids_below_facets(p):
+    """(face, facet of the face missing its least vertex) pairs below the
+    facets of p that are not simplices, each face counted once."""
+    facets = [frozenset(ids) for ids in p.incidence]
+    seen, pairs = set(), 0
+    todo = [(f, p.dim - 1) for f in facets if len(f) > p.dim]
+    while todo:
+        face, d = todo.pop()
+        if d == 0 or face in seen:
+            continue
+        seen.add(face)
+        meets = {face & f for f in facets} - {face, frozenset()}
+        far = [m for m in meets if min(face) not in m and not any(m < other for other in meets)]
+        pairs += len(far)
+        todo += [(m, d - 1) for m in far]
+    return pairs
+
+
+WEDGES = {"cube3": 21, "cube5": 235}
+
+
+@pytest.mark.parametrize("name", WEDGES)
+def test_one_wedge_per_pyramid(name, monkeypatch):
+    # each face is walked once, however many facets share it, and each of
+    # its pyramids is one wedge of an edge with the base's Plücker vector
+    p, expected = COUNTED_POLYTOPES[name](), WEDGES[name]
+    calls = []
+    real = qbary.hull._wedge
+
+    def counted(edge, omega):
+        calls.append(edge)
+        return real(edge, omega)
+
+    monkeypatch.setattr(qbary.hull, "_wedge", counted)
+    qbary.polytope._measures.__wrapped__(p)
+    assert len(calls) == pyramids_below_facets(p) == expected
 
 
 def test_unit_cubes_and_cross_polytopes():
@@ -465,19 +501,32 @@ MUTANT_POLYTOPES = {
 
 
 @pytest.mark.parametrize("name", MUTANT_POLYTOPES)
-def test_facet_identities_catch_a_dropped_simplex(name, monkeypatch):
+def test_facet_identities_catch_a_dropped_pyramid(name, monkeypatch):
+    # the walk of the largest facet leaves out one pyramid from its least
+    # vertex; the pyramids left still agree in orientation
     p = MUTANT_POLYTOPES[name]()
-    real = qbary.hull.face_triangulator
-    target = max(p.incidence, key=lambda ids: len(real(p.incidence)(ids)))
-    assert len(real(p.incidence)(target)) > 1
+    ids = max(p.incidence, key=len)
+    target = sum(1 << i for i in ids)
+    real = qbary.hull._far_facets
+    assert len(ids) > p.dim and len(real(target, p.dim - 1, [sum(1 << i for i in f) for f in p.incidence])) > 1
 
-    def dropping(facets):
-        triangulate = real(facets)
-        return lambda face: triangulate(face)[1:] if tuple(face) == target else triangulate(face)
+    def dropping(face, dim, masks):
+        far = real(face, dim, masks)
+        return far[1:] if face == target else far
 
-    monkeypatch.setattr(qbary.hull, "face_triangulator", dropping)
+    monkeypatch.setattr(qbary.hull, "_far_facets", dropping)
     with pytest.raises(qb.InternalInconsistency, match="Minkowski"):
         qbary.polytope._measures.__wrapped__(p)
+
+
+def test_face_walk_checks_coordinates_against_the_incidence():
+    # moving the top vertex of the unit cube off its facets' planes tilts
+    # their pyramids apart; moving it onto the bottom face flattens one
+    p = unit_cube(3)
+    facets = [(f.normal, ids) for f, ids in zip(p.facets, p.incidence)]
+    for moved, message in (((1, 1, 2), "orientation"), ((1, 1, 0), "not a positive multiple")):
+        with pytest.raises(qb.InternalInconsistency, match=message):
+            qbary.hull.face_moments(p.vertices[:-1] + (moved,), facets)
 
 
 MOVED_BARYCENTER_POLYTOPES = {
@@ -567,9 +616,44 @@ def random_polytopes(seed, count, dims):
     return out
 
 
+def box(*sides):
+    return qb.hull_from_vertices(list(product(*((0, side) for side in sides))))
+
+
+def product_of(*polytopes):
+    return qb.hull_from_vertices([sum(vs, ()) for vs in product(*(q.vertices for q in polytopes))])
+
+
+# two unimodular maps without a zero entry, under which the faces of the
+# unit 5-cube have dense Plücker vectors
+DENSE_GL5 = (
+    [[1, 1, 1, 1, 1], [1, 2, 2, 2, 2], [1, 2, 3, 3, 3], [1, 2, 3, 4, 4], [1, 2, 3, 4, 5]],
+    [[1, 2, 1, -1, 2], [-1, -1, 1, 2, -3], [2, 3, 1, -1, 6], [-3, -4, 0, 4, -7], [4, 5, 0, -4, 12]],
+)
+
+
+def walked_polytopes():
+    """Boxes and products whose facets are not simplices: the shape classes
+    of the expand-box bench workload, the unit 6-cube, and two dense
+    images of the unit 5-cube."""
+    assert all(abs(fraction_det(u)) == 1 for u in DENSE_GL5)
+    quad = qb.hull_from_vertices([(0, 0), (2, 0), (0, 1), (1, 2)])
+    return [
+        box(2, 3, 4),
+        box(1, 2, 2, 3),
+        box(1, 1, 1, 1, 1),
+        product_of(box(2), quad),
+        product_of(box(1, 1), quad),
+        box(1, 1, 2, 2),
+        product_of(box(1, 2), qb.hull_from_vertices([(0, 0), (2, 0), (0, 2)])),
+        unit_cube(6),
+        *(qb.hull_from_vertices([apply_map(u, v) for v in unit_cube(5).vertices]) for u in DENSE_GL5),
+    ]
+
+
 def test_facet_data_equals_its_fraction_sums(fixtures, corpus):
     # pickles compare the types as well as the values
-    for p in [*fixtures.values(), *corpus, *random_polytopes(20261018, 500, range(1, 6))]:
+    for p in [*fixtures.values(), *corpus, *random_polytopes(20261018, 500, range(1, 6)), *walked_polytopes()]:
         assert pickle.dumps(qb.facet_data(p)) == pickle.dumps(fraction_facet_data(p)), p.vertices
 
 
