@@ -263,10 +263,14 @@ def face_moments(
     content ``W_cone``, and ``W_cone / W_H`` is g's lattice height above H,
     a positive integer.  Each term is turned to a positive first
     coordinate and ``Ω(G)`` is their sum.  ``W_G = sum W_cone`` must be the
-    content of ``Ω(G)``: the terms are multiples of one primitive vector,
-    since a basis of a saturated lattice has a primitive Plücker vector,
-    and their contents add up only if they agree in orientation.  ``M_G =
-    W_G g + sum (W_cone / W_H) M_H``.  A vertex v has ``Ω = 1``, ``W = 1``
+    content of ``Ω(G)``.  With coordinates that fit the incidence the terms
+    are multiples of one primitive vector, since a basis of a saturated
+    lattice has a primitive Plücker vector, so the check holds exactly when
+    they agree in orientation.  It catches pyramids turned against each
+    other and most coordinates that do not fit, but cannot prove the terms
+    parallel: the contents 1 and 1 of (3, 1) and (-1, 1) add up to that of
+    (2, 2).  The caller's Minkowski and divergence checks back it up.
+    ``M_G = W_G g + sum (W_cone / W_H) M_H``.  A vertex v has ``Ω = 1``, ``W = 1``
     and ``M = v``.
 
     Returns ``(volume, moment, weighed)`` with ``weighed[F] = (W_F, M_F)``.

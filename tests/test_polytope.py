@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import comb, factorial
@@ -392,7 +393,8 @@ DETERMINANTS = {"cube3": 0, "cube5": 0, "cross-4": 16}
 @pytest.mark.parametrize("name", DETERMINANTS)
 def test_one_determinant_per_facet_simplex(name, monkeypatch):
     # a facet that is a simplex takes one determinant, coned from a vertex
-    # off it; every other facet is summed by the face walk, which takes none
+    # off it; every other facet is summed by the face walk, which takes none;
+    # facet_data reads the record measure built, so a cold pair takes no more
     p, expected = COUNTED_POLYTOPES[name](), DETERMINANTS[name]
     calls = []
     real = qbary.hull.int_det
@@ -401,8 +403,10 @@ def test_one_determinant_per_facet_simplex(name, monkeypatch):
         calls.append(rows)
         return real(rows)
 
+    monkeypatch.setattr(qbary.polytope, "_measures", lru_cache(maxsize=None)(qbary.polytope._measures.__wrapped__))
     monkeypatch.setattr(qbary.hull, "int_det", counted)
-    qbary.polytope._measures.__wrapped__(p)
+    qb.measure(p)
+    qb.facet_data(p)
     assert len(calls) == sum(len(ids) == p.dim for ids in p.incidence) == expected
 
 
@@ -430,7 +434,8 @@ WEDGES = {"cube3": 21, "cube5": 235}
 @pytest.mark.parametrize("name", WEDGES)
 def test_one_wedge_per_pyramid(name, monkeypatch):
     # each face is walked once, however many facets share it, and each of
-    # its pyramids is one wedge of an edge with the base's Plücker vector
+    # its pyramids is one wedge of an edge with the base's Plücker vector;
+    # facet_data reads the record measure built and walks nothing again
     p, expected = COUNTED_POLYTOPES[name](), WEDGES[name]
     calls = []
     real = qbary.hull._wedge
@@ -439,8 +444,10 @@ def test_one_wedge_per_pyramid(name, monkeypatch):
         calls.append(edge)
         return real(edge, omega)
 
+    monkeypatch.setattr(qbary.polytope, "_measures", lru_cache(maxsize=None)(qbary.polytope._measures.__wrapped__))
     monkeypatch.setattr(qbary.hull, "_wedge", counted)
-    qbary.polytope._measures.__wrapped__(p)
+    qb.measure(p)
+    qb.facet_data(p)
     assert len(calls) == pyramids_below_facets(p) == expected
 
 
