@@ -114,6 +114,18 @@ HULL8 = (
 )
 
 
+# Products of coordinate blocks, counted through their factors: QUAD =
+# conv((0,0),(2,0),(0,1),(1,2)) on axes 0 and 2 times 2 Delta_2 on axes 1
+# and 3, whose blocks interleave; [0,2] times the skinny 3-simplex
+# conv(0, e_1, e_2, (4,3,5)), a factor that is not a box; and [-1,1]^7.
+QUAD_TRIANGLE = ("0,0,1,0;1,0,0,0;-2,0,-1,0;1,0,-1,0;0,1,0,0;0,0,0,1;0,-1,0,-1", "0,0,4,1,0,0,2")
+SEGMENT_SKINNY3 = ("-1,0,0,0;0,-5,-5,6;0,0,0,1;0,0,5,-3;0,5,0,-4;1,0,0,0", "2,5,0,0,0,0")
+CUBE7 = (
+    ";".join(",".join(str(s * (i == j)) for i in range(7)) for j in range(7) for s in (1, -1)),
+    ",".join(["1"] * 14),
+)
+
+
 def command_lines() -> list[list[str]]:
     lines = []
     for name in FIXTURES:
@@ -170,6 +182,12 @@ def command_lines() -> list[list[str]]:
     lines.append(["bc", "--rays", CROSS4[0], "--offsets", CROSS4[1]])
     # the Minkowski sums of a cube and fano-3-29 have parallelogram facets
     lines.append(["mixed-volume", "--input", "cube3", "--input", "fano-3-29", "--multiplicities", "1,2"])
+    for command in (["expand"], ["bck", "--k", "12"], ["reciprocity", "--kmax", "5"], ["delta-seq", "--ks", "1,2,3"]):
+        lines.append([*command, "--rays", QUAD_TRIANGLE[0], "--offsets", QUAD_TRIANGLE[1]])
+    for command in (["expand"], ["bck", "--k", "12"]):
+        lines.append([*command, "--rays", SEGMENT_SKINNY3[0], "--offsets", SEGMENT_SKINNY3[1]])
+    lines.append(["count", "--k", "40", "--rays", INLINE_MEASURED[1][0], "--offsets", INLINE_MEASURED[1][1]])
+    lines.append(["expand", "--rays", CUBE7[0], "--offsets", CUBE7[1]])
     return lines
 
 
