@@ -46,13 +46,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
+from math import prod
 from typing import Callable, Literal, NamedTuple
 
 from .errors import InternalInconsistency, InvalidInput, Unsupported
 from .exactnum import Polynomial, poly_fit
 from .hull import convex_hull
 from .linalg import IntVec
-from .polytope import Polytope, classify, facet_data, measure
+from .polytope import Halfspace, Polytope, classify, facet_data, measure
 
 
 @dataclass(frozen=True)
@@ -407,18 +408,85 @@ def _pass(p: Polytope, k: int) -> LatticeStats:
     return LatticeStats(*unscan(closed), *unscan(inner))
 
 
+def _blocks(p: Polytope) -> list[tuple[int, ...]]:
+    """The coordinate blocks of P, by least axis: the connected components
+    of the axes, two axes joined when a facet normal involves both.
+
+    Every facet then involves one block, so P is the product of its
+    projections onto the blocks.
+    """
+    blocks: list[set[int]] = []
+    for f in p.facets:
+        block = {i for i, x in enumerate(f.normal) if x}
+        for other in [b for b in blocks if b & block]:
+            block |= other
+            blocks.remove(other)
+        blocks.append(block)
+    return sorted(tuple(sorted(b)) for b in blocks)
+
+
+def _factor(p: Polytope, block: tuple[int, ...]) -> Polytope:
+    """P's projection onto the axes ``block``, read off P with no hull.
+
+    Its vertices are the distinct projections of P's vertices, its facets
+    P's facets on the block, restricted to it with the same offsets, and
+    each facet holds the projections of the vertices of P's facet.
+    """
+    vertices = sorted({tuple(v[i] for i in block) for v in p.vertices})
+    index = {v: j for j, v in enumerate(vertices)}
+    facets, incidence = [], []
+    for f, ids in zip(p.facets, p.incidence):
+        if any(f.normal[i] for i in block):
+            facets.append(Halfspace(tuple(f.normal[i] for i in block), f.offset))
+            incidence.append(tuple(sorted({index[tuple(p.vertices[j][i] for i in block)] for j in ids})))
+    return Polytope(len(block), tuple(vertices), tuple(facets), tuple(incidence))
+
+
+def _product(blocks: list[tuple[int, ...]], records: list[LatticeStats]) -> LatticeStats:
+    """The record of the product of factors with the given ``records``,
+    factor b on the axes ``blocks[b]``.
+
+    Its lattice points are the tuples of its factors' points, and its
+    interior points the tuples of their interior points.  So the count is
+    the product of the counts, and a point of factor b appears once for
+    each choice of the other factors' points: the sums on block b are the
+    factor's sums times the other factors' counts.
+    """
+
+    def side(counts: list[int], sums: list[IntVec]) -> tuple[int, IntVec]:
+        out = [0] * sum(map(len, blocks))
+        for b, (block, factor_sums) in enumerate(zip(blocks, sums)):
+            others = prod(counts[:b] + counts[b + 1 :])
+            for i, x in zip(block, factor_sums):
+                out[i] = x * others
+        return prod(counts), tuple(out)
+
+    closed = side([r.count for r in records], [r.sums for r in records])
+    inner = side([r.interior for r in records], [r.interior_sums for r in records])
+    return LatticeStats(*closed, *inner)
+
+
 @lru_cache(maxsize=None)
 def lattice_point_stats(p: Polytope, k: int) -> LatticeStats:
-    """Closed and interior counts and coordinate sums of ``k*P``, one pass.
+    """Closed and interior counts and coordinate sums of ``k*P``.
 
     ``k = 0`` gives the single point at the origin, which has no interior.
+    A polytope of dimension 4 or more with two or more coordinate blocks is
+    counted through its factors, one pass each, and at k = 1 also by one
+    pass over P that must give the same record; any other is one pass.
     """
     if k < 0:
         raise InvalidInput("dilation factor must be nonnegative")
     if k == 0:
         zero = (0,) * p.dim
         return LatticeStats(1, zero, 0, zero)
-    return _pass(p, k)
+    blocks = _blocks(p) if p.dim >= 4 else []
+    if len(blocks) < 2:
+        return _pass(p, k)
+    product = _product(blocks, [_pass(_factor(p, block), k) for block in blocks])
+    if k == 1 and _pass(p, 1) != product:
+        raise InternalInconsistency("the product of the factors' counts differs from the count of P at k=1")
+    return product
 
 
 def count_points(p: Polytope, k: int) -> int:

@@ -8,7 +8,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qbary as qb
@@ -104,12 +104,15 @@ def box_scan(p, k):
 
 def assert_scan_matches(p, ks, expected, monkeypatch):
     # the records do not depend on the plan: the planner's axis order and
-    # every other one count the same points
+    # every other one count the same points.  The passes are called
+    # directly, since a product of dimension 4 or more is counted through
+    # its factors and passes over P itself only at k = 1.
     assert [lattice_point_stats(p, k) for k in ks] == expected
+    passes = [(k, record) for k, record in zip(ks, expected) if k]
     for order in itertools.permutations(range(p.dim)):
         plan = ehrhart._plan(p, order)
         monkeypatch.setattr(ehrhart, "_scan_plan", lambda q, plan=plan: plan)
-        assert [lattice_point_stats.__wrapped__(p, k) for k in ks] == expected, order
+        assert [ehrhart._pass(p, k) for k, _ in passes] == [record for _, record in passes], order
 
 
 @pytest.mark.parametrize("name", SCAN_SHAPES)
@@ -576,3 +579,159 @@ def test_held_out_validation_rejects_a_fit_that_only_matches_its_samples(monkeyp
         qb.ehrhart_polynomial(counted)
     with pytest.raises(qb.InternalInconsistency, match="coordinate-sum polynomial fails reciprocity at k=2"):
         qb.barycenter_function(summed)
+
+
+# ---------------------------------------------------------------------------
+# products of coordinate blocks, counted through their factors
+
+
+@st.composite
+def lattice_polytope(draw, n):
+    """A full-dimensional lattice polytope in a translated box of side 2."""
+    shift = draw(st.tuples(*[st.integers(-3, 3)] * n))
+    points = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=n + 1, max_size=n + 3))
+    try:
+        return qb.hull_from_vertices([tuple(x + t for x, t in zip(v, shift)) for v in points])
+    except qb.DegenerateInput:
+        assume(False)
+
+
+@st.composite
+def interleaved_products(draw):
+    """Factors A and B of dimension 1-3, together 4-6, and their product P,
+    in which coordinate j of (a, b) is axis perm[j] of P."""
+    a_dim, b_dim = draw(st.sampled_from(((1, 3), (2, 2), (3, 1), (2, 3), (3, 2), (3, 3))))
+    a, b = draw(lattice_polytope(a_dim)), draw(lattice_polytope(b_dim))
+    perm = draw(st.permutations(range(a_dim + b_dim)))
+    p = qb.hull_from_vertices([interleave(perm, u + v) for u in a.vertices for v in b.vertices])
+    return a, b, perm, p
+
+
+def interleave(perm, x):
+    y = [None] * len(perm)
+    for j, xj in enumerate(x):
+        y[perm[j]] = xj
+    return tuple(y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(interleaved_products())
+def test_products_match_box_scans_and_their_factors(case):
+    a, b, perm, p = case
+    assert len(ehrhart._blocks(p)) >= 2
+    assert [lattice_point_stats(p, k) for k in (1, 2)] == [box_scan(p, k) for k in (1, 2)]
+    assert qb.ehrhart_polynomial(p).poly == qb.ehrhart_polynomial(a).poly * qb.ehrhart_polynomial(b).poly
+    for k in (1, 2, 3):
+        parts = qb.quantized_barycenter(a, k).value + qb.quantized_barycenter(b, k).value
+        assert qb.quantized_barycenter(p, k).value == interleave(perm, parts)
+    # classify keeps the Delzant flag for dimension > 1, but every lattice
+    # segment's vertex cones are unimodular
+    flags = [qb.classify(a), qb.classify(b), qb.classify(p)]
+    assert flags[2].reflexive == (flags[0].reflexive and flags[1].reflexive)
+    assert flags[2].delzant == all(f.delzant or q.dim == 1 for f, q in zip(flags, (a, b)))
+    # delta_k is a minimum over the rays, and a ray of P is a ray of one
+    # factor, paired with that factor's quantized barycenter
+    for k in (1, 2):
+        value, argmin = qb.delta_k(qb.toric_from_polytope(p), k)
+        factors = [(qb.delta_k(qb.toric_from_polytope(a), k), a, ()), (qb.delta_k(qb.toric_from_polytope(b), k), b, (0,) * a.dim)]
+        assert value == min(q_value for (q_value, _), _, _ in factors)
+        rays = {
+            interleave(perm, (head + q.facets[i].normal + (0,) * p.dim)[: p.dim])
+            for (q_value, q_argmin), q, head in factors
+            if q_value == value
+            for i in q_argmin
+        }
+        assert {p.facets[i].normal for i in argmin} == rays
+
+
+def passes_on(monkeypatch):
+    """Record the polytope and dilation of every counting pass."""
+    seen = []
+    real = ehrhart._pass
+
+    def counted(p, k):
+        seen.append((p, k))
+        return real(p, k)
+
+    monkeypatch.setattr(ehrhart, "_pass", counted)
+    return seen
+
+
+CUT_CORNER = [v for v in itertools.product((0, 1), repeat=4) if sum(v) < 4]
+QUAD_TRIANGLE = [
+    interleave((0, 2, 1, 3), u + v) for u in ((0, 0), (2, 0), (0, 1), (1, 2)) for v in ((0, 0), (2, 0), (0, 2))
+]
+
+
+@pytest.mark.parametrize(
+    "vertices, product",
+    [
+        # every facet involves every axis
+        (SCAN_SHAPES["4-D cross-polytope"], False),
+        # the facet x_0 + x_1 + x_2 + x_3 <= 3 couples the four axes
+        (CUT_CORNER, False),
+        # a 3-D product is counted whole
+        (list(itertools.product((0, 1), (0, 1), (0, 2))), False),
+        (QUAD_TRIANGLE, True),
+        (SCAN_SHAPES["unit 5-cube"], True),
+    ],
+)
+def test_products_of_dimension_4_or_more_pass_over_p_only_at_k_1(monkeypatch, vertices, product):
+    p = qb.hull_from_vertices(vertices)
+    seen = passes_on(monkeypatch)
+    for k in range(1, 6):
+        lattice_point_stats.__wrapped__(p, k)
+    assert [k for q, k in seen if q == p] == ([1] if product else [1, 2, 3, 4, 5])
+    assert sorted({k for q, k in seen if q != p}) == ([1, 2, 3, 4, 5] if product else [])
+
+
+def swap_first_two_blocks_sums(blocks, records):
+    first, second = records[0], records[1]
+    records = [first._replace(sums=second.sums), second._replace(sums=first.sums), *records[2:]]
+    return REAL_PRODUCT(blocks, records)
+
+
+def interior_sums_by_closed_counts(blocks, records):
+    # the interior sums of block b times the other factors' closed counts
+    stats = REAL_PRODUCT(blocks, records)
+    sums = list(stats.interior_sums)
+    for b, block in enumerate(blocks):
+        others = 1
+        for c, r in enumerate(records):
+            others *= r.count if c != b else 1
+        for i, x in zip(block, records[b].interior_sums):
+            sums[i] = x * others
+    return stats._replace(interior_sums=tuple(sums))
+
+
+REAL_PRODUCT = ehrhart._product
+# The unit 5-cube moved off the diagonal, so that its factors' sums differ.
+UNIT_5_CUBE_MOVED = [tuple(x + i for i, x in enumerate(v)) for v in SCAN_SHAPES["unit 5-cube"]]
+
+
+@pytest.mark.parametrize("vertices", [UNIT_5_CUBE_MOVED, QUAD_TRIANGLE])
+def test_pass_at_k_1_catches_factor_sums_swapped_between_blocks(monkeypatch, vertices):
+    p = qb.hull_from_vertices(vertices)
+    monkeypatch.setattr(ehrhart, "_product", swap_first_two_blocks_sums)
+    with pytest.raises(qb.InternalInconsistency, match="product of the factors' counts differs"):
+        lattice_point_stats.__wrapped__(p, 1)
+
+
+def test_pass_at_k_1_catches_interior_sums_scaled_by_closed_counts(monkeypatch):
+    p = qb.hull_from_vertices(QUAD_TRIANGLE)
+    monkeypatch.setattr(ehrhart, "_product", interior_sums_by_closed_counts)
+    with pytest.raises(qb.InternalInconsistency, match="product of the factors' counts differs"):
+        lattice_point_stats.__wrapped__(p, 1)
+
+
+def test_fits_catch_interior_sums_scaled_by_closed_counts_on_the_unit_5_cube(monkeypatch):
+    # Every factor [0, 1] of the unit 5-cube has no interior point at k = 1,
+    # so the mutant's interior sums are 0 there, as they should be, and the
+    # pass at k = 1 cannot see it.  From k = 2 on they are not, and the
+    # coordinate-sum fits' reciprocity samples catch it.
+    shift = next(_FRESH)
+    p = qb.hull_from_vertices([tuple(x + shift for x in v) for v in SCAN_SHAPES["unit 5-cube"]])
+    monkeypatch.setattr(ehrhart, "_product", interior_sums_by_closed_counts)
+    lattice_point_stats.__wrapped__(p, 1)
+    with pytest.raises(qb.InternalInconsistency, match="coordinate-sum polynomial fails"):
+        qb.barycenter_function(p)
