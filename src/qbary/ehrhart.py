@@ -105,8 +105,14 @@ def _shadows(p: Polytope) -> list[Fraction]:
     By Cauchy's projection formula this is the (dim-1)-volume of P's
     projection along e_i: the facets whose normals point one way along e_i
     cover that projection once, and a facet with primitive normal u, whose
-    Euclidean area is ``nvol(F) |u|``, covers ``|u[i]| / |u|`` of it.
+    Euclidean area is ``nvol(F) |u|``, covers ``|u[i]| / |u|`` of it.  In
+    dimensions 1 and 2 that projection is a point or a segment along the
+    other axis, read off the vertices, so a factor of a product
+    (:func:`_factors`) is planned without its facet measures.
     """
+    if p.dim <= 2:
+        widths = [max(v[i] for v in p.vertices) - min(v[i] for v in p.vertices) for i in range(p.dim)]
+        return widths[::-1] if p.dim == 2 else [1]
     facets = facet_data(p).facets
     return [
         sum(fm.normal[i] * fm.normalized_volume for fm in facets if fm.normal[i] > 0)
@@ -401,6 +407,9 @@ def _pass(p: Polytope, k: int) -> LatticeStats:
         row(k * plan.first[0], k * plan.first[1], slacks[0])
     else:
         descend(0, k * plan.first[0], k * plan.first[1], slacks)
+    # descend calls itself through its closure cell; emptying the cell frees
+    # the pass's lists now instead of at the next cyclic collection
+    del descend
 
     def unscan(acc: list[int]) -> tuple[int, IntVec]:
         return acc[0], tuple(acc[1 + plan.order.index(axis)] for axis in range(n))
@@ -415,31 +424,45 @@ def _blocks(p: Polytope) -> list[tuple[int, ...]]:
     Every facet then involves one block, so P is the product of its
     projections onto the blocks.
     """
-    blocks: list[set[int]] = []
+    label = list(range(p.dim))  # the least axis of each axis's block so far
     for f in p.facets:
-        block = {i for i, x in enumerate(f.normal) if x}
-        for other in [b for b in blocks if b & block]:
-            block |= other
-            blocks.remove(other)
-        blocks.append(block)
-    return sorted(tuple(sorted(b)) for b in blocks)
+        joined = {label[i] for i, x in enumerate(f.normal) if x}
+        if len(joined) > 1:
+            least = min(joined)
+            label = [least if a in joined else a for a in label]
+    blocks: dict[int, list[int]] = {}
+    for i, a in enumerate(label):
+        blocks.setdefault(a, []).append(i)
+    return [tuple(block) for block in blocks.values()]
 
 
-def _factor(p: Polytope, block: tuple[int, ...]) -> Polytope:
-    """P's projection onto the axes ``block``, read off P with no hull.
+def _factors(p: Polytope, blocks: list[tuple[int, ...]]) -> list[Polytope]:
+    """P's projections onto its coordinate ``blocks``, read off P with no hull.
 
-    Its vertices are the distinct projections of P's vertices, its facets
-    P's facets on the block, restricted to it with the same offsets, and
-    each facet holds the projections of the vertices of P's facet.
+    A factor's vertices are the distinct projections of P's vertices, its
+    facets P's facets on its block, restricted to it with the same offsets,
+    and each facet holds the projections of the vertices of P's facet.
     """
-    vertices = sorted({tuple(v[i] for i in block) for v in p.vertices})
-    index = {v: j for j, v in enumerate(vertices)}
-    facets, incidence = [], []
-    for f, ids in zip(p.facets, p.incidence):
-        if any(f.normal[i] for i in block):
-            facets.append(Halfspace(tuple(f.normal[i] for i in block), f.offset))
-            incidence.append(tuple(sorted({index[tuple(p.vertices[j][i] for i in block)] for j in ids})))
-    return Polytope(len(block), tuple(vertices), tuple(facets), tuple(incidence))
+    block_of = {i: b for b, block in enumerate(blocks) for i in block}
+    facets: list[list[tuple[Halfspace, tuple[int, ...]]]] = [[] for _ in blocks]
+    for f, on in zip(p.facets, p.incidence):
+        facets[block_of[next(i for i, x in enumerate(f.normal) if x)]].append((f, on))
+    columns = list(zip(*p.vertices))
+    factors = []
+    for block, on_block in zip(blocks, facets):
+        projected = list(zip(*[columns[i] for i in block]))
+        vertices = sorted(set(projected))
+        index = {v: j for j, v in enumerate(vertices)}
+        ids = [index[v] for v in projected]
+        factors.append(
+            Polytope(
+                len(block),
+                tuple(vertices),
+                tuple(Halfspace(tuple([f.normal[i] for i in block]), f.offset) for f, _ in on_block),
+                tuple(tuple(sorted({ids[j] for j in on})) for _, on in on_block),
+            )
+        )
+    return factors
 
 
 def _product(blocks: list[tuple[int, ...]], records: list[LatticeStats]) -> LatticeStats:
@@ -483,7 +506,7 @@ def lattice_point_stats(p: Polytope, k: int) -> LatticeStats:
     blocks = _blocks(p) if p.dim >= 4 else []
     if len(blocks) < 2:
         return _pass(p, k)
-    product = _product(blocks, [_pass(_factor(p, block), k) for block in blocks])
+    product = _product(blocks, [_pass(factor, k) for factor in _factors(p, blocks)])
     if k == 1 and _pass(p, 1) != product:
         raise InternalInconsistency("the product of the factors' counts differs from the count of P at k=1")
     return product
