@@ -28,6 +28,20 @@ whole bounding box.  The slacks of these inequalities are integers kept up
 to date as the scan steps, and a step of one coordinate moves only the
 slacks of the inequalities that involve it: 2 of the 2 dim on a box.
 
+A product of coordinate blocks of dimension 4 or more is counted through
+its factors.  The blocks are the connected components of the axes, two
+axes joined when a facet normal involves both; every facet then involves
+one block, and P is the product of its projections onto the blocks, each
+read off P with no hull.  As ``k*P = k*A x k*B`` and the interior of
+``k*P`` is ``int(k*A) x int(k*B)``, the count is the product of the
+factors' counts and the sums on a block are that factor's sums times the
+other factors' counts, closed and interior alike.  At k = 1 the full pass
+over P runs as well and must give the same record.  In dimensions 1-3 a
+pass descends at most one level and a factor's own plan costs more than the
+split saves, so those products are scanned whole.  Images of products
+under ``GL_n(Z)`` are not detected: that belongs to a reduced lattice basis
+(ROADMAP item 7).
+
 Every fit reads the same dilations k = 0..dim, one cached pass each.  By
 Ehrhart-Macdonald reciprocity the interior records of those passes are
 exact samples at k = -1..-dim: ``f(-k) = (-1)^d`` times the interior value

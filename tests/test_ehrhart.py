@@ -633,11 +633,11 @@ def test_products_match_box_scans_and_their_factors(case):
     # factor, paired with that factor's quantized barycenter
     for k in (1, 2):
         value, argmin = qb.delta_k(qb.toric_from_polytope(p), k)
-        factors = [(qb.delta_k(qb.toric_from_polytope(a), k), a, ()), (qb.delta_k(qb.toric_from_polytope(b), k), b, (0,) * a.dim)]
-        assert value == min(q_value for (q_value, _), _, _ in factors)
+        factors = [(q, head, *qb.delta_k(qb.toric_from_polytope(q), k)) for q, head in ((a, ()), (b, (0,) * a.dim))]
+        assert value == min(q_value for _, _, q_value, _ in factors)
         rays = {
             interleave(perm, (head + q.facets[i].normal + (0,) * p.dim)[: p.dim])
-            for (q_value, q_argmin), q, head in factors
+            for q, head, q_value, q_argmin in factors
             if q_value == value
             for i in q_argmin
         }
@@ -693,15 +693,8 @@ def swap_first_two_blocks_sums(blocks, records):
 
 def interior_sums_by_closed_counts(blocks, records):
     # the interior sums of block b times the other factors' closed counts
-    stats = REAL_PRODUCT(blocks, records)
-    sums = list(stats.interior_sums)
-    for b, block in enumerate(blocks):
-        others = 1
-        for c, r in enumerate(records):
-            others *= r.count if c != b else 1
-        for i, x in zip(block, records[b].interior_sums):
-            sums[i] = x * others
-    return stats._replace(interior_sums=tuple(sums))
+    scaled = REAL_PRODUCT(blocks, [r._replace(interior=r.count) for r in records])
+    return REAL_PRODUCT(blocks, records)._replace(interior_sums=scaled.interior_sums)
 
 
 REAL_PRODUCT = ehrhart._product
