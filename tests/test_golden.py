@@ -124,6 +124,11 @@ CUBE7 = (
     ";".join(",".join(str(s * (i == j)) for i in range(7)) for j in range(7) for s in (1, -1)),
     ",".join(["1"] * 14),
 )
+# Ray data as the caller lists it: f1 with its rays out of facet order, in
+# which argmin indices are reported, and P^2 with the ray (2, 0) of content
+# 2, which is divided, with its offset, by its content.
+F1_REORDERED = ("1,1;1,0;-1,-1;0,1", "1,1,1,1")
+P2_CONTENT_2 = ("2,0;0,1;-1,-1", "2,1,1")
 
 
 def command_lines() -> list[list[str]]:
@@ -188,6 +193,10 @@ def command_lines() -> list[list[str]]:
         lines.append([*command, "--rays", SEGMENT_SKINNY3[0], "--offsets", SEGMENT_SKINNY3[1]])
     lines.append(["count", "--k", "40", "--rays", INLINE_MEASURED[1][0], "--offsets", INLINE_MEASURED[1][1]])
     lines.append(["expand", "--rays", CUBE7[0], "--offsets", CUBE7[1]])
+    for command in (["delta", "--k", "2"], ["delta-seq", "--ks", "1,2,3"], ["fan", "--v", "1,0"], ["rooftop-coeffs", "--v", "-1,2"]):
+        lines.append([*command, "--rays", F1_REORDERED[0], "--offsets", F1_REORDERED[1]])
+    for command in (["classify"], ["delta"]):
+        lines.append([*command, "--rays", P2_CONTENT_2[0], "--offsets", P2_CONTENT_2[1]])
     return lines
 
 
