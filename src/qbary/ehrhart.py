@@ -528,6 +528,8 @@ def lattice_point_stats(p: Polytope, k: int) -> LatticeStats:
 
 def count_points(p: Polytope, k: int) -> int:
     """Number of lattice points of ``k*P`` for ``k >= 0``."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise InvalidInput(f"dilation factor must be an integer, got {k!r}")
     if k < 0:
         raise InvalidInput("negative dilation: use interior_count via reciprocity")
     return lattice_point_stats(p, k).count
@@ -535,6 +537,8 @@ def count_points(p: Polytope, k: int) -> int:
 
 def interior_count(p: Polytope, k: int) -> int:
     """Number of lattice points strictly inside ``k*P`` for ``k >= 1``."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise InvalidInput(f"dilation factor must be an integer, got {k!r}")
     if k < 1:
         raise InvalidInput("interior counts need a positive dilation")
     return lattice_point_stats(p, k).interior

@@ -107,6 +107,8 @@ class ExpansionCoefficients:
 
 def quantized_barycenter(p: Polytope, k: int) -> QuantizedBarycenter:
     """Average of the lattice points of ``k*P``, divided by ``k``."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise InvalidInput(f"dilation factor must be an integer, got {k!r}")
     if k < 1:
         raise InvalidInput("quantized barycenters need a positive dilation")
     stats = lattice_point_stats(p, k)
@@ -268,6 +270,8 @@ def colinearity_check(vectors: Sequence[Sequence[Fraction]]) -> bool:
     (every 2x2 minor of every pair vanishes)."""
     if len(vectors) < 2:
         raise InvalidInput("need at least two vectors")
+    if len({len(v) for v in vectors}) > 1:
+        raise InvalidInput("vectors of different lengths")
     for a_idx in range(len(vectors)):
         for b_idx in range(a_idx + 1, len(vectors)):
             a, b = vectors[a_idx], vectors[b_idx]

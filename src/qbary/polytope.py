@@ -121,15 +121,39 @@ def _check_dim(dim: int) -> None:
         )
 
 
+def int_list(values: object) -> list[int]:
+    """The entries of a list, tuple or other iterable, every one an ``int``;
+    a bool, float, ``Fraction`` or str entry is refused."""
+    # a str or a dict iterates, but is not an array of numbers
+    if isinstance(values, (str, dict)) or not isinstance(values, Iterable):
+        raise InvalidInput("expected an array of integers")
+    entries = list(values)
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in entries):
+        raise InvalidInput("expected an array of integers")
+    return entries
+
+
+def int_rows(rows: object) -> list[IntVec]:
+    """The vectors of a nonempty list, tuple or other iterable of rows, each
+    read by :func:`int_list`."""
+    if isinstance(rows, (str, dict)) or not isinstance(rows, Iterable) or not (rows := list(rows)):
+        raise InvalidInput("expected a nonempty array of integer vectors")
+    out = []
+    for row in rows:
+        try:
+            out.append(tuple(int_list(row)))
+        except InvalidInput:
+            raise InvalidInput(f"expected an integer vector, got {row!r}") from None
+    return out
+
+
 def hull_from_vertices(points: Iterable[Sequence[int]]) -> Polytope:
     """Full-dimensional lattice polytope from a generating point set.
 
     Non-extreme input points are dropped; raises ``DegenerateInput`` when the
     points do not affinely span the ambient space.
     """
-    pts = [tuple(int(x) for x in p) for p in points]
-    if not pts:
-        raise InvalidInput("empty vertex set")
+    pts = int_rows(points)
     _check_dim(len(pts[0]))
     hull = convex_hull(pts)
     return Polytope(
@@ -153,13 +177,11 @@ def polytope_from_halfspaces(normals: Sequence[Sequence[int]], offsets: Sequence
     vertex means the cone, and so P, is not full-dimensional.  Redundant
     inequalities disappear when the hull is rebuilt from the vertices.
     """
-    if len(normals) != len(offsets):
+    rows, offsets = int_rows(normals), int_list(offsets)
+    if len(rows) != len(offsets):
         raise InvalidInput("normals and offsets of different lengths")
-    if not normals:
-        raise InvalidInput("no half-spaces given")
-    dim = len(normals[0])
+    dim = len(rows[0])
     _check_dim(dim)
-    rows = [tuple(int(x) for x in v) for v in normals]
     for v in rows:
         if len(v) != dim:
             raise InvalidInput("normals of mixed dimension")
@@ -169,13 +191,13 @@ def polytope_from_halfspaces(normals: Sequence[Sequence[int]], offsets: Sequence
     _require_bounded([primitive(v) for v in rows])
 
     origin = (0,) * (dim + 1)
-    dual = convex_hull([origin, origin[1:] + (1,), *(v + (int(b),) for v, b in zip(rows, offsets))])
+    dual = convex_hull([origin, origin[1:] + (1,), *(v + (b,) for v, b in zip(rows, offsets))])
     rays = [f.normal for f in dual.facets if f.offset == 0]
     if not rays:
         raise DegenerateInput("half-space intersection is empty")
     for *x, s in rays:
         if s != 1:
-            raise InvalidInput(f"vertex {tuple(Fraction(a, s) for a in x)} is not a lattice point")
+            raise InvalidInput(f"vertex ({', '.join(str(Fraction(a, s)) for a in x)}) is not a lattice point")
     if origin not in dual.vertices:
         raise DegenerateInput("half-space intersection is not full-dimensional")
     return hull_from_vertices(sorted(ray[:-1] for ray in rays))
@@ -390,10 +412,8 @@ def polytope_from_document(doc: dict) -> tuple[Polytope, str | None]:
         raise InvalidInput("half-space form needs both normals and offsets")
     if not has_v and not has_h:
         raise InvalidInput("document has neither vertices nor normals/offsets")
-    from_v = hull_from_vertices(_int_rows(doc["vertices"])) if has_v else None
-    from_h = (
-        polytope_from_halfspaces(_int_rows(doc["normals"]), _int_list(doc["offsets"])) if has_h else None
-    )
+    from_v = hull_from_vertices(doc["vertices"]) if has_v else None
+    from_h = polytope_from_halfspaces(doc["normals"], doc["offsets"]) if has_h else None
     if from_v and from_h and from_v != from_h:
         raise InvalidInput("vertex and half-space representations disagree")
     return (from_v or from_h), name
@@ -407,20 +427,3 @@ def polytope_to_document(p: Polytope, name: str | None = None) -> dict:
     doc["normals"] = [list(f.normal) for f in p.facets]
     doc["offsets"] = [f.offset for f in p.facets]
     return doc
-
-
-def _int_rows(rows: object) -> list[tuple[int, ...]]:
-    if not isinstance(rows, list) or not rows:
-        raise InvalidInput("expected a nonempty array of integer vectors")
-    out = []
-    for row in rows:
-        if not isinstance(row, list) or not all(isinstance(x, int) and not isinstance(x, bool) for x in row):
-            raise InvalidInput(f"expected an integer vector, got {row!r}")
-        out.append(tuple(row))
-    return out
-
-
-def _int_list(values: object) -> list[int]:
-    if not isinstance(values, list) or not all(isinstance(x, int) and not isinstance(x, bool) for x in values):
-        raise InvalidInput("expected an array of integers")
-    return list(values)

@@ -1,10 +1,11 @@
 """Stability thresholds of polarized toric data.
 
-For ray/offset data (v_i, b_i) the k-th threshold is
+For ray/offset data (v_i, b_i), which :class:`qbary.toric.ToricData`
+holds only when they are exactly the facets of P, the k-th threshold is
 
     delta_k = min_i 1 / (<Bc_k(P), v_i> + b_i),
 
-with the quantized barycenter Bc_k of the polytope, and delta is the same
+with the quantized barycenter Bc_k of P, and delta is the same
 expression with the classical barycenter.  Since each coordinate of Bc_k is
 a fixed rational function of k, delta_k agrees with a single facet's
 rational function for all k past an effectively computable threshold k0:
@@ -30,7 +31,7 @@ from .exactnum import LaurentSeries, Polynomial, RationalFunction, integer_numer
 from .expansion import barycenter_function, quantized_barycenter
 from .linalg import dot, solve
 from .polytope import check_direction, classify, facet_data, measure, support_value, vertex_cones
-from .toric import ToricData, _require_facets
+from .toric import ToricData
 
 
 @dataclass(frozen=True)
@@ -64,18 +65,14 @@ def _threshold(t: ToricData, bc: Sequence[Fraction]) -> tuple[Fraction, tuple[in
 
 
 def delta_k(t: ToricData, k: int) -> tuple[Fraction, tuple[int, ...]]:
-    """k-th threshold with the set of rays attaining it.  The half-spaces of
-    ``t`` must be exactly the facets of its polytope."""
+    """k-th threshold with the set of rays attaining it."""
     if k < 1:
         raise InvalidInput("threshold index must be positive")
-    _require_facets(t)
     return _threshold(t, quantized_barycenter(t.polytope, k).value)
 
 
 def delta(t: ToricData) -> tuple[Fraction, tuple[int, ...]]:
-    """Limit threshold from the classical barycenter.  The half-spaces of
-    ``t`` must be exactly the facets of its polytope."""
-    _require_facets(t)
+    """Limit threshold from the classical barycenter."""
     return _threshold(t, measure(t.polytope).barycenter)
 
 
@@ -100,12 +97,10 @@ def delta_sequence(t: ToricData, ks: Sequence[int], order: int = 2) -> DeltaSequ
     lexicographically, which is read off the numerators over one common
     denominator, and exact ties are reported together.  k0 is one past the
     largest dilation at which any strictly smaller facet still ties or wins,
-    located by scanning up to an exact root bound.  The half-spaces of ``t``
-    must be exactly the facets of its polytope.
+    located by scanning up to an exact root bound.
     """
     if order < 2:
         raise InvalidInput("expansion order must be at least 2")
-    _require_facets(t)
     nums, den = _facet_numerators(t)
     # Over one positive denominator, and with E's leading coefficient (the
     # volume) positive, the expansions of the pairings at infinity order

@@ -15,7 +15,9 @@ For Delzant data the paper gives the counting polynomial's coefficients as
           n! B(l_1)..B(l_d) / (j! l_1!..l_d!) * V(P, j; D_1, l_1; ..; D_d, l_d)
 
 with B the Bernoulli numbers normalized by B_1 = +1/2 and D_i the virtual
-polytope of the i-th facet divisor.  Every polytope here has the form
+polytope of the i-th facet divisor.  A :class:`ToricData` refuses at
+construction half-spaces that are not exactly its polytope's facets, so
+no entry point checks them again.  Every polytope here has the form
 ``P(h) = {x : <u_i, x> >= -h_i}`` on the normal fan of P (:class:`DelzantFan`,
 read off :func:`qbary.polytope.vertex_cones`, as is the Delzant flag of
 ``classify``): each vertex cone is spanned by a lattice basis of rays,
@@ -70,13 +72,14 @@ from .lattice import primitive
 from .linalg import IntVec, dot, rank, vec_add, vec_sub
 from .polytope import (
     Body,
-    Halfspace,
     Polytope,
     as_body,
     body_from_points,
     classify,
     dilate,
     facet_data,
+    int_list,
+    int_rows,
     measure,
     polytope_from_halfspaces,
     support_value,
@@ -257,12 +260,20 @@ def _term_assignments(terms: tuple[tuple[int, Body], ...], mult: int):
 
 @dataclass(frozen=True)
 class ToricData:
-    """Irredundant ray/offset data and its polytope; ``classify(polytope)``
-    says whether it is reflexive or Delzant."""
+    """Ray/offset data and its polytope; ``classify(polytope)`` says whether
+    it is reflexive or Delzant.  The half-spaces ``<u, rays[i]> >=
+    -offsets[i]``, in any order, must be the polytope's facets, each once,
+    or construction raises ``PreconditionViolation``."""
 
     rays: tuple[IntVec, ...]
     offsets: tuple[int, ...]
     polytope: Polytope
+
+    def __post_init__(self) -> None:
+        if len(self.rays) != len(self.offsets) or sorted(zip(self.rays, self.offsets)) != sorted(
+            (f.normal, f.offset) for f in self.polytope.facets
+        ):
+            raise PreconditionViolation("ray data contains redundant or non-facet inequalities")
 
 
 def toric_data(
@@ -272,11 +283,10 @@ def toric_data(
     and so is its offset, which g must divide.
 
     A ``polytope`` already built from these half-spaces is used instead of
-    building it again.  Either way its facets must be exactly the given
-    half-spaces, and so it is their intersection.
+    building it again.  Either way :class:`ToricData` checks that its
+    facets are exactly the given half-spaces.
     """
-    rays = [tuple(int(x) for x in r) for r in rays]
-    offs = tuple(int(b) for b in offsets)
+    rays, offs = int_rows(rays), int_list(offsets)
     if len(rays) != len(offs):
         raise InvalidInput("rays and offsets of different lengths")
     prims = tuple(primitive(r) for r in rays)
@@ -285,13 +295,7 @@ def toric_data(
         if b % g:
             raise InvalidInput(f"offset {b} of ray {r} is not divisible by the ray's content {g}")
     offs = tuple(b // g for b, g in zip(offs, contents))
-    if len(set(prims)) != len(prims):
-        raise InvalidInput("duplicate rays")
-    p = polytope if polytope is not None else polytope_from_halfspaces(prims, offs)
-    expected = {Halfspace(r, b) for r, b in zip(prims, offs)}
-    if set(p.facets) != expected:
-        raise InvalidInput("ray data contains redundant or non-facet inequalities")
-    return ToricData(prims, offs, p)
+    return ToricData(prims, offs, polytope if polytope is not None else polytope_from_halfspaces(prims, offs))
 
 
 def toric_from_polytope(p: Polytope) -> ToricData:
@@ -327,10 +331,8 @@ def _exact_facet_polytope(t: ToricData, offsets: Sequence[int]) -> Polytope | No
     those of ``t.polytope``; None otherwise.  From dimension 3 on, the same
     facet normals allow a different normal fan (a flipped edge)."""
     try:
-        p = polytope_from_halfspaces(t.rays, offsets)
+        p = ToricData(t.rays, tuple(offsets), polytope_from_halfspaces(t.rays, offsets)).polytope
     except InvalidInput:
-        return None
-    if set(p.facets) != {Halfspace(r, int(b)) for r, b in zip(t.rays, offsets)}:
         return None
     # both facet lists are sorted by their normals, which are the same rays,
     # so facet indices name the same rays in both
@@ -348,7 +350,6 @@ def divisor_polytope(t: ToricData, coeffs: tuple[int, ...]) -> VirtualPolytope:
     formal difference of two ample polytopes.  The zero divisor is the
     origin (the Minkowski-neutral body).
     """
-    _require_facets(t)
     if not classify(t.polytope).delzant:
         raise PreconditionViolation("divisor polytopes require Delzant data")
     coeffs = tuple(int(c) for c in coeffs)
@@ -396,12 +397,10 @@ def delzant_fan(t: ToricData) -> DelzantFan:
     cone's remaining dim - 1 facets, read off the incidence.  Every cone
     must then pair ``<r_i, w_j> = delta_ij``; an edge without exactly two
     vertices, or a pairing that fails, is an ``InternalInconsistency``.
-    The half-spaces of ``t`` must be exactly the facets of its polytope.
     """
     p = t.polytope
     if not classify(p).delzant:
         raise PreconditionViolation("the fan volume polynomial requires Delzant data")
-    _require_facets(t)
     n = p.dim
     index = {r: i for i, r in enumerate(t.rays)}
     on_facet = [sum(1 << i for i in ids) for ids in p.incidence]
@@ -434,12 +433,6 @@ def delzant_fan(t: ToricData) -> DelzantFan:
         if all(all(g) for g in gammas):
             return DelzantFan(n, tuple(zip(cones, gammas)))
         s += 1
-
-
-def _require_facets(t: ToricData) -> None:
-    # the ToricData constructor itself validates nothing
-    if sorted(zip(t.rays, t.offsets)) != sorted((f.normal, f.offset) for f in t.polytope.facets):
-        raise PreconditionViolation("the rays and offsets are not the facets of the polytope")
 
 
 # ---------------------------------------------------------------------------
@@ -521,12 +514,10 @@ def rooftop_coefficients(t: ToricData, direction: Sequence[int]) -> RooftopCoeff
     ``barycenter_function``.  The rooftop at the canonical offset q is
     counted at k = 1 and 2 and must hold ``(q k + 1) E(k) + k <Q(k), v>``
     points.  When the rooftop is itself Delzant the degree-(n+1) Todd
-    evaluation on its fan must give the same c'_j.  The half-spaces of
-    ``t`` must be exactly the facets of its polytope.
+    evaluation on its fan must give the same c'_j.
     """
     if not classify(t.polytope).delzant:
         raise PreconditionViolation("rooftop coefficients require Delzant data")
-    _require_facets(t)
     p = t.polytope
     v = tuple(int(x) for x in direction)
     fan = rooftop_fan(t, v)

@@ -304,6 +304,10 @@ def test_colinearity(fixtures):
     assert qb.colinearity_check([(F(0), F(0)), (F(0), F(0))]) is True
     with pytest.raises(qb.InvalidInput):
         qb.colinearity_check([(F(1), F(1))])
+    # in either order: the minors of the shorter vector alone are no answer
+    for vectors in ([(1, 2, 3), (1, 2)], [(1, 2), (1, 2, 3)]):
+        with pytest.raises(qb.InvalidInput, match="different lengths"):
+            qb.colinearity_check(vectors)
 
 
 # ---------------------------------------------------------------------------

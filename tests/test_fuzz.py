@@ -1,0 +1,145 @@
+"""Bounded fuzzing of the input boundary.
+
+Hypothesis draws ray data, JSON documents and CLI argument vectors, with
+integer coordinates and with hostile values: floats, bools, strings, None
+and nested lists.  Every input must end in a result or a ``QbaryError``
+(exit status 0, 1 or 2 on the CLI), never another exception, and every
+``ToricData`` that gets built must hold exactly its polytope's facets.
+
+Dimensions are 1 to 3, integer entries at most 3 in absolute value and
+ray lists at most 6 long, so every example is cheap: nothing yet bounds the
+work of counting a large input, which would make a hang look like a pass.
+"""
+
+from __future__ import annotations
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qbary as qb
+from qbary.cli import execute
+from qbary.linalg import dot
+
+from conftest import fraction_rank
+
+FUZZ = settings(max_examples=50, deadline=None)
+
+SMALL = st.integers(-3, 3)
+# values that are not integer coordinates, nested lists of them included
+HOSTILE = st.recursive(
+    st.one_of(st.floats(allow_nan=False, width=16), st.booleans(), st.text(max_size=2), st.none(), SMALL),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@st.composite
+def integer_rows(draw, count=st.integers(1, 6)):
+    n = draw(st.integers(1, 3))
+    return draw(st.lists(st.tuples(*[SMALL] * n), min_size=draw(count), max_size=6))
+
+
+@st.composite
+def ray_data(draw, kinds=("integers", "hull", "hostile")):
+    """Rays and offsets: random integers, a lattice hull's facets in a drawn
+    order (some scaled, one dropped or repeated), or hostile values."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "hostile":
+        return draw(st.one_of(HOSTILE, integer_rows())), draw(st.one_of(HOSTILE, st.lists(SMALL, max_size=6)))
+    if kind == "integers":
+        rays = draw(integer_rows())
+        return rays, draw(st.lists(SMALL, min_size=len(rays), max_size=len(rays)))
+    try:
+        p = qb.hull_from_vertices(draw(integer_rows(st.integers(2, 6))))
+    except qb.QbaryError:
+        return [], []
+    pairs = draw(st.permutations([(f.normal, f.offset) for f in p.facets]))
+    pairs = [(tuple(2 * x for x in r), 2 * b) if draw(st.booleans()) else (r, b) for r, b in pairs]
+    edit = draw(st.sampled_from(("none", "drop", "repeat")))
+    if edit == "drop":
+        pairs = pairs[1:]
+    elif edit == "repeat":
+        pairs.append(pairs[0])
+    return [r for r, _ in pairs], [b for _, b in pairs]
+
+
+def assert_holds_exactly_its_facets(t: qb.ToricData) -> None:
+    # read off the vertices, not off the hull's facet list: each half-space
+    # supports P along a face of dimension n - 1, and there is one per facet
+    p = t.polytope
+    assert len(t.rays) == len(t.offsets) == len(set(t.rays)) == len(p.facets)
+    for ray, b in zip(t.rays, t.offsets):
+        assert gcd(*ray) == 1
+        slacks = [dot(v, ray) + b for v in p.vertices]
+        assert min(slacks) == 0
+        on = [v for v, s in zip(p.vertices, slacks) if s == 0]
+        assert fraction_rank([[a - c for a, c in zip(v, on[0])] for v in on]) == p.dim - 1
+
+
+@FUZZ
+@given(ray_data())
+def test_toric_data_builds_exactly_its_facets_or_refuses(data):
+    rays, offsets = data
+    try:
+        t = qb.toric_data(rays, offsets)
+    except qb.QbaryError:
+        return
+    assert_holds_exactly_its_facets(t)
+
+
+@FUZZ
+@given(
+    st.one_of(
+        HOSTILE,
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "vertices": st.one_of(integer_rows(), HOSTILE),
+                "normals": st.one_of(integer_rows(), HOSTILE),
+                "offsets": st.one_of(st.lists(SMALL, max_size=6), HOSTILE),
+                "name": st.one_of(st.text(max_size=3), HOSTILE),
+            },
+        ),
+    )
+)
+def test_documents_build_or_refuse(doc):
+    # the CLI's reading of a document: its polytope, then its ray data
+    try:
+        p, _ = qb.polytope_from_document(doc)
+        t = qb.toric_data(doc["normals"], doc["offsets"], polytope=p) if "normals" in doc else qb.toric_from_polytope(p)
+    except qb.QbaryError:
+        return
+    assert_holds_exactly_its_facets(t)
+
+
+def _vector_text(entries: int) -> st.SearchStrategy[str]:
+    # no token is an option of argparse's own, such as -h
+    token = st.one_of(SMALL.map(str), st.sampled_from(("1.5", "a", "", "True", "1/2", "--", "[1]")))
+    return st.lists(token, min_size=1, max_size=entries).map(",".join)
+
+
+def _inline(data) -> tuple[str, str]:
+    rays, offsets = data
+    return ";".join(",".join(map(str, r)) for r in rays), ",".join(map(str, offsets))
+
+
+@FUZZ
+@given(
+    st.sampled_from((["classify"], ["delta"], ["hrr"], ["count", "--k", "1"], ["fan"])),
+    st.one_of(
+        ray_data(kinds=("integers", "hull")).map(_inline),
+        st.tuples(st.lists(_vector_text(3), max_size=6).map(";".join), _vector_text(6)),
+    ),
+    _vector_text(3),
+)
+def test_cli_ends_in_a_result_or_a_refusal(command, inline, direction):
+    rays, offsets = inline
+    argv = [*command, "--rays", rays, "--offsets", offsets]
+    if command == ["fan"]:
+        argv += ["--v", direction]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert execute(argv) in (0, 1, 2)

@@ -119,7 +119,8 @@ def _halfspace_verdict(normals, offsets):
     vertices = brute_halfspace_vertices(normals, offsets)
     off_lattice = [v for v in vertices if any(x.denominator != 1 for x in v)]
     if off_lattice:
-        return qb.InvalidInput, {f"vertex {v} is not a lattice point" for v in off_lattice}
+        # the vertex as the CLI prints it, each coordinate a plain fraction
+        return qb.InvalidInput, {f"vertex ({', '.join(map(str, v))}) is not a lattice point" for v in off_lattice}
     if not vertices:
         return qb.DegenerateInput, {"half-space intersection is empty"}
     if fraction_rank([[a - b for a, b in zip(v, vertices[0])] for v in vertices]) < len(normals[0]):
@@ -769,6 +770,53 @@ def test_document_round_trip_and_consistency(fixtures):
         qp.polytope_from_document(doc)
     with pytest.raises(qb.InvalidInput):
         qp.polytope_from_document({"name": "empty"})
+
+
+P2_VERTICES = ((-1, -1), (2, -1), (-1, 2))
+P2_RAYS = ((1, 0), (0, 1), (-1, -1))
+
+
+def _with_first_one(rows, value):
+    """``rows`` with their first entry 1 replaced by ``value``."""
+    flat = [x for row in rows for x in row]
+    flat[flat.index(1)] = value
+    width = len(rows[0])
+    return [flat[i : i + width] for i in range(0, len(flat), width)]
+
+
+@pytest.mark.parametrize("bad", (1.5, 1.0, F(1), F(3, 2), True, "1"), ids=repr)
+def test_constructors_refuse_coordinates_that_are_not_ints(bad):
+    # each would once have been read as 1 by int(), which builds P^2
+    # or the unit triangle
+    cases = {
+        "vertices": lambda: qb.hull_from_vertices(_with_first_one([(0, 0), (1, 0), (0, 1)], bad)),
+        "normals": lambda: qb.polytope_from_halfspaces(_with_first_one(P2_RAYS, bad), [1, 1, 1]),
+        "offsets": lambda: qb.polytope_from_halfspaces(P2_RAYS, [1, 1, bad]),
+        "rays": lambda: qb.toric_data(_with_first_one(P2_RAYS, bad), [1, 1, 1]),
+        "toric offsets": lambda: qb.toric_data(P2_RAYS, [bad, 1, 1]),
+        "document vertices": lambda: qb.polytope_from_document({"vertices": _with_first_one([(0, 0), (1, 0), (0, 1)], bad)}),
+        "document offsets": lambda: qb.polytope_from_document({"normals": P2_RAYS, "offsets": [1, bad, 1]}),
+    }
+    for where, build in cases.items():
+        with pytest.raises(qb.InvalidInput, match="^expected an"):
+            build()
+            pytest.fail(where)
+
+
+@pytest.mark.parametrize("form", (list, tuple, iter), ids=("list", "tuple", "generator"))
+def test_constructors_read_lists_tuples_and_generators_of_ints(form):
+    p2 = qb.load_fixture("p2")
+    assert qb.hull_from_vertices(form([form(v) for v in P2_VERTICES])) == p2
+    assert qb.polytope_from_halfspaces(form([form(r) for r in P2_RAYS]), form([1, 1, 1])) == p2
+    t = qb.toric_data(form([form(r) for r in P2_RAYS]), form([1, 1, 1]))
+    assert t.rays == P2_RAYS and t.offsets == (1, 1, 1) and t.polytope == p2
+
+
+def test_empty_input_is_refused_by_the_reader():
+    with pytest.raises(qb.InvalidInput, match="expected a nonempty array of integer vectors"):
+        qb.hull_from_vertices([])
+    with pytest.raises(qb.InvalidInput, match="expected a nonempty array of integer vectors"):
+        qb.polytope_from_halfspaces([], [])
 
 
 def test_all_fixture_documents_carry_consistent_representations():

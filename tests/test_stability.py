@@ -8,7 +8,6 @@ from hypothesis import given, settings
 import qbary as qb
 import qbary.stability
 from qbary.linalg import dot, vec_add
-from qbary.toric import ToricData
 
 from conftest import DEL_PEZZO_NAMES, apply_map, fraction_solve, polytope_and_map
 
@@ -52,12 +51,9 @@ def test_delta_limits():
 
 
 def test_delta_polarization_guard():
-    # deliberately inconsistent data: offset -1 would push one pairing
-    # negative, and is refused before any pairing as not f1's facets
-    f1 = qb.load_fixture("f1")
-    bogus = ToricData(F1.rays, (1, 1, 1, -1), f1)
-    with pytest.raises(qb.PreconditionViolation, match="not the facets"):
-        qb.delta_k(bogus, 1)
+    # data with an offset that would push a pairing negative cannot be
+    # built (test_toric_data_that_misses_its_polytope_is_refused); what is
+    # left to refuse here is the index
     with pytest.raises(qb.InvalidInput):
         qb.delta_k(F1, 0)
 
@@ -92,26 +88,6 @@ def test_k0_is_where_the_dominant_facet_takes_over(vertices, k0):
         value, argmin = qb.delta_k(t, k)
         assert argmin == seq.dominant_rays and value == seq.dominant(k)
     assert qb.delta_k(t, k0 - 1)[1] != seq.dominant_rays
-
-
-# P^2's rays and offsets paired with f1, which has a fourth facet: the
-# threshold would be read off the wrong half-spaces (12/13, not f1's 6/7)
-MISMATCHED = ToricData(P2.rays, P2.offsets, qb.load_fixture("f1"))
-
-
-def test_delta_refuses_half_spaces_that_are_not_the_facets():
-    with pytest.raises(qb.PreconditionViolation, match="not the facets"):
-        qb.delta(MISMATCHED)
-
-
-def test_delta_k_refuses_half_spaces_that_are_not_the_facets():
-    with pytest.raises(qb.PreconditionViolation, match="not the facets"):
-        qb.delta_k(MISMATCHED, 1)
-
-
-def test_delta_sequence_refuses_half_spaces_that_are_not_the_facets():
-    with pytest.raises(qb.PreconditionViolation, match="not the facets"):
-        qb.delta_sequence(MISMATCHED, [1, 2])
 
 
 def test_delta_sequence_f1():

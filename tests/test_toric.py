@@ -416,34 +416,32 @@ def test_hrr_requires_delzant(fixtures):
         qb.hrr_coefficients(t)
 
 
+# f1's facets, in an order of their own
+F1_RAYS = ((1, 1), (-1, -1), (1, 0), (0, 1))
 MISMATCHED_TORIC_DATA = {
     # P^2's rays miss the facet normal (1, 1) of f1
     "missing ray": (((1, 0), (0, 1), (-1, -1)), (1, 1, 1)),
     # f1's rays with the offset of (1, 1) one too large
-    "wrong offset": (((-1, -1), (0, 1), (1, 0), (1, 1)), (1, 1, 1, 2)),
+    "wrong offset": (F1_RAYS, (2, 1, 1, 1)),
+    # f1's rays and (1, -1), which only touches f1 at the vertex (-1, 2)
+    "extra ray": (F1_RAYS + ((1, -1),), (1, 1, 1, 1, 3)),
+    # f1's rays with (0, 1) listed twice
+    "ray listed twice": (F1_RAYS + ((0, 1),), (1, 1, 1, 1, 1)),
+    # f1's rays with one offset too many
+    "extra offset": (F1_RAYS, (1, 1, 1, 1, 1)),
 }
 
 
 @pytest.mark.parametrize("case", MISMATCHED_TORIC_DATA)
 def test_toric_data_that_misses_its_polytope_is_refused(case):
-    # the public constructor validates nothing; the fan refuses half-spaces
-    # that are not the polytope's facets before any ray is looked up
+    # the constructor compares the half-spaces with the facets, so no entry
+    # point ever sees ray data that is not its polytope's; f1's own data,
+    # in the caller's order, is built
+    f1 = qb.load_fixture("f1")
+    assert qb.ToricData(F1_RAYS, (1, 1, 1, 1), f1).rays == F1_RAYS
     rays, offsets = MISMATCHED_TORIC_DATA[case]
-    t = qb.ToricData(rays, offsets, qb.load_fixture("f1"))
-    with pytest.raises(qb.PreconditionViolation, match="not the facets"):
-        qb.hrr_coefficients(t)
-    for v in ((1, 0), (-1, 2)):
-        with pytest.raises(qb.PreconditionViolation, match="not the facets"):
-            qb.rooftop_coefficients(t, v)
-
-
-@pytest.mark.parametrize("case", MISMATCHED_TORIC_DATA)
-def test_divisor_polytope_of_toric_data_that_misses_its_polytope_is_refused(case):
-    # refused as a precondition, not as a divisor that no ample shift represents
-    rays, offsets = MISMATCHED_TORIC_DATA[case]
-    t = qb.ToricData(rays, offsets, qb.load_fixture("f1"))
-    with pytest.raises(qb.PreconditionViolation, match="not the facets"):
-        qb.divisor_polytope(t, (1,) * len(rays))
+    with pytest.raises(qb.PreconditionViolation, match="redundant or non-facet"):
+        qb.ToricData(rays, offsets, f1)
 
 
 # ---------------------------------------------------------------------------
