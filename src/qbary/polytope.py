@@ -164,7 +164,7 @@ def hull_from_vertices(points: Iterable[Sequence[int]]) -> Polytope:
     )
 
 
-def polytope_from_halfspaces(normals: Sequence[Sequence[int]], offsets: Sequence[int]) -> Polytope:
+def polytope_from_halfspaces(normals: Iterable[Sequence[int]], offsets: Iterable[int]) -> Polytope:
     """Bounded full-dimensional intersection of lattice half-spaces.
 
     By Minkowski–Weyl duality the vertices come out of one hull in

@@ -270,14 +270,13 @@ class ToricData:
     polytope: Polytope
 
     def __post_init__(self) -> None:
-        if len(self.rays) != len(self.offsets) or sorted(zip(self.rays, self.offsets)) != sorted(
-            (f.normal, f.offset) for f in self.polytope.facets
-        ):
+        facets = sorted((f.normal, f.offset) for f in self.polytope.facets)
+        if len(self.rays) != len(self.offsets) or sorted(zip(self.rays, self.offsets)) != facets:
             raise PreconditionViolation("ray data contains redundant or non-facet inequalities")
 
 
 def toric_data(
-    rays: Sequence[Sequence[int]], offsets: Sequence[int], *, polytope: Polytope | None = None
+    rays: Iterable[Sequence[int]], offsets: Iterable[int], *, polytope: Polytope | None = None
 ) -> ToricData:
     """Ray data ``<u, r_i> >= -b_i``; a ray with content g is divided by g
     and so is its offset, which g must divide.

@@ -495,8 +495,7 @@ def test_count_errors():
 
 @pytest.mark.parametrize("k", (F(3, 2), 1.5, 2.0, F(2), True, "2"), ids=repr)
 def test_a_dilation_that_is_not_an_int_is_refused(k):
-    # checked before the cached counting pass, whose cache takes 2.0 for 2;
-    # before, count_points(p2, 1.5) returned 15.5 and interior_count 1.0
+    # checked before the cached counting pass, whose cache takes 2.0 for 2
     p2 = qb.load_fixture("p2")
     for function in (qb.count_points, qb.interior_count, qb.quantized_barycenter):
         with pytest.raises(qb.InvalidInput, match="dilation factor must be an integer"):

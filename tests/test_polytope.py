@@ -786,8 +786,8 @@ def _with_first_one(rows, value):
 
 @pytest.mark.parametrize("bad", (1.5, 1.0, F(1), F(3, 2), True, "1"), ids=repr)
 def test_constructors_refuse_coordinates_that_are_not_ints(bad):
-    # each would once have been read as 1 by int(), which builds P^2
-    # or the unit triangle
+    # int() reads each of these as 1, which builds P^2 or the unit
+    # triangle, so only a reader that refuses them passes
     cases = {
         "vertices": lambda: qb.hull_from_vertices(_with_first_one([(0, 0), (1, 0), (0, 1)], bad)),
         "normals": lambda: qb.polytope_from_halfspaces(_with_first_one(P2_RAYS, bad), [1, 1, 1]),
