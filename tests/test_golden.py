@@ -129,6 +129,13 @@ CUBE7 = (
 # 2, which is divided, with its offset, by its content.
 F1_REORDERED = ("1,1;1,0;-1,-1;0,1", "1,1,1,1")
 P2_CONTENT_2 = ("2,0;0,1;-1,-1", "2,1,1")
+# Products measured and planned through their factors: the Hirzebruch
+# trapezoid conv((0,0),(3,0),(0,1),(2,1)) on axes 0 and 2 times [0,2] on
+# axis 1 times [-1,1] on axis 3, whose blocks interleave and whose first
+# factor is not symmetric; and the same trapezoid times [0,2] in dimension
+# 3, with the segment on the middle axis.
+TRAPEZOID_SEGMENTS = ("0,0,1,0;1,0,0,0;0,0,-1,0;-1,0,-1,0;0,1,0,0;0,-1,0,0;0,0,0,1;0,0,0,-1", "0,0,1,3,0,2,1,1")
+TRAPEZOID_SEGMENT3 = ("0,0,1;1,0,0;0,0,-1;-1,0,-1;0,1,0;0,-1,0", "0,0,1,3,0,2")
 
 
 def command_lines() -> list[list[str]]:
@@ -197,6 +204,11 @@ def command_lines() -> list[list[str]]:
         lines.append([*command, "--rays", F1_REORDERED[0], "--offsets", F1_REORDERED[1]])
     for command in (["classify"], ["delta"]):
         lines.append([*command, "--rays", P2_CONTENT_2[0], "--offsets", P2_CONTENT_2[1]])
+    for command in (["bc"], ["expand"], ["bck", "--k", "12"]):
+        lines.append([*command, "--rays", TRAPEZOID_SEGMENTS[0], "--offsets", TRAPEZOID_SEGMENTS[1]])
+    lines.append(["bc", "--rays", CUBE7[0], "--offsets", CUBE7[1]])
+    for command in ("bc", "expand"):
+        lines.append([command, "--rays", TRAPEZOID_SEGMENT3[0], "--offsets", TRAPEZOID_SEGMENT3[1]])
     return lines
 
 
