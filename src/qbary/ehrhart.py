@@ -24,7 +24,9 @@ not depend on the order, only the work does.  Every outer coordinate is
 bounded by the facets of P's projection onto the leading coordinates
 scanned so far (hulls built once per polytope and scaled by ``k``), so the
 scan visits only prefixes that extend to points of ``k*P`` instead of the
-whole bounding box.  The slacks of these inequalities are integers kept up
+whole bounding box.  That projection is the product of its projections
+onto P's coordinate blocks, so only the hull of the coordinate's own
+block is built.  The slacks of these inequalities are integers kept up
 to date as the scan steps, and a step of one coordinate moves only the
 slacks of the inequalities that involve it: 2 of the 2 dim on a box.
 
@@ -32,7 +34,9 @@ A product of coordinate blocks of dimension 4 or more is counted through
 its factors.  The blocks are the connected components of the axes, two
 axes joined when a facet normal involves both; every facet then involves
 one block, and P is the product of its projections onto the blocks, each
-read off P with no hull.  As ``k*P = k*A x k*B`` and the interior of
+read off P with no hull (:mod:`qbary.polytope`, which measures P through
+the same factors).  P's plan keeps the factors' plans, so the split is
+found once per polytope.  As ``k*P = k*A x k*B`` and the interior of
 ``k*P`` is ``int(k*A) x int(k*B)``, the count is the product of the
 factors' counts and the sums on a block are that factor's sums times the
 other factors' counts, closed and interior alike.  At k = 1 the full pass
@@ -67,7 +71,7 @@ from .errors import InternalInconsistency, InvalidInput, Unsupported
 from .exactnum import Polynomial, poly_fit
 from .hull import convex_hull
 from .linalg import IntVec
-from .polytope import Halfspace, Polytope, classify, facet_data, measure
+from .polytope import Polytope, _blocks, _factors, classify, facet_data, int_value, measure
 
 
 @dataclass(frozen=True)
@@ -106,11 +110,16 @@ class _ScanPlan:
     bounds scan coordinate ``j``: for ``j < dim - 1`` by the facets of P's
     projection onto scan coordinates ``0..j`` that are not parallel to axis
     ``j``, and for the last coordinate by all of P's facets.
+
+    ``factors`` is empty, or for a product of coordinate blocks of
+    dimension 4 or more, one ``(block, plan)`` per factor: the axes of P it
+    lies on and its own plan.
     """
 
     order: tuple[int, ...]
     first: tuple[int, int]
     bounds: tuple[_Bounds, ...]
+    factors: tuple[tuple[tuple[int, ...], _ScanPlan], ...] = ()
 
 
 def _shadows(p: Polytope) -> list[Fraction]:
@@ -119,14 +128,8 @@ def _shadows(p: Polytope) -> list[Fraction]:
     By Cauchy's projection formula this is the (dim-1)-volume of P's
     projection along e_i: the facets whose normals point one way along e_i
     cover that projection once, and a facet with primitive normal u, whose
-    Euclidean area is ``nvol(F) |u|``, covers ``|u[i]| / |u|`` of it.  In
-    dimensions 1 and 2 that projection is a point or a segment along the
-    other axis, read off the vertices, so a factor of a product
-    (:func:`_factors`) is planned without its facet measures.
+    Euclidean area is ``nvol(F) |u|``, covers ``|u[i]| / |u|`` of it.
     """
-    if p.dim <= 2:
-        widths = [max(v[i] for v in p.vertices) - min(v[i] for v in p.vertices) for i in range(p.dim)]
-        return widths[::-1] if p.dim == 2 else [1]
     facets = facet_data(p).facets
     return [
         sum(fm.normal[i] * fm.normalized_volume for fm in facets if fm.normal[i] > 0)
@@ -134,14 +137,32 @@ def _shadows(p: Polytope) -> list[Fraction]:
     ]
 
 
-def _plan(p: Polytope, order: tuple[int, ...]) -> _ScanPlan:
-    """The scan of P in the given axis order."""
+def _plan(p: Polytope, order: tuple[int, ...], blocks: list[tuple[int, ...]]) -> _ScanPlan:
+    """The scan of P in the given axis order, P the product of its
+    coordinate ``blocks`` (:func:`qbary.polytope._blocks`).
+
+    P's projection onto scan coordinates ``0..j`` is the product of its
+    projections onto each block's coordinates among them, and only the one
+    on axis ``order[j]``'s block has facets that involve that axis.  So
+    coordinate j is bounded by the hull of that projection alone, its
+    normals lifted back with zeros.  A polytope that is no product is one
+    block, bounded by the hulls of whole prefixes.
+    """
     n = p.dim
     verts = [tuple(v[i] for i in order) for v in p.vertices]
+    block_of = {i: block for block in blocks for i in block}
     bounds = []
     for j in range(1, n - 1):
-        hull = convex_hull({v[: j + 1] for v in verts})
-        bounds.append(_bounds([(f.normal, f.offset) for f in hull.facets if f.normal[j]]))
+        own = [i for i in range(j + 1) if order[i] in block_of[order[j]]]
+        hull = convex_hull({tuple(v[i] for i in own) for v in verts})
+        lifted = []
+        for f in hull.facets:
+            if f.normal[-1]:
+                normal = [0] * (j + 1)
+                for i, x in zip(own, f.normal):
+                    normal[i] = x
+                lifted.append((tuple(normal), f.offset))
+        bounds.append(_bounds(lifted))
     bounds.append(_bounds([(tuple(f.normal[i] for i in order), f.offset) for f in p.facets]))
     first = (min(v[0] for v in verts), max(v[0] for v in verts))
     return _ScanPlan(order, first, tuple(bounds))
@@ -149,8 +170,23 @@ def _plan(p: Polytope, order: tuple[int, ...]) -> _ScanPlan:
 
 @lru_cache(maxsize=None)
 def _scan_plan(p: Polytope) -> _ScanPlan:
+    """P's plan in shadow order, with its factors' plans when P is a product
+    of dimension 4 or more.
+
+    P's shadows on a block are the factor's times the other factors'
+    volumes, so a factor is planned in P's order restricted to its block.
+    """
     shadows = _shadows(p)
-    return _plan(p, tuple(sorted(range(p.dim), key=lambda i: (-shadows[i], i))))
+    order = tuple(sorted(range(p.dim), key=lambda i: (-shadows[i], i)))
+    blocks = _blocks(p)
+    plan = _plan(p, order, blocks)
+    if p.dim < 4 or len(blocks) < 2:
+        return plan
+    factors = tuple(
+        (block, _plan(factor, tuple(block.index(i) for i in order if i in block), [tuple(range(factor.dim))]))
+        for block, factor in zip(blocks, _factors(p, blocks))
+    )
+    return _ScanPlan(order, plan.first, plan.bounds, factors)
 
 
 class LatticeStats(NamedTuple):
@@ -309,8 +345,9 @@ def _nonnegative(low, high, lo: int, hi: int) -> tuple[int, int]:
     return first, last
 
 
-def _pass(p: Polytope, k: int) -> LatticeStats:
-    """Closed and interior count and coordinate sums of ``k*P`` for ``k >= 1``.
+def _pass(plan: _ScanPlan, k: int) -> LatticeStats:
+    """Closed and interior count and coordinate sums of ``k*P`` for ``k >= 1``,
+    by P's ``plan``.
 
     The scan visits exactly the lattice points of the projections of ``k*P``
     onto the first ``dim - 2`` scan coordinates, and sums each row, over the
@@ -320,8 +357,7 @@ def _pass(p: Polytope, k: int) -> LatticeStats:
     slacks whose column j is nonzero.  A lattice point is interior when
     every slack is at least 1.
     """
-    plan = _scan_plan(p)
-    n = p.dim
+    n = len(plan.order)
     facets = plan.bounds[-1]
     steps = facets.cols[-1] if n > 1 else (0,) * len(facets.coefs)
     # P's facets by their role along a row, where r = slack + s*y with y the
@@ -431,54 +467,6 @@ def _pass(p: Polytope, k: int) -> LatticeStats:
     return LatticeStats(*unscan(closed), *unscan(inner))
 
 
-def _blocks(p: Polytope) -> list[tuple[int, ...]]:
-    """The coordinate blocks of P, by least axis: the connected components
-    of the axes, two axes joined when a facet normal involves both.
-
-    Every facet then involves one block, so P is the product of its
-    projections onto the blocks.
-    """
-    label = list(range(p.dim))  # the least axis of each axis's block so far
-    for f in p.facets:
-        joined = {label[i] for i, x in enumerate(f.normal) if x}
-        if len(joined) > 1:
-            least = min(joined)
-            label = [least if a in joined else a for a in label]
-    blocks: dict[int, list[int]] = {}
-    for i, a in enumerate(label):
-        blocks.setdefault(a, []).append(i)
-    return [tuple(block) for block in blocks.values()]
-
-
-def _factors(p: Polytope, blocks: list[tuple[int, ...]]) -> list[Polytope]:
-    """P's projections onto its coordinate ``blocks``, read off P with no hull.
-
-    A factor's vertices are the distinct projections of P's vertices, its
-    facets P's facets on its block, restricted to it with the same offsets,
-    and each facet holds the projections of the vertices of P's facet.
-    """
-    block_of = {i: b for b, block in enumerate(blocks) for i in block}
-    facets: list[list[tuple[Halfspace, tuple[int, ...]]]] = [[] for _ in blocks]
-    for f, on in zip(p.facets, p.incidence):
-        facets[block_of[next(i for i, x in enumerate(f.normal) if x)]].append((f, on))
-    columns = list(zip(*p.vertices))
-    factors = []
-    for block, on_block in zip(blocks, facets):
-        projected = list(zip(*[columns[i] for i in block]))
-        vertices = sorted(set(projected))
-        index = {v: j for j, v in enumerate(vertices)}
-        ids = [index[v] for v in projected]
-        factors.append(
-            Polytope(
-                len(block),
-                tuple(vertices),
-                tuple(Halfspace(tuple([f.normal[i] for i in block]), f.offset) for f, _ in on_block),
-                tuple(tuple(sorted({ids[j] for j in on})) for _, on in on_block),
-            )
-        )
-    return factors
-
-
 def _product(blocks: list[tuple[int, ...]], records: list[LatticeStats]) -> LatticeStats:
     """The record of the product of factors with the given ``records``,
     factor b on the axes ``blocks[b]``.
@@ -509,37 +497,34 @@ def lattice_point_stats(p: Polytope, k: int) -> LatticeStats:
 
     ``k = 0`` gives the single point at the origin, which has no interior.
     A polytope of dimension 4 or more with two or more coordinate blocks is
-    counted through its factors, one pass each, and at k = 1 also by one
-    pass over P that must give the same record; any other is one pass.
+    counted through its factors, one pass each by the plans that
+    :func:`_scan_plan` keeps, and at k = 1 also by one pass over P that
+    must give the same record; any other is one pass.
     """
     if k < 0:
         raise InvalidInput("dilation factor must be nonnegative")
     if k == 0:
         zero = (0,) * p.dim
         return LatticeStats(1, zero, 0, zero)
-    blocks = _blocks(p) if p.dim >= 4 else []
-    if len(blocks) < 2:
-        return _pass(p, k)
-    product = _product(blocks, [_pass(factor, k) for factor in _factors(p, blocks)])
-    if k == 1 and _pass(p, 1) != product:
+    plan = _scan_plan(p)
+    if not plan.factors:
+        return _pass(plan, k)
+    product = _product([block for block, _ in plan.factors], [_pass(factor, k) for _, factor in plan.factors])
+    if k == 1 and _pass(plan, 1) != product:
         raise InternalInconsistency("the product of the factors' counts differs from the count of P at k=1")
     return product
 
 
 def count_points(p: Polytope, k: int) -> int:
     """Number of lattice points of ``k*P`` for ``k >= 0``."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise InvalidInput(f"dilation factor must be an integer, got {k!r}")
-    if k < 0:
+    if int_value(k, "dilation factor") < 0:
         raise InvalidInput("negative dilation: use interior_count via reciprocity")
     return lattice_point_stats(p, k).count
 
 
 def interior_count(p: Polytope, k: int) -> int:
     """Number of lattice points strictly inside ``k*P`` for ``k >= 1``."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise InvalidInput(f"dilation factor must be an integer, got {k!r}")
-    if k < 1:
+    if int_value(k, "dilation factor") < 1:
         raise InvalidInput("interior counts need a positive dilation")
     return lattice_point_stats(p, k).interior
 
@@ -623,7 +608,7 @@ def reciprocity_check(p: Polytope, k_max: int) -> ReciprocityReport:
 
     Failures are reported per dilation, never raised.
     """
-    if k_max < 1:
+    if int_value(k_max, "k_max") < 1:
         raise InvalidInput("k_max must be at least 1")
     ehr = ehrhart_polynomial(p).poly
     sign = (-1) ** p.dim

@@ -53,6 +53,8 @@ from .polytope import (
     check_direction,
     classify,
     facet_data,
+    int_list,
+    int_value,
     measure,
     support_value,
 )
@@ -107,9 +109,7 @@ class ExpansionCoefficients:
 
 def quantized_barycenter(p: Polytope, k: int) -> QuantizedBarycenter:
     """Average of the lattice points of ``k*P``, divided by ``k``."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise InvalidInput(f"dilation factor must be an integer, got {k!r}")
-    if k < 1:
+    if int_value(k, "dilation factor") < 1:
         raise InvalidInput("quantized barycenters need a positive dilation")
     stats = lattice_point_stats(p, k)
     # the value is sums / scale: <value, normal> >= -offset, times scale
@@ -132,11 +132,11 @@ def rooftop(p: Polytope, direction: Sequence[int], q: int) -> Polytope:
     ``(direction, -1)`` with offset q through the top copies.  Vertices and
     facets come sorted, as the hull engine gives them.
     """
-    if q + support_value(p, direction) <= 0:
+    d = tuple(int_list(direction))
+    if q + support_value(p, d) <= 0:
         raise PreconditionViolation(
             "rooftop offset too small: the roof must stay strictly above the floor"
         )
-    d = tuple(int(x) for x in direction)
     bottom = [v + (0,) for v in p.vertices]
     top = [v + (dot(v, d) + q,) for v in p.vertices]
     vertices = sorted(bottom + top)
@@ -196,7 +196,7 @@ def asymptotic_coefficients(p: Polytope, order: int | None = None) -> ExpansionC
     """
     if order is None:
         order = 2 * p.dim + 2
-    if order < 1:
+    if int_value(order, "expansion order") < 1:
         raise InvalidInput("expansion order must be at least 1")
     bf = barycenter_function(p)
     per_coord = [laurent_expand(num, bf.denominator, order) for num in bf.numerators]
@@ -242,7 +242,7 @@ def stabilization_check(p: Polytope, ks: Sequence[int]) -> StabilizationVerdict:
     identity is verified, not assumed.  Disagreement is reported with a
     witnessing pair of dilations.
     """
-    ks = list(dict.fromkeys(int(k) for k in ks))
+    ks = list(dict.fromkeys(int_list(ks)))
     if any(k < 1 for k in ks):
         raise InvalidInput("dilations must be positive")
     if len(ks) <= p.dim:

@@ -19,9 +19,12 @@ facet sublattice has measure one, with its barycenter in the original
 coordinates: one determinant for a facet that is a simplex, and pyramid
 heights read off sparse Plücker vectors, each face once, for any other.
 The facets' measures and the lattice heights of vertex 0 above them give
-the Euclidean volume and barycenter of P.  The sums stay integers until
-Minkowski's relation and the divergence theorem have been checked on
-them.  :func:`vertex_cones` lists the facets through each
+the Euclidean volume and barycenter of P.  A product of two or more
+coordinate blocks (:func:`_blocks`), in any dimension, is walked one
+factor at a time instead, and P's integers are assembled from the
+factors' with multinomial coefficients (:func:`_product_face`).  The sums
+stay integers until Minkowski's relation and the divergence theorem have
+been checked on them.  :func:`vertex_cones` lists the facets through each
 vertex, whose normals span that vertex's cone of the normal fan;
 :func:`classify` reads the Delzant condition off them.
 
@@ -35,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Sequence
 
 from .errors import DegenerateInput, InternalInconsistency, InvalidInput, Unsupported, UnboundedInput
@@ -131,6 +134,14 @@ def int_list(values: object) -> list[int]:
     if not all(isinstance(x, int) and not isinstance(x, bool) for x in entries):
         raise InvalidInput("expected an array of integers")
     return entries
+
+
+def int_value(value: object, what: str) -> int:
+    """``value`` if it is an ``int``; a bool, float, ``Fraction`` or str is
+    refused, the message naming ``what``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidInput(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def int_rows(rows: object) -> list[IntVec]:
@@ -266,7 +277,7 @@ def as_body(obj: Polytope | Body) -> Body:
 
 def dilate(obj: Polytope | Body, factor: int):
     """Integer dilation ``factor * P``; ``factor == 0`` collapses to the origin."""
-    if factor < 0:
+    if int_value(factor, "dilation factor") < 0:
         raise InvalidInput("dilation factor must be nonnegative")
     if factor == 0:
         dim = obj.dim
@@ -313,19 +324,120 @@ def facet_data(p: Polytope) -> FacetData:
     return _measures(p)[1]
 
 
+def _blocks(p: Polytope) -> list[tuple[int, ...]]:
+    """The coordinate blocks of P, by least axis: the connected components
+    of the axes, two axes joined when a facet normal involves both.
+
+    Every facet then involves one block, so P is the product of its
+    projections onto the blocks.
+    """
+    label = list(range(p.dim))  # the least axis of each axis's block so far
+    for f in p.facets:
+        joined = {label[i] for i, x in enumerate(f.normal) if x}
+        if len(joined) > 1:
+            least = min(joined)
+            label = [least if a in joined else a for a in label]
+    blocks: dict[int, list[int]] = {}
+    for i, a in enumerate(label):
+        blocks.setdefault(a, []).append(i)
+    return [tuple(block) for block in blocks.values()]
+
+
+def _factors(p: Polytope, blocks: list[tuple[int, ...]]) -> list[Polytope]:
+    """P's projections onto its coordinate ``blocks``, read off P with no hull.
+
+    A factor's vertices are the distinct projections of P's vertices, its
+    facets P's facets on its block, in P's order, restricted to it with the
+    same offsets, and each facet holds the projections of the vertices of
+    P's facet.
+    """
+    block_of = {i: b for b, block in enumerate(blocks) for i in block}
+    facets: list[list[tuple[Halfspace, tuple[int, ...]]]] = [[] for _ in blocks]
+    for f, on in zip(p.facets, p.incidence):
+        facets[block_of[next(i for i, x in enumerate(f.normal) if x)]].append((f, on))
+    columns = list(zip(*p.vertices))
+    factors = []
+    for block, on_block in zip(blocks, facets):
+        projected = list(zip(*[columns[i] for i in block]))
+        vertices = sorted(set(projected))
+        index = {v: j for j, v in enumerate(vertices)}
+        ids = [index[v] for v in projected]
+        factors.append(
+            Polytope(
+                len(block),
+                tuple(vertices),
+                tuple(Halfspace(tuple([f.normal[i] for i in block]), f.offset) for f, _ in on_block),
+                tuple(tuple(sorted({ids[j] for j in on})) for _, on in on_block),
+            )
+        )
+    return factors
+
+
+def _product_face(blocks: list[tuple[int, ...]], faces: list[tuple[int, int, list[int]]]) -> tuple[int, list[int]]:
+    """``W`` and ``M`` (:func:`qbary.hull.face_moments`) of a product of
+    faces ``(dimension e_c, W_c, M_c)``, face c on the axes ``blocks[c]``.
+
+    A fundamental cell of the product's sublattice is the product of the
+    faces' cells, so ``nvol`` multiplies and ``W = (e; e_1..e_m) prod W_c``
+    with the multinomial of ``e = sum e_c``.  The barycenter is the faces'
+    barycenters side by side, so on block c ``M = (e+1) W M_c / ((e_c+1)
+    W_c)``, which is ``(e+1; .., e_c+1, ..)`` times ``M_c`` and the other
+    faces' ``W``: an exact integer quotient.
+    """
+    dims = [e for e, _, _ in faces]
+    weight = factorial(sum(dims)) // prod(factorial(e) for e in dims) * prod(w for _, w, _ in faces)
+    moment = [0] * sum(map(len, blocks))
+    for block, (e, w, face_moment) in zip(blocks, faces):
+        scale = (sum(dims) + 1) * weight // ((e + 1) * w)
+        for i, m in zip(block, face_moment):
+            moment[i] = scale * m
+    return weight, moment
+
+
+def _product_moments(p: Polytope, blocks: list[tuple[int, ...]]) -> tuple[int, list[int], list[tuple[int, list[int]]]]:
+    """:func:`qbary.hull.face_moments` of a product of coordinate ``blocks``,
+    from one walk of each factor's face lattice.
+
+    P is the product of its factors (:func:`_factors`), and a facet of P on
+    block b is that factor's facet times the other factors.
+    """
+    factors = _factors(p, blocks)
+    walks = [face_moments(q.vertices, [(f.normal, ids) for f, ids in zip(q.facets, q.incidence)]) for q in factors]
+    whole = [(q.dim, volume, moment) for q, (volume, moment, _) in zip(factors, walks)]
+    volume, moment = _product_face(blocks, whole)
+    block_of = {i: b for b, block in enumerate(blocks) for i in block}
+    # a factor's facets are P's on its block, in P's order
+    on_block = [iter(weighed) for _, _, weighed in walks]
+    weighed = []
+    for f in p.facets:
+        b = block_of[next(i for i, x in enumerate(f.normal) if x)]
+        total, facet_moment = next(on_block[b])
+        weighed.append(_product_face(blocks, whole[:b] + [(whole[b][0] - 1, total, facet_moment)] + whole[b + 1 :]))
+    return volume, moment, weighed
+
+
 @lru_cache(maxsize=None)
 def _measures(p: Polytope) -> tuple[MeasureData, FacetData]:
-    """Both measures of P from one walk, :func:`qbary.hull.face_moments`.
+    """Both measures of P from one walk, :func:`qbary.hull.face_moments`, or
+    when P is a product of two or more coordinate blocks from one walk of
+    each factor (:func:`_product_moments`).
 
     Its integers are checked before any fraction is built: Minkowski's
     relation ``sum_F total_F u_F = 0`` and the divergence theorem ``sum_F
     moment_F[i] u_F[j] = -delta_ij n! vol(P)``, with ``n! vol(P)`` summed
     from the facet weights of the pyramids from vertex 0, not from the
-    facet moments.
+    facet moments.  On a product they hold only if each factor's do, since
+    a facet's integers are its factor's scaled by the other factors'
+    volumes, and they fail on a facet matched to another factor facet or a
+    wrong multinomial.
     """
     n = p.dim
     normals = [f.normal for f in p.facets]
-    volume, moment, weighed = face_moments(p.vertices, list(zip(normals, p.incidence)))
+    blocks = _blocks(p)
+    if len(blocks) > 1:
+        volume, moment, weighed = _product_moments(p, blocks)
+    else:
+        volume, moment, weighed = face_moments(p.vertices, list(zip(normals, p.incidence)))
     for j in range(n):
         if sum(total * u[j] for (total, _), u in zip(weighed, normals)) != 0:
             raise InternalInconsistency("facet measures violate Minkowski's relation")

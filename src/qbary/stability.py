@@ -30,7 +30,7 @@ from .errors import InternalInconsistency, InvalidInput, InvalidPolarization, Un
 from .exactnum import LaurentSeries, Polynomial, RationalFunction, integer_numerators, laurent_expand
 from .expansion import barycenter_function, quantized_barycenter
 from .linalg import dot, solve
-from .polytope import check_direction, classify, facet_data, measure, support_value, vertex_cones
+from .polytope import check_direction, classify, facet_data, int_list, int_value, measure, support_value, vertex_cones
 from .toric import ToricData
 
 
@@ -99,7 +99,7 @@ def delta_sequence(t: ToricData, ks: Sequence[int], order: int = 2) -> DeltaSequ
     largest dilation at which any strictly smaller facet still ties or wins,
     located by scanning up to an exact root bound.
     """
-    if order < 2:
+    if int_value(order, "expansion order") < 2:
         raise InvalidInput("expansion order must be at least 2")
     nums, den = _facet_numerators(t)
     # Over one positive denominator, and with E's leading coefficient (the
@@ -175,7 +175,7 @@ def del_pezzo_closed_form(t: ToricData, k: int) -> Fraction:
 
 def expected_vanishing_order(t: ToricData, direction: Sequence[int], k: int) -> Fraction:
     """``<Bc_k, direction> - psi(direction)`` with psi the support function."""
-    v = tuple(int(x) for x in direction)
+    v = tuple(int_list(direction))
     bc = quantized_barycenter(t.polytope, k).value
     return dot(bc, v) - support_value(t.polytope, v)
 
@@ -188,7 +188,7 @@ def log_discrepancy(t: ToricData, direction: Sequence[int]) -> Fraction:
     contains the direction the computation is unsupported.
     """
     p = t.polytope
-    v = tuple(int(x) for x in direction)
+    v = tuple(int_list(direction))
     n = p.dim
     check_direction(v, n)
     saw_nonsimplicial = False

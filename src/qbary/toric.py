@@ -199,7 +199,8 @@ def mixed_volume(args: Sequence[tuple["VirtualPolytope | Polytope | Body", int]]
     """
     if not args:
         raise InvalidInput("mixed volume needs at least one argument")
-    virtuals = [(VirtualPolytope.of(v), int(m)) for v, m in args]
+    multiplicities = int_list(m for _, m in args)
+    virtuals = [(VirtualPolytope.of(v), m) for (v, _), m in zip(args, multiplicities)]
     dim = virtuals[0][0].dim
     if any(v.dim != dim for v, _ in virtuals):
         raise InvalidInput("mixed volume across ambient dimensions")
@@ -312,7 +313,7 @@ class RooftopFan:
 def rooftop_fan(t: ToricData, direction: Sequence[int]) -> RooftopFan:
     """Rays ``(v_i, 0), (0,..,0,1), (direction, -1)`` with the canonical
     offset ``q = 1 - support_value(P, direction)``."""
-    v = tuple(int(x) for x in direction)
+    v = tuple(int_list(direction))
     rays = tuple(r + (0,) for r in t.rays)
     rays += ((0,) * t.polytope.dim + (1,), v + (-1,))
     return RooftopFan(rays, 1 - support_value(t.polytope, v))
@@ -351,7 +352,7 @@ def divisor_polytope(t: ToricData, coeffs: tuple[int, ...]) -> VirtualPolytope:
     """
     if not classify(t.polytope).delzant:
         raise PreconditionViolation("divisor polytopes require Delzant data")
-    coeffs = tuple(int(c) for c in coeffs)
+    coeffs = tuple(int_list(coeffs))
     if len(coeffs) != len(t.rays):
         raise InvalidInput("one coefficient per ray required")
     dim = t.polytope.dim
@@ -518,7 +519,7 @@ def rooftop_coefficients(t: ToricData, direction: Sequence[int]) -> RooftopCoeff
     if not classify(t.polytope).delzant:
         raise PreconditionViolation("rooftop coefficients require Delzant data")
     p = t.polytope
-    v = tuple(int(x) for x in direction)
+    v = tuple(int_list(direction))
     fan = rooftop_fan(t, v)
     bf = barycenter_function(p)
     numerator = bf.pairing_numerator(v)

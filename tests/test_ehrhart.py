@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qbary as qb
+import qbary.polytope
 from qbary import ehrhart, expansion
 from qbary.cli import execute
 from qbary.ehrhart import lattice_point_stats
@@ -102,23 +103,24 @@ def box_scan(p, k):
     return count, tuple(sums), interior, tuple(interior_sums)
 
 
-def assert_scan_matches(p, ks, expected, monkeypatch):
+def assert_scan_matches(p, ks, expected):
     # the records do not depend on the plan: the planner's axis order and
-    # every other one count the same points.  The passes are called
+    # every other one count the same points, with the outer coordinates
+    # bounded by P's blocks or by whole prefixes.  The passes are called
     # directly, since a product of dimension 4 or more is counted through
     # its factors and passes over P itself only at k = 1.
     assert [lattice_point_stats(p, k) for k in ks] == expected
     passes = [(k, record) for k, record in zip(ks, expected) if k]
-    for order in itertools.permutations(range(p.dim)):
-        plan = ehrhart._plan(p, order)
-        monkeypatch.setattr(ehrhart, "_scan_plan", lambda q, plan=plan: plan)
-        assert [ehrhart._pass(p, k) for k, _ in passes] == [record for _, record in passes], order
+    for blocks in {tuple(qbary.polytope._blocks(p)), (tuple(range(p.dim)),)}:
+        for order in itertools.permutations(range(p.dim)):
+            plan = ehrhart._plan(p, order, blocks)
+            assert [ehrhart._pass(plan, k) for k, _ in passes] == [record for _, record in passes], (order, blocks)
 
 
 @pytest.mark.parametrize("name", SCAN_SHAPES)
-def test_scan_matches_brute_force_oracles(name, monkeypatch):
+def test_scan_matches_brute_force_oracles(name):
     p = qb.hull_from_vertices(SCAN_SHAPES[name])
-    assert_scan_matches(p, range(5), [box_scan(p, k) for k in range(5)], monkeypatch)
+    assert_scan_matches(p, range(5), [box_scan(p, k) for k in range(5)])
 
 
 OCTAGON = [(0, 0), (3, -1), (5, 0), (6, 2), (5, 4), (3, 5), (0, 4), (-1, 2)]
@@ -133,7 +135,7 @@ LONG_ROWS = {
 
 
 @pytest.mark.parametrize("name", LONG_ROWS)
-def test_long_multi_piece_rows_match_a_box_scan(name, monkeypatch):
+def test_long_multi_piece_rows_match_a_box_scan(name):
     vertices, ks = LONG_ROWS[name]
     p = qb.hull_from_vertices(vertices)
     plan = ehrhart._scan_plan(p)
@@ -142,7 +144,7 @@ def test_long_multi_piece_rows_match_a_box_scan(name, monkeypatch):
     if p.dim == 3:
         assert plan.order[0] == 0
         assert sum(not c and not s for s, c in zip(facets.cols[-1], facets.coefs)) == 2
-    assert_scan_matches(p, ks, [box_scan(p, k) for k in ks], monkeypatch)
+    assert_scan_matches(p, ks, [box_scan(p, k) for k in ks])
 
 
 def direct_sums(values):
@@ -309,9 +311,9 @@ def count_passes(monkeypatch, mutate=None):
     seen = []
     real = ehrhart._pass
 
-    def counted(p, k):
+    def counted(plan, k):
         seen.append(k)
-        stats = real(p, k)
+        stats = real(plan, k)
         return mutate(k, stats) if mutate else stats
 
     monkeypatch.setattr(ehrhart, "_pass", counted)
@@ -627,7 +629,7 @@ def interleave(perm, x):
 @given(interleaved_products())
 def test_products_match_box_scans_and_their_factors(case):
     a, b, perm, p = case
-    assert len(ehrhart._blocks(p)) >= 2
+    assert len(qbary.polytope._blocks(p)) >= 2
     assert [lattice_point_stats(p, k) for k in (1, 2)] == [box_scan(p, k) for k in (1, 2)]
     assert qb.ehrhart_polynomial(p).poly == qb.ehrhart_polynomial(a).poly * qb.ehrhart_polynomial(b).poly
     for k in (1, 2, 3):
@@ -654,13 +656,13 @@ def test_products_match_box_scans_and_their_factors(case):
 
 
 def passes_on(monkeypatch):
-    """Record the polytope and dilation of every counting pass."""
+    """Record the plan and dilation of every counting pass."""
     seen = []
     real = ehrhart._pass
 
-    def counted(p, k):
-        seen.append((p, k))
-        return real(p, k)
+    def counted(plan, k):
+        seen.append((plan, k))
+        return real(plan, k)
 
     monkeypatch.setattr(ehrhart, "_pass", counted)
     return seen
@@ -690,8 +692,9 @@ def test_products_of_dimension_4_or_more_pass_over_p_only_at_k_1(monkeypatch, ve
     seen = passes_on(monkeypatch)
     for k in range(1, 6):
         lattice_point_stats.__wrapped__(p, k)
-    assert [k for q, k in seen if q == p] == ([1] if product else [1, 2, 3, 4, 5])
-    assert sorted({k for q, k in seen if q != p}) == ([1, 2, 3, 4, 5] if product else [])
+    plan = ehrhart._scan_plan(p)
+    assert [k for q, k in seen if q is plan] == ([1] if product else [1, 2, 3, 4, 5])
+    assert sorted({k for q, k in seen if q is not plan}) == ([1, 2, 3, 4, 5] if product else [])
 
 
 def swap_first_two_blocks_sums(blocks, records):
@@ -737,3 +740,61 @@ def test_fits_catch_interior_sums_scaled_by_closed_counts_on_the_unit_5_cube(mon
     lattice_point_stats.__wrapped__(p, 1)
     with pytest.raises(qb.InternalInconsistency, match="coordinate-sum polynomial fails"):
         qb.barycenter_function(p)
+
+
+def test_unit_5_cube_plan_hulls_two_points_per_coordinate(monkeypatch):
+    # each outer coordinate is bounded by the hull of its own segment, and
+    # the factors, all segments, take no hull at all
+    p = qb.hull_from_vertices(SCAN_SHAPES["unit 5-cube"])
+    sizes = []
+    real = ehrhart.convex_hull
+
+    def counted(points):
+        sizes.append(len(points))
+        return real(points)
+
+    monkeypatch.setattr(ehrhart, "convex_hull", counted)
+    plan = ehrhart._scan_plan.__wrapped__(p)
+    assert sizes == [2, 2, 2]
+    assert [len(bounds.coefs) for bounds in plan.bounds] == [2, 2, 2, 10]
+    assert [block for block, _ in plan.factors] == [(i,) for i in range(5)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(interleaved_products())
+def test_product_plans_bound_each_coordinate_within_its_block(case):
+    a, b, perm, p = case
+    plan = ehrhart._scan_plan(p)
+    blocks = qbary.polytope._blocks(p)
+    block_of = {i: block for block in blocks for i in block}
+    for j, bounds in enumerate(plan.bounds[:-1], 1):
+        assert all(bounds.coefs)
+        for i, column in enumerate(bounds.cols):
+            assert plan.order[i] in block_of[plan.order[j]] or not any(column), (j, i)
+    # each factor is scanned in P's order restricted to its block
+    assert [block for block, _ in plan.factors] == blocks
+    for block, factor in plan.factors:
+        assert [block[i] for i in factor.order] == [i for i in plan.order if i in block]
+        assert not factor.factors
+
+
+def test_products_find_their_factors_once(monkeypatch):
+    # the plan keeps the factors' plans, so no dilation splits P again
+    shift = next(_FRESH)
+    p = qb.hull_from_vertices([tuple(x + shift for x in v) for v in QUAD_TRIANGLE])
+    calls = []
+
+    def recording(name):
+        real = getattr(ehrhart, name)
+
+        def recorded(*args):
+            calls.append(name)
+            return real(*args)
+
+        return recorded
+
+    for name in ("_blocks", "_factors"):
+        monkeypatch.setattr(ehrhart, name, recording(name))
+    for k in range(1, 6):
+        lattice_point_stats.__wrapped__(p, k)
+    assert calls == ["_blocks", "_factors"]

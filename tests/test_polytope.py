@@ -8,9 +8,11 @@ from math import comb, factorial
 import pickle
 import random
 import sys
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import qbary as qb
 import qbary.hull
@@ -290,6 +292,15 @@ def unit_cube(n):
     return qb.hull_from_vertices(list(product((0, 1), repeat=n)))
 
 
+def sheared_cube(n):
+    """The unit n-cube under ``x_i -> x_i + x_(i+1)``: a unimodular image of
+    one coordinate block, so its measures walk its own face lattice, where
+    the cube's are read off its 1-D factors."""
+    return qb.hull_from_vertices(
+        [tuple(v[i] + (v[i + 1] if i + 1 < n else 0) for i in range(n)) for v in product((0, 1), repeat=n)]
+    )
+
+
 def cross_polytope(n):
     return qb.hull_from_vertices(
         [tuple(s if i == j else 0 for i in range(n)) for j in range(n) for s in (1, -1)]
@@ -381,9 +392,10 @@ def test_measures_and_classification_build_no_hull(name, monkeypatch):
     assert got == expected
 
 
+# the cubes are sheared to one block, whose measures take the face walk
 COUNTED_POLYTOPES = {
-    "cube3": lambda: qb.load_fixture("cube3"),
-    "cube5": lambda: unit_cube(5),
+    "cube3": lambda: sheared_cube(3),
+    "cube5": lambda: sheared_cube(5),
     "cross-4": lambda: cross_polytope(4),
 }
 
@@ -397,6 +409,7 @@ def test_one_determinant_per_facet_simplex(name, monkeypatch):
     # off it; every other facet is summed by the face walk, which takes none;
     # facet_data reads the record measure built, so a cold pair takes no more
     p, expected = COUNTED_POLYTOPES[name](), DETERMINANTS[name]
+    assert len(qbary.polytope._blocks(p)) == 1
     calls = []
     real = qbary.hull.int_det
 
@@ -438,6 +451,7 @@ def test_one_wedge_per_pyramid(name, monkeypatch):
     # its pyramids is one wedge of an edge with the base's Plücker vector;
     # facet_data reads the record measure built and walks nothing again
     p, expected = COUNTED_POLYTOPES[name](), WEDGES[name]
+    assert len(qbary.polytope._blocks(p)) == 1
     calls = []
     real = qbary.hull._wedge
 
@@ -501,10 +515,11 @@ def test_hull_drops_points_on_faces(n):
         assert p == qb.hull_from_vertices(vertices)
 
 
+# the cubes are sheared to one block, whose measures take the face walk
 MUTANT_POLYTOPES = {
-    "cube3": lambda: qb.load_fixture("cube3"),
+    "cube3": lambda: sheared_cube(3),
     "fano-3-29": lambda: qb.load_fixture("fano-3-29"),
-    "cube4": lambda: unit_cube(4),
+    "cube4": lambda: sheared_cube(4),
 }
 
 
@@ -513,6 +528,7 @@ def test_facet_identities_catch_a_dropped_pyramid(name, monkeypatch):
     # the walk of the largest facet leaves out one pyramid from its least
     # vertex; the pyramids left still agree in orientation
     p = MUTANT_POLYTOPES[name]()
+    assert len(qbary.polytope._blocks(p)) == 1
     ids = max(p.incidence, key=len)
     target = sum(1 << i for i in ids)
     real = qbary.hull._far_facets
@@ -550,6 +566,7 @@ def test_facet_identities_catch_a_moved_barycenter(name, monkeypatch):
     # barycenter stays on the facet's hyperplane and every total, so
     # Minkowski's relation, stays as it was
     p = MOVED_BARYCENTER_POLYTOPES[name]()
+    assert len(qbary.polytope._blocks(p)) == 1
     real = qbary.polytope.face_moments
 
     def moving(vertices, facets):
@@ -567,12 +584,17 @@ def test_facet_identities_catch_a_moved_barycenter(name, monkeypatch):
         qbary.polytope._measures.__wrapped__(p)
 
 
-@pytest.mark.parametrize("name", MUTANT_POLYTOPES)
+# the unit cubes themselves, whose measures are read off their factors
+VOLUME_MUTANT_POLYTOPES = {**MUTANT_POLYTOPES, "cube3": lambda: qb.load_fixture("cube3"), "cube4": lambda: unit_cube(4)}
+
+
+@pytest.mark.parametrize("name", VOLUME_MUTANT_POLYTOPES)
 def test_facet_identities_catch_a_volume_off_by_one(name, monkeypatch):
     # every facet weight and moment stays as it was, so Minkowski's relation
     # holds; n! vol(P), summed from the determinants of the cones from
-    # vertex 0, is one too large
-    p = MUTANT_POLYTOPES[name]()
+    # vertex 0, is one too large.  On a cube the mutant runs on each 1-D
+    # factor, and the divergence theorem on P's assembled integers sees it.
+    p = VOLUME_MUTANT_POLYTOPES[name]()
     real = qbary.polytope.face_moments
 
     def miscounting(vertices, facets):
@@ -663,6 +685,94 @@ def test_facet_data_equals_its_fraction_sums(fixtures, corpus):
     # pickles compare the types as well as the values
     for p in [*fixtures.values(), *corpus, *random_polytopes(20261018, 500, range(1, 6)), *walked_polytopes()]:
         assert pickle.dumps(qb.facet_data(p)) == pickle.dumps(fraction_facet_data(p)), p.vertices
+
+
+@st.composite
+def shuffled_products(draw):
+    """The product of 2-3 lattice polytopes of dimension 1-3, together at
+    most 6, with its axes shuffled."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3).filter(lambda ds: sum(ds) <= 6))
+    factors = []
+    for d in dims:
+        points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=d + 1, max_size=d + 3))
+        try:
+            factors.append(qb.hull_from_vertices(points))
+        except qb.DegenerateInput:
+            assume(False)
+    perm = draw(st.permutations(range(sum(dims))))
+    points = [sum(vs, ()) for vs in product(*(q.vertices for q in factors))]
+    return qb.hull_from_vertices([tuple(x[i] for i in perm) for x in points])
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffled_products())
+def test_product_measures_equal_the_walk_of_the_whole_polytope(p):
+    # with its blocks hidden, P is measured by face_moments on P itself
+    assert len(qbary.polytope._blocks(p)) >= 2
+    with patch.object(qbary.polytope, "_blocks", lambda q: [tuple(range(q.dim))]):
+        walked = qbary.polytope._measures.__wrapped__(p)
+    assert pickle.dumps(qbary.polytope._measures.__wrapped__(p)) == pickle.dumps(walked)
+
+
+PRODUCTS = {
+    "cube2": lambda: qb.load_fixture("cube2"),
+    # conv((0,0),(3,0),(0,1),(2,1)) on axes 0 and 2 times [0,2] on axis 1
+    "trapezoid x segment": lambda: qb.hull_from_vertices(
+        [(x, s, y) for x, y in ((0, 0), (3, 0), (0, 1), (2, 1)) for s in (0, 2)]
+    ),
+    "unit 5-cube": lambda: unit_cube(5),
+    # the same trapezoid times [0,2] and [-1,1], blocks {0,2}, {1}, {3}
+    "trapezoid x segments": lambda: qb.hull_from_vertices(
+        [(x, s, y, t) for x, y in ((0, 0), (3, 0), (0, 1), (2, 1)) for s in (0, 2) for t in (-1, 1)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_products_are_measured_by_one_walk_per_factor(name, monkeypatch):
+    p = PRODUCTS[name]()
+    blocks = qbary.polytope._blocks(p)
+    assert len(blocks) >= 2
+    walked = []
+    real = qbary.polytope.face_moments
+
+    def recorded(vertices, facets):
+        walked.append(len(vertices[0]))
+        return real(vertices, facets)
+
+    monkeypatch.setattr(qbary.polytope, "face_moments", recorded)
+    qbary.polytope._measures.__wrapped__(p)
+    assert walked == [len(block) for block in blocks]
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_product_identities_catch_facets_matched_to_the_wrong_factor_facet(name, monkeypatch):
+    # each factor's facet records come back in reverse order
+    p = PRODUCTS[name]()
+    real = qbary.polytope.face_moments
+
+    def reversing(vertices, facets):
+        volume, moment, weighed = real(vertices, facets)
+        return volume, moment, weighed[::-1]
+
+    monkeypatch.setattr(qbary.polytope, "face_moments", reversing)
+    with pytest.raises(qb.InternalInconsistency, match="Minkowski|divergence"):
+        qbary.polytope._measures.__wrapped__(p)
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_product_identities_catch_a_wrong_multinomial(name, monkeypatch):
+    # a facet of P is weighed as if its factor's facet were the whole
+    # factor: the multinomial of n, not of n - 1
+    p = PRODUCTS[name]()
+    real = qbary.polytope._product_face
+
+    def full_dimensional(blocks, faces):
+        return real(blocks, [(len(block), w, m) for block, (_, w, m) in zip(blocks, faces)])
+
+    monkeypatch.setattr(qbary.polytope, "_product_face", full_dimensional)
+    with pytest.raises(qb.InternalInconsistency, match="divergence"):
+        qbary.polytope._measures.__wrapped__(p)
 
 
 @settings(max_examples=60, deadline=None)

@@ -729,3 +729,43 @@ def test_fan_reader_catches_a_cone_with_a_swapped_facet(monkeypatch, name):
                 monkeypatch.setattr(toric, "vertex_cones", lambda p, cones=cones: cones)
                 with pytest.raises(qb.InternalInconsistency):
                     delzant_fan(t)
+
+
+# ---------------------------------------------------------------------------
+# arguments that are not integers
+
+P2 = qb.toric_data([(1, 0), (0, 1), (-1, -1)], [1, 1, 1])
+# each call with one entry 1.5 or 0.5 where an integer belongs, which int()
+# would truncate to a valid call
+NON_INTEGER_ENTRIES = {
+    "rooftop_fan direction": lambda: qb.rooftop_fan(P2, (1.5, 0)),
+    "rooftop_coefficients direction": lambda: qb.rooftop_coefficients(P2, (1.5, 0)),
+    "rooftop direction": lambda: qb.rooftop(P2.polytope, (1.5, 0), 5),
+    "expected_vanishing_order direction": lambda: qb.expected_vanishing_order(P2, (1.5, 0), 2),
+    "log_discrepancy direction": lambda: qb.log_discrepancy(P2, (1.5, 0)),
+    "divisor_polytope coefficients": lambda: qb.divisor_polytope(P2, (1.5, 0, 0)),
+    "mixed_volume multiplicities": lambda: qb.mixed_volume([(P2.polytope, 1.5), (P2.polytope, 0.5)]),
+    "stabilization_check dilations": lambda: qb.stabilization_check(P2.polytope, [1, 2.5, 3]),
+}
+
+
+@pytest.mark.parametrize("name", NON_INTEGER_ENTRIES)
+def test_non_integer_vector_entries_are_refused(name):
+    with pytest.raises(qb.InvalidInput, match="expected an array of integers"):
+        NON_INTEGER_ENTRIES[name]()
+
+
+NON_INTEGER_SCALARS = {
+    "reciprocity_check k_max": (lambda: qb.reciprocity_check(P2.polytope, 1.5), "k_max"),
+    "asymptotic_coefficients order": (lambda: qb.asymptotic_coefficients(P2.polytope, 1.5), "expansion order"),
+    "delta_sequence order": (lambda: qb.delta_sequence(P2, [1], order=2.5), "expansion order"),
+    "dilate factor": (lambda: qb.dilate(P2.polytope, 1.5), "dilation factor"),
+    "dilate factor of a body": (lambda: qb.dilate(qb.as_body(P2.polytope), 1.5), "dilation factor"),
+}
+
+
+@pytest.mark.parametrize("name", NON_INTEGER_SCALARS)
+def test_non_integer_orders_and_factors_are_refused(name):
+    call, what = NON_INTEGER_SCALARS[name]
+    with pytest.raises(qb.InvalidInput, match=f"{what} must be an integer, got"):
+        call()
