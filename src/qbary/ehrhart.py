@@ -154,15 +154,11 @@ def _plan(p: Polytope, order: tuple[int, ...], blocks: list[tuple[int, ...]]) ->
     bounds = []
     for j in range(1, n - 1):
         own = [i for i in range(j + 1) if order[i] in block_of[order[j]]]
-        hull = convex_hull({tuple(v[i] for i in own) for v in verts})
-        lifted = []
-        for f in hull.facets:
-            if f.normal[-1]:
-                normal = [0] * (j + 1)
-                for i, x in zip(own, f.normal):
-                    normal[i] = x
-                lifted.append((tuple(normal), f.offset))
-        bounds.append(_bounds(lifted))
+        hull = convex_hull({tuple([v[i] for i in own]) for v in verts})
+        facets = _bounds([(f.normal, f.offset) for f in hull.facets if f.normal[-1]])
+        columns = dict(zip(own, facets.cols))
+        zero = (0,) * len(facets.coefs)
+        bounds.append(_Bounds(tuple(columns.get(i, zero) for i in range(j)), facets.coefs, facets.offsets))
     bounds.append(_bounds([(tuple(f.normal[i] for i in order), f.offset) for f in p.facets]))
     first = (min(v[0] for v in verts), max(v[0] for v in verts))
     return _ScanPlan(order, first, tuple(bounds))

@@ -385,10 +385,11 @@ def _product_face(blocks: list[tuple[int, ...]], faces: list[tuple[int, int, lis
     faces' ``W``: an exact integer quotient.
     """
     dims = [e for e, _, _ in faces]
-    weight = factorial(sum(dims)) // prod(factorial(e) for e in dims) * prod(w for _, w, _ in faces)
+    top = sum(dims)
+    weight = factorial(top) // prod(map(factorial, dims)) * prod(w for _, w, _ in faces)
     moment = [0] * sum(map(len, blocks))
     for block, (e, w, face_moment) in zip(blocks, faces):
-        scale = (sum(dims) + 1) * weight // ((e + 1) * w)
+        scale = (top + 1) * weight // ((e + 1) * w)
         for i, m in zip(block, face_moment):
             moment[i] = scale * m
     return weight, moment
