@@ -136,6 +136,16 @@ P2_CONTENT_2 = ("2,0;0,1;-1,-1", "2,1,1")
 # 3, with the segment on the middle axis.
 TRAPEZOID_SEGMENTS = ("0,0,1,0;1,0,0,0;0,0,-1,0;-1,0,-1,0;0,1,0,0;0,-1,0,0;0,0,0,1;0,0,0,-1", "0,0,1,3,0,2,1,1")
 TRAPEZOID_SEGMENT3 = ("0,0,1;1,0,0;0,0,-1;-1,0,-1;0,1,0;0,-1,0", "0,0,1,3,0,2")
+# Half-space systems refused as unbounded, one per boundedness branch: an
+# empty and a lower-dimensional intersection whose normals do not
+# positively span, normals in a plane, and normals that span R^3 but do not
+# positively span it.
+UNBOUNDED = (
+    ("1,0;-1,0;0,1", "-1,0,1"),
+    ("1,0;-1,0;0,1", "0,0,1"),
+    ("1,0,0;0,1,0;-1,-1,0", "1,1,1"),
+    ("1,0,0;0,1,0;0,0,1;-1,-1,0", "1,1,1,1"),
+)
 
 
 def command_lines() -> list[list[str]]:
@@ -209,6 +219,8 @@ def command_lines() -> list[list[str]]:
     lines.append(["bc", "--rays", CUBE7[0], "--offsets", CUBE7[1]])
     for command in ("bc", "expand"):
         lines.append([command, "--rays", TRAPEZOID_SEGMENT3[0], "--offsets", TRAPEZOID_SEGMENT3[1]])
+    for rays, offsets in UNBOUNDED:
+        lines.append(["count", "--k", "1", "--rays", rays, "--offsets", offsets])
     return lines
 
 
