@@ -6,7 +6,6 @@ anywhere.  See the README for the command-line interface.
 """
 
 from .errors import (
-    AmplenessShiftFailure,
     DegenerateInput,
     InsufficientSamples,
     InternalInconsistency,

@@ -45,8 +45,6 @@ from .polytope import (
     facet_data,
     measure,
     polytope_from_document,
-    polytope_from_halfspaces,
-    support_value,
 )
 from .stability import del_pezzo_closed_form, delta, delta_k, delta_sequence
 from .toric import (
@@ -190,7 +188,7 @@ def _cmd_expand(args, p: Polytope, t: ToricData) -> dict:
 
 def _cmd_rooftop(args, p: Polytope, t: ToricData) -> dict:
     v = _parse_vector(args.v)
-    q = args.q if args.q is not None else 1 - support_value(p, v)
+    q = args.q if args.q is not None else rooftop_fan(t, v).q
     roof = rooftop(p, v, q)
     return {
         "q": q,
@@ -259,8 +257,7 @@ def _cmd_delta(args, p: Polytope, t: ToricData) -> dict:
 
 
 def _cmd_delta_seq(args, p: Polytope, t: ToricData) -> dict:
-    ks = [int(x) for x in _parse_vector(args.ks)]
-    seq = delta_sequence(t, ks, order=args.order)
+    seq = delta_sequence(t, _parse_vector(args.ks), order=args.order)
     return {
         "values": [
             {"k": v.k, "delta_k": rational_to_json(v.value), "argmin_rays": list(v.argmin)}
@@ -303,15 +300,11 @@ def _approximate(value):
     return value
 
 
-def _flatten(value) -> str:
-    return json.dumps(value)
-
-
 def _render_table(document: dict, approx: bool) -> str:
     rows = []
     outputs = document["outputs"]
     for key, value in outputs.items():
-        rows.append((key, _flatten(value), _flatten(_approximate(value)) if approx else None))
+        rows.append((key, json.dumps(value), json.dumps(_approximate(value)) if approx else None))
     width = max((len(k) for k, _, _ in rows), default=0)
     vwidth = max((len(v) for _, v, _ in rows), default=0)
     lines = [f"command: {document['command']}"]
@@ -363,10 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, **kwargs):
         cmd = sub.add_parser(name, **kwargs)
-        if name != "mixed-volume":
-            cmd.add_argument("--input", help="JSON polytope document or bundled fixture name")
-            cmd.add_argument("--rays", help="inline rays, e.g. '1,0;0,1;-1,-1'")
-            cmd.add_argument("--offsets", help="inline offsets, e.g. '1,1,1'")
+        cmd.add_argument("--input", help="JSON polytope document or bundled fixture name")
+        cmd.add_argument("--rays", help="inline rays, e.g. '1,0;0,1;-1,-1'")
+        cmd.add_argument("--offsets", help="inline offsets, e.g. '1,1,1'")
         cmd.add_argument("--table", action="store_true", help="render as an aligned table")
         cmd.add_argument(
             "--approx",

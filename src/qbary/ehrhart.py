@@ -70,8 +70,8 @@ from typing import Callable, Literal, NamedTuple
 from .errors import InternalInconsistency, InvalidInput, Unsupported
 from .exactnum import Polynomial, poly_fit
 from .hull import convex_hull
-from .linalg import IntVec
-from .polytope import Polytope, _blocks, _factors, classify, facet_data, int_value, measure
+from .linalg import IntVec, int_value
+from .polytope import Polytope, _blocks, _factors, classify, facet_data, measure
 
 
 @dataclass(frozen=True)

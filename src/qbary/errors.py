@@ -44,10 +44,6 @@ class InvalidPolarization(InvalidInput):
     """Toric data whose threshold denominators are not all positive."""
 
 
-class AmplenessShiftFailure(QbaryError):
-    """No ample shift below the search cap represents a divisor polytope."""
-
-
 class Unsupported(QbaryError):
     """The request falls outside the implemented scope."""
 

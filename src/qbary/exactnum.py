@@ -31,6 +31,7 @@ from math import comb, gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import InvalidInput, NotBoundedAtInfinity
+from .linalg import int_value
 
 Rational = Fraction
 RationalLike = Union[int, Fraction]
@@ -393,7 +394,7 @@ def laurent_expand(num: Polynomial, den: Polynomial, order: int) -> LaurentSerie
     so a factor common to ``num`` and ``den`` need not be cancelled first.
     Requires deg(num) <= deg(den).
     """
-    if order < 0:
+    if int_value(order, "expansion order") < 0:
         raise InvalidInput("order must be nonnegative")
     if den.is_zero:
         raise InvalidInput("rational function with zero denominator")

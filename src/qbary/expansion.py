@@ -46,15 +46,13 @@ from .errors import (
     Unsupported,
 )
 from .exactnum import Polynomial, Vector, laurent_expand
-from .linalg import dot
+from .linalg import dot, int_list, int_value
 from .polytope import (
     Halfspace,
     Polytope,
     check_direction,
     classify,
     facet_data,
-    int_list,
-    int_value,
     measure,
     support_value,
 )
@@ -80,6 +78,7 @@ class BarycenterFunction:
 
     def pairing_numerator(self, direction: Sequence[int]) -> Polynomial:
         """Numerator polynomial of ``<Bc_k, direction>`` over the denominator."""
+        direction = int_list(direction)
         check_direction(direction, len(self.numerators))
         den = lcm(*(num.denominator for num in self.numerators))
         total = [0] * max(len(num.numerators) for num in self.numerators)
@@ -133,7 +132,7 @@ def rooftop(p: Polytope, direction: Sequence[int], q: int) -> Polytope:
     facets come sorted, as the hull engine gives them.
     """
     d = tuple(int_list(direction))
-    if q + support_value(p, d) <= 0:
+    if int_value(q, "rooftop offset") + support_value(p, d) <= 0:
         raise PreconditionViolation(
             "rooftop offset too small: the roof must stay strictly above the floor"
         )
@@ -216,7 +215,7 @@ def reflexive_polygon_bck(p: Polytope, k: int) -> Vector:
     normalized boundary length.  Must agree with direct enumeration."""
     if p.dim != 2 or not classify(p).reflexive:
         raise Unsupported("closed form requires a reflexive polygon")
-    if k < 1:
+    if int_value(k, "dilation factor") < 1:
         raise InvalidInput("dilation must be positive")
     b = facet_data(p).boundary_normalized_volume
     ratio = Fraction((k + 1) * (2 * k + 1) * b, 4 + 2 * k * (k + 1) * b)
@@ -289,8 +288,9 @@ def df_coefficients(p: Polytope, direction: Sequence[int], order: int) -> tuple[
     The zeroth and first coefficients are asserted against the pairings of
     the barycenter and of the first-order closed form.
     """
-    if order < 1:
+    if int_value(order, "expansion order") < 1:
         raise InvalidInput("order must be at least 1")
+    direction = int_list(direction)
     bf = barycenter_function(p)
     series = laurent_expand(bf.pairing_numerator(direction), bf.denominator, order)
     if series.coefficient(0) != dot(measure(p).barycenter, direction):

@@ -15,14 +15,15 @@ A point is a vertex iff no other input point lies on every facet through
 it: those facets cut out the smallest face holding the point, and a face
 is the hull of the input points on it.
 
-Facets are reported in inward form: primitive integer normal ``v`` and
+A hull is returned as the :class:`Polytope` it describes: its vertices,
+sorted; its facets in inward form, a primitive integer normal ``v`` and an
 integer offset ``b`` with ``<u, v> >= -b`` on the hull and equality on the
-facet.
+facet, sorted; and the incidence, each facet's increasing vertex indices.
 
 The same engine serves both directions of Minkowski–Weyl duality: points
 to facets directly, and half-spaces to vertices through the facets at the
-origin of a hull one dimension up
-(:func:`qbary.polytope.polytope_from_halfspaces`).
+origin of a hull one dimension up, which also show whether the half-spaces
+bound (:func:`qbary.polytope.polytope_from_halfspaces`).
 
 Measures never rebuild a hull.  The facets' vertex-index sets already
 describe the face lattice: the facets of a face are its maximal
@@ -49,17 +50,28 @@ from .linalg import IntVec, cross_normal, dot, independent_rows, int_det, vec_su
 
 
 @dataclass(frozen=True)
-class HullFacet:
+class Halfspace:
+    """Inward half-space ``<u, normal> >= -offset`` with primitive normal."""
+
     normal: IntVec
     offset: int
-    vertex_ids: tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class Hull:
+class Polytope:
     dim: int
     vertices: tuple[IntVec, ...]
-    facets: tuple[HullFacet, ...]
+    facets: tuple[Halfspace, ...]
+    incidence: tuple[tuple[int, ...], ...]
+
+    def facet_vertices(self, i: int) -> tuple[IntVec, ...]:
+        return tuple(self.vertices[j] for j in self.incidence[i])
+
+    def contains(self, point: Sequence) -> bool:
+        return all(dot(point, f.normal) >= -f.offset for f in self.facets)
+
+    def strictly_contains(self, point: Sequence) -> bool:
+        return all(dot(point, f.normal) > -f.offset for f in self.facets)
 
 
 def _dedupe(points: Iterable[Sequence[int]]) -> list[IntVec]:
@@ -72,7 +84,7 @@ def _dedupe(points: Iterable[Sequence[int]]) -> list[IntVec]:
     return seen
 
 
-def convex_hull(points: Iterable[Sequence[int]]) -> Hull:
+def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
     """Hull of finitely many integer points; raises if not full-dimensional."""
     pts = _dedupe(points)
     dim = len(pts[0])
@@ -136,9 +148,14 @@ def convex_hull(points: Iterable[Sequence[int]]) -> Hull:
         ids = tuple(index[pid] for pid in _ids(z) if pid in index)
         if len(ids) < dim:
             raise InternalInconsistency("facet with too few vertices")
-        hull_facets.append(HullFacet(tuple(-x for x in w), c, ids))
-    hull_facets.sort(key=lambda f: (f.normal, f.offset))
-    return Hull(dim, tuple(pts[pid] for pid in vertex_ids), tuple(hull_facets))
+        hull_facets.append((Halfspace(tuple(-x for x in w), c), ids))
+    hull_facets.sort(key=lambda f: (f[0].normal, f[0].offset))
+    return Polytope(
+        dim,
+        tuple(pts[pid] for pid in vertex_ids),
+        tuple(h for h, _ in hull_facets),
+        tuple(ids for _, ids in hull_facets),
+    )
 
 
 def _initial_simplex(pts: list[IntVec], dim: int) -> list[int]:
@@ -242,11 +259,9 @@ def _wedge(edge: IntVec, omega: dict[int, int]) -> dict[int, int]:
     return {s: c for s, c in out.items() if c}
 
 
-def face_moments(
-    vertices: Sequence[IntVec], facets: Sequence[tuple[IntVec, Sequence[int]]]
-) -> tuple[int, list[int], list[tuple[int, list[int]]]]:
-    """Integer volume, barycenter and facet measures of a full-dimensional
-    polytope; ``facets`` are (inward normal, increasing vertex indices).
+def face_moments(p: Polytope) -> tuple[int, list[int], list[tuple[int, list[int]]]]:
+    """Integer volume, barycenter and facet measures of P, read off its
+    vertices, inward facet normals and incidence.
 
     A face G of dimension d has the weight ``W_G = d! nvol(G)``, where
     ``nvol`` is the volume in which a fundamental cell of G's sublattice
@@ -278,8 +293,8 @@ def face_moments(
     heights ``h_F``, partition P, so ``volume = sum h_F W_F = n! vol(P)``
     and ``moment = sum h_F (W_F v_0 + M_F) = (n+1) volume bc(P)``.
     """
-    dim = len(vertices[0])
-    masks = [sum(1 << i for i in ids) for _, ids in facets]
+    dim, vertices = p.dim, p.vertices
+    masks = [sum(1 << i for i in ids) for ids in p.incidence]
     memo: dict[int, tuple[dict[int, int], int, list[int]]] = {}
 
     def walk(face: int, d: int) -> tuple[dict[int, int], int, list[int]]:
@@ -312,9 +327,9 @@ def face_moments(
 
     first = vertices[0]
     volume, moment, weighed = 0, [0] * dim, []
-    for (normal, ids), mask in zip(facets, masks):
+    for facet, ids, mask in zip(p.facets, p.incidence, masks):
         apex = vertices[(~mask & (mask + 1)).bit_length() - 1]  # the first vertex off F
-        height = dot(vec_sub(apex, vertices[ids[0]]), normal)
+        height = dot(vec_sub(apex, vertices[ids[0]]), facet.normal)
         if len(ids) == dim:
             det = abs(int_det([vec_sub(vertices[i], apex) for i in ids]))
             total, rest = divmod(det, height)
@@ -333,5 +348,5 @@ def face_moments(
 def volume_and_barycenter(points: Iterable[Sequence[int]]) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact Euclidean volume and barycenter of the hull of the points."""
     hull = convex_hull(points)
-    volume, moment, _ = face_moments(hull.vertices, [(f.normal, f.vertex_ids) for f in hull.facets])
+    volume, moment, _ = face_moments(hull)
     return Fraction(volume, factorial(hull.dim)), tuple(Fraction(m, volume * (hull.dim + 1)) for m in moment)

@@ -3,7 +3,9 @@
 Everything here works on plain tuples/lists of ints or Fractions; matrices
 are sequences of rows.  Integer determinants (Bareiss) and ranks (an
 integer echelon basis) use fraction-free elimination, so intermediate
-values stay integral.
+values stay integral.  The readers :func:`int_list`, :func:`int_value`
+and :func:`int_rows` take arguments from outside and refuse any entry that
+is not an ``int``, a bool included, rather than truncate it.
 """
 
 from __future__ import annotations
@@ -15,6 +17,40 @@ from typing import Iterable, Sequence
 from .errors import InvalidInput
 
 IntVec = tuple[int, ...]
+
+
+def int_list(values: object) -> list[int]:
+    """The entries of a list, tuple or other iterable, every one an ``int``;
+    a bool, float, ``Fraction`` or str entry is refused."""
+    # a str or a dict iterates, but is not an array of numbers
+    if isinstance(values, (str, dict)) or not isinstance(values, Iterable):
+        raise InvalidInput("expected an array of integers")
+    entries = list(values)
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in entries):
+        raise InvalidInput("expected an array of integers")
+    return entries
+
+
+def int_value(value: object, what: str) -> int:
+    """``value`` if it is an ``int``; a bool, float, ``Fraction`` or str is
+    refused, the message naming ``what``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidInput(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def int_rows(rows: object) -> list[IntVec]:
+    """The vectors of a nonempty list, tuple or other iterable of rows, each
+    read by :func:`int_list`."""
+    if isinstance(rows, (str, dict)) or not isinstance(rows, Iterable) or not (rows := list(rows)):
+        raise InvalidInput("expected a nonempty array of integer vectors")
+    out = []
+    for row in rows:
+        try:
+            out.append(tuple(int_list(row)))
+        except InvalidInput:
+            raise InvalidInput(f"expected an integer vector, got {row!r}") from None
+    return out
 
 
 def dot(a: Sequence, b: Sequence) -> Fraction | int:

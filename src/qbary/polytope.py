@@ -3,12 +3,14 @@
 A :class:`Polytope` is a full-dimensional convex lattice polytope held in
 dual representation: its lattice vertices and its irredundant half-spaces
 ``<u, v_i> >= -b_i`` with primitive integer normals, plus the facet/vertex
-incidence relation.  Construction goes through the exact hull engine so
-both representations are consistent by construction.  The engine serves
-both directions: a vertex set is hulled directly, and a half-space set is
-turned into vertices by one hull one dimension up (Minkowski–Weyl duality).
-The one exception is the rooftop over P (:func:`qbary.expansion.rooftop`),
-whose face lattice is read off P's in closed form.
+incidence relation.  It is the type the exact hull engine returns
+(:func:`qbary.hull.convex_hull`), so both representations are consistent
+by construction.  The engine serves both directions: a vertex set is
+hulled directly, and a half-space set takes two hulls, one dimension up
+(Minkowski–Weyl duality), whose facets through the origin also show
+whether the half-spaces bound, and then one of the vertices.  The one
+exception is the rooftop over P (:func:`qbary.expansion.rooftop`), whose
+face lattice is read off P's in closed form.
 
 Measures and the normal fan are read off the incidence relation, which
 holds the whole face lattice; no hull is rebuilt.  :func:`measure` and
@@ -43,36 +45,11 @@ from typing import Iterable, Sequence
 
 from .errors import DegenerateInput, InternalInconsistency, InvalidInput, Unsupported, UnboundedInput
 from .exactnum import Vector
-from .hull import convex_hull, face_moments
+from .hull import Halfspace, Polytope, convex_hull, face_moments
 from .lattice import hermite_normal_form, primitive
-from .linalg import IntVec, dot, int_det, rank, vec_add, vec_sub
+from .linalg import IntVec, dot, int_det, int_list, int_rows, int_value, rank, vec_add, vec_sub
 
 DIMENSION_CAP = 7
-
-
-@dataclass(frozen=True)
-class Halfspace:
-    """Inward half-space ``<u, normal> >= -offset`` with primitive normal."""
-
-    normal: IntVec
-    offset: int
-
-
-@dataclass(frozen=True)
-class Polytope:
-    dim: int
-    vertices: tuple[IntVec, ...]
-    facets: tuple[Halfspace, ...]
-    incidence: tuple[tuple[int, ...], ...]
-
-    def facet_vertices(self, i: int) -> tuple[IntVec, ...]:
-        return tuple(self.vertices[j] for j in self.incidence[i])
-
-    def contains(self, point: Sequence) -> bool:
-        return all(dot(point, f.normal) >= -f.offset for f in self.facets)
-
-    def strictly_contains(self, point: Sequence) -> bool:
-        return all(dot(point, f.normal) > -f.offset for f in self.facets)
 
 
 @dataclass(frozen=True)
@@ -124,40 +101,6 @@ def _check_dim(dim: int) -> None:
         )
 
 
-def int_list(values: object) -> list[int]:
-    """The entries of a list, tuple or other iterable, every one an ``int``;
-    a bool, float, ``Fraction`` or str entry is refused."""
-    # a str or a dict iterates, but is not an array of numbers
-    if isinstance(values, (str, dict)) or not isinstance(values, Iterable):
-        raise InvalidInput("expected an array of integers")
-    entries = list(values)
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in entries):
-        raise InvalidInput("expected an array of integers")
-    return entries
-
-
-def int_value(value: object, what: str) -> int:
-    """``value`` if it is an ``int``; a bool, float, ``Fraction`` or str is
-    refused, the message naming ``what``."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidInput(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def int_rows(rows: object) -> list[IntVec]:
-    """The vectors of a nonempty list, tuple or other iterable of rows, each
-    read by :func:`int_list`."""
-    if isinstance(rows, (str, dict)) or not isinstance(rows, Iterable) or not (rows := list(rows)):
-        raise InvalidInput("expected a nonempty array of integer vectors")
-    out = []
-    for row in rows:
-        try:
-            out.append(tuple(int_list(row)))
-        except InvalidInput:
-            raise InvalidInput(f"expected an integer vector, got {row!r}") from None
-    return out
-
-
 def hull_from_vertices(points: Iterable[Sequence[int]]) -> Polytope:
     """Full-dimensional lattice polytope from a generating point set.
 
@@ -166,13 +109,7 @@ def hull_from_vertices(points: Iterable[Sequence[int]]) -> Polytope:
     """
     pts = int_rows(points)
     _check_dim(len(pts[0]))
-    hull = convex_hull(pts)
-    return Polytope(
-        hull.dim,
-        hull.vertices,
-        tuple(Halfspace(f.normal, f.offset) for f in hull.facets),
-        tuple(f.vertex_ids for f in hull.facets),
-    )
+    return convex_hull(pts)
 
 
 def polytope_from_halfspaces(normals: Iterable[Sequence[int]], offsets: Iterable[int]) -> Polytope:
@@ -182,11 +119,17 @@ def polytope_from_halfspaces(normals: Iterable[Sequence[int]], offsets: Iterable
     dimension n+1.  The homogenization cone ``{(x, s) : <x, v_i> + b_i s >= 0,
     s >= 0}`` of P is dual to the cone over the points ``(v_i, b_i)`` and
     ``e_{n+1}``, so the inward normals ``(x, s)`` of the facets through 0 of
-    ``conv(0, e_{n+1}, (v_i, b_i))`` are its extreme rays, and ``x / s`` are
-    the vertices of P.  A normal is primitive, so its vertex is a lattice
-    point iff ``s == 1``.  No facet through 0 means P is empty; 0 not a
-    vertex means the cone, and so P, is not full-dimensional.  Redundant
-    inequalities disappear when the hull is rebuilt from the vertices.
+    ``conv(0, e_{n+1}, (v_i, b_i))`` are its extreme rays.  That hull is
+    full-dimensional iff the normals span; the primitive normals are held
+    to affinely span, as the origin can be interior to their hull only
+    then.  The cone is pointed, so it has a ray ``(x, 0)``, a recession
+    direction of P, iff some x != 0 has ``<x, v_i> >= 0`` for every i, that
+    is iff the normals do not positively span; that is tested first.  The
+    other rays give the vertices ``x / s`` of P.  A normal is primitive, so
+    its vertex is a lattice point iff ``s == 1``.  No facet through 0 means
+    P is empty; 0 not a vertex means the cone, and so P, is not
+    full-dimensional.  Redundant inequalities disappear when the hull is
+    rebuilt from the vertices, the second and last hull.
     """
     rows, offsets = int_rows(normals), int_list(offsets)
     if len(rows) != len(offsets):
@@ -198,12 +141,16 @@ def polytope_from_halfspaces(normals: Iterable[Sequence[int]], offsets: Iterable
             raise InvalidInput("normals of mixed dimension")
         if not any(v):
             raise InvalidInput("zero normal vector")
-    # parallel normals must meet as one point of the normals' hull
-    _require_bounded([primitive(v) for v in rows])
+    # parallel normals count once, as one primitive normal
+    prims = [primitive(v) for v in rows]
+    if rank(vec_sub(v, prims[0]) for v in prims) < dim:
+        raise UnboundedInput("facet normals do not span the ambient space")
 
     origin = (0,) * (dim + 1)
     dual = convex_hull([origin, origin[1:] + (1,), *(v + (b,) for v, b in zip(rows, offsets))])
     rays = [f.normal for f in dual.facets if f.offset == 0]
+    if any(s == 0 for *_, s in rays):
+        raise UnboundedInput("facet normals do not positively span")
     if not rays:
         raise DegenerateInput("half-space intersection is empty")
     for *x, s in rays:
@@ -214,25 +161,12 @@ def polytope_from_halfspaces(normals: Iterable[Sequence[int]], offsets: Iterable
     return hull_from_vertices(sorted(ray[:-1] for ray in rays))
 
 
-def _require_bounded(normals: Sequence[IntVec]) -> None:
-    # Bounded iff the normals positively span, iff the origin is strictly
-    # interior to their convex hull.
-    try:
-        hull = convex_hull(normals)
-    except DegenerateInput:
-        raise UnboundedInput("facet normals do not span the ambient space")
-    if any(f.offset <= 0 for f in hull.facets):
-        raise UnboundedInput("facet normals do not positively span")
-
-
 # ---------------------------------------------------------------------------
 # bodies, dilation, Minkowski sums
 
 def body_from_points(points: Iterable[Sequence[int]]) -> Body:
     """Canonical possibly-degenerate hull: extreme points only, sorted."""
-    pts = sorted({tuple(int(x) for x in p) for p in points})
-    if not pts:
-        raise InvalidInput("empty point set")
+    pts = sorted(set(int_rows(points)))
     dim = len(pts[0])
     if len(pts) == 1:
         return Body(dim, (pts[0],))
@@ -291,6 +225,9 @@ def dilate(obj: Polytope | Body, factor: int):
 
 
 def translate(obj: Polytope | Body, shift: Sequence[int]):
+    shift = int_list(shift)
+    if len(shift) != obj.dim:
+        raise InvalidInput(f"shift has length {len(shift)}, expected {obj.dim}")
     verts = [vec_add(v, shift) for v in obj.vertices]
     if isinstance(obj, Body):
         return Body(obj.dim, tuple(sorted(verts)))
@@ -403,7 +340,7 @@ def _product_moments(p: Polytope, blocks: list[tuple[int, ...]]) -> tuple[int, l
     block b is that factor's facet times the other factors.
     """
     factors = _factors(p, blocks)
-    walks = [face_moments(q.vertices, [(f.normal, ids) for f, ids in zip(q.facets, q.incidence)]) for q in factors]
+    walks = [face_moments(q) for q in factors]
     whole = [(q.dim, volume, moment) for q, (volume, moment, _) in zip(factors, walks)]
     volume, moment = _product_face(blocks, whole)
     block_of = {i: b for b, block in enumerate(blocks) for i in block}
@@ -438,7 +375,7 @@ def _measures(p: Polytope) -> tuple[MeasureData, FacetData]:
     if len(blocks) > 1:
         volume, moment, weighed = _product_moments(p, blocks)
     else:
-        volume, moment, weighed = face_moments(p.vertices, list(zip(normals, p.incidence)))
+        volume, moment, weighed = face_moments(p)
     for j in range(n):
         if sum(total * u[j] for (total, _), u in zip(weighed, normals)) != 0:
             raise InternalInconsistency("facet measures violate Minkowski's relation")
@@ -468,6 +405,7 @@ def check_direction(direction: Sequence[int], dim: int) -> None:
 
 def support_value(p: Polytope, direction: Sequence[int]) -> int:
     """Support value ``min_{u in P} <u, direction>`` (attained at a vertex)."""
+    direction = int_list(direction)
     check_direction(direction, p.dim)
     return min(dot(v, direction) for v in p.vertices)
 

@@ -28,9 +28,9 @@ from typing import Sequence
 
 from .errors import InternalInconsistency, InvalidInput, InvalidPolarization, Unsupported
 from .exactnum import LaurentSeries, Polynomial, RationalFunction, integer_numerators, laurent_expand
-from .expansion import barycenter_function, quantized_barycenter
-from .linalg import dot, solve
-from .polytope import check_direction, classify, facet_data, int_list, int_value, measure, support_value, vertex_cones
+from .expansion import a1_closed_form, barycenter_function, quantized_barycenter
+from .linalg import dot, int_list, int_value, solve
+from .polytope import check_direction, classify, facet_data, measure, support_value, vertex_cones
 from .toric import ToricData
 
 
@@ -133,17 +133,8 @@ def delta_sequence(t: ToricData, ks: Sequence[int], order: int = 2) -> DeltaSequ
     limit, limit_argmin = delta(t)
     if asym.coefficient(0) != limit:
         raise InternalInconsistency("expansion constant term differs from delta")
-    geo = measure(t.polytope)
-    boundary = facet_data(t.polytope)
-    drift = tuple(
-        bb - b for bb, b in zip(boundary.boundary_barycenter, geo.barycenter)
-    )
-    closed_a1 = (
-        -(boundary.boundary_normalized_volume / (2 * geo.volume))
-        * max(dot(drift, t.rays[i]) for i in limit_argmin)
-        * limit
-        * limit
-    )
+    a1 = a1_closed_form(t.polytope)
+    closed_a1 = -max(dot(a1, t.rays[i]) for i in limit_argmin) * limit * limit
     if asym.coefficient(1) != closed_a1:
         raise InternalInconsistency("first-order term differs from its closed form")
 
@@ -162,7 +153,7 @@ def del_pezzo_closed_form(t: ToricData, k: int) -> Fraction:
     cls = classify(p)
     if p.dim != 2 or not cls.reflexive or not cls.delzant:
         raise Unsupported("closed form requires a smooth reflexive polygon")
-    if k < 1:
+    if int_value(k, "threshold index") < 1:
         raise InvalidInput("threshold index must be positive")
     ksq = facet_data(p).boundary_normalized_volume
     lim = delta(t)[0]

@@ -47,7 +47,10 @@ the face lattice; the rooftop formula must reproduce the coefficients
 read off the coordinate-sum fit of ``barycenter_function``, and the actual
 rooftop is counted at k = 1 and 2 against those.  ``mixed_volume`` and
 ``divisor_polytope`` remain the inclusion-exclusion route for arbitrary
-bodies.
+bodies.  A divisor that is not ample is the difference of two ample
+polarizations on the fan, at the least shift that makes it ample, which
+is read off the vertex cones: one linear margin per cone and inequality
+(:func:`_ample_shift`).
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ from typing import Iterable, Sequence
 
 from .ehrhart import count_points, ehrhart_polynomial
 from .errors import (
-    AmplenessShiftFailure,
     InternalInconsistency,
     InvalidInput,
     PreconditionViolation,
@@ -69,7 +71,7 @@ from .exactnum import Polynomial, bernoulli
 from .expansion import barycenter_function, rooftop
 from .hull import volume_and_barycenter
 from .lattice import primitive
-from .linalg import IntVec, dot, rank, vec_add, vec_sub
+from .linalg import IntVec, dot, int_list, int_rows, rank, solve, vec_add, vec_sub
 from .polytope import (
     Body,
     Polytope,
@@ -78,8 +80,6 @@ from .polytope import (
     classify,
     dilate,
     facet_data,
-    int_list,
-    int_rows,
     measure,
     polytope_from_halfspaces,
     support_value,
@@ -322,33 +322,55 @@ def rooftop_fan(t: ToricData, direction: Sequence[int]) -> RooftopFan:
 # ---------------------------------------------------------------------------
 # divisor polytopes
 
-AMPLE_SHIFT_CAP = 16
+def _ample_shift(t: ToricData, coeffs: Sequence[int]) -> int:
+    """The least m >= 0 that makes ``h = m * t.offsets + coeffs`` ample on
+    t's fan, which ``t`` must be Delzant for.
+
+    h is ample iff at every vertex cone the point x where the cone's rays
+    are tight, ``<u_i, x> = -h_i``, meets every other inequality strictly:
+    ``<u_j, x> + h_j > 0``.  That margin is linear in h.  At t's own
+    offsets x is the vertex and the margin is positive, as P is simple, so
+    the margin at h is m times that plus the margin at ``coeffs``.
+    """
+    p = t.polytope
+    index = {r: i for i, r in enumerate(t.rays)}
+    least = 0
+    for vertex, cone in zip(p.vertices, vertex_cones(p)):
+        rows = [p.facets[k].normal for k in cone]
+        x = solve(rows, [-coeffs[index[r]] for r in rows])
+        for f in p.facets:
+            base = dot(vertex, f.normal) + f.offset  # zero on the cone's own rays only
+            if base:
+                least = max(least, -(dot(x, f.normal) + coeffs[index[f.normal]]) // base + 1)
+    return least
 
 
-def _exact_facet_polytope(t: ToricData, offsets: Sequence[int]) -> Polytope | None:
-    """The polytope of ``t.rays`` with the given offsets when every
-    inequality is a facet with exactly that offset and the vertex cones are
-    those of ``t.polytope``; None otherwise.  From dimension 3 on, the same
-    facet normals allow a different normal fan (a flipped edge)."""
+def _polarization(t: ToricData, offsets: tuple[int, ...]) -> Polytope:
+    """The polytope of ``t.rays`` at ``offsets``, which :func:`_ample_shift`
+    vouched for: every ray a facet at its offset, with the vertex cones of
+    ``t.polytope``.  From dimension 3 on, the same facet normals allow a
+    different normal fan (a flipped edge), so the cones are compared.  Any
+    refusal or mismatch is an ``InternalInconsistency``."""
     try:
-        p = ToricData(t.rays, tuple(offsets), polytope_from_halfspaces(t.rays, offsets)).polytope
-    except InvalidInput:
-        return None
+        p = ToricData(t.rays, offsets, polytope_from_halfspaces(t.rays, offsets)).polytope
+    except InvalidInput as exc:
+        raise InternalInconsistency(f"an ample polarization was refused: {exc}") from None
     # both facet lists are sorted by their normals, which are the same rays,
     # so facet indices name the same rays in both
-    return p if set(vertex_cones(p)) == set(vertex_cones(t.polytope)) else None
+    if set(vertex_cones(p)) != set(vertex_cones(t.polytope)):
+        raise InternalInconsistency("an ample polarization has other vertex cones than its fan")
+    return p
 
 
 @lru_cache(maxsize=None)
 def divisor_polytope(t: ToricData, coeffs: tuple[int, ...]) -> VirtualPolytope:
     """Virtual polytope of the divisor with the given ray coefficients.
 
-    When the data (rays, coeffs) defines a polytope with the normal fan of
-    ``t.polytope`` the divisor is ample and the polytope itself is returned
-    as a single term.  Otherwise the minimal shift ``m >= 1`` making
-    (rays, m*offsets + coeffs) pass that test represents the divisor as the
-    formal difference of two ample polytopes.  The zero divisor is the
-    origin (the Minkowski-neutral body).
+    An ample divisor is its polytope, a single term.  Otherwise the least
+    shift ``m >= 1`` that makes ``m * offsets + coeffs`` ample
+    (:func:`_ample_shift`) represents the divisor as the formal difference
+    of two ample polytopes, those of ``m * offsets + coeffs`` and of ``m *
+    offsets``.  The zero divisor is the origin (the Minkowski-neutral body).
     """
     if not classify(t.polytope).delzant:
         raise PreconditionViolation("divisor polytopes require Delzant data")
@@ -358,20 +380,12 @@ def divisor_polytope(t: ToricData, coeffs: tuple[int, ...]) -> VirtualPolytope:
     dim = t.polytope.dim
     if all(c == 0 for c in coeffs):
         return VirtualPolytope(dim, ((1, Body(dim, ((0,) * dim,))),))
-    direct = _exact_facet_polytope(t, coeffs)
-    if direct is not None:
-        return VirtualPolytope.of(direct)
-    for m in range(1, AMPLE_SHIFT_CAP + 1):
-        shifted = _exact_facet_polytope(t, tuple(m * b + c for b, c in zip(t.offsets, coeffs)))
-        if shifted is None:
-            continue
-        base = _exact_facet_polytope(t, tuple(m * b for b in t.offsets))
-        if base is None:
-            raise InternalInconsistency("dilation of the polarization lost a facet")
-        return VirtualPolytope.combine(((1, shifted), (-1, base)), dim)
-    raise AmplenessShiftFailure(
-        f"no ample shift up to {AMPLE_SHIFT_CAP} represents the divisor"
-    )
+    m = _ample_shift(t, coeffs)
+    shifted = _polarization(t, tuple(m * b + c for b, c in zip(t.offsets, coeffs)))
+    if m == 0:
+        return VirtualPolytope.of(shifted)
+    base = _polarization(t, tuple(m * b for b in t.offsets))
+    return VirtualPolytope.combine(((1, shifted), (-1, base)), dim)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ oracles and Hypothesis strategies for unimodular maps."""
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
@@ -13,6 +14,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 import qbary as qb
+import qbary.hull
 from qbary.linalg import dot
 
 FIXTURE_NAMES = (
@@ -363,3 +365,17 @@ def polytope_and_map(draw, max_dim: int = 4):
 
 def apply_map(u, v):
     return tuple(sum(a * x for a, x in zip(row, v)) for row in u)
+
+
+def count_hulls(monkeypatch) -> list:
+    """Record every ``convex_hull`` call, wherever a module imported it."""
+    real, calls = qbary.hull.convex_hull, []
+
+    def counted(points):
+        calls.append(points)
+        return real(points)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__dict__", {}).get("convex_hull") is real:
+            monkeypatch.setattr(module, "convex_hull", counted)
+    return calls

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import errno
 import json
 import os
@@ -12,9 +13,10 @@ from pathlib import Path
 import pytest
 
 import qbary.cli
-import qbary.hull
 from qbary.cli import execute, main
 from qbary.data import fixture_document
+
+from conftest import count_hulls
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 
@@ -324,20 +326,6 @@ def session(path: str, dim: int) -> list[list[str]]:
     return [[*command, "--input", path] for command in commands]
 
 
-def count_hulls(monkeypatch) -> list:
-    """Record every ``convex_hull`` call, wherever a module imported it."""
-    real, calls = qbary.hull.convex_hull, []
-
-    def counted(points):
-        calls.append(points)
-        return real(points)
-
-    for module in list(sys.modules.values()):
-        if getattr(module, "__dict__", {}).get("convex_hull") is real:
-            monkeypatch.setattr(module, "convex_hull", counted)
-    return calls
-
-
 def write_document(path: Path, doc) -> str:
     path.write_text(json.dumps(doc))
     return str(path)
@@ -408,3 +396,27 @@ def test_the_registry_is_bounded(tmp_path, capsys):
         assert run(capsys, "classify", "--input", path)[0] == 0
     info = qbary.cli._resolve_document.cache_info()
     assert info.misses == 74 and info.currsize <= 64
+
+
+def unbounded_cache(decorator: ast.expr) -> bool:
+    """``lru_cache(maxsize=None)``, ``lru_cache(None)`` or ``cache``, bare or
+    through ``functools``."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    if name == "cache":
+        return True
+    if name != "lru_cache" or not isinstance(decorator, ast.Call):
+        return False
+    sizes = [k.value for k in decorator.keywords if k.arg == "maxsize"] + decorator.args[:1]
+    return any(isinstance(v, ast.Constant) and v.value is None for v in sizes)
+
+
+def test_the_unbounded_caches_do_not_grow_in_number():
+    # each unbounded cache keeps every polytope it was given for the life of
+    # the process, so their number may fall but not rise
+    count = 0
+    for path in Path(qbary.cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                count += sum(map(unbounded_cache, node.decorator_list))
+    assert 0 < count <= 9

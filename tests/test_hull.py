@@ -28,7 +28,7 @@ def assert_hull_matches_oracle(points) -> None:
             convex_hull(points)
         return
     hull = convex_hull(points)
-    assert (hull.vertices, tuple((f.normal, f.offset, f.vertex_ids) for f in hull.facets)) == expected, points
+    assert (hull.vertices, tuple((f.normal, f.offset, ids) for f, ids in zip(hull.facets, hull.incidence))) == expected, points
 
 
 def hull_case(rng: random.Random, dim: int) -> list[tuple[int, ...]]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -11,7 +12,7 @@ import sys
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qbary as qb
@@ -28,6 +29,7 @@ from conftest import (
     brute_edges,
     brute_halfspace_vertices,
     ccw_order,
+    count_hulls,
     fraction_det,
     fraction_rank,
     polytope_and_map,
@@ -147,6 +149,95 @@ def test_halfspaces_match_the_subset_oracle(fixtures, corpus):
         kinds["lattice"] += 1
     # every branch is reached: built, rational vertex, empty, lower-dimensional
     assert len(kinds) == 4 and min(kinds.values()) >= 10, kinds
+
+
+def bounded_by_the_normals_hull(normals, offsets):
+    """``polytope_from_halfspaces`` with boundedness tested on a third hull,
+    of the primitive normals: they positively span iff the origin is
+    strictly interior to it.  The reference for the verdicts read off the
+    dual hull."""
+    rows, offsets = qbary.linalg.int_rows(normals), qbary.linalg.int_list(offsets)
+    if len(rows) != len(offsets):
+        raise qb.InvalidInput("normals and offsets of different lengths")
+    dim = len(rows[0])
+    for v in rows:
+        if len(v) != dim:
+            raise qb.InvalidInput("normals of mixed dimension")
+        if not any(v):
+            raise qb.InvalidInput("zero normal vector")
+    try:
+        hull = qbary.hull.convex_hull([qb.primitive(v) for v in rows])
+    except qb.DegenerateInput:
+        raise qb.UnboundedInput("facet normals do not span the ambient space")
+    if any(f.offset <= 0 for f in hull.facets):
+        raise qb.UnboundedInput("facet normals do not positively span")
+    origin = (0,) * (dim + 1)
+    dual = qbary.hull.convex_hull([origin, origin[1:] + (1,), *(v + (b,) for v, b in zip(rows, offsets))])
+    rays = [f.normal for f in dual.facets if f.offset == 0]
+    if not rays:
+        raise qb.DegenerateInput("half-space intersection is empty")
+    for *x, s in rays:
+        if s != 1:
+            raise qb.InvalidInput(f"vertex ({', '.join(str(F(a, s)) for a in x)}) is not a lattice point")
+    if origin not in dual.vertices:
+        raise qb.DegenerateInput("half-space intersection is not full-dimensional")
+    return qb.hull_from_vertices(sorted(ray[:-1] for ray in rays))
+
+
+def verdict(build, *args):
+    """What ``build(*args)`` returns, or the class and message it raises."""
+    try:
+        return build(*args)
+    except qb.QbaryError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def halfspace_systems(draw):
+    """Normals in dimension 2-4 with entries |x| <= 3, and offsets of either
+    sign, or in half the systems nonnegative, so that the origin is in P.
+    Random normals seldom bound, or meet in lattice points, so a quarter of
+    the systems start from the box's normals instead, and the simplex's,
+    which positively span, are added half the time; up to two parallel
+    duplicates, multiples of a normal, follow; and a quarter of the systems
+    are moved into a coordinate hyperplane, where they cannot span."""
+    dim = draw(st.integers(2, 4))
+    normals = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim).filter(any), min_size=dim + 1, max_size=dim + 4, unique=True))
+    if draw(st.integers(0, 3)) == 3:
+        normals = [tuple(s * (i == j) for j in range(dim)) for i in range(dim) for s in (1, -1)]
+    if draw(st.booleans()):
+        normals += [tuple(int(i == j) for j in range(dim)) for i in range(dim)] + [(-1,) * dim]
+    for _ in range(draw(st.integers(0, 2))):
+        v = draw(st.sampled_from(normals))
+        scale = draw(st.integers(1, 3 // max(map(abs, v))))
+        normals.append(tuple(scale * x for x in v))
+    if draw(st.integers(0, 3)) == 3:
+        normals = [v[:-1] + (0,) for v in normals if any(v[:-1])] or [(1,) + (0,) * (dim - 1)]
+    least = draw(st.sampled_from((-3, 0)))
+    offsets = draw(st.lists(st.integers(least, 3), min_size=len(normals), max_size=len(normals)))
+    return normals, offsets
+
+
+@settings(max_examples=300, deadline=None)
+@given(halfspace_systems())
+@example(([(1, 0), (-1, 0), (0, 1)], [-1, 0, 1]))  # empty, and does not positively span
+@example(([(1, 0), (-1, 0), (0, 1)], [0, 0, 1]))  # lower-dimensional, and does not positively span
+@example(([(1, 0), (0, 1)], [1, 1]))  # spans, but not affinely
+@example(([(1, 0, 0), (0, 1, 0), (-1, -1, 0)], [1, 1, 1]))  # in a plane
+@example(([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, 0)], [1, 1, 1, 1]))
+@example(([(1, 0), (2, 0), (-1, 0), (0, 1), (0, -1), (0, -3)], [-1, -1, 3, 2, 0, 3]))  # parallel duplicates
+def test_boundedness_read_off_the_dual_hull_matches_the_normals_hull(system):
+    normals, offsets = system
+    assert verdict(qb.polytope_from_halfspaces, normals, offsets) == verdict(bounded_by_the_normals_hull, normals, offsets)
+
+
+def test_a_halfspace_system_takes_two_hulls(fixtures, monkeypatch):
+    # the dual hull, one dimension up, and the hull of its vertices
+    calls = count_hulls(monkeypatch)
+    for p in fixtures.values():
+        calls.clear()
+        assert qb.polytope_from_halfspaces([f.normal for f in p.facets], [f.offset for f in p.facets]) == p
+        assert len(calls) == 2
 
 
 def test_cross_polytopes_and_huge_offsets_from_halfspaces():
@@ -547,10 +638,9 @@ def test_face_walk_checks_coordinates_against_the_incidence():
     # moving the top vertex of the unit cube off its facets' planes tilts
     # their pyramids apart; moving it onto the bottom face flattens one
     p = unit_cube(3)
-    facets = [(f.normal, ids) for f, ids in zip(p.facets, p.incidence)]
     for moved, message in (((1, 1, 2), "orientation"), ((1, 1, 0), "not a positive multiple")):
         with pytest.raises(qb.InternalInconsistency, match=message):
-            qbary.hull.face_moments(p.vertices[:-1] + (moved,), facets)
+            qbary.hull.face_moments(replace(p, vertices=p.vertices[:-1] + (moved,)))
 
 
 MOVED_BARYCENTER_POLYTOPES = {
@@ -569,9 +659,9 @@ def test_facet_identities_catch_a_moved_barycenter(name, monkeypatch):
     assert len(qbary.polytope._blocks(p)) == 1
     real = qbary.polytope.face_moments
 
-    def moving(vertices, facets):
-        volume, moment, ((total, facet_moment), *rest) = real(vertices, facets)
-        normal = facets[0][0]
+    def moving(q):
+        volume, moment, ((total, facet_moment), *rest) = real(q)
+        normal = q.facets[0].normal
         i = next(i for i, x in enumerate(normal) if x)
         j = (i + 1) % len(normal)
         moved = list(facet_moment)
@@ -597,8 +687,8 @@ def test_facet_identities_catch_a_volume_off_by_one(name, monkeypatch):
     p = VOLUME_MUTANT_POLYTOPES[name]()
     real = qbary.polytope.face_moments
 
-    def miscounting(vertices, facets):
-        volume, moment, weighed = real(vertices, facets)
+    def miscounting(q):
+        volume, moment, weighed = real(q)
         return volume + 1, moment, weighed
 
     monkeypatch.setattr(qbary.polytope, "face_moments", miscounting)
@@ -736,9 +826,9 @@ def test_products_are_measured_by_one_walk_per_factor(name, monkeypatch):
     walked = []
     real = qbary.polytope.face_moments
 
-    def recorded(vertices, facets):
-        walked.append(len(vertices[0]))
-        return real(vertices, facets)
+    def recorded(q):
+        walked.append(q.dim)
+        return real(q)
 
     monkeypatch.setattr(qbary.polytope, "face_moments", recorded)
     qbary.polytope._measures.__wrapped__(p)
@@ -751,8 +841,8 @@ def test_product_identities_catch_facets_matched_to_the_wrong_factor_facet(name,
     p = PRODUCTS[name]()
     real = qbary.polytope.face_moments
 
-    def reversing(vertices, facets):
-        volume, moment, weighed = real(vertices, facets)
+    def reversing(q):
+        volume, moment, weighed = real(q)
         return volume, moment, weighed[::-1]
 
     monkeypatch.setattr(qbary.polytope, "face_moments", reversing)
@@ -868,6 +958,13 @@ def test_support_values(fixtures):
     assert qb.support_value(fixtures["p2"], (-1, -1)) == -1
 
 
+def test_translate_refuses_a_shift_of_the_wrong_length(fixtures):
+    # the sum of a vertex and a shorter shift would drop an axis
+    for obj in (fixtures["f1"], qb.as_body(fixtures["f1"])):
+        with pytest.raises(qb.InvalidInput, match="shift has length 1, expected 2"):
+            qb.translate(obj, (1,))
+
+
 def test_document_round_trip_and_consistency(fixtures):
     import qbary.polytope as qp
 
@@ -906,6 +1003,7 @@ def test_constructors_refuse_coordinates_that_are_not_ints(bad):
         "toric offsets": lambda: qb.toric_data(P2_RAYS, [bad, 1, 1]),
         "document vertices": lambda: qb.polytope_from_document({"vertices": _with_first_one([(0, 0), (1, 0), (0, 1)], bad)}),
         "document offsets": lambda: qb.polytope_from_document({"normals": P2_RAYS, "offsets": [1, bad, 1]}),
+        "body points": lambda: body_from_points(_with_first_one([(0, 0), (1, 0), (0, 1)], bad)),
     }
     for where, build in cases.items():
         with pytest.raises(qb.InvalidInput, match="^expected an"):

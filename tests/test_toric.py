@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 import qbary as qb
 from qbary.exactnum import Polynomial
 from qbary.linalg import int_det, solve, vec_add
-from qbary.polytope import Body, body_from_points
+from qbary.polytope import Body, body_from_points, vertex_cones
 from qbary import toric
 from qbary.toric import DelzantFan, RooftopFan, VirtualPolytope, delzant_fan
 
-from conftest import DEL_PEZZO_NAMES, apply_map, fraction_det, polytope_and_map, unimodular
+from conftest import DEL_PEZZO_NAMES, apply_map, count_hulls, fraction_det, polytope_and_map, unimodular
 
 
 def tor(name: str) -> qb.ToricData:
@@ -732,9 +732,87 @@ def test_fan_reader_catches_a_cone_with_a_swapped_facet(monkeypatch, name):
 
 
 # ---------------------------------------------------------------------------
+# ample shifts against a search over the shifts
+
+def fan_polytope(t: qb.ToricData, offsets):
+    """The polytope of ``t.rays`` at ``offsets`` when every inequality is a
+    facet at exactly that offset and the vertex cones are those of
+    ``t.polytope``; None otherwise."""
+    try:
+        p = qb.ToricData(t.rays, tuple(offsets), qb.polytope_from_halfspaces(t.rays, offsets)).polytope
+    except qb.InvalidInput:
+        return None
+    return p if set(vertex_cones(p)) == set(vertex_cones(t.polytope)) else None
+
+
+def searched_divisor_polytope(t: qb.ToricData, coeffs) -> tuple[int, VirtualPolytope]:
+    """The least m = 0, 1, 2, .. at which ``m * offsets + coeffs`` passes
+    :func:`fan_polytope`, found by trying each in turn, and the divisor's
+    virtual polytope at that shift."""
+    m = 0
+    while (shifted := fan_polytope(t, [m * b + c for b, c in zip(t.offsets, coeffs)])) is None:
+        m += 1
+    if m == 0:
+        return m, VirtualPolytope.of(shifted)
+    base = fan_polytope(t, [m * b for b in t.offsets])
+    assert base is not None
+    return m, VirtualPolytope.combine(((1, shifted), (-1, base)), t.polytope.dim)
+
+
+@st.composite
+def divisors(draw):
+    """A Delzant fixture or a box in dimension 2 or 3, with one coefficient
+    in [-60, 10] per ray, which takes shifts past 16."""
+    if draw(st.booleans()):
+        t = tor(draw(st.sampled_from(DELZANT_FIXTURES)))
+    else:
+        dim = draw(st.integers(2, 3))
+        lows = draw(st.lists(st.integers(-2, 0), min_size=dim, max_size=dim))
+        sides = draw(st.lists(st.integers(1, 3), min_size=dim, max_size=dim))
+        rays = [tuple(s * x for x in unit(dim, i)) for i in range(dim) for s in (1, -1)]
+        t = qb.toric_data(rays, [b for low, side in zip(lows, sides) for b in (-low, low + side)])
+    coeffs = draw(st.lists(st.integers(-60, 10), min_size=len(t.rays), max_size=len(t.rays)))
+    return t, tuple(coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(divisors())
+def test_ample_shift_is_the_least_shift_the_search_finds(divisor):
+    t, coeffs = divisor
+    m, searched = searched_divisor_polytope(t, coeffs)
+    assert toric._ample_shift(t, coeffs) == m
+    if any(coeffs):
+        assert qb.divisor_polytope(t, coeffs) == searched
+
+
+def test_divisor_polytope_past_a_shift_of_16():
+    # m = 16 leaves the triangle x >= 33, y >= -16, x + y <= 16 empty
+    t = P2
+    assert toric._ample_shift(t, (-49, 0, 0)) == 17
+    shifted = qb.polytope_from_halfspaces(t.rays, (-32, 17, 17))
+    base = qb.polytope_from_halfspaces(t.rays, (17, 17, 17))
+    for p in (shifted, base):
+        assert set(vertex_cones(p)) == set(vertex_cones(t.polytope))
+    assert qb.divisor_polytope(t, (-49, 0, 0)) == VirtualPolytope.combine(((1, shifted), (-1, base)), 2)
+
+
+@pytest.mark.parametrize(
+    "name, coeffs, hulls",
+    [("p2", (1, 0, 0), 2), ("p2", (-49, 0, 0), 4), ("fano-3-29", (0, 0, -1, 0, 0, 0), 4)],
+)
+def test_divisor_polytope_builds_at_most_two_polarizations(name, coeffs, hulls, monkeypatch):
+    # each polarization is one half-space system, which takes two hulls
+    t = tor(name)
+    calls = count_hulls(monkeypatch)
+    qb.divisor_polytope.__wrapped__(t, coeffs)
+    assert len(calls) == hulls
+
+
+# ---------------------------------------------------------------------------
 # arguments that are not integers
 
 P2 = qb.toric_data([(1, 0), (0, 1), (-1, -1)], [1, 1, 1])
+F1 = qb.load_fixture("f1")
 # each call with one entry 1.5 or 0.5 where an integer belongs, which int()
 # would truncate to a valid call
 NON_INTEGER_ENTRIES = {
@@ -746,6 +824,11 @@ NON_INTEGER_ENTRIES = {
     "divisor_polytope coefficients": lambda: qb.divisor_polytope(P2, (1.5, 0, 0)),
     "mixed_volume multiplicities": lambda: qb.mixed_volume([(P2.polytope, 1.5), (P2.polytope, 0.5)]),
     "stabilization_check dilations": lambda: qb.stabilization_check(P2.polytope, [1, 2.5, 3]),
+    "df_coefficients direction": lambda: qb.df_coefficients(F1, (1.5, 0), 3),
+    "df_coefficients direction on p2": lambda: qb.df_coefficients(P2.polytope, (1.5, 0), 3),
+    "pairing_numerator direction": lambda: qb.barycenter_function(P2.polytope).pairing_numerator((1.5, 0)),
+    "translate shift": lambda: qb.translate(qb.as_body(F1), (0.5, 0)),
+    "support_value direction": lambda: qb.support_value(F1, (0.5, 0)),
 }
 
 
@@ -761,6 +844,15 @@ NON_INTEGER_SCALARS = {
     "delta_sequence order": (lambda: qb.delta_sequence(P2, [1], order=2.5), "expansion order"),
     "dilate factor": (lambda: qb.dilate(P2.polytope, 1.5), "dilation factor"),
     "dilate factor of a body": (lambda: qb.dilate(qb.as_body(P2.polytope), 1.5), "dilation factor"),
+    "df_coefficients order": (lambda: qb.df_coefficients(F1, (1, 0), 1.5), "expansion order"),
+    "df_coefficients order True": (lambda: qb.df_coefficients(F1, (1, 0), True), "expansion order"),
+    "rooftop offset": (lambda: qb.rooftop(F1, (1, 0), 1.5), "rooftop offset"),
+    "reflexive_polygon_bck k": (lambda: qb.reflexive_polygon_bck(P2.polytope, 1.5), "dilation factor"),
+    "del_pezzo_closed_form k": (lambda: qb.del_pezzo_closed_form(P2, 1.5), "threshold index"),
+    "laurent_expand order": (
+        lambda: qb.laurent_expand(Polynomial.of([1]), Polynomial.of([1, 1]), 1.5),
+        "expansion order",
+    ),
 }
 
 
