@@ -147,6 +147,11 @@ UNBOUNDED = (
     ("1,0,0;0,1,0;0,0,1;-1,-1,0", "1,1,1,1"),
 )
 
+# Mixed volumes refused for their arguments, across ambient dimensions and
+# with multiplicities that overshoot the dimension, and one that repeats a
+# body across slots, whose terms the expansion groups into one multiset.
+MIXED_SLOTS = (("p2", "cube3"), ("p2", "f1", "cube2"), ("cube3", "fano-3-29", "cube3"))
+
 
 def command_lines() -> list[list[str]]:
     lines = []
@@ -221,6 +226,8 @@ def command_lines() -> list[list[str]]:
         lines.append([command, "--rays", TRAPEZOID_SEGMENT3[0], "--offsets", TRAPEZOID_SEGMENT3[1]])
     for rays, offsets in UNBOUNDED:
         lines.append(["count", "--k", "1", "--rays", rays, "--offsets", offsets])
+    for inputs in MIXED_SLOTS:
+        lines.append(["mixed-volume", *(arg for name in inputs for arg in ("--input", name))])
     return lines
 
 
