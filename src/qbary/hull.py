@@ -46,7 +46,7 @@ from math import factorial, gcd
 from typing import Callable, Iterable, Sequence
 
 from .errors import DegenerateInput, InternalInconsistency, InvalidInput
-from .linalg import IntVec, cross_normal, dot, independent_rows, int_det, vec_sub
+from .linalg import IntVec, cross_normal, dot, independent_rows, int_det, int_rows, vec_sub
 
 
 @dataclass(frozen=True)
@@ -346,7 +346,7 @@ def face_moments(p: Polytope) -> tuple[int, list[int], list[tuple[int, list[int]
 
 
 def volume_and_barycenter(points: Iterable[Sequence[int]]) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Exact Euclidean volume and barycenter of the hull of the points."""
-    hull = convex_hull(points)
+    """Exact Euclidean volume and barycenter of the hull of integer points."""
+    hull = convex_hull(int_rows(points))
     volume, moment, _ = face_moments(hull)
     return Fraction(volume, factorial(hull.dim)), tuple(Fraction(m, volume * (hull.dim + 1)) for m in moment)

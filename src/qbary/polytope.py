@@ -32,7 +32,11 @@ vertex, whose normals span that vertex's cone of the normal fan;
 
 Lower-dimensional hulls appear only as :class:`Body` values, which is all
 Minkowski sums and mixed volumes need; every other operation requires a
-full-dimensional :class:`Polytope`.
+full-dimensional :class:`Polytope`.  A degenerate point set is hulled on
+coordinates on which its differences keep full rank, which its affine hull
+projects onto one to one.  Bodies are under the same dimension cap as
+polytopes, and every operation on them refuses an argument that is
+neither a ``Polytope`` nor a ``Body`` (:func:`as_body`).
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ from typing import Iterable, Sequence
 from .errors import DegenerateInput, InternalInconsistency, InvalidInput, Unsupported, UnboundedInput
 from .exactnum import Vector
 from .hull import Halfspace, Polytope, convex_hull, face_moments
-from .lattice import hermite_normal_form, primitive
-from .linalg import IntVec, dot, int_det, int_list, int_rows, int_value, rank, vec_add, vec_sub
+from .lattice import primitive
+from .linalg import IntVec, dot, independent_rows, int_det, int_list, int_rows, int_value, rank, vec_add, vec_sub
 
 DIMENSION_CAP = 7
 
@@ -165,72 +169,58 @@ def polytope_from_halfspaces(normals: Iterable[Sequence[int]], offsets: Iterable
 # bodies, dilation, Minkowski sums
 
 def body_from_points(points: Iterable[Sequence[int]]) -> Body:
-    """Canonical possibly-degenerate hull: extreme points only, sorted."""
+    """Canonical possibly-degenerate hull: extreme points only, sorted.
+
+    The differences from the first point have full rank on some of the
+    coordinates (:func:`qbary.linalg.independent_rows` of the transposed
+    differences).  The affine hull projects one to one onto those, and an
+    affine bijection keeps extreme points, so the vertices are the points
+    whose projections are vertices of the projected hull.
+    """
     pts = sorted(set(int_rows(points)))
     dim = len(pts[0])
+    if any(len(p) != dim for p in pts):
+        raise InvalidInput("points of mixed dimension")
+    _check_dim(dim)
     if len(pts) == 1:
         return Body(dim, (pts[0],))
-    origin = pts[0]
-    dirs = [vec_sub(p, origin) for p in pts[1:]]
-    r = rank(dirs)
-    if r == dim:
-        return Body(dim, convex_hull(pts).vertices)
-    # project to exact integer coordinates on the affine hull, hull there
-    h, _ = hermite_normal_form(dirs)
-    basis = [row for row in h if any(x != 0 for x in row)]
-    coords = []
-    for p in pts:
-        coords.append(_coords_in_rowspan(vec_sub(p, origin), basis))
-    sub = convex_hull(coords) if r >= 1 else None
-    keep = set(sub.vertices) if sub else {()}
-    out = [p for p, c in zip(pts, coords) if c in keep]
-    return Body(dim, tuple(sorted(out)))
-
-
-def _coords_in_rowspan(target: IntVec, basis: list[IntVec]) -> IntVec:
-    # basis rows are in Hermite form, hence echelon: forward-substitute.
-    coords = []
-    residue = list(target)
-    for row in basis:
-        lead = next(i for i, x in enumerate(row) if x != 0)
-        if residue[lead] % row[lead]:
-            raise InternalInconsistency("point outside the integer row span")
-        c = residue[lead] // row[lead]
-        coords.append(c)
-        residue = [a - c * b for a, b in zip(residue, row)]
-    if any(residue):
-        raise InternalInconsistency("point outside the integer row span")
-    return tuple(coords)
+    axes = independent_rows(zip(*(vec_sub(p, pts[0]) for p in pts[1:])))
+    projected = {tuple(p[i] for i in axes): p for p in pts}
+    return Body(dim, tuple(sorted(projected[v] for v in convex_hull(projected).vertices)))
 
 
 def as_body(obj: Polytope | Body) -> Body:
+    """``obj`` as a :class:`Body`; anything but a ``Polytope`` or a ``Body``
+    is refused."""
     if isinstance(obj, Body):
         return obj
+    if not isinstance(obj, Polytope):
+        raise InvalidInput(f"expected a Polytope or a Body, got {type(obj).__name__}")
     return Body(obj.dim, obj.vertices)
 
 
 def dilate(obj: Polytope | Body, factor: int):
     """Integer dilation ``factor * P``; ``factor == 0`` collapses to the origin."""
+    body = as_body(obj)
     if int_value(factor, "dilation factor") < 0:
         raise InvalidInput("dilation factor must be nonnegative")
     if factor == 0:
-        dim = obj.dim
-        return Body(dim, ((0,) * dim,))
+        return Body(body.dim, ((0,) * body.dim,))
     if factor == 1:
         return obj
-    verts = [tuple(factor * x for x in v) for v in obj.vertices]
+    verts = [tuple(factor * x for x in v) for v in body.vertices]
     if isinstance(obj, Body):
-        return Body(obj.dim, tuple(sorted(verts)))
+        return Body(body.dim, tuple(sorted(verts)))
     return hull_from_vertices(verts)
 
 
 def translate(obj: Polytope | Body, shift: Sequence[int]):
-    shift = int_list(shift)
-    if len(shift) != obj.dim:
-        raise InvalidInput(f"shift has length {len(shift)}, expected {obj.dim}")
-    verts = [vec_add(v, shift) for v in obj.vertices]
+    body, shift = as_body(obj), int_list(shift)
+    if len(shift) != body.dim:
+        raise InvalidInput(f"shift has length {len(shift)}, expected {body.dim}")
+    verts = [vec_add(v, shift) for v in body.vertices]
     if isinstance(obj, Body):
-        return Body(obj.dim, tuple(sorted(verts)))
+        return Body(body.dim, tuple(sorted(verts)))
     return hull_from_vertices(verts)
 
 
@@ -240,6 +230,7 @@ def minkowski_sum(a: Polytope | Body, b: Polytope | Body) -> Polytope | Body:
     Returns a :class:`Polytope` when the sum is full-dimensional and a
     :class:`Body` otherwise.
     """
+    a, b = as_body(a), as_body(b)
     if a.dim != b.dim:
         raise InvalidInput(f"ambient dimensions differ: {a.dim} vs {b.dim}")
     sums = sorted({vec_add(u, v) for u in a.vertices for v in b.vertices})

@@ -4,10 +4,11 @@ Bernoulli-number coefficient formulas available for Delzant data.
 A virtual polytope is a formal integer combination of (possibly degenerate)
 lattice bodies; two combinations are identified when moving all negative
 terms to the other side yields equal Minkowski sums (the Grothendieck
-cancellation law).  Mixed volumes extend multilinearly to such combinations;
-``mixed_volume`` evaluates them on arbitrary bodies by inclusion-exclusion
-over Minkowski sums of sub-multisets, with lower-dimensional sums
-contributing volume zero.
+cancellation law).  Mixed volumes extend multilinearly to such combinations,
+so ``mixed_volume`` is a sum over one product of the slots' terms, a slot
+of multiplicity m counted as m slots.  Each multiset of bodies it picks is
+evaluated once, by inclusion-exclusion over Minkowski sums of dilates,
+with lower-dimensional sums contributing volume zero.
 
 For Delzant data the paper gives the counting polynomial's coefficients as
 
@@ -55,9 +56,11 @@ is read off the vertex cones: one linear margin per cone and inequality
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb, factorial, gcd, lcm, prod
 from typing import Iterable, Sequence
 
@@ -71,7 +74,7 @@ from .exactnum import Polynomial, bernoulli
 from .expansion import barycenter_function, rooftop
 from .hull import volume_and_barycenter
 from .lattice import primitive
-from .linalg import IntVec, dot, int_list, int_rows, rank, solve, vec_add, vec_sub
+from .linalg import IntVec, dot, int_list, int_rows, int_value, rank, solve, vec_add, vec_sub
 from .polytope import (
     Body,
     Polytope,
@@ -103,12 +106,13 @@ class VirtualPolytope:
 
     @staticmethod
     def combine(parts: Iterable[tuple[int, "Polytope | Body"]], dim: int) -> "VirtualPolytope":
+        dim = int_value(dim, "dimension")
         acc: dict[Body, int] = {}
         for coeff, obj in parts:
             b = as_body(obj)
             if b.dim != dim:
                 raise InvalidInput("virtual terms of mixed ambient dimension")
-            acc[b] = acc.get(b, 0) + coeff
+            acc[b] = acc.get(b, 0) + int_value(coeff, "virtual coefficient")
         terms = tuple(
             (c, b) for b, c in sorted(acc.items(), key=lambda kv: kv[0].vertices) if c != 0
         )
@@ -167,35 +171,23 @@ def _mixed_volume_bodies(items: tuple[tuple[Body, int], ...]) -> Fraction:
     """
     n = sum(m for _, m in items)
     total = Fraction(0)
-    choices = [range(m + 1) for _, m in items]
-
-    def rec(idx: int, chosen: list[int]) -> None:
-        nonlocal total
-        if idx == len(items):
-            s = sum(chosen)
-            if s == 0:
-                return
-            parts = tuple(
-                as_body(dilate(body, c))
-                for (body, _), c in zip(items, chosen)
-                if c > 0
-            )
-            weight = 1
-            for (_, m), c in zip(items, chosen):
-                weight *= comb(m, c)
-            total += (-1) ** (n - s) * weight * _volume_of_sum(tuple(sorted(parts, key=lambda b: b.vertices)))
-            return
-        for c in choices[idx]:
-            rec(idx + 1, chosen + [c])
-
-    rec(0, [])
+    for chosen in product(*(range(m + 1) for _, m in items)):
+        if not any(chosen):
+            continue
+        parts = sorted((dilate(body, c) for (body, _), c in zip(items, chosen) if c), key=lambda b: b.vertices)
+        weight = prod(comb(m, c) for (_, m), c in zip(items, chosen))
+        total += (-1) ** (n - sum(chosen)) * weight * _volume_of_sum(tuple(parts))
     return total / factorial(n)
 
 
 def mixed_volume(args: Sequence[tuple["VirtualPolytope | Polytope | Body", int]]) -> Fraction:
     """Mixed volume of virtual polytopes with multiplicities summing to dim.
 
-    Normalized so that ``V(P, dim) = Vol(P)``; multilinear in each slot.
+    Normalized so that ``V(P, dim) = Vol(P)``; multilinear in each slot.  A
+    slot of multiplicity m counts as m slots, and choosing one term in every
+    slot contributes the product of the chosen coefficients times the mixed
+    volume of the chosen bodies; choices that pick the same bodies equally
+    often are grouped, so each multiset of bodies is evaluated once.
     """
     if not args:
         raise InvalidInput("mixed volume needs at least one argument")
@@ -209,51 +201,11 @@ def mixed_volume(args: Sequence[tuple["VirtualPolytope | Polytope | Body", int]]
     if sum(m for _, m in virtuals) != dim:
         raise InvalidInput(f"multiplicities must sum to the dimension {dim}")
 
-    total = Fraction(0)
-
-    def rec(idx: int, acc_coeff: int, acc: dict[Body, int]) -> None:
-        nonlocal total
-        if idx == len(virtuals):
-            items = tuple(sorted(acc.items(), key=lambda kv: kv[0].vertices))
-            total += acc_coeff * _mixed_volume_bodies(items)
-            return
-        vp, mult = virtuals[idx]
-        if not vp.terms:
-            return  # the zero virtual polytope kills the product
-        for assignment, weight in _term_assignments(vp.terms, mult):
-            nxt = dict(acc)
-            for b, m in assignment.items():
-                nxt[b] = nxt.get(b, 0) + m
-            rec(idx + 1, acc_coeff * weight, nxt)
-
-    rec(0, 1, {})
-    return total
-
-
-def _term_assignments(terms: tuple[tuple[int, Body], ...], mult: int):
-    """All ways to distribute ``mult`` identical slots over the terms.
-
-    Yields ``(body -> multiplicity, weight)`` where the weight is the
-    multinomial count times the product of term coefficients.
-    """
-    out: list[tuple[dict[Body, int], int]] = []
-
-    def rec(idx: int, remaining: int, weight: int, chosen: dict[Body, int]) -> None:
-        if idx == len(terms) - 1:
-            c, b = terms[idx]
-            w = weight * c**remaining
-            if remaining:
-                chosen = {**chosen, b: chosen.get(b, 0) + remaining}
-            out.append((chosen, w))
-            return
-        c, b = terms[idx]
-        for take in range(remaining + 1):
-            w = weight * comb(remaining, take) * c**take
-            nxt = {**chosen, b: chosen.get(b, 0) + take} if take else chosen
-            rec(idx + 1, remaining - take, w, nxt)
-
-    rec(0, mult, 1, {})
-    return out
+    weights: Counter[tuple[tuple[Body, int], ...]] = Counter()
+    for choice in product(*(v.terms for v, m in virtuals for _ in range(m))):
+        bodies = Counter(b for _, b in choice)
+        weights[tuple(sorted(bodies.items(), key=lambda kv: kv[0].vertices))] += prod(c for c, _ in choice)
+    return sum((w * _mixed_volume_bodies(items) for items, w in weights.items()), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

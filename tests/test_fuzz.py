@@ -9,13 +9,21 @@ and nested lists.  Every input must end in a result or a ``QbaryError``
 Dimensions are 1 to 3, integer entries at most 3 in absolute value and
 ray lists at most 6 long, so every example is cheap: nothing yet bounds the
 work of counting a large input, which would make a hang look like a pass.
+
+The Minkowski layer counts nothing, and its dimension cap refuses a body
+of dimension 8 or 9 before any hull, so its arguments are drawn in
+dimensions 0 to 9: ``body_from_points``, ``minkowski_sum``,
+``VirtualPolytope.combine`` and ``mixed_volume`` take integer rows, ragged
+rows, ``Body`` values, polytopes and hostile values in every argument slot.
 """
 
 from __future__ import annotations
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +31,8 @@ from hypothesis import strategies as st
 import qbary as qb
 from qbary.cli import execute
 from qbary.linalg import dot
+from qbary.polytope import Body, body_from_points
+from qbary.toric import VirtualPolytope
 
 from conftest import fraction_rank
 
@@ -143,3 +153,84 @@ def test_cli_ends_in_a_result_or_a_refusal(command, inline, direction):
         argv += ["--v", direction]
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         assert execute(argv) in (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the Minkowski layer
+
+@st.composite
+def wide_rows(draw):
+    """One to four integer rows of one dimension, 0 to 9."""
+    n = draw(st.integers(0, 9))
+    return draw(st.lists(st.tuples(*[SMALL] * n), min_size=1, max_size=4))
+
+
+RAGGED = st.lists(st.lists(SMALL, max_size=3).map(tuple), min_size=2, max_size=4)
+POINTS = st.one_of(wide_rows(), RAGGED, HOSTILE)
+BODIES = st.one_of(
+    wide_rows().map(lambda rows: Body(len(rows[0]), tuple(sorted(set(rows))))),
+    st.sampled_from(("p2", "cube3")).map(qb.load_fixture),
+    POINTS,
+)
+SCALARS = st.one_of(st.integers(-1, 4), HOSTILE)
+
+
+@FUZZ
+@given(POINTS)
+def test_body_from_points_builds_or_refuses(points):
+    try:
+        body = body_from_points(points)
+    except qb.QbaryError:
+        return
+    assert body.dim <= 7
+    assert list(body.vertices) == sorted(set(body.vertices)) and set(body.vertices) <= set(map(tuple, points))
+
+
+@FUZZ
+@given(BODIES, BODIES)
+def test_minkowski_sum_builds_or_refuses(a, b):
+    try:
+        total = qb.minkowski_sum(a, b)
+    except qb.QbaryError:
+        return
+    assert total.dim == a.dim == b.dim <= 7
+
+
+class Combine(NamedTuple):
+    """A slot that holds ``VirtualPolytope.combine(terms, dim)``."""
+
+    terms: object
+    dim: object
+
+    def build(self) -> VirtualPolytope:
+        return VirtualPolytope.combine(self.terms, self.dim)
+
+
+HOSTILE_SLOTS = st.lists(
+    st.tuples(st.one_of(BODIES, st.builds(Combine, st.lists(st.tuples(SCALARS, BODIES), max_size=2), SCALARS)), SCALARS),
+    max_size=3,
+)
+
+
+@st.composite
+def slots_in_one_dimension(draw):
+    """One to three slots in one dimension n, 1 to 9, with multiplicities
+    summing to n, each a body or a combination of bodies with coefficients
+    +-1; at most three bodies of at most three points each."""
+    n = draw(st.integers(1, 9))
+    rows = st.lists(st.tuples(*[SMALL] * n), min_size=1, max_size=3)
+    pool = [Body(n, tuple(sorted(set(draw(rows))))) for _ in range(draw(st.integers(1, 3)))]
+    cuts = sorted(draw(st.lists(st.integers(1, n - 1), max_size=2, unique=True))) if n > 1 else []
+    combined = st.lists(st.tuples(st.sampled_from((-1, 1)), st.sampled_from(pool)), min_size=1, max_size=2)
+    content = st.one_of(st.sampled_from(pool), combined.map(lambda terms: Combine(terms, n)))
+    return [(draw(content), b - a) for a, b in zip([0, *cuts], [*cuts, n])]
+
+
+@FUZZ
+@given(st.one_of(HOSTILE_SLOTS, slots_in_one_dimension()))
+def test_virtual_combinations_and_mixed_volumes_end_in_a_value_or_a_refusal(slots):
+    try:
+        value = qb.mixed_volume([(v.build() if isinstance(v, Combine) else v, m) for v, m in slots])
+    except qb.QbaryError:
+        return
+    assert isinstance(value, Fraction)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import qbary as qb
 import qbary.hull
+import qbary.lattice
 import qbary.linalg
 import qbary.polytope
 from qbary.linalg import dot, int_det, vec_add, vec_sub
@@ -921,6 +922,83 @@ def test_minkowski_degenerate_result_and_dim_mismatch():
         qb.minkowski_sum(e1, body_from_points([(0, 0, 0)]))
 
 
+def hnf_body_from_points(points) -> Body:
+    """The hull of a possibly degenerate point set in integer coordinates
+    on its affine lattice, read off a row Hermite normal form of the
+    differences; the construction the projection onto coordinates replaced,
+    kept as the reference."""
+    pts = sorted(set(tuple(p) for p in points))
+    dim = len(pts[0])
+    if len(pts) == 1:
+        return Body(dim, (pts[0],))
+    origin = pts[0]
+    dirs = [vec_sub(p, origin) for p in pts[1:]]
+    r = qbary.linalg.rank(dirs)
+    if r == dim:
+        return Body(dim, qbary.hull.convex_hull(pts).vertices)
+    h, _ = qbary.lattice.hermite_normal_form(dirs)
+    basis = [row for row in h if any(row)]
+    coords = []
+    for p in pts:
+        residue, c = list(vec_sub(p, origin)), []
+        for row in basis:  # echelon rows: forward-substitute
+            lead = next(i for i, x in enumerate(row) if x)
+            assert residue[lead] % row[lead] == 0
+            c.append(residue[lead] // row[lead])
+            residue = [a - c[-1] * b for a, b in zip(residue, row)]
+        assert not any(residue)
+        coords.append(tuple(c))
+    keep = set(qbary.hull.convex_hull(coords).vertices)
+    return Body(dim, tuple(p for p, c in zip(pts, coords) if c in keep))
+
+
+@st.composite
+def points_of_any_rank(draw):
+    """Points ``o + M c`` in dimension 1 to 4 with entries at most 4 in
+    absolute value, for an n x r integer M with r from 0 to n, so the
+    affine hull has every rank, often on a sublattice of index above 1."""
+    n = draw(st.integers(1, 4))
+    r = draw(st.integers(0, n))
+    entry = st.integers(-2, 2)
+    origin = draw(st.tuples(*[entry] * n))
+    columns = draw(st.lists(st.tuples(*[entry] * n), min_size=r, max_size=r))
+    coefficients = draw(st.lists(st.tuples(*[entry] * r), min_size=1, max_size=8))
+    points = [vec_add(origin, tuple(sum(c * col[i] for c, col in zip(cs, columns)) for i in range(n))) for cs in coefficients]
+    return [p for p in points if max(map(abs, p)) <= 4] or [origin]
+
+
+@settings(max_examples=300, deadline=None)
+@given(points_of_any_rank())
+@example([(0, 0, 0, 0)])
+@example([(0, 0), (2, 2), (4, 4), (1, 3)])
+@example([(0, 0, 0), (2, 0, 2), (0, 2, 2), (2, 2, 4), (1, 1, 2)])
+@example([(1, -1, 0, 2), (3, 1, 2, 4), (-1, -3, -2, 0)])
+def test_body_from_points_matches_the_hermite_form_reference(points):
+    assert body_from_points(points) == hnf_body_from_points(points)
+
+
+@pytest.mark.parametrize("points", ([(0, 0, 0), (1, 0), (0, 1)], [(0, 0), (1,), (0, 1)]), ids=("3-2-2", "2-1-2"))
+def test_points_of_mixed_dimension_are_refused(points):
+    for build in (body_from_points, qb.hull_from_vertices):
+        with pytest.raises(qb.InvalidInput, match="^points of mixed dimension$"):
+            build(points)
+
+
+def unit_segments(n: int) -> list[Body]:
+    return [Body(n, ((0,) * n, tuple(int(i == j) for j in range(n)))) for i in range(n)]
+
+
+def test_bodies_above_the_dimension_cap_are_refused():
+    # a segment at the cap is a body; one dimension up it is refused, and so
+    # is every Minkowski sum that would have to hull it
+    assert body_from_points(unit_segments(7)[0].vertices) == unit_segments(7)[0]
+    segment, other = unit_segments(8)[:2]
+    with pytest.raises(qb.Unsupported, match="dimension 8 above the configured cap 7"):
+        body_from_points(segment.vertices)
+    with pytest.raises(qb.Unsupported, match="dimension 8 above the configured cap 7"):
+        qb.minkowski_sum(segment, other)
+
+
 def test_minkowski_volume_is_polynomial_in_dilations(fixtures):
     # Vol(aP + bQ) agrees with a homogeneous degree-2 polynomial fitted from
     # a few samples, on a grid it was not fitted on
@@ -1004,6 +1082,7 @@ def test_constructors_refuse_coordinates_that_are_not_ints(bad):
         "document vertices": lambda: qb.polytope_from_document({"vertices": _with_first_one([(0, 0), (1, 0), (0, 1)], bad)}),
         "document offsets": lambda: qb.polytope_from_document({"normals": P2_RAYS, "offsets": [1, bad, 1]}),
         "body points": lambda: body_from_points(_with_first_one([(0, 0), (1, 0), (0, 1)], bad)),
+        "hull measure points": lambda: qbary.hull.volume_and_barycenter(_with_first_one([(0, 0), (1, 0), (0, 1)], bad)),
     }
     for where, build in cases.items():
         with pytest.raises(qb.InvalidInput, match="^expected an"):

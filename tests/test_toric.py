@@ -2,7 +2,8 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 from itertools import permutations
-from math import factorial, prod
+from math import comb, factorial, prod
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +109,118 @@ def test_mixed_volume_argument_validation(fixtures):
         qb.mixed_volume([(p, 0), (p, 2)])
     with pytest.raises(qb.InvalidInput):
         qb.mixed_volume([])
+
+
+def distributed_mixed_volume(args) -> F:
+    """The mixed volume by distributing each slot's multiplicity over its
+    terms with multinomial weights, one recursion per level, and evaluating
+    each assignment by inclusion-exclusion over dilated sub-sums; the
+    construction the one product over all slots replaced, kept as the
+    reference.  It shares only :func:`qbary.toric._volume_of_sum` with the
+    library."""
+    virtuals = [(VirtualPolytope.of(v), m) for v, m in args]
+
+    def assignments(terms, mult):
+        # (body -> multiplicity, multinomial count times coefficients)
+        if len(terms) == 1:
+            (c, b), = terms
+            return [({b: mult}, c**mult)]
+        (c, b), rest = terms[0], terms[1:]
+        out = []
+        for take in range(mult + 1):
+            for chosen, w in assignments(rest, mult - take):
+                out.append(({**chosen, b: take} if take else chosen, w * comb(mult, take) * c**take))
+        return out
+
+    def by_inclusion_exclusion(items) -> F:
+        n = sum(m for _, m in items)
+        total = F(0)
+
+        def rec(idx, chosen):
+            nonlocal total
+            if idx == len(items):
+                if sum(chosen):
+                    parts = tuple(sorted((qb.dilate(b, c) for (b, _), c in zip(items, chosen) if c), key=lambda b: b.vertices))
+                    weight = prod(comb(m, c) for (_, m), c in zip(items, chosen))
+                    total += (-1) ** (n - sum(chosen)) * weight * toric._volume_of_sum(parts)
+                return
+            for c in range(items[idx][1] + 1):
+                rec(idx + 1, chosen + [c])
+
+        rec(0, [])
+        return total / factorial(n)
+
+    total = F(0)
+
+    def rec(idx, coeff, acc):
+        nonlocal total
+        if idx == len(virtuals):
+            total += coeff * by_inclusion_exclusion(tuple(sorted(acc.items(), key=lambda kv: kv[0].vertices)))
+            return
+        vp, mult = virtuals[idx]
+        if not vp.terms:
+            return
+        for chosen, w in assignments(vp.terms, mult):
+            nxt = dict(acc)
+            for b, m in chosen.items():
+                nxt[b] = nxt.get(b, 0) + m
+            rec(idx + 1, coeff * w, nxt)
+
+    rec(0, 1, {})
+    return total
+
+
+@st.composite
+def virtual_slots(draw):
+    """Slots of multiplicities summing to 2 or 3, each a virtual polytope of
+    1 to 3 terms with coefficients +-1 and +-2 over bodies of every rank,
+    some repeated across terms and slots."""
+    dim = draw(st.integers(2, 3))
+    entry = st.integers(-2, 2)
+    pool = [
+        body_from_points(draw(st.lists(st.tuples(*[entry] * dim), min_size=1, max_size=5)))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    mults = draw(st.sampled_from(((2,), (1, 1)) if dim == 2 else ((3,), (2, 1), (1, 2), (1, 1, 1))))
+    slots = []
+    for m in mults:
+        terms = draw(st.lists(st.tuples(st.sampled_from((-2, -1, 1, 2)), st.sampled_from(pool)), min_size=1, max_size=3))
+        slots.append((VirtualPolytope.combine(terms, dim), m))
+    return slots
+
+
+@settings(max_examples=150, deadline=None)
+@given(virtual_slots())
+def test_mixed_volume_matches_the_distributed_reference(slots):
+    assert qb.mixed_volume(slots) == distributed_mixed_volume(slots)
+
+
+NOT_BODIES = {
+    "mixed_volume of rows": lambda: qb.mixed_volume([([(0, 0), (1, 0)], 2)]),
+    "mixed_volume of a fixture name": lambda: qb.mixed_volume([("p2", 2)]),
+    "VirtualPolytope.of rows": lambda: VirtualPolytope.of([(0, 0)]),
+    "VirtualPolytope.combine of rows": lambda: VirtualPolytope.combine([(1, [(0, 0), (1, 0)])], 2),
+    "as_body of rows": lambda: qb.as_body([(0, 0), (1, 0)]),
+    "dilate of rows": lambda: qb.dilate([(0, 0), (1, 0)], 2),
+    "translate of rows": lambda: qb.translate([(0, 0), (1, 0)], (1, 1)),
+    "minkowski_sum of rows": lambda: qb.minkowski_sum([(0, 0), (1, 0)], F1),
+}
+
+
+@pytest.mark.parametrize("name", NOT_BODIES)
+def test_arguments_that_are_not_bodies_are_refused(name):
+    with pytest.raises(qb.InvalidInput, match="^expected a Polytope or a Body, got "):
+        NOT_BODIES[name]()
+
+
+def test_mixed_volume_above_the_dimension_cap_is_refused_at_once():
+    # the 9 unit segments of dimension 9 have mixed volume 1/9!, from 2^9 - 1
+    # Minkowski sums, each twice as many as one dimension down
+    segments = [Body(9, ((0,) * 9, unit(9, i))) for i in range(9)]
+    start = time.process_time()
+    with pytest.raises(qb.Unsupported, match="dimension 9 above the configured cap 7"):
+        qb.mixed_volume([(s, 1) for s in segments])
+    assert time.process_time() - start < 1
 
 
 # ---------------------------------------------------------------------------
@@ -843,6 +956,8 @@ NON_INTEGER_SCALARS = {
     "asymptotic_coefficients order": (lambda: qb.asymptotic_coefficients(P2.polytope, 1.5), "expansion order"),
     "delta_sequence order": (lambda: qb.delta_sequence(P2, [1], order=2.5), "expansion order"),
     "dilate factor": (lambda: qb.dilate(P2.polytope, 1.5), "dilation factor"),
+    "VirtualPolytope.combine coefficient": (lambda: VirtualPolytope.combine([(1.5, F1)], 2), "virtual coefficient"),
+    "VirtualPolytope.combine dimension": (lambda: VirtualPolytope.combine([(1, F1)], 2.0), "dimension"),
     "dilate factor of a body": (lambda: qb.dilate(qb.as_body(P2.polytope), 1.5), "dilation factor"),
     "df_coefficients order": (lambda: qb.df_coefficients(F1, (1, 0), 1.5), "expansion order"),
     "df_coefficients order True": (lambda: qb.df_coefficients(F1, (1, 0), True), "expansion order"),
