@@ -152,6 +152,13 @@ UNBOUNDED = (
 # body across slots, whose terms the expansion groups into one multiset.
 MIXED_SLOTS = (("p2", "cube3"), ("p2", "f1", "cube2"), ("cube3", "fano-3-29", "cube3"))
 
+# Products on either side of the dimension at which measures and counting
+# go through the factors: the Hirzebruch trapezoid
+# conv((0,0),(3,0),(0,1),(2,1)) on axes 0 and 2 times 2 Delta_2 on axes 1
+# and 3, whose blocks interleave, and the 2-D rectangle [0,2] x [0,3].
+TRAPEZOID_TRIANGLE = ("1,0,0,0;0,0,1,0;0,0,-1,0;-1,0,-1,0;0,1,0,0;0,0,0,1;0,-1,0,-1", "0,0,1,3,0,0,2")
+RECTANGLE = ("1,0;0,1;-1,0;0,-1", "0,0,2,3")
+
 
 def command_lines() -> list[list[str]]:
     lines = []
@@ -228,6 +235,9 @@ def command_lines() -> list[list[str]]:
         lines.append(["count", "--k", "1", "--rays", rays, "--offsets", offsets])
     for inputs in MIXED_SLOTS:
         lines.append(["mixed-volume", *(arg for name in inputs for arg in ("--input", name))])
+    for command in (["bc"], ["expand"], ["bck", "--k", "7"]):
+        lines.append([*command, "--rays", TRAPEZOID_TRIANGLE[0], "--offsets", TRAPEZOID_TRIANGLE[1]])
+    lines.append(["bc", "--rays", RECTANGLE[0], "--offsets", RECTANGLE[1]])
     return lines
 
 
