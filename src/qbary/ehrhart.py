@@ -24,27 +24,27 @@ not depend on the order, only the work does.  Every outer coordinate is
 bounded by the facets of P's projection onto the leading coordinates
 scanned so far (hulls built once per polytope and scaled by ``k``), so the
 scan visits only prefixes that extend to points of ``k*P`` instead of the
-whole bounding box.  That projection is the product of its projections
-onto P's coordinate blocks, so only the hull of the coordinate's own
-block is built.  The slacks of these inequalities are integers kept up
-to date as the scan steps, and a step of one coordinate moves only the
-slacks of the inequalities that involve it: 2 of the 2 dim on a box.
+whole bounding box.  When P splits (below), that projection is the
+product of its projections onto P's coordinate blocks, so only the hull of
+the coordinate's own block is built.  The slacks of these inequalities are
+integers kept up to date as the scan steps, and a step of one coordinate
+moves only the slacks of the inequalities that involve it: 2 of the 2 dim
+on a box.
 
 A product of coordinate blocks of dimension 4 or more is counted through
 its factors.  The blocks are the connected components of the axes, two
 axes joined when a facet normal involves both; every facet then involves
 one block, and P is the product of its projections onto the blocks, each
-read off P with no hull (:mod:`qbary.polytope`, which measures P through
-the same factors).  P's plan keeps the factors' plans, so the split is
-found once per polytope.  As ``k*P = k*A x k*B`` and the interior of
-``k*P`` is ``int(k*A) x int(k*B)``, the count is the product of the
-factors' counts and the sums on a block are that factor's sums times the
-other factors' counts, closed and interior alike.  At k = 1 the full pass
-over P runs as well and must give the same record.  In dimensions 1-3 a
-pass descends at most one level and a factor's own plan costs more than the
-split saves, so those products are scanned whole.  Images of products
-under ``GL_n(Z)`` are not detected: that belongs to a reduced lattice basis
-(ROADMAP item 7).
+read off P with no hull: :func:`qbary.polytope._split`, made once per
+polytope and kept with P's measures, which use it too.  As ``k*P = k*A x
+k*B`` and the interior of ``k*P`` is ``int(k*A) x int(k*B)``, the count is
+the product of the factors' counts and the sums on a block are that
+factor's sums times the other factors' counts, closed and interior alike.
+At k = 1 the full pass over P runs as well and must give the same record.
+In dimensions 1-3 a pass descends at most one level and a factor's own
+plan costs more than the split saves, so those products are scanned, and
+measured, whole.  Images of products under ``GL_n(Z)`` are not detected:
+that belongs to a reduced lattice basis (ROADMAP item 7).
 
 Every fit reads the same dilations k = 0..dim, one cached pass each.  By
 Ehrhart-Macdonald reciprocity the interior records of those passes are
@@ -71,7 +71,7 @@ from .errors import InternalInconsistency, InvalidInput, Unsupported
 from .exactnum import Polynomial, poly_fit
 from .hull import convex_hull
 from .linalg import IntVec, int_value
-from .polytope import Polytope, _blocks, _factors, classify, facet_data, measure
+from .polytope import Polytope, _split_of, classify, facet_data, measure
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def _shadows(p: Polytope) -> list[Fraction]:
 
 def _plan(p: Polytope, order: tuple[int, ...], blocks: list[tuple[int, ...]]) -> _ScanPlan:
     """The scan of P in the given axis order, P the product of its
-    coordinate ``blocks`` (:func:`qbary.polytope._blocks`).
+    coordinate ``blocks`` (:func:`qbary.polytope._split`'s, or one).
 
     P's projection onto scan coordinates ``0..j`` is the product of its
     projections onto each block's coordinates among them, and only the one
@@ -166,21 +166,21 @@ def _plan(p: Polytope, order: tuple[int, ...], blocks: list[tuple[int, ...]]) ->
 
 @lru_cache(maxsize=None)
 def _scan_plan(p: Polytope) -> _ScanPlan:
-    """P's plan in shadow order, with its factors' plans when P is a product
-    of dimension 4 or more.
+    """P's plan in shadow order, with its factors' plans when P splits into
+    factors (:func:`qbary.polytope._split`: dimension 4 or more).
 
     P's shadows on a block are the factor's times the other factors'
     volumes, so a factor is planned in P's order restricted to its block.
     """
     shadows = _shadows(p)
     order = tuple(sorted(range(p.dim), key=lambda i: (-shadows[i], i)))
-    blocks = _blocks(p)
-    plan = _plan(p, order, blocks)
-    if p.dim < 4 or len(blocks) < 2:
+    split = _split_of(p)
+    plan = _plan(p, order, [block for block, _, _ in split] or [tuple(range(p.dim))])
+    if not split:
         return plan
     factors = tuple(
         (block, _plan(factor, tuple(block.index(i) for i in order if i in block), [tuple(range(factor.dim))]))
-        for block, factor in zip(blocks, _factors(p, blocks))
+        for block, factor, _ in split
     )
     return _ScanPlan(order, plan.first, plan.bounds, factors)
 

@@ -70,6 +70,14 @@ def vector_to_json(v: Sequence[RationalLike]) -> list[int | str]:
 # ---------------------------------------------------------------------------
 # polynomials
 
+def rational_value(value: object, what: str) -> RationalLike:
+    """``value`` if it is an ``int`` or a ``Fraction``; a bool, float or str
+    is refused, the message naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise InvalidInput(f"{what} must be an integer or a Fraction, got {value!r}")
+    return value
+
+
 def integer_numerators(values: Iterable[RationalLike]) -> tuple[list[int], int]:
     """Integer numerators of ``values`` over their least common denominator."""
     values = list(values)
@@ -108,7 +116,7 @@ class Polynomial:
 
     @staticmethod
     def of(coeffs: Iterable[RationalLike]) -> "Polynomial":
-        return Polynomial.over(*integer_numerators(Fraction(c) for c in coeffs))
+        return Polynomial.over(*integer_numerators(rational_value(c, "coefficient") for c in coeffs))
 
     @staticmethod
     def zero() -> "Polynomial":
@@ -147,6 +155,7 @@ class Polynomial:
     def __call__(self, k: RationalLike) -> Fraction:
         # Horner homogenized in k = u/v: the sum of n_i u^i v^(d-i), then
         # divided by v^d and the denominator.
+        k = rational_value(k, "argument")
         u, v = k.numerator, k.denominator
         acc, scale = 0, 1
         for c in reversed(self.numerators):
@@ -180,7 +189,8 @@ class Polynomial:
         return Polynomial(tuple(-c for c in self.numerators), self.denominator)
 
     def __mul__(self, other: "Polynomial | RationalLike") -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
+            other = rational_value(other, "factor")
             nums = (c * other.numerator for c in self.numerators)
             return Polynomial.over(nums, self.denominator * other.denominator)
         a, b = self.numerators, other.numerators
@@ -314,12 +324,14 @@ def poly_fit(samples: Sequence[tuple[RationalLike, RationalLike]]) -> Polynomial
     ``x_i``.  The basis depends only on the abscissae and is cached for a
     few of them.
     """
+    if not isinstance(samples, (list, tuple)) or not all(isinstance(s, (list, tuple)) and len(s) == 2 for s in samples):
+        raise InvalidInput("samples must be a list of pairs (x, y)")
     if not samples:
         raise InvalidInput("need at least one sample")
-    xs, v = integer_numerators(x for x, _ in samples)
+    xs, v = integer_numerators(rational_value(x, "abscissa") for x, _ in samples)
     if len(set(xs)) != len(xs):
         raise InvalidInput("duplicate abscissa in interpolation samples")
-    ys, w = integer_numerators(y for _, y in samples)
+    ys, w = integer_numerators(rational_value(y, "sample value") for _, y in samples)
     rows, common = _lagrange_basis(tuple(xs))
     total = [0] * len(xs)
     for y, row in zip(ys, rows):
@@ -436,7 +448,7 @@ def bernoulli(j: int) -> Fraction:
     These are the numbers in ``x/(1-exp(-x)) = sum_j B_j x^j / j!``; computed
     from the recurrence ``sum_{i<=m} C(m+1, i) B_i = m+1``.
     """
-    if j < 0:
+    if int_value(j, "Bernoulli index") < 0:
         raise InvalidInput("Bernoulli index must be nonnegative")
     while len(_BERNOULLI) <= j:
         m = len(_BERNOULLI)

@@ -74,20 +74,12 @@ class Polytope:
         return all(dot(point, f.normal) > -f.offset for f in self.facets)
 
 
-def _dedupe(points: Iterable[Sequence[int]]) -> list[IntVec]:
-    seen = sorted({tuple(int(x) for x in p) for p in points})
-    if not seen:
-        raise InvalidInput("empty point set")
-    dims = {len(p) for p in seen}
-    if len(dims) != 1:
-        raise InvalidInput("points of mixed dimension")
-    return seen
-
-
 def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
-    """Hull of finitely many integer points; raises if not full-dimensional."""
-    pts = _dedupe(points)
+    """Hull of finitely many integer points (``int_rows``); raises if not full-dimensional."""
+    pts = sorted(set(int_rows(points)))
     dim = len(pts[0])
+    if any(len(p) != dim for p in pts):
+        raise InvalidInput("points of mixed dimension")
     if dim < 1:
         raise InvalidInput("ambient dimension must be at least 1")
     if dim == 1 and len(pts) == 1:
@@ -347,6 +339,6 @@ def face_moments(p: Polytope) -> tuple[int, list[int], list[tuple[int, list[int]
 
 def volume_and_barycenter(points: Iterable[Sequence[int]]) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact Euclidean volume and barycenter of the hull of integer points."""
-    hull = convex_hull(int_rows(points))
+    hull = convex_hull(points)
     volume, moment, _ = face_moments(hull)
     return Fraction(volume, factorial(hull.dim)), tuple(Fraction(m, volume * (hull.dim + 1)) for m in moment)

@@ -7,13 +7,14 @@ from math import gcd
 from typing import Sequence
 
 from .errors import InvalidInput
-from .linalg import IntVec
+from .linalg import IntVec, int_list, int_rows
 
 Matrix = tuple[IntVec, ...]
 
 
 def primitive(v: Sequence[int]) -> IntVec:
     """Divide an integer vector by the gcd of its entries (same direction)."""
+    v = int_list(v)
     g = 0
     for x in v:
         g = gcd(g, x)
@@ -27,11 +28,13 @@ def hermite_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix
 
     Pivots are positive, entries below a pivot vanish, and entries above a
     pivot are reduced into ``[0, pivot)``.  Plain integer Gaussian
-    elimination with Euclidean reduction; matrix sizes here are tiny.
+    elimination with Euclidean reduction; matrix sizes here are tiny.  The
+    rows are read by ``int_rows`` and must be of one length.
     """
-    h = [list(row) for row in matrix]
-    rows = len(h)
-    cols = len(h[0]) if rows else 0
+    h = [list(row) for row in int_rows(matrix)]
+    rows, cols = len(h), len(h[0])
+    if any(len(row) != cols for row in h):
+        raise InvalidInput("rows of mixed length")
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
 
     def row_op(i: int, j: int, q: int) -> None:

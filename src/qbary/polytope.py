@@ -21,14 +21,15 @@ facet sublattice has measure one, with its barycenter in the original
 coordinates: one determinant for a facet that is a simplex, and pyramid
 heights read off sparse Plücker vectors, each face once, for any other.
 The facets' measures and the lattice heights of vertex 0 above them give
-the Euclidean volume and barycenter of P.  A product of two or more
-coordinate blocks (:func:`_blocks`), in any dimension, is walked one
-factor at a time instead, and P's integers are assembled from the
-factors' with multinomial coefficients (:func:`_product_face`).  The sums
-stay integers until Minkowski's relation and the divergence theorem have
-been checked on them.  :func:`vertex_cones` lists the facets through each
-vertex, whose normals span that vertex's cone of the normal fan;
-:func:`classify` reads the Delzant condition off them.
+the Euclidean volume and barycenter of P.  A product of coordinate blocks
+of dimension 4 or more, by the rule counting uses, is walked one factor at
+a time instead (:func:`_split`, kept in the same record), and P's integers
+are assembled from the factors' with multinomial coefficients
+(:func:`_product_face`).  The sums stay integers until Minkowski's
+relation and the divergence theorem have been checked on them.
+:func:`vertex_cones` lists the facets through each vertex, whose normals
+span that vertex's cone of the normal fan; :func:`classify` reads the
+Delzant condition off them.
 
 Lower-dimensional hulls appear only as :class:`Body` values, which is all
 Minkowski sums and mixed volumes need; every other operation requires a
@@ -186,7 +187,7 @@ def body_from_points(points: Iterable[Sequence[int]]) -> Body:
         return Body(dim, (pts[0],))
     axes = independent_rows(zip(*(vec_sub(p, pts[0]) for p in pts[1:])))
     projected = {tuple(p[i] for i in axes): p for p in pts}
-    return Body(dim, tuple(sorted(projected[v] for v in convex_hull(projected).vertices)))
+    return Body(dim, tuple(sorted(projected[v] for v in convex_hull(list(projected)).vertices)))
 
 
 def as_body(obj: Polytope | Body) -> Body:
@@ -227,14 +228,14 @@ def translate(obj: Polytope | Body, shift: Sequence[int]):
 def minkowski_sum(a: Polytope | Body, b: Polytope | Body) -> Polytope | Body:
     """Minkowski sum; degenerate summands are fine, as is a degenerate result.
 
-    Returns a :class:`Polytope` when the sum is full-dimensional and a
-    :class:`Body` otherwise.
+    Returns a :class:`Polytope` when the sum is full-dimensional in
+    dimension 1 or more, and a :class:`Body` otherwise.
     """
     a, b = as_body(a), as_body(b)
     if a.dim != b.dim:
         raise InvalidInput(f"ambient dimensions differ: {a.dim} vs {b.dim}")
     sums = sorted({vec_add(u, v) for u in a.vertices for v in b.vertices})
-    if rank([vec_sub(p, sums[0]) for p in sums]) == a.dim:
+    if a.dim and rank([vec_sub(p, sums[0]) for p in sums]) == a.dim:
         return hull_from_vertices(sums)
     return body_from_points(sums)
 
@@ -252,53 +253,51 @@ def facet_data(p: Polytope) -> FacetData:
     return _measures(p)[1]
 
 
-def _blocks(p: Polytope) -> list[tuple[int, ...]]:
-    """The coordinate blocks of P, by least axis: the connected components
-    of the axes, two axes joined when a facet normal involves both.
+Split = tuple[tuple[tuple[int, ...], Polytope, tuple[int, ...]], ...]
 
-    Every facet then involves one block, so P is the product of its
-    projections onto the blocks.
+
+def _split(p: Polytope) -> Split:
+    """For P of dimension 4 or more with two or more coordinate blocks, one
+    ``(block, factor, facets)`` per block, by least axis; otherwise ``()``,
+    as one walk of P, and one scan, cost no more below dimension 4.
+
+    The blocks are the connected components of the axes, two axes joined
+    when a facet normal involves both, so P is the product of its
+    projections onto them.  A factor is read off P with no hull: its
+    vertices are the distinct projections of P's vertices, its facets P's
+    facets on its block, at the increasing indices ``facets``, restricted
+    to it, and each holds the projections of its vertices on P's facet.
     """
+    if p.dim < 4:
+        return ()
     label = list(range(p.dim))  # the least axis of each axis's block so far
     for f in p.facets:
         joined = {label[i] for i, x in enumerate(f.normal) if x}
         if len(joined) > 1:
             least = min(joined)
             label = [least if a in joined else a for a in label]
-    blocks: dict[int, list[int]] = {}
-    for i, a in enumerate(label):
-        blocks.setdefault(a, []).append(i)
-    return [tuple(block) for block in blocks.values()]
-
-
-def _factors(p: Polytope, blocks: list[tuple[int, ...]]) -> list[Polytope]:
-    """P's projections onto its coordinate ``blocks``, read off P with no hull.
-
-    A factor's vertices are the distinct projections of P's vertices, its
-    facets P's facets on its block, in P's order, restricted to it with the
-    same offsets, and each facet holds the projections of the vertices of
-    P's facet.
-    """
-    block_of = {i: b for b, block in enumerate(blocks) for i in block}
-    facets: list[list[tuple[Halfspace, tuple[int, ...]]]] = [[] for _ in blocks]
-    for f, on in zip(p.facets, p.incidence):
-        facets[block_of[next(i for i, x in enumerate(f.normal) if x)]].append((f, on))
+    on: dict[int, list[int]] = {a: [] for a in sorted(set(label))}
+    if len(on) < 2:
+        return ()
+    for k, f in enumerate(p.facets):
+        on[label[next(i for i, x in enumerate(f.normal) if x)]].append(k)
     columns = list(zip(*p.vertices))
-    factors = []
-    for block, on_block in zip(blocks, facets):
+    split = []
+    for a, facets in on.items():
+        block = tuple(i for i, b in enumerate(label) if b == a)
         projected = list(zip(*[columns[i] for i in block]))
         vertices = sorted(set(projected))
-        index = {v: j for j, v in enumerate(vertices)}
-        ids = [index[v] for v in projected]
-        factors.append(
-            Polytope(
-                len(block),
-                tuple(vertices),
-                tuple(Halfspace(tuple([f.normal[i] for i in block]), f.offset) for f, _ in on_block),
-                tuple(tuple(sorted({ids[j] for j in on})) for _, on in on_block),
-            )
-        )
-    return factors
+        ids = [vertices.index(v) for v in projected]
+        halfspaces = tuple(Halfspace(tuple([p.facets[k].normal[i] for i in block]), p.facets[k].offset) for k in facets)
+        incidence = tuple(tuple(sorted({ids[j] for j in p.incidence[k]})) for k in facets)
+        split.append((block, Polytope(len(block), tuple(vertices), halfspaces, incidence), tuple(facets)))
+    return tuple(split)
+
+
+def _split_of(p: Polytope) -> Split:
+    """P's :func:`_split`, kept in the record of its measures, so it is
+    computed once per polytope."""
+    return _measures(p)[2]
 
 
 def _product_face(blocks: list[tuple[int, ...]], faces: list[tuple[int, int, list[int]]]) -> tuple[int, list[int]]:
@@ -323,33 +322,28 @@ def _product_face(blocks: list[tuple[int, ...]], faces: list[tuple[int, int, lis
     return weight, moment
 
 
-def _product_moments(p: Polytope, blocks: list[tuple[int, ...]]) -> tuple[int, list[int], list[tuple[int, list[int]]]]:
-    """:func:`qbary.hull.face_moments` of a product of coordinate ``blocks``,
-    from one walk of each factor's face lattice.
+def _product_moments(split: Split) -> tuple[int, list[int], list[tuple[int, list[int]]]]:
+    """:func:`qbary.hull.face_moments` of the product ``split``
+    (:func:`_split`), from one walk of each factor's face lattice.
 
-    P is the product of its factors (:func:`_factors`), and a facet of P on
-    block b is that factor's facet times the other factors.
+    A facet of P on a block is that factor's facet times the other factors.
     """
-    factors = _factors(p, blocks)
-    walks = [face_moments(q) for q in factors]
-    whole = [(q.dim, volume, moment) for q, (volume, moment, _) in zip(factors, walks)]
+    blocks = [block for block, _, _ in split]
+    walks = [face_moments(factor) for _, factor, _ in split]
+    whole = [(factor.dim, volume, moment) for (_, factor, _), (volume, moment, _) in zip(split, walks)]
     volume, moment = _product_face(blocks, whole)
-    block_of = {i: b for b, block in enumerate(blocks) for i in block}
-    # a factor's facets are P's on its block, in P's order
-    on_block = [iter(weighed) for _, _, weighed in walks]
-    weighed = []
-    for f in p.facets:
-        b = block_of[next(i for i, x in enumerate(f.normal) if x)]
-        total, facet_moment = next(on_block[b])
-        weighed.append(_product_face(blocks, whole[:b] + [(whole[b][0] - 1, total, facet_moment)] + whole[b + 1 :]))
+    weighed: list = [None] * sum(len(facets) for _, _, facets in split)
+    for b, ((_, _, facets), (_, _, on_block)) in enumerate(zip(split, walks)):
+        for k, (total, facet_moment) in zip(facets, on_block):
+            weighed[k] = _product_face(blocks, whole[:b] + [(whole[b][0] - 1, total, facet_moment)] + whole[b + 1 :])
     return volume, moment, weighed
 
 
 @lru_cache(maxsize=None)
-def _measures(p: Polytope) -> tuple[MeasureData, FacetData]:
+def _measures(p: Polytope) -> tuple[MeasureData, FacetData, Split]:
     """Both measures of P from one walk, :func:`qbary.hull.face_moments`, or
-    when P is a product of two or more coordinate blocks from one walk of
-    each factor (:func:`_product_moments`).
+    when P splits into factors (:func:`_split`) from one walk of each
+    factor (:func:`_product_moments`); the split is kept with them.
 
     Its integers are checked before any fraction is built: Minkowski's
     relation ``sum_F total_F u_F = 0`` and the divergence theorem ``sum_F
@@ -362,11 +356,8 @@ def _measures(p: Polytope) -> tuple[MeasureData, FacetData]:
     """
     n = p.dim
     normals = [f.normal for f in p.facets]
-    blocks = _blocks(p)
-    if len(blocks) > 1:
-        volume, moment, weighed = _product_moments(p, blocks)
-    else:
-        volume, moment, weighed = face_moments(p)
+    split = _split(p)
+    volume, moment, weighed = _product_moments(split) if split else face_moments(p)
     for j in range(n):
         if sum(total * u[j] for (total, _), u in zip(weighed, normals)) != 0:
             raise InternalInconsistency("facet measures violate Minkowski's relation")
@@ -385,6 +376,7 @@ def _measures(p: Polytope) -> tuple[MeasureData, FacetData]:
     return (
         MeasureData(Fraction(volume, n * unit), tuple(Fraction(m, volume * (n + 1)) for m in moment)),
         FacetData(measures, Fraction(boundary, unit), tuple(Fraction(m, n * boundary) for m in boundary_moment)),
+        split,
     )
 
 

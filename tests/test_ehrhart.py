@@ -111,7 +111,8 @@ def assert_scan_matches(p, ks, expected):
     # its factors and passes over P itself only at k = 1.
     assert [lattice_point_stats(p, k) for k in ks] == expected
     passes = [(k, record) for k, record in zip(ks, expected) if k]
-    for blocks in {tuple(qbary.polytope._blocks(p)), (tuple(range(p.dim)),)}:
+    whole = (tuple(range(p.dim)),)
+    for blocks in {tuple(block for block, _, _ in qbary.polytope._split(p)) or whole, whole}:
         for order in itertools.permutations(range(p.dim)):
             plan = ehrhart._plan(p, order, blocks)
             assert [ehrhart._pass(plan, k) for k, _ in passes] == [record for _, record in passes], (order, blocks)
@@ -629,7 +630,7 @@ def interleave(perm, x):
 @given(interleaved_products())
 def test_products_match_box_scans_and_their_factors(case):
     a, b, perm, p = case
-    assert len(qbary.polytope._blocks(p)) >= 2
+    assert len(qbary.polytope._split(p)) >= 2
     assert [lattice_point_stats(p, k) for k in (1, 2)] == [box_scan(p, k) for k in (1, 2)]
     assert qb.ehrhart_polynomial(p).poly == qb.ehrhart_polynomial(a).poly * qb.ehrhart_polynomial(b).poly
     for k in (1, 2, 3):
@@ -765,7 +766,7 @@ def test_unit_5_cube_plan_hulls_two_points_per_coordinate(monkeypatch):
 def test_product_plans_bound_each_coordinate_within_its_block(case):
     a, b, perm, p = case
     plan = ehrhart._scan_plan(p)
-    blocks = qbary.polytope._blocks(p)
+    blocks = [block for block, _, _ in qbary.polytope._split(p)]
     block_of = {i: block for block in blocks for i in block}
     for j, bounds in enumerate(plan.bounds[:-1], 1):
         assert all(bounds.coefs)
@@ -779,22 +780,23 @@ def test_product_plans_bound_each_coordinate_within_its_block(case):
 
 
 def test_products_find_their_factors_once(monkeypatch):
-    # the plan keeps the factors' plans, so no dilation splits P again
-    shift = next(_FRESH)
-    p = qb.hull_from_vertices([tuple(x + shift for x in v) for v in QUAD_TRIANGLE])
+    # the split is kept with P's measures, and the plan keeps the factors'
+    # plans, so neither measures nor any dilation split P again
     calls = []
+    real = qbary.polytope._split
 
-    def recording(name):
-        real = getattr(ehrhart, name)
+    def recorded(q):
+        calls.append(q)
+        return real(q)
 
-        def recorded(*args):
-            calls.append(name)
-            return real(*args)
-
-        return recorded
-
-    for name in ("_blocks", "_factors"):
-        monkeypatch.setattr(ehrhart, name, recording(name))
-    for k in range(1, 6):
-        lattice_point_stats.__wrapped__(p, k)
-    assert calls == ["_blocks", "_factors"]
+    monkeypatch.setattr(qbary.polytope, "_split", recorded)
+    for vertices in (QUAD_TRIANGLE, SCAN_SHAPES["unit 5-cube"]):
+        shift = next(_FRESH)
+        p = qb.hull_from_vertices([tuple(x + shift for x in v) for v in vertices])
+        calls.clear()
+        qb.measure(p)
+        qb.facet_data(p)
+        for k in range(1, 6):
+            lattice_point_stats(p, k)
+        assert calls == [p]
+        assert len(real(p)) >= 2

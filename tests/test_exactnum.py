@@ -32,6 +32,12 @@ def test_poly_fit_duplicate_abscissa_rejected():
         qb.poly_fit([])
 
 
+@pytest.mark.parametrize("samples", (5, "01", [(1,)], [(0, 1), (1, 2, 3)], {(0, 1): 2}), ids=repr)
+def test_poly_fit_refuses_samples_that_are_not_pairs(samples):
+    with pytest.raises(qb.InvalidInput, match="samples must be a list of pairs"):
+        qb.poly_fit(samples)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(

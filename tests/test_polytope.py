@@ -480,7 +480,8 @@ def test_measures_and_classification_build_no_hull(name, monkeypatch):
 
     monkeypatch.setattr(qbary.hull, "convex_hull", refuse)
     monkeypatch.setattr(qbary.polytope, "convex_hull", refuse)
-    got = (*qbary.polytope._measures.__wrapped__(p), qb.classify.__wrapped__(p))
+    measured, facets, _ = qbary.polytope._measures.__wrapped__(p)
+    got = (measured, facets, qb.classify.__wrapped__(p))
     assert got == expected
 
 
@@ -501,7 +502,7 @@ def test_one_determinant_per_facet_simplex(name, monkeypatch):
     # off it; every other facet is summed by the face walk, which takes none;
     # facet_data reads the record measure built, so a cold pair takes no more
     p, expected = COUNTED_POLYTOPES[name](), DETERMINANTS[name]
-    assert len(qbary.polytope._blocks(p)) == 1
+    assert not qbary.polytope._split(p)
     calls = []
     real = qbary.hull.int_det
 
@@ -543,7 +544,7 @@ def test_one_wedge_per_pyramid(name, monkeypatch):
     # its pyramids is one wedge of an edge with the base's Plücker vector;
     # facet_data reads the record measure built and walks nothing again
     p, expected = COUNTED_POLYTOPES[name](), WEDGES[name]
-    assert len(qbary.polytope._blocks(p)) == 1
+    assert not qbary.polytope._split(p)
     calls = []
     real = qbary.hull._wedge
 
@@ -620,7 +621,7 @@ def test_facet_identities_catch_a_dropped_pyramid(name, monkeypatch):
     # the walk of the largest facet leaves out one pyramid from its least
     # vertex; the pyramids left still agree in orientation
     p = MUTANT_POLYTOPES[name]()
-    assert len(qbary.polytope._blocks(p)) == 1
+    assert not qbary.polytope._split(p)
     ids = max(p.incidence, key=len)
     target = sum(1 << i for i in ids)
     real = qbary.hull._far_facets
@@ -657,7 +658,7 @@ def test_facet_identities_catch_a_moved_barycenter(name, monkeypatch):
     # barycenter stays on the facet's hyperplane and every total, so
     # Minkowski's relation, stays as it was
     p = MOVED_BARYCENTER_POLYTOPES[name]()
-    assert len(qbary.polytope._blocks(p)) == 1
+    assert not qbary.polytope._split(p)
     real = qbary.polytope.face_moments
 
     def moving(q):
@@ -675,7 +676,8 @@ def test_facet_identities_catch_a_moved_barycenter(name, monkeypatch):
         qbary.polytope._measures.__wrapped__(p)
 
 
-# the unit cubes themselves, whose measures are read off their factors
+# the unit cubes themselves: cube3 is walked whole, cube4 is read off its
+# factors
 VOLUME_MUTANT_POLYTOPES = {**MUTANT_POLYTOPES, "cube3": lambda: qb.load_fixture("cube3"), "cube4": lambda: unit_cube(4)}
 
 
@@ -683,8 +685,9 @@ VOLUME_MUTANT_POLYTOPES = {**MUTANT_POLYTOPES, "cube3": lambda: qb.load_fixture(
 def test_facet_identities_catch_a_volume_off_by_one(name, monkeypatch):
     # every facet weight and moment stays as it was, so Minkowski's relation
     # holds; n! vol(P), summed from the determinants of the cones from
-    # vertex 0, is one too large.  On a cube the mutant runs on each 1-D
-    # factor, and the divergence theorem on P's assembled integers sees it.
+    # vertex 0, is one too large.  On the unit 4-cube the mutant runs on
+    # each 1-D factor, and the divergence theorem on P's assembled integers
+    # sees it.
     p = VOLUME_MUTANT_POLYTOPES[name]()
     real = qbary.polytope.face_moments
 
@@ -780,9 +783,9 @@ def test_facet_data_equals_its_fraction_sums(fixtures, corpus):
 
 @st.composite
 def shuffled_products(draw):
-    """The product of 2-3 lattice polytopes of dimension 1-3, together at
-    most 6, with its axes shuffled."""
-    dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3).filter(lambda ds: sum(ds) <= 6))
+    """The product of 2-3 lattice polytopes of dimension 1-3, together 4-6,
+    with its axes shuffled."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3).filter(lambda ds: 4 <= sum(ds) <= 6))
     factors = []
     for d in dims:
         points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=d + 1, max_size=d + 3))
@@ -798,19 +801,40 @@ def shuffled_products(draw):
 @settings(max_examples=60, deadline=None)
 @given(shuffled_products())
 def test_product_measures_equal_the_walk_of_the_whole_polytope(p):
-    # with its blocks hidden, P is measured by face_moments on P itself
-    assert len(qbary.polytope._blocks(p)) >= 2
-    with patch.object(qbary.polytope, "_blocks", lambda q: [tuple(range(q.dim))]):
-        walked = qbary.polytope._measures.__wrapped__(p)
-    assert pickle.dumps(qbary.polytope._measures.__wrapped__(p)) == pickle.dumps(walked)
+    # with its split hidden, P is measured by face_moments on P itself
+    assert len(qbary.polytope._split(p)) >= 2
+    with patch.object(qbary.polytope, "_split", lambda q: ()):
+        walked = qbary.polytope._measures.__wrapped__(p)[:2]
+    assert pickle.dumps(qbary.polytope._measures.__wrapped__(p)[:2]) == pickle.dumps(walked)
 
 
-PRODUCTS = {
+# Products of dimension 2 and 3, which are measured by one walk of P
+SMALL_PRODUCTS = {
     "cube2": lambda: qb.load_fixture("cube2"),
     # conv((0,0),(3,0),(0,1),(2,1)) on axes 0 and 2 times [0,2] on axis 1
     "trapezoid x segment": lambda: qb.hull_from_vertices(
         [(x, s, y) for x, y in ((0, 0), (3, 0), (0, 1), (2, 1)) for s in (0, 2)]
     ),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_PRODUCTS)
+def test_products_below_dimension_4_are_measured_by_one_walk_of_p(name, monkeypatch):
+    p = SMALL_PRODUCTS[name]()
+    walked = []
+    real = qbary.polytope.face_moments
+
+    def recorded(q):
+        walked.append(q)
+        return real(q)
+
+    monkeypatch.setattr(qbary.polytope, "face_moments", recorded)
+    qbary.polytope._measures.__wrapped__(p)
+    assert walked == [p]
+
+
+# Products of dimension 4 or more, which are measured through their factors
+PRODUCTS = {
     "unit 5-cube": lambda: unit_cube(5),
     # the same trapezoid times [0,2] and [-1,1], blocks {0,2}, {1}, {3}
     "trapezoid x segments": lambda: qb.hull_from_vertices(
@@ -822,7 +846,7 @@ PRODUCTS = {
 @pytest.mark.parametrize("name", PRODUCTS)
 def test_products_are_measured_by_one_walk_per_factor(name, monkeypatch):
     p = PRODUCTS[name]()
-    blocks = qbary.polytope._blocks(p)
+    blocks = [block for block, _, _ in qbary.polytope._split(p)]
     assert len(blocks) >= 2
     walked = []
     real = qbary.polytope.face_moments
@@ -836,10 +860,11 @@ def test_products_are_measured_by_one_walk_per_factor(name, monkeypatch):
     assert walked == [len(block) for block in blocks]
 
 
-@pytest.mark.parametrize("name", PRODUCTS)
+@pytest.mark.parametrize("name", {**SMALL_PRODUCTS, **PRODUCTS})
 def test_product_identities_catch_facets_matched_to_the_wrong_factor_facet(name, monkeypatch):
-    # each factor's facet records come back in reverse order
-    p = PRODUCTS[name]()
+    # each factor's facet records, or P's own below dimension 4, come back
+    # in reverse order
+    p = {**SMALL_PRODUCTS, **PRODUCTS}[name]()
     real = qbary.polytope.face_moments
 
     def reversing(q):
@@ -920,6 +945,12 @@ def test_minkowski_degenerate_result_and_dim_mismatch():
     assert s.vertices == ((0, 0), (2, 0))
     with pytest.raises(qb.InvalidInput):
         qb.minkowski_sum(e1, body_from_points([(0, 0, 0)]))
+
+
+def test_minkowski_sum_of_points_in_dimension_0_is_the_point():
+    point = Body(0, ((),))
+    assert qb.minkowski_sum(point, point) == point
+    assert qb.minkowski_sum(point, body_from_points([()])) == point
 
 
 def hnf_body_from_points(points) -> Body:
@@ -1083,6 +1114,7 @@ def test_constructors_refuse_coordinates_that_are_not_ints(bad):
         "document offsets": lambda: qb.polytope_from_document({"normals": P2_RAYS, "offsets": [1, bad, 1]}),
         "body points": lambda: body_from_points(_with_first_one([(0, 0), (1, 0), (0, 1)], bad)),
         "hull measure points": lambda: qbary.hull.volume_and_barycenter(_with_first_one([(0, 0), (1, 0), (0, 1)], bad)),
+        "hull points": lambda: qbary.hull.convex_hull(_with_first_one([(0, 0), (1, 0), (0, 1)], bad)),
     }
     for where, build in cases.items():
         with pytest.raises(qb.InvalidInput, match="^expected an"):

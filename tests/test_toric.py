@@ -942,6 +942,7 @@ NON_INTEGER_ENTRIES = {
     "pairing_numerator direction": lambda: qb.barycenter_function(P2.polytope).pairing_numerator((1.5, 0)),
     "translate shift": lambda: qb.translate(qb.as_body(F1), (0.5, 0)),
     "support_value direction": lambda: qb.support_value(F1, (0.5, 0)),
+    "primitive vector": lambda: qb.primitive((1.5, 0)),
 }
 
 
@@ -968,6 +969,7 @@ NON_INTEGER_SCALARS = {
         lambda: qb.laurent_expand(Polynomial.of([1]), Polynomial.of([1, 1]), 1.5),
         "expansion order",
     ),
+    "bernoulli index": (lambda: qb.bernoulli(1.5), "Bernoulli index"),
 }
 
 
@@ -976,3 +978,29 @@ def test_non_integer_orders_and_factors_are_refused(name):
     call, what = NON_INTEGER_SCALARS[name]
     with pytest.raises(qb.InvalidInput, match=f"{what} must be an integer, got"):
         call()
+
+
+# rationals are int or Fraction; Fraction(0.1) would read a float as its
+# binary expansion, 3602879701896397/36028797018963968
+NON_RATIONAL_SCALARS = {
+    "poly_fit abscissa": (lambda: qb.poly_fit([(1.5, 1)]), "abscissa"),
+    "poly_fit value": (lambda: qb.poly_fit([(0, 1), (1, 0.5)]), "sample value"),
+    "Polynomial.of coefficient": (lambda: Polynomial.of([0.1]), "coefficient"),
+    "Polynomial.of bool": (lambda: Polynomial.of([1, True]), "coefficient"),
+    "Polynomial argument": (lambda: Polynomial.of([1, 2])(0.5), "argument"),
+    "Polynomial times a float": (lambda: Polynomial.of([1, 2]) * 0.5, "factor"),
+    "float times a Polynomial": (lambda: 0.5 * Polynomial.of([1, 2]), "factor"),
+}
+
+
+@pytest.mark.parametrize("name", NON_RATIONAL_SCALARS)
+def test_non_rational_scalars_are_refused(name):
+    call, what = NON_RATIONAL_SCALARS[name]
+    with pytest.raises(qb.InvalidInput, match=f"{what} must be an integer or a Fraction, got"):
+        call()
+
+
+@pytest.mark.parametrize("matrix", ([[1, 2], [3]], [[1.5, 0]], [], "12"), ids=repr)
+def test_hermite_normal_form_refuses_ragged_or_non_integer_rows(matrix):
+    with pytest.raises(qb.InvalidInput):
+        qb.hermite_normal_form(matrix)
