@@ -19,14 +19,19 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 from qbary.cli import execute
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
+# argparse wraps usage text to the terminal's width, which it reads from
+# COLUMNS first: lines are recorded and replayed at one width.
+COLUMNS = {"COLUMNS": "80"}
 
 FIXTURES = (
     "p2",
@@ -159,6 +164,20 @@ MIXED_SLOTS = (("p2", "cube3"), ("p2", "f1", "cube2"), ("cube3", "fano-3-29", "c
 TRAPEZOID_TRIANGLE = ("1,0,0,0;0,0,1,0;0,0,-1,0;-1,0,-1,0;0,1,0,0;0,0,0,1;0,-1,0,-1", "0,0,1,3,0,0,2")
 RECTANGLE = ("1,0;0,1;-1,0;0,-1", "0,0,2,3")
 
+# Usage errors, whose stderr carries argparse's message and the usage of
+# the parser that refused: a missing and a malformed option value, a
+# command that does not exist, no arguments at all, and another command's
+# option; and a direction given as --v -1,2, which reaches argparse as
+# --v=-1,2.
+USAGE = (
+    ["count", "--input", "f1"],
+    ["count", "--input", "f1", "--k", "two"],
+    ["no-such-command"],
+    [],
+    ["bc", "--input", "p2", "--k", "1"],
+    ["rooftop", "--input", "p2", "--v", "-1,2"],
+)
+
 
 def command_lines() -> list[list[str]]:
     lines = []
@@ -238,6 +257,7 @@ def command_lines() -> list[list[str]]:
     for command in (["bc"], ["expand"], ["bck", "--k", "7"]):
         lines.append([*command, "--rays", TRAPEZOID_TRIANGLE[0], "--offsets", TRAPEZOID_TRIANGLE[1]])
     lines.append(["bc", "--rays", RECTANGLE[0], "--offsets", RECTANGLE[1]])
+    lines.extend(list(argv) for argv in USAGE)
     return lines
 
 
@@ -245,7 +265,9 @@ def record() -> None:
     """Run every command line in a fresh interpreter and write the golden file."""
     cases = []
     for argv in command_lines():
-        run = subprocess.run([sys.executable, "-m", "qbary.cli", *argv], capture_output=True, text=True)
+        run = subprocess.run(
+            [sys.executable, "-m", "qbary.cli", *argv], capture_output=True, text=True, env={**os.environ, **COLUMNS}
+        )
         cases.append({"argv": argv, "status": run.returncode, "stdout": run.stdout, "stderr": run.stderr})
     GOLDEN.write_text(json.dumps(cases, indent=1) + "\n")
 
@@ -270,7 +292,7 @@ def recorded(case: dict) -> tuple[int, str, str]:
 
 def run_line(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with redirect_stdout(out), redirect_stderr(err), mock.patch.dict(os.environ, COLUMNS):
         status = execute(argv)
     return status, out.getvalue(), err.getvalue()
 
