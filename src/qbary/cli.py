@@ -8,8 +8,14 @@ exact; ``--approx`` adds a clearly marked display-only decimal rendering.
 One process resolves each document once: an ``--input`` document is keyed
 by its canonical JSON, and the last 64 keys keep their polytope and toric
 data, so a session of commands on one document builds them on the first
-command only.  The key is the content, so an edited file is never served
-stale; a refusal is not kept and is raised again on every call.
+command only.  The file is read on every call, and the last 64 texts read
+map to their keys, so a text read before is not decoded again.  The key is
+the content, so an edited file is never served stale; a refusal is not
+kept and is raised again on every call.
+
+A command line is parsed by the parser of the command it names alone; the
+top-level parser runs only when the first argument names no command, and
+reports arguments left over with its own usage.
 
 Exit codes: 0 on success, 1 on any input problem or when the reader closes
 stdout early, 2 when an internal exact-identity check failed (two routes
@@ -61,21 +67,31 @@ from .toric import (
 # ---------------------------------------------------------------------------
 # input plumbing
 
-def _load_document(path: str) -> dict:
+def _document_key(path: str) -> str:
+    """Canonical JSON of the document in file ``path``, or of the bundled
+    fixture of that name when there is no such file.  A text read before is
+    looked up, so it is not decoded and encoded again."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            text = fh.read()
     except FileNotFoundError:
         try:
-            return fixtures.fixture_document(path.removesuffix(".json"))
+            doc = fixtures.fixture_document(path.removesuffix(".json"))
         except InvalidInput:
             raise InvalidInput(f"no such input file or fixture: {path}") from None
-    except OSError as exc:
+        return _canonical(doc)
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from None
+    try:
+        return _text_key(text)
     except json.JSONDecodeError as exc:
         raise InvalidInput(
             f"malformed JSON in {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+
+
+def _canonical(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
@@ -100,13 +116,21 @@ def _resolve_input(args) -> tuple[Polytope, ToricData, str | None]:
         return t.polytope, t, None
     if not args.input:
         raise InvalidInput("an input is required (--input FILE or --rays/--offsets)")
-    doc = _load_document(args.input)
-    return _resolve_document(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    return _resolve_document(_document_key(args.input))
 
 
 # Documents resolved in this process, keyed by their content, so that a
-# session of commands on one document builds its polytope once.
+# session of commands on one document builds its polytope once; and the
+# canonical keys of as many file texts, so that reading a file again costs
+# a read and two lookups.
 _RESOLVED_DOCUMENTS = 64
+
+
+@lru_cache(maxsize=_RESOLVED_DOCUMENTS)
+def _text_key(text: str) -> str:
+    """Canonical JSON of the document with JSON text ``text``.  Malformed
+    text raises ``json.JSONDecodeError`` again on every call."""
+    return _canonical(json.loads(text))
 
 
 @lru_cache(maxsize=_RESOLVED_DOCUMENTS)
@@ -208,7 +232,7 @@ def _cmd_mixed_volume(args) -> dict:
         raise InvalidInput("mixed-volume needs one --input per argument slot")
     bodies = []
     for path in args.input:
-        polytope, _ = polytope_from_document(_load_document(path))
+        polytope, _ = polytope_from_document(json.loads(_document_key(path)))
         bodies.append(polytope)
     mults = (
         list(_parse_vector(args.multiplicities))
@@ -326,6 +350,9 @@ def _render_table(document: dict, approx: bool) -> str:
 class _Parser(argparse.ArgumentParser):
     """A usage error is an input problem: it exits with status 1, not 2."""
 
+    # the parser of each command by name, set on the top-level parser
+    commands: dict[str, "_Parser"]
+
     def error(self, message: str):
         raise InvalidInput(f"{message}\n{self.format_usage().rstrip()}")
 
@@ -346,7 +373,7 @@ def _attach_vector_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     parser = _Parser(
         prog="qbary",
         description="Exact quantized barycenters, Ehrhart expansions, and "
@@ -397,6 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--order", type=int, default=3)
     cmd = add("fan", help="rooftop fan rays and canonical offset")
     cmd.add_argument("--v", required=True)
+    parser.commands = sub.choices
     return parser
 
 
@@ -418,17 +446,32 @@ _HANDLERS = {
 }
 
 
-_parser: argparse.ArgumentParser | None = None
+_parser: _Parser | None = None
 
 
-def execute(argv: Sequence[str]) -> int:
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """The arguments of a command line, parsed by the parser of the command
+    that ``argv[0]`` names.  The top-level parser runs only when it names
+    none, to report that or print help, and reports arguments left over."""
     # built on the first call, so that importing the module stays cheap, and
     # reused by every later one
     global _parser
     if _parser is None:
         _parser = build_parser()
+    argv = _attach_vector_values(argv)
+    command = _parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return _parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        _parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
+def execute(argv: Sequence[str]) -> int:
     try:
-        args = _parser.parse_args(_attach_vector_values(argv))
+        args = _parse(argv)
         if args.command == "mixed-volume":
             outputs = _cmd_mixed_volume(args)
             name = None

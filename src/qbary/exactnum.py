@@ -170,7 +170,10 @@ class Polynomial:
             acc = acc * k + c
         return acc
 
-    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
+    def _plus(self, other: "Polynomial | RationalLike", sign: int) -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            other = rational_value(other, "term")
+            other = Polynomial.over([other.numerator], other.denominator)
         a, b = self.numerators, other.numerators
         den = lcm(self.denominator, other.denominator)
         sa, sb = den // self.denominator, sign * (den // other.denominator)
@@ -179,11 +182,16 @@ class Polynomial:
             out[i] += c * sb
         return Polynomial.over(out, den)
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def __add__(self, other: "Polynomial | RationalLike") -> "Polynomial":
         return self._plus(other, 1)
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
+    __radd__ = __add__
+
+    def __sub__(self, other: "Polynomial | RationalLike") -> "Polynomial":
         return self._plus(other, -1)
+
+    def __rsub__(self, other: RationalLike) -> "Polynomial":
+        return -self._plus(other, -1)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(tuple(-c for c in self.numerators), self.denominator)

@@ -66,7 +66,7 @@ def _threshold(t: ToricData, bc: Sequence[Fraction]) -> tuple[Fraction, tuple[in
 
 def delta_k(t: ToricData, k: int) -> tuple[Fraction, tuple[int, ...]]:
     """k-th threshold with the set of rays attaining it."""
-    if k < 1:
+    if int_value(k, "threshold index") < 1:
         raise InvalidInput("threshold index must be positive")
     return _threshold(t, quantized_barycenter(t.polytope, k).value)
 
@@ -101,6 +101,7 @@ def delta_sequence(t: ToricData, ks: Sequence[int], order: int = 2) -> DeltaSequ
     """
     if int_value(order, "expansion order") < 2:
         raise InvalidInput("expansion order must be at least 2")
+    ks = int_list(ks)
     nums, den = _facet_numerators(t)
     # Over one positive denominator, and with E's leading coefficient (the
     # volume) positive, the expansions of the pairings at infinity order

@@ -370,6 +370,35 @@ def test_a_fixture_and_a_file_of_the_same_content_share_one_entry(tmp_path, caps
     assert by_path == by_name
 
 
+def spy(monkeypatch, target, attr: str, calls: list, label: str | None = None) -> None:
+    """Record each call of ``target.attr``: ``label``, or its first argument."""
+    real = getattr(target, attr)
+
+    def call(*args, **kwargs):
+        calls.append(args[0] if label is None else label)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(target, attr, call)
+
+
+def test_a_warm_command_decodes_nothing_and_runs_one_parser(tmp_path, capsys, monkeypatch):
+    path = write_document(tmp_path / "f1.json", fixture_document("f1"))
+    argv = ("fan", "--input", path, "--v", "-1,2")
+    # the first run builds the parser and resolves the document
+    cold = run(capsys, *argv)
+    assert cold[0] == 0
+    decoded, encoded, parsed = [], [], []
+    spy(monkeypatch, json, "loads", decoded)
+    spy(monkeypatch, json, "dumps", encoded)
+    parser = qbary.cli._parser
+    for name, command in (("qbary", parser), *parser.commands.items()):
+        spy(monkeypatch, command, "parse_known_args", parsed, name)
+    assert run(capsys, *argv) == cold
+    assert decoded == [] and parsed == ["fan"]
+    # the one object encoded is the result printed
+    assert [doc["command"] for doc in encoded] == ["fan"]
+
+
 @pytest.mark.parametrize(
     "text",
     (
@@ -386,6 +415,14 @@ def test_a_refused_document_fails_the_same_way_twice(text, tmp_path, capsys):
     first = run(capsys, "classify", "--input", str(path))
     assert first[0] == 1 and first[1] == "" and first[2].startswith("error:")
     assert run(capsys, "classify", "--input", str(path)) == first
+
+
+def test_a_file_that_is_not_text_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\x85\xff{}")
+    code, out, err = run(capsys, "bc", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {path}: ") and "codec can't decode" in err
 
 
 def test_the_registry_is_bounded(tmp_path, capsys):

@@ -292,6 +292,10 @@ def test_polynomial_arithmetic_matches_the_fraction_reference(a, b, q, n, x):
         "int*": (n * pa, ref_trim(c * n for c in ra)),
         "*fraction": (pa * q, ref_trim(c * q for c in ra)),
         "fraction*": (q * pa, ref_trim(c * q for c in ra)),
+        "+int": (pa + n, ref_add(ra, (F(n),))),
+        "fraction+": (q + pa, ref_add(ra, (q,))),
+        "-fraction": (pa - q, ref_add(ra, (q,), -1)),
+        "int-": (n - pa, ref_add((F(n),), ra, -1)),
         "shift_down": ((pa * Polynomial.of([0, 1])).shift_down(), ra),
     }
     if rb:

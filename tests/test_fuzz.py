@@ -15,6 +15,11 @@ of dimension 8 or 9 before any hull, so its arguments are drawn in
 dimensions 0 to 9: ``body_from_points``, ``minkowski_sum``,
 ``VirtualPolytope.combine`` and ``mixed_volume`` take integer rows, ragged
 rows, ``Body`` values, polytopes and hostile values in every argument slot.
+
+A command line is parsed by its command's parser alone; argument vectors
+drawn from command names, every option name, abbreviations, integers,
+vectors and stray tokens must parse to what the top-level parser gives, or
+be refused with the same message.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbary as qb
-from qbary.cli import execute
+import qbary.cli
+from qbary.cli import build_parser, execute
 from qbary.linalg import dot
 from qbary.polytope import Body, body_from_points
 from qbary.toric import VirtualPolytope
@@ -234,3 +240,62 @@ def test_virtual_combinations_and_mixed_volumes_end_in_a_value_or_a_refusal(slot
     except qb.QbaryError:
         return
     assert isinstance(value, Fraction)
+
+
+# ---------------------------------------------------------------------------
+# the CLI's parser
+
+COMMANDS = sorted(build_parser().commands.items())
+OPTIONS = sorted({s for _, command in COMMANDS for action in command._actions for s in action.option_strings})
+VALUES = st.one_of(
+    st.integers(-20, 20).map(str),
+    st.lists(SMALL, min_size=1, max_size=3).map(lambda v: ",".join(map(str, v))),
+    st.sampled_from(("p2", "two", "1.5", "-1,2;0,1", "")),
+)
+TOKENS = st.one_of(
+    VALUES,
+    st.sampled_from([name for name, _ in COMMANDS]),
+    st.sampled_from(OPTIONS),
+    # abbreviations, some of them ambiguous, and attached values
+    st.builds(lambda option, n: option[:n], st.sampled_from(OPTIONS), st.integers(2, 5)),
+    st.builds("{}={}".format, st.sampled_from(OPTIONS), VALUES),
+    st.sampled_from(("--", "-", "-x", "--no-such-option", "no-such-command")),
+)
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """A command and some of its options, each with a value if it takes
+    one, in a drawn order, with up to two stray tokens put in."""
+    name, command = draw(st.sampled_from(COMMANDS))
+    words = []
+    for action in command._actions:
+        if action.option_strings and draw(st.integers(0, 3)) and "-h" not in action.option_strings:
+            option = draw(st.sampled_from(action.option_strings))
+            words.append([option] if action.nargs == 0 else [option, draw(VALUES)])
+    words = [word for group in draw(st.permutations(words)) for word in group]
+    for token in draw(st.lists(TOKENS, max_size=2)):
+        words.insert(draw(st.integers(0, len(words))), token)
+    return [name, *words]
+
+
+def _parsed(parse, argv: list[str]):
+    """The parsed arguments, the refusal's message, or the exit and the
+    text printed (help)."""
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            return vars(parse(argv))
+    except qb.InvalidInput as exc:
+        return "refused", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines(), st.lists(TOKENS, max_size=8))
+def test_a_command_parses_alone_as_under_the_top_level_parser(line, tokens):
+    for argv in (line, tokens):
+        alone = _parsed(qbary.cli._parse, argv)
+        whole = _parsed(lambda a: qbary.cli._parser.parse_args(qbary.cli._attach_vector_values(a)), argv)
+        assert alone == whole, argv

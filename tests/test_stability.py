@@ -213,6 +213,18 @@ def test_log_discrepancy_unsupported_outside_simplicial_cones():
         qb.log_discrepancy(octahedron, (1, 1, 1))
 
 
+@pytest.mark.parametrize("ks", (["1"], 5, "12", [1.5, 2], [True, 2], None), ids=repr)
+def test_delta_sequence_reads_its_dilations_as_integers(ks):
+    with pytest.raises(qb.InvalidInput, match="expected an array of integers"):
+        qb.delta_sequence(P2, ks)
+
+
+def test_delta_sequence_takes_dilations_from_any_iterable():
+    listed = qb.delta_sequence(P2, [1, 2, 3])
+    assert qb.delta_sequence(P2, range(1, 4)) == qb.delta_sequence(P2, iter((1, 2, 3))) == listed
+    assert [v.k for v in listed.values] == [1, 2, 3]
+
+
 @pytest.mark.parametrize("direction", [(1,), (1, 0, 0)])
 def test_direction_of_the_wrong_length_is_invalid(direction):
     message = f"direction has length {len(direction)}, expected 2"

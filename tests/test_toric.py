@@ -970,6 +970,8 @@ NON_INTEGER_SCALARS = {
         "expansion order",
     ),
     "bernoulli index": (lambda: qb.bernoulli(1.5), "Bernoulli index"),
+    "delta_k k": (lambda: qb.delta_k(P2, 1.5), "threshold index"),
+    "delta_k k str": (lambda: qb.delta_k(P2, "2"), "threshold index"),
 }
 
 
@@ -990,6 +992,11 @@ NON_RATIONAL_SCALARS = {
     "Polynomial argument": (lambda: Polynomial.of([1, 2])(0.5), "argument"),
     "Polynomial times a float": (lambda: Polynomial.of([1, 2]) * 0.5, "factor"),
     "float times a Polynomial": (lambda: 0.5 * Polynomial.of([1, 2]), "factor"),
+    "Polynomial plus a float": (lambda: Polynomial.of([1, 2]) + 0.5, "term"),
+    "Polynomial minus a bool": (lambda: Polynomial.of([1, 2]) - True, "term"),
+    "float plus a Polynomial": (lambda: 0.5 + Polynomial.of([1, 2]), "term"),
+    "float minus a Polynomial": (lambda: 0.5 - Polynomial.of([1, 2]), "term"),
+    "Polynomial plus a str": (lambda: Polynomial.of([1, 2]) + "1", "term"),
 }
 
 
