@@ -177,6 +177,9 @@ USAGE = (
     ["bc", "--input", "p2", "--k", "1"],
     ["rooftop", "--input", "p2", "--v", "-1,2"],
 )
+# Help, printed to stdout with exit status 0: the top-level parser's and a
+# command's.
+HELP = (["-h"], ["count", "--help"])
 
 
 def command_lines() -> list[list[str]]:
@@ -258,6 +261,7 @@ def command_lines() -> list[list[str]]:
         lines.append([*command, "--rays", TRAPEZOID_TRIANGLE[0], "--offsets", TRAPEZOID_TRIANGLE[1]])
     lines.append(["bc", "--rays", RECTANGLE[0], "--offsets", RECTANGLE[1]])
     lines.extend(list(argv) for argv in USAGE)
+    lines.extend(list(argv) for argv in HELP)
     return lines
 
 
