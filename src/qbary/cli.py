@@ -17,9 +17,11 @@ A command line is parsed by the parser of the command it names alone; the
 top-level parser runs only when the first argument names no command, and
 reports arguments left over with its own usage.
 
-Exit codes: 0 on success, 1 on any input problem or when the reader closes
-stdout early, 2 when an internal exact-identity check failed (two routes
-that must agree disagreed).
+Exit codes: 0 on success and after printing help, 1 on any input problem
+or when the reader closes stdout early, 2 when an internal exact-identity
+check failed (two routes that must agree disagreed).  Help returns its
+status from :func:`execute` like any other outcome, so it never ends an
+in-process caller.
 """
 
 from __future__ import annotations
@@ -347,14 +349,29 @@ def _render_table(document: dict, approx: bool) -> str:
 # ---------------------------------------------------------------------------
 # entry point
 
+class _HelpShown(Exception):
+    """A parser printed its help; ``status`` is the exit status to return."""
+
+    def __init__(self, status: int) -> None:
+        super().__init__(status)
+        self.status = status
+
+
 class _Parser(argparse.ArgumentParser):
-    """A usage error is an input problem: it exits with status 1, not 2."""
+    """A usage error is an input problem: it exits with status 1, not 2.
+    Help returns its status through :func:`execute` rather than exiting the
+    process."""
 
     # the parser of each command by name, set on the top-level parser
     commands: dict[str, "_Parser"]
 
     def error(self, message: str):
         raise InvalidInput(f"{message}\n{self.format_usage().rstrip()}")
+
+    def exit(self, status: int = 0, message: str | None = None):
+        # with error() raising, argparse calls this only once -h/--help has
+        # printed the help
+        raise _HelpShown(status)
 
 
 # Options whose values are integer vectors and may start with a minus sign.
@@ -489,6 +506,8 @@ def execute(argv: Sequence[str]) -> int:
         else:
             print(json.dumps(document, indent=2))
         return 0
+    except _HelpShown as exc:
+        return exc.status
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 2

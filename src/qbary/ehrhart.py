@@ -61,7 +61,6 @@ polynomiality is a theorem, not a modeling assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from math import prod
@@ -74,8 +73,7 @@ from .linalg import IntVec, int_value
 from .polytope import Polytope, _split_of, classify, facet_data, measure
 
 
-@dataclass(frozen=True)
-class _Bounds:
+class _Bounds(NamedTuple):
     """Inequalities ``sum_i cols[i][f] x_i + coefs[f] x_j >= -offsets[f]`` on
     scan coordinate ``j``, one per ``f``, with ``i`` running over ``0..j-1``."""
 
@@ -93,8 +91,7 @@ def _bounds(halfspaces: list[tuple[IntVec, int]]) -> _Bounds:
     )
 
 
-@dataclass(frozen=True)
-class _ScanPlan:
+class _ScanPlan(NamedTuple):
     """How one polytope is scanned, for every dilation.
 
     Scan coordinate ``j`` is original axis ``order[j]``.  The axes go by
@@ -564,8 +561,7 @@ def fit_on_dilations(
     return fit
 
 
-@dataclass(frozen=True)
-class EhrhartPolynomial:
+class EhrhartPolynomial(NamedTuple):
     poly: Polynomial
     source: Literal["fitted", "reflexive_closed_form"]
 
@@ -580,15 +576,13 @@ def ehrhart_polynomial(p: Polytope) -> EhrhartPolynomial:
     return EhrhartPolynomial(fit, "fitted")
 
 
-@dataclass(frozen=True)
-class ReciprocityEntry:
+class ReciprocityEntry(NamedTuple):
     k: int
     general_ok: bool
     reflexive_ok: bool | None
 
 
-@dataclass(frozen=True)
-class ReciprocityReport:
+class ReciprocityReport(NamedTuple):
     entries: tuple[ReciprocityEntry, ...]
 
     @property

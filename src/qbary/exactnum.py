@@ -24,7 +24,6 @@ lowest degree first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
@@ -68,6 +67,46 @@ def vector_to_json(v: Sequence[RationalLike]) -> list[int | str]:
 
 
 # ---------------------------------------------------------------------------
+# immutable values
+
+class Immutable:
+    """Base of the slotted value types that a tuple would not serve.
+
+    A value compares and hashes by its type and its fields, the names in
+    ``__slots__`` in order, and prints as ``Name(field=value, ...)``.
+    Assigning to it raises ``AttributeError``; ``__init__`` sets the fields
+    through ``object.__setattr__``.  A pickle rebuilds the value through its
+    constructor.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+# ---------------------------------------------------------------------------
 # polynomials
 
 def rational_value(value: object, what: str) -> RationalLike:
@@ -85,8 +124,7 @@ def integer_numerators(values: Iterable[RationalLike]) -> tuple[list[int], int]:
     return [q.numerator * (den // q.denominator) for q in values], den
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Immutable):
     """Dense univariate polynomial: integer numerators over one denominator.
 
     ``numerators[i] / denominator`` is the coefficient of ``k**i``.  The form
@@ -96,8 +134,11 @@ class Polynomial:
     through :meth:`of` or :meth:`over`.
     """
 
-    numerators: tuple[int, ...]
-    denominator: int = 1
+    __slots__ = ("numerators", "denominator")
+
+    def __init__(self, numerators: tuple[int, ...], denominator: int = 1) -> None:
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
 
     @staticmethod
     def over(numerators: Iterable[int], denominator: int) -> "Polynomial":
@@ -354,8 +395,7 @@ def poly_fit(samples: Sequence[tuple[RationalLike, RationalLike]]) -> Polynomial
 # ---------------------------------------------------------------------------
 # rational functions and Laurent expansion
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(Immutable):
     """Reduced quotient of two polynomials.
 
     Canonical form: numerator and denominator share no polynomial factor, the
@@ -363,8 +403,11 @@ class RationalFunction:
     is positive.  Build instances through :meth:`of`.
     """
 
-    num: Polynomial
-    den: Polynomial
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Polynomial, den: Polynomial) -> None:
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @staticmethod
     def of(num: Polynomial, den: Polynomial) -> "RationalFunction":
@@ -387,11 +430,13 @@ class RationalFunction:
         return self.num(k) / d
 
 
-@dataclass(frozen=True)
-class LaurentSeries:
+class LaurentSeries(Immutable):
     """Truncated expansion sum_j c_j k^(-j); entry j multiplies k^(-j)."""
 
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "coefficients", coefficients)
 
     @property
     def order(self) -> int:

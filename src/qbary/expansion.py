@@ -31,11 +31,10 @@ the independently computed geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .ehrhart import ehrhart_polynomial, fit_on_dilations, lattice_point_stats
 from .errors import (
@@ -45,7 +44,7 @@ from .errors import (
     PreconditionViolation,
     Unsupported,
 )
-from .exactnum import Polynomial, Vector, laurent_expand
+from .exactnum import Immutable, Polynomial, Vector, laurent_expand
 from .linalg import dot, int_list, int_value
 from .polytope import (
     Halfspace,
@@ -58,14 +57,12 @@ from .polytope import (
 )
 
 
-@dataclass(frozen=True)
-class QuantizedBarycenter:
+class QuantizedBarycenter(NamedTuple):
     k: int
     value: Vector
 
 
-@dataclass(frozen=True)
-class BarycenterFunction:
+class BarycenterFunction(NamedTuple):
     """Per-coordinate rational functions Q_i / E of the barycenter sequence.
 
     ``numerators[i]`` has degree at most dim P and ``denominator`` is the
@@ -93,11 +90,13 @@ class BarycenterFunction:
         return tuple(num(k) / den for num in self.numerators)
 
 
-@dataclass(frozen=True)
-class ExpansionCoefficients:
+class ExpansionCoefficients(Immutable):
     """Leading terms a_0, a_1, ... of the expansion of the barycenter sequence."""
 
-    terms: tuple[Vector, ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[Vector, ...]) -> None:
+        object.__setattr__(self, "terms", terms)
 
     def __getitem__(self, i: int) -> Vector:
         return self.terms[i]
@@ -225,8 +224,7 @@ def reflexive_polygon_bck(p: Polytope, k: int) -> Vector:
     return value
 
 
-@dataclass(frozen=True)
-class StabilizationVerdict:
+class StabilizationVerdict(NamedTuple):
     stabilizes: bool
     value: Vector | None
     witness: tuple[int, int] | None

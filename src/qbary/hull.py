@@ -40,25 +40,22 @@ measures and the heights of vertex 0 give its volume and barycenter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DegenerateInput, InternalInconsistency, InvalidInput
 from .linalg import IntVec, cross_normal, dot, independent_rows, int_det, int_rows, vec_sub
 
 
-@dataclass(frozen=True)
-class Halfspace:
+class Halfspace(NamedTuple):
     """Inward half-space ``<u, normal> >= -offset`` with primitive normal."""
 
     normal: IntVec
     offset: int
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(NamedTuple):
     dim: int
     vertices: tuple[IntVec, ...]
     facets: tuple[Halfspace, ...]

@@ -10,9 +10,10 @@ is not an ``int``, a bool included, rather than truncate it.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvalidInput
 

@@ -42,11 +42,10 @@ neither a ``Polytope`` nor a ``Body`` (:func:`as_body`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DegenerateInput, InternalInconsistency, InvalidInput, Unsupported, UnboundedInput
 from .exactnum import Vector
@@ -57,8 +56,7 @@ from .linalg import IntVec, dot, independent_rows, int_det, int_list, int_rows, 
 DIMENSION_CAP = 7
 
 
-@dataclass(frozen=True)
-class Body:
+class Body(NamedTuple):
     """Convex hull of lattice points, allowed to be lower-dimensional.
 
     ``vertices`` are the extreme points, lexicographically sorted, so equal
@@ -69,29 +67,25 @@ class Body:
     vertices: tuple[IntVec, ...]
 
 
-@dataclass(frozen=True)
-class MeasureData:
+class MeasureData(NamedTuple):
     volume: Fraction
     barycenter: Vector
 
 
-@dataclass(frozen=True)
-class FacetMeasure:
+class FacetMeasure(NamedTuple):
     normal: IntVec
     offset: int
     normalized_volume: Fraction
     barycenter: Vector
 
 
-@dataclass(frozen=True)
-class FacetData:
+class FacetData(NamedTuple):
     facets: tuple[FacetMeasure, ...]
     boundary_normalized_volume: Fraction
     boundary_barycenter: Vector
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     reflexive: bool
     delzant: bool
 

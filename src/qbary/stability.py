@@ -21,10 +21,9 @@ asserted against that closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InternalInconsistency, InvalidInput, InvalidPolarization, Unsupported
 from .exactnum import LaurentSeries, Polynomial, RationalFunction, integer_numerators, laurent_expand
@@ -34,15 +33,13 @@ from .polytope import check_direction, classify, facet_data, measure, support_va
 from .toric import ToricData
 
 
-@dataclass(frozen=True)
-class DeltaValue:
+class DeltaValue(NamedTuple):
     k: int
     value: Fraction
     argmin: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DeltaSequence:
+class DeltaSequence(NamedTuple):
     values: tuple[DeltaValue, ...]
     limit: Fraction
     limit_argmin: tuple[int, ...]

@@ -57,12 +57,11 @@ is read off the vertex cones: one linear margin per cone and inequality
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial, gcd, lcm, prod
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .ehrhart import count_points, ehrhart_polynomial
 from .errors import (
@@ -70,7 +69,7 @@ from .errors import (
     InvalidInput,
     PreconditionViolation,
 )
-from .exactnum import Polynomial, bernoulli
+from .exactnum import Immutable, Polynomial, bernoulli
 from .expansion import barycenter_function, rooftop
 from .hull import volume_and_barycenter
 from .lattice import primitive
@@ -90,12 +89,14 @@ from .polytope import (
 )
 
 
-@dataclass(frozen=True)
-class VirtualPolytope:
+class VirtualPolytope(Immutable):
     """Formal integer combination of lattice bodies in a common dimension."""
 
-    dim: int
-    terms: tuple[tuple[int, Body], ...]
+    __slots__ = ("dim", "terms")
+
+    def __init__(self, dim: int, terms: tuple[tuple[int, Body], ...]) -> None:
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def of(obj: "Polytope | Body | VirtualPolytope") -> "VirtualPolytope":
@@ -211,21 +212,21 @@ def mixed_volume(args: Sequence[tuple["VirtualPolytope | Polytope | Body", int]]
 # ---------------------------------------------------------------------------
 # toric data
 
-@dataclass(frozen=True)
-class ToricData:
+class ToricData(Immutable):
     """Ray/offset data and its polytope; ``classify(polytope)`` says whether
     it is reflexive or Delzant.  The half-spaces ``<u, rays[i]> >=
     -offsets[i]``, in any order, must be the polytope's facets, each once,
     or construction raises ``PreconditionViolation``."""
 
-    rays: tuple[IntVec, ...]
-    offsets: tuple[int, ...]
-    polytope: Polytope
+    __slots__ = ("rays", "offsets", "polytope")
 
-    def __post_init__(self) -> None:
-        facets = sorted((f.normal, f.offset) for f in self.polytope.facets)
-        if len(self.rays) != len(self.offsets) or sorted(zip(self.rays, self.offsets)) != facets:
+    def __init__(self, rays: tuple[IntVec, ...], offsets: tuple[int, ...], polytope: Polytope) -> None:
+        facets = sorted((f.normal, f.offset) for f in polytope.facets)
+        if len(rays) != len(offsets) or sorted(zip(rays, offsets)) != facets:
             raise PreconditionViolation("ray data contains redundant or non-facet inequalities")
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "polytope", polytope)
 
 
 def toric_data(
@@ -254,8 +255,7 @@ def toric_from_polytope(p: Polytope) -> ToricData:
     return ToricData(tuple(f.normal for f in p.facets), tuple(f.offset for f in p.facets), p)
 
 
-@dataclass(frozen=True)
-class RooftopFan:
+class RooftopFan(NamedTuple):
     """Ray data of the one-dimension-up fan attached to a direction vector."""
 
     rays: tuple[IntVec, ...]
@@ -343,8 +343,7 @@ def divisor_polytope(t: ToricData, coeffs: tuple[int, ...]) -> VirtualPolytope:
 # ---------------------------------------------------------------------------
 # the volume polynomial of a Delzant fan
 
-@dataclass(frozen=True)
-class DelzantFan:
+class DelzantFan(NamedTuple):
     """Vertex cones of a Delzant polytope, each as its ray indices and the
     coordinates gamma of one generic integer vector c in that ray basis."""
 
@@ -463,8 +462,7 @@ def hrr_coefficients(t: ToricData) -> tuple[Fraction, ...]:
     return coeffs
 
 
-@dataclass(frozen=True)
-class RooftopCoefficients:
+class RooftopCoefficients(NamedTuple):
     """Numerator coefficients c'_1..c'_{n+1} of ``<Bc_k, v>`` over E(k)."""
 
     values: tuple[Fraction, ...]

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from fractions import Fraction as F
 import io
 import itertools
@@ -410,17 +409,17 @@ def wrong_measure(which):
     def measure(p):
         m = real_measure(p)
         if which == "volume":
-            return replace(m, volume=m.volume + 1)
+            return m._replace(volume=m.volume + 1)
         if which == "barycenter":
-            return replace(m, barycenter=first_plus_one(m.barycenter))
+            return m._replace(barycenter=first_plus_one(m.barycenter))
         return m
 
     def facet_data(p):
         fd = real_facets(p)
         if which == "boundary volume":
-            return replace(fd, boundary_normalized_volume=fd.boundary_normalized_volume + 1)
+            return fd._replace(boundary_normalized_volume=fd.boundary_normalized_volume + 1)
         if which == "boundary barycenter":
-            return replace(fd, boundary_barycenter=first_plus_one(fd.boundary_barycenter))
+            return fd._replace(boundary_barycenter=first_plus_one(fd.boundary_barycenter))
         return fd
 
     return measure, facet_data

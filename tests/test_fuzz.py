@@ -280,16 +280,16 @@ def command_lines(draw) -> list[str]:
 
 
 def _parsed(parse, argv: list[str]):
-    """The parsed arguments, the refusal's message, or the exit and the
-    text printed (help)."""
+    """The parsed arguments, the refusal's message, or the status and the
+    text of the help printed."""
     out = io.StringIO()
     try:
         with redirect_stdout(out), redirect_stderr(io.StringIO()):
             return vars(parse(argv))
     except qb.InvalidInput as exc:
         return "refused", str(exc)
-    except SystemExit as exc:
-        return "exit", exc.code, out.getvalue()
+    except qbary.cli._HelpShown as exc:
+        return "help", exc.status, out.getvalue()
 
 
 @settings(max_examples=300, deadline=None)

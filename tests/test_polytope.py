@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 from functools import lru_cache
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -642,7 +641,7 @@ def test_face_walk_checks_coordinates_against_the_incidence():
     p = unit_cube(3)
     for moved, message in (((1, 1, 2), "orientation"), ((1, 1, 0), "not a positive multiple")):
         with pytest.raises(qb.InternalInconsistency, match=message):
-            qbary.hull.face_moments(replace(p, vertices=p.vertices[:-1] + (moved,)))
+            qbary.hull.face_moments(p._replace(vertices=p.vertices[:-1] + (moved,)))
 
 
 MOVED_BARYCENTER_POLYTOPES = {
