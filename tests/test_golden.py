@@ -177,6 +177,16 @@ USAGE = (
     ["bc", "--input", "p2", "--k", "1"],
     ["rooftop", "--input", "p2", "--v", "-1,2"],
 )
+# Option values given as the empty string, which count as given: empty ray
+# data with offsets, and offsets with rays; empty ray data beside an input;
+# an empty input path; and empty multiplicities.
+EMPTY_VALUES = (
+    ["count", "--rays", "", "--offsets", "1,1,1", "--k", "1"],
+    ["count", "--rays", INLINE["p2"][0], "--offsets", "", "--k", "1"],
+    ["bc", "--input", "p2", "--rays", "", "--offsets", ""],
+    ["count", "--input", "", "--k", "1"],
+    ["mixed-volume", "--input", "p2", "--input", "f1", "--multiplicities", ""],
+)
 # Help, printed to stdout with exit status 0: the top-level parser's and a
 # command's.
 HELP = (["-h"], ["count", "--help"])
@@ -262,6 +272,7 @@ def command_lines() -> list[list[str]]:
     lines.append(["bc", "--rays", RECTANGLE[0], "--offsets", RECTANGLE[1]])
     lines.extend(list(argv) for argv in USAGE)
     lines.extend(list(argv) for argv in HELP)
+    lines.extend(list(argv) for argv in EMPTY_VALUES)
     return lines
 
 
