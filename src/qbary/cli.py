@@ -109,14 +109,14 @@ def _parse_rays(text: str) -> list[tuple[int, ...]]:
 
 def _resolve_input(args) -> tuple[Polytope, ToricData, str | None]:
     """Polytope plus toric data (ray order from the document when present)."""
-    if args.rays or args.offsets:
-        if not (args.rays and args.offsets):
+    if args.rays is not None or args.offsets is not None:
+        if args.rays is None or args.offsets is None:
             raise InvalidInput("--rays and --offsets must be given together")
-        if args.input:
+        if args.input is not None:
             raise InvalidInput("give either --input or --rays/--offsets, not both")
         t = toric_data(_parse_rays(args.rays), _parse_vector(args.offsets))
         return t.polytope, t, None
-    if not args.input:
+    if args.input is None:
         raise InvalidInput("an input is required (--input FILE or --rays/--offsets)")
     return _resolve_document(_document_key(args.input))
 
@@ -230,7 +230,7 @@ def _cmd_classify(args, p: Polytope, t: ToricData) -> dict:
 
 
 def _cmd_mixed_volume(args) -> dict:
-    if not args.input:
+    if args.input is None:
         raise InvalidInput("mixed-volume needs one --input per argument slot")
     bodies = []
     for path in args.input:
@@ -238,7 +238,7 @@ def _cmd_mixed_volume(args) -> dict:
         bodies.append(polytope)
     mults = (
         list(_parse_vector(args.multiplicities))
-        if args.multiplicities
+        if args.multiplicities is not None
         else [1] * len(bodies)
     )
     if len(mults) != len(bodies):

@@ -8,7 +8,9 @@ cancellation law).  Mixed volumes extend multilinearly to such combinations,
 so ``mixed_volume`` is a sum over one product of the slots' terms, a slot
 of multiplicity m counted as m slots.  Each multiset of bodies it picks is
 evaluated once, by inclusion-exclusion over Minkowski sums of dilates,
-with lower-dimensional sums contributing volume zero.
+each a fold of :func:`qbary.polytope.minkowski_sum` whose volume is read
+off the hull the fold made, or zero if the sum is lower-dimensional.
+Nothing here is cached, as no measured workload calls this layer.
 
 For Delzant data the paper gives the counting polynomial's coefficients as
 
@@ -58,7 +60,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import reduce
 from itertools import product
 from math import comb, factorial, gcd, lcm, prod
 from typing import Iterable, NamedTuple, Sequence
@@ -71,18 +73,18 @@ from .errors import (
 )
 from .exactnum import Immutable, Polynomial, bernoulli
 from .expansion import barycenter_function, rooftop
-from .hull import volume_and_barycenter
+from .hull import face_moments
 from .lattice import primitive
-from .linalg import IntVec, dot, int_list, int_rows, int_value, rank, solve, vec_add, vec_sub
+from .linalg import IntVec, dot, int_list, int_rows, int_value, solve, vec_sub
 from .polytope import (
     Body,
     Polytope,
     as_body,
-    body_from_points,
     classify,
     dilate,
     facet_data,
     measure,
+    minkowski_sum,
     polytope_from_halfspaces,
     support_value,
     vertex_cones,
@@ -120,20 +122,23 @@ class VirtualPolytope(Immutable):
         return VirtualPolytope(dim, terms)
 
     def __add__(self, other: "VirtualPolytope") -> "VirtualPolytope":
+        other = _operand(other)
         if self.dim != other.dim:
             raise InvalidInput("virtual sum across dimensions")
         return VirtualPolytope.combine(self.terms + other.terms, self.dim)
 
     def scale(self, factor: int) -> "VirtualPolytope":
+        factor = int_value(factor, "scale factor")
         return VirtualPolytope.combine(
             tuple((factor * c, b) for c, b in self.terms), self.dim
         )
 
     def __sub__(self, other: "VirtualPolytope") -> "VirtualPolytope":
-        return self + other.scale(-1)
+        return self + _operand(other).scale(-1)
 
     def equivalent(self, other: "VirtualPolytope") -> bool:
         """Grothendieck relation: equality after clearing negative terms."""
+        other = _operand(other)
         if self.dim != other.dim:
             return False
         left: list[Body] = []
@@ -142,28 +147,28 @@ class VirtualPolytope(Immutable):
             (left if c > 0 else right).extend([b] * abs(c))
         for c, b in other.terms:
             (right if c > 0 else left).extend([b] * abs(c))
-        return _sum_bodies(tuple(left), self.dim) == _sum_bodies(tuple(right), self.dim)
+        origin = Body(self.dim, ((0,) * self.dim,))
+        return reduce(minkowski_sum, left, origin) == reduce(minkowski_sum, right, origin)
 
 
-def _sum_bodies(bodies: tuple[Body, ...], dim: int) -> Body:
-    total = Body(dim, ((0,) * dim,))
-    for b in sorted(bodies, key=lambda x: x.vertices):
-        pts = {vec_add(u, v) for u in total.vertices for v in b.vertices}
-        total = body_from_points(pts)
-    return total
+def _operand(other: object) -> VirtualPolytope:
+    """``other`` if it is a :class:`VirtualPolytope`; anything else is
+    refused, the message naming its type."""
+    if not isinstance(other, VirtualPolytope):
+        raise InvalidInput(f"expected a VirtualPolytope, got {type(other).__name__}")
+    return other
 
 
-@lru_cache(maxsize=None)
 def _volume_of_sum(bodies: tuple[Body, ...]) -> Fraction:
+    """Volume of the Minkowski sum of ``bodies``: zero unless the fold
+    gives a full-dimensional :class:`Polytope`."""
     dim = bodies[0].dim
-    total = _sum_bodies(bodies, dim)
-    origin = total.vertices[0]
-    if rank([vec_sub(p, origin) for p in total.vertices]) < dim:
+    total = reduce(minkowski_sum, bodies, Body(dim, ((0,) * dim,)))
+    if not isinstance(total, Polytope):
         return Fraction(0)
-    return volume_and_barycenter(total.vertices)[0]
+    return Fraction(face_moments(total)[0], factorial(dim))
 
 
-@lru_cache(maxsize=None)
 def _mixed_volume_bodies(items: tuple[tuple[Body, int], ...]) -> Fraction:
     """n! V(K_1, m_1; ..; K_r, m_r) by inclusion-exclusion, divided by n!.
 
@@ -175,9 +180,9 @@ def _mixed_volume_bodies(items: tuple[tuple[Body, int], ...]) -> Fraction:
     for chosen in product(*(range(m + 1) for _, m in items)):
         if not any(chosen):
             continue
-        parts = sorted((dilate(body, c) for (body, _), c in zip(items, chosen) if c), key=lambda b: b.vertices)
+        parts = tuple(dilate(body, c) for (body, _), c in zip(items, chosen) if c)
         weight = prod(comb(m, c) for (_, m), c in zip(items, chosen))
-        total += (-1) ** (n - sum(chosen)) * weight * _volume_of_sum(tuple(parts))
+        total += (-1) ** (n - sum(chosen)) * weight * _volume_of_sum(parts)
     return total / factorial(n)
 
 
@@ -190,6 +195,8 @@ def mixed_volume(args: Sequence[tuple["VirtualPolytope | Polytope | Body", int]]
     volume of the chosen bodies; choices that pick the same bodies equally
     often are grouped, so each multiset of bodies is evaluated once.
     """
+    if not isinstance(args, (list, tuple)) or not all(isinstance(a, (list, tuple)) and len(a) == 2 for a in args):
+        raise InvalidInput("mixed volume arguments must be a list of pairs (body, multiplicity)")
     if not args:
         raise InvalidInput("mixed volume needs at least one argument")
     multiplicities = int_list(m for _, m in args)
@@ -314,7 +321,6 @@ def _polarization(t: ToricData, offsets: tuple[int, ...]) -> Polytope:
     return p
 
 
-@lru_cache(maxsize=None)
 def divisor_polytope(t: ToricData, coeffs: tuple[int, ...]) -> VirtualPolytope:
     """Virtual polytope of the divisor with the given ray coefficients.
 

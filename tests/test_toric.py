@@ -213,6 +213,34 @@ def test_arguments_that_are_not_bodies_are_refused(name):
         NOT_BODIES[name]()
 
 
+# operands and argument lists of the wrong kind, each refused with the name
+# of what it should have been or of the type it was
+HOSTILE_MINKOWSKI = {
+    "VirtualPolytope plus a Polytope": (lambda: VirtualPolytope.of(F1) + F1, "got Polytope"),
+    "VirtualPolytope minus a Polytope": (lambda: VirtualPolytope.of(F1) - F1, "got Polytope"),
+    "VirtualPolytope equivalent to a Polytope": (lambda: VirtualPolytope.of(F1).equivalent(F1), "got Polytope"),
+    "VirtualPolytope plus an int": (lambda: VirtualPolytope.of(F1) + 1, "got int"),
+    "mixed_volume of a Polytope": (lambda: qb.mixed_volume(F1), "list of pairs"),
+    "mixed_volume of a 1-tuple": (lambda: qb.mixed_volume([(F1,)]), "list of pairs"),
+    "mixed_volume of bare polytopes": (lambda: qb.mixed_volume([F1, P2.polytope]), "list of pairs"),
+}
+
+
+@pytest.mark.parametrize("name", HOSTILE_MINKOWSKI)
+def test_hostile_minkowski_arguments_are_refused(name):
+    call, message = HOSTILE_MINKOWSKI[name]
+    with pytest.raises(qb.InvalidInput, match=message):
+        call()
+
+
+def test_mixed_volume_of_two_polygons_takes_four_hulls(fixtures, monkeypatch):
+    # one hull for each summand and two for their sum, which is full-
+    # dimensional, so its volume is read off the hull the sum made
+    calls = count_hulls(monkeypatch)
+    qb.mixed_volume([(fixtures["p2"], 1), (fixtures["f1"], 1)])
+    assert len(calls) <= 4
+
+
 def test_mixed_volume_above_the_dimension_cap_is_refused_at_once():
     # the 9 unit segments of dimension 9 have mixed volume 1/9!, from 2^9 - 1
     # Minkowski sums, each twice as many as one dimension down
@@ -917,7 +945,7 @@ def test_divisor_polytope_builds_at_most_two_polarizations(name, coeffs, hulls, 
     # each polarization is one half-space system, which takes two hulls
     t = tor(name)
     calls = count_hulls(monkeypatch)
-    qb.divisor_polytope.__wrapped__(t, coeffs)
+    qb.divisor_polytope(t, coeffs)
     assert len(calls) == hulls
 
 
@@ -959,6 +987,7 @@ NON_INTEGER_SCALARS = {
     "dilate factor": (lambda: qb.dilate(P2.polytope, 1.5), "dilation factor"),
     "VirtualPolytope.combine coefficient": (lambda: VirtualPolytope.combine([(1.5, F1)], 2), "virtual coefficient"),
     "VirtualPolytope.combine dimension": (lambda: VirtualPolytope.combine([(1, F1)], 2.0), "dimension"),
+    "VirtualPolytope.scale True": (lambda: VirtualPolytope.of(F1).scale(True), "scale factor"),
     "dilate factor of a body": (lambda: qb.dilate(qb.as_body(P2.polytope), 1.5), "dilation factor"),
     "df_coefficients order": (lambda: qb.df_coefficients(F1, (1, 0), 1.5), "expansion order"),
     "df_coefficients order True": (lambda: qb.df_coefficients(F1, (1, 0), True), "expansion order"),
