@@ -187,6 +187,12 @@ EMPTY_VALUES = (
     ["count", "--input", "", "--k", "1"],
     ["mixed-volume", "--input", "p2", "--input", "f1", "--multiplicities", ""],
 )
+# Mixed volumes of a polygon that is not Delzant, and with a first slot of
+# multiplicity 2, whose polytope is dilated.
+MIXED_MORE = (
+    ["mixed-volume", "--input", "square-reflexive-nondelzant", "--input", "hexagon"],
+    ["mixed-volume", "--input", "fano-3-29", "--input", "cube3", "--multiplicities", "2,1"],
+)
 # Help, printed to stdout with exit status 0: the top-level parser's and a
 # command's.
 HELP = (["-h"], ["count", "--help"])
@@ -267,6 +273,7 @@ def command_lines() -> list[list[str]]:
         lines.append(["count", "--k", "1", "--rays", rays, "--offsets", offsets])
     for inputs in MIXED_SLOTS:
         lines.append(["mixed-volume", *(arg for name in inputs for arg in ("--input", name))])
+    lines.extend(list(argv) for argv in MIXED_MORE)
     for command in (["bc"], ["expand"], ["bck", "--k", "7"]):
         lines.append([*command, "--rays", TRAPEZOID_TRIANGLE[0], "--offsets", TRAPEZOID_TRIANGLE[1]])
     lines.append(["bc", "--rays", RECTANGLE[0], "--offsets", RECTANGLE[1]])
