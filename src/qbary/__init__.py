@@ -36,7 +36,6 @@ from .polytope import (
     Halfspace,
     MeasureData,
     Polytope,
-    as_body,
     classify,
     dilate,
     facet_data,

@@ -232,18 +232,18 @@ def _cmd_classify(args, p: Polytope, t: ToricData) -> dict:
 def _cmd_mixed_volume(args) -> dict:
     if args.input is None:
         raise InvalidInput("mixed-volume needs one --input per argument slot")
-    bodies = []
+    polytopes = []
     for path in args.input:
         polytope, _ = polytope_from_document(json.loads(_document_key(path)))
-        bodies.append(polytope)
+        polytopes.append(polytope)
     mults = (
         list(_parse_vector(args.multiplicities))
         if args.multiplicities is not None
-        else [1] * len(bodies)
+        else [1] * len(polytopes)
     )
-    if len(mults) != len(bodies):
+    if len(mults) != len(polytopes):
         raise InvalidInput("one multiplicity per input required")
-    value = mixed_volume(list(zip(bodies, mults)))
+    value = mixed_volume(list(zip(polytopes, mults)))
     return {"mixed_volume": rational_to_json(value)}
 
 

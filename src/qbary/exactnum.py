@@ -438,15 +438,8 @@ class LaurentSeries(Immutable):
     def __init__(self, coefficients: tuple[Fraction, ...]) -> None:
         object.__setattr__(self, "coefficients", coefficients)
 
-    @property
-    def order(self) -> int:
-        return len(self.coefficients)
-
     def coefficient(self, j: int) -> Fraction:
         return self.coefficients[j]
-
-    def truncate(self, order: int) -> "LaurentSeries":
-        return LaurentSeries(self.coefficients[:order])
 
 
 def laurent_expand(num: Polynomial, den: Polynomial, order: int) -> LaurentSeries:

@@ -45,6 +45,7 @@ from math import factorial, gcd
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DegenerateInput, InternalInconsistency, InvalidInput
+from .exactnum import rational_value
 from .linalg import IntVec, cross_normal, dot, independent_rows, int_det, int_rows, vec_sub
 
 
@@ -65,10 +66,23 @@ class Polytope(NamedTuple):
         return tuple(self.vertices[j] for j in self.incidence[i])
 
     def contains(self, point: Sequence) -> bool:
+        point = _point(point, self.dim)
         return all(dot(point, f.normal) >= -f.offset for f in self.facets)
 
     def strictly_contains(self, point: Sequence) -> bool:
+        point = _point(point, self.dim)
         return all(dot(point, f.normal) > -f.offset for f in self.facets)
+
+
+def _point(point: object, dim: int) -> tuple:
+    """``point`` as a tuple of ``dim`` entries, each an ``int`` or a
+    ``Fraction``; any other length or entry is refused."""
+    if isinstance(point, (str, dict)) or not isinstance(point, Iterable):
+        raise InvalidInput("expected a point, an array of rationals")
+    point = tuple(rational_value(x, "point entry") for x in point)
+    if len(point) != dim:
+        raise InvalidInput(f"point has length {len(point)}, expected {dim}")
+    return point
 
 
 def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:

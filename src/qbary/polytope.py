@@ -31,13 +31,14 @@ relation and the divergence theorem have been checked on them.
 span that vertex's cone of the normal fan; :func:`classify` reads the
 Delzant condition off them.
 
-Lower-dimensional hulls appear only as :class:`Body` values, which is all
-Minkowski sums and mixed volumes need; every other operation requires a
-full-dimensional :class:`Polytope`.  A degenerate point set is hulled on
+Dilates, translates and Minkowski sums take polytopes only, so every
+result is full-dimensional: a dilate scales the vertices and the offsets
+and keeps the normals and the incidence, with no hull, and a sum is the
+hull of the vertex sums.  Each refuses an argument that is not a
+``Polytope``.  A lower-dimensional hull is a :class:`Body`, made only by
+:func:`body_from_points`, which hulls a degenerate point set on
 coordinates on which its differences keep full rank, which its affine hull
-projects onto one to one.  Bodies are under the same dimension cap as
-polytopes, and every operation on them refuses an argument that is
-neither a ``Polytope`` nor a ``Body`` (:func:`as_body`).
+projects onto one to one.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class Classification(NamedTuple):
 # ---------------------------------------------------------------------------
 # construction
 
-def _check_dim(dim: int) -> None:
+def check_dim(dim: int) -> None:
     if dim > DIMENSION_CAP:
         raise Unsupported(
             f"dimension {dim} above the configured cap {DIMENSION_CAP}"
@@ -107,7 +108,7 @@ def hull_from_vertices(points: Iterable[Sequence[int]]) -> Polytope:
     points do not affinely span the ambient space.
     """
     pts = int_rows(points)
-    _check_dim(len(pts[0]))
+    check_dim(len(pts[0]))
     return convex_hull(pts)
 
 
@@ -134,7 +135,7 @@ def polytope_from_halfspaces(normals: Iterable[Sequence[int]], offsets: Iterable
     if len(rows) != len(offsets):
         raise InvalidInput("normals and offsets of different lengths")
     dim = len(rows[0])
-    _check_dim(dim)
+    check_dim(dim)
     for v in rows:
         if len(v) != dim:
             raise InvalidInput("normals of mixed dimension")
@@ -161,7 +162,7 @@ def polytope_from_halfspaces(normals: Iterable[Sequence[int]], offsets: Iterable
 
 
 # ---------------------------------------------------------------------------
-# bodies, dilation, Minkowski sums
+# bodies, dilates, translates, Minkowski sums
 
 def body_from_points(points: Iterable[Sequence[int]]) -> Body:
     """Canonical possibly-degenerate hull: extreme points only, sorted.
@@ -176,7 +177,7 @@ def body_from_points(points: Iterable[Sequence[int]]) -> Body:
     dim = len(pts[0])
     if any(len(p) != dim for p in pts):
         raise InvalidInput("points of mixed dimension")
-    _check_dim(dim)
+    check_dim(dim)
     if len(pts) == 1:
         return Body(dim, (pts[0],))
     axes = independent_rows(zip(*(vec_sub(p, pts[0]) for p in pts[1:])))
@@ -184,54 +185,48 @@ def body_from_points(points: Iterable[Sequence[int]]) -> Body:
     return Body(dim, tuple(sorted(projected[v] for v in convex_hull(list(projected)).vertices)))
 
 
-def as_body(obj: Polytope | Body) -> Body:
-    """``obj`` as a :class:`Body`; anything but a ``Polytope`` or a ``Body``
-    is refused."""
-    if isinstance(obj, Body):
-        return obj
-    if not isinstance(obj, Polytope):
-        raise InvalidInput(f"expected a Polytope or a Body, got {type(obj).__name__}")
-    return Body(obj.dim, obj.vertices)
+def check_polytopes(*objs: object) -> None:
+    """Refuse any argument that is not a :class:`Polytope`, naming its type."""
+    for obj in objs:
+        if not isinstance(obj, Polytope):
+            raise InvalidInput(f"expected a Polytope, got {type(obj).__name__}")
 
 
-def dilate(obj: Polytope | Body, factor: int):
-    """Integer dilation ``factor * P``; ``factor == 0`` collapses to the origin."""
-    body = as_body(obj)
-    if int_value(factor, "dilation factor") < 0:
-        raise InvalidInput("dilation factor must be nonnegative")
-    if factor == 0:
-        return Body(body.dim, ((0,) * body.dim,))
-    if factor == 1:
-        return obj
-    verts = [tuple(factor * x for x in v) for v in body.vertices]
-    if isinstance(obj, Body):
-        return Body(body.dim, tuple(sorted(verts)))
-    return hull_from_vertices(verts)
+def dilate(p: Polytope, factor: int) -> Polytope:
+    """Integer dilation ``factor * P`` for ``factor >= 1``.
 
-
-def translate(obj: Polytope | Body, shift: Sequence[int]):
-    body, shift = as_body(obj), int_list(shift)
-    if len(shift) != body.dim:
-        raise InvalidInput(f"shift has length {len(shift)}, expected {body.dim}")
-    verts = [vec_add(v, shift) for v in body.vertices]
-    if isinstance(obj, Body):
-        return Body(body.dim, tuple(sorted(verts)))
-    return hull_from_vertices(verts)
-
-
-def minkowski_sum(a: Polytope | Body, b: Polytope | Body) -> Polytope | Body:
-    """Minkowski sum; degenerate summands are fine, as is a degenerate result.
-
-    Returns a :class:`Polytope` when the sum is full-dimensional in
-    dimension 1 or more, and a :class:`Body` otherwise.
+    Scaling by a positive factor keeps the sorted order of the vertices and
+    of the facets, so the vertices and the offsets are scaled and the
+    normals and the incidence kept, with no hull.
     """
-    a, b = as_body(a), as_body(b)
+    check_polytopes(p)
+    if int_value(factor, "dilation factor") < 1:
+        raise InvalidInput("dilation factor must be positive")
+    if factor == 1:
+        return p
+    return Polytope(
+        p.dim,
+        tuple(tuple(factor * x for x in v) for v in p.vertices),
+        tuple(Halfspace(f.normal, factor * f.offset) for f in p.facets),
+        p.incidence,
+    )
+
+
+def translate(p: Polytope, shift: Sequence[int]) -> Polytope:
+    check_polytopes(p)
+    shift = int_list(shift)
+    if len(shift) != p.dim:
+        raise InvalidInput(f"shift has length {len(shift)}, expected {p.dim}")
+    return hull_from_vertices([vec_add(v, shift) for v in p.vertices])
+
+
+def minkowski_sum(a: Polytope, b: Polytope) -> Polytope:
+    """Minkowski sum of two polytopes of one dimension, the hull of the sums
+    of their vertices."""
+    check_polytopes(a, b)
     if a.dim != b.dim:
         raise InvalidInput(f"ambient dimensions differ: {a.dim} vs {b.dim}")
-    sums = sorted({vec_add(u, v) for u in a.vertices for v in b.vertices})
-    if a.dim and rank([vec_sub(p, sums[0]) for p in sums]) == a.dim:
-        return hull_from_vertices(sums)
-    return body_from_points(sums)
+    return hull_from_vertices({vec_add(u, v) for u in a.vertices for v in b.vertices})
 
 
 # ---------------------------------------------------------------------------

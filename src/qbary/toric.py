@@ -1,16 +1,17 @@
 """Virtual polytopes, mixed volumes, divisor polytopes, and the
 Bernoulli-number coefficient formulas available for Delzant data.
 
-A virtual polytope is a formal integer combination of (possibly degenerate)
-lattice bodies; two combinations are identified when moving all negative
-terms to the other side yields equal Minkowski sums (the Grothendieck
-cancellation law).  Mixed volumes extend multilinearly to such combinations,
-so ``mixed_volume`` is a sum over one product of the slots' terms, a slot
-of multiplicity m counted as m slots.  Each multiset of bodies it picks is
-evaluated once, by inclusion-exclusion over Minkowski sums of dilates,
-each a fold of :func:`qbary.polytope.minkowski_sum` whose volume is read
-off the hull the fold made, or zero if the sum is lower-dimensional.
-Nothing here is cached, as no measured workload calls this layer.
+A virtual polytope (Khovanskii-Pukhlikov) is a formal integer combination
+of lattice polytopes of one dimension, held as the record of its terms
+(:class:`VirtualPolytope`).  Mixed volumes extend multilinearly to such
+combinations, so ``mixed_volume`` is a sum over one product of the slots'
+terms, a slot of multiplicity m counted as m slots.  Each multiset of
+polytopes it picks is evaluated once, by inclusion-exclusion over
+Minkowski sums of dilates, each a fold of
+:func:`qbary.polytope.minkowski_sum` from its first summand.  Every sum is
+full-dimensional, its volume read off the hull the fold made, and a sum of
+one dilate builds no hull.  Nothing here is cached, as no measured
+workload calls this layer.
 
 For Delzant data the paper gives the counting polynomial's coefficients as
 
@@ -50,7 +51,7 @@ the face lattice; the rooftop formula must reproduce the coefficients
 read off the coordinate-sum fit of ``barycenter_function``, and the actual
 rooftop is counted at k = 1 and 2 against those.  ``mixed_volume`` and
 ``divisor_polytope`` remain the inclusion-exclusion route for arbitrary
-bodies.  A divisor that is not ample is the difference of two ample
+polytopes.  A divisor that is not ample is the difference of two ample
 polarizations on the fan, at the least shift that makes it ample, which
 is read off the vertex cones: one linear margin per cone and inequality
 (:func:`_ample_shift`).
@@ -77,9 +78,9 @@ from .hull import face_moments
 from .lattice import primitive
 from .linalg import IntVec, dot, int_list, int_rows, int_value, solve, vec_sub
 from .polytope import (
-    Body,
     Polytope,
-    as_body,
+    check_dim,
+    check_polytopes,
     classify,
     dilate,
     facet_data,
@@ -92,84 +93,36 @@ from .polytope import (
 
 
 class VirtualPolytope(Immutable):
-    """Formal integer combination of lattice bodies in a common dimension."""
+    """Formal integer combination of lattice polytopes of dimension ``dim``,
+    the pairs ``(coefficient, polytope)`` in ``terms``; no terms is zero.
+
+    Construction refuses a dimension or a coefficient that is not an
+    ``int``, a term that is not such a pair, a polytope of another
+    dimension, and a dimension above the cap.
+    """
 
     __slots__ = ("dim", "terms")
 
-    def __init__(self, dim: int, terms: tuple[tuple[int, Body], ...]) -> None:
+    def __init__(self, dim: int, terms: tuple[tuple[int, Polytope], ...]) -> None:
+        check_dim(int_value(dim, "dimension"))
+        if not isinstance(terms, tuple) or not all(isinstance(t, tuple) and len(t) == 2 for t in terms):
+            raise InvalidInput("virtual terms must be a tuple of pairs (coefficient, polytope)")
+        for coeff, p in terms:
+            int_value(coeff, "virtual coefficient")
+            check_polytopes(p)
+            if p.dim != dim:
+                raise InvalidInput(f"a virtual term of dimension {p.dim}, expected {dim}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", terms)
 
-    @staticmethod
-    def of(obj: "Polytope | Body | VirtualPolytope") -> "VirtualPolytope":
-        if isinstance(obj, VirtualPolytope):
-            return obj
-        b = as_body(obj)
-        return VirtualPolytope(b.dim, ((1, b),))
 
-    @staticmethod
-    def combine(parts: Iterable[tuple[int, "Polytope | Body"]], dim: int) -> "VirtualPolytope":
-        dim = int_value(dim, "dimension")
-        acc: dict[Body, int] = {}
-        for coeff, obj in parts:
-            b = as_body(obj)
-            if b.dim != dim:
-                raise InvalidInput("virtual terms of mixed ambient dimension")
-            acc[b] = acc.get(b, 0) + int_value(coeff, "virtual coefficient")
-        terms = tuple(
-            (c, b) for b, c in sorted(acc.items(), key=lambda kv: kv[0].vertices) if c != 0
-        )
-        return VirtualPolytope(dim, terms)
-
-    def __add__(self, other: "VirtualPolytope") -> "VirtualPolytope":
-        other = _operand(other)
-        if self.dim != other.dim:
-            raise InvalidInput("virtual sum across dimensions")
-        return VirtualPolytope.combine(self.terms + other.terms, self.dim)
-
-    def scale(self, factor: int) -> "VirtualPolytope":
-        factor = int_value(factor, "scale factor")
-        return VirtualPolytope.combine(
-            tuple((factor * c, b) for c, b in self.terms), self.dim
-        )
-
-    def __sub__(self, other: "VirtualPolytope") -> "VirtualPolytope":
-        return self + _operand(other).scale(-1)
-
-    def equivalent(self, other: "VirtualPolytope") -> bool:
-        """Grothendieck relation: equality after clearing negative terms."""
-        other = _operand(other)
-        if self.dim != other.dim:
-            return False
-        left: list[Body] = []
-        right: list[Body] = []
-        for c, b in self.terms:
-            (left if c > 0 else right).extend([b] * abs(c))
-        for c, b in other.terms:
-            (right if c > 0 else left).extend([b] * abs(c))
-        origin = Body(self.dim, ((0,) * self.dim,))
-        return reduce(minkowski_sum, left, origin) == reduce(minkowski_sum, right, origin)
+def _volume_of_sum(polytopes: tuple[Polytope, ...]) -> Fraction:
+    """Volume of the Minkowski sum of ``polytopes``, folded from the first."""
+    total = reduce(minkowski_sum, polytopes)
+    return Fraction(face_moments(total)[0], factorial(total.dim))
 
 
-def _operand(other: object) -> VirtualPolytope:
-    """``other`` if it is a :class:`VirtualPolytope`; anything else is
-    refused, the message naming its type."""
-    if not isinstance(other, VirtualPolytope):
-        raise InvalidInput(f"expected a VirtualPolytope, got {type(other).__name__}")
-    return other
-
-
-def _volume_of_sum(bodies: tuple[Body, ...]) -> Fraction:
-    """Volume of the Minkowski sum of ``bodies``: zero unless the fold
-    gives a full-dimensional :class:`Polytope`."""
-    dim = bodies[0].dim
-    total = reduce(minkowski_sum, bodies, Body(dim, ((0,) * dim,)))
-    if not isinstance(total, Polytope):
-        return Fraction(0)
-    return Fraction(face_moments(total)[0], factorial(dim))
-
-
-def _mixed_volume_bodies(items: tuple[tuple[Body, int], ...]) -> Fraction:
+def _mixed_volume_polytopes(items: tuple[tuple[Polytope, int], ...]) -> Fraction:
     """n! V(K_1, m_1; ..; K_r, m_r) by inclusion-exclusion, divided by n!.
 
     Uses dilations for repeated summands: choosing s_i copies of K_i
@@ -180,27 +133,36 @@ def _mixed_volume_bodies(items: tuple[tuple[Body, int], ...]) -> Fraction:
     for chosen in product(*(range(m + 1) for _, m in items)):
         if not any(chosen):
             continue
-        parts = tuple(dilate(body, c) for (body, _), c in zip(items, chosen) if c)
+        parts = tuple(dilate(p, c) for (p, _), c in zip(items, chosen) if c)
         weight = prod(comb(m, c) for (_, m), c in zip(items, chosen))
         total += (-1) ** (n - sum(chosen)) * weight * _volume_of_sum(parts)
     return total / factorial(n)
 
 
-def mixed_volume(args: Sequence[tuple["VirtualPolytope | Polytope | Body", int]]) -> Fraction:
-    """Mixed volume of virtual polytopes with multiplicities summing to dim.
+def mixed_volume(args: Sequence[tuple["VirtualPolytope | Polytope", int]]) -> Fraction:
+    """Mixed volume of polytopes and virtual polytopes with multiplicities
+    summing to the dimension.
 
     Normalized so that ``V(P, dim) = Vol(P)``; multilinear in each slot.  A
-    slot of multiplicity m counts as m slots, and choosing one term in every
-    slot contributes the product of the chosen coefficients times the mixed
-    volume of the chosen bodies; choices that pick the same bodies equally
-    often are grouped, so each multiset of bodies is evaluated once.
+    polytope P in a slot is the virtual polytope ``1 P``.  A slot of
+    multiplicity m counts as m slots, and choosing one term in every slot
+    contributes the product of the chosen coefficients times the mixed
+    volume of the chosen polytopes; choices that pick the same polytopes
+    equally often are grouped, so each multiset of polytopes is evaluated
+    once.
     """
     if not isinstance(args, (list, tuple)) or not all(isinstance(a, (list, tuple)) and len(a) == 2 for a in args):
         raise InvalidInput("mixed volume arguments must be a list of pairs (body, multiplicity)")
     if not args:
         raise InvalidInput("mixed volume needs at least one argument")
     multiplicities = int_list(m for _, m in args)
-    virtuals = [(VirtualPolytope.of(v), m) for (v, _), m in zip(args, multiplicities)]
+    virtuals = []
+    for (v, _), m in zip(args, multiplicities):
+        if isinstance(v, Polytope):
+            v = VirtualPolytope(v.dim, ((1, v),))
+        elif not isinstance(v, VirtualPolytope):
+            raise InvalidInput(f"expected a Polytope or a VirtualPolytope, got {type(v).__name__}")
+        virtuals.append((v, m))
     dim = virtuals[0][0].dim
     if any(v.dim != dim for v, _ in virtuals):
         raise InvalidInput("mixed volume across ambient dimensions")
@@ -209,11 +171,11 @@ def mixed_volume(args: Sequence[tuple["VirtualPolytope | Polytope | Body", int]]
     if sum(m for _, m in virtuals) != dim:
         raise InvalidInput(f"multiplicities must sum to the dimension {dim}")
 
-    weights: Counter[tuple[tuple[Body, int], ...]] = Counter()
+    weights: Counter[tuple[tuple[Polytope, int], ...]] = Counter()
     for choice in product(*(v.terms for v, m in virtuals for _ in range(m))):
-        bodies = Counter(b for _, b in choice)
-        weights[tuple(sorted(bodies.items(), key=lambda kv: kv[0].vertices))] += prod(c for c, _ in choice)
-    return sum((w * _mixed_volume_bodies(items) for items, w in weights.items()), Fraction(0))
+        polytopes = Counter(p for _, p in choice)
+        weights[tuple(sorted(polytopes.items(), key=lambda kv: kv[0].vertices))] += prod(c for c, _ in choice)
+    return sum((w * _mixed_volume_polytopes(items) for items, w in weights.items()), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +290,7 @@ def divisor_polytope(t: ToricData, coeffs: tuple[int, ...]) -> VirtualPolytope:
     shift ``m >= 1`` that makes ``m * offsets + coeffs`` ample
     (:func:`_ample_shift`) represents the divisor as the formal difference
     of two ample polytopes, those of ``m * offsets + coeffs`` and of ``m *
-    offsets``.  The zero divisor is the origin (the Minkowski-neutral body).
+    offsets``.  The zero divisor is the virtual polytope with no terms.
     """
     if not classify(t.polytope).delzant:
         raise PreconditionViolation("divisor polytopes require Delzant data")
@@ -337,13 +299,13 @@ def divisor_polytope(t: ToricData, coeffs: tuple[int, ...]) -> VirtualPolytope:
         raise InvalidInput("one coefficient per ray required")
     dim = t.polytope.dim
     if all(c == 0 for c in coeffs):
-        return VirtualPolytope(dim, ((1, Body(dim, ((0,) * dim,))),))
+        return VirtualPolytope(dim, ())
     m = _ample_shift(t, coeffs)
     shifted = _polarization(t, tuple(m * b + c for b, c in zip(t.offsets, coeffs)))
     if m == 0:
-        return VirtualPolytope.of(shifted)
+        return VirtualPolytope(dim, ((1, shifted),))
     base = _polarization(t, tuple(m * b for b in t.offsets))
-    return VirtualPolytope.combine(((1, shifted), (-1, base)), dim)
+    return VirtualPolytope(dim, ((1, shifted), (-1, base)))
 
 
 # ---------------------------------------------------------------------------

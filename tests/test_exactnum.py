@@ -138,7 +138,7 @@ def test_laurent_prefix_stability(num, den, order):
     num_poly = Polynomial.of(num[: len(den_poly.coefficients)])
     long = qb.laurent_expand(num_poly, den_poly, order + 3)
     short = qb.laurent_expand(num_poly, den_poly, order)
-    assert long.truncate(order) == short
+    assert long.coefficients[:order] == short.coefficients
     f = RationalFunction.of(num_poly, den_poly)
     assert qb.laurent_expand(f.num, f.den, order) == short
 

@@ -10,11 +10,13 @@ Dimensions are 1 to 3, integer entries at most 3 in absolute value and
 ray lists at most 6 long, so every example is cheap: nothing yet bounds the
 work of counting a large input, which would make a hang look like a pass.
 
-The Minkowski layer counts nothing, and its dimension cap refuses a body
-of dimension 8 or 9 before any hull, so its arguments are drawn in
-dimensions 0 to 9: ``body_from_points``, ``minkowski_sum``,
-``VirtualPolytope.combine`` and ``mixed_volume`` take integer rows, ragged
-rows, ``Body`` values, polytopes and hostile values in every argument slot.
+The Minkowski layer counts nothing, and its dimension cap refuses an
+argument of dimension 8 or 9 before any sum is hulled, so its arguments
+are drawn in dimensions 0 to 9: ``body_from_points``, ``minkowski_sum``,
+the ``VirtualPolytope`` constructor and ``mixed_volume`` take integer
+rows, ragged rows, polytopes and hostile values in every argument slot.
+A ``Body`` is one more hostile value: only ``body_from_points`` makes one,
+and every operation of the layer refuses it.
 
 A command line is parsed by its command's parser alone; argument vectors
 drawn from command names, every option name, abbreviations, integers,
@@ -35,8 +37,9 @@ from hypothesis import strategies as st
 
 import qbary as qb
 import qbary.cli
+import qbary.hull
 from qbary.cli import build_parser, execute
-from qbary.linalg import dot
+from qbary.linalg import dot, vec_add
 from qbary.polytope import Body, body_from_points
 from qbary.toric import VirtualPolytope
 
@@ -171,11 +174,28 @@ def wide_rows(draw):
     return draw(st.lists(st.tuples(*[SMALL] * n), min_size=1, max_size=4))
 
 
+@st.composite
+def polytopes_in(draw, n: int) -> qb.Polytope:
+    """A polytope of dimension n, built by the hull engine, which has no
+    dimension cap: in dimensions 1 to 3 the hull of up to four drawn points,
+    with the unit simplex at the first one when they do not span; above,
+    the unit simplex scaled by 1 or 2 at a drawn corner."""
+    points = draw(st.lists(st.tuples(*[SMALL] * n), min_size=1, max_size=4 if n <= 3 else 1))
+    if n > 3:
+        scale = draw(st.integers(1, 2))
+        points += [vec_add(points[0], tuple(scale * (i == j) for j in range(n))) for i in range(n)]
+    try:
+        return qbary.hull.convex_hull(points)
+    except qb.DegenerateInput:
+        return qbary.hull.convex_hull(points + [vec_add(points[0], tuple(int(i == j) for j in range(n))) for i in range(n)])
+
+
 RAGGED = st.lists(st.lists(SMALL, max_size=3).map(tuple), min_size=2, max_size=4)
 POINTS = st.one_of(wide_rows(), RAGGED, HOSTILE)
-BODIES = st.one_of(
-    wide_rows().map(lambda rows: Body(len(rows[0]), tuple(sorted(set(rows))))),
+OPERANDS = st.one_of(
+    st.integers(1, 9).flatmap(polytopes_in),
     st.sampled_from(("p2", "cube3")).map(qb.load_fixture),
+    wide_rows().map(lambda rows: Body(len(rows[0]), tuple(sorted(set(rows))))),
     POINTS,
 )
 SCALARS = st.one_of(st.integers(-1, 4), HOSTILE)
@@ -193,27 +213,31 @@ def test_body_from_points_builds_or_refuses(points):
 
 
 @FUZZ
-@given(BODIES, BODIES)
+@given(OPERANDS, OPERANDS)
 def test_minkowski_sum_builds_or_refuses(a, b):
     try:
         total = qb.minkowski_sum(a, b)
     except qb.QbaryError:
         return
+    assert isinstance(a, qb.Polytope) and isinstance(b, qb.Polytope) and isinstance(total, qb.Polytope)
     assert total.dim == a.dim == b.dim <= 7
 
 
-class Combine(NamedTuple):
-    """A slot that holds ``VirtualPolytope.combine(terms, dim)``."""
+class Virtual(NamedTuple):
+    """A slot that holds ``VirtualPolytope(dim, terms)``."""
 
     terms: object
     dim: object
 
     def build(self) -> VirtualPolytope:
-        return VirtualPolytope.combine(self.terms, self.dim)
+        return VirtualPolytope(self.dim, self.terms)
 
 
 HOSTILE_SLOTS = st.lists(
-    st.tuples(st.one_of(BODIES, st.builds(Combine, st.lists(st.tuples(SCALARS, BODIES), max_size=2), SCALARS)), SCALARS),
+    st.tuples(
+        st.one_of(OPERANDS, st.builds(Virtual, st.lists(st.tuples(SCALARS, OPERANDS), max_size=2).map(tuple), SCALARS)),
+        SCALARS,
+    ),
     max_size=3,
 )
 
@@ -221,14 +245,13 @@ HOSTILE_SLOTS = st.lists(
 @st.composite
 def slots_in_one_dimension(draw):
     """One to three slots in one dimension n, 1 to 9, with multiplicities
-    summing to n, each a body or a combination of bodies with coefficients
-    +-1; at most three bodies of at most three points each."""
+    summing to n, each a polytope or a virtual polytope of one or two terms
+    with coefficients +-1, over a pool of one to three polytopes."""
     n = draw(st.integers(1, 9))
-    rows = st.lists(st.tuples(*[SMALL] * n), min_size=1, max_size=3)
-    pool = [Body(n, tuple(sorted(set(draw(rows))))) for _ in range(draw(st.integers(1, 3)))]
+    pool = [draw(polytopes_in(n)) for _ in range(draw(st.integers(1, 3)))]
     cuts = sorted(draw(st.lists(st.integers(1, n - 1), max_size=2, unique=True))) if n > 1 else []
     combined = st.lists(st.tuples(st.sampled_from((-1, 1)), st.sampled_from(pool)), min_size=1, max_size=2)
-    content = st.one_of(st.sampled_from(pool), combined.map(lambda terms: Combine(terms, n)))
+    content = st.one_of(st.sampled_from(pool), combined.map(lambda terms: Virtual(tuple(terms), n)))
     return [(draw(content), b - a) for a, b in zip([0, *cuts], [*cuts, n])]
 
 
@@ -236,10 +259,11 @@ def slots_in_one_dimension(draw):
 @given(st.one_of(HOSTILE_SLOTS, slots_in_one_dimension()))
 def test_virtual_combinations_and_mixed_volumes_end_in_a_value_or_a_refusal(slots):
     try:
-        value = qb.mixed_volume([(v.build() if isinstance(v, Combine) else v, m) for v, m in slots])
+        value = qb.mixed_volume([(v.build() if isinstance(v, Virtual) else v, m) for v, m in slots])
     except qb.QbaryError:
         return
     assert isinstance(value, Fraction)
+    assert all(isinstance(v, (qb.Polytope, Virtual)) for v, _ in slots)
 
 
 # ---------------------------------------------------------------------------

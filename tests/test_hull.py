@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import signal
 from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -117,3 +118,25 @@ def test_oracle_catches_a_hull_without_the_adjacency_test(monkeypatch):
             except (AssertionError, qb.InternalInconsistency):
                 caught += 1
     assert caught > 0
+
+
+@pytest.mark.parametrize("method", ("contains", "strictly_contains"))
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ((0, 0, 0, 99), "^point has length 4, expected 3$"),
+        ((0, 0), "^point has length 2, expected 3$"),
+        ((0, 0, 0.5), "^point entry must be an integer or a Fraction, got 0.5$"),
+        ((True, 0, 0), "^point entry must be an integer or a Fraction, got True$"),
+        (("0", 0, 0), "^point entry must be an integer or a Fraction, got '0'$"),
+        ("000", "^expected a point, an array of rationals$"),
+    ],
+    ids=repr,
+)
+def test_a_point_of_the_wrong_length_or_kind_is_refused(method, point, message):
+    # zipping the point against each normal would drop a fourth entry and
+    # read a bool or a float as a number
+    cube = qb.load_fixture("cube3")
+    with pytest.raises(qb.InvalidInput, match=message):
+        getattr(cube, method)(point)
+    assert getattr(cube, method)([Fraction(1, 2), 0, 0])

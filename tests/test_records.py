@@ -32,7 +32,7 @@ def instances() -> dict:
         "Polynomial": qb.Polynomial.of([1, qb.Rational(3, 2)]),
         "RationalFunction": qb.RationalFunction.of(qb.Polynomial.of([0, 1]), qb.Polynomial.of([1, 2])),
         "LaurentSeries": qb.laurent_expand(qb.Polynomial.of([0, 1]), qb.Polynomial.of([1, 2]), 2),
-        "VirtualPolytope": qb.VirtualPolytope.of(p) - qb.VirtualPolytope.of(qb.dilate(qb.as_body(p), 2)),
+        "VirtualPolytope": qb.VirtualPolytope(2, ((1, p), (-1, qb.dilate(p, 2)))),
         "ToricData": t,
         "ExpansionCoefficients": qb.asymptotic_coefficients(p, 1),
         "EhrhartPolynomial": qb.ehrhart_polynomial(p),
@@ -43,7 +43,7 @@ def instances() -> dict:
         "StabilizationVerdict": qb.stabilization_check(p, [1, 2, 3]),
         "Halfspace": p.facets[0],
         "Polytope": p,
-        "Body": qb.as_body(p),
+        "Body": qb.Body(p.dim, p.vertices),
         "MeasureData": qb.measure(p),
         "FacetMeasure": qb.facet_data(p).facets[0],
         "FacetData": qb.facet_data(p),
@@ -61,7 +61,7 @@ REPRS = {
     'Polynomial': 'Polynomial(numerators=(2, 3), denominator=2)',
     'RationalFunction': 'RationalFunction(num=Polynomial(numerators=(0, 1), denominator=1), den=Polynomial(numerators=(1, 2), denominator=1))',
     'LaurentSeries': 'LaurentSeries(coefficients=(Fraction(1, 2), Fraction(-1, 4)))',
-    'VirtualPolytope': 'VirtualPolytope(dim=2, terms=((-1, Body(dim=2, vertices=((-2, -2), (-2, 4), (4, -2)))), (1, Body(dim=2, vertices=((-1, -1), (-1, 2), (2, -1))))))',
+    'VirtualPolytope': 'VirtualPolytope(dim=2, terms=((1, Polytope(dim=2, vertices=((-1, -1), (-1, 2), (2, -1)), facets=(Halfspace(normal=(-1, -1), offset=1), Halfspace(normal=(0, 1), offset=1), Halfspace(normal=(1, 0), offset=1)), incidence=((1, 2), (0, 2), (0, 1)))), (-1, Polytope(dim=2, vertices=((-2, -2), (-2, 4), (4, -2)), facets=(Halfspace(normal=(-1, -1), offset=2), Halfspace(normal=(0, 1), offset=2), Halfspace(normal=(1, 0), offset=2)), incidence=((1, 2), (0, 2), (0, 1))))))',
     'ToricData': 'ToricData(rays=((1, 0), (0, 1), (-1, -1)), offsets=(1, 1, 1), polytope=Polytope(dim=2, vertices=((-1, -1), (-1, 2), (2, -1)), facets=(Halfspace(normal=(-1, -1), offset=1), Halfspace(normal=(0, 1), offset=1), Halfspace(normal=(1, 0), offset=1)), incidence=((1, 2), (0, 2), (0, 1))))',
     'ExpansionCoefficients': 'ExpansionCoefficients(terms=((Fraction(0, 1), Fraction(0, 1)),))',
     'EhrhartPolynomial': "EhrhartPolynomial(poly=Polynomial(numerators=(2, 9, 9), denominator=2), source='fitted')",

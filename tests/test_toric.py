@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
+from functools import reduce
 from itertools import permutations
 from math import comb, factorial, prod
 import time
@@ -10,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbary as qb
+import qbary.hull
 from qbary.exactnum import Polynomial
 from qbary.linalg import int_det, solve, vec_add
-from qbary.polytope import Body, body_from_points, vertex_cones
+from qbary.polytope import Body, vertex_cones
 from qbary import toric
 from qbary.toric import DelzantFan, RooftopFan, VirtualPolytope, delzant_fan
 
@@ -58,15 +60,6 @@ def test_mixed_volume_normalization(fixtures):
         assert qb.mixed_volume([(p, p.dim)]) == qb.measure(p).volume, name
 
 
-def test_mixed_volume_of_segments():
-    e1 = body_from_points([(0, 0), (1, 0)])
-    e2 = body_from_points([(0, 0), (0, 1)])
-    # inclusion-exclusion oracle: (Vol(S1+S2) - Vol(S1) - Vol(S2)) / 2
-    s = qb.minkowski_sum(e1, e2)
-    oracle = (qb.measure(s).volume - 0 - 0) / 2
-    assert qb.mixed_volume([(e1, 1), (e2, 1)]) == oracle == F(1, 2)
-
-
 def test_mixed_volume_pair_matches_polarization_oracle(fixtures, corpus):
     polygons = [p for p in corpus if p.dim == 2][:6] + [fixtures["f1"]]
     q = fixtures["cube2"]
@@ -77,20 +70,19 @@ def test_mixed_volume_pair_matches_polarization_oracle(fixtures, corpus):
 
 
 def test_mixed_volume_virtual_zero(fixtures):
+    # P - P and the combination of no terms both represent zero
     p = fixtures["f1"]
     q = fixtures["cube2"]
-    zero = VirtualPolytope.of(p) - VirtualPolytope.of(p)
-    assert qb.mixed_volume([(zero, 1), (q, 1)]) == 0
+    for zero in (VirtualPolytope(2, ((1, p), (-1, p))), VirtualPolytope(2, ())):
+        assert qb.mixed_volume([(zero, 1), (q, 1)]) == 0
+        assert qb.mixed_volume([(q, 1), (zero, 1)]) == 0
 
 
 def test_mixed_volume_symmetry(fixtures):
-    bodies = [
-        qb.as_body(fixtures["f1"]) if False else body_from_points(fixtures["f1"].vertices),
-        body_from_points([(0, 0), (1, 0), (0, 1)]),
-    ]
-    base = qb.mixed_volume([(bodies[0], 1), (bodies[1], 1)])
-    for perm in permutations(bodies):
-        assert qb.mixed_volume([(b, 1) for b in perm]) == base
+    polytopes = [fixtures["f1"], qb.hull_from_vertices([(0, 0), (1, 0), (0, 1)])]
+    base = qb.mixed_volume([(polytopes[0], 1), (polytopes[1], 1)])
+    for perm in permutations(polytopes):
+        assert qb.mixed_volume([(p, 1) for p in perm]) == base
 
 
 def test_mixed_volume_multilinearity(fixtures):
@@ -116,20 +108,21 @@ def distributed_mixed_volume(args) -> F:
     terms with multinomial weights, one recursion per level, and evaluating
     each assignment by inclusion-exclusion over dilated sub-sums; the
     construction the one product over all slots replaced, kept as the
-    reference.  It shares only :func:`qbary.toric._volume_of_sum` with the
-    library."""
-    virtuals = [(VirtualPolytope.of(v), m) for v, m in args]
+    reference.  Each sub-sum is a fold of ``qb.minkowski_sum`` of its own,
+    measured by ``qb.measure``."""
+    virtuals = [(v if isinstance(v, VirtualPolytope) else VirtualPolytope(v.dim, ((1, v),)), m) for v, m in args]
 
     def assignments(terms, mult):
-        # (body -> multiplicity, multinomial count times coefficients)
+        # (polytope -> multiplicity, multinomial count times coefficients);
+        # a polytope in two terms gets the multiplicities of both
         if len(terms) == 1:
-            (c, b), = terms
-            return [({b: mult}, c**mult)]
-        (c, b), rest = terms[0], terms[1:]
+            (c, p), = terms
+            return [({p: mult}, c**mult)]
+        (c, p), rest = terms[0], terms[1:]
         out = []
         for take in range(mult + 1):
             for chosen, w in assignments(rest, mult - take):
-                out.append(({**chosen, b: take} if take else chosen, w * comb(mult, take) * c**take))
+                out.append(({**chosen, p: chosen.get(p, 0) + take} if take else chosen, w * comb(mult, take) * c**take))
         return out
 
     def by_inclusion_exclusion(items) -> F:
@@ -140,9 +133,9 @@ def distributed_mixed_volume(args) -> F:
             nonlocal total
             if idx == len(items):
                 if sum(chosen):
-                    parts = tuple(sorted((qb.dilate(b, c) for (b, _), c in zip(items, chosen) if c), key=lambda b: b.vertices))
+                    parts = [qb.dilate(p, c) for (p, _), c in zip(items, chosen) if c]
                     weight = prod(comb(m, c) for (_, m), c in zip(items, chosen))
-                    total += (-1) ** (n - sum(chosen)) * weight * toric._volume_of_sum(parts)
+                    total += (-1) ** (n - sum(chosen)) * weight * qb.measure(reduce(qb.minkowski_sum, parts)).volume
                 return
             for c in range(items[idx][1] + 1):
                 rec(idx + 1, chosen + [c])
@@ -162,8 +155,8 @@ def distributed_mixed_volume(args) -> F:
             return
         for chosen, w in assignments(vp.terms, mult):
             nxt = dict(acc)
-            for b, m in chosen.items():
-                nxt[b] = nxt.get(b, 0) + m
+            for p, m in chosen.items():
+                nxt[p] = nxt.get(p, 0) + m
             rec(idx + 1, coeff * w, nxt)
 
     rec(0, 1, {})
@@ -171,21 +164,28 @@ def distributed_mixed_volume(args) -> F:
 
 
 @st.composite
+def full_polytopes(draw, dim: int) -> qb.Polytope:
+    """The hull of one to five points with entries in [-2, 2], together with
+    the unit simplex at the first point when the points alone do not span."""
+    points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), min_size=1, max_size=5))
+    try:
+        return qb.hull_from_vertices(points)
+    except qb.DegenerateInput:
+        return qb.hull_from_vertices(points + [vec_add(points[0], unit(dim, i)) for i in range(dim)])
+
+
+@st.composite
 def virtual_slots(draw):
     """Slots of multiplicities summing to 2 or 3, each a virtual polytope of
-    1 to 3 terms with coefficients +-1 and +-2 over bodies of every rank,
-    some repeated across terms and slots."""
+    1 to 3 terms with coefficients +-1 and +-2 over a pool of random
+    polygons or 3-polytopes, some repeated across terms and slots."""
     dim = draw(st.integers(2, 3))
-    entry = st.integers(-2, 2)
-    pool = [
-        body_from_points(draw(st.lists(st.tuples(*[entry] * dim), min_size=1, max_size=5)))
-        for _ in range(draw(st.integers(1, 4)))
-    ]
+    pool = [draw(full_polytopes(dim)) for _ in range(draw(st.integers(1, 4)))]
     mults = draw(st.sampled_from(((2,), (1, 1)) if dim == 2 else ((3,), (2, 1), (1, 2), (1, 1, 1))))
     slots = []
     for m in mults:
         terms = draw(st.lists(st.tuples(st.sampled_from((-2, -1, 1, 2)), st.sampled_from(pool)), min_size=1, max_size=3))
-        slots.append((VirtualPolytope.combine(terms, dim), m))
+        slots.append((VirtualPolytope(dim, tuple(terms)), m))
     return slots
 
 
@@ -198,9 +198,7 @@ def test_mixed_volume_matches_the_distributed_reference(slots):
 NOT_BODIES = {
     "mixed_volume of rows": lambda: qb.mixed_volume([([(0, 0), (1, 0)], 2)]),
     "mixed_volume of a fixture name": lambda: qb.mixed_volume([("p2", 2)]),
-    "VirtualPolytope.of rows": lambda: VirtualPolytope.of([(0, 0)]),
-    "VirtualPolytope.combine of rows": lambda: VirtualPolytope.combine([(1, [(0, 0), (1, 0)])], 2),
-    "as_body of rows": lambda: qb.as_body([(0, 0), (1, 0)]),
+    "VirtualPolytope of rows": lambda: VirtualPolytope(2, ((1, [(0, 0), (1, 0)]),)),
     "dilate of rows": lambda: qb.dilate([(0, 0), (1, 0)], 2),
     "translate of rows": lambda: qb.translate([(0, 0), (1, 0)], (1, 1)),
     "minkowski_sum of rows": lambda: qb.minkowski_sum([(0, 0), (1, 0)], F1),
@@ -209,20 +207,37 @@ NOT_BODIES = {
 
 @pytest.mark.parametrize("name", NOT_BODIES)
 def test_arguments_that_are_not_bodies_are_refused(name):
-    with pytest.raises(qb.InvalidInput, match="^expected a Polytope or a Body, got "):
+    with pytest.raises(qb.InvalidInput, match="^expected a Polytope( or a VirtualPolytope)?, got (list|str)$"):
         NOT_BODIES[name]()
 
 
-# operands and argument lists of the wrong kind, each refused with the name
-# of what it should have been or of the type it was
+# a Body, even one of full dimension, is not an operand of the Minkowski layer
+BODY = Body(2, ((-1, -1), (-1, 0), (0, -1), (1, 0), (0, 1)))
+BODY_ARGUMENTS = {
+    "mixed_volume": lambda: qb.mixed_volume([(BODY, 1), (F1, 1)]),
+    "VirtualPolytope": lambda: VirtualPolytope(2, ((1, BODY),)),
+    "dilate": lambda: qb.dilate(BODY, 2),
+    "translate": lambda: qb.translate(BODY, (1, 1)),
+    "minkowski_sum": lambda: qb.minkowski_sum(F1, BODY),
+}
+
+
+@pytest.mark.parametrize("name", BODY_ARGUMENTS)
+def test_a_body_is_refused_where_a_polytope_belongs(name):
+    with pytest.raises(qb.InvalidInput, match="^expected a Polytope( or a VirtualPolytope)?, got Body$"):
+        BODY_ARGUMENTS[name]()
+
+
+# argument lists and virtual terms of the wrong kind, each refused with the
+# name of what it should have been or of the dimension it had
 HOSTILE_MINKOWSKI = {
-    "VirtualPolytope plus a Polytope": (lambda: VirtualPolytope.of(F1) + F1, "got Polytope"),
-    "VirtualPolytope minus a Polytope": (lambda: VirtualPolytope.of(F1) - F1, "got Polytope"),
-    "VirtualPolytope equivalent to a Polytope": (lambda: VirtualPolytope.of(F1).equivalent(F1), "got Polytope"),
-    "VirtualPolytope plus an int": (lambda: VirtualPolytope.of(F1) + 1, "got int"),
     "mixed_volume of a Polytope": (lambda: qb.mixed_volume(F1), "list of pairs"),
     "mixed_volume of a 1-tuple": (lambda: qb.mixed_volume([(F1,)]), "list of pairs"),
     "mixed_volume of bare polytopes": (lambda: qb.mixed_volume([F1, P2.polytope]), "list of pairs"),
+    "mixed_volume across dimensions": (lambda: qb.mixed_volume([(F1, 1), (qb.load_fixture("cube3"), 1)]), "across ambient dimensions"),
+    "VirtualPolytope of a list of terms": (lambda: VirtualPolytope(2, [(1, F1)]), "tuple of pairs"),
+    "VirtualPolytope of a 1-tuple term": (lambda: VirtualPolytope(2, ((F1,),)), "tuple of pairs"),
+    "VirtualPolytope of another dimension": (lambda: VirtualPolytope(3, ((1, F1),)), "dimension 2, expected 3"),
 }
 
 
@@ -233,41 +248,57 @@ def test_hostile_minkowski_arguments_are_refused(name):
         call()
 
 
-def test_mixed_volume_of_two_polygons_takes_four_hulls(fixtures, monkeypatch):
-    # one hull for each summand and two for their sum, which is full-
-    # dimensional, so its volume is read off the hull the sum made
+def test_mixed_volume_of_two_polygons_takes_one_hull(fixtures, monkeypatch):
+    # a summand alone is its own sum, and the sum of both is the one hull
     calls = count_hulls(monkeypatch)
     qb.mixed_volume([(fixtures["p2"], 1), (fixtures["f1"], 1)])
-    assert len(calls) <= 4
+    assert len(calls) == 1
 
 
 def test_mixed_volume_above_the_dimension_cap_is_refused_at_once():
-    # the 9 unit segments of dimension 9 have mixed volume 1/9!, from 2^9 - 1
-    # Minkowski sums, each twice as many as one dimension down
-    segments = [Body(9, ((0,) * 9, unit(9, i))) for i in range(9)]
+    # nine translated unit 9-simplices, which the hull engine, uncapped,
+    # builds; their mixed volume would take 2^9 - 1 Minkowski sums
+    simplices = [
+        qbary.hull.convex_hull([unit(9, i), *(vec_add(unit(9, i), unit(9, j)) for j in range(9))]) for i in range(9)
+    ]
     start = time.process_time()
     with pytest.raises(qb.Unsupported, match="dimension 9 above the configured cap 7"):
-        qb.mixed_volume([(s, 1) for s in segments])
+        qb.mixed_volume([(s, 1) for s in simplices])
+    with pytest.raises(qb.Unsupported, match="dimension 9 above the configured cap 7"):
+        VirtualPolytope(9, ((1, simplices[0]),))
     assert time.process_time() - start < 1
 
 
 # ---------------------------------------------------------------------------
-# virtual polytopes
+# the Grothendieck relation, checked by the tests' own Minkowski folds
+
+def grothendieck_equivalent(a: VirtualPolytope, b: VirtualPolytope) -> bool:
+    """Whether a and b are equal once every negative term is moved to the
+    other side, each side a fold of ``qb.minkowski_sum``; an empty side is
+    the origin, which no sum of polytopes equals."""
+    left, right = [], []
+    for c, p in a.terms:
+        (left if c > 0 else right).extend([p] * abs(c))
+    for c, p in b.terms:
+        (right if c > 0 else left).extend([p] * abs(c))
+    if not left or not right:
+        return not left and not right
+    return reduce(qb.minkowski_sum, left) == reduce(qb.minkowski_sum, right)
+
 
 def test_virtual_equivalence_is_translation_sensitive(fixtures):
     p = fixtures["f1"]
-    a = VirtualPolytope.of(p)
-    b = VirtualPolytope.of(qb.translate(p, (1, 0)))
-    assert a.equivalent(a)
-    assert not a.equivalent(b)
+    a = VirtualPolytope(2, ((1, p),))
+    b = VirtualPolytope(2, ((1, qb.translate(p, (1, 0))),))
+    assert grothendieck_equivalent(a, a)
+    assert not grothendieck_equivalent(a, b)
 
 
 def test_virtual_cancellation(fixtures):
     p, q = fixtures["f1"], fixtures["cube2"]
     s = qb.minkowski_sum(p, q)
     # (P + Q) - Q ~ P
-    diff = VirtualPolytope.of(s) - VirtualPolytope.of(q)
-    assert diff.equivalent(VirtualPolytope.of(p))
+    assert grothendieck_equivalent(VirtualPolytope(2, ((1, s), (-1, q))), VirtualPolytope(2, ((1, p),)))
 
 
 # ---------------------------------------------------------------------------
@@ -275,16 +306,12 @@ def test_virtual_cancellation(fixtures):
 
 def test_divisor_polytope_anticanonical_is_direct():
     t = qb.toric_data([(1, 0), (0, 1), (-1, -1)], [1, 1, 1])
-    vp = qb.divisor_polytope(t, (1, 1, 1))
-    assert len(vp.terms) == 1
-    coeff, body = vp.terms[0]
-    assert coeff == 1 and body == qb.as_body(t.polytope)
+    assert qb.divisor_polytope(t, (1, 1, 1)) == VirtualPolytope(2, ((1, t.polytope),))
 
 
-def test_divisor_polytope_zero_is_origin():
+def test_divisor_polytope_zero_has_no_terms():
     t = qb.toric_data([(1, 0), (0, 1), (-1, -1)], [1, 1, 1])
-    vp = qb.divisor_polytope(t, (0, 0, 0))
-    assert vp.terms == ((1, Body(2, ((0, 0),))),)
+    assert qb.divisor_polytope(t, (0, 0, 0)) == VirtualPolytope(2, ())
 
 
 def test_divisor_polytope_single_ray_grothendieck_equivalence():
@@ -296,8 +323,8 @@ def test_divisor_polytope_single_ray_grothendieck_equivalence():
     for m in (1, 2):
         shifted = qb.polytope_from_halfspaces(t.rays, [m + 1, m, m])
         base = qb.polytope_from_halfspaces(t.rays, [m, m, m])
-        diff = VirtualPolytope.of(shifted) - VirtualPolytope.of(base)
-        assert d1.equivalent(diff)
+        assert grothendieck_equivalent(d1, VirtualPolytope(2, ((1, shifted), (-1, base))))
+        assert not grothendieck_equivalent(d1, VirtualPolytope(2, ((1, base), (-1, shifted))))
 
 
 def test_divisor_polytope_needs_shift_on_product():
@@ -307,6 +334,10 @@ def test_divisor_polytope_needs_shift_on_product():
     assert len(vp.terms) == 2
     coeffs = sorted(c for c, _ in vp.terms)
     assert coeffs == [-1, 1]
+    # its polytope is a segment; the difference at the shift 2 represents it too
+    shifted = qb.polytope_from_halfspaces(square.rays, [1, 2, 0, 2])
+    base = qb.polytope_from_halfspaces(square.rays, [0, 2, 0, 2])
+    assert grothendieck_equivalent(vp, VirtualPolytope(2, ((1, shifted), (-1, base))))
 
 
 def test_divisor_polytope_requires_delzant(fixtures):
@@ -406,7 +437,7 @@ def paper_formula(t: qb.ToricData, lead, slots: int, js) -> tuple[F, ...]:
     dim! B(l_1)..B(l_slots) / (j! l_1!..l_slots!) V(P(lead), j; D_1, l_1; ..),
     every mixed volume by inclusion-exclusion over Minkowski sums."""
     n = t.polytope.dim
-    body = qb.divisor_polytope(t, lead)
+    leading = qb.divisor_polytope(t, lead)
     divisors = [qb.divisor_polytope(t, unit(len(t.rays), i)) for i in range(slots)]
     out = []
     for j in js:
@@ -416,7 +447,7 @@ def paper_formula(t: qb.ToricData, lead, slots: int, js) -> tuple[F, ...]:
             for l in comp:
                 weight *= qb.bernoulli(l) / factorial(l)
             if weight:
-                args = [(body, j)] if j else []
+                args = [(leading, j)] if j else []
                 args += [(divisors[i], l) for i, l in enumerate(comp) if l]
                 total += weight * qb.mixed_volume(args)
         out.append(total)
@@ -894,10 +925,10 @@ def searched_divisor_polytope(t: qb.ToricData, coeffs) -> tuple[int, VirtualPoly
     while (shifted := fan_polytope(t, [m * b + c for b, c in zip(t.offsets, coeffs)])) is None:
         m += 1
     if m == 0:
-        return m, VirtualPolytope.of(shifted)
+        return m, VirtualPolytope(t.polytope.dim, ((1, shifted),))
     base = fan_polytope(t, [m * b for b in t.offsets])
     assert base is not None
-    return m, VirtualPolytope.combine(((1, shifted), (-1, base)), t.polytope.dim)
+    return m, VirtualPolytope(t.polytope.dim, ((1, shifted), (-1, base)))
 
 
 @st.composite
@@ -934,7 +965,7 @@ def test_divisor_polytope_past_a_shift_of_16():
     base = qb.polytope_from_halfspaces(t.rays, (17, 17, 17))
     for p in (shifted, base):
         assert set(vertex_cones(p)) == set(vertex_cones(t.polytope))
-    assert qb.divisor_polytope(t, (-49, 0, 0)) == VirtualPolytope.combine(((1, shifted), (-1, base)), 2)
+    assert qb.divisor_polytope(t, (-49, 0, 0)) == VirtualPolytope(2, ((1, shifted), (-1, base)))
 
 
 @pytest.mark.parametrize(
@@ -968,7 +999,7 @@ NON_INTEGER_ENTRIES = {
     "df_coefficients direction": lambda: qb.df_coefficients(F1, (1.5, 0), 3),
     "df_coefficients direction on p2": lambda: qb.df_coefficients(P2.polytope, (1.5, 0), 3),
     "pairing_numerator direction": lambda: qb.barycenter_function(P2.polytope).pairing_numerator((1.5, 0)),
-    "translate shift": lambda: qb.translate(qb.as_body(F1), (0.5, 0)),
+    "translate shift": lambda: qb.translate(F1, (0.5, 0)),
     "support_value direction": lambda: qb.support_value(F1, (0.5, 0)),
     "primitive vector": lambda: qb.primitive((1.5, 0)),
 }
@@ -985,10 +1016,9 @@ NON_INTEGER_SCALARS = {
     "asymptotic_coefficients order": (lambda: qb.asymptotic_coefficients(P2.polytope, 1.5), "expansion order"),
     "delta_sequence order": (lambda: qb.delta_sequence(P2, [1], order=2.5), "expansion order"),
     "dilate factor": (lambda: qb.dilate(P2.polytope, 1.5), "dilation factor"),
-    "VirtualPolytope.combine coefficient": (lambda: VirtualPolytope.combine([(1.5, F1)], 2), "virtual coefficient"),
-    "VirtualPolytope.combine dimension": (lambda: VirtualPolytope.combine([(1, F1)], 2.0), "dimension"),
-    "VirtualPolytope.scale True": (lambda: VirtualPolytope.of(F1).scale(True), "scale factor"),
-    "dilate factor of a body": (lambda: qb.dilate(qb.as_body(P2.polytope), 1.5), "dilation factor"),
+    "VirtualPolytope coefficient": (lambda: VirtualPolytope(2, ((1.5, F1),)), "virtual coefficient"),
+    "VirtualPolytope dimension": (lambda: VirtualPolytope(2.0, ((1, F1),)), "dimension"),
+    "VirtualPolytope coefficient True": (lambda: VirtualPolytope(2, ((True, F1),)), "virtual coefficient"),
     "df_coefficients order": (lambda: qb.df_coefficients(F1, (1, 0), 1.5), "expansion order"),
     "df_coefficients order True": (lambda: qb.df_coefficients(F1, (1, 0), True), "expansion order"),
     "rooftop offset": (lambda: qb.rooftop(F1, (1, 0), 1.5), "rooftop offset"),
