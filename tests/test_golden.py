@@ -196,6 +196,13 @@ MIXED_MORE = (
 # Help, printed to stdout with exit status 0: the top-level parser's and a
 # command's.
 HELP = (["-h"], ["count", "--help"])
+# Ehrhart data above dimension 3, given inline: the anticanonical P^4
+# (DELZANT4's second entry), reflexive, with reciprocity checked past the
+# dilations k = 1..4 that its records come from, and [-1,1]^5.
+CUBE5 = (
+    ";".join(",".join(str(s * (i == j)) for i in range(5)) for j in range(5) for s in (1, -1)),
+    ",".join(["1"] * 10),
+)
 
 
 def command_lines() -> list[list[str]]:
@@ -280,6 +287,9 @@ def command_lines() -> list[list[str]]:
     lines.extend(list(argv) for argv in USAGE)
     lines.extend(list(argv) for argv in HELP)
     lines.extend(list(argv) for argv in EMPTY_VALUES)
+    for command in (["ehrhart"], ["reciprocity", "--kmax", "6"]):
+        lines.append([*command, "--rays", DELZANT4[1][0], "--offsets", DELZANT4[1][1]])
+    lines.append(["ehrhart", "--rays", CUBE5[0], "--offsets", CUBE5[1]])
     return lines
 
 
