@@ -46,17 +46,20 @@ plan costs more than the split saves, so those products are scanned, and
 measured, whole.  Images of products under ``GL_n(Z)`` are not detected:
 that belongs to a reduced lattice basis (ROADMAP item 7).
 
-Every fit reads the same dilations k = 0..dim, one cached pass each.  By
-Ehrhart-Macdonald reciprocity the interior records of those passes are
-exact samples at k = -1..-dim: ``f(-k) = (-1)^d`` times the interior value
-at k, for the counting polynomial (d = dim) and for each coordinate-sum
-polynomial (d = dim+1).  A fit of degree d passes through d+1 of these
-2 dim + 1 samples and must match the others, and its top two coefficients
-must equal measures that do not count: the volume and half the normalized
-boundary volume for the counting polynomial, the moment ``vol Bc_i`` and
-half the boundary moment ``B bBc_i / 2`` for the sum of coordinate i.  Any
-mismatch raises ``InternalInconsistency``: counting is exact and
-polynomiality is a theorem, not a modeling assumption.
+One cached record per polytope, :func:`ehrhart_data`, holds the counting
+polynomial E and the coordinate-sum polynomials S_i, all read off the
+passes at k = 0..dim.  By Ehrhart-Macdonald reciprocity their interior
+records are exact samples at k = -1..-dim: ``f(-k) = (-1)^d`` times the
+interior value at k, for E (d = dim) and each S_i (d = dim+1: a weight of
+degree 1, Brion-Vergne).  A fit of degree d passes through the first d+1
+of these 2 dim + 1 samples, in the order 0, 1, -1, 2, -2, .., and must
+match the others, and its top two coefficients must equal measures that do
+not count: the volume and half the normalized boundary volume for E, the
+moment ``vol Bc_i`` and half the boundary moment ``B bBc_i / 2`` for S_i.
+A wrong fitted sample changes the leading coefficient, so these identities
+check the fitted samples too.  Any mismatch raises
+``InternalInconsistency``: counting is exact and polynomiality is a
+theorem, not a modeling assumption.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from math import prod
-from typing import Callable, Literal, NamedTuple
+from typing import Literal, NamedTuple
 
 from .errors import InternalInconsistency, InvalidInput, Unsupported
 from .exactnum import Polynomial, poly_fit
@@ -522,32 +525,14 @@ def interior_count(p: Polytope, k: int) -> int:
     return lattice_point_stats(p, k).interior
 
 
-def fit_on_dilations(
-    p: Polytope,
-    value: Callable[[int, IntVec], int],
-    degree: int,
-    top: tuple[Fraction, Fraction],
-    what: str,
-) -> Polynomial:
-    """Polynomial of degree ``degree <= dim+1`` read off the records at
-    k = 0..dim that every fit shares, with leading and subleading
-    coefficients ``top``.
-
-    ``value`` reads one quantity off a count and its coordinate sums.  Its
-    closed value at k is a sample at k, and by Ehrhart-Macdonald reciprocity
-    ``(-1)^degree`` times its interior value at k is a sample at -k.  That
-    sign holds for the count (degree dim) and for a coordinate sum (degree
-    dim+1: a weight of degree 1, Brion-Vergne).  The fit passes through the
-    first ``degree + 1`` samples in the order 0, 1, -1, 2, -2, .. and must
-    match every other one.  Changing any one sample of the fit changes its
-    leading coefficient, so the identities on the top two coefficients
-    check the fitted samples too.
-    """
-    records = [lattice_point_stats(p, k) for k in range(p.dim + 1)]
+def _fit(values: list[tuple[int, int]], degree: int, top: tuple[Fraction, Fraction], what: str) -> Polynomial:
+    """The polynomial of degree ``degree`` read off one quantity's closed and
+    interior values ``values[k]`` at k = 0..dim, with top two coefficients
+    ``top``, as the module docstring says."""
     sign = (-1) ** degree
-    samples = [(0, value(records[0].count, records[0].sums))]
-    for k, r in enumerate(records[1:], 1):
-        samples += [(k, value(r.count, r.sums)), (-k, sign * value(r.interior, r.interior_sums))]
+    samples = [(0, values[0][0])]
+    for k, (closed, interior) in enumerate(values[1:], 1):
+        samples += [(k, closed), (-k, sign * interior)]
     fit = poly_fit(samples[: degree + 1])
     for x, y in samples[degree + 1 :]:
         if fit.numerator_at(x) != y * fit.denominator:
@@ -555,10 +540,25 @@ def fit_on_dilations(
             raise InternalInconsistency(f"{what} fails {check} at k={abs(x)}")
     for i, (name, expected) in enumerate(zip(("leading", "subleading"), top)):
         if fit.coefficient(degree - i) != expected:
-            raise InternalInconsistency(
-                f"{what} has {name} coefficient {fit.coefficient(degree - i)}, not {expected}"
-            )
+            raise InternalInconsistency(f"{what} has {name} coefficient {fit.coefficient(degree - i)}, not {expected}")
     return fit
+
+
+@lru_cache(maxsize=None)
+def ehrhart_data(p: Polytope) -> tuple[Polynomial, tuple[Polynomial, ...]]:
+    """The counting polynomial E of P and its coordinate-sum polynomials
+    S_1..S_n, fitted on the records at k = 0..dim, read once."""
+    n = p.dim
+    records = [lattice_point_stats(p, k) for k in range(n + 1)]
+    geo, boundary = measure(p), facet_data(p)
+    b = boundary.boundary_normalized_volume
+    counting = _fit([(r.count, r.interior) for r in records], n, (geo.volume, b / 2), "counting polynomial")
+    tops = [(geo.volume * c, b * bc / 2) for c, bc in zip(geo.barycenter, boundary.boundary_barycenter)]
+    sums = tuple(
+        _fit([(r.sums[i], r.interior_sums[i]) for r in records], n + 1, top, "coordinate-sum polynomial")
+        for i, top in enumerate(tops)
+    )
+    return counting, sums
 
 
 class EhrhartPolynomial(NamedTuple):
@@ -566,14 +566,9 @@ class EhrhartPolynomial(NamedTuple):
     source: Literal["fitted", "reflexive_closed_form"]
 
 
-@lru_cache(maxsize=None)
 def ehrhart_polynomial(p: Polytope) -> EhrhartPolynomial:
-    """Counting polynomial read off the samples at k = -dim..dim, with
-    leading coefficient the volume and subleading coefficient half the
-    normalized boundary volume, validated as the module docstring says."""
-    top = (measure(p).volume, facet_data(p).boundary_normalized_volume / 2)
-    fit = fit_on_dilations(p, lambda count, sums: count, p.dim, top, "counting polynomial")
-    return EhrhartPolynomial(fit, "fitted")
+    """Counting polynomial of :func:`ehrhart_data`."""
+    return EhrhartPolynomial(ehrhart_data(p)[0], "fitted")
 
 
 class ReciprocityEntry(NamedTuple):

@@ -117,6 +117,14 @@ def rational_value(value: object, what: str) -> RationalLike:
     return value
 
 
+def rational_vector(values: object, what: str) -> tuple[RationalLike, ...]:
+    """The entries of an array, each read by :func:`rational_value`; a str,
+    a dict or anything else that is not an array is refused."""
+    if isinstance(values, (str, dict)) or not isinstance(values, Iterable):
+        raise InvalidInput(f"expected a {what}, an array of rationals")
+    return tuple(rational_value(x, f"{what} entry") for x in values)
+
+
 def integer_numerators(values: Iterable[RationalLike]) -> tuple[list[int], int]:
     """Integer numerators of ``values`` over their least common denominator."""
     values = list(values)

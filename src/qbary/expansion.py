@@ -6,15 +6,9 @@ lattice points of kP divided by k.  Coordinate i of the sequence equals
 ``Q_i(k) / E(k)`` where E is the counting polynomial of P and
 ``Q_i(k) = S_i(k) / k``, with S_i the coordinate-sum polynomial: the sum of
 the i-th coordinates over the lattice points of kP, a polynomial of degree
-at most dim P + 1 with ``S_i(0) = 0``.  Each S_i is fitted once, on the
-counting passes k = 0..dim that E shares (``ehrhart.fit_on_dilations``):
-the closed sums are its values at k, and by reciprocity
-``S_i(-k) = (-1)^(dim+1)`` times the sum of the i-th coordinates over the
-interior of kP.  The fit must match the samples it does not pass through,
-and its top two coefficients must be the moment ``vol Bc_i`` and half the
-boundary moment ``B bBc_i / 2``, with B and bBc the lattice-normalized
-boundary volume and barycenter.  The division by k is exact because the
-fit passes through (0, 0).
+at most dim P + 1 with ``S_i(0) = 0``, so the division by k is exact.  E
+and every S_i are fitted once, together, and validated by
+``ehrhart.ehrhart_data``.
 The same polynomials give the rooftop polytope over P in direction v at
 offset q, whose fibers over kP hold ``<u, v> + q k + 1`` lattice points
 each: its count is ``(q k + 1) E(k) + k <Q(k), v>``, which
@@ -31,12 +25,12 @@ the independently computed geometry.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import NamedTuple, Sequence
 
-from .ehrhart import ehrhart_polynomial, fit_on_dilations, lattice_point_stats
+from .ehrhart import ehrhart_data, lattice_point_stats
 from .errors import (
     InsufficientSamples,
     InternalInconsistency,
@@ -44,7 +38,7 @@ from .errors import (
     PreconditionViolation,
     Unsupported,
 )
-from .exactnum import Immutable, Polynomial, Vector, laurent_expand
+from .exactnum import Immutable, Polynomial, Vector, laurent_expand, rational_vector
 from .linalg import dot, int_list, int_value
 from .polytope import (
     Halfspace,
@@ -87,6 +81,8 @@ class BarycenterFunction(NamedTuple):
 
     def evaluate(self, k: int) -> Vector:
         den = self.denominator(k)
+        if den == 0:
+            raise InvalidInput(f"denominator vanishes at {k}")
         return tuple(num(k) / den for num in self.numerators)
 
 
@@ -156,23 +152,11 @@ def rooftop(p: Polytope, direction: Sequence[int], q: int) -> Polytope:
     )
 
 
-@lru_cache(maxsize=None)
 def barycenter_function(p: Polytope) -> BarycenterFunction:
-    """Exact rational-function form of the quantized barycenter sequence.
-
-    The sum of coordinate i over kP has leading coefficient ``vol Bc_i`` and
-    subleading coefficient ``B bBc_i / 2``, half the moment of the
-    lattice-normalized boundary measure."""
-    ehr = ehrhart_polynomial(p).poly
-    geo, boundary = measure(p), facet_data(p)
-    sums = []
-    for i in range(p.dim):
-        top = (
-            geo.volume * geo.barycenter[i],
-            boundary.boundary_normalized_volume * boundary.boundary_barycenter[i] / 2,
-        )
-        sums.append(fit_on_dilations(p, lambda count, sums: sums[i], p.dim + 1, top, "coordinate-sum polynomial"))
-    return BarycenterFunction(tuple(s.shift_down() for s in sums), ehr)
+    """Exact rational-function form of the quantized barycenter sequence:
+    ``Q_i = S_i / k`` over E, both read off :func:`ehrhart.ehrhart_data`."""
+    counting, sums = ehrhart_data(p)
+    return BarycenterFunction(tuple(s.shift_down() for s in sums), counting)
 
 
 def a1_closed_form(p: Polytope) -> Vector:
@@ -264,7 +248,11 @@ def stabilization_check(p: Polytope, ks: Sequence[int]) -> StabilizationVerdict:
 
 def colinearity_check(vectors: Sequence[Sequence[Fraction]]) -> bool:
     """True when all vectors are pairwise parallel through the origin
-    (every 2x2 minor of every pair vanishes)."""
+    (every 2x2 minor of every pair vanishes).  Each vector is an array of
+    ints and ``Fraction``s; any other vector or entry is refused."""
+    if isinstance(vectors, (str, dict)) or not isinstance(vectors, Iterable):
+        raise InvalidInput("expected an array of vectors")
+    vectors = [rational_vector(v, "vector") for v in vectors]
     if len(vectors) < 2:
         raise InvalidInput("need at least two vectors")
     if len({len(v) for v in vectors}) > 1:

@@ -45,7 +45,7 @@ from math import factorial, gcd
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DegenerateInput, InternalInconsistency, InvalidInput
-from .exactnum import rational_value
+from .exactnum import rational_vector
 from .linalg import IntVec, cross_normal, dot, independent_rows, int_det, int_rows, vec_sub
 
 
@@ -77,9 +77,7 @@ class Polytope(NamedTuple):
 def _point(point: object, dim: int) -> tuple:
     """``point`` as a tuple of ``dim`` entries, each an ``int`` or a
     ``Fraction``; any other length or entry is refused."""
-    if isinstance(point, (str, dict)) or not isinstance(point, Iterable):
-        raise InvalidInput("expected a point, an array of rationals")
-    point = tuple(rational_value(x, "point entry") for x in point)
+    point = rational_vector(point, "point")
     if len(point) != dim:
         raise InvalidInput(f"point has length {len(point)}, expected {dim}")
     return point

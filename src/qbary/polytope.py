@@ -32,13 +32,13 @@ span that vertex's cone of the normal fan; :func:`classify` reads the
 Delzant condition off them.
 
 Dilates, translates and Minkowski sums take polytopes only, so every
-result is full-dimensional: a dilate scales the vertices and the offsets
-and keeps the normals and the incidence, with no hull, and a sum is the
-hull of the vertex sums.  Each refuses an argument that is not a
-``Polytope``.  A lower-dimensional hull is a :class:`Body`, made only by
-:func:`body_from_points`, which hulls a degenerate point set on
-coordinates on which its differences keep full rank, which its affine hull
-projects onto one to one.
+result is full-dimensional: a dilate scales the vertices and the offsets,
+a translate shifts them, both keep the normals and the incidence, with no
+hull, and a sum is the hull of the vertex sums.  Each refuses an argument
+that is not a ``Polytope``.  A lower-dimensional hull is a :class:`Body`,
+made only by :func:`body_from_points`, which hulls a degenerate point set
+on coordinates on which its differences keep full rank, which its affine
+hull projects onto one to one.
 """
 
 from __future__ import annotations
@@ -213,11 +213,19 @@ def dilate(p: Polytope, factor: int) -> Polytope:
 
 
 def translate(p: Polytope, shift: Sequence[int]) -> Polytope:
+    """Lattice translate ``P + shift``: as in :func:`dilate`, with offsets
+    ``b - <u, shift>``, since a shift keeps the order of the vertices and of
+    the facets, whose normals differ."""
     check_polytopes(p)
     shift = int_list(shift)
     if len(shift) != p.dim:
         raise InvalidInput(f"shift has length {len(shift)}, expected {p.dim}")
-    return hull_from_vertices([vec_add(v, shift) for v in p.vertices])
+    return Polytope(
+        p.dim,
+        tuple(vec_add(v, shift) for v in p.vertices),
+        tuple(Halfspace(f.normal, f.offset - dot(f.normal, shift)) for f in p.facets),
+        p.incidence,
+    )
 
 
 def minkowski_sum(a: Polytope, b: Polytope) -> Polytope:

@@ -45,10 +45,10 @@ inclusion-exclusion of ``divisor_polytope``s, is what the test suite
 checks the Todd evaluation against.
 
 The checks that stay independent of the fan: ``hrr_coefficients`` must
-reproduce the fitted counting polynomial, its leading coefficient the
-volume and its subleading one half the boundary measure, both read off
-the face lattice; the rooftop formula must reproduce the coefficients
-read off the coordinate-sum fit of ``barycenter_function``, and the actual
+reproduce the counts of the dilations k = 0..n, closed and interior, its
+leading coefficient the volume and its subleading one half the boundary
+measure, both read off the face lattice; the rooftop formula must
+reproduce the coordinate-sum fits of ``barycenter_function``, and the actual
 rooftop is counted at k = 1 and 2 against those.  ``mixed_volume`` and
 ``divisor_polytope`` remain the inclusion-exclusion route for arbitrary
 polytopes.  A divisor that is not ample is the difference of two ample
@@ -66,7 +66,7 @@ from itertools import product
 from math import comb, factorial, gcd, lcm, prod
 from typing import Iterable, NamedTuple, Sequence
 
-from .ehrhart import count_points, ehrhart_polynomial
+from .ehrhart import count_points, lattice_point_stats
 from .errors import (
     InternalInconsistency,
     InvalidInput,
@@ -406,27 +406,26 @@ def _todd_coefficients(fan: DelzantFan, lead: Sequence[int], slots: int, js: ran
 
 def hrr_coefficients(t: ToricData) -> tuple[Fraction, ...]:
     """Counting-polynomial coefficients a_0..a_n from the Todd evaluation on
-    the fan; asserted equal to the fitted counting polynomial, with the
-    leading coefficient equal to the volume from the face walk and the
-    subleading one to half the normalized boundary volume."""
+    the fan; the leading coefficient is asserted equal to the volume from
+    the face walk, the subleading one to half the normalized boundary
+    volume, and the polynomial to the counts of the dilations k = 0..n."""
     if not classify(t.polytope).delzant:
         raise PreconditionViolation("the coefficient formula requires Delzant data")
     p = t.polytope
     n = p.dim
     coeffs = _todd_coefficients(delzant_fan(t), t.offsets, len(t.rays), range(n + 1))
-    # checked before the fit: fit_on_dilations asserts both identities on
-    # the fitted counting polynomial, so after a passing fit comparison they
-    # could no longer fail
     if coeffs[n] != measure(p).volume:
         raise InternalInconsistency("leading coefficient is not the volume")
     if coeffs[n - 1] != facet_data(p).boundary_normalized_volume / 2:
-        raise InternalInconsistency(
-            "subleading coefficient is not half the boundary volume"
-        )
-    if Polynomial.of(coeffs) != ehrhart_polynomial(p).poly:
-        raise InternalInconsistency(
-            "Bernoulli/mixed-volume coefficients disagree with the counting fit"
-        )
+        raise InternalInconsistency("subleading coefficient is not half the boundary volume")
+    # the counting records themselves, not E's fit, so nothing is fitted:
+    # the closed counts at k = 0..n and, by reciprocity, (-1)^n times the
+    # interior counts at -k are 2n + 1 values of a polynomial of degree n
+    poly = Polynomial.of(coeffs)
+    for k in range(n + 1):
+        r = lattice_point_stats(p, k)
+        if poly(k) != r.count or k and poly(-k) != (-1) ** n * r.interior:
+            raise InternalInconsistency(f"Bernoulli/mixed-volume coefficients disagree with the counts at k={k}")
     return coeffs
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+from itertools import permutations
 from pathlib import Path
 
 import qbary as qb
@@ -34,9 +35,8 @@ def test_counting_keeps_its_cache_info():
     assert callable(qbary.ehrhart.lattice_point_stats.cache_info)
 
 
-def test_poly_fit_spans_count_one_fit_per_polynomial(monkeypatch):
-    # exactnum.poly_fit.calls reads as the number of fits: a fresh
-    # n-polytope's barycenter function fits E once and S_i once per axis
+def count_fits(monkeypatch) -> list:
+    """Record the samples of every ``poly_fit`` call the fits make."""
     calls = []
     true_fit = qbary.ehrhart.poly_fit
 
@@ -45,6 +45,28 @@ def test_poly_fit_spans_count_one_fit_per_polynomial(monkeypatch):
         return true_fit(samples)
 
     monkeypatch.setattr(qbary.ehrhart, "poly_fit", counted_fit)
-    p = qb.hull_from_vertices([(0, 0, 0), (2, 1, 0), (0, 3, 1), (1, 0, 3)])  # used by no other test
-    qb.barycenter_function(p)
-    assert len(calls) == p.dim + 1
+    return calls
+
+
+def test_poly_fit_spans_count_one_fit_per_polynomial(monkeypatch):
+    # exactnum.poly_fit.calls reads as the number of fits: a fresh
+    # n-polytope fits E once and S_i once per axis, whichever of the
+    # readers of its Ehrhart record comes first
+    calls = count_fits(monkeypatch)
+    readers = (qb.ehrhart_polynomial, qb.barycenter_function, lambda p: qb.reciprocity_check(p, 5))
+    for height, order in enumerate(permutations(readers), 3):
+        p = qb.hull_from_vertices([(0, 0, 0), (2, 1, 0), (0, 3, 1), (1, 0, height)])  # used by no other test
+        calls.clear()
+        for read in order:
+            read(p)
+        assert len(calls) == p.dim + 1
+
+
+def test_hrr_coefficients_fit_nothing(monkeypatch):
+    # hrr checks the Todd polynomial against the counts themselves
+    calls = count_fits(monkeypatch)
+    t = qb.toric_data([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], [2, 0, 5, -1, 3, 4])
+    qb.hrr_coefficients(t)
+    assert calls == []
+    qb.ehrhart_polynomial(t.polytope)  # so no cached record explains the zero
+    assert len(calls) == t.polytope.dim + 1

@@ -151,6 +151,16 @@ def test_barycenter_function_evaluates_to_enumeration(fixtures):
             assert bf.evaluate(k) == qb.quantized_barycenter(p, k).value
 
 
+def test_evaluate_refuses_a_zero_of_the_counting_polynomial():
+    # E(-1) of the unit square is its interior count, 0
+    square = qb.hull_from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
+    bf = qb.barycenter_function(square)
+    assert bf.denominator(-1) == 0
+    with pytest.raises(qb.InvalidInput, match="^denominator vanishes at -1$"):
+        bf.evaluate(-1)
+    assert bf.evaluate(-2) == (F(1, 2), F(1, 2))
+
+
 def test_coordinate_sums_satisfy_reciprocity_on_the_interior(fixtures, corpus):
     # S_i(-k) = (-1)^(n+1) times the sum of coordinate i over the interior of
     # kP, with S_i(k) = k Q_i(k): the box-scan oracle, not the counting pass,
@@ -308,6 +318,12 @@ def test_colinearity(fixtures):
     for vectors in ([(1, 2, 3), (1, 2)], [(1, 2), (1, 2, 3)]):
         with pytest.raises(qb.InvalidInput, match="different lengths"):
             qb.colinearity_check(vectors)
+    # no array of vectors, a vector that is no array, entries that are not
+    # ints or Fractions: floats, which would be no exact answer, among them
+    for vectors in (None, [1, 2], [["a", "b"], ["c", "d"]], [[0.5, 1.0], [1.0, 2.0]], [(1, 2), (F(1), True)]):
+        with pytest.raises(qb.InvalidInput):
+            qb.colinearity_check(vectors)
+    assert qb.colinearity_check(iter([(1, 2), (F(1, 2), 1)])) is True
 
 
 # ---------------------------------------------------------------------------

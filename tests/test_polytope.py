@@ -940,6 +940,18 @@ def test_dilate_is_the_hull_of_the_scaled_vertices_and_builds_none(fixtures, cor
         assert (d.dim, d.vertices, d.facets, d.incidence) == (h.dim, h.vertices, h.facets, h.incidence)
 
 
+@pytest.mark.parametrize("shift", ((0, 0, 0), (3, -2, 1), (-7, 5, 10**20)))
+def test_translate_is_the_hull_of_the_shifted_vertices_and_builds_none(fixtures, corpus, monkeypatch, shift):
+    polytopes = [*fixtures.values(), *corpus]
+    hulled = [qb.hull_from_vertices([vec_add(v, shift[: p.dim]) for v in p.vertices]) for p in polytopes]
+    calls = count_hulls(monkeypatch)
+    translates = [qb.translate(p, shift[: p.dim]) for p in polytopes]
+    assert calls == []
+    for t, h in zip(translates, hulled):
+        assert type(t) is qb.Polytope and t == h
+        assert (t.dim, t.vertices, t.facets, t.incidence) == (h.dim, h.vertices, h.facets, h.incidence)
+
+
 @pytest.mark.parametrize("factor", (0, -1))
 def test_dilate_by_a_factor_below_one_is_refused(fixtures, factor):
     with pytest.raises(qb.InvalidInput, match="^dilation factor must be positive$"):

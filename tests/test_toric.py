@@ -718,6 +718,21 @@ def test_todd_route_mutants_fail_the_checks(monkeypatch, mutant, name):
         qb.rooftop_coefficients(tor("f1"), (1, 1))
 
 
+@pytest.mark.parametrize("name", ("f1", "cube3", "fano-3-29"))
+def test_hrr_count_check_catches_a_constant_term_off_by_one(monkeypatch, name):
+    # a_0 + 1 keeps the volume and boundary identities, which read a_n and
+    # a_(n-1) alone, so only the counts can refuse it, at E(0) = 1
+    true_todd = toric._todd_coefficients
+
+    def a0_plus_one(fan, lead, slots, js):
+        coeffs = true_todd(fan, lead, slots, js)
+        return (coeffs[0] + 1,) + coeffs[1:]
+
+    monkeypatch.setattr(toric, "_todd_coefficients", a0_plus_one)
+    with pytest.raises(qb.InternalInconsistency, match="^Bernoulli/mixed-volume coefficients disagree with the counts at k=0$"):
+        qb.hrr_coefficients(tor(name))
+
+
 # ---------------------------------------------------------------------------
 # the integer Todd kernel against a Fraction reference, and closed forms
 
