@@ -290,6 +290,13 @@ def command_lines() -> list[list[str]]:
     for command in (["ehrhart"], ["reciprocity", "--kmax", "6"]):
         lines.append([*command, "--rays", DELZANT4[1][0], "--offsets", DELZANT4[1][1]])
     lines.append(["ehrhart", "--rays", CUBE5[0], "--offsets", CUBE5[1]])
+    # Dilations above ceil((n+1)/2), the highest sample that the fits of E and
+    # the coordinate sums need: cube3 at k = 3, and the anticanonical P^4 and
+    # QUAD_TRIANGLE at k = 4.
+    lines.append(["count", "--k", "3", "--input", "cube3"])
+    for command in (["count", "--k", "4"], ["bck", "--k", "4"]):
+        lines.append([*command, "--rays", DELZANT4[1][0], "--offsets", DELZANT4[1][1]])
+    lines.append(["count", "--k", "4", "--rays", QUAD_TRIANGLE[0], "--offsets", QUAD_TRIANGLE[1]])
     return lines
 
 
