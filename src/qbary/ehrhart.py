@@ -48,18 +48,24 @@ that belongs to a reduced lattice basis (ROADMAP item 7).
 
 One cached record per polytope, :func:`ehrhart_data`, holds the counting
 polynomial E and the coordinate-sum polynomials S_i, all read off the
-passes at k = 0..dim.  By Ehrhart-Macdonald reciprocity their interior
-records are exact samples at k = -1..-dim: ``f(-k) = (-1)^d`` times the
-interior value at k, for E (d = dim) and each S_i (d = dim+1: a weight of
-degree 1, Brion-Vergne).  A fit of degree d passes through the first d+1
-of these 2 dim + 1 samples, in the order 0, 1, -1, 2, -2, .., and must
-match the others, and its top two coefficients must equal measures that do
-not count: the volume and half the normalized boundary volume for E, the
-moment ``vol Bc_i`` and half the boundary moment ``B bBc_i / 2`` for S_i.
-A wrong fitted sample changes the leading coefficient, so these identities
-check the fitted samples too.  Any mismatch raises
-``InternalInconsistency``: counting is exact and polynomiality is a
-theorem, not a modeling assumption.
+passes at k = 0..m, m = ceil((dim+1)/2) (:func:`fitted_dilations`).  By
+Ehrhart-Macdonald reciprocity their interior records are exact samples at
+k = -1..-m: ``f(-k) = (-1)^d`` times the interior value at k, for E
+(d = dim) and each S_i (d = dim+1: a weight of degree 1, Brion-Vergne).  A
+fit of degree d passes through the first d+1 of these 2m + 1 >= dim + 1
+samples, in the order 0, 1, -1, 2, -2, .., and must match the others, and
+its top two coefficients must equal measures that do not count: the
+volume and half the normalized boundary volume for E, the moment
+``vol Bc_i`` and half the boundary moment ``B bBc_i / 2`` for S_i.  A
+wrong fitted sample changes the leading coefficient, so these identities
+check the fitted samples too; each S_i has no sample to spare at odd dim.
+Any mismatch raises ``InternalInconsistency``: counting is exact and
+polynomiality is a theorem, not a modeling assumption.
+
+A dilation above m that is read only for its closed count and sums
+(:func:`count_points`, ``quantized_barycenter``) is counted by a pass that
+skips the interior fibers, and its record must equal E(k) and S_i(k)
+before it is returned, so no record above m reaches output unchecked.
 """
 
 from __future__ import annotations
@@ -341,9 +347,10 @@ def _nonnegative(low, high, lo: int, hi: int) -> tuple[int, int]:
     return first, last
 
 
-def _pass(plan: _ScanPlan, k: int) -> LatticeStats:
+def _pass(plan: _ScanPlan, k: int, interior: bool = True) -> LatticeStats:
     """Closed and interior count and coordinate sums of ``k*P`` for ``k >= 1``,
-    by P's ``plan``.
+    by P's ``plan``; with ``interior`` False the interior fibers are skipped
+    and the interior fields are None.
 
     The scan visits exactly the lattice points of the projections of ``k*P``
     onto the first ``dim - 2`` scan coordinates, and sums each row, over the
@@ -398,6 +405,8 @@ def _pass(plan: _ScanPlan, k: int) -> LatticeStats:
             low = _envelope(below, slack, 0, lo, hi)
             high = _envelope(above, slack, 0, lo, hi)
             tally(closed, lo, hi, _piece_sums(low, lo, hi, hi), _piece_sums(high, lo, hi, hi))
+        if not interior:
+            return
         # The interior fiber is the same with r - 1, for y in ilo..ihi where
         # the facets with c = 0 leave room.  Its length is >= 0 where the
         # real interior envelopes sum to >= 0 and <= 0 elsewhere.
@@ -460,7 +469,7 @@ def _pass(plan: _ScanPlan, k: int) -> LatticeStats:
     def unscan(acc: list[int]) -> tuple[int, IntVec]:
         return acc[0], tuple(acc[1 + plan.order.index(axis)] for axis in range(n))
 
-    return LatticeStats(*unscan(closed), *unscan(inner))
+    return LatticeStats(*unscan(closed), *(unscan(inner) if interior else (None, None)))
 
 
 def _product(blocks: list[tuple[int, ...]], records: list[LatticeStats]) -> LatticeStats:
@@ -471,7 +480,8 @@ def _product(blocks: list[tuple[int, ...]], records: list[LatticeStats]) -> Latt
     interior points the tuples of their interior points.  So the count is
     the product of the counts, and a point of factor b appears once for
     each choice of the other factors' points: the sums on block b are the
-    factor's sums times the other factors' counts.
+    factor's sums times the other factors' counts.  Closed-only records
+    give a closed-only record.
     """
 
     def side(counts: list[int], sums: list[IntVec]) -> tuple[int, IntVec]:
@@ -483,12 +493,20 @@ def _product(blocks: list[tuple[int, ...]], records: list[LatticeStats]) -> Latt
         return prod(counts), tuple(out)
 
     closed = side([r.count for r in records], [r.sums for r in records])
+    if records[0].interior is None:
+        return LatticeStats(*closed, None, None)
     inner = side([r.interior for r in records], [r.interior_sums for r in records])
     return LatticeStats(*closed, *inner)
 
 
+def fitted_dilations(dim: int) -> range:
+    """k = 0..m, m = ceil((dim+1)/2): the dilations whose records the fits
+    of :func:`ehrhart_data` read."""
+    return range((dim + 2) // 2 + 1)
+
+
 @lru_cache(maxsize=None)
-def lattice_point_stats(p: Polytope, k: int) -> LatticeStats:
+def lattice_point_stats(p: Polytope, k: int, interior: bool = True) -> LatticeStats:
     """Closed and interior counts and coordinate sums of ``k*P``.
 
     ``k = 0`` gives the single point at the origin, which has no interior.
@@ -496,6 +514,11 @@ def lattice_point_stats(p: Polytope, k: int) -> LatticeStats:
     counted through its factors, one pass each by the plans that
     :func:`_scan_plan` keeps, and at k = 1 also by one pass over P that
     must give the same record; any other is one pass.
+
+    With ``interior`` False the passes skip the interior fibers, the
+    interior fields are None, and the record must equal E(k) and S_i(k) of
+    :func:`ehrhart_data`.  Give ``interior`` only as False: the cache keys
+    ``(p, k)`` and ``(p, k, True)`` differ.
     """
     if k < 0:
         raise InvalidInput("dilation factor must be nonnegative")
@@ -504,18 +527,34 @@ def lattice_point_stats(p: Polytope, k: int) -> LatticeStats:
         return LatticeStats(1, zero, 0, zero)
     plan = _scan_plan(p)
     if not plan.factors:
-        return _pass(plan, k)
-    product = _product([block for block, _ in plan.factors], [_pass(factor, k) for _, factor in plan.factors])
-    if k == 1 and _pass(plan, 1) != product:
-        raise InternalInconsistency("the product of the factors' counts differs from the count of P at k=1")
-    return product
+        record = _pass(plan, k, interior)
+    else:
+        record = _product([block for block, _ in plan.factors], [_pass(factor, k, interior) for _, factor in plan.factors])
+        if k == 1 and _pass(plan, 1, interior) != record:
+            raise InternalInconsistency("the product of the factors' counts differs from the count of P at k=1")
+    if not interior:
+        counting, sums = ehrhart_data(p)
+        if counting.numerator_at(k) != record.count * counting.denominator:
+            raise InternalInconsistency(f"counting polynomial disagrees with the closed count read at k={k}")
+        if any(s.numerator_at(k) != x * s.denominator for s, x in zip(sums, record.sums)):
+            raise InternalInconsistency(f"coordinate-sum polynomial disagrees with the closed sums read at k={k}")
+    return record
+
+
+def closed_stats(p: Polytope, k: int) -> LatticeStats:
+    """The record read for the closed count and sums of ``k*P``: at the
+    dilations the fits read, their record; above them, a closed-only pass
+    checked against the fits (:func:`lattice_point_stats`)."""
+    if k in fitted_dilations(p.dim):
+        return lattice_point_stats(p, k)
+    return lattice_point_stats(p, k, False)
 
 
 def count_points(p: Polytope, k: int) -> int:
     """Number of lattice points of ``k*P`` for ``k >= 0``."""
     if int_value(k, "dilation factor") < 0:
         raise InvalidInput("negative dilation: use interior_count via reciprocity")
-    return lattice_point_stats(p, k).count
+    return closed_stats(p, k).count
 
 
 def interior_count(p: Polytope, k: int) -> int:
@@ -527,7 +566,7 @@ def interior_count(p: Polytope, k: int) -> int:
 
 def _fit(values: list[tuple[int, int]], degree: int, top: tuple[Fraction, Fraction], what: str) -> Polynomial:
     """The polynomial of degree ``degree`` read off one quantity's closed and
-    interior values ``values[k]`` at k = 0..dim, with top two coefficients
+    interior values ``values[k]`` at k = 0..m, with top two coefficients
     ``top``, as the module docstring says."""
     sign = (-1) ** degree
     samples = [(0, values[0][0])]
@@ -547,9 +586,10 @@ def _fit(values: list[tuple[int, int]], degree: int, top: tuple[Fraction, Fracti
 @lru_cache(maxsize=None)
 def ehrhart_data(p: Polytope) -> tuple[Polynomial, tuple[Polynomial, ...]]:
     """The counting polynomial E of P and its coordinate-sum polynomials
-    S_1..S_n, fitted on the records at k = 0..dim, read once."""
+    S_1..S_n, fitted on the records at k = 0..m, m = ceil((n+1)/2), read
+    once: 2m + 1 samples and two coefficient identities for each fit."""
     n = p.dim
-    records = [lattice_point_stats(p, k) for k in range(n + 1)]
+    records = [lattice_point_stats(p, k) for k in fitted_dilations(n)]
     geo, boundary = measure(p), facet_data(p)
     b = boundary.boundary_normalized_volume
     counting = _fit([(r.count, r.interior) for r in records], n, (geo.volume, b / 2), "counting polynomial")
@@ -588,22 +628,35 @@ class ReciprocityReport(NamedTuple):
 
 
 def reciprocity_check(p: Polytope, k_max: int) -> ReciprocityReport:
-    """Evaluate the counting polynomial at negative integers against interior
-    counts, and for reflexive polytopes against the shifted positive values.
+    """Evaluate the Ehrhart polynomials at negative integers against the
+    interior records, and for reflexive polytopes E against the shifted
+    positive counts.
 
-    Failures are reported per dilation, never raised.
+    The general entry at k holds when ``(-1)^n E(-k)`` is the interior
+    count of ``k*P`` and ``(-1)^(n+1) S_i(-k)`` its interior sum on every
+    axis.  At k <= m (:func:`fitted_dilations`) it holds by construction,
+    as :func:`ehrhart_data` fitted or checked those very samples; above m
+    it compares records no fit read.  The reflexive entry at k compares
+    ``(-1)^n E(-k)`` with the closed count at k - 1, which no fit relates:
+    it can fail at every k.  Failures are reported per dilation, never
+    raised.
     """
     if int_value(k_max, "k_max") < 1:
         raise InvalidInput("k_max must be at least 1")
-    ehr = ehrhart_polynomial(p).poly
+    ehr, sums = ehrhart_data(p)
     sign = (-1) ** p.dim
     reflexive = classify(p).reflexive
     entries = []
+    previous = lattice_point_stats(p, 0)
     for k in range(1, k_max + 1):
+        record = lattice_point_stats(p, k)
         at_neg = sign * ehr.numerator_at(-k)  # sign E(-k), times the denominator
-        general_ok = at_neg == interior_count(p, k) * ehr.denominator
-        reflexive_ok = (at_neg == count_points(p, k - 1) * ehr.denominator) if reflexive else None
+        general_ok = at_neg == record.interior * ehr.denominator and all(
+            -sign * s.numerator_at(-k) == x * s.denominator for s, x in zip(sums, record.interior_sums)
+        )
+        reflexive_ok = (at_neg == previous.count * ehr.denominator) if reflexive else None
         entries.append(ReciprocityEntry(k, general_ok, reflexive_ok))
+        previous = record
     return ReciprocityReport(tuple(entries))
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Sequence
 
-from .ehrhart import ehrhart_data, lattice_point_stats
+from .ehrhart import closed_stats, ehrhart_data
 from .errors import (
     InsufficientSamples,
     InternalInconsistency,
@@ -102,10 +102,11 @@ class ExpansionCoefficients(Immutable):
 
 
 def quantized_barycenter(p: Polytope, k: int) -> QuantizedBarycenter:
-    """Average of the lattice points of ``k*P``, divided by ``k``."""
+    """Average of the lattice points of ``k*P``, divided by ``k``, read off
+    :func:`ehrhart.closed_stats`."""
     if int_value(k, "dilation factor") < 1:
         raise InvalidInput("quantized barycenters need a positive dilation")
-    stats = lattice_point_stats(p, k)
+    stats = closed_stats(p, k)
     # the value is sums / scale: <value, normal> >= -offset, times scale
     scale = k * stats.count
     if any(dot(stats.sums, f.normal) < -f.offset * scale for f in p.facets):

@@ -45,7 +45,8 @@ inclusion-exclusion of ``divisor_polytope``s, is what the test suite
 checks the Todd evaluation against.
 
 The checks that stay independent of the fan: ``hrr_coefficients`` must
-reproduce the counts of the dilations k = 0..n, closed and interior, its
+reproduce the counts of the dilations k = 0..ceil((n+1)/2) that the fits
+read, closed and interior, its
 leading coefficient the volume and its subleading one half the boundary
 measure, both read off the face lattice; the rooftop formula must
 reproduce the coordinate-sum fits of ``barycenter_function``, and the actual
@@ -66,7 +67,7 @@ from itertools import product
 from math import comb, factorial, gcd, lcm, prod
 from typing import Iterable, NamedTuple, Sequence
 
-from .ehrhart import count_points, lattice_point_stats
+from .ehrhart import count_points, fitted_dilations, lattice_point_stats
 from .errors import (
     InternalInconsistency,
     InvalidInput,
@@ -408,7 +409,8 @@ def hrr_coefficients(t: ToricData) -> tuple[Fraction, ...]:
     """Counting-polynomial coefficients a_0..a_n from the Todd evaluation on
     the fan; the leading coefficient is asserted equal to the volume from
     the face walk, the subleading one to half the normalized boundary
-    volume, and the polynomial to the counts of the dilations k = 0..n."""
+    volume, and the polynomial to the counting records the fits read, at
+    k = 0..m, m = ceil((n+1)/2)."""
     if not classify(t.polytope).delzant:
         raise PreconditionViolation("the coefficient formula requires Delzant data")
     p = t.polytope
@@ -419,10 +421,11 @@ def hrr_coefficients(t: ToricData) -> tuple[Fraction, ...]:
     if coeffs[n - 1] != facet_data(p).boundary_normalized_volume / 2:
         raise InternalInconsistency("subleading coefficient is not half the boundary volume")
     # the counting records themselves, not E's fit, so nothing is fitted:
-    # the closed counts at k = 0..n and, by reciprocity, (-1)^n times the
-    # interior counts at -k are 2n + 1 values of a polynomial of degree n
+    # the closed counts at k = 0..m and, by reciprocity, (-1)^n times the
+    # interior counts at -k are 2m + 1 >= n + 1 values of a polynomial of
+    # degree n
     poly = Polynomial.of(coeffs)
-    for k in range(n + 1):
+    for k in fitted_dilations(n):
         r = lattice_point_stats(p, k)
         if poly(k) != r.count or k and poly(-k) != (-1) ** n * r.interior:
             raise InternalInconsistency(f"Bernoulli/mixed-volume coefficients disagree with the counts at k={k}")

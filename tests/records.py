@@ -95,7 +95,7 @@ def corpus() -> list[tuple[str, qb.Polytope]]:
 def canonical(value):
     """A JSON value of a library value: records by field name, fractions as
     ``"a/b"`` strings, tuples as lists."""
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+    if isinstance(value, (int, str)):
         return value
     if isinstance(value, Fraction):
         return str(value)

@@ -311,9 +311,9 @@ def count_passes(monkeypatch, mutate=None):
     seen = []
     real = ehrhart._pass
 
-    def counted(plan, k):
+    def counted(plan, k, interior=True):
         seen.append(k)
-        stats = real(plan, k)
+        stats = real(plan, k, interior)
         return mutate(k, stats) if mutate else stats
 
     monkeypatch.setattr(ehrhart, "_pass", counted)
@@ -331,6 +331,37 @@ def test_one_pass_per_dilation(monkeypatch, n):
     assert sorted(seen) == list(range(1, n + 1))
 
 
+@pytest.mark.parametrize("n", (5, 6))
+def test_the_anticanonical_simplex_counts_only_what_is_read(monkeypatch, tmp_path, n):
+    # {x_i >= -1, sum x_i <= 1}, moved where no other test counts: the fits
+    # read k = 1..m, m = ceil((n+1)/2), and bck --k 12 adds one pass, which
+    # skips the interior.  That pass takes seconds on the 6-simplex, so it is
+    # answered from E(12) and S(12), which the read check holds it to.
+    m = (n + 2) // 2
+    shift = next(_FRESH)
+    vertices = [tuple(shift - 1 + (n + 1) * (i == j) for i in range(n)) for j in range(n + 1)]
+    p = qb.hull_from_vertices(vertices)
+    seen = []
+    real = ehrhart._pass
+
+    def counted(plan, k, interior=True):
+        seen.append((k, interior))
+        if k != 12:
+            return real(plan, k, interior)
+        counting, sums = ehrhart.ehrhart_data(p)
+        return ehrhart.LatticeStats(int(counting(k)), tuple(int(s(k)) for s in sums), None, None)
+
+    monkeypatch.setattr(ehrhart, "_pass", counted)
+    qb.asymptotic_coefficients(p, 3)
+    assert seen == [(k, True) for k in range(1, m + 1)]
+    seen.clear()
+    document = tmp_path / "simplex.json"
+    document.write_text(json.dumps({"vertices": vertices}))
+    with redirect_stdout(io.StringIO()):
+        assert execute(["bck", "--k", "12", "--input", str(document)]) == 0
+    assert seen == [(12, False)]
+
+
 def off_by_one_at(bad_k, field, axis=None):
     def mutate(k, stats):
         if k != bad_k:
@@ -344,49 +375,75 @@ def off_by_one_at(bad_k, field, axis=None):
 
 
 # Each field of each counted dilation k = 1..n of a 4-simplex, corrupted
-# alone, must be caught.
+# alone, must be caught.  The fits read k = 0..M only.
 N = 4
+M = 3
 
 
-# The check a record corrupted at k fails first.  The samples run 0, 1, -1,
-# 2, -2, .., 4, -4: the closed value at k sits at k, the interior value at
+# The check a record corrupted at k <= M fails first.  The samples run 0, 1,
+# -1, 2, -2, 3, -3: the closed value at k sits at k, the interior value at
 # -k.  The counting fit (degree 4) passes through the first five and the
 # coordinate-sum fit (degree 5) through the first six, and each is checked
 # on the rest in that order.  A corrupted sample among the rest fails its
 # own check; one the fit passes through moves the fit off every other
 # sample, so the first of the rest fails.
-HELD_OUT_3, HELD_OUT_4 = "held-out validation at k=3", "held-out validation at k=4"
-RECIPROCITY_3, RECIPROCITY_4 = "reciprocity at k=3", "reciprocity at k=4"
+HELD_OUT_3, RECIPROCITY_3 = "held-out validation at k=3", "reciprocity at k=3"
 FIRST_MISS = {
-    "count": (HELD_OUT_3, HELD_OUT_3, HELD_OUT_3, HELD_OUT_4),
-    "interior": (HELD_OUT_3, HELD_OUT_3, RECIPROCITY_3, RECIPROCITY_4),
-    "sums": (RECIPROCITY_3, RECIPROCITY_3, RECIPROCITY_3, HELD_OUT_4),
-    "interior_sums": (RECIPROCITY_3, RECIPROCITY_3, RECIPROCITY_3, RECIPROCITY_4),
+    "count": (HELD_OUT_3, HELD_OUT_3, HELD_OUT_3),
+    "interior": (HELD_OUT_3, HELD_OUT_3, RECIPROCITY_3),
+    "sums": (RECIPROCITY_3, RECIPROCITY_3, RECIPROCITY_3),
+    "interior_sums": (RECIPROCITY_3, RECIPROCITY_3, RECIPROCITY_3),
 }
+
+
+def failed_reciprocity(p) -> list[int]:
+    """The dilations up to N + 1 whose general reciprocity entry fails."""
+    return [e.k for e in qb.reciprocity_check(p, N + 1).entries if not e.general_ok]
 
 
 @pytest.mark.parametrize("k", range(1, N + 1))
 def test_reciprocity_catches_an_interior_count_off_by_one(monkeypatch, k):
+    # above M no fit reads the interior record: reciprocity_check reports it
     count_passes(monkeypatch, off_by_one_at(k, "interior"))
+    p = fresh_simplex(N)
+    if k > M:
+        assert failed_reciprocity(p) == [k]
+        return
     with pytest.raises(qb.InternalInconsistency, match=f"counting polynomial fails {FIRST_MISS['interior'][k - 1]}"):
-        qb.ehrhart_polynomial(fresh_simplex(N))
+        qb.ehrhart_polynomial(p)
 
 
 @pytest.mark.parametrize("k", range(1, N + 1))
 def test_held_out_counts_catch_a_closed_count_off_by_one(monkeypatch, k):
-    # a count the fit passes through moves it off the first held-out count
+    # a count the fit passes through moves it off the first held-out count;
+    # above M the closed count is refused where count_points reads it
     count_passes(monkeypatch, off_by_one_at(k, "count"))
+    p = fresh_simplex(N)
+    if k > M:
+        with pytest.raises(qb.InternalInconsistency, match=f"counting polynomial disagrees with the closed count read at k={k}"):
+            qb.count_points(p, k)
+        return
     with pytest.raises(qb.InternalInconsistency, match=f"counting polynomial fails {FIRST_MISS['count'][k - 1]}"):
-        qb.ehrhart_polynomial(fresh_simplex(N))
+        qb.ehrhart_polynomial(p)
 
 
 @pytest.mark.parametrize("k", range(1, N + 1))
 @pytest.mark.parametrize("axis", range(N))
 @pytest.mark.parametrize("field", ("sums", "interior_sums"))
 def test_reciprocity_catches_a_coordinate_sum_off_by_one(monkeypatch, field, axis, k):
+    # above M the closed sums are refused where quantized_barycenter reads
+    # them, and the interior sums are reported by reciprocity_check
     count_passes(monkeypatch, off_by_one_at(k, field, axis))
+    p = fresh_simplex(N)
+    if k > M and field == "sums":
+        with pytest.raises(qb.InternalInconsistency, match=f"coordinate-sum polynomial disagrees with the closed sums read at k={k}"):
+            qb.quantized_barycenter(p, k)
+        return
+    if k > M:
+        assert failed_reciprocity(p) == [k]
+        return
     with pytest.raises(qb.InternalInconsistency, match=f"coordinate-sum polynomial fails {FIRST_MISS[field][k - 1]}"):
-        qb.barycenter_function(fresh_simplex(N))
+        qb.barycenter_function(p)
 
 
 def test_top_coefficients_alone_check_the_sums_of_a_segment(monkeypatch):
@@ -450,8 +507,8 @@ SWAP_SIMPLEX = [(0, 0, 0), (2, 0, 0), (0, 3, 0), (1, 1, 2)]
 
 
 def swap_axes_0_and_1(k, stats):
-    def swapped(v):
-        return (v[1], v[0]) + v[2:]
+    def swapped(v):  # None in a closed-only record
+        return None if v is None else (v[1], v[0]) + v[2:]
 
     return stats._replace(sums=swapped(stats.sums), interior_sums=swapped(stats.interior_sums))
 
@@ -662,9 +719,9 @@ def passes_on(monkeypatch):
     seen = []
     real = ehrhart._pass
 
-    def counted(plan, k):
+    def counted(plan, k, interior=True):
         seen.append((plan, k))
-        return real(plan, k)
+        return real(plan, k, interior)
 
     monkeypatch.setattr(ehrhart, "_pass", counted)
     return seen
@@ -734,13 +791,14 @@ def test_pass_at_k_1_catches_interior_sums_scaled_by_closed_counts(monkeypatch):
 def test_fits_catch_interior_sums_scaled_by_closed_counts_on_the_unit_5_cube(monkeypatch):
     # Every factor [0, 1] of the unit 5-cube has no interior point at k = 1,
     # so the mutant's interior sums are 0 there, as they should be, and the
-    # pass at k = 1 cannot see it.  From k = 2 on they are not, and the
-    # coordinate-sum fits' reciprocity samples catch it.
+    # pass at k = 1 cannot see it.  From k = 2 on they are not.  The fits
+    # read k = 0..3, and at n = 5 each coordinate-sum fit passes through
+    # every sample, so its leading-coefficient identity catches it.
     shift = next(_FRESH)
     p = qb.hull_from_vertices([tuple(x + shift for x in v) for v in SCAN_SHAPES["unit 5-cube"]])
     monkeypatch.setattr(ehrhart, "_product", interior_sums_by_closed_counts)
     lattice_point_stats.__wrapped__(p, 1)
-    with pytest.raises(qb.InternalInconsistency, match="coordinate-sum polynomial fails"):
+    with pytest.raises(qb.InternalInconsistency, match="coordinate-sum polynomial has leading coefficient"):
         qb.barycenter_function(p)
 
 
