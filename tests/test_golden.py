@@ -203,6 +203,25 @@ CUBE5 = (
     ";".join(",".join(str(s * (i == j)) for i in range(5)) for j in range(5) for s in (1, -1)),
     ",".join(["1"] * 10),
 )
+# Decimal renderings, as JSON and as a table: a vector, nested lists of
+# floats, a document with integers and floats side by side, a table with an
+# approximate column, and a table without one.
+APPROX_AND_TABLE = (
+    ["bck", "--input", "f1", "--k", "3", "--approx"],
+    ["expand", "--input", "fano-3-29", "--approx"],
+    ["delta-seq", "--input", "f1", "--ks", "1,2,3", "--approx"],
+    ["bc", "--input", "hexagon", "--table", "--approx"],
+    ["classify", "--input", "p2", "--table"],
+)
+# Option forms: a value attached with =, an option given twice, whose last
+# value wins, an abbreviated option name, and a negative value, which
+# argparse passes and the library refuses.
+OPTION_FORMS = (
+    ["count", "--input", "f1", "--k=3"],
+    ["count", "--input", "f1", "--k", "2", "--k", "3"],
+    ["count", "--inp", "f1", "--k", "3"],
+    ["count", "--input", "f1", "--k", "-3"],
+)
 
 
 def command_lines() -> list[list[str]]:
@@ -297,6 +316,8 @@ def command_lines() -> list[list[str]]:
     for command in (["count", "--k", "4"], ["bck", "--k", "4"]):
         lines.append([*command, "--rays", DELZANT4[1][0], "--offsets", DELZANT4[1][1]])
     lines.append(["count", "--k", "4", "--rays", QUAD_TRIANGLE[0], "--offsets", QUAD_TRIANGLE[1]])
+    lines.extend(list(argv) for argv in APPROX_AND_TABLE)
+    lines.extend(list(argv) for argv in OPTION_FORMS)
     return lines
 
 
