@@ -15,7 +15,20 @@ kept and is raised again on every call.
 
 A command line is parsed by the parser of the command it names alone; the
 top-level parser runs only when the first argument names no command, and
-reports arguments left over with its own usage.
+reports arguments left over with its own usage.  A plain line does not run
+argparse at all: it is read off a table that :func:`build_parser` takes
+from each command's own argparse actions.  A line is plain when it holds
+only exact option names of store and store_true actions, each value as
+``--opt value`` (not starting with ``-``) or ``--opt=value`` (not starting
+with ``--``), every int converting and every required option given.  Every
+other line goes to argparse unchanged: help, abbreviations, ``--``, stray
+words, negative values, ``mixed-volume``'s repeatable ``--input``, values
+that do not convert and missing options.  So argparse stays the only
+declaration of the options and the only source of help and usage text.
+
+The result document is printed by :func:`_json_text`, whose text is exactly
+``json.dumps(document, indent=2)``: json uses its C encoder only when
+``indent`` is None, and the indented layout is cheap to write directly.
 
 Exit codes: 0 on success and after printing help, 1 on any input problem
 or when the reader closes stdout early, 2 when an internal exact-identity
@@ -33,11 +46,12 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Sequence
 
 from . import data as fixtures
 from .ehrhart import count_points, ehrhart_polynomial, reciprocity_check, reflexive_closed_form
-from .errors import InternalInconsistency, InvalidInput, QbaryError
+from .errors import InternalInconsistency, InvalidInput, QbaryError, Unsupported
 from .exactnum import rational_to_json, vector_to_json
 from .expansion import (
     asymptotic_coefficients,
@@ -318,12 +332,47 @@ def _approximate(value):
     """Decimal rendering of exact "p/q" strings; everything else unchanged."""
     if isinstance(value, str) and "/" in value:
         num, den = value.split("/")
-        return float(Fraction(int(num), int(den)))
+        try:
+            return float(Fraction(int(num), int(den)))
+        except OverflowError:
+            raise Unsupported(
+                "--approx: a value lies outside the range of a float; the exact result prints without --approx"
+            ) from None
     if isinstance(value, list):
         return [_approximate(v) for v in value]
     if isinstance(value, dict):
         return {k: _approximate(v) for k, v in value.items()}
     return value
+
+
+# json's text of a str, int, bool or None, by the value's exact type
+_JSON_SCALARS = {
+    str: _json_string,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, for dicts with string keys; ``indent``
+    starts the lines of ``value``'s own level.  Any other value that is not a
+    container, a float among them, is written by ``json.dumps`` itself."""
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{_json_string(key)}: {_json_text(v, inner)}" for key, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        items = [_json_text(v, inner) for v in value]
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
 def _render_table(document: dict, approx: bool) -> str:
@@ -364,6 +413,9 @@ class _Parser(argparse.ArgumentParser):
 
     # the parser of each command by name, set on the top-level parser
     commands: dict[str, "_Parser"]
+    # what a plain line of a command can hold, set on each command's parser:
+    # the action of each exact option name, the defaults, the required dests
+    table: tuple[dict[str, argparse.Action], dict[str, object], frozenset[str]]
 
     def error(self, message: str):
         raise InvalidInput(f"{message}\n{self.format_usage().rstrip()}")
@@ -388,6 +440,61 @@ def _attach_vector_values(argv: Sequence[str]) -> list[str]:
         else:
             out.append(arg)
     return out
+
+
+def _table(parser: _Parser) -> tuple:
+    """What a plain line of the command of ``parser`` can hold, read off its
+    actions: see :attr:`_Parser.table`."""
+    actions = parser._actions
+    return (
+        {
+            name: action
+            for action in actions
+            if type(action) in (argparse._StoreAction, argparse._StoreTrueAction) and action.choices is None
+            for name in action.option_strings
+        },
+        {
+            action.dest: action.default
+            for action in actions
+            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS
+        },
+        frozenset(action.dest for action in actions if action.required),
+    )
+
+
+def _read_plain(table, words: Sequence[str]) -> dict | None:
+    """The arguments of a plain command line, read off a command's ``table``
+    as argparse would read them, or None when the line is not plain."""
+    options, defaults, required = table
+    values = dict(defaults)
+    given = set()
+    words = iter(words)
+    for word in words:
+        name, attached, value = word.partition("=")
+        action = options.get(name)
+        if action is None:
+            return None
+        if action.nargs == 0:
+            if attached:
+                return None
+            value = action.const
+        else:
+            # argparse reads a separate word that starts with - as an option
+            # or a negative number, and drops an attached --
+            if not attached:
+                value = next(words, None)
+                if value is None or value.startswith("-"):
+                    return None
+            elif value.startswith("--"):
+                return None
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except (TypeError, ValueError):
+                    return None
+        values[action.dest] = value
+        given.add(action.dest)
+    return values if required <= given else None
 
 
 def build_parser() -> _Parser:
@@ -442,6 +549,8 @@ def build_parser() -> _Parser:
     cmd = add("fan", help="rooftop fan rays and canonical offset")
     cmd.add_argument("--v", required=True)
     parser.commands = sub.choices
+    for cmd in sub.choices.values():
+        cmd.table = _table(cmd)
     return parser
 
 
@@ -467,9 +576,10 @@ _parser: _Parser | None = None
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """The arguments of a command line, parsed by the parser of the command
-    that ``argv[0]`` names.  The top-level parser runs only when it names
-    none, to report that or print help, and reports arguments left over."""
+    """The arguments of a command line: a plain line read off the table of
+    the command that ``argv[0]`` names, any other parsed by that command's
+    parser.  The top-level parser runs only when it names none, to report
+    that or print help, and reports arguments left over."""
     # built on the first call, so that importing the module stays cheap, and
     # reused by every later one
     global _parser
@@ -479,6 +589,9 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     command = _parser.commands.get(argv[0]) if argv else None
     if command is None:
         return _parser.parse_args(argv)
+    values = _read_plain(command.table, argv[1:])
+    if values is not None:
+        return argparse.Namespace(command=argv[0], **values)
     args, extras = command.parse_known_args(argv[1:])
     if extras:
         _parser.error(f"unrecognized arguments: {' '.join(extras)}")
@@ -504,7 +617,7 @@ def execute(argv: Sequence[str]) -> int:
         if args.table:
             print(_render_table(document, args.approx))
         else:
-            print(json.dumps(document, indent=2))
+            print(_json_text(document))
         return 0
     except _HelpShown as exc:
         return exc.status

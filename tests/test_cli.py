@@ -11,6 +11,8 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qbary.cli
 from qbary.cli import execute, main
@@ -394,9 +396,97 @@ def test_a_warm_command_decodes_nothing_and_runs_one_parser(tmp_path, capsys, mo
     for name, command in (("qbary", parser), *parser.commands.items()):
         spy(monkeypatch, command, "parse_known_args", parsed, name)
     assert run(capsys, *argv) == cold
-    assert decoded == [] and parsed == ["fan"]
-    # the one object encoded is the result printed
-    assert [doc["command"] for doc in encoded] == ["fan"]
+    # the plain line is read off the command's table and the result printed
+    # by the direct writer: no argparse parser runs, nothing is encoded
+    assert decoded == [] and parsed == [] and encoded == []
+
+
+# One plain line of each command but mixed-volume, whose repeatable --input
+# argparse reads.
+PLAIN_LINES = (
+    ["count", "--k", "3"],
+    ["bck", "--k=2"],
+    ["bc", "--table", "--approx"],
+    ["ehrhart"],
+    ["reciprocity", "--kmax", "3"],
+    ["expand", "--order", "2", "--approx"],
+    ["rooftop", "--v", "-1,2"],
+    ["classify", "--table"],
+    ["hrr"],
+    ["rooftop-coeffs", "--v", "1,1"],
+    ["delta", "--k", "2"],
+    ["delta-seq", "--ks", "1,2", "--order", "3"],
+    ["df", "--v", "1,1", "--order", "2"],
+    ["fan", "--v=-1,0"],
+)
+
+
+def test_a_plain_line_of_each_command_runs_no_argparse_parser(capsys, monkeypatch):
+    assert sorted(line[0] for line in PLAIN_LINES) == sorted(qbary.cli._HANDLERS)
+    lines = [[*line, "--input", "f1"] for line in PLAIN_LINES]
+    # what argparse gives, with the table turned off
+    with monkeypatch.context() as patch:
+        patch.setattr(qbary.cli, "_read_plain", lambda table, words: None)
+        by_argparse = [run(capsys, *argv) for argv in lines]
+    parsed = []
+    parser = qbary.cli._parser
+    for name, command in (("qbary", parser), *parser.commands.items()):
+        spy(monkeypatch, command, "parse_known_args", parsed, name)
+    assert [run(capsys, *argv) for argv in lines] == by_argparse
+    assert all(code == 0 for code, _, _ in by_argparse)
+    assert parsed == []
+
+
+# any code point, lone surrogates included, and the characters json escapes
+JSON_STRINGS = st.text(
+    st.one_of(st.characters(blacklist_categories=()), st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800\udfffé☃'))
+)
+JSON_DOCUMENTS = st.recursive(
+    st.one_of(
+        JSON_STRINGS,
+        st.integers(),
+        st.integers(-(2**200), 2**200),
+        st.booleans(),
+        st.none(),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(JSON_STRINGS, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_DOCUMENTS)
+def test_the_writer_prints_what_json_dumps_prints(doc):
+    assert qbary.cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_a_name_of_any_characters_prints_as_json_dumps_prints_it(tmp_path, capsys):
+    name = 'Fläche "☃"\\\t\x01\u2028\ud800'
+    path = tmp_path / "named.json"
+    # json.dumps escapes the lone surrogate, so the file is valid UTF-8
+    path.write_text(json.dumps({"name": name, "vertices": [[0, 0], [1, 0], [0, 1]]}))
+    code, out, err = run(capsys, "bc", "--input", str(path))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["input"] == name
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
+# The triangle {x >= -1, y >= -1, x + y <= 10^400 + 1} of side
+# M = 10^400 + 3, whose volume M^2 / 2 has no float.
+BEYOND_FLOATS = ("bc", "--rays", "1,0;0,1;-1,-1", "--offsets", f"1,1,{10**400 + 1}")
+
+
+@pytest.mark.parametrize("table", ((), ("--table",)), ids=("json", "table"))
+def test_approx_beyond_the_range_of_a_float_is_refused(capsys, table):
+    code, out, err = run(capsys, *BEYOND_FLOATS, "--approx", *table)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --approx: ") and err.count("\n") == 1
+    code, out, err = run(capsys, *BEYOND_FLOATS, *table)
+    assert (code, err) == (0, "")
+    side = 10**400 + 3
+    assert f'"{side**2}/2"' in out
 
 
 @pytest.mark.parametrize(

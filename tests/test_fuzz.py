@@ -18,10 +18,11 @@ rows, ragged rows, polytopes and hostile values in every argument slot.
 A ``Body`` is one more hostile value: only ``body_from_points`` makes one,
 and every operation of the layer refuses it.
 
-A command line is parsed by its command's parser alone; argument vectors
-drawn from command names, every option name, abbreviations, integers,
-vectors and stray tokens must parse to what the top-level parser gives, or
-be refused with the same message.
+A command line is read off its command's table, or parsed by its command's
+parser alone; argument vectors drawn from command names, every option name,
+abbreviations, integers, vectors and stray tokens, and a fixed list of
+lines at the edges of the table, must parse to what the top-level parser
+gives, or be refused with the same message.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -323,3 +325,37 @@ def test_a_command_parses_alone_as_under_the_top_level_parser(line, tokens):
         alone = _parsed(qbary.cli._parse, argv)
         whole = _parsed(lambda a: qbary.cli._parser.parse_args(qbary.cli._attach_vector_values(a)), argv)
         assert alone == whole, argv
+
+
+# Lines at the edges of the table, each compared the same way, and whether
+# the table reads it (True) or leaves it to argparse (False).
+EDGE_LINES = (
+    (["count", "--input", "f1", "--k=3"], True),
+    (["count", "--input", "f1", "--k", "2", "--k", "3"], True),
+    (["count", "--input=", "--k", "1"], True),
+    (["bc", "--rays", "", "--offsets", "1,1,1"], True),
+    (["bc", "--input", "p2", "--table", "--table"], True),
+    (["count", "--input", "f1", "--k", "\uff13"], True),
+    (["count", "--input", "f1", "--k", "1_0"], True),
+    (["df", "--input", "f1", "--v", "-1,2"], True),
+    (["count", "--input=-x", "--k", "1"], True),
+    (["bc", "--input", "p2", "--approx=1"], False),
+    (["bc", "--input", "p2", "--table="], False),
+    (["count", "--input", "f1", "--k", "3", "-h"], False),
+    (["count", "--input", "f1", "--k", "-3"], False),
+    (["count", "--input=--", "--k", "1"], False),
+    (["count", "--input", "f1", "--k"], False),
+    (["count", "--input", "f1"], False),
+    (["count", "--input", "f1", "--k", "3", "--"], False),
+    (["count", "--input", "f1", "--k", "x3"], False),
+    (["mixed-volume", "--input", "p2", "--input", "f1"], False),
+)
+
+
+@pytest.mark.parametrize("argv, plain", EDGE_LINES, ids=[" ".join(argv) for argv, _ in EDGE_LINES])
+def test_an_edge_line_parses_alone_as_under_the_top_level_parser(argv, plain):
+    alone = _parsed(qbary.cli._parse, argv)
+    whole = _parsed(lambda a: qbary.cli._parser.parse_args(qbary.cli._attach_vector_values(a)), argv)
+    assert alone == whole
+    words = qbary.cli._attach_vector_values(argv)[1:]
+    assert (qbary.cli._read_plain(qbary.cli._parser.commands[argv[0]].table, words) is not None) == plain
