@@ -222,6 +222,16 @@ OPTION_FORMS = (
     ["count", "--inp", "f1", "--k", "3"],
     ["count", "--input", "f1", "--k", "-3"],
 )
+# Inputs by fixture name with .json, and a name that is neither a file nor a
+# fixture; a table on a 3-D fixture; a fixture read by expand; and a mixed
+# volume whose slots name a fixture with and without .json.
+INPUT_FORMS = (
+    ["classify", "--input", "f1.json"],
+    ["bc", "--input", "cube3.json", "--table"],
+    ["expand", "--input", "hexagon.json", "--order", "2"],
+    ["mixed-volume", "--input", "p2.json", "--input", "f1"],
+    ["classify", "--input", "no-such-fixture"],
+)
 
 
 def command_lines() -> list[list[str]]:
@@ -318,6 +328,7 @@ def command_lines() -> list[list[str]]:
     lines.append(["count", "--k", "4", "--rays", QUAD_TRIANGLE[0], "--offsets", QUAD_TRIANGLE[1]])
     lines.extend(list(argv) for argv in APPROX_AND_TABLE)
     lines.extend(list(argv) for argv in OPTION_FORMS)
+    lines.extend(list(argv) for argv in INPUT_FORMS)
     return lines
 
 
