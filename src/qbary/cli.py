@@ -5,12 +5,12 @@ Reads polytopes or ray data from JSON documents (or inline ``--rays`` /
 JSON (default) or an aligned table (``--table``).  All printed numbers are
 exact; ``--approx`` adds a clearly marked display-only decimal rendering.
 
-One process resolves each document once: an ``--input`` document is keyed
-by its canonical JSON, and the last 64 keys keep their polytope and toric
-data, so a session of commands on one document builds them on the first
-command only.  The file is read on every call, and the last 64 texts read
-map to their keys, so a text read before is not decoded again.  The key is
-the content, so an edited file is never served stale; a refusal is not
+One process resolves each document once: the text of an ``--input`` file,
+or of the bundled fixture of that name, is the key of one cache, whose last
+64 texts keep their polytope and toric data, so a session of commands on
+one document, ``mixed-volume``'s inputs among them, decodes it and builds
+them on the first command only.  The file is read on every call and the
+key is its text, so an edited file is never served stale; a refusal is not
 kept and is raised again on every call.
 
 A command line is parsed by the parser of the command it names alone; the
@@ -30,11 +30,12 @@ The result document is printed by :func:`_json_text`, whose text is exactly
 ``json.dumps(document, indent=2)``: json uses its C encoder only when
 ``indent`` is None, and the indented layout is cheap to write directly.
 
-Exit codes: 0 on success and after printing help, 1 on any input problem
-or when the reader closes stdout early, 2 when an internal exact-identity
-check failed (two routes that must agree disagreed).  Help returns its
-status from :func:`execute` like any other outcome, so it never ends an
-in-process caller.
+Exit codes: 0 on success and after printing help, 1 on any input problem,
+on an integer of more digits than Python converts to or from text, or when
+the reader closes stdout early, 2 when an internal exact-identity check
+failed (two routes that must agree disagreed).  Help returns its status
+from :func:`execute` like any other outcome, so it never ends an in-process
+caller.
 """
 
 from __future__ import annotations
@@ -83,31 +84,25 @@ from .toric import (
 # ---------------------------------------------------------------------------
 # input plumbing
 
-def _document_key(path: str) -> str:
-    """Canonical JSON of the document in file ``path``, or of the bundled
-    fixture of that name when there is no such file.  A text read before is
-    looked up, so it is not decoded and encoded again."""
+def _document(path: str) -> tuple[Polytope, ToricData, str | None]:
+    """Polytope, toric data and name of the document in file ``path``, or in
+    the bundled fixture of that name when there is no such file."""
     try:
         with open(path) as fh:
             text = fh.read()
     except FileNotFoundError:
         try:
-            doc = fixtures.fixture_document(path.removesuffix(".json"))
+            text = fixtures.fixture_text(path.removesuffix(".json"))
         except InvalidInput:
             raise InvalidInput(f"no such input file or fixture: {path}") from None
-        return _canonical(doc)
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from None
     try:
-        return _text_key(text)
+        return _resolve_document(text)
     except json.JSONDecodeError as exc:
         raise InvalidInput(
             f"malformed JSON in {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
-
-
-def _canonical(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
@@ -132,28 +127,17 @@ def _resolve_input(args) -> tuple[Polytope, ToricData, str | None]:
         return t.polytope, t, None
     if args.input is None:
         raise InvalidInput("an input is required (--input FILE or --rays/--offsets)")
-    return _resolve_document(_document_key(args.input))
+    return _document(args.input)
 
 
-# Documents resolved in this process, keyed by their content, so that a
-# session of commands on one document builds its polytope once; and the
-# canonical keys of as many file texts, so that reading a file again costs
-# a read and two lookups.
-_RESOLVED_DOCUMENTS = 64
-
-
-@lru_cache(maxsize=_RESOLVED_DOCUMENTS)
-def _text_key(text: str) -> str:
-    """Canonical JSON of the document with JSON text ``text``.  Malformed
-    text raises ``json.JSONDecodeError`` again on every call."""
-    return _canonical(json.loads(text))
-
-
-@lru_cache(maxsize=_RESOLVED_DOCUMENTS)
-def _resolve_document(key: str) -> tuple[Polytope, ToricData, str | None]:
-    """Polytope, toric data and name of the document with canonical JSON
-    ``key``.  A refusal raises again on every call, as nothing is cached."""
-    doc = json.loads(key)
+@lru_cache(maxsize=64)
+def _resolve_document(text: str) -> tuple[Polytope, ToricData, str | None]:
+    """Polytope, toric data and name of the document with JSON text ``text``.
+    The last 64 texts resolved in this process are kept, so a session of
+    commands on one document, ``mixed-volume``'s among them, decodes it and
+    builds its polytope on the first command only.  A refusal or malformed
+    text raises again on every call, as nothing is cached."""
+    doc = json.loads(text)
     polytope, name = polytope_from_document(doc)
     if "normals" in doc:
         t = toric_data(doc["normals"], doc["offsets"], polytope=polytope)
@@ -246,10 +230,7 @@ def _cmd_classify(args, p: Polytope, t: ToricData) -> dict:
 def _cmd_mixed_volume(args) -> dict:
     if args.input is None:
         raise InvalidInput("mixed-volume needs one --input per argument slot")
-    polytopes = []
-    for path in args.input:
-        polytope, _ = polytope_from_document(json.loads(_document_key(path)))
-        polytopes.append(polytope)
+    polytopes = [_document(path)[0] for path in args.input]
     mults = (
         list(_parse_vector(args.multiplicities))
         if args.multiplicities is not None
@@ -626,6 +607,17 @@ def execute(argv: Sequence[str]) -> int:
         return 2
     except QbaryError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        # Python converts an integer to or from text only up to a number of
+        # digits; any other ValueError is a defect and keeps its traceback
+        if "integer string conversion" not in str(exc):
+            raise
+        print(
+            f"error: an integer has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit of integer string conversion (sys.set_int_max_str_digits)",
+            file=sys.stderr,
+        )
         return 1
 
 

@@ -14,28 +14,30 @@ from .errors import InvalidInput
 from .polytope import Polytope, polytope_from_document
 
 
-def _fixture_dir():
-    return resources.files("qbary").joinpath("fixtures")
+_FIXTURES = resources.files("qbary").joinpath("fixtures")
 
 
 def fixture_names() -> tuple[str, ...]:
     names = sorted(
         entry.name[: -len(".json")]
-        for entry in _fixture_dir().iterdir()
+        for entry in _FIXTURES.iterdir()
         if entry.name.endswith(".json")
     )
     return tuple(names)
 
 
-def fixture_document(name: str) -> dict:
-    entry = _fixture_dir().joinpath(f"{name}.json")
+def fixture_text(name: str) -> str:
+    """The JSON text of the fixture ``name``."""
     try:
-        text = entry.read_text()
-    except FileNotFoundError:
+        return _FIXTURES.joinpath(f"{name}.json").read_text()
+    except OSError:
         raise InvalidInput(
             f"unknown fixture {name!r}; available: {', '.join(fixture_names())}"
         ) from None
-    return json.loads(text)
+
+
+def fixture_document(name: str) -> dict:
+    return json.loads(fixture_text(name))
 
 
 def load_fixture(name: str) -> Polytope:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import qbary.cli
 from qbary.cli import execute, main
-from qbary.data import fixture_document
+from qbary.data import fixture_document, fixture_text
 
 from conftest import count_hulls
 
@@ -361,15 +361,22 @@ def test_an_edited_document_is_not_served_stale(tmp_path, capsys):
     assert volumes == [1, 4]
 
 
-def test_a_fixture_and_a_file_of_the_same_content_share_one_entry(tmp_path, capsys):
-    path = write_document(tmp_path / "copy.json", fixture_document("f1"))
+def test_a_document_is_keyed_by_its_text(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     qbary.cli._resolve_document.cache_clear()
+    # a fixture named with and without .json is one text: one miss, one hit
     _, by_name, _ = run(capsys, "classify", "--input", "f1")
-    hits = qbary.cli._resolve_document.cache_info().hits
-    _, by_path, _ = run(capsys, "classify", "--input", path)
+    _, by_file_name, _ = run(capsys, "classify", "--input", "f1.json")
     info = qbary.cli._resolve_document.cache_info()
-    assert (info.hits, info.misses) == (hits + 1, 1)
-    assert by_path == by_name
+    assert (info.hits, info.misses) == (1, 1)
+    # a reformatted copy is another text, so its own entry, printing the same
+    path = tmp_path / "copy.json"
+    path.write_text(json.dumps(fixture_document("f1"), indent=4))
+    assert path.read_text() != fixture_text("f1")
+    _, by_path, _ = run(capsys, "classify", "--input", str(path))
+    info = qbary.cli._resolve_document.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
+    assert by_path == by_file_name == by_name
 
 
 def spy(monkeypatch, target, attr: str, calls: list, label: str | None = None) -> None:
@@ -383,10 +390,9 @@ def spy(monkeypatch, target, attr: str, calls: list, label: str | None = None) -
     monkeypatch.setattr(target, attr, call)
 
 
-def test_a_warm_command_decodes_nothing_and_runs_one_parser(tmp_path, capsys, monkeypatch):
-    path = write_document(tmp_path / "f1.json", fixture_document("f1"))
-    argv = ("fan", "--input", path, "--v", "-1,2")
-    # the first run builds the parser and resolves the document
+def warm_calls(capsys, monkeypatch, argv) -> tuple[list, list, list]:
+    """What a second run of ``argv`` decodes, encodes and parses, after the
+    first has built the parser and resolved the documents."""
     cold = run(capsys, *argv)
     assert cold[0] == 0
     decoded, encoded, parsed = [], [], []
@@ -396,9 +402,50 @@ def test_a_warm_command_decodes_nothing_and_runs_one_parser(tmp_path, capsys, mo
     for name, command in (("qbary", parser), *parser.commands.items()):
         spy(monkeypatch, command, "parse_known_args", parsed, name)
     assert run(capsys, *argv) == cold
+    return decoded, encoded, parsed
+
+
+def test_a_warm_command_decodes_nothing_and_runs_one_parser(tmp_path, capsys, monkeypatch):
+    path = write_document(tmp_path / "f1.json", fixture_document("f1"))
+    decoded, encoded, parsed = warm_calls(capsys, monkeypatch, ("fan", "--input", path, "--v", "-1,2"))
     # the plain line is read off the command's table and the result printed
     # by the direct writer: no argparse parser runs, nothing is encoded
     assert decoded == [] and parsed == [] and encoded == []
+
+
+def test_a_warm_command_on_a_fixture_decodes_nothing(capsys, monkeypatch):
+    decoded, encoded, parsed = warm_calls(capsys, monkeypatch, ("fan", "--input", "f1", "--v", "-1,2"))
+    assert decoded == [] and parsed == [] and encoded == []
+
+
+def test_a_warm_mixed_volume_builds_no_hull_for_its_inputs(tmp_path, capsys, monkeypatch):
+    path = write_document(tmp_path / "hexagon.json", fixture_document("hexagon"))
+    argv = ("mixed-volume", "--input", path, "--input", "f1")
+    qbary.cli._resolve_document.cache_clear()
+    calls = count_hulls(monkeypatch)
+    cold = run(capsys, *argv)
+    assert cold[0] == 0
+    built = len(calls)
+    calls.clear()
+    assert run(capsys, *argv) == cold
+    warm = len(calls)
+    # the one hull left is the Minkowski sum's, which mixed_volume builds
+    # itself on every call
+    slots = [(qbary.load_fixture(name), 1) for name in ("hexagon", "f1")]
+    calls.clear()
+    qbary.mixed_volume(slots)
+    assert built > warm == len(calls)
+    decoded, _, _ = warm_calls(capsys, monkeypatch, argv)
+    assert decoded == []
+
+
+def test_mixed_volume_refuses_a_redundant_half_space_as_bc_does(tmp_path, capsys):
+    doc = {"normals": [[1, 0], [0, 1], [-1, -1], [1, 1]], "offsets": [1, 1, 1, 5]}
+    path = write_document(tmp_path / "redundant.json", doc)
+    code, out, err = run(capsys, "mixed-volume", "--input", path, "--multiplicities", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: ray data contains redundant or non-facet inequalities\n"
+    assert run(capsys, "bc", "--input", path) == (code, out, err)
 
 
 # One plain line of each command but mixed-volume, whose repeatable --input
@@ -487,6 +534,40 @@ def test_approx_beyond_the_range_of_a_float_is_refused(capsys, table):
     assert (code, err) == (0, "")
     side = 10**400 + 3
     assert f'"{side**2}/2"' in out
+
+
+# Integers beyond the 4300 digits that Python converts to or from text by
+# default: a coordinate of 4401 digits in a document, and the triangle
+# {x >= -1, y >= -1, x + y <= 10^2200 + 1}, whose volume and count at k = 1
+# have about 4400 digits.
+BIG_COORDINATE = '{"vertices": [[0, 0], [1' + "0" * 4400 + ', 0], [0, 1]]}'
+BIG_TRIANGLE = ("--rays", "1,0;0,1;-1,-1", "--offsets", f"1,1,{10**2200 + 1}")
+
+
+@pytest.mark.parametrize("table", ((), ("--table",)), ids=("json", "table"))
+@pytest.mark.parametrize(
+    "argv",
+    (("bc", "--input", "big.json"), ("bc", *BIG_TRIANGLE), ("count", "--k", "1", *BIG_TRIANGLE)),
+    ids=("coordinate", "volume", "count"),
+)
+def test_an_integer_beyond_the_digit_limit_is_an_input_error(argv, table, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.json").write_text(BIG_COORDINATE)
+    code, out, err = run(capsys, *argv, *table)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: an integer has more than 4300 digits, "
+        "the limit of integer string conversion (sys.set_int_max_str_digits)\n"
+    )
+
+
+def test_any_other_value_error_keeps_its_traceback(capsys, monkeypatch):
+    def defect(*args):
+        raise ValueError("a library defect")
+
+    monkeypatch.setitem(qbary.cli._HANDLERS, "classify", defect)
+    with pytest.raises(ValueError, match="a library defect"):
+        execute(["classify", "--input", "f1"])
 
 
 @pytest.mark.parametrize(
