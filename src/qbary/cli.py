@@ -132,11 +132,10 @@ def _resolve_input(args) -> tuple[Polytope, ToricData, str | None]:
 
 @lru_cache(maxsize=64)
 def _resolve_document(text: str) -> tuple[Polytope, ToricData, str | None]:
-    """Polytope, toric data and name of the document with JSON text ``text``.
-    The last 64 texts resolved in this process are kept, so a session of
-    commands on one document, ``mixed-volume``'s among them, decodes it and
-    builds its polytope on the first command only.  A refusal or malformed
-    text raises again on every call, as nothing is cached."""
+    """Polytope, toric data and name of the document with JSON text ``text``,
+    the one cache by which every ``--input`` is resolved, ``mixed-volume``'s
+    included.  A refusal or malformed text raises again on every call, as
+    nothing is cached."""
     doc = json.loads(text)
     polytope, name = polytope_from_document(doc)
     if "normals" in doc:

@@ -407,15 +407,13 @@ def warm_calls(capsys, monkeypatch, argv) -> tuple[list, list, list]:
 
 def test_a_warm_command_decodes_nothing_and_runs_one_parser(tmp_path, capsys, monkeypatch):
     path = write_document(tmp_path / "f1.json", fixture_document("f1"))
-    decoded, encoded, parsed = warm_calls(capsys, monkeypatch, ("fan", "--input", path, "--v", "-1,2"))
-    # the plain line is read off the command's table and the result printed
-    # by the direct writer: no argparse parser runs, nothing is encoded
-    assert decoded == [] and parsed == [] and encoded == []
-
-
-def test_a_warm_command_on_a_fixture_decodes_nothing(capsys, monkeypatch):
-    decoded, encoded, parsed = warm_calls(capsys, monkeypatch, ("fan", "--input", "f1", "--v", "-1,2"))
-    assert decoded == [] and parsed == [] and encoded == []
+    # a file and a fixture name alike: the text read is the key, and the plain
+    # line is read off the command's table and the result printed by the
+    # direct writer, so nothing is decoded or encoded and no parser runs
+    for source in (path, "f1"):
+        with monkeypatch.context() as patch:
+            decoded, encoded, parsed = warm_calls(capsys, patch, ("fan", "--input", source, "--v", "-1,2"))
+        assert decoded == [] and parsed == [] and encoded == []
 
 
 def test_a_warm_mixed_volume_builds_no_hull_for_its_inputs(tmp_path, capsys, monkeypatch):
@@ -586,6 +584,12 @@ def test_a_refused_document_fails_the_same_way_twice(text, tmp_path, capsys):
     first = run(capsys, "classify", "--input", str(path))
     assert first[0] == 1 and first[1] == "" and first[2].startswith("error:")
     assert run(capsys, "classify", "--input", str(path)) == first
+
+
+def test_a_name_under_a_fixture_file_is_no_such_input(tmp_path, capsys, monkeypatch):
+    # the fixture looked up is fixtures/f1.json/x.json, below a file
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "classify", "--input", "f1.json/x") == (1, "", "error: no such input file or fixture: f1.json/x\n")
 
 
 def test_a_file_that_is_not_text_is_an_input_error(tmp_path, capsys):
