@@ -8,9 +8,10 @@ fiber above y is ``-a(y)..b(y)``, where ``a(y)`` is the least of the floors
 same over those above.  The row's count and sums are sums of a, b, y a,
 y b, a^2 and b^2.  At the breakpoints of the two lower envelopes, found by
 integer cross-multiplication, they split into floor sums, each solved by a
-Euclid-like recursion, or as an arithmetic series when c divides s.  The
-interior fiber is the same with every slack lowered by 1, on the range of y
-where the two real interior envelopes sum to at least 0.  So a row costs
+Euclid-like recursion, or as an arithmetic series when c divides s
+(:mod:`qbary.lattice`).  The interior fiber is the same with every slack
+lowered by 1, on the range of y where the two real interior envelopes sum
+to at least 0.  So a row costs
 O(facets + envelope pieces) whatever its length, and a pass visits the
 lattice points of the projection of ``k*P`` onto the first ``dim - 2`` scan
 coordinates, about ``k^(dim-2)`` times that projection's volume; in
@@ -56,7 +57,8 @@ fit of degree d passes through the first d+1 of these 2m + 1 >= dim + 1
 samples, in the order 0, 1, -1, 2, -2, .., and must match the others, and
 its top two coefficients must equal measures that do not count: the
 volume and half the normalized boundary volume for E, the moment
-``vol Bc_i`` and half the boundary moment ``B bBc_i / 2`` for S_i.  A
+``vol Bc_i`` and half the boundary moment ``B bBc_i / 2`` for S_i,
+compared in integers by cross-multiplying numerators and denominators.  A
 wrong fitted sample changes the leading coefficient, so these identities
 check the fitted samples too; each S_i has no sample to spare at odd dim.
 Any mismatch raises ``InternalInconsistency``: counting is exact and
@@ -71,13 +73,14 @@ before it is returned, so no record above m reaches output unchecked.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
-from math import prod
+from functools import lru_cache
+from math import factorial, prod
 from typing import Literal, NamedTuple
 
 from .errors import InternalInconsistency, InvalidInput, Unsupported
 from .exactnum import Polynomial, poly_fit
 from .hull import convex_hull
+from .lattice import _by_slope, _envelope, _floor_sums, _meet, _nonnegative, _piece_sums
 from .linalg import IntVec, int_value
 from .polytope import Polytope, _split_of, classify, facet_data, measure
 
@@ -120,12 +123,23 @@ class _ScanPlan(NamedTuple):
     ``factors`` is empty, or for a product of coordinate blocks of
     dimension 4 or more, one ``(block, plan)`` per factor: the axes of P it
     lies on and its own plan.
+
+    The setup that a pass derives from the plan, whatever k, is built by
+    :func:`_pass_setup` and kept for the last few plans counted only.
     """
 
     order: tuple[int, ...]
     first: tuple[int, int]
     bounds: tuple[_Bounds, ...]
     factors: tuple[tuple[tuple[int, ...], _ScanPlan], ...] = ()
+
+
+def _shadow_weights(p: Polytope) -> list[int]:
+    """``(dim-1)! shadow_i`` for each axis (:func:`_shadows`), in integers:
+    ``(dim-1)! nvol(F)`` is an integer for every facet F."""
+    unit = factorial(p.dim - 1)
+    weights = [(fm.normal, (v := fm.normalized_volume).numerator * (unit // v.denominator)) for fm in facet_data(p).facets]
+    return [sum(u[i] * w for u, w in weights if u[i] > 0) for i in range(p.dim)]
 
 
 def _shadows(p: Polytope) -> list[Fraction]:
@@ -136,11 +150,8 @@ def _shadows(p: Polytope) -> list[Fraction]:
     cover that projection once, and a facet with primitive normal u, whose
     Euclidean area is ``nvol(F) |u|``, covers ``|u[i]| / |u|`` of it.
     """
-    facets = facet_data(p).facets
-    return [
-        sum(fm.normal[i] * fm.normalized_volume for fm in facets if fm.normal[i] > 0)
-        for i in range(p.dim)
-    ]
+    unit = factorial(p.dim - 1)
+    return [Fraction(w, unit) for w in _shadow_weights(p)]
 
 
 def _plan(p: Polytope, order: tuple[int, ...], blocks: list[tuple[int, ...]]) -> _ScanPlan:
@@ -178,8 +189,8 @@ def _scan_plan(p: Polytope) -> _ScanPlan:
     P's shadows on a block are the factor's times the other factors'
     volumes, so a factor is planned in P's order restricted to its block.
     """
-    shadows = _shadows(p)
-    order = tuple(sorted(range(p.dim), key=lambda i: (-shadows[i], i)))
+    weights = _shadow_weights(p)
+    order = tuple(sorted(range(p.dim), key=lambda i: (-weights[i], i)))
     split = _split_of(p)
     plan = _plan(p, order, [block for block, _, _ in split] or [tuple(range(p.dim))])
     if not split:
@@ -200,151 +211,40 @@ class LatticeStats(NamedTuple):
     interior_sums: IntVec
 
 
-def _euclid(a: int, b: int, c: int, n: int) -> tuple[int, int, int]:
-    """Sums over ``i = 0..n`` of ``t``, ``i t`` and ``t^2`` for
-    ``t = (a i + b) // c``, with ``a, b >= 0`` and ``c > 0``.
+@lru_cache(maxsize=8)
+def _pass_setup(plan: _ScanPlan) -> tuple:
+    """What every pass by ``plan`` reads, whatever k (:func:`_pass`): P's
+    facets by their role along a row, and the moves and limits of the outer
+    scan coordinates.
 
-    Euclid-like: reducing ``a`` and ``b`` mod ``c`` peels off polynomial
-    sums, and then counting the lattice points under the line by rows
-    instead of columns swaps the roles of ``a`` and ``c``.
+    It is kept for the last 8 plans counted, so the passes of one polytope,
+    or of the at most 7 factors of a product and the product itself, build
+    it once.  The plan does not hold it: that would keep it for every
+    polytope counted, about 1.8 KB more on a 4-simplex.
     """
-    if a >= c or b >= c:
-        qa, a = divmod(a, c)
-        qb, b = divmod(b, c)
-        f, g, h = _euclid(a, b, c, n)
-        s1 = n * (n + 1) // 2
-        s2 = s1 * (2 * n + 1) // 3
-        return (
-            f + qa * s1 + qb * (n + 1),
-            g + qa * s2 + qb * s1,
-            h + qa * qa * s2 + qb * qb * (n + 1) + 2 * (qa * qb * s1 + qb * f + qa * g),
-        )
-    m = (a * n + b) // c
-    if not m:
-        return 0, 0, 0
-    f1, g1, h1 = _euclid(c, c - b - 1, a, m - 1)
-    f = n * m - f1
-    return f, (m * n * (n + 1) - h1 - f1) // 2, n * m * (m + 1) - 2 * (g1 + f1) - f
-
-
-def _floor_sums(r: int, s: int, c: int, lo: int, hi: int) -> tuple[int, int, int]:
-    """Sums over ``y = lo..hi`` (maybe empty) of ``q``, ``y q`` and ``q^2`` for
-    ``q = (r + s y) // c``, ``c > 0``: an arithmetic series when ``c``
-    divides ``s``, and otherwise one plus :func:`_euclid`'s remainder."""
-    n = hi - lo + 1
-    if n < 1:
-        return 0, 0, 0
-    if not s:
-        q = r // c
-        return q * n, q * (lo + hi) * n // 2, q * q * n
-    alpha, s1 = divmod(s, c)
-    beta, b1 = divmod(r + s * lo, c)
-    # q at y = lo + i is alpha i + beta + (s1 i + b1) // c, with i = 0..n-1
-    i1 = n * (n - 1) // 2
-    i2 = i1 * (2 * n - 1) // 3
-    sq = alpha * i1 + beta * n
-    siq = alpha * i2 + beta * i1
-    sqq = alpha * alpha * i2 + 2 * alpha * beta * i1 + beta * beta * n
-    if s1:
-        f, g, h = _euclid(s1, b1, c, n - 1)
-        sq += f
-        siq += g
-        sqq += h + 2 * (alpha * g + beta * f)
-    return sq, siq + lo * sq, sqq
-
-
-# lines (f, s, c) with c > 0 by decreasing slope s / c
-_by_slope = cmp_to_key(lambda u, v: v[1] * u[2] - u[1] * v[2])
-
-
-def _envelope(
-    lines: list[tuple[int, int, int]], slack: list[int], shift: int, lo: int, hi: int
-) -> list[tuple[int, int, int, int]]:
-    """Pieces ``(s, c, r, start)`` of ``min_f (slack[f] - shift + s y) // c``
-    over ``y = lo..hi``, for lines ``(f, s, c)`` with ``c > 0`` sorted by
-    decreasing slope ``s / c``.
-
-    Each piece runs from its start to the next piece's start minus 1, the
-    last one to ``hi``.  Floors keep the order of the real lines, so the
-    pieces are those of the real lower envelope, with every breakpoint
-    found by cross-multiplication: the line on top of the stack is at most
-    the new one exactly up to ``y = e // d``.
-    """
-    stack: list[tuple[int, int, int, int]] = []
-    for f, s, c in lines:
-        r = slack[f] - shift
-        start = lo
-        while stack:
-            s0, c0, r0, start0 = stack[-1]
-            d = c * s0 - c0 * s
-            e = c0 * r - c * r0
-            if d:
-                if e // d >= start0:
-                    start = e // d + 1
-                    break
-            elif e >= 0:  # parallel and nowhere lower
-                start = hi + 1
-                break
-            stack.pop()
-        if start <= hi:
-            stack.append((s, c, r, start))
-    return stack
-
-
-def _piece_sums(pieces, lo: int, hi: int, end: int) -> tuple[int, int, int]:
-    """:func:`_floor_sums` over the envelope ``pieces``, which end at
-    ``end``, clipped to ``lo..hi``."""
-    f = g = h = 0
-    last = len(pieces) - 1
-    for i, (s, c, r, start) in enumerate(pieces):
-        stop = pieces[i + 1][3] - 1 if i < last else end
-        if start < lo:
-            start = lo
-        if stop > hi:
-            stop = hi
-        if start <= stop:
-            df, dg, dh = _floor_sums(r, s, c, start, stop)
-            f += df
-            g += dg
-            h += dh
-    return f, g, h
-
-
-def _meet(s1: int, c1: int, r1: int, s2: int, c2: int, r2: int, lo: int, hi: int) -> tuple[int, int]:
-    """The ``y`` in ``lo..hi`` with ``(r1 + s1 y) / c1 + (r2 + s2 y) / c2 >= 0``,
-    an interval, empty if its first end is greater."""
-    e = c2 * s1 + c1 * s2
-    k = c2 * r1 + c1 * r2
-    if e > 0:
-        return max(lo, -(k // e)), hi
-    if e < 0:
-        return lo, min(hi, k // -e)
-    return (lo, hi) if k >= 0 else (hi + 1, hi)
-
-
-def _nonnegative(low, high, lo: int, hi: int) -> tuple[int, int]:
-    """The range of ``y`` in ``lo..hi`` where the real envelopes of the
-    pieces ``low`` and ``high`` (both over ``lo..hi``) sum to at least 0.
-    Their sum is concave, so the range is an interval."""
-    first, last = hi + 1, hi
-    i = j = 0
-    y = lo
-    while y <= hi:
-        s1, c1, r1, _ = low[i]
-        s2, c2, r2, _ = high[j]
-        end1 = low[i + 1][3] - 1 if i + 1 < len(low) else hi
-        end2 = high[j + 1][3] - 1 if j + 1 < len(high) else hi
-        end = min(end1, end2)
-        a, b = _meet(s1, c1, r1, s2, c2, r2, y, end)
-        if a <= b:
-            first = min(first, a)
-            last = b
-        if end == end1:
-            i += 1
-        if end == end2:
-            j += 1
-        y = end + 1
-    return first, last
+    n = len(plan.order)
+    facets = plan.bounds[-1]
+    steps = facets.cols[-1] if n > 1 else (0,) * len(facets.coefs)
+    # P's facets by their role along a row, where r = slack + s*y with y the
+    # row coordinate: c*z >= -r bounds the last coordinate z from below
+    # (c > 0) or above (c < 0); the others hold on the whole row, and the
+    # interior needs r >= 1, which bounds y unless s = 0.
+    roles = [(f, s, c) for f, (s, c) in enumerate(zip(steps, facets.coefs))]
+    below = tuple(sorted([(f, s, c) for f, s, c in roles if c > 0], key=_by_slope))
+    above = tuple(sorted([(f, s, -c) for f, s, c in roles if c < 0], key=_by_slope))
+    rising = tuple((f, s) for f, s, c in roles if not c and s > 0)
+    falling = tuple((f, -s) for f, s, c in roles if not c and s < 0)
+    flat = tuple(f for f, s, c in roles if not c and not s)
+    # one facet on each side: its line is the envelope
+    one = below[0] + above[0] if len(below) == len(above) == 1 else None
+    # moves[j]: the nonzero entries (g, f, a) of column j at bounds level j+g;
+    # limits[j]: the bounds on scan coordinate j+1 from below and above
+    moves = tuple(tuple((g, f, a) for g, b in enumerate(plan.bounds[j:]) for f, a in enumerate(b.cols[j]) if a) for j in range(n - 2))
+    limits = tuple(
+        (tuple((f, c) for f, c in enumerate(b.coefs) if c > 0), tuple((f, -c) for f, c in enumerate(b.coefs) if c < 0))
+        for b in plan.bounds[:-1]
+    )
+    return below, above, rising, falling, flat, one, moves, limits
 
 
 def _pass(plan: _ScanPlan, k: int, interior: bool = True) -> LatticeStats:
@@ -361,27 +261,7 @@ def _pass(plan: _ScanPlan, k: int, interior: bool = True) -> LatticeStats:
     every slack is at least 1.
     """
     n = len(plan.order)
-    facets = plan.bounds[-1]
-    steps = facets.cols[-1] if n > 1 else (0,) * len(facets.coefs)
-    # P's facets by their role along a row, where r = slack + s*y with y the
-    # row coordinate: c*z >= -r bounds the last coordinate z from below
-    # (c > 0) or above (c < 0); the others hold on the whole row, and the
-    # interior needs r >= 1, which bounds y unless s = 0.
-    roles = [(f, s, c) for f, (s, c) in enumerate(zip(steps, facets.coefs))]
-    below = sorted([(f, s, c) for f, s, c in roles if c > 0], key=_by_slope)
-    above = sorted([(f, s, -c) for f, s, c in roles if c < 0], key=_by_slope)
-    rising = [(f, s) for f, s, c in roles if not c and s > 0]
-    falling = [(f, -s) for f, s, c in roles if not c and s < 0]
-    flat = [f for f, s, c in roles if not c and not s]
-    # one facet on each side: its line is the envelope
-    one = below[0] + above[0] if len(below) == len(above) == 1 else None
-    # moves[j]: the nonzero entries (g, f, a) of column j at bounds level j+g;
-    # limits[j]: the bounds on scan coordinate j+1 from below and above
-    moves = [[(g, f, a) for g, b in enumerate(plan.bounds[j:]) for f, a in enumerate(b.cols[j]) if a] for j in range(n - 2)]
-    limits = [
-        ([(f, c) for f, c in enumerate(b.coefs) if c > 0], [(f, -c) for f, c in enumerate(b.coefs) if c < 0])
-        for b in plan.bounds
-    ]
+    below, above, rising, falling, flat, one, moves, limits = _pass_setup(plan)
     closed = [0] * (n + 1)  # count, then the sums in scan order
     inner = [0] * (n + 1)
 
@@ -564,10 +444,12 @@ def interior_count(p: Polytope, k: int) -> int:
     return lattice_point_stats(p, k).interior
 
 
-def _fit(values: list[tuple[int, int]], degree: int, top: tuple[Fraction, Fraction], what: str) -> Polynomial:
+def _fit(values: list[tuple[int, int]], degree: int, top: tuple[tuple[int, int], tuple[int, int]], what: str) -> Polynomial:
     """The polynomial of degree ``degree`` read off one quantity's closed and
-    interior values ``values[k]`` at k = 0..m, with top two coefficients
-    ``top``, as the module docstring says."""
+    interior values ``values[k]`` at k = 0..m, as the module docstring says.
+    Its top two coefficients must be ``top``, each a numerator and a
+    positive denominator, compared by cross-multiplication; a Fraction is
+    built only for the message of a mismatch."""
     sign = (-1) ** degree
     samples = [(0, values[0][0])]
     for k, (closed, interior) in enumerate(values[1:], 1):
@@ -577,9 +459,10 @@ def _fit(values: list[tuple[int, int]], degree: int, top: tuple[Fraction, Fracti
         if fit.numerator_at(x) != y * fit.denominator:
             check = "held-out validation" if x > 0 else "reciprocity"
             raise InternalInconsistency(f"{what} fails {check} at k={abs(x)}")
-    for i, (name, expected) in enumerate(zip(("leading", "subleading"), top)):
-        if fit.coefficient(degree - i) != expected:
-            raise InternalInconsistency(f"{what} has {name} coefficient {fit.coefficient(degree - i)}, not {expected}")
+    nums = fit.numerators
+    for e, name, (num, den) in zip((degree, degree - 1), ("leading", "subleading"), top):
+        if (nums[e] if e < len(nums) else 0) * den != num * fit.denominator:
+            raise InternalInconsistency(f"{what} has {name} coefficient {fit.coefficient(e)}, not {Fraction(num, den)}")
     return fit
 
 
@@ -591,9 +474,13 @@ def ehrhart_data(p: Polytope) -> tuple[Polynomial, tuple[Polynomial, ...]]:
     n = p.dim
     records = [lattice_point_stats(p, k) for k in fitted_dilations(n)]
     geo, boundary = measure(p), facet_data(p)
-    b = boundary.boundary_normalized_volume
-    counting = _fit([(r.count, r.interior) for r in records], n, (geo.volume, b / 2), "counting polynomial")
-    tops = [(geo.volume * c, b * bc / 2) for c, bc in zip(geo.barycenter, boundary.boundary_barycenter)]
+    (vn, vd), (bn, bd) = geo.volume.as_integer_ratio(), boundary.boundary_normalized_volume.as_integer_ratio()
+    counting = _fit([(r.count, r.interior) for r in records], n, ((vn, vd), (bn, 2 * bd)), "counting polynomial")
+    # vol Bc_i and B bBc_i / 2, as numerators and denominators
+    tops = [
+        ((vn * c.numerator, vd * c.denominator), (bn * bc.numerator, 2 * bd * bc.denominator))
+        for c, bc in zip(geo.barycenter, boundary.boundary_barycenter)
+    ]
     sums = tuple(
         _fit([(r.sums[i], r.interior_sums[i]) for r in records], n + 1, top, "coordinate-sum polynomial")
         for i, top in enumerate(tops)

@@ -380,15 +380,24 @@ def poly_fit(samples: Sequence[tuple[RationalLike, RationalLike]]) -> Polynomial
     and its coefficient of ``k^e``, times ``V^e``, is that of the fit at
     ``x_i``.  The basis depends only on the abscissae and is cached for a
     few of them.
+
+    Samples that are all plain ``int``, as the Ehrhart fits give, are their
+    own numerators over ``V = W = 1`` and are read as they are; any other
+    sample takes the general read, which refuses a bool, float or str.
     """
     if not isinstance(samples, (list, tuple)) or not all(isinstance(s, (list, tuple)) and len(s) == 2 for s in samples):
         raise InvalidInput("samples must be a list of pairs (x, y)")
     if not samples:
         raise InvalidInput("need at least one sample")
-    xs, v = integer_numerators(rational_value(x, "abscissa") for x, _ in samples)
+    xs, ys = zip(*samples)
+    plain = all(type(q) is int for q in xs + ys)
+    v = w = 1
+    if not plain:
+        xs, v = integer_numerators(rational_value(x, "abscissa") for x in xs)
     if len(set(xs)) != len(xs):
         raise InvalidInput("duplicate abscissa in interpolation samples")
-    ys, w = integer_numerators(rational_value(y, "sample value") for _, y in samples)
+    if not plain:
+        ys, w = integer_numerators(rational_value(y, "sample value") for y in ys)
     rows, common = _lagrange_basis(tuple(xs))
     total = [0] * len(xs)
     for y, row in zip(ys, rows):

@@ -42,11 +42,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd
+from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DegenerateInput, InternalInconsistency, InvalidInput
 from .exactnum import rational_vector
-from .linalg import IntVec, cross_normal, dot, independent_rows, int_det, int_rows, vec_sub
+from .linalg import IntVec, adjugate, dot, independent_rows, int_det, int_rows, vec_sub
 
 
 class Halfspace(NamedTuple):
@@ -96,22 +97,19 @@ def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
 
     # A facet is (w, c, z): <x, w> <= c on the hull, z the bitmask of the
     # inserted points on its plane.  On the simplex with edges e_j at the
-    # corner, the cross normal of the edges but e_j meets e_j in +-det, so
-    # the outward normals of the d facets through the corner sum to minus
-    # the outward normal of the facet opposite it.
+    # corner, column j of the adjugate of the edge matrix meets e_j in d and
+    # the other edges in 0, so -sign(d) times it is the outward normal of
+    # the facet through the corner that misses e_j, and these d normals sum
+    # to minus the outward normal of the facet opposite the corner.
     base = _initial_simplex(pts, dim)
     corner, full = pts[base[0]], sum(1 << i for i in base)
-    edges = [vec_sub(pts[i], corner) for i in base[1:]]
+    det, adj = adjugate([vec_sub(pts[i], corner) for i in base[1:]])
+    if not det:
+        raise InternalInconsistency("degenerate initial simplex")
+    outward = -1 if det > 0 else 1
     facets, far = [], (0,) * dim
     for j, drop in enumerate(base[1:]):
-        w = cross_normal(edges[:j] + edges[j + 1:])
-        if not any(w):
-            raise InternalInconsistency("degenerate facet of the initial simplex")
-        side = dot(edges[j], w)
-        if side > 0:
-            w = tuple(-x for x in w)
-        elif side == 0:
-            raise InternalInconsistency("opposite vertex on a facet plane")
+        w = tuple(outward * row[j] for row in adj)
         far = vec_sub(far, w)
         facets.append(_primitive(w, dot(corner, w), full ^ 1 << drop))
     facets.append(_primitive(far, dot(pts[base[1]], far), full ^ 1 << base[0]))
@@ -120,7 +118,7 @@ def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
         if pid in base:
             continue
         bit = 1 << pid
-        sides = [dot(p, w) - c for w, c, _ in facets]
+        sides = [sum(map(mul, p, w)) - c for w, c, _ in facets]
         new = []
         if max(sides) > 0:
             masks = [z for _, _, z in facets]

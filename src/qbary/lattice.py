@@ -1,8 +1,17 @@
-"""Integer linear algebra over the lattice Z^n: primitive vectors and the
-row Hermite normal form with a unimodular transform."""
+"""Integer linear algebra over the lattice Z^n: primitive vectors, the row
+Hermite normal form with a unimodular transform, and the lattice points
+under lines that counting sums row by row (:mod:`qbary.ehrhart`).
+
+A row's count and coordinate sums are sums of ``(r + s y) // c`` over a
+range of y, taken piece by piece along the lower envelope of a few such
+lines.  Every breakpoint is found by integer cross-multiplication, and every
+sum in closed form: an arithmetic series when c divides s, and otherwise a
+Euclid-like recursion.
+"""
 
 from __future__ import annotations
 
+from functools import cmp_to_key
 from math import gcd
 from typing import Sequence
 
@@ -67,3 +76,150 @@ def hermite_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix
         if r == rows:
             break
     return tuple(tuple(row) for row in h), tuple(tuple(row) for row in u)
+
+
+def _euclid(a: int, b: int, c: int, n: int) -> tuple[int, int, int]:
+    """Sums over ``i = 0..n`` of ``t``, ``i t`` and ``t^2`` for
+    ``t = (a i + b) // c``, with ``a, b >= 0`` and ``c > 0``.
+
+    Euclid-like: reducing ``a`` and ``b`` mod ``c`` peels off polynomial
+    sums, and then counting the lattice points under the line by rows
+    instead of columns swaps the roles of ``a`` and ``c``.
+    """
+    if a >= c or b >= c:
+        qa, a = divmod(a, c)
+        qb, b = divmod(b, c)
+        f, g, h = _euclid(a, b, c, n)
+        s1 = n * (n + 1) // 2
+        s2 = s1 * (2 * n + 1) // 3
+        return (
+            f + qa * s1 + qb * (n + 1),
+            g + qa * s2 + qb * s1,
+            h + qa * qa * s2 + qb * qb * (n + 1) + 2 * (qa * qb * s1 + qb * f + qa * g),
+        )
+    m = (a * n + b) // c
+    if not m:
+        return 0, 0, 0
+    f1, g1, h1 = _euclid(c, c - b - 1, a, m - 1)
+    f = n * m - f1
+    return f, (m * n * (n + 1) - h1 - f1) // 2, n * m * (m + 1) - 2 * (g1 + f1) - f
+
+
+def _floor_sums(r: int, s: int, c: int, lo: int, hi: int) -> tuple[int, int, int]:
+    """Sums over ``y = lo..hi`` (maybe empty) of ``q``, ``y q`` and ``q^2`` for
+    ``q = (r + s y) // c``, ``c > 0``: an arithmetic series when ``c``
+    divides ``s``, and otherwise one plus :func:`_euclid`'s remainder."""
+    n = hi - lo + 1
+    if n < 1:
+        return 0, 0, 0
+    if not s:
+        q = r // c
+        return q * n, q * (lo + hi) * n // 2, q * q * n
+    alpha, s1 = divmod(s, c)
+    beta, b1 = divmod(r + s * lo, c)
+    # q at y = lo + i is alpha i + beta + (s1 i + b1) // c, with i = 0..n-1
+    i1 = n * (n - 1) // 2
+    i2 = i1 * (2 * n - 1) // 3
+    sq = alpha * i1 + beta * n
+    siq = alpha * i2 + beta * i1
+    sqq = alpha * alpha * i2 + 2 * alpha * beta * i1 + beta * beta * n
+    if s1:
+        f, g, h = _euclid(s1, b1, c, n - 1)
+        sq += f
+        siq += g
+        sqq += h + 2 * (alpha * g + beta * f)
+    return sq, siq + lo * sq, sqq
+
+
+# lines (f, s, c) with c > 0 by decreasing slope s / c
+_by_slope = cmp_to_key(lambda u, v: v[1] * u[2] - u[1] * v[2])
+
+
+def _envelope(
+    lines: list[tuple[int, int, int]], slack: list[int], shift: int, lo: int, hi: int
+) -> list[tuple[int, int, int, int]]:
+    """Pieces ``(s, c, r, start)`` of ``min_f (slack[f] - shift + s y) // c``
+    over ``y = lo..hi``, for lines ``(f, s, c)`` with ``c > 0`` sorted by
+    decreasing slope ``s / c``.
+
+    Each piece runs from its start to the next piece's start minus 1, the
+    last one to ``hi``.  Floors keep the order of the real lines, so the
+    pieces are those of the real lower envelope, with every breakpoint
+    found by cross-multiplication: the line on top of the stack is at most
+    the new one exactly up to ``y = e // d``.
+    """
+    stack: list[tuple[int, int, int, int]] = []
+    for f, s, c in lines:
+        r = slack[f] - shift
+        start = lo
+        while stack:
+            s0, c0, r0, start0 = stack[-1]
+            d = c * s0 - c0 * s
+            e = c0 * r - c * r0
+            if d:
+                if e // d >= start0:
+                    start = e // d + 1
+                    break
+            elif e >= 0:  # parallel and nowhere lower
+                start = hi + 1
+                break
+            stack.pop()
+        if start <= hi:
+            stack.append((s, c, r, start))
+    return stack
+
+
+def _piece_sums(pieces, lo: int, hi: int, end: int) -> tuple[int, int, int]:
+    """:func:`_floor_sums` over the envelope ``pieces``, which end at
+    ``end``, clipped to ``lo..hi``."""
+    f = g = h = 0
+    last = len(pieces) - 1
+    for i, (s, c, r, start) in enumerate(pieces):
+        stop = pieces[i + 1][3] - 1 if i < last else end
+        if start < lo:
+            start = lo
+        if stop > hi:
+            stop = hi
+        if start <= stop:
+            df, dg, dh = _floor_sums(r, s, c, start, stop)
+            f += df
+            g += dg
+            h += dh
+    return f, g, h
+
+
+def _meet(s1: int, c1: int, r1: int, s2: int, c2: int, r2: int, lo: int, hi: int) -> tuple[int, int]:
+    """The ``y`` in ``lo..hi`` with ``(r1 + s1 y) / c1 + (r2 + s2 y) / c2 >= 0``,
+    an interval, empty if its first end is greater."""
+    e = c2 * s1 + c1 * s2
+    k = c2 * r1 + c1 * r2
+    if e > 0:
+        return max(lo, -(k // e)), hi
+    if e < 0:
+        return lo, min(hi, k // -e)
+    return (lo, hi) if k >= 0 else (hi + 1, hi)
+
+
+def _nonnegative(low, high, lo: int, hi: int) -> tuple[int, int]:
+    """The range of ``y`` in ``lo..hi`` where the real envelopes of the
+    pieces ``low`` and ``high`` (both over ``lo..hi``) sum to at least 0.
+    Their sum is concave, so the range is an interval."""
+    first, last = hi + 1, hi
+    i = j = 0
+    y = lo
+    while y <= hi:
+        s1, c1, r1, _ = low[i]
+        s2, c2, r2, _ = high[j]
+        end1 = low[i + 1][3] - 1 if i + 1 < len(low) else hi
+        end2 = high[j + 1][3] - 1 if j + 1 < len(high) else hi
+        end = min(end1, end2)
+        a, b = _meet(s1, c1, r1, s2, c2, r2, y, end)
+        if a <= b:
+            first = min(first, a)
+            last = b
+        if end == end1:
+            i += 1
+        if end == end2:
+            j += 1
+        y = end + 1
+    return first, last

@@ -1,11 +1,12 @@
 """Small exact linear-algebra helpers shared by the geometry modules.
 
 Everything here works on plain tuples/lists of ints or Fractions; matrices
-are sequences of rows.  Integer determinants (Bareiss) and ranks (an
-integer echelon basis) use fraction-free elimination, so intermediate
-values stay integral.  The readers :func:`int_list`, :func:`int_value`
-and :func:`int_rows` take arguments from outside and refuse any entry that
-is not an ``int``, a bool included, rather than truncate it.
+are sequences of rows.  Integer determinants and adjugates (Bareiss) and
+ranks (an integer echelon basis) use fraction-free elimination, so
+intermediate values stay integral.  The readers :func:`int_list`,
+:func:`int_value` and :func:`int_rows` take arguments from outside and
+refuse any entry that is not an ``int``, a bool included, rather than
+truncate it; rows that :func:`int_rows` has read are not read again.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd
+from operator import add, mul, sub
 from typing import Sequence
 
 from .errors import InvalidInput
@@ -40,9 +42,19 @@ def int_value(value: object, what: str) -> int:
     return value
 
 
-def int_rows(rows: object) -> list[IntVec]:
+class IntRows(tuple):
+    """Rows read by :func:`int_rows`: a nonempty tuple of ``int`` tuples,
+    which :func:`int_rows` returns as they are instead of reading them
+    again."""
+
+    __slots__ = ()
+
+
+def int_rows(rows: object) -> IntRows:
     """The vectors of a nonempty list, tuple or other iterable of rows, each
     read by :func:`int_list`."""
+    if type(rows) is IntRows:
+        return rows
     if isinstance(rows, (str, dict)) or not isinstance(rows, Iterable) or not (rows := list(rows)):
         raise InvalidInput("expected a nonempty array of integer vectors")
     out = []
@@ -51,19 +63,19 @@ def int_rows(rows: object) -> list[IntVec]:
             out.append(tuple(int_list(row)))
         except InvalidInput:
             raise InvalidInput(f"expected an integer vector, got {row!r}") from None
-    return out
+    return IntRows(out)
 
 
 def dot(a: Sequence, b: Sequence) -> Fraction | int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vec_add(a: Sequence, b: Sequence) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vec_sub(a: Sequence, b: Sequence) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -141,19 +153,33 @@ def solve(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...]:
     return tuple(m[i][n] for i in range(n))
 
 
-def cross_normal(rows: Sequence[Sequence[int]]) -> IntVec:
-    """Integer vector orthogonal to ``d-1`` integer rows in dimension ``d``.
+def adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """``(d, R)`` for a square integer matrix A, with ``d = +-det(A)`` and
+    ``R = d A^-1``, so ``A R = R A = d I``: the adjugate times the sign of
+    the row swaps.  ``(0, [])`` when A is singular.
 
-    Generalized cross product via cofactor expansion: component ``j`` is
-    ``(-1)**j`` times the minor obtained by deleting column ``j``.  Returns
-    the zero vector exactly when the rows are linearly dependent.
+    Fraction-free Gauss-Jordan elimination (Bareiss) of ``[A | I]``: the
+    pivot of step k clears column k above and below it, and every entry is
+    then a minor of the row-swapped ``[A | I]``, so each division by the
+    pivot before is exact.
     """
-    d = len(rows) + 1
-    out = []
-    for j in range(d):
-        minor = [[row[c] for c in range(d) if c != j] for row in rows]
-        out.append((-1) ** j * int_det(minor))
-    return tuple(out)
+    n = len(rows)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            return 0, []
+        m[k], m[pivot] = m[pivot], m[k]
+        top = m[k]
+        p = top[k]
+        for i in range(n):
+            if i != k:
+                row = m[i]
+                f = row[k]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+    return prev, [row[n:] for row in m]
 
 
 def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[IntVec, ...]:

@@ -105,7 +105,8 @@ def hull_from_vertices(points: Iterable[Sequence[int]]) -> Polytope:
     """Full-dimensional lattice polytope from a generating point set.
 
     Non-extreme input points are dropped; raises ``DegenerateInput`` when the
-    points do not affinely span the ambient space.
+    points do not affinely span the ambient space.  The points are read
+    once, and the dimension cap is checked before the hull is built.
     """
     pts = int_rows(points)
     check_dim(len(pts[0]))

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qbary as qb
+import qbary.exactnum
 import qbary.polytope
 from qbary import ehrhart
 from qbary.cli import execute
@@ -320,6 +321,20 @@ def count_passes(monkeypatch, mutate=None):
     return seen
 
 
+def test_the_pass_setup_is_built_once_per_plan(monkeypatch):
+    # the k-independent setup of a pass is kept for the last few plans, so a
+    # polytope's passes build it once and its translate builds its own
+    ehrhart._pass_setup.cache_clear()
+    seen = count_passes(monkeypatch)
+    for _ in range(2):
+        p = fresh_simplex(4)
+        qb.ehrhart_polynomial(p)
+        qb.count_points(p, 12)
+    info = ehrhart._pass_setup.cache_info()
+    assert len(seen) == 8 and (info.misses, info.hits) == (2, 6)
+    assert info.maxsize == 8
+
+
 @pytest.mark.parametrize("n", (3, 4))
 def test_one_pass_per_dilation(monkeypatch, n):
     # every fit and its validation read k = 0..n and nothing above
@@ -498,6 +513,27 @@ def test_each_top_coefficient_identity_can_fail(monkeypatch, which, module, mess
     monkeypatch.setattr(module, "facet_data", facet_data)
     with pytest.raises(qb.InternalInconsistency, match=message):
         qb.barycenter_function(p)
+
+
+@pytest.mark.parametrize("n", (1, 3, 4))
+def test_the_record_builds_no_fraction_once_the_measures_are_cached(monkeypatch, n):
+    # the fits read integer records, and their top coefficients are compared
+    # with the measures by cross-multiplying numerators and denominators
+    p = fresh_simplex(n) if n > 1 else qb.hull_from_vertices([(next(_FRESH),), (next(_FRESH) + 3,)])
+    qb.measure(p)
+    built = []
+
+    class Counted(F):
+        def __new__(cls, *args):
+            built.append(args)
+            return F(*args)
+
+    monkeypatch.setattr(ehrhart, "Fraction", Counted)
+    monkeypatch.setattr(qbary.exactnum, "Fraction", Counted)
+    counting, sums = ehrhart.ehrhart_data(p)
+    assert built == []
+    # the counter sees the Fractions these modules build: one a coefficient
+    assert len(counting.coefficients) == len(built) > 0
 
 
 # The closed and the interior sums of axes 0 and 1 swapped in every pass:

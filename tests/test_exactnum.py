@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 from math import factorial, gcd, lcm
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,6 +37,46 @@ def test_poly_fit_duplicate_abscissa_rejected():
 def test_poly_fit_refuses_samples_that_are_not_pairs(samples):
     with pytest.raises(qb.InvalidInput, match="samples must be a list of pairs"):
         qb.poly_fit(samples)
+
+
+HUGE = 10**40
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.integers(min_value=-12, max_value=12), st.integers(min_value=-HUGE, max_value=HUGE)),
+            st.one_of(st.integers(min_value=-30, max_value=30), st.integers(min_value=-HUGE, max_value=HUGE)),
+        ),
+        min_size=1,
+        max_size=8,
+        unique_by=lambda sample: sample[0],
+    )
+)
+@example([(-(HUGE - 1), HUGE), (0, -HUGE), (HUGE, 0)])
+def test_poly_fit_reads_plain_ints_as_it_reads_fractions(samples):
+    # plain ints are read as they are; the same values as Fractions, or one
+    # Fraction among ints, take the general read through their normal forms
+    fit = qb.poly_fit(samples)
+    assert fit == qb.poly_fit([(F(x), F(y)) for x, y in samples])
+    assert fit == qb.poly_fit([(F(samples[0][0]), samples[0][1]), *samples[1:]])
+    assert all(fit(x) == y for x, y in samples)
+
+
+@pytest.mark.parametrize("bad", (True, 1.0, "1"), ids=repr)
+def test_poly_fit_refuses_a_bool_float_or_str_among_int_samples(bad):
+    cases = [
+        ([(0, 1), (bad, 2), (2, 5)], f"abscissa must be an integer or a Fraction, got {bad!r}"),
+        ([(0, 1), (1, bad), (2, 5)], f"sample value must be an integer or a Fraction, got {bad!r}"),
+        # the abscissae are read, and checked for duplicates, before the values
+        ([(0, 1), (2, bad), (2, 5)], "duplicate abscissa in interpolation samples"),
+    ]
+    for samples, message in cases:
+        with pytest.raises(qb.InvalidInput, match=f"^{re.escape(message)}$"):
+            qb.poly_fit(samples)
+    with pytest.raises(qb.InvalidInput, match="^duplicate abscissa in interpolation samples$"):
+        qb.poly_fit([(0, 1), (3, 2), (3, 5)])
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 import qbary as qb
 import qbary.hull
+import qbary.linalg
 from qbary.hull import convex_hull
 
-from conftest import brute_hull
+from conftest import brute_hull, count_hulls
 
 # the most points a case may have in each dimension: the oracle tries
 # every dim-subset of them
@@ -140,3 +141,44 @@ def test_a_point_of_the_wrong_length_or_kind_is_refused(method, point, message):
     with pytest.raises(qb.InvalidInput, match=message):
         getattr(cube, method)(point)
     assert getattr(cube, method)([Fraction(1, 2), 0, 0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.lists(st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+def test_adjugate_inverts_a_matrix_up_to_its_determinant(rows):
+    # the initial simplex's facet normals are the adjugate's columns
+    d, adj = qbary.linalg.adjugate(rows)
+    assert abs(d) == abs(qbary.linalg.int_det(rows))
+    if d:
+        n = len(rows)
+        scaled = [[d * (i == j) for j in range(n)] for i in range(n)]
+        assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*adj)] for row in rows] == scaled
+        assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*rows)] for row in adj] == scaled
+
+
+@pytest.mark.parametrize("form", (list, iter), ids=("list", "generator"))
+def test_hull_from_vertices_reads_each_row_once(monkeypatch, form):
+    reads = []
+    real = qbary.linalg.int_list
+
+    def counted(values):
+        reads.append(values)
+        return real(values)
+
+    monkeypatch.setattr(qbary.linalg, "int_list", counted)
+    rows = [[0, 0, 0], [2, 0, 0], [0, 3, 0], [1, 1, 2], [1, 1, 1]]
+    p = qb.hull_from_vertices(form(rows))
+    assert p.vertices == ((0, 0, 0), (0, 3, 0), (1, 1, 2), (2, 0, 0))
+    assert reads == rows
+
+
+def test_the_dimension_cap_refuses_before_any_hull(monkeypatch):
+    calls = count_hulls(monkeypatch)
+    simplex8 = [(0,) * 8, *(tuple(int(i == j) for i in range(8)) for j in range(8))]
+    with pytest.raises(qb.Unsupported, match="dimension 8 above the configured cap 7"):
+        qb.hull_from_vertices(simplex8)
+    assert calls == []
