@@ -9,9 +9,10 @@ same over those above.  The row's count and sums are sums of a, b, y a,
 y b, a^2 and b^2.  At the breakpoints of the two lower envelopes, found by
 integer cross-multiplication, they split into floor sums, each solved by a
 Euclid-like recursion, or as an arithmetic series when c divides s
-(:mod:`qbary.lattice`).  The interior fiber is the same with every slack
-lowered by 1, on the range of y where the two real interior envelopes sum
-to at least 0.  So a row costs
+(:mod:`qbary.lattice`).  y runs over its range over ``k*P``, clamped by
+the facets parallel to z, where the two real envelopes sum to at least 0.
+The interior fiber is the same with every slack lowered by 1, within the
+closed one's range of y.  So a row costs
 O(facets + envelope pieces) whatever its length, and a pass visits the
 lattice points of the projection of ``k*P`` onto the first ``dim - 2`` scan
 coordinates, about ``k^(dim-2)`` times that projection's volume; in
@@ -21,13 +22,14 @@ The axes go by decreasing *shadow*, the (dim-1)-volume of P's projection
 along an axis, read off the facet measures by Cauchy's projection formula
 (``shadow_i = sum of u_F[i] nvol(F)`` over the facets with ``u_F[i] > 0``),
 so the two axes of least shadow are summed in closed form.  The records do
-not depend on the order, only the work does.  Every outer coordinate is
-bounded by the facets of P's projection onto the leading coordinates
-scanned so far (hulls built once per polytope and scaled by ``k``), so the
-scan visits only prefixes that extend to points of ``k*P`` instead of the
-whole bounding box.  When P splits (below), that projection is the
-product of its projections onto P's coordinate blocks, so only the hull of
-the coordinate's own block is built.  The slacks of these inequalities are
+not depend on the order, only the work does.  Outer coordinates
+1..dim-3 are bounded by the facets of P's projection onto the leading
+coordinates scanned so far (hulls built once per polytope and scaled by
+``k``), and the row coordinate by the row itself, so the scan visits only
+prefixes that extend to points of ``k*P``, not the whole bounding box.
+When P splits (below), that projection is the product of its projections
+onto P's coordinate blocks, so only the hull of the coordinate's own block
+is built.  The slacks of these inequalities are
 integers kept up to date as the scan steps, and a step of one coordinate
 moves only the slacks of the inequalities that involve it: 2 of the 2 dim
 on a box.
@@ -115,10 +117,11 @@ class _ScanPlan(NamedTuple):
     minimize that volume.  In dimension 2 a pass is one row in either
     order, and the wider axis, the higher index on a tie, is the last.
 
-    ``first`` is the range of scan coordinate 0 over P.  ``bounds[j - 1]``
-    bounds scan coordinate ``j``: for ``j < dim - 1`` by the facets of P's
-    projection onto scan coordinates ``0..j`` that are not parallel to axis
-    ``j``, and for the last coordinate by all of P's facets.
+    ``first`` and ``rows`` are the ranges over P of scan coordinates 0 and
+    ``dim - 2``, the row coordinate ((0, 0) in dimension 1).  For
+    ``j < dim - 2``, ``bounds[j - 1]`` bounds scan coordinate ``j`` by the
+    facets of P's projection onto scan coordinates ``0..j`` not parallel to
+    axis ``j``; ``bounds[-1]`` holds P's facets, which bound each row.
 
     ``factors`` is empty, or for a product of coordinate blocks of
     dimension 4 or more, one ``(block, plan)`` per factor: the axes of P it
@@ -130,6 +133,7 @@ class _ScanPlan(NamedTuple):
 
     order: tuple[int, ...]
     first: tuple[int, int]
+    rows: tuple[int, int]
     bounds: tuple[_Bounds, ...]
     factors: tuple[tuple[tuple[int, ...], _ScanPlan], ...] = ()
 
@@ -161,15 +165,15 @@ def _plan(p: Polytope, order: tuple[int, ...], blocks: list[tuple[int, ...]]) ->
     P's projection onto scan coordinates ``0..j`` is the product of its
     projections onto each block's coordinates among them, and only the one
     on axis ``order[j]``'s block has facets that involve that axis.  So
-    coordinate j is bounded by the hull of that projection alone, its
-    normals lifted back with zeros.  A polytope that is no product is one
+    coordinate j < dim - 2 is bounded by the hull of that projection alone,
+    its normals lifted back with zeros.  A polytope that is no product is one
     block, bounded by the hulls of whole prefixes.
     """
     n = p.dim
     verts = [tuple(v[i] for i in order) for v in p.vertices]
     block_of = {i: block for block in blocks for i in block}
     bounds = []
-    for j in range(1, n - 1):
+    for j in range(1, n - 2):
         own = [i for i in range(j + 1) if order[i] in block_of[order[j]]]
         hull = convex_hull({tuple([v[i] for i in own]) for v in verts})
         facets = _bounds([(f.normal, f.offset) for f in hull.facets if f.normal[-1]])
@@ -177,8 +181,8 @@ def _plan(p: Polytope, order: tuple[int, ...], blocks: list[tuple[int, ...]]) ->
         zero = (0,) * len(facets.coefs)
         bounds.append(_Bounds(tuple(columns.get(i, zero) for i in range(j)), facets.coefs, facets.offsets))
     bounds.append(_bounds([(tuple(f.normal[i] for i in order), f.offset) for f in p.facets]))
-    first = (min(v[0] for v in verts), max(v[0] for v in verts))
-    return _ScanPlan(order, first, tuple(bounds))
+    spans = [(min(x), max(x)) for x in zip(*verts)]
+    return _ScanPlan(order, spans[0], spans[n - 2] if n > 1 else (0, 0), tuple(bounds))
 
 
 @lru_cache(maxsize=None)
@@ -199,7 +203,7 @@ def _scan_plan(p: Polytope) -> _ScanPlan:
         (block, _plan(factor, tuple(block.index(i) for i in order if i in block), [tuple(range(factor.dim))]))
         for block, factor, _ in split
     )
-    return _ScanPlan(order, plan.first, plan.bounds, factors)
+    return _ScanPlan(order, plan.first, plan.rows, plan.bounds, factors)
 
 
 class LatticeStats(NamedTuple):
@@ -227,8 +231,7 @@ def _pass_setup(plan: _ScanPlan) -> tuple:
     steps = facets.cols[-1] if n > 1 else (0,) * len(facets.coefs)
     # P's facets by their role along a row, where r = slack + s*y with y the
     # row coordinate: c*z >= -r bounds the last coordinate z from below
-    # (c > 0) or above (c < 0); the others hold on the whole row, and the
-    # interior needs r >= 1, which bounds y unless s = 0.
+    # (c > 0) or above (c < 0); the others bound y unless s = 0.
     roles = [(f, s, c) for f, (s, c) in enumerate(zip(steps, facets.coefs))]
     below = tuple(sorted([(f, s, c) for f, s, c in roles if c > 0], key=_by_slope))
     above = tuple(sorted([(f, s, -c) for f, s, c in roles if c < 0], key=_by_slope))
@@ -254,92 +257,90 @@ def _pass(plan: _ScanPlan, k: int, interior: bool = True) -> LatticeStats:
 
     The scan visits exactly the lattice points of the projections of ``k*P``
     onto the first ``dim - 2`` scan coordinates, and sums each row, over the
-    last two, in closed form.  The slack ``r`` of an inequality (its left
-    side minus its right side, the scanned coordinates substituted) is kept
-    up to date as the scan moves: a step of scan coordinate j moves only the
-    slacks whose column j is nonzero.  A lattice point is interior when
-    every slack is at least 1.
+    last two, in closed form where its fiber is not empty.  The slack ``r``
+    of an inequality (its left side minus its right side, the scanned
+    coordinates substituted) is kept up to date as the scan moves: a step of
+    scan coordinate j moves only the slacks whose column j is nonzero.  A
+    lattice point is interior when every slack is at least 1.
     """
     n = len(plan.order)
     below, above, rising, falling, flat, one, moves, limits = _pass_setup(plan)
+    f1, s1, c1, f2, s2, c2 = one or (0,) * 6
     closed = [0] * (n + 1)  # count, then the sums in scan order
     inner = [0] * (n + 1)
 
-    def tally(acc: list[int], lo: int, hi: int, sa, sb) -> None:
+    def fiber(acc: list[int], slack: list[int], shift: int, lo: int, hi: int) -> tuple[int, int]:
+        # The y in lo..hi where the facets with c = 0 hold and the real
+        # envelopes, every slack lowered by shift, sum to >= 0, so that
+        # a + b + 1 >= 0 (<= 0 elsewhere): summed, and returned.
+        for f, s in rising:
+            y = -((slack[f] - shift) // s)
+            if y > lo:
+                lo = y
+        for f, s in falling:
+            y = (slack[f] - shift) // s
+            if y < hi:
+                hi = y
+        for f in flat:
+            if slack[f] < shift:
+                return 1, 0
+        if lo > hi:
+            return 1, 0
+        if one:
+            r1, r2 = slack[f1] - shift, slack[f2] - shift
+            first, last = _meet(s1, c1, r1, s2, c2, r2, lo, hi)
+            if first > last:
+                return first, last
+            sa, sb = _floor_sums(r1, s1, c1, first, last), _floor_sums(r2, s2, c2, first, last)
+        else:
+            low = _envelope(below, slack, shift, lo, hi)
+            high = _envelope(above, slack, shift, lo, hi)
+            first, last = _nonnegative(low, high, lo, hi)
+            if first > last:
+                return first, last
+            sa, sb = _piece_sums(low, first, last, hi), _piece_sums(high, first, last, hi)
         # The fiber above y is -a(y)..b(y): a + b + 1 points, which sum to
         # (b^2 + b - a^2 - a) / 2, with sa and sb the sums of a and b, y a
-        # and y b, a^2 and b^2 over y = lo..hi.
-        length = hi - lo + 1
+        # and y b, a^2 and b^2 over y = first..last.
+        length = last - first + 1
         acc[0] += sa[0] + sb[0] + length
-        acc[n - 1] += sa[1] + sb[1] + (lo + hi) * length // 2  # y = 0 in dimension 1
+        acc[n - 1] += sa[1] + sb[1] + (first + last) * length // 2  # y = 0 in dimension 1
         acc[n] += (sb[2] + sb[0] - sa[2] - sa[0]) // 2
+        return first, last
 
-    def row(lo: int, hi: int, slack: list[int]) -> None:
+    def row(slack: list[int]) -> None:
         # a(y) = min over the facets below of (r + s y) // c, b(y) the same
-        # above.  On the projection of k*P the real fiber is not empty, so
-        # a + b + 1 >= 0 there and every y of the row counts.
-        if one:
-            f1, s1, c1, f2, s2, c2 = one
-            tally(closed, lo, hi, _floor_sums(slack[f1], s1, c1, lo, hi), _floor_sums(slack[f2], s2, c2, lo, hi))
-        else:
-            low = _envelope(below, slack, 0, lo, hi)
-            high = _envelope(above, slack, 0, lo, hi)
-            tally(closed, lo, hi, _piece_sums(low, lo, hi, hi), _piece_sums(high, lo, hi, hi))
-        if not interior:
-            return
-        # The interior fiber is the same with r - 1, for y in ilo..ihi where
-        # the facets with c = 0 leave room.  Its length is >= 0 where the
-        # real interior envelopes sum to >= 0 and <= 0 elsewhere.
-        ilo, ihi = lo, hi
-        for f, s in rising:
-            ilo = max(ilo, -((slack[f] - 1) // s))
-        for f, s in falling:
-            ihi = min(ihi, (slack[f] - 1) // s)
-        for f in flat:
-            if slack[f] < 1:
-                return
-        if ilo > ihi:
-            return
-        if one:
-            r1, r2 = slack[f1] - 1, slack[f2] - 1
-            first, last = _meet(s1, c1, r1, s2, c2, r2, ilo, ihi)
-            if first <= last:
-                tally(inner, first, last, _floor_sums(r1, s1, c1, first, last), _floor_sums(r2, s2, c2, first, last))
-            return
-        low = _envelope(below, slack, 1, ilo, ihi)
-        high = _envelope(above, slack, 1, ilo, ihi)
-        first, last = _nonnegative(low, high, ilo, ihi)
-        if first <= last:
-            tally(inner, first, last, _piece_sums(low, first, last, ihi), _piece_sums(high, first, last, ihi))
+        # above, for y in k * rows; the interior within the closed range
+        first, last = fiber(closed, slack, 0, ylo, yhi)
+        if interior and first <= last:
+            fiber(inner, slack, 1, first, last)
 
     def descend(j: int, lo: int, hi: int, slacks: list[list[int]]) -> None:
-        # slacks[g]: the slacks of the bounds on scan coordinate j+1+g
+        # slacks[g]: the slacks of bounds level j+g, the last P's facets
         cur = [s[:] for s in slacks]
         touched = [(cur[g], f, a) for g, f, a in moves[j]]
         for s, f, step in touched:
             s[f] += step * lo
         head, rest = cur[0], cur[1:]
-        last = rest[0] if j == n - 3 else None
-        from_below, from_above = limits[j]
         for xj in range(lo, hi + 1):
-            a = -min([head[f] // c for f, c in from_below])
-            b = min([head[f] // c for f, c in from_above])
-            if a <= b:
-                count, icount = closed[0], inner[0]
-                if last is None:
+            count, icount = closed[0], inner[0]
+            if not rest:
+                row(head)
+            else:
+                from_below, from_above = limits[j]
+                a = -min([head[f] // c for f, c in from_below])
+                b = min([head[f] // c for f, c in from_above])
+                if a <= b:
                     descend(j + 1, a, b, rest)
-                else:
-                    row(a, b, last)
-                closed[j + 1] += xj * (closed[0] - count)
-                inner[j + 1] += xj * (inner[0] - icount)
+            closed[j + 1] += xj * (closed[0] - count)
+            inner[j + 1] += xj * (inner[0] - icount)
             for s, f, step in touched:
                 s[f] += step
 
     slacks = [[k * b for b in bounds.offsets] for bounds in plan.bounds]
-    if n == 1:
-        row(0, 0, slacks[0])
-    elif n == 2:
-        row(k * plan.first[0], k * plan.first[1], slacks[0])
+    ylo, yhi = k * plan.rows[0], k * plan.rows[1]
+    if n < 3:
+        row(slacks[0])
     else:
         descend(0, k * plan.first[0], k * plan.first[1], slacks)
     # descend calls itself through its closure cell; emptying the cell frees

@@ -41,10 +41,15 @@ Vector = tuple[Fraction, ...]
 # rational serialization
 
 def rational_to_json(q: RationalLike) -> int | str:
-    """Encode a rational as a bare int when integral, else as ``"p/q"``."""
-    q = Fraction(q)
+    """Encode a rational as a bare int when integral, else as ``"p/q"``.
+    An int is returned as it is and a Fraction read as it is; any other
+    value, a bool included, goes through ``Fraction`` first."""
+    if type(q) is int:
+        return q
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if q.denominator == 1:
-        return int(q)
+        return q.numerator
     return f"{q.numerator}/{q.denominator}"
 
 

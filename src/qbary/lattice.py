@@ -203,20 +203,38 @@ def _meet(s1: int, c1: int, r1: int, s2: int, c2: int, r2: int, lo: int, hi: int
 def _nonnegative(low, high, lo: int, hi: int) -> tuple[int, int]:
     """The range of ``y`` in ``lo..hi`` where the real envelopes of the
     pieces ``low`` and ``high`` (both over ``lo..hi``) sum to at least 0.
-    Their sum is concave, so the range is an interval."""
+    Their sum is concave, so the range is an interval, and the walk over
+    the pieces stops where it ends."""
     first, last = hi + 1, hi
     i = j = 0
+    n1, n2 = len(low) - 1, len(high) - 1
     y = lo
     while y <= hi:
         s1, c1, r1, _ = low[i]
         s2, c2, r2, _ = high[j]
-        end1 = low[i + 1][3] - 1 if i + 1 < len(low) else hi
-        end2 = high[j + 1][3] - 1 if j + 1 < len(high) else hi
-        end = min(end1, end2)
-        a, b = _meet(s1, c1, r1, s2, c2, r2, y, end)
+        end1 = low[i + 1][3] - 1 if i < n1 else hi
+        end2 = high[j + 1][3] - 1 if j < n2 else hi
+        end = end1 if end1 < end2 else end2
+        # _meet over y..end, inlined: it runs on the pieces of every row
+        e = c2 * s1 + c1 * s2
+        q = c2 * r1 + c1 * r2
+        a, b = y, end
+        if e > 0:
+            if -(q // e) > a:
+                a = -(q // e)
+        elif e < 0:
+            if q // -e < b:
+                b = q // -e
+        elif q < 0:
+            a = end + 1
         if a <= b:
-            first = min(first, a)
+            if first > hi:
+                first = a
             last = b
+            if b < end:
+                break
+        elif first <= hi:
+            break
         if end == end1:
             i += 1
         if end == end2:

@@ -5,9 +5,10 @@ from fractions import Fraction as F
 import io
 import itertools
 import json
+import operator
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qbary as qb
@@ -92,14 +93,18 @@ def box_scan(p, k):
     facets = [(f.normal, k * f.offset) for f in p.facets]
     count = interior = 0
     sums, interior_sums = [0] * p.dim, [0] * p.dim
-    for x in itertools.product(*ranges):
-        slack = min(sum(ui * xi for ui, xi in zip(u, x)) + offset for u, offset in facets)
-        if slack >= 0:
-            count += 1
-            sums = [s + xi for s, xi in zip(sums, x)]
-            if slack >= 1:
-                interior += 1
-                interior_sums = [s + xi for s, xi in zip(interior_sums, x)]
+    for head in itertools.product(*ranges[:-1]):
+        # each slack on the line through head, as r + c * x_last
+        lines = [(sum(map(operator.mul, u, head)) + offset, u[-1]) for u, offset in facets]
+        for z in ranges[-1]:
+            slack = min([r + c * z for r, c in lines])
+            if slack >= 0:
+                x = (*head, z)
+                count += 1
+                sums = [s + xi for s, xi in zip(sums, x)]
+                if slack >= 1:
+                    interior += 1
+                    interior_sums = [s + xi for s, xi in zip(interior_sums, x)]
     return count, tuple(sums), interior, tuple(interior_sums)
 
 
@@ -146,6 +151,46 @@ def test_long_multi_piece_rows_match_a_box_scan(name):
         assert plan.order[0] == 0
         assert sum(not c and not s for s, c in zip(facets.cols[-1], facets.coefs)) == 2
     assert_scan_matches(p, ks, [box_scan(p, k) for k in ks])
+
+
+# Hulls with facets parallel to the last axis that bound the row coordinate
+# from below and from above in the identity order: a prism over a
+# triangle, and a 3-simplex in 4-D swept one step along the last axis.
+PARALLEL_ENDS = {
+    "prism over a triangle": [(0, -3, 0), (4, 1, 0), (-2, 3, 0), (0, -3, 2), (4, 1, 2), (-2, 3, 2)],
+    "swept 3-simplex": [
+        (*v[:3], v[3] + h) for h in (0, 1) for v in ((0, 0, -4, 0), (3, 0, 1, 0), (0, 2, 3, 0), (-1, -1, 0, 2))
+    ],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 4).flatmap(lambda n: st.lists(st.tuples(*[st.integers(-4, 4)] * n), min_size=5, max_size=8)))
+@example(PARALLEL_ENDS["prism over a triangle"])
+@example(PARALLEL_ENDS["swept 3-simplex"])
+def test_rows_that_find_their_own_extent_match_a_box_scan(points):
+    # A row runs over the row coordinate's whole range over k*P, wider than
+    # its fiber on most rows, and finds its own extent:
+    # closed, interior, and closed-only at k = 3, in every axis order.
+    try:
+        p = qb.hull_from_vertices(points)
+    except qb.DegenerateInput:
+        assume(False)
+    records = [box_scan(p, k) for k in (1, 2, 3)]
+    whole = (tuple(range(p.dim)),)
+    for blocks in {tuple(block for block, _, _ in qbary.polytope._split(p)) or whole, whole}:
+        for order in itertools.permutations(range(p.dim)):
+            plan = ehrhart._plan(p, order, blocks)
+            assert [ehrhart._pass(plan, k) for k in (1, 2)] == records[:2], (order, blocks)
+            assert ehrhart._pass(plan, 3, False) == (*records[2][:2], None, None), (order, blocks)
+
+
+@pytest.mark.parametrize("name", PARALLEL_ENDS)
+def test_the_parallel_end_shapes_bound_rows_at_both_ends(name):
+    p = qb.hull_from_vertices(PARALLEL_ENDS[name])
+    plan = ehrhart._plan(p, tuple(range(p.dim)), [tuple(range(p.dim))])
+    below, above, rising, falling = ehrhart._pass_setup(plan)[:4]
+    assert rising and falling and below and above
 
 
 def direct_sums(values):
@@ -838,21 +883,38 @@ def test_fits_catch_interior_sums_scaled_by_closed_counts_on_the_unit_5_cube(mon
         qb.barycenter_function(p)
 
 
-def test_unit_5_cube_plan_hulls_two_points_per_coordinate(monkeypatch):
-    # each outer coordinate is bounded by the hull of its own segment, and
-    # the factors, all segments, take no hull at all
-    p = qb.hull_from_vertices(SCAN_SHAPES["unit 5-cube"])
-    sizes = []
+def plan_with_hulls(monkeypatch, p):
+    """P's plan, and the point sets of the hulls that planning P builds."""
+    hulls = []
     real = ehrhart.convex_hull
 
     def counted(points):
-        sizes.append(len(points))
+        hulls.append(points)
         return real(points)
 
     monkeypatch.setattr(ehrhart, "convex_hull", counted)
-    plan = ehrhart._scan_plan.__wrapped__(p)
-    assert sizes == [2, 2, 2]
-    assert [len(bounds.coefs) for bounds in plan.bounds] == [2, 2, 2, 10]
+    return ehrhart._scan_plan.__wrapped__(p), hulls
+
+
+@pytest.mark.parametrize(
+    "name, dims",
+    [("skinny 3-simplex", []), ("prism", []), ("4-simplex", [2])],
+    ids=["skinny 3-simplex", "prism", "4-simplex"],
+)
+def test_a_plan_builds_hulls_for_outer_coordinates_only(monkeypatch, name, dims):
+    # rows find their own extent, so no hull bounds the row coordinate: a
+    # 3-D plan builds none, and the bench's 4-simplex one, planar
+    _, hulls = plan_with_hulls(monkeypatch, qb.hull_from_vertices(SCAN_SHAPES[name]))
+    assert [len(next(iter(points))) for points in hulls] == dims
+
+
+def test_unit_5_cube_plan_hulls_two_points_per_coordinate(monkeypatch):
+    # each outer coordinate is bounded by the hull of its own segment, the
+    # row coordinate by its rows alone, and the factors, all segments, take
+    # no hull at all
+    plan, hulls = plan_with_hulls(monkeypatch, qb.hull_from_vertices(SCAN_SHAPES["unit 5-cube"]))
+    assert [len(points) for points in hulls] == [2, 2]
+    assert [len(bounds.coefs) for bounds in plan.bounds] == [2, 2, 10]
     assert [block for block, _ in plan.factors] == [(i,) for i in range(5)]
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction as F
+import json
 from math import factorial, gcd, lcm
 import re
 
@@ -454,6 +456,34 @@ def test_rational_json_round_trip(q):
     from math import gcd
 
     assert gcd(q.numerator, q.denominator) == 1
+
+
+def fraction_then_format(q):
+    """How every number was encoded before ints and Fractions were read as
+    they are: through a new Fraction."""
+    q = F(q)
+    return int(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.integers(), st.integers(-(10**60), 10**60), st.booleans(), st.fractions(), st.fractions(max_denominator=10**30)
+    )
+)
+def test_rational_json_reads_ints_and_fractions_as_they_are(q):
+    encoded = rational_to_json(q)
+    assert (encoded, type(encoded)) == (fraction_then_format(q), type(fraction_then_format(q)))
+
+
+@pytest.mark.parametrize(
+    "q, printed",
+    [(True, "1"), (False, "0"), (Decimal("2.5"), '"5/2"'), (Decimal(-3), "-3"), (F(7, 1), "7"), (F(-3, 4), '"-3/4"')],
+    ids=repr,
+)
+def test_rational_json_of_bools_decimals_and_whole_fractions(q, printed):
+    # a bool prints as 1 or 0, never as true or false
+    assert json.dumps(rational_to_json(q)) == printed == json.dumps(fraction_then_format(q))
 
 
 def test_rational_json_rejects_floats():
