@@ -4,10 +4,10 @@
 one SHA-256 of the canonical JSON of its library records: the counting
 records (``lattice_point_stats``) at k = 0..n+2, ``count_points`` and
 ``quantized_barycenter`` at k = 1..n+2, ``ehrhart_polynomial``,
-``barycenter_function``, ``asymptotic_coefficients(p, 4)`` and ``classify``,
-together with the polytope's vertices.  A change that moves a counting or
-fitting route must leave every digest unchanged; a difference names the
-polytope whose records moved.
+``barycenter_function``, ``asymptotic_coefficients(p, 4)``, ``measure``,
+``facet_data`` and ``classify``, together with the polytope's vertices.  A
+change that moves a counting, fitting or measuring route must leave every
+digest unchanged; a difference names the polytope whose records moved.
 
 The corpus is the bundled fixtures, the 52 polytopes of ``conftest``'s
 seeded corpus, seeded products of coordinate blocks with shuffled axes in
@@ -119,6 +119,8 @@ def records(p: qb.Polytope) -> dict:
         "ehrhart_polynomial": canonical(qb.ehrhart_polynomial(p)),
         "barycenter_function": canonical(qb.barycenter_function(p)),
         "asymptotic_coefficients": canonical(qb.asymptotic_coefficients(p, 4)),
+        "measure": canonical(qb.measure(p)),
+        "facet_data": canonical(qb.facet_data(p)),
         "classify": canonical(qb.classify(p)),
     }
 
