@@ -19,9 +19,10 @@ coordinates, about ``k^(dim-2)`` times that projection's volume; in
 dimensions 1 and 2 a pass is one row.
 
 The axes go by decreasing *shadow*, the (dim-1)-volume of P's projection
-along an axis, read off the facet measures by Cauchy's projection formula
-(``shadow_i = sum of u_F[i] nvol(F)`` over the facets with ``u_F[i] > 0``),
-so the two axes of least shadow are summed in closed form.  The records do
+along an axis, read off the integer facet weights ``W_F = (dim-1)!
+nvol(F)`` of P's face walk by Cauchy's projection formula (``(dim-1)!
+shadow_i = sum of u_F[i] W_F`` over the facets with ``u_F[i] > 0``), so
+the two axes of least shadow are summed in closed form.  The records do
 not depend on the order, only the work does.  Outer coordinates
 1..dim-3 are bounded by the facets of P's projection onto the leading
 coordinates scanned so far (hulls built once per polytope and scaled by
@@ -57,12 +58,14 @@ k = -1..-m: ``f(-k) = (-1)^d`` times the interior value at k, for E
 (d = dim) and each S_i (d = dim+1: a weight of degree 1, Brion-Vergne).  A
 fit of degree d passes through the first d+1 of these 2m + 1 >= dim + 1
 samples, in the order 0, 1, -1, 2, -2, .., and must match the others, and
-its top two coefficients must equal measures that do not count: the
-volume and half the normalized boundary volume for E, the moment
-``vol Bc_i`` and half the boundary moment ``B bBc_i / 2`` for S_i,
-compared in integers by cross-multiplying numerators and denominators.  A
-wrong fitted sample changes the leading coefficient, so these identities
-check the fitted samples too; each S_i has no sample to spare at odd dim.
+its top two coefficients must equal measures that do not count, read as
+integer pairs off P's face walk (:class:`qbary.polytope._FaceWalk`): the
+volume ``(W, dim!)`` and half the normalized boundary volume ``(B, 2
+(dim-1)!)`` for E, the moment ``vol Bc_i`` as ``(M_i, (dim+1)!)`` and half
+the boundary moment as ``(BM_i, 2 dim!)`` for S_i, compared by
+cross-multiplication.  A wrong fitted sample changes the leading
+coefficient, so these identities check the fitted samples too; each S_i
+has no sample to spare at odd dim.
 Any mismatch raises ``InternalInconsistency``: counting is exact and
 polynomiality is a theorem, not a modeling assumption.
 
@@ -84,7 +87,7 @@ from .exactnum import Polynomial, poly_fit
 from .hull import convex_hull
 from .lattice import _by_slope, _envelope, _floor_sums, _meet, _nonnegative, _piece_sums
 from .linalg import IntVec, int_value
-from .polytope import Polytope, _split_of, classify, facet_data, measure
+from .polytope import Polytope, _measures, classify, measure
 
 
 class _Bounds(NamedTuple):
@@ -109,7 +112,7 @@ class _ScanPlan(NamedTuple):
     """How one polytope is scanned, for every dilation.
 
     Scan coordinate ``j`` is original axis ``order[j]``.  The axes go by
-    decreasing shadow (:func:`_shadows`), ties by index, so the last two,
+    decreasing shadow (:func:`_shadow_weights`), ties by index, so the last two,
     summed in closed form, are the axes of least shadow.  A pass makes one
     row per lattice point of the projection of ``k*P`` onto the first
     ``dim - 2`` scan coordinates, about ``k^(dim-2)`` times the volume of
@@ -139,23 +142,18 @@ class _ScanPlan(NamedTuple):
 
 
 def _shadow_weights(p: Polytope) -> list[int]:
-    """``(dim-1)! shadow_i`` for each axis (:func:`_shadows`), in integers:
-    ``(dim-1)! nvol(F)`` is an integer for every facet F."""
-    unit = factorial(p.dim - 1)
-    weights = [(fm.normal, (v := fm.normalized_volume).numerator * (unit // v.denominator)) for fm in facet_data(p).facets]
-    return [sum(u[i] * w for u, w in weights if u[i] > 0) for i in range(p.dim)]
+    """``(dim-1)! shadow_i`` for each axis, ``shadow_i`` the sum over the
+    facets F with ``u_F[i] > 0`` of ``u_F[i] nvol(F)``: the sum of
+    ``u_F[i] W_F`` with the integer facet weights ``W_F = (dim-1)! nvol(F)``
+    of :func:`qbary.polytope._measures`.
 
-
-def _shadows(p: Polytope) -> list[Fraction]:
-    """``shadow_i = sum over facets F with u_F[i] > 0 of u_F[i] nvol(F)``.
-
-    By Cauchy's projection formula this is the (dim-1)-volume of P's
+    By Cauchy's projection formula ``shadow_i`` is the (dim-1)-volume of P's
     projection along e_i: the facets whose normals point one way along e_i
     cover that projection once, and a facet with primitive normal u, whose
     Euclidean area is ``nvol(F) |u|``, covers ``|u[i]| / |u|`` of it.
     """
-    unit = factorial(p.dim - 1)
-    return [Fraction(w, unit) for w in _shadow_weights(p)]
+    weights = [(f.normal, w) for f, (w, _) in zip(p.facets, _measures(p).weighed)]
+    return [sum(u[i] * w for u, w in weights if u[i] > 0) for i in range(p.dim)]
 
 
 def _plan(p: Polytope, order: tuple[int, ...], blocks: list[tuple[int, ...]]) -> _ScanPlan:
@@ -195,7 +193,7 @@ def _scan_plan(p: Polytope) -> _ScanPlan:
     """
     weights = _shadow_weights(p)
     order = tuple(sorted(range(p.dim), key=lambda i: (-weights[i], i)))
-    split = _split_of(p)
+    split = _measures(p).split
     plan = _plan(p, order, [block for block, _, _ in split] or [tuple(range(p.dim))])
     if not split:
         return plan
@@ -474,14 +472,10 @@ def ehrhart_data(p: Polytope) -> tuple[Polynomial, tuple[Polynomial, ...]]:
     once: 2m + 1 samples and two coefficient identities for each fit."""
     n = p.dim
     records = [lattice_point_stats(p, k) for k in fitted_dilations(n)]
-    geo, boundary = measure(p), facet_data(p)
-    (vn, vd), (bn, bd) = geo.volume.as_integer_ratio(), boundary.boundary_normalized_volume.as_integer_ratio()
-    counting = _fit([(r.count, r.interior) for r in records], n, ((vn, vd), (bn, 2 * bd)), "counting polynomial")
-    # vol Bc_i and B bBc_i / 2, as numerators and denominators
-    tops = [
-        ((vn * c.numerator, vd * c.denominator), (bn * bc.numerator, 2 * bd * bc.denominator))
-        for c, bc in zip(geo.barycenter, boundary.boundary_barycenter)
-    ]
+    walk, unit = _measures(p), factorial(n)
+    volumes = ((walk.volume, unit), (walk.boundary, 2 * factorial(n - 1)))
+    counting = _fit([(r.count, r.interior) for r in records], n, volumes, "counting polynomial")
+    tops = [((m, (n + 1) * unit), (bm, 2 * unit)) for m, bm in zip(walk.moment, walk.boundary_moment)]
     sums = tuple(
         _fit([(r.sums[i], r.interior_sums[i]) for r in records], n + 1, top, "coordinate-sum polynomial")
         for i, top in enumerate(tops)

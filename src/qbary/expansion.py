@@ -43,9 +43,9 @@ from .linalg import dot, int_list, int_value
 from .polytope import (
     Halfspace,
     Polytope,
+    _measures,
     check_direction,
     classify,
-    facet_data,
     measure,
     support_value,
 )
@@ -162,13 +162,11 @@ def barycenter_function(p: Polytope) -> BarycenterFunction:
 
 def a1_closed_form(p: Polytope) -> Vector:
     """First-order coefficient from the boundary geometry:
-    ``(boundary_vol / (2 vol)) * (boundary_barycenter - barycenter)``."""
-    geo = measure(p)
-    boundary = facet_data(p)
-    factor = boundary.boundary_normalized_volume / (2 * geo.volume)
-    return tuple(
-        factor * (bb - b) for bb, b in zip(boundary.boundary_barycenter, geo.barycenter)
-    )
+    ``(boundary_vol / (2 vol)) * (boundary_barycenter - barycenter)``, which
+    is ``((n+1) W BM_i - n B M_i) / (2 (n+1) W^2)`` in the integers of the
+    face walk (:class:`qbary.polytope._FaceWalk`)."""
+    n, (w, moment, _, b, boundary_moment, _) = p.dim, _measures(p)
+    return tuple(Fraction((n + 1) * w * bm - n * b * m, 2 * (n + 1) * w * w) for m, bm in zip(moment, boundary_moment))
 
 
 def asymptotic_coefficients(p: Polytope, order: int | None = None) -> ExpansionCoefficients:
@@ -201,7 +199,7 @@ def reflexive_polygon_bck(p: Polytope, k: int) -> Vector:
         raise Unsupported("closed form requires a reflexive polygon")
     if int_value(k, "dilation factor") < 1:
         raise InvalidInput("dilation must be positive")
-    b = facet_data(p).boundary_normalized_volume
+    b = _measures(p).boundary  # in dimension 2, B = sum_F 1! nvol(F)
     ratio = Fraction((k + 1) * (2 * k + 1) * b, 4 + 2 * k * (k + 1) * b)
     value = tuple(ratio * c for c in measure(p).barycenter)
     if value != quantized_barycenter(p, k).value:

@@ -180,8 +180,3 @@ def adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
                 m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
         prev = p
     return prev, [row[n:] for row in m]
-
-
-def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[IntVec, ...]:
-    cols = list(zip(*b))
-    return tuple(tuple(dot(row, col) for col in cols) for row in a)

@@ -13,20 +13,22 @@ exception is the rooftop over P (:func:`qbary.expansion.rooftop`), whose
 face lattice is read off P's in closed form.
 
 Measures and the normal fan are read off the incidence relation, which
-holds the whole face lattice; no hull is rebuilt.  :func:`measure` and
-:func:`facet_data` read one record per polytope, made by one walk of the
-face lattice (:func:`qbary.hull.face_moments`).  It gives each facet's
-lattice-normalized (dim-1)-measure, in which a fundamental cell of the
-facet sublattice has measure one, with its barycenter in the original
-coordinates: one determinant for a facet that is a simplex, and pyramid
-heights read off sparse Plücker vectors, each face once, for any other.
-The facets' measures and the lattice heights of vertex 0 above them give
-the Euclidean volume and barycenter of P.  A product of coordinate blocks
-of dimension 4 or more, by the rule counting uses, is walked one factor at
-a time instead (:func:`_split`, kept in the same record), and P's integers
-are assembled from the factors' with multinomial coefficients
-(:func:`_product_face`).  The sums stay integers until Minkowski's
-relation and the divergence theorem have been checked on them.
+holds the whole face lattice; no hull is rebuilt.  One record per
+polytope (:func:`_measures`) keeps the integers of one walk of the face
+lattice (:func:`qbary.hull.face_moments`).  For each facet F they are its
+weight ``W_F = (dim-1)! nvol(F)``, with ``nvol`` the lattice-normalized
+measure, in which a fundamental cell of the facet sublattice has measure
+one, and its moment ``M_F = dim W_F bc(F)``: one determinant for a facet
+that is a simplex, and pyramid heights read off sparse Plücker vectors,
+each face once, for any other.  With the lattice heights of vertex 0 above
+the facets they give ``W = dim! vol(P)`` and ``M = (dim+1) W bc(P)``.  A
+product of coordinate blocks of dimension 4 or more, by the rule counting
+uses, is walked one factor at a time instead (:func:`_split`, kept in the
+same record), and P's integers are assembled from the factors' with
+multinomial coefficients (:func:`_product_face`).  Minkowski's relation
+and the divergence theorem are checked on the integers, every check in
+qbary reads them, and only :func:`measure` and :func:`facet_data` turn
+them into fractions, on each call.
 :func:`vertex_cones` lists the facets through each vertex, whose normals
 span that vertex's cone of the normal fan; :func:`classify` reads the
 Delzant condition off them.
@@ -242,13 +244,23 @@ def minkowski_sum(a: Polytope, b: Polytope) -> Polytope:
 # measures
 
 def measure(p: Polytope) -> MeasureData:
-    """Exact Euclidean volume and barycenter."""
-    return _measures(p)[0]
+    """Exact Euclidean volume and barycenter, ``W / n!`` and ``M / ((n+1) W)``
+    (:class:`_FaceWalk`)."""
+    n, walk = p.dim, _measures(p)
+    return MeasureData(Fraction(walk.volume, factorial(n)), tuple(Fraction(m, (n + 1) * walk.volume) for m in walk.moment))
 
 
 def facet_data(p: Polytope) -> FacetData:
-    """Lattice-normalized facet measures, barycenters, and their aggregates."""
-    return _measures(p)[1]
+    """Lattice-normalized facet measures, barycenters, and their aggregates:
+    ``W_F / (n-1)!`` and ``M_F / (n W_F)`` of each facet, ``B / (n-1)!`` and
+    ``BM / (n B)`` of the boundary (:class:`_FaceWalk`)."""
+    n, walk, unit = p.dim, _measures(p), factorial(p.dim - 1)
+    facets = zip(p.facets, walk.weighed)
+    return FacetData(
+        tuple(FacetMeasure(f.normal, f.offset, Fraction(w, unit), tuple(Fraction(m, n * w) for m in moment)) for f, (w, moment) in facets),
+        Fraction(walk.boundary, unit),
+        tuple(Fraction(m, n * walk.boundary) for m in walk.boundary_moment),
+    )
 
 
 Split = tuple[tuple[tuple[int, ...], Polytope, tuple[int, ...]], ...]
@@ -292,12 +304,6 @@ def _split(p: Polytope) -> Split:
     return tuple(split)
 
 
-def _split_of(p: Polytope) -> Split:
-    """P's :func:`_split`, kept in the record of its measures, so it is
-    computed once per polytope."""
-    return _measures(p)[2]
-
-
 def _product_face(blocks: list[tuple[int, ...]], faces: list[tuple[int, int, list[int]]]) -> tuple[int, list[int]]:
     """``W`` and ``M`` (:func:`qbary.hull.face_moments`) of a product of
     faces ``(dimension e_c, W_c, M_c)``, face c on the axes ``blocks[c]``.
@@ -337,20 +343,33 @@ def _product_moments(split: Split) -> tuple[int, list[int], list[tuple[int, list
     return volume, moment, weighed
 
 
-@lru_cache(maxsize=None)
-def _measures(p: Polytope) -> tuple[MeasureData, FacetData, Split]:
-    """Both measures of P from one walk, :func:`qbary.hull.face_moments`, or
-    when P splits into factors (:func:`_split`) from one walk of each
-    factor (:func:`_product_moments`); the split is kept with them.
+class _FaceWalk(NamedTuple):
+    volume: int
+    moment: list[int]
+    weighed: list[tuple[int, list[int]]]
+    boundary: int
+    boundary_moment: list[int]
+    split: Split
 
-    Its integers are checked before any fraction is built: Minkowski's
-    relation ``sum_F total_F u_F = 0`` and the divergence theorem ``sum_F
-    moment_F[i] u_F[j] = -delta_ij n! vol(P)``, with ``n! vol(P)`` summed
-    from the facet weights of the pyramids from vertex 0, not from the
-    facet moments.  On a product they hold only if each factor's do, since
-    a facet's integers are its factor's scaled by the other factors'
-    volumes, and they fail on a facet matched to another factor facet or a
-    wrong multinomial.
+
+@lru_cache(maxsize=None)
+def _measures(p: Polytope) -> _FaceWalk:
+    """P's integers from one walk, :func:`qbary.hull.face_moments`, or when
+    P splits into factors (:func:`_split`) from one walk of each factor
+    (:func:`_product_moments`), with n = dim P: ``volume``, ``W = n!
+    vol(P)``; ``moment``, ``M = (n+1) W bc(P)``; ``weighed``, ``(W_F, M_F)``
+    for each facet F, ``W_F = (n-1)! nvol(F)`` and ``M_F = n W_F bc(F)``;
+    ``boundary``, ``B = sum_F W_F``; ``boundary_moment``, ``BM = sum_F
+    M_F``; and the split.  Only :func:`measure` and :func:`facet_data`
+    turn them into fractions.
+
+    They are checked before they are kept: Minkowski's relation ``sum_F
+    W_F u_F = 0`` and the divergence theorem ``sum_F M_F[i] u_F[j] =
+    -delta_ij W``, with ``W`` summed from the facet weights of the pyramids
+    from vertex 0, not from the facet moments.  On a product they hold only
+    if each factor's do, since a facet's integers are its factor's scaled
+    by the other factors' volumes, and they fail on a facet matched to
+    another factor facet or a wrong multinomial.
     """
     n = p.dim
     normals = [f.normal for f in p.facets]
@@ -364,18 +383,9 @@ def _measures(p: Polytope) -> tuple[MeasureData, FacetData, Split]:
             flux = sum(facet_moment[i] * u[j] for (_, facet_moment), u in zip(weighed, normals))
             if flux != (-volume if i == j else 0):
                 raise InternalInconsistency("facet barycenters violate the divergence theorem")
-    unit = factorial(n - 1)
-    measures = tuple(
-        FacetMeasure(f.normal, f.offset, Fraction(total, unit), tuple(Fraction(m, n * total) for m in facet_moment))
-        for f, (total, facet_moment) in zip(p.facets, weighed)
-    )
     boundary = sum(total for total, _ in weighed)
     boundary_moment = [sum(column) for column in zip(*(facet_moment for _, facet_moment in weighed))]
-    return (
-        MeasureData(Fraction(volume, n * unit), tuple(Fraction(m, volume * (n + 1)) for m in moment)),
-        FacetData(measures, Fraction(boundary, unit), tuple(Fraction(m, n * boundary) for m in boundary_moment)),
-        split,
-    )
+    return _FaceWalk(volume, moment, weighed, boundary, boundary_moment, split)
 
 
 def check_direction(direction: Sequence[int], dim: int) -> None:

@@ -29,7 +29,7 @@ from .errors import InternalInconsistency, InvalidInput, InvalidPolarization, Un
 from .exactnum import LaurentSeries, Polynomial, RationalFunction, integer_numerators, laurent_expand
 from .expansion import a1_closed_form, barycenter_function, quantized_barycenter
 from .linalg import dot, int_list, int_value, solve
-from .polytope import check_direction, classify, facet_data, measure, support_value, vertex_cones
+from .polytope import _measures, check_direction, classify, measure, support_value, vertex_cones
 from .toric import ToricData
 
 
@@ -153,7 +153,7 @@ def del_pezzo_closed_form(t: ToricData, k: int) -> Fraction:
         raise Unsupported("closed form requires a smooth reflexive polygon")
     if int_value(k, "threshold index") < 1:
         raise InvalidInput("threshold index must be positive")
-    ksq = facet_data(p).boundary_normalized_volume
+    ksq = _measures(p).boundary  # in dimension 2, B = sum_F 1! nvol(F)
     lim = delta(t)[0]
     ratio = Fraction((k + 1) * (2 * k + 1) * ksq, 4 + 2 * k * (k + 1) * ksq)
     value = 1 / (1 + ratio * (1 / lim - 1))

@@ -80,11 +80,11 @@ from .lattice import primitive
 from .linalg import IntVec, dot, int_list, int_rows, int_value, solve, vec_sub
 from .polytope import (
     Polytope,
+    _measures,
     check_dim,
     check_polytopes,
     classify,
     dilate,
-    facet_data,
     measure,
     minkowski_sum,
     polytope_from_halfspaces,
@@ -418,7 +418,7 @@ def hrr_coefficients(t: ToricData) -> tuple[Fraction, ...]:
     coeffs = _todd_coefficients(delzant_fan(t), t.offsets, len(t.rays), range(n + 1))
     if coeffs[n] != measure(p).volume:
         raise InternalInconsistency("leading coefficient is not the volume")
-    if coeffs[n - 1] != facet_data(p).boundary_normalized_volume / 2:
+    if coeffs[n - 1] != Fraction(_measures(p).boundary, 2 * factorial(n - 1)):
         raise InternalInconsistency("subleading coefficient is not half the boundary volume")
     # the counting records themselves, not E's fit, so nothing is fitted:
     # the closed counts at k = 0..m and, by reciprocity, (-1)^n times the

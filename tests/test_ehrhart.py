@@ -5,7 +5,9 @@ from fractions import Fraction as F
 import io
 import itertools
 import json
+from math import factorial
 import operator
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -268,12 +270,12 @@ def test_nonnegative_range_matches_the_real_envelopes(low, high, lo, length):
 
 
 def projection_shadow(p, axis):
-    """The volume of the hull of P's vertices projected along e_axis; a
-    point, in dimension 1, has volume 1."""
+    """(dim-1)! times the volume of the hull of P's vertices projected along
+    e_axis; a point, in dimension 1, has volume 1."""
     if p.dim == 1:
         return 1
     volume, _ = volume_and_barycenter([v[:axis] + v[axis + 1 :] for v in p.vertices])
-    return volume
+    return factorial(p.dim - 1) * volume
 
 
 def shadow_mismatches(shadows, polytopes):
@@ -282,12 +284,12 @@ def shadow_mismatches(shadows, polytopes):
 
 def test_shadows_are_projection_volumes(fixtures, corpus):
     polytopes = [*fixtures.values(), *corpus, *map(qb.hull_from_vertices, SCAN_SHAPES.values())]
-    assert shadow_mismatches(ehrhart._shadows, polytopes) == []
+    assert shadow_mismatches(ehrhart._shadow_weights, polytopes) == []
 
     def unhalved(p):
         # both sides of the projection: twice the shadow
         facets = qb.facet_data(p).facets
-        return [sum(abs(fm.normal[i]) * fm.normalized_volume for fm in facets) for i in range(p.dim)]
+        return [factorial(p.dim - 1) * sum(abs(fm.normal[i]) * fm.normalized_volume for fm in facets) for i in range(p.dim)]
 
     assert len(shadow_mismatches(unhalved, polytopes)) == sum(p.dim for p in polytopes)
 
@@ -297,12 +299,12 @@ def test_shadows_are_projection_volumes(fixtures, corpus):
 def test_shadows_and_scan_order_follow_signed_permutations(case, data):
     # coordinate i of the image is signs[i] times coordinate perm[i] of P
     p, _, _ = case
-    assert shadow_mismatches(ehrhart._shadows, [p]) == []
+    assert shadow_mismatches(ehrhart._shadow_weights, [p]) == []
     perm = data.draw(st.permutations(range(p.dim)))
     signs = data.draw(st.tuples(*[st.sampled_from((1, -1))] * p.dim))
     image = qb.hull_from_vertices([tuple(s * v[j] for s, j in zip(signs, perm)) for v in p.vertices])
-    shadows = ehrhart._shadows(p)
-    assert ehrhart._shadows(image) == [shadows[j] for j in perm]
+    shadows = ehrhart._shadow_weights(p)
+    assert ehrhart._shadow_weights(image) == [shadows[j] for j in perm]
     if len(set(shadows)) == p.dim:
         assert tuple(perm[i] for i in ehrhart._scan_plan(image).order) == ehrhart._scan_plan(p).order
 
@@ -318,7 +320,8 @@ def test_plane_order_solves_the_wider_axis(fixtures, corpus):
 
 def test_longest_fibers_are_solved_rather_than_the_widest_axis():
     p = qb.hull_from_vertices(SCAN_SHAPES["box times twice a triangle"])
-    assert ehrhart._shadows(p) == [4, 2, 4, 4]
+    # 3! times the shadows 4, 2, 4 and 4
+    assert ehrhart._shadow_weights(p) == [24, 12, 24, 24]
     assert ehrhart._scan_plan(p).order == (0, 2, 3, 1)
 
 
@@ -516,30 +519,24 @@ def test_top_coefficients_alone_check_the_sums_of_a_segment(monkeypatch):
 
 
 def wrong_measure(which):
-    """The measures a fit's top two coefficients are checked against, one
-    of them off by one."""
-    real_measure, real_facets = ehrhart.measure, ehrhart.facet_data
+    """The face-walk integers a fit's top two coefficients are checked
+    against, one of them off by one."""
+    real = ehrhart._measures
 
     def first_plus_one(v):
-        return (v[0] + 1,) + v[1:]
+        return [v[0] + 1, *v[1:]]
 
-    def measure(p):
-        m = real_measure(p)
+    def measures(p):
+        walk = real(p)
         if which == "volume":
-            return m._replace(volume=m.volume + 1)
-        if which == "barycenter":
-            return m._replace(barycenter=first_plus_one(m.barycenter))
-        return m
-
-    def facet_data(p):
-        fd = real_facets(p)
+            return walk._replace(volume=walk.volume + 1)
         if which == "boundary volume":
-            return fd._replace(boundary_normalized_volume=fd.boundary_normalized_volume + 1)
-        if which == "boundary barycenter":
-            return fd._replace(boundary_barycenter=first_plus_one(fd.boundary_barycenter))
-        return fd
+            return walk._replace(boundary=walk.boundary + 1)
+        if which == "barycenter":
+            return walk._replace(moment=first_plus_one(walk.moment))
+        return walk._replace(boundary_moment=first_plus_one(walk.boundary_moment))
 
-    return measure, facet_data
+    return measures
 
 
 @pytest.mark.parametrize(
@@ -553,9 +550,7 @@ def wrong_measure(which):
 )
 def test_each_top_coefficient_identity_can_fail(monkeypatch, which, module, message):
     p = fresh_simplex(3)
-    measure, facet_data = wrong_measure(which)
-    monkeypatch.setattr(module, "measure", measure)
-    monkeypatch.setattr(module, "facet_data", facet_data)
+    monkeypatch.setattr(module, "_measures", wrong_measure(which))
     with pytest.raises(qb.InternalInconsistency, match=message):
         qb.barycenter_function(p)
 
@@ -563,9 +558,12 @@ def test_each_top_coefficient_identity_can_fail(monkeypatch, which, module, mess
 @pytest.mark.parametrize("n", (1, 3, 4))
 def test_the_record_builds_no_fraction_once_the_measures_are_cached(monkeypatch, n):
     # the fits read integer records, and their top coefficients are compared
-    # with the measures by cross-multiplying numerators and denominators
-    p = fresh_simplex(n) if n > 1 else qb.hull_from_vertices([(next(_FRESH),), (next(_FRESH) + 3,)])
-    qb.measure(p)
+    # with the integers of the face walk by cross-multiplying numerators and
+    # denominators; so a cold polytope builds no Fraction but E's
+    # coefficients, and a warm one, whose public measures were read, none
+    def fresh():
+        return fresh_simplex(n) if n > 1 else qb.hull_from_vertices([(next(_FRESH),), (next(_FRESH) + 3,)])
+
     built = []
 
     class Counted(F):
@@ -573,11 +571,30 @@ def test_the_record_builds_no_fraction_once_the_measures_are_cached(monkeypatch,
             built.append(args)
             return F(*args)
 
-    monkeypatch.setattr(ehrhart, "Fraction", Counted)
-    monkeypatch.setattr(qbary.exactnum, "Fraction", Counted)
-    counting, sums = ehrhart.ehrhart_data(p)
+    def refuse(p):
+        raise AssertionError("facet_data called")
+
+    # the counter sees the Fractions these modules build, and every module
+    # that holds facet_data holds the refusal instead
+    for module in (ehrhart, qbary.exactnum, qbary.polytope):
+        monkeypatch.setattr(module, "Fraction", Counted)
+    real = qb.facet_data
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("qbary") and getattr(module, "facet_data", None) is real:
+            monkeypatch.setattr(module, "facet_data", refuse)
+
+    cold = fresh()
+    ehrhart._scan_plan(cold)
+    counting, _ = ehrhart.ehrhart_data(cold)
     assert built == []
-    # the counter sees the Fractions these modules build: one a coefficient
+    # one Fraction a coefficient, built when E's coefficients are read
+    assert len(counting.coefficients) == len(built) > 0
+
+    warm = fresh()
+    qb.measure(warm)
+    built.clear()
+    counting, _ = ehrhart.ehrhart_data(warm)
+    assert built == []
     assert len(counting.coefficients) == len(built) > 0
 
 

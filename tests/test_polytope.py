@@ -479,8 +479,8 @@ def test_measures_and_classification_build_no_hull(name, monkeypatch):
 
     monkeypatch.setattr(qbary.hull, "convex_hull", refuse)
     monkeypatch.setattr(qbary.polytope, "convex_hull", refuse)
-    measured, facets, _ = qbary.polytope._measures.__wrapped__(p)
-    got = (measured, facets, qb.classify.__wrapped__(p))
+    monkeypatch.setattr(qbary.polytope, "_measures", qbary.polytope._measures.__wrapped__)
+    got = (qb.measure(p), qb.facet_data(p), qb.classify.__wrapped__(p))
     assert got == expected
 
 
@@ -803,8 +803,8 @@ def test_product_measures_equal_the_walk_of_the_whole_polytope(p):
     # with its split hidden, P is measured by face_moments on P itself
     assert len(qbary.polytope._split(p)) >= 2
     with patch.object(qbary.polytope, "_split", lambda q: ()):
-        walked = qbary.polytope._measures.__wrapped__(p)[:2]
-    assert pickle.dumps(qbary.polytope._measures.__wrapped__(p)[:2]) == pickle.dumps(walked)
+        walked = qbary.polytope._measures.__wrapped__(p)[:-1]
+    assert qbary.polytope._measures.__wrapped__(p)[:-1] == walked
 
 
 # Products of dimension 2 and 3, which are measured by one walk of P
