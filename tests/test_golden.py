@@ -1,8 +1,10 @@
 """CLI output held byte for byte to recorded golden documents.
 
 ``tests/golden/cli.json`` holds, for each command line below, the exit
-status, stdout and stderr of ``python -m qbary.cli``.  The test runs the
-same command lines through ``qbary.cli.execute`` and compares all three
+status, stdout and stderr of ``python -m qbary.cli``, run from the
+repository root, so an input file is named by its path from there.  The
+test runs the same command lines through ``qbary.cli.execute`` from the
+same directory and compares all three
 exactly, so a rewrite of any layer underneath must leave the printed
 results unchanged.  After a deliberate change of output, regenerate the
 file with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -28,7 +30,8 @@ from unittest import mock
 
 from qbary.cli import execute
 
-GOLDEN = Path(__file__).parent / "golden" / "cli.json"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden" / "cli.json"
 # argparse wraps usage text to the terminal's width, which it reads from
 # COLUMNS first: lines are recorded and replayed at one width.
 COLUMNS = {"COLUMNS": "80"}
@@ -203,6 +206,19 @@ CUBE5 = (
     ";".join(",".join(str(s * (i == j)) for i in range(5)) for j in range(5) for s in (1, -1)),
     ",".join(["1"] * 10),
 )
+# Vertex documents, named by their path from the repository root, where
+# every command line runs: the unit 5-cube; [0,1]^2 x QUAD; all 24 lattice
+# points of [0,2] x [0,1]^3, most of them not vertices; and [0,1] x [0,2]
+# on axes 0 and 2 times 2 Delta_2 on axes 1 and 3, whose blocks interleave.
+# {0,1}^3 x {3}, a 4-D product with a flat factor, is refused.
+VERTEX_PRODUCTS = ("cube5", "box11-quad", "box2111-points", "box12-triangle2")
+FLAT_PRODUCT = "cube3-flat"
+
+
+def document(name: str) -> str:
+    return f"tests/golden/documents/{name}.json"
+
+
 # Decimal renderings, as JSON and as a table: a vector, nested lists of
 # floats, a document with integers and floats side by side, a table with an
 # approximate column, and a table without one.
@@ -329,6 +345,10 @@ def command_lines() -> list[list[str]]:
     lines.extend(list(argv) for argv in APPROX_AND_TABLE)
     lines.extend(list(argv) for argv in OPTION_FORMS)
     lines.extend(list(argv) for argv in INPUT_FORMS)
+    for name in VERTEX_PRODUCTS:
+        for command in (["bc"], ["classify"], ["expand"], ["bck", "--k", "12"]):
+            lines.append([*command, "--input", document(name)])
+    lines.append(["classify", "--input", document(FLAT_PRODUCT)])
     return lines
 
 
@@ -337,7 +357,11 @@ def record() -> None:
     cases = []
     for argv in command_lines():
         run = subprocess.run(
-            [sys.executable, "-m", "qbary.cli", *argv], capture_output=True, text=True, env={**os.environ, **COLUMNS}
+            [sys.executable, "-m", "qbary.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, **COLUMNS},
+            cwd=ROOT,
         )
         cases.append({"argv": argv, "status": run.returncode, "stdout": run.stdout, "stderr": run.stderr})
     GOLDEN.write_text(json.dumps(cases, indent=1) + "\n")
@@ -362,9 +386,13 @@ def recorded(case: dict) -> tuple[int, str, str]:
 
 
 def run_line(argv: list[str]) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err), mock.patch.dict(os.environ, COLUMNS):
-        status = execute(argv)
+    out, err, here = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with redirect_stdout(out), redirect_stderr(err), mock.patch.dict(os.environ, COLUMNS):
+            status = execute(argv)
+    finally:
+        os.chdir(here)
     return status, out.getvalue(), err.getvalue()
 
 
