@@ -20,6 +20,21 @@ sorted; its facets in inward form, a primitive integer normal ``v`` and an
 integer offset ``b`` with ``<u, v> >= -b`` on the hull and equality on the
 facet, sorted; and the incidence, each facet's increasing vertex indices.
 
+Two inputs are written down directly, as the polytope the double
+description would give.  In dimension 1 the hull is the segment from the
+least point to the greatest.  In dimension 4 or more, points that are not
+a simplex's vertices are searched for the axes on which they split off as
+a factor (:func:`_blocks`); the other axes form one block.  With two or
+more blocks, each factor's distinct projection is hulled by
+:func:`convex_hull` itself, and the product's vertices are the sorted
+products of the factors' vertices, its facets the factors' facets padded
+with zeros, sorted, each holding the vertices whose component on that
+factor lies on the factor's facet (:func:`_product`).  Dimension 4 is where
+:func:`qbary.polytope._split` starts to measure and count a product
+through its factors; below it, and on a simplex, the search costs more
+than it saves.  A product whose factors all have dimension 2 or more has
+no axis that splits off, and is built whole.
+
 The same engine serves both directions of Minkowski–Weyl duality: points
 to facets directly, and half-spaces to vertices through the facets at the
 origin of a hull one dimension up, which also show whether the half-spaces
@@ -40,14 +55,16 @@ measures and the heights of vertex 0 give its volume and barycenter.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import factorial, gcd
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DegenerateInput, InternalInconsistency, InvalidInput
 from .exactnum import rational_vector
-from .linalg import IntVec, adjugate, dot, independent_rows, int_det, int_rows, vec_sub
+from .linalg import IntRows, IntVec, adjugate, dot, independent_rows, int_det, int_rows, vec_sub
 
 
 class Halfspace(NamedTuple):
@@ -92,16 +109,29 @@ def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
         raise InvalidInput("points of mixed dimension")
     if dim < 1:
         raise InvalidInput("ambient dimension must be at least 1")
-    if dim == 1 and len(pts) == 1:
-        raise DegenerateInput("hull of a single point is not full-dimensional")
+    if dim == 1:
+        if len(pts) == 1:
+            raise DegenerateInput("hull of a single point is not full-dimensional")
+        (low,), (high,) = pts[0], pts[-1]
+        return Polytope(1, (pts[0], pts[-1]), (Halfspace((-1,), high), Halfspace((1,), -low)), ((1,), (0,)))
+    base = _initial_simplex(pts, dim)
+    if dim >= 4 and len(pts) > dim + 1:
+        blocks = _blocks(pts, dim)
+        if blocks:  # a factor's points are integer rows already
+            factors = [convex_hull(IntRows({tuple(p[i] for i in block) for p in pts})) for block in blocks]
+            return _product(blocks, factors)
+    return _double_description(pts, dim, base)
 
+
+def _double_description(pts: list[IntVec], dim: int, base: list[int]) -> Polytope:
+    """The hull of the sorted distinct points ``pts``, from the simplex on
+    their indices ``base``."""
     # A facet is (w, c, z): <x, w> <= c on the hull, z the bitmask of the
     # inserted points on its plane.  On the simplex with edges e_j at the
     # corner, column j of the adjugate of the edge matrix meets e_j in d and
     # the other edges in 0, so -sign(d) times it is the outward normal of
     # the facet through the corner that misses e_j, and these d normals sum
     # to minus the outward normal of the facet opposite the corner.
-    base = _initial_simplex(pts, dim)
     corner, full = pts[base[0]], sum(1 << i for i in base)
     det, adj = adjugate([vec_sub(pts[i], corner) for i in base[1:]])
     if not det:
@@ -164,6 +194,51 @@ def _initial_simplex(pts: list[IntVec], dim: int) -> list[int]:
             f"points span an affine space of dimension {len(chosen)} < {dim}"
         )
     return [0] + [i + 1 for i in chosen]
+
+
+def _blocks(pts: list[IntVec], dim: int) -> list[tuple[int, ...]]:
+    """The coordinate blocks of which the distinct points ``pts`` are the
+    product: each axis on which they split off as a factor, and the other
+    axes as one block; ``[]`` when no axis splits off.
+
+    The points lie in the product of their values on axis i and their
+    projection onto the other axes, so they split off on axis i iff the two
+    sizes multiply to their number.  Then each value holds the same number
+    of points, which is checked before the projection is built.
+    """
+    alone = []
+    for i, column in enumerate(zip(*pts)):
+        counts = set(Counter(column).values())
+        if len(counts) == 1 and len({p[:i] + p[i + 1 :] for p in pts}) == counts.pop():
+            alone.append(i)
+    if not alone:
+        return []
+    rest = tuple(i for i in range(dim) if i not in alone)
+    return [(i,) for i in alone] + ([rest] if rest else [])
+
+
+def _product(blocks: list[tuple[int, ...]], factors: list[Polytope]) -> Polytope:
+    """The product of the hulls ``factors``, each on the axes of its block,
+    in the form the double description gives.
+
+    Its vertices are the products of the factors' vertices, sorted.  Its
+    facets are the factors' facets padded with zeros, sorted, and each holds
+    the vertices whose component on that factor lies on the factor's facet.
+    """
+    axes = sum(blocks, ())
+    # the factors' coordinates, joined in block order, back on their axes
+    place = itemgetter(*sorted(range(len(axes)), key=axes.__getitem__))
+    picks = product(*(range(len(f.vertices)) for f in factors))
+    corners = sorted((place(sum(vs, ())), ids) for ids, vs in zip(picks, product(*(f.vertices for f in factors))))
+    facets, before = [], ()
+    for c, f in enumerate(factors):
+        after = (0,) * (len(axes) - len(before) - f.dim)
+        for h, on in zip(f.facets, f.incidence):
+            ids = tuple(k for k, (_, at) in enumerate(corners) if at[c] in on)
+            facets.append((Halfspace(place(before + h.normal + after), h.offset), ids))
+        before += (0,) * f.dim
+    facets.sort()  # by normal, as no two are equal
+    return Polytope(len(axes), tuple(x for x, _ in corners), *zip(*facets))
 
 
 def _primitive(w: IntVec, c: int, z: int) -> tuple[IntVec, int, int]:

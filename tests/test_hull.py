@@ -6,6 +6,8 @@ import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ import qbary.hull
 import qbary.linalg
 from qbary.hull import convex_hull
 
-from conftest import brute_hull, count_hulls
+from conftest import brute_hull, count_hulls, fraction_rank
 
 # the most points a case may have in each dimension: the oracle tries
 # every dim-subset of them
@@ -80,6 +82,118 @@ def test_hull_matches_brute_force_facets(dim, count):
 )
 def test_hull_matches_brute_force_facets_on_drawn_points(points):
     assert_hull_matches_oracle(points)
+
+
+def double_description(points) -> qb.Polytope:
+    """The hull of ``points`` by double description, whatever their shape."""
+    pts = sorted(set(points))
+    return qbary.hull._double_description(pts, len(pts[0]), qbary.hull._initial_simplex(pts, len(pts[0])))
+
+
+def outcome(hull, points):
+    """The hull, or the type and message of the refusal."""
+    try:
+        return hull(points)
+    except qb.QbaryError as exc:
+        return type(exc), str(exc)
+
+
+# The oracle's cost is one rank per dim-subset of the distinct points, so
+# it checks the products with at most PRODUCT_SUBSETS of them, mostly of
+# the shapes listed three times; the double description checks them all.
+PRODUCT_SUBSETS = 1000
+FACTOR_DIMS = [(1, 3), (1, 1, 2)] * 3 + [(2, 2), (2, 3), (1, 1, 3), (1, 2, 2), (3, 3), (1, 2, 3), (2, 2, 2)]
+
+
+def product_case(rng: random.Random, dims: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The product of random affinely spanning point sets of dimensions
+    ``dims``, some with a midpoint of two of their points, which is no
+    vertex; its axes shuffled, translated, some points repeated.  In one case
+    in four two points exchange their values on one axis, which keeps every
+    axis's count of points per value and mostly leaves no product; in one in
+    eight an axis is flat."""
+    factors = []
+    for d in dims:
+        pts = []
+        while fraction_rank([[a - b for a, b in zip(q, pts[0])] for q in pts]) < d:
+            pts = [tuple(2 * rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(d + 1, d + 2))]
+        if rng.random() < 0.4:
+            u, v = rng.sample(pts, 2)
+            pts.append(tuple((a + b) // 2 for a, b in zip(u, v)))
+        factors.append(pts)
+    axes = list(range(sum(dims)))
+    rng.shuffle(axes)
+    shift = [rng.randint(-9, 9) for _ in axes]
+    pts = [sum(parts, ()) for parts in product(*factors)]
+    pts = [tuple(p[a] + s for a, s in zip(axes, shift)) for p in pts]
+    if rng.random() < 0.125:
+        pts = [(0, *p[1:]) for p in pts]
+    if rng.random() < 0.25:
+        i, (j, k) = rng.randrange(len(axes)), rng.sample(range(len(pts)), 2)
+        pj, pk = list(pts[j]), list(pts[k])
+        pj[i], pk[i] = pk[i], pj[i]
+        pts[j], pts[k] = tuple(pj), tuple(pk)
+    return pts + rng.choices(pts, k=2)
+
+
+def test_products_match_brute_force_facets_and_the_double_description():
+    rng = random.Random(4321)
+    checked, refused = 0, 0
+    for dims in FACTOR_DIMS * 8:
+        pts = product_case(rng, dims)
+        got = outcome(convex_hull, pts)
+        assert got == outcome(double_description, pts), pts
+        refused += not isinstance(got, qb.Polytope)
+        if comb(len(set(pts)), len(pts[0])) <= PRODUCT_SUBSETS:
+            assert_hull_matches_oracle(pts)
+            checked += 1
+    assert checked >= 25 and refused >= 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3) | st.integers(-(10**40), 10**40)), min_size=1, max_size=8))
+def test_a_segment_is_the_double_description_of_its_ends(points):
+    if len(set(points)) == 1:
+        with pytest.raises(qb.DegenerateInput, match="^hull of a single point is not full-dimensional$"):
+            convex_hull(points)
+    else:
+        assert convex_hull(points) == double_description(points)
+
+
+def counted(monkeypatch, name: str) -> list:
+    """Record the points of every call of ``qbary.hull``'s function ``name``."""
+    real, calls = getattr(qbary.hull, name), []
+
+    def count(pts, *args):
+        calls.append(pts)
+        return real(pts, *args)
+
+    monkeypatch.setattr(qbary.hull, name, count)
+    return calls
+
+
+QUAD = [(0, 0), (2, 0), (0, 1), (1, 2)]
+
+
+def test_a_product_of_segments_runs_no_double_description(monkeypatch):
+    searches, runs = counted(monkeypatch, "_blocks"), counted(monkeypatch, "_double_description")
+    cube5 = convex_hull(product((0, 1), repeat=5))
+    assert len(cube5.vertices) == 32 and len(cube5.facets) == 10
+    assert len(searches) == 1 and runs == []
+    box_quad = convex_hull([(a, b, *q) for a, b in product((0, 1), repeat=2) for q in QUAD])
+    assert len(box_quad.vertices) == 16 and len(box_quad.facets) == 8
+    assert runs == [sorted(QUAD)]
+
+
+def test_simplices_and_low_dimensions_look_for_no_blocks(fixtures, monkeypatch):
+    searches = counted(monkeypatch, "_blocks")
+    simplex4 = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    assert convex_hull(simplex4).incidence == ((1, 2, 3, 4), (0, 2, 3, 4), (0, 1, 3, 4), (0, 1, 2, 4), (0, 1, 2, 3))
+    for p in fixtures.values():
+        assert convex_hull(p.vertices) == p
+    for pts in hull_cases(2, 40) + hull_cases(3, 40):
+        outcome(convex_hull, pts)
+    assert searches == []
 
 
 @contextmanager
