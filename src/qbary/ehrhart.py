@@ -25,9 +25,10 @@ shadow_i = sum of u_F[i] W_F`` over the facets with ``u_F[i] > 0``), so
 the two axes of least shadow are summed in closed form.  The records do
 not depend on the order, only the work does.  Outer coordinates
 1..dim-3 are bounded by the facets of P's projection onto the leading
-coordinates scanned so far (hulls built once per polytope and scaled by
+coordinates scanned so far (hulls built with P's scan plan and scaled by
 ``k``), and the row coordinate by the row itself, so the scan visits only
 prefixes that extend to points of ``k*P``, not the whole bounding box.
+The plan holds all that a pass reads whatever k.
 When P splits (below), that projection is the product of its projections
 onto P's coordinate blocks, so only the hull of the coordinate's own block
 is built.  The slacks of these inequalities are
@@ -126,18 +127,34 @@ class _ScanPlan(NamedTuple):
     facets of P's projection onto scan coordinates ``0..j`` not parallel to
     axis ``j``; ``bounds[-1]`` holds P's facets, which bound each row.
 
+    The rest is what a pass reads whatever k.  P's facets by their role
+    along a row, where ``r = slack + s*y`` with y the row coordinate:
+    ``c*z >= -r`` bounds the last coordinate z from ``below`` (c > 0) or
+    ``above`` (c < 0), as ``(f, s, |c|)`` in slope order; the others bound y
+    from below (``rising``, s > 0) or above (``falling``, s < 0) as ``(f,
+    |s|)``, or neither (``flat``).  ``one`` joins the one facet below and the
+    one above, when there are just these, whose line is then the envelope.
+    ``moves[j]`` holds the nonzero entries ``(g, f, a)`` of column j at
+    bounds level ``j + g``, and ``limits[j]`` the bounds on scan coordinate
+    ``j + 1`` from below and above.
+
     ``factors`` is empty, or for a product of coordinate blocks of
     dimension 4 or more, one ``(block, plan)`` per factor: the axes of P it
     lies on and its own plan.
-
-    The setup that a pass derives from the plan, whatever k, is built by
-    :func:`_pass_setup` and kept for the last few plans counted only.
     """
 
     order: tuple[int, ...]
     first: tuple[int, int]
     rows: tuple[int, int]
     bounds: tuple[_Bounds, ...]
+    below: tuple[tuple[int, int, int], ...]
+    above: tuple[tuple[int, int, int], ...]
+    rising: tuple[tuple[int, int], ...]
+    falling: tuple[tuple[int, int], ...]
+    flat: IntVec
+    one: IntVec | None
+    moves: tuple[tuple[tuple[int, int, int], ...], ...]
+    limits: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
     factors: tuple[tuple[tuple[int, ...], _ScanPlan], ...] = ()
 
 
@@ -178,30 +195,46 @@ def _plan(p: Polytope, order: tuple[int, ...], blocks: list[tuple[int, ...]]) ->
         columns = dict(zip(own, facets.cols))
         zero = (0,) * len(facets.coefs)
         bounds.append(_Bounds(tuple(columns.get(i, zero) for i in range(j)), facets.coefs, facets.offsets))
-    bounds.append(_bounds([(tuple(f.normal[i] for i in order), f.offset) for f in p.facets]))
+    facets = _bounds([(tuple(f.normal[i] for i in order), f.offset) for f in p.facets])
+    bounds.append(facets)
+    steps = facets.cols[-1] if n > 1 else (0,) * len(facets.coefs)
+    roles = [(f, s, c) for f, (s, c) in enumerate(zip(steps, facets.coefs))]
+    below = tuple(sorted([(f, s, c) for f, s, c in roles if c > 0], key=_by_slope))
+    above = tuple(sorted([(f, s, -c) for f, s, c in roles if c < 0], key=_by_slope))
+    rising = tuple((f, s) for f, s, c in roles if not c and s > 0)
+    falling = tuple((f, -s) for f, s, c in roles if not c and s < 0)
+    flat = tuple(f for f, s, c in roles if not c and not s)
+    one = below[0] + above[0] if len(below) == len(above) == 1 else None
+    moves = tuple(tuple((g, f, a) for g, b in enumerate(bounds[j:]) for f, a in enumerate(b.cols[j]) if a) for j in range(n - 2))
+    limits = tuple(
+        (tuple((f, c) for f, c in enumerate(b.coefs) if c > 0), tuple((f, -c) for f, c in enumerate(b.coefs) if c < 0))
+        for b in bounds[:-1]
+    )
     spans = [(min(x), max(x)) for x in zip(*verts)]
-    return _ScanPlan(order, spans[0], spans[n - 2] if n > 1 else (0, 0), tuple(bounds))
+    rows = spans[n - 2] if n > 1 else (0, 0)
+    return _ScanPlan(order, spans[0], rows, tuple(bounds), below, above, rising, falling, flat, one, moves, limits)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _scan_plan(p: Polytope) -> _ScanPlan:
     """P's plan in shadow order, with its factors' plans when P splits into
     factors (:func:`qbary.polytope._split`: dimension 4 or more).
 
     P's shadows on a block are the factor's times the other factors'
     volumes, so a factor is planned in P's order restricted to its block.
+    The last 8 plans are kept: the records are cached apart, so a plan is
+    read only to count a new dilation.
     """
     weights = _shadow_weights(p)
     order = tuple(sorted(range(p.dim), key=lambda i: (-weights[i], i)))
     split = _measures(p).split
     plan = _plan(p, order, [block for block, _, _ in split] or [tuple(range(p.dim))])
-    if not split:
-        return plan
-    factors = tuple(
-        (block, _plan(factor, tuple(block.index(i) for i in order if i in block), [tuple(range(factor.dim))]))
-        for block, factor, _ in split
+    return plan._replace(
+        factors=tuple(
+            (block, _plan(factor, tuple(block.index(i) for i in order if i in block), [tuple(range(factor.dim))]))
+            for block, factor, _ in split
+        )
     )
-    return _ScanPlan(order, plan.first, plan.rows, plan.bounds, factors)
 
 
 class LatticeStats(NamedTuple):
@@ -211,41 +244,6 @@ class LatticeStats(NamedTuple):
     sums: IntVec
     interior: int
     interior_sums: IntVec
-
-
-@lru_cache(maxsize=8)
-def _pass_setup(plan: _ScanPlan) -> tuple:
-    """What every pass by ``plan`` reads, whatever k (:func:`_pass`): P's
-    facets by their role along a row, and the moves and limits of the outer
-    scan coordinates.
-
-    It is kept for the last 8 plans counted, so the passes of one polytope,
-    or of the at most 7 factors of a product and the product itself, build
-    it once.  The plan does not hold it: that would keep it for every
-    polytope counted, about 1.8 KB more on a 4-simplex.
-    """
-    n = len(plan.order)
-    facets = plan.bounds[-1]
-    steps = facets.cols[-1] if n > 1 else (0,) * len(facets.coefs)
-    # P's facets by their role along a row, where r = slack + s*y with y the
-    # row coordinate: c*z >= -r bounds the last coordinate z from below
-    # (c > 0) or above (c < 0); the others bound y unless s = 0.
-    roles = [(f, s, c) for f, (s, c) in enumerate(zip(steps, facets.coefs))]
-    below = tuple(sorted([(f, s, c) for f, s, c in roles if c > 0], key=_by_slope))
-    above = tuple(sorted([(f, s, -c) for f, s, c in roles if c < 0], key=_by_slope))
-    rising = tuple((f, s) for f, s, c in roles if not c and s > 0)
-    falling = tuple((f, -s) for f, s, c in roles if not c and s < 0)
-    flat = tuple(f for f, s, c in roles if not c and not s)
-    # one facet on each side: its line is the envelope
-    one = below[0] + above[0] if len(below) == len(above) == 1 else None
-    # moves[j]: the nonzero entries (g, f, a) of column j at bounds level j+g;
-    # limits[j]: the bounds on scan coordinate j+1 from below and above
-    moves = tuple(tuple((g, f, a) for g, b in enumerate(plan.bounds[j:]) for f, a in enumerate(b.cols[j]) if a) for j in range(n - 2))
-    limits = tuple(
-        (tuple((f, c) for f, c in enumerate(b.coefs) if c > 0), tuple((f, -c) for f, c in enumerate(b.coefs) if c < 0))
-        for b in plan.bounds[:-1]
-    )
-    return below, above, rising, falling, flat, one, moves, limits
 
 
 def _pass(plan: _ScanPlan, k: int, interior: bool = True) -> LatticeStats:
@@ -261,8 +259,8 @@ def _pass(plan: _ScanPlan, k: int, interior: bool = True) -> LatticeStats:
     scan coordinate j moves only the slacks whose column j is nonzero.  A
     lattice point is interior when every slack is at least 1.
     """
-    n = len(plan.order)
-    below, above, rising, falling, flat, one, moves, limits = _pass_setup(plan)
+    order, first, rows, bounds, below, above, rising, falling, flat, one, moves, limits, _ = plan
+    n = len(order)
     f1, s1, c1, f2, s2, c2 = one or (0,) * 6
     closed = [0] * (n + 1)  # count, then the sums in scan order
     inner = [0] * (n + 1)
@@ -335,18 +333,18 @@ def _pass(plan: _ScanPlan, k: int, interior: bool = True) -> LatticeStats:
             for s, f, step in touched:
                 s[f] += step
 
-    slacks = [[k * b for b in bounds.offsets] for bounds in plan.bounds]
-    ylo, yhi = k * plan.rows[0], k * plan.rows[1]
+    slacks = [[k * b for b in level.offsets] for level in bounds]
+    ylo, yhi = k * rows[0], k * rows[1]
     if n < 3:
         row(slacks[0])
     else:
-        descend(0, k * plan.first[0], k * plan.first[1], slacks)
+        descend(0, k * first[0], k * first[1], slacks)
     # descend calls itself through its closure cell; emptying the cell frees
     # the pass's lists now instead of at the next cyclic collection
     del descend
 
     def unscan(acc: list[int]) -> tuple[int, IntVec]:
-        return acc[0], tuple(acc[1 + plan.order.index(axis)] for axis in range(n))
+        return acc[0], tuple(acc[1 + order.index(axis)] for axis in range(n))
 
     return LatticeStats(*unscan(closed), *(unscan(inner) if interior else (None, None)))
 

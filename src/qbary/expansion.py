@@ -191,16 +191,23 @@ def asymptotic_coefficients(p: Polytope, order: int | None = None) -> ExpansionC
     return ExpansionCoefficients(terms)
 
 
+def _reflexive_polygon_scale(p: Polytope, k: int) -> Fraction:
+    """``(k+1)(2k+1)B / (4 + 2k(k+1)B)`` with ``B`` the normalized boundary
+    length of the reflexive polygon P: ``Bc_k / Bc``, which also gives the
+    del Pezzo threshold (:func:`qbary.stability.del_pezzo_closed_form`)."""
+    b = _measures(p).boundary  # in dimension 2, B = sum_F 1! nvol(F)
+    return Fraction((k + 1) * (2 * k + 1) * b, 4 + 2 * k * (k + 1) * b)
+
+
 def reflexive_polygon_bck(p: Polytope, k: int) -> Vector:
-    """Closed-form quantized barycenter of a reflexive polygon:
-    the barycenter scaled by ``(k+1)(2k+1)B / (4 + 2k(k+1)B)`` with ``B`` the
-    normalized boundary length.  Must agree with direct enumeration."""
+    """Closed-form quantized barycenter of a reflexive polygon: the
+    barycenter scaled by :func:`_reflexive_polygon_scale`.  Must agree with
+    direct enumeration."""
     if p.dim != 2 or not classify(p).reflexive:
         raise Unsupported("closed form requires a reflexive polygon")
     if int_value(k, "dilation factor") < 1:
         raise InvalidInput("dilation must be positive")
-    b = _measures(p).boundary  # in dimension 2, B = sum_F 1! nvol(F)
-    ratio = Fraction((k + 1) * (2 * k + 1) * b, 4 + 2 * k * (k + 1) * b)
+    ratio = _reflexive_polygon_scale(p, k)
     value = tuple(ratio * c for c in measure(p).barycenter)
     if value != quantized_barycenter(p, k).value:
         raise InternalInconsistency("polygon closed form disagrees with enumeration")

@@ -27,9 +27,9 @@ from typing import NamedTuple, Sequence
 
 from .errors import InternalInconsistency, InvalidInput, InvalidPolarization, Unsupported
 from .exactnum import LaurentSeries, Polynomial, RationalFunction, integer_numerators, laurent_expand
-from .expansion import a1_closed_form, barycenter_function, quantized_barycenter
+from .expansion import _reflexive_polygon_scale, a1_closed_form, barycenter_function, quantized_barycenter
 from .linalg import dot, int_list, int_value, solve
-from .polytope import _measures, check_direction, classify, measure, support_value, vertex_cones
+from .polytope import check_direction, classify, measure, support_value, vertex_cones
 from .toric import ToricData
 
 
@@ -144,8 +144,9 @@ def del_pezzo_closed_form(t: ToricData, k: int) -> Fraction:
     """Threshold of a smooth reflexive polygon in closed form.
 
     With ``K = boundary normalized volume`` the value is
-    ``1 / (1 + (k+1)(2k+1)K / (4 + 2k(k+1)K) * (1/delta - 1))``; asserted
-    equal to the directly enumerated threshold.
+    ``1 / (1 + (k+1)(2k+1)K / (4 + 2k(k+1)K) * (1/delta - 1))``, the scale
+    that of :func:`qbary.expansion._reflexive_polygon_scale`; asserted equal
+    to the directly enumerated threshold.
     """
     p = t.polytope
     cls = classify(p)
@@ -153,10 +154,8 @@ def del_pezzo_closed_form(t: ToricData, k: int) -> Fraction:
         raise Unsupported("closed form requires a smooth reflexive polygon")
     if int_value(k, "threshold index") < 1:
         raise InvalidInput("threshold index must be positive")
-    ksq = _measures(p).boundary  # in dimension 2, B = sum_F 1! nvol(F)
     lim = delta(t)[0]
-    ratio = Fraction((k + 1) * (2 * k + 1) * ksq, 4 + 2 * k * (k + 1) * ksq)
-    value = 1 / (1 + ratio * (1 / lim - 1))
+    value = 1 / (1 + _reflexive_polygon_scale(p, k) * (1 / lim - 1))
     if value != delta_k(t, k)[0]:
         raise InternalInconsistency("del Pezzo closed form disagrees with enumeration")
     return value

@@ -191,8 +191,7 @@ def test_rows_that_find_their_own_extent_match_a_box_scan(points):
 def test_the_parallel_end_shapes_bound_rows_at_both_ends(name):
     p = qb.hull_from_vertices(PARALLEL_ENDS[name])
     plan = ehrhart._plan(p, tuple(range(p.dim)), [tuple(range(p.dim))])
-    below, above, rising, falling = ehrhart._pass_setup(plan)[:4]
-    assert rising and falling and below and above
+    assert plan.rising and plan.falling and plan.below and plan.above
 
 
 def direct_sums(values):
@@ -369,18 +368,24 @@ def count_passes(monkeypatch, mutate=None):
     return seen
 
 
-def test_the_pass_setup_is_built_once_per_plan(monkeypatch):
-    # the k-independent setup of a pass is kept for the last few plans, so a
-    # polytope's passes build it once and its translate builds its own
-    ehrhart._pass_setup.cache_clear()
-    seen = count_passes(monkeypatch)
+def test_a_polytope_is_planned_once_and_every_pass_reads_its_plan(monkeypatch):
+    # the plan holds all that a pass reads, so a polytope's passes share
+    # the one plan the cache keeps and its translate is planned anew
+    before = ehrhart._scan_plan.cache_info().misses
+    seen = passes_on(monkeypatch)
     for _ in range(2):
         p = fresh_simplex(4)
         qb.ehrhart_polynomial(p)
         qb.count_points(p, 12)
-    info = ehrhart._pass_setup.cache_info()
-    assert len(seen) == 8 and (info.misses, info.hits) == (2, 6)
-    assert info.maxsize == 8
+        assert all(plan is ehrhart._scan_plan(p) for plan, _ in seen[-4:])
+    assert len(seen) == 8 and ehrhart._scan_plan.cache_info().misses - before == 2
+
+
+def test_the_scan_plans_kept_are_bounded():
+    maxsize = ehrhart._scan_plan.cache_info().maxsize
+    for _ in range(maxsize + 3):
+        qb.count_points(fresh_simplex(3), 1)
+    assert ehrhart._scan_plan.cache_info().currsize == maxsize == 8
 
 
 @pytest.mark.parametrize("n", (3, 4))
