@@ -213,6 +213,18 @@ CUBE5 = (
 # {0,1}^3 x {3}, a 4-D product with a flat factor, is refused.
 VERTEX_PRODUCTS = ("cube5", "box11-quad", "box2111-points", "box12-triangle2")
 FLAT_PRODUCT = "cube3-flat"
+# Lattice simplices read above the dilations that the fits read, given
+# inline: conv(0, e_1, e_2, (1,3,3)) and its translate by (5,-3,7), and
+# conv(0, e_1, e_2, e_3, (1,2,3,5)) and its image under a GL_4(Z) map, each
+# of n! vol at most 5; and the Reeve-like conv(0, e_1, e_2, (1,1,1000)),
+# whose n! vol is 1000 against at most 41 rows of a pass.
+LOW_SIMPLICES = (
+    ("-1,-1,1;0,0,1;0,1,-1;3,0,-1", "1,0,0,0"),
+    ("-1,-1,1;0,0,1;0,1,-1;3,0,-1", "-4,-7,10,-8"),
+    ("-1,-1,-1,1;0,0,0,1;0,0,5,-3;0,5,0,-2;5,0,0,-1", "1,0,0,0,0"),
+    ("-1,0,-1,2;0,0,0,1;0,0,5,-8;0,5,-5,3;5,-5,5,-6", "1,0,0,0,0"),
+)
+REEVE_1000 = ("-1000,-1000,1;0,0,1;0,1000,-1;1000,0,-1", "1000,0,0,0")
 
 
 def document(name: str) -> str:
@@ -349,6 +361,13 @@ def command_lines() -> list[list[str]]:
         for command in (["bc"], ["classify"], ["expand"], ["bck", "--k", "12"]):
             lines.append([*command, "--input", document(name)])
     lines.append(["classify", "--input", document(FLAT_PRODUCT)])
+    for rays, offsets in (*LOW_SIMPLICES, REEVE_1000):
+        for command in (["bck", "--k", "12"], ["count", "--k", "40"], ["delta", "--k", "30"]):
+            lines.append([*command, "--rays", rays, "--offsets", offsets])
+    # the anticanonical P^4 read far above its fitted dilations, and a long
+    # expansion, whose every term runs the Laurent recurrence
+    lines.append(["delta", "--k", "200", "--rays", DELZANT4[1][0], "--offsets", DELZANT4[1][1]])
+    lines.append(["expand", "--order", "300", "--input", "p2"])
     return lines
 
 
