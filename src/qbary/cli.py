@@ -158,8 +158,7 @@ def _cmd_bck(args, p: Polytope, t: ToricData) -> dict:
     if barycenter_function(p).evaluate(args.k) != value:
         raise InternalInconsistency("rational form disagrees with enumeration")
     diagnostics["rational_function_checked"] = True
-    cls = classify(p)
-    if p.dim == 2 and cls.reflexive:
+    if p.dim == 2 and classify(p).reflexive:
         reflexive_polygon_bck(p, args.k)  # raises on disagreement
         diagnostics["reflexive_polygon_form_checked"] = True
     return {"Bc_k": vector_to_json(value), "diagnostics": diagnostics}
@@ -262,8 +261,7 @@ def _cmd_delta(args, p: Polytope, t: ToricData) -> dict:
     diagnostics = {}
     if args.k is not None:
         value, argmin = delta_k(t, args.k)
-        cls = classify(p)
-        if p.dim == 2 and cls.reflexive and cls.delzant:
+        if p.dim == 2 and (cls := classify(p)).reflexive and cls.delzant:
             del_pezzo_closed_form(t, args.k)  # raises on disagreement
             diagnostics["del_pezzo_form_checked"] = True
         return {

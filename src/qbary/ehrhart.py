@@ -71,9 +71,17 @@ Any mismatch raises ``InternalInconsistency``: counting is exact and
 polynomiality is a theorem, not a modeling assumption.
 
 A dilation above m that is read only for its closed count and sums
-(:func:`count_points`, ``quantized_barycenter``) is counted by a pass that
-skips the interior fibers, and its record must equal E(k) and S_i(k)
-before it is returned, so no record above m reaches output unchecked.
+(:func:`count_points`, ``quantized_barycenter``) is no sample of the fits.
+On a lattice simplex of dimension 3 or more whose fundamental
+parallelepiped costs less than a pass at k (:func:`_takes_parallelepiped`),
+its record comes from the parallelepiped's h*-vector and height sums X_h
+(:func:`qbary.lattice._parallelepiped_record`), at a cost independent of k:
+``E(k) = sum_h h*_h C(k-h+n, n)`` and ``S_i(k) = sum_h [X_h[i] C(k-h+n, n)
++ h*_h V_i C(k-h+n, n+1)]``, V the sum of the vertices (Beck-Robins,
+*Computing the Continuous Discretely*, ch. 3).  Otherwise a pass that skips
+the interior fibers counts it.  Either record must equal E(k) and S_i(k)
+before it is returned, so no record above m reaches output unchecked, and
+every such value is read by two routes that share no code.
 """
 
 from __future__ import annotations
@@ -86,7 +94,7 @@ from typing import Literal, NamedTuple
 from .errors import InternalInconsistency, InvalidInput, Unsupported
 from .exactnum import Polynomial, poly_fit
 from .hull import convex_hull
-from .lattice import _by_slope, _envelope, _floor_sums, _meet, _nonnegative, _piece_sums
+from .lattice import _by_slope, _envelope, _floor_sums, _meet, _nonnegative, _parallelepiped_record, _piece_sums
 from .linalg import IntVec, int_value
 from .polytope import Polytope, _measures, classify, measure
 
@@ -409,21 +417,53 @@ def lattice_point_stats(p: Polytope, k: int, interior: bool = True) -> LatticeSt
         record = _product([block for block, _ in plan.factors], [_pass(factor, k, interior) for _, factor in plan.factors])
         if k == 1 and _pass(plan, 1, interior) != record:
             raise InternalInconsistency("the product of the factors' counts differs from the count of P at k=1")
-    if not interior:
-        counting, sums = ehrhart_data(p)
-        if counting.numerator_at(k) != record.count * counting.denominator:
-            raise InternalInconsistency(f"counting polynomial disagrees with the closed count read at k={k}")
-        if any(s.numerator_at(k) != x * s.denominator for s, x in zip(sums, record.sums)):
-            raise InternalInconsistency(f"coordinate-sum polynomial disagrees with the closed sums read at k={k}")
+    return _read_check(p, k, record) if not interior else record
+
+
+def _read_check(p: Polytope, k: int, record: LatticeStats) -> LatticeStats:
+    """The closed-only ``record`` of ``k*P``, once it equals E(k) and S_i(k)
+    of :func:`ehrhart_data`."""
+    counting, sums = ehrhart_data(p)
+    if counting.numerator_at(k) != record.count * counting.denominator:
+        raise InternalInconsistency(f"counting polynomial disagrees with the closed count read at k={k}")
+    if any(s.numerator_at(k) != x * s.denominator for s, x in zip(sums, record.sums)):
+        raise InternalInconsistency(f"coordinate-sum polynomial disagrees with the closed sums read at k={k}")
     return record
+
+
+def _takes_parallelepiped(p: Polytope, k: int) -> bool:
+    """Whether a read of ``k*P`` above the fitted dilations comes from P's
+    fundamental parallelepiped rather than a pass: P is a simplex of
+    dimension n >= 3, and the parallelepiped costs less.
+
+    The costs are exact integers, in units of about 0.3 us as measured on a
+    2-vCPU host: the parallelepiped's ``W = n! vol`` points, n + 1
+    coordinates each, plus 64 points' worth for its Hermite normal form and
+    adjugate; and 10 per row of a pass, whose rows number about 1/(n-2)! of
+    the product of the spans of the outer scan coordinates over ``k*P``.
+    """
+    n = p.dim
+    if n < 3 or len(p.vertices) > n + 1:
+        return False
+    rows = 1
+    for axis in _scan_plan(p).order[: n - 2]:
+        coords = [v[axis] for v in p.vertices]
+        rows *= k * (max(coords) - min(coords)) + 1
+    return factorial(n - 2) * (n + 1) * (_measures(p).volume + 64) <= 10 * rows
 
 
 def closed_stats(p: Polytope, k: int) -> LatticeStats:
     """The record read for the closed count and sums of ``k*P``: at the
-    dilations the fits read, their record; above them, a closed-only pass
-    checked against the fits (:func:`lattice_point_stats`)."""
+    dilations the fits read, their record; above them, on a lattice simplex
+    whose fundamental parallelepiped costs less than a pass
+    (:func:`_takes_parallelepiped`), the record from its parallelepiped,
+    and otherwise a closed-only pass (:func:`lattice_point_stats`), either
+    checked against the fits."""
     if k in fitted_dilations(p.dim):
         return lattice_point_stats(p, k)
+    if _takes_parallelepiped(p, k):
+        count, sums = _parallelepiped_record(p.vertices, _measures(p).volume, k)
+        return _read_check(p, k, LatticeStats(count, sums, None, None))
     return lattice_point_stats(p, k, False)
 
 

@@ -485,7 +485,8 @@ def laurent_expand(num: Polynomial, den: Polynomial, order: int) -> LaurentSerie
     # num / den = (N / D) (den.denominator / num.denominator) for the integer
     # numerators N and D, with coefficients n_j and d_j at k^(deg den - j).
     # Term j of N / D times l^(j+1), with l = d_0, is the integer
-    # t_j = l^j n_j - sum_{i<j} t_i d_{j-i} l^(j-1-i).
+    # t_j = l^j n_j - sum_{i<j} t_i d_{j-i} l^(j-1-i), where d_{j-i} = 0
+    # once j - i > deg den: only the last deg den terms are read.
     d = den.degree
     n_rev, d_rev = (
         [p.numerators[e] if 0 <= e < len(p.numerators) else 0 for e in range(d, d - order, -1)]
@@ -495,7 +496,7 @@ def laurent_expand(num: Polynomial, den: Polynomial, order: int) -> LaurentSerie
     powers, terms = [1], []
     for j in range(order):
         t = n_rev[j] * powers[j]
-        for i in range(j):
+        for i in range(max(0, j - d), j):
             t -= terms[i] * d_rev[j - i] * powers[j - 1 - i]
         terms.append(t)
         powers.append(powers[j] * lead)

@@ -1,5 +1,6 @@
 """Integer linear algebra over the lattice Z^n: primitive vectors, the row
-Hermite normal form with a unimodular transform, and the lattice points
+Hermite normal form with a unimodular transform, the fundamental
+parallelepiped of the cone over a lattice simplex, and the lattice points
 under lines that counting sums row by row (:mod:`qbary.ehrhart`).
 
 A row's count and coordinate sums are sums of ``(r + s y) // c`` over a
@@ -11,14 +12,18 @@ Euclid-like recursion.
 
 from __future__ import annotations
 
-from functools import cmp_to_key
-from math import gcd
+from functools import cmp_to_key, lru_cache
+from itertools import product
+from math import comb, gcd
 from typing import Sequence
 
-from .errors import InvalidInput
-from .linalg import IntVec, int_list, int_rows
+from .errors import InternalInconsistency, InvalidInput
+from .linalg import IntVec, adjugate, int_list, int_rows
 
 Matrix = tuple[IntVec, ...]
+
+# representatives reduced at once by _parallelepiped
+_CHUNK = 4096
 
 
 def primitive(v: Sequence[int]) -> IntVec:
@@ -76,6 +81,82 @@ def hermite_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix
         if r == rows:
             break
     return tuple(tuple(row) for row in h), tuple(tuple(row) for row in u)
+
+
+@lru_cache(maxsize=8)
+def _parallelepiped(vertices: tuple[IntVec, ...]) -> tuple[IntVec, tuple[IntVec, ...]]:
+    """``(hstar, sums)`` of the lattice simplex with the n + 1 given
+    ``vertices`` v_j: ``hstar[h]`` points of the half-open fundamental
+    parallelepiped of the cone over the rows ``w_j = (v_j, 1)`` lie at
+    height h, and ``sums[h]`` is the sum of their first n coordinates.
+
+    That parallelepiped holds the points ``sum_j l_j w_j`` with every
+    ``0 <= l_j < 1``, one in each coset of the lattice L that the w_j span,
+    |det| points at heights 0..n.  The rows of L's Hermite normal form are
+    upper triangular, so the x with ``0 <= x_i < H[i][i]`` are coset
+    representatives.  With ``A R = d I``, ``l = x R / d`` and x's point is
+    ``sum_j r_j w_j / d`` with ``r_j = (x R)_j % d``, which takes the sign
+    of d, so that ``r_j / d`` is the fractional part of ``l_j`` whatever
+    the sign of d.  As ``x R`` is linear in x, the r of the
+    representatives are built coordinate by coordinate of x from the rows
+    of R, at most ``_CHUNK`` at a time, so memory stays bounded whatever
+    |det|.  The last 8 simplices are kept.
+    """
+    m = len(vertices)
+    rows = [(*v, 1) for v in vertices]
+    det, adj = adjugate(rows)
+    hnf = hermite_normal_form(rows)[0]
+    # r of the representatives over the coordinates of x that fit into one
+    # chunk, by columns; the others are iterated, the last of them in spans
+    inner, outer = [[0] for _ in range(m)], []
+    for d, step in ((row[i], step) for i, (row, step) in enumerate(zip(hnf, adj)) if row[i] > 1):
+        if len(inner[0]) * d <= _CHUNK:
+            inner = [[(a + t * b) % det for a in column for t in range(d)] for column, b in zip(inner, step)]
+        else:
+            outer.append((d, step))
+    size, last = outer.pop() if outer else (1, adj[0])
+    width = max(1, _CHUNK // len(inner[0]))
+    counts, weights = [0] * m, [[0] * m for _ in range(m)]
+    for ts in product(*(range(d) for d, _ in outer)):
+        base = [sum(t * step[j] for t, (_, step) in zip(ts, outer)) for j in range(m)]
+        for start in range(0, size, width):
+            span = range(start, min(size, start + width))
+            levels: list[list[IntVec]] = [[] for _ in range(m)]
+            for r in zip(*[[(a + c + t * b) % det for a in column for t in span] for column, c, b in zip(inner, base, last)]):
+                # the point's last coordinate, sum_j r_j / d, as every w_j ends in 1
+                levels[sum(r) // det].append(r)
+            for h, level in enumerate(levels):
+                if level:
+                    counts[h] += len(level)
+                    weights[h] = [w + sum(column) for w, column in zip(weights[h], zip(*level))]
+    sums = tuple(tuple(sum(w * v[i] for w, v in zip(ws, vertices)) // det for i in range(m - 1)) for ws in weights)
+    return tuple(counts), sums
+
+
+def _parallelepiped_record(vertices: tuple[IntVec, ...], volume: int, k: int) -> tuple[int, IntVec]:
+    """The count and coordinate sums of the lattice points of ``k*P``, P the
+    simplex with the given ``vertices`` and ``volume = n! vol(P)``, from its
+    fundamental parallelepiped (:func:`_parallelepiped`).
+
+    Every lattice point of ``k*P``, lifted to height k, is one point of the
+    parallelepiped at a height h plus ``sum_j m_j (v_j, 1)`` with ``m >= 0``
+    summing to ``k - h``: ``C(k-h+n, n)`` choices of m, which add
+    ``C(k-h+n, n+1) V`` to the sums, V the sum of the vertices.  The
+    parallelepiped must have ``volume`` points, one of them at height 0.
+    """
+    n = len(vertices) - 1
+    hstar, heights = _parallelepiped(vertices)
+    if sum(hstar) != volume:
+        raise InternalInconsistency(f"the fundamental parallelepiped has {sum(hstar)} points, not n! vol = {volume}")
+    if hstar[0] != 1:
+        raise InternalInconsistency(f"the fundamental parallelepiped has {hstar[0]} points at height 0, not 1")
+    vertex_sum = [sum(column) for column in zip(*vertices)]
+    count, sums = 0, [0] * n
+    for h, (points, total) in enumerate(zip(hstar, heights)):
+        ways, moved = comb(k - h + n, n), comb(k - h + n, n + 1)
+        count += points * ways
+        sums = [s + x * ways + points * v * moved for s, x, v in zip(sums, total, vertex_sum)]
+    return count, tuple(sums)
 
 
 def _euclid(a: int, b: int, c: int, n: int) -> tuple[int, int, int]:

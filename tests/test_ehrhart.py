@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import io
 import itertools
 import json
-from math import factorial
+from math import factorial, prod
 import operator
 import sys
 
@@ -16,13 +16,13 @@ from hypothesis import strategies as st
 import qbary as qb
 import qbary.exactnum
 import qbary.polytope
-from qbary import ehrhart
+from qbary import ehrhart, lattice
 from qbary.cli import execute
 from qbary.ehrhart import lattice_point_stats
 from qbary.exactnum import Polynomial
 from qbary.hull import volume_and_barycenter
 
-from conftest import apply_map, brute_count, polytope_and_map
+from conftest import apply_map, brute_count, brute_vertex_sum, polytope_and_map, unimodular
 
 
 def test_count_points_paper_examples(fixtures):
@@ -341,16 +341,64 @@ def test_counts_and_sums_are_unimodular_invariant(case):
         assert lattice_point_stats(image, k) == expected, k
 
 
+@st.composite
+def mapped_simplices(draw):
+    """A lattice simplex P of dimension 3-5 with entries |x| <= 4, its image
+    Q under a map of GL_n(Z) and a translation, and a dilation k, at most
+    40, 12 and 5 in dimensions 3, 4 and 5, so that a pass over k*Q stays
+    cheap."""
+    n = draw(st.integers(3, 5))
+    coord = st.integers(-4, 4)
+    vertices = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 1, unique=True))
+    try:
+        p = qb.hull_from_vertices(vertices)
+    except qb.DegenerateInput:
+        assume(False)
+    assume(len(p.vertices) == n + 1)
+    u, t = draw(unimodular(n)), draw(st.tuples(*[st.integers(-5, 5)] * n))
+    image = qb.hull_from_vertices([tuple(a + b for a, b in zip(apply_map(u, v), t)) for v in p.vertices])
+    return p, image, draw(st.integers(1, {3: 40, 4: 12, 5: 5}[n]))
+
+
+def box_points(p, k):
+    return prod(k * (max(c) - min(c)) + 1 for c in zip(*p.vertices))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mapped_simplices())
+@example((qb.hull_from_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 3)]), qb.hull_from_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, -3)]), 7))
+def test_parallelepiped_records_match_a_pass_and_brute_force(case):
+    # the example reflects the last axis, which turns the determinant of the
+    # rows (v_j, 1), in the order of P's vertices, from 3 to -3
+    p, image, k = case
+
+    def record(q, k):
+        return lattice._parallelepiped_record(q.vertices, qbary.polytope._measures(q).volume, k)
+
+    scan = ehrhart._pass(ehrhart._scan_plan(image), k, False)
+    assert record(image, k) == (scan.count, scan.sums)
+    for q, j in ((p, 1), (image, k)):
+        if box_points(q, j) <= 5000:
+            assert record(q, j) == (brute_count(q, j), brute_vertex_sum(q, j))
+
+
 _FRESH = itertools.count(1000)
 
 
-def fresh_simplex(n):
-    """A skinny n-simplex translated to where no other test's cached
-    polytope lies, so every counting pass on it is new."""
+def fresh_simplex(n, height=None):
+    """A skinny n-simplex conv(0, e_1, .., e_{n-1}, (2, .., n, height)),
+    height n + 1 unless given, translated to where no other test's cached
+    polytope lies, so every counting pass on it is new.  Its n! vol is
+    ``height``: at a height of TALL a pass, not its fundamental
+    parallelepiped, serves its reads above the fitted dilations up to k = 12
+    in dimension 4."""
     units = [tuple(int(i == j) for j in range(n)) for i in range(n - 1)]
     shift = next(_FRESH)
-    corners = [(0,) * n, *units, tuple(range(2, n + 2))]
+    corners = [(0,) * n, *units, (*range(2, n + 1), n + 1 if height is None else height)]
     return qb.hull_from_vertices([tuple(x + shift for x in c) for c in corners])
+
+
+TALL = 10_000
 
 
 def count_passes(monkeypatch, mutate=None):
@@ -374,7 +422,7 @@ def test_a_polytope_is_planned_once_and_every_pass_reads_its_plan(monkeypatch):
     before = ehrhart._scan_plan.cache_info().misses
     seen = passes_on(monkeypatch)
     for _ in range(2):
-        p = fresh_simplex(4)
+        p = fresh_simplex(4, TALL)
         qb.ehrhart_polynomial(p)
         qb.count_points(p, 12)
         assert all(plan is ehrhart._scan_plan(p) for plan, _ in seen[-4:])
@@ -399,15 +447,25 @@ def test_one_pass_per_dilation(monkeypatch, n):
     assert sorted(seen) == list(range(1, n + 1))
 
 
+def anticanonical_vertex(n, j, shift, stretch=1):
+    """Vertex j of {x_i >= -1, sum x_i <= 1} moved by ``shift`` on every
+    axis, its last coordinate scaled by ``stretch`` first."""
+    v = [-1 + (n + 1) * (i == j) for i in range(n)]
+    v[-1] *= stretch
+    return tuple(x + shift for x in v)
+
+
 @pytest.mark.parametrize("n", (5, 6))
 def test_the_anticanonical_simplex_counts_only_what_is_read(monkeypatch, tmp_path, n):
-    # {x_i >= -1, sum x_i <= 1}, moved where no other test counts: the fits
-    # read k = 1..m, m = ceil((n+1)/2), and bck --k 12 adds one pass, which
-    # skips the interior.  That pass takes seconds on the 6-simplex, so it is
-    # answered from E(12) and S(12), which the read check holds it to.
+    # {x_i >= -1, sum x_i <= 1}, its last axis stretched 100 times so that a
+    # pass, not its fundamental parallelepiped, serves k = 12, and moved
+    # where no other test counts: the fits read k = 1..m, m = ceil((n+1)/2),
+    # and bck --k 12 adds one pass, which skips the interior.  That pass
+    # takes seconds on the 6-simplex, so it is answered from E(12) and S(12),
+    # which the read check holds it to.
     m = (n + 2) // 2
     shift = next(_FRESH)
-    vertices = [tuple(shift - 1 + (n + 1) * (i == j) for i in range(n)) for j in range(n + 1)]
+    vertices = [anticanonical_vertex(n, j, shift, stretch=100) for j in range(n + 1)]
     p = qb.hull_from_vertices(vertices)
     seen = []
     real = ehrhart._pass
@@ -428,6 +486,31 @@ def test_the_anticanonical_simplex_counts_only_what_is_read(monkeypatch, tmp_pat
     with redirect_stdout(io.StringIO()):
         assert execute(["bck", "--k", "12", "--input", str(document)]) == 0
     assert seen == [(12, False)]
+
+
+def test_bck_on_the_anticanonical_5_simplex_reads_its_parallelepiped(monkeypatch, tmp_path):
+    # n! vol = 6^5 points cost less than a pass at k = 12: the fits read
+    # k = 1..3 and bck --k 12 runs no pass
+    shift = next(_FRESH)
+    vertices = [anticanonical_vertex(5, j, shift) for j in range(6)]
+    seen = count_passes(monkeypatch)
+    document = tmp_path / "simplex.json"
+    document.write_text(json.dumps({"vertices": vertices}))
+    with redirect_stdout(io.StringIO()):
+        assert execute(["bck", "--k", "12", "--input", str(document)]) == 0
+    assert seen == [1, 2, 3]
+
+
+def test_the_reeve_tetrahedron_of_volume_a_million_keeps_the_scan(monkeypatch):
+    # conv(0, e_1, e_2, (1, 1, 10^6)) has n! vol = 10^6 points in its
+    # parallelepiped, against k + 1 rows of a pass
+    shift = next(_FRESH)
+    p = qb.hull_from_vertices([tuple(x + shift for x in v) for v in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 10**6))])
+    seen = count_passes(monkeypatch)
+    monkeypatch.setattr(lattice, "_parallelepiped", None)
+    for k in (12, 40, 1000):
+        qb.quantized_barycenter(p, k)
+    assert sorted(seen) == [1, 2, 12, 40, 1000]
 
 
 def off_by_one_at(bad_k, field, axis=None):
@@ -486,7 +569,7 @@ def test_held_out_counts_catch_a_closed_count_off_by_one(monkeypatch, k):
     # a count the fit passes through moves it off the first held-out count;
     # above M the closed count is refused where count_points reads it
     count_passes(monkeypatch, off_by_one_at(k, "count"))
-    p = fresh_simplex(N)
+    p = fresh_simplex(N, TALL)
     if k > M:
         with pytest.raises(qb.InternalInconsistency, match=f"counting polynomial disagrees with the closed count read at k={k}"):
             qb.count_points(p, k)
@@ -502,7 +585,7 @@ def test_reciprocity_catches_a_coordinate_sum_off_by_one(monkeypatch, field, axi
     # above M the closed sums are refused where quantized_barycenter reads
     # them, and the interior sums are reported by reciprocity_check
     count_passes(monkeypatch, off_by_one_at(k, field, axis))
-    p = fresh_simplex(N)
+    p = fresh_simplex(N, TALL)
     if k > M and field == "sums":
         with pytest.raises(qb.InternalInconsistency, match=f"coordinate-sum polynomial disagrees with the closed sums read at k={k}"):
             qb.quantized_barycenter(p, k)
@@ -512,6 +595,63 @@ def test_reciprocity_catches_a_coordinate_sum_off_by_one(monkeypatch, field, axi
         return
     with pytest.raises(qb.InternalInconsistency, match=f"coordinate-sum polynomial fails {FIRST_MISS[field][k - 1]}"):
         qb.barycenter_function(p)
+
+
+def corrupt_parallelepiped(monkeypatch, mutate):
+    """Corrupt the h*-vector and height sums that every read from a
+    fundamental parallelepiped gets."""
+    real = lattice._parallelepiped
+
+    def corrupted(vertices):
+        hstar, sums = real(vertices)
+        return mutate(list(hstar), [list(x) for x in sums])
+
+    monkeypatch.setattr(lattice, "_parallelepiped", corrupted)
+
+
+def point_moved_up(h):
+    """One point of the parallelepiped at height h moved up by one: h* keeps
+    its sum, and h*_0 as well for h above 0."""
+
+    def mutate(hstar, sums):
+        assert hstar[h]
+        hstar[h] -= 1
+        hstar[h + 1] += 1
+        return hstar, sums
+
+    return mutate
+
+
+def test_the_read_check_catches_a_parallelepiped_point_at_the_wrong_height(monkeypatch):
+    # the twin of a closed count off by one above M, on a simplex whose
+    # parallelepiped serves k = N, with h* = (1, 0, 2, 2, 0)
+    p = fresh_simplex(N)
+    assert ehrhart._takes_parallelepiped(p, N)
+    corrupt_parallelepiped(monkeypatch, point_moved_up(2))
+    with pytest.raises(qb.InternalInconsistency, match=f"counting polynomial disagrees with the closed count read at k={N}"):
+        qb.count_points(p, N)
+
+
+@pytest.mark.parametrize("axis", range(N))
+def test_the_read_check_catches_a_height_sum_off_by_one(monkeypatch, axis):
+    # the twin of a closed coordinate sum off by one above M
+    def mutate(hstar, sums):
+        sums[max(h for h, c in enumerate(hstar) if c)][axis] += 1
+        return hstar, sums
+
+    p = fresh_simplex(N)
+    corrupt_parallelepiped(monkeypatch, mutate)
+    with pytest.raises(qb.InternalInconsistency, match=f"coordinate-sum polynomial disagrees with the closed sums read at k={N}"):
+        qb.quantized_barycenter(p, N)
+
+
+def test_a_parallelepiped_must_have_n_factorial_vol_points_one_at_height_0(monkeypatch):
+    one_more = lambda hstar, sums: ([*hstar[:-1], hstar[-1] + 1], sums)  # noqa: E731
+    for mutate, message in ((one_more, "has 6 points, not n! vol = 5"), (point_moved_up(0), "has 0 points at height 0, not 1")):
+        with monkeypatch.context() as patch:
+            corrupt_parallelepiped(patch, mutate)
+            with pytest.raises(qb.InternalInconsistency, match=f"fundamental parallelepiped {message}"):
+                qb.count_points(fresh_simplex(N), N)
 
 
 def test_top_coefficients_alone_check_the_sums_of_a_segment(monkeypatch):

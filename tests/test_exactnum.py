@@ -14,6 +14,8 @@ import qbary as qb
 from qbary.exactnum import Polynomial, RationalFunction, poly_gcd, rational_from_json, rational_to_json
 from qbary.linalg import solve
 
+from conftest import FIXTURE_NAMES
+
 
 # ---------------------------------------------------------------------------
 # polynomials and interpolation
@@ -221,6 +223,34 @@ def quotients(draw):
 def test_laurent_matches_fraction_long_division(case):
     num, den, order = case
     assert qb.laurent_expand(num, den, order).coefficients == reference_laurent(num, den, order)
+
+
+def full_recurrence(num: Polynomial, den: Polynomial, order: int) -> tuple[F, ...]:
+    """:func:`qbary.laurent_expand`'s integer recurrence with term j run
+    over all j earlier terms, the products with coefficients of den past its
+    degree, which vanish, included."""
+    d = den.degree
+    n_rev, d_rev = (
+        [p.numerators[e] if 0 <= e < len(p.numerators) else 0 for e in range(d, d - order, -1)]
+        for p in (num, den)
+    )
+    lead = den.numerators[-1]
+    powers, terms = [1], []
+    for j in range(order):
+        t = n_rev[j] * powers[j]
+        for i in range(j):
+            t -= terms[i] * d_rev[j - i] * powers[j - 1 - i]
+        terms.append(t)
+        powers.append(powers[j] * lead)
+    return tuple(F(t * den.denominator, l * num.denominator) for t, l in zip(terms, powers[1:]))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_windowed_expansion_matches_the_full_recurrence(fixtures, name):
+    # term j reads only the last deg E terms; up to order 300 on every fixture
+    bf = qb.barycenter_function(fixtures[name])
+    for num in bf.numerators:
+        assert qb.laurent_expand(num, bf.denominator, 300).coefficients == full_recurrence(num, bf.denominator, 300)
 
 
 def reference_value(poly: Polynomial, k) -> F:

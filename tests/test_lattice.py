@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbary as qb
+from qbary import lattice
 from qbary.linalg import independent_rows, int_det, rank
 
 
@@ -108,3 +109,27 @@ def test_primitive():
     assert qb.primitive((1, 1)) == (1, 1)
     with pytest.raises(qb.InvalidInput):
         qb.primitive((0, 0))
+
+
+def test_parallelepiped_h_star_of_the_anticanonical_4_simplex():
+    # reflexive, so h* is palindromic; it sums to n! vol = 5^4
+    vertices = tuple(tuple(-1 + 5 * (i == j) for i in range(4)) for j in range(4)) + ((-1,) * 4,)
+    hstar, sums = lattice._parallelepiped(vertices)
+    assert hstar == (1, 121, 381, 121, 1)
+    # its lattice symmetries permute the vertices, whose centroid is 0, and
+    # fix no other point
+    assert sums == ((0,) * 4,) * 5
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    (
+        ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 9000)),  # one coordinate of 9000 representatives
+        ((0, 0, 0), (70, 0, 0), (0, 70, 0), (0, 0, 2)),  # 70 x 70 x 2 of them
+    ),
+)
+def test_parallelepipeds_beyond_one_chunk_match_a_single_chunk(monkeypatch, vertices):
+    chunked = lattice._parallelepiped.__wrapped__(vertices)
+    monkeypatch.setattr(lattice, "_CHUNK", 10**6)
+    whole = lattice._parallelepiped.__wrapped__(vertices)
+    assert chunked == whole and sum(whole[0]) == abs(int_det([(*v, 1) for v in vertices]))
