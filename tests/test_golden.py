@@ -260,6 +260,14 @@ INPUT_FORMS = (
     ["mixed-volume", "--input", "p2.json", "--input", "f1"],
     ["classify", "--input", "no-such-fixture"],
 )
+# Comma-separated values that start with a minus sign, given as a separate
+# word and attached with =.
+NEGATIVE_LISTS = (
+    ["delta-seq", "--input", "f1", "--ks", "-1,2"],
+    ["delta-seq", "--input", "f1", "--ks=-1,2"],
+    ["mixed-volume", "--input", "p2", "--input", "f1", "--multiplicities", "-1,3"],
+    ["mixed-volume", "--input", "p2", "--input", "f1", "--multiplicities=-1,3"],
+)
 
 
 def command_lines() -> list[list[str]]:
@@ -368,6 +376,7 @@ def command_lines() -> list[list[str]]:
     # expansion, whose every term runs the Laurent recurrence
     lines.append(["delta", "--k", "200", "--rays", DELZANT4[1][0], "--offsets", DELZANT4[1][1]])
     lines.append(["expand", "--order", "300", "--input", "p2"])
+    lines.extend(list(argv) for argv in NEGATIVE_LISTS)
     return lines
 
 
