@@ -404,8 +404,8 @@ class _Parser(argparse.ArgumentParser):
         raise _HelpShown(status)
 
 
-# Options whose values are integer vectors and may start with a minus sign.
-_VECTOR_OPTIONS = ("--v", "--rays", "--offsets")
+# Options whose values are integer lists and may start with a minus sign.
+_VECTOR_OPTIONS = ("--v", "--rays", "--offsets", "--ks", "--multiplicities")
 
 
 def _attach_vector_values(argv: Sequence[str]) -> list[str]:

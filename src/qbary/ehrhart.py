@@ -45,7 +45,10 @@ polytope and kept with P's measures, which use it too.  As ``k*P = k*A x
 k*B`` and the interior of ``k*P`` is ``int(k*A) x int(k*B)``, the count is
 the product of the factors' counts and the sums on a block are that
 factor's sums times the other factors' counts, closed and interior alike.
-At k = 1 the full pass over P runs as well and must give the same record.
+Each factor is a polytope of its own: its record is its own cached
+:func:`lattice_point_stats`, by its own plan, so equal factors, as the
+segments of a cube, are counted once per dilation.  At k = 1 the full pass
+over P runs as well and must give the same record.
 In dimensions 1-3 a pass descends at most one level and a factor's own
 plan costs more than the split saves, so those products are scanned, and
 measured, whole.  Images of products under ``GL_n(Z)`` are not detected:
@@ -80,8 +83,9 @@ its record comes from the parallelepiped's h*-vector and height sums X_h
 + h*_h V_i C(k-h+n, n+1)]``, V the sum of the vertices (Beck-Robins,
 *Computing the Continuous Discretely*, ch. 3).  Otherwise a pass that skips
 the interior fibers counts it.  Either record must equal E(k) and S_i(k)
-before it is returned, so no record above m reaches output unchecked, and
-every such value is read by two routes that share no code.
+where :func:`closed_stats` reads it, so no record above m reaches output
+unchecked, every such value is read by two routes that share no code, and
+counting never reads the fits that read it.
 """
 
 from __future__ import annotations
@@ -145,10 +149,6 @@ class _ScanPlan(NamedTuple):
     ``moves[j]`` holds the nonzero entries ``(g, f, a)`` of column j at
     bounds level ``j + g``, and ``limits[j]`` the bounds on scan coordinate
     ``j + 1`` from below and above.
-
-    ``factors`` is empty, or for a product of coordinate blocks of
-    dimension 4 or more, one ``(block, plan)`` per factor: the axes of P it
-    lies on and its own plan.
     """
 
     order: tuple[int, ...]
@@ -163,7 +163,6 @@ class _ScanPlan(NamedTuple):
     one: IntVec | None
     moves: tuple[tuple[tuple[int, int, int], ...], ...]
     limits: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
-    factors: tuple[tuple[tuple[int, ...], _ScanPlan], ...] = ()
 
 
 def _shadow_weights(p: Polytope) -> list[int]:
@@ -225,24 +224,13 @@ def _plan(p: Polytope, order: tuple[int, ...], blocks: list[tuple[int, ...]]) ->
 
 @lru_cache(maxsize=8)
 def _scan_plan(p: Polytope) -> _ScanPlan:
-    """P's plan in shadow order, with its factors' plans when P splits into
-    factors (:func:`qbary.polytope._split`: dimension 4 or more).
-
-    P's shadows on a block are the factor's times the other factors'
-    volumes, so a factor is planned in P's order restricted to its block.
-    The last 8 plans are kept: the records are cached apart, so a plan is
-    read only to count a new dilation.
-    """
+    """P's plan in shadow order, each outer coordinate bounded within its
+    coordinate block when P splits (:func:`qbary.polytope._split`).  The
+    last 8 plans are kept: the records are cached apart, so a plan is read
+    only to count a new dilation."""
     weights = _shadow_weights(p)
     order = tuple(sorted(range(p.dim), key=lambda i: (-weights[i], i)))
-    split = _measures(p).split
-    plan = _plan(p, order, [block for block, _, _ in split] or [tuple(range(p.dim))])
-    return plan._replace(
-        factors=tuple(
-            (block, _plan(factor, tuple(block.index(i) for i in order if i in block), [tuple(range(factor.dim))]))
-            for block, factor, _ in split
-        )
-    )
+    return _plan(p, order, [block for block, _, _ in _measures(p).split] or [tuple(range(p.dim))])
 
 
 class LatticeStats(NamedTuple):
@@ -267,7 +255,7 @@ def _pass(plan: _ScanPlan, k: int, interior: bool = True) -> LatticeStats:
     scan coordinate j moves only the slacks whose column j is nonzero.  A
     lattice point is interior when every slack is at least 1.
     """
-    order, first, rows, bounds, below, above, rising, falling, flat, one, moves, limits, _ = plan
+    order, first, rows, bounds, below, above, rising, falling, flat, one, moves, limits = plan
     n = len(order)
     f1, s1, c1, f2, s2, c2 = one or (0,) * 6
     closed = [0] * (n + 1)  # count, then the sums in scan order
@@ -395,29 +383,26 @@ def lattice_point_stats(p: Polytope, k: int, interior: bool = True) -> LatticeSt
     """Closed and interior counts and coordinate sums of ``k*P``.
 
     ``k = 0`` gives the single point at the origin, which has no interior.
-    A polytope of dimension 4 or more with two or more coordinate blocks is
-    counted through its factors, one pass each by the plans that
-    :func:`_scan_plan` keeps, and at k = 1 also by one pass over P that
-    must give the same record; any other is one pass.
-
-    With ``interior`` False the passes skip the interior fibers, the
-    interior fields are None, and the record must equal E(k) and S_i(k) of
-    :func:`ehrhart_data`.  Give ``interior`` only as False: the cache keys
-    ``(p, k)`` and ``(p, k, True)`` differ.
+    A polytope that splits into factors (:func:`qbary.polytope._split`:
+    dimension 4 or more) is counted through the factors' own records, and
+    at k = 1 also by one pass over P that must give the same record; any
+    other is one pass.  With ``interior`` False the passes skip the
+    interior fibers and the interior fields are None.  Give ``interior``
+    only as False: the cache keys ``(p, k)`` and ``(p, k, True)`` differ.
     """
     if k < 0:
         raise InvalidInput("dilation factor must be nonnegative")
     if k == 0:
         zero = (0,) * p.dim
         return LatticeStats(1, zero, 0, zero)
-    plan = _scan_plan(p)
-    if not plan.factors:
-        record = _pass(plan, k, interior)
-    else:
-        record = _product([block for block, _ in plan.factors], [_pass(factor, k, interior) for _, factor in plan.factors])
-        if k == 1 and _pass(plan, 1, interior) != record:
-            raise InternalInconsistency("the product of the factors' counts differs from the count of P at k=1")
-    return _read_check(p, k, record) if not interior else record
+    split = _measures(p).split
+    if not split:
+        return _pass(_scan_plan(p), k, interior)
+    records = [lattice_point_stats(f, k) if interior else lattice_point_stats(f, k, False) for _, f, _ in split]
+    record = _product([block for block, _, _ in split], records)
+    if k == 1 and _pass(_scan_plan(p), 1, interior) != record:
+        raise InternalInconsistency("the product of the factors' counts differs from the count of P at k=1")
+    return record
 
 
 def _read_check(p: Polytope, k: int, record: LatticeStats) -> LatticeStats:
@@ -458,13 +443,14 @@ def closed_stats(p: Polytope, k: int) -> LatticeStats:
     whose fundamental parallelepiped costs less than a pass
     (:func:`_takes_parallelepiped`), the record from its parallelepiped,
     and otherwise a closed-only pass (:func:`lattice_point_stats`), either
-    checked against the fits."""
+    checked against the fits (:func:`_read_check`)."""
     if k in fitted_dilations(p.dim):
         return lattice_point_stats(p, k)
     if _takes_parallelepiped(p, k):
-        count, sums = _parallelepiped_record(p.vertices, _measures(p).volume, k)
-        return _read_check(p, k, LatticeStats(count, sums, None, None))
-    return lattice_point_stats(p, k, False)
+        record = LatticeStats(*_parallelepiped_record(p.vertices, _measures(p).volume, k), None, None)
+    else:
+        record = lattice_point_stats(p, k, False)
+    return _read_check(p, k, record)
 
 
 def count_points(p: Polytope, k: int) -> int:

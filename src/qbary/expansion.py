@@ -19,8 +19,10 @@ a_0, a_1, ...; no common factor of Q_i and E is cancelled first, as the
 expansion of a function does not depend on its presentation.  a_0 is the
 barycenter and a_1 has the closed form
 ``(boundary_vol / (2 vol)) * (boundary_barycenter - barycenter)`` in terms of
-the lattice-normalized boundary measure, both of which are asserted against
-the independently computed geometry.
+the lattice-normalized boundary measure.  Both are asserted, but the fits
+already hold the top two coefficients of E and each S_i to the same
+face-walk integers, so these checks guard the steps from the fits to the
+series: ``Polynomial.shift_down`` and ``laurent_expand``.
 """
 
 from __future__ import annotations

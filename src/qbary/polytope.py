@@ -23,9 +23,10 @@ that is a simplex, and pyramid heights read off sparse Plücker vectors,
 each face once, for any other.  With the lattice heights of vertex 0 above
 the facets they give ``W = dim! vol(P)`` and ``M = (dim+1) W bc(P)``.  A
 product of coordinate blocks of dimension 4 or more, by the rule counting
-uses, is walked one factor at a time instead (:func:`_split`, kept in the
-same record), and P's integers are assembled from the factors' with
-multinomial coefficients (:func:`_product_face`).  Minkowski's relation
+uses, is not walked itself (:func:`_split`, kept in the same record): P's
+integers are assembled with multinomial coefficients
+(:func:`_product_face`) from each factor's own record, so a factor is
+walked once however many products share it.  Minkowski's relation
 and the divergence theorem are checked on the integers, every check in
 qbary reads them, and only :func:`measure` and :func:`facet_data` turn
 them into fractions, on each call.
@@ -328,17 +329,17 @@ def _product_face(blocks: list[tuple[int, ...]], faces: list[tuple[int, int, lis
 
 def _product_moments(split: Split) -> tuple[int, list[int], list[tuple[int, list[int]]]]:
     """:func:`qbary.hull.face_moments` of the product ``split``
-    (:func:`_split`), from one walk of each factor's face lattice.
+    (:func:`_split`), from each factor's own :func:`_measures`.
 
     A facet of P on a block is that factor's facet times the other factors.
     """
     blocks = [block for block, _, _ in split]
-    walks = [face_moments(factor) for _, factor, _ in split]
-    whole = [(factor.dim, volume, moment) for (_, factor, _), (volume, moment, _) in zip(split, walks)]
+    walks = [_measures(factor) for _, factor, _ in split]
+    whole = [(factor.dim, walk.volume, walk.moment) for (_, factor, _), walk in zip(split, walks)]
     volume, moment = _product_face(blocks, whole)
     weighed: list = [None] * sum(len(facets) for _, _, facets in split)
-    for b, ((_, _, facets), (_, _, on_block)) in enumerate(zip(split, walks)):
-        for k, (total, facet_moment) in zip(facets, on_block):
+    for b, ((_, _, facets), walk) in enumerate(zip(split, walks)):
+        for k, (total, facet_moment) in zip(facets, walk.weighed):
             weighed[k] = _product_face(blocks, whole[:b] + [(whole[b][0] - 1, total, facet_moment)] + whole[b + 1 :])
     return volume, moment, weighed
 
@@ -355,7 +356,7 @@ class _FaceWalk(NamedTuple):
 @lru_cache(maxsize=None)
 def _measures(p: Polytope) -> _FaceWalk:
     """P's integers from one walk, :func:`qbary.hull.face_moments`, or when
-    P splits into factors (:func:`_split`) from one walk of each factor
+    P splits into factors (:func:`_split`) from each factor's own record
     (:func:`_product_moments`), with n = dim P: ``volume``, ``W = n!
     vol(P)``; ``moment``, ``M = (n+1) W bc(P)``; ``weighed``, ``(W_F, M_F)``
     for each facet F, ``W_F = (n-1)! nvol(F)`` and ``M_F = n W_F bc(F)``;
@@ -366,10 +367,11 @@ def _measures(p: Polytope) -> _FaceWalk:
     They are checked before they are kept: Minkowski's relation ``sum_F
     W_F u_F = 0`` and the divergence theorem ``sum_F M_F[i] u_F[j] =
     -delta_ij W``, with ``W`` summed from the facet weights of the pyramids
-    from vertex 0, not from the facet moments.  On a product they hold only
-    if each factor's do, since a facet's integers are its factor's scaled
-    by the other factors' volumes, and they fail on a facet matched to
-    another factor facet or a wrong multinomial.
+    from vertex 0, not from the facet moments.  A factor's integers pass
+    them in its own record first; P's hold only if each factor's do, since
+    a facet's integers are its factor's scaled by the other factors'
+    volumes, and they fail on a facet matched to another factor facet or a
+    wrong multinomial.
     """
     n = p.dim
     normals = [f.normal for f in p.facets]

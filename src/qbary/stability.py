@@ -16,7 +16,10 @@ The expansion of delta_k starts delta - (B/(2V)) max_{i in I} <bBc - Bc,
 v_i> delta^2 / k + ... where B, bBc are the lattice-normalized boundary
 volume and barycenter, V, Bc volume and barycenter, and I the facets
 attaining delta; the Laurent coefficients of the dominant function are
-asserted against that closed form.
+asserted against that closed form.  The fits already hold the top two
+coefficients of E and each S_i to the same face-walk integers, so this
+guards ``laurent_expand`` and the choice of dominant facet: another facet
+expands to another a_0, or to another a_1 among those attaining delta.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, count, product
 from math import gcd, lcm
 
 import pytest
@@ -30,6 +30,18 @@ FIXTURE_NAMES = (
 )
 
 DEL_PEZZO_NAMES = ("p2", "f1", "cube2", "blowup-p1xp1", "hexagon")
+
+# Shifts that no two calls share within a process, for tests that need a
+# polytope, or a product whose factors, no cache has seen.
+FRESH = count(1000)
+
+
+def fresh_hull(vertices) -> qb.Polytope:
+    """The hull of the vertices moved along the diagonal by a fresh shift, so
+    that neither it nor its factors have a cached record or measures."""
+    shift = next(FRESH)
+    return qb.hull_from_vertices([tuple(x + shift for x in v) for v in vertices])
+
 
 _CORPUS_CACHE: list | None = None
 

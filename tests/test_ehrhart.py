@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 import io
@@ -7,6 +8,7 @@ import itertools
 import json
 from math import factorial, prod
 import operator
+from pathlib import Path
 import sys
 
 import pytest
@@ -22,7 +24,7 @@ from qbary.ehrhart import lattice_point_stats
 from qbary.exactnum import Polynomial
 from qbary.hull import volume_and_barycenter
 
-from conftest import apply_map, brute_count, brute_vertex_sum, polytope_and_map, unimodular
+from conftest import FRESH, apply_map, brute_count, brute_vertex_sum, fresh_hull, polytope_and_map, unimodular
 
 
 def test_count_points_paper_examples(fixtures):
@@ -382,9 +384,6 @@ def test_parallelepiped_records_match_a_pass_and_brute_force(case):
             assert record(q, j) == (brute_count(q, j), brute_vertex_sum(q, j))
 
 
-_FRESH = itertools.count(1000)
-
-
 def fresh_simplex(n, height=None):
     """A skinny n-simplex conv(0, e_1, .., e_{n-1}, (2, .., n, height)),
     height n + 1 unless given, translated to where no other test's cached
@@ -393,7 +392,7 @@ def fresh_simplex(n, height=None):
     parallelepiped, serves its reads above the fitted dilations up to k = 12
     in dimension 4."""
     units = [tuple(int(i == j) for j in range(n)) for i in range(n - 1)]
-    shift = next(_FRESH)
+    shift = next(FRESH)
     corners = [(0,) * n, *units, (*range(2, n + 1), n + 1 if height is None else height)]
     return qb.hull_from_vertices([tuple(x + shift for x in c) for c in corners])
 
@@ -464,7 +463,7 @@ def test_the_anticanonical_simplex_counts_only_what_is_read(monkeypatch, tmp_pat
     # takes seconds on the 6-simplex, so it is answered from E(12) and S(12),
     # which the read check holds it to.
     m = (n + 2) // 2
-    shift = next(_FRESH)
+    shift = next(FRESH)
     vertices = [anticanonical_vertex(n, j, shift, stretch=100) for j in range(n + 1)]
     p = qb.hull_from_vertices(vertices)
     seen = []
@@ -491,7 +490,7 @@ def test_the_anticanonical_simplex_counts_only_what_is_read(monkeypatch, tmp_pat
 def test_bck_on_the_anticanonical_5_simplex_reads_its_parallelepiped(monkeypatch, tmp_path):
     # n! vol = 6^5 points cost less than a pass at k = 12: the fits read
     # k = 1..3 and bck --k 12 runs no pass
-    shift = next(_FRESH)
+    shift = next(FRESH)
     vertices = [anticanonical_vertex(5, j, shift) for j in range(6)]
     seen = count_passes(monkeypatch)
     document = tmp_path / "simplex.json"
@@ -504,8 +503,7 @@ def test_bck_on_the_anticanonical_5_simplex_reads_its_parallelepiped(monkeypatch
 def test_the_reeve_tetrahedron_of_volume_a_million_keeps_the_scan(monkeypatch):
     # conv(0, e_1, e_2, (1, 1, 10^6)) has n! vol = 10^6 points in its
     # parallelepiped, against k + 1 rows of a pass
-    shift = next(_FRESH)
-    p = qb.hull_from_vertices([tuple(x + shift for x in v) for v in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 10**6))])
+    p = fresh_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 10**6)])
     seen = count_passes(monkeypatch)
     monkeypatch.setattr(lattice, "_parallelepiped", None)
     for k in (12, 40, 1000):
@@ -658,7 +656,7 @@ def test_top_coefficients_alone_check_the_sums_of_a_segment(monkeypatch):
     # in dimension 1 each coordinate-sum fit passes through all three
     # samples k = 0, 1, -1, so only its top two coefficients check it
     count_passes(monkeypatch, off_by_one_at(1, "sums", 0))
-    segment = qb.hull_from_vertices([(next(_FRESH),), (next(_FRESH) + 3,)])
+    segment = qb.hull_from_vertices([(next(FRESH),), (next(FRESH) + 3,)])
     with pytest.raises(qb.InternalInconsistency, match="coordinate-sum polynomial has leading coefficient"):
         qb.barycenter_function(segment)
 
@@ -707,7 +705,7 @@ def test_the_record_builds_no_fraction_once_the_measures_are_cached(monkeypatch,
     # denominators; so a cold polytope builds no Fraction but E's
     # coefficients, and a warm one, whose public measures were read, none
     def fresh():
-        return fresh_simplex(n) if n > 1 else qb.hull_from_vertices([(next(_FRESH),), (next(_FRESH) + 3,)])
+        return fresh_simplex(n) if n > 1 else qb.hull_from_vertices([(next(FRESH),), (next(FRESH) + 3,)])
 
     built = []
 
@@ -933,6 +931,12 @@ def test_products_match_box_scans_and_their_factors(case):
     a, b, perm, p = case
     assert len(qbary.polytope._split(p)) >= 2
     assert [lattice_point_stats(p, k) for k in (1, 2)] == [box_scan(p, k) for k in (1, 2)]
+    # the factors were counted and measured as polytopes of their own
+    misses = lattice_point_stats.cache_info().misses, qbary.polytope._measures.cache_info().misses
+    for _, factor, _ in qbary.polytope._split(p):
+        lattice_point_stats(factor, 2)
+        qbary.polytope._measures(factor)
+    assert (lattice_point_stats.cache_info().misses, qbary.polytope._measures.cache_info().misses) == misses
     assert qb.ehrhart_polynomial(p).poly == qb.ehrhart_polynomial(a).poly * qb.ehrhart_polynomial(b).poly
     for k in (1, 2, 3):
         parts = qb.quantized_barycenter(a, k).value + qb.quantized_barycenter(b, k).value
@@ -990,13 +994,52 @@ QUAD_TRIANGLE = [
     ],
 )
 def test_products_of_dimension_4_or_more_pass_over_p_only_at_k_1(monkeypatch, vertices, product):
-    p = qb.hull_from_vertices(vertices)
+    # each distinct factor is counted by its own plan once per dilation,
+    # however many blocks it fills: the unit 5-cube's five segments are one
+    # polytope.  Fresh factors, since a cached record makes no pass.
+    p = fresh_hull(vertices)
     seen = passes_on(monkeypatch)
     for k in range(1, 6):
         lattice_point_stats.__wrapped__(p, k)
     plan = ehrhart._scan_plan(p)
+    factors = dict.fromkeys(factor for _, factor, _ in qbary.polytope._measures(p).split)
     assert [k for q, k in seen if q is plan] == ([1] if product else [1, 2, 3, 4, 5])
-    assert sorted({k for q, k in seen if q is not plan}) == ([1, 2, 3, 4, 5] if product else [])
+    assert [(q, k) for q, k in seen if q is not plan] == [(ehrhart._scan_plan(f), k) for k in range(1, 6) for f in factors]
+
+
+def test_the_unit_7_cube_makes_one_segment_pass_per_dilation(monkeypatch):
+    # its seven factors are one segment, counted once per dilation; P itself
+    # is passed over only at k = 1
+    p = fresh_hull(itertools.product((0, 1), repeat=7))
+    seen = passes_on(monkeypatch)
+    for k in range(1, 5):
+        lattice_point_stats(p, k)
+    segment = ehrhart._scan_plan(qbary.polytope._measures(p).split[0][1])
+    assert [k for q, k in seen if q == segment] == [1, 2, 3, 4]
+    assert [(q, k) for q, k in seen if q != segment] == [(ehrhart._scan_plan(p), 1)]
+
+
+def test_counting_reads_no_fit_and_only_closed_stats_checks_a_read(monkeypatch):
+    # the fits read the counts, so counting sits below them: a closed-only
+    # record is checked against the fits where it is read, by closed_stats
+    def refused(*args):
+        raise AssertionError("counting read a fit")
+
+    monkeypatch.setattr(ehrhart, "ehrhart_data", refused)
+    monkeypatch.setattr(ehrhart, "poly_fit", refused)
+    for p in (fresh_simplex(4, TALL), fresh_hull(QUAD_TRIANGLE)):
+        for k in (1, 5):
+            lattice_point_stats.__wrapped__(p, k)
+            lattice_point_stats.__wrapped__(p, k, False)
+    tree = ast.parse(Path(ehrhart.__file__).read_text())
+    callers = {
+        f.name
+        for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef)
+        for node in ast.walk(f)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_read_check"
+    }
+    assert callers == {"closed_stats"}
 
 
 def swap_first_two_blocks_sums(blocks, records):
@@ -1037,8 +1080,7 @@ def test_fits_catch_interior_sums_scaled_by_closed_counts_on_the_unit_5_cube(mon
     # pass at k = 1 cannot see it.  From k = 2 on they are not.  The fits
     # read k = 0..3, and at n = 5 each coordinate-sum fit passes through
     # every sample, so its leading-coefficient identity catches it.
-    shift = next(_FRESH)
-    p = qb.hull_from_vertices([tuple(x + shift for x in v) for v in SCAN_SHAPES["unit 5-cube"]])
+    p = fresh_hull(SCAN_SHAPES["unit 5-cube"])
     monkeypatch.setattr(ehrhart, "_product", interior_sums_by_closed_counts)
     lattice_point_stats.__wrapped__(p, 1)
     with pytest.raises(qb.InternalInconsistency, match="coordinate-sum polynomial has leading coefficient"):
@@ -1071,13 +1113,19 @@ def test_a_plan_builds_hulls_for_outer_coordinates_only(monkeypatch, name, dims)
 
 
 def test_unit_5_cube_plan_hulls_two_points_per_coordinate(monkeypatch):
-    # each outer coordinate is bounded by the hull of its own segment, the
-    # row coordinate by its rows alone, and the factors, all segments, take
-    # no hull at all
-    plan, hulls = plan_with_hulls(monkeypatch, qb.hull_from_vertices(SCAN_SHAPES["unit 5-cube"]))
+    # each outer coordinate is bounded by the hull of its own segment and
+    # the row coordinate by its rows alone; the factors, all one segment,
+    # are planned as polytopes of their own and take no hull at all
+    p = qb.hull_from_vertices(SCAN_SHAPES["unit 5-cube"])
+    plan, hulls = plan_with_hulls(monkeypatch, p)
     assert [len(points) for points in hulls] == [2, 2]
     assert [len(bounds.coefs) for bounds in plan.bounds] == [2, 2, 10]
-    assert [block for block, _ in plan.factors] == [(i,) for i in range(5)]
+    split = qbary.polytope._measures(p).split
+    assert [block for block, _, _ in split] == [(i,) for i in range(5)]
+    assert {factor for _, factor, _ in split} == {qb.hull_from_vertices([(0,), (1,)])}
+    hulls.clear()
+    ehrhart._scan_plan.__wrapped__(split[0][1])
+    assert hulls == []
 
 
 @settings(max_examples=30, deadline=None)
@@ -1085,22 +1133,23 @@ def test_unit_5_cube_plan_hulls_two_points_per_coordinate(monkeypatch):
 def test_product_plans_bound_each_coordinate_within_its_block(case):
     a, b, perm, p = case
     plan = ehrhart._scan_plan(p)
-    blocks = [block for block, _, _ in qbary.polytope._split(p)]
-    block_of = {i: block for block in blocks for i in block}
+    split = qbary.polytope._split(p)
+    block_of = {i: block for block, _, _ in split for i in block}
     for j, bounds in enumerate(plan.bounds[:-1], 1):
         assert all(bounds.coefs)
         for i, column in enumerate(bounds.cols):
             assert plan.order[i] in block_of[plan.order[j]] or not any(column), (j, i)
-    # each factor is scanned in P's order restricted to its block
-    assert [block for block, _ in plan.factors] == blocks
-    for block, factor in plan.factors:
-        assert [block[i] for i in factor.order] == [i for i in plan.order if i in block]
-        assert not factor.factors
+    # a factor's shadows are P's on its block over the other factors'
+    # volumes, so its own plan scans it in P's order restricted to its block
+    assert "factors" not in ehrhart._ScanPlan._fields
+    for block, factor, _ in split:
+        order = ehrhart._scan_plan(factor).order
+        assert [block[i] for i in order] == [i for i in plan.order if i in block]
 
 
 def test_products_find_their_factors_once(monkeypatch):
-    # the split is kept with P's measures, and the plan keeps the factors'
-    # plans, so neither measures nor any dilation split P again
+    # the split is kept with P's measures and each factor's with its own, so
+    # neither measures nor any dilation splits P or a factor again
     calls = []
     real = qbary.polytope._split
 
@@ -1110,12 +1159,11 @@ def test_products_find_their_factors_once(monkeypatch):
 
     monkeypatch.setattr(qbary.polytope, "_split", recorded)
     for vertices in (QUAD_TRIANGLE, SCAN_SHAPES["unit 5-cube"]):
-        shift = next(_FRESH)
-        p = qb.hull_from_vertices([tuple(x + shift for x in v) for v in vertices])
         calls.clear()
+        p = fresh_hull(vertices)
         qb.measure(p)
         qb.facet_data(p)
         for k in range(1, 6):
             lattice_point_stats(p, k)
-        assert calls == [p]
+        assert calls == [p, *dict.fromkeys(factor for _, factor, _ in real(p))]
         assert len(real(p)) >= 2

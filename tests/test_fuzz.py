@@ -338,6 +338,8 @@ EDGE_LINES = (
     (["count", "--input", "f1", "--k", "\uff13"], True),
     (["count", "--input", "f1", "--k", "1_0"], True),
     (["df", "--input", "f1", "--v", "-1,2"], True),
+    (["delta-seq", "--input", "f1", "--ks", "-1,2"], True),
+    (["mixed-volume", "--multiplicities", "-1,3"], True),
     (["count", "--input=-x", "--k", "1"], True),
     (["bc", "--input", "p2", "--approx=1"], False),
     (["bc", "--input", "p2", "--table="], False),
@@ -349,6 +351,7 @@ EDGE_LINES = (
     (["count", "--input", "f1", "--k", "3", "--"], False),
     (["count", "--input", "f1", "--k", "x3"], False),
     (["mixed-volume", "--input", "p2", "--input", "f1"], False),
+    (["mixed-volume", "--input", "p2", "--multiplicities", "-1,3"], False),
 )
 
 

@@ -261,7 +261,7 @@ INPUT_FORMS = (
     ["classify", "--input", "no-such-fixture"],
 )
 # Comma-separated values that start with a minus sign, given as a separate
-# word and attached with =.
+# word and attached with =: either way the library reads and refuses them.
 NEGATIVE_LISTS = (
     ["delta-seq", "--input", "f1", "--ks", "-1,2"],
     ["delta-seq", "--input", "f1", "--ks=-1,2"],

@@ -32,6 +32,7 @@ from conftest import (
     count_hulls,
     fraction_det,
     fraction_rank,
+    fresh_hull,
     polytope_and_map,
     random_corpus,
     random_halfspace_descriptions,
@@ -676,8 +677,12 @@ def test_facet_identities_catch_a_moved_barycenter(name, monkeypatch):
 
 
 # the unit cubes themselves: cube3 is walked whole, cube4 is read off its
-# factors
-VOLUME_MUTANT_POLYTOPES = {**MUTANT_POLYTOPES, "cube3": lambda: qb.load_fixture("cube3"), "cube4": lambda: unit_cube(4)}
+# factor, away from the origin so that the segment's measures are new
+VOLUME_MUTANT_POLYTOPES = {
+    **MUTANT_POLYTOPES,
+    "cube3": lambda: qb.load_fixture("cube3"),
+    "cube4": lambda: fresh_hull(unit_cube(4).vertices),
+}
 
 
 @pytest.mark.parametrize("name", VOLUME_MUTANT_POLYTOPES)
@@ -685,8 +690,7 @@ def test_facet_identities_catch_a_volume_off_by_one(name, monkeypatch):
     # every facet weight and moment stays as it was, so Minkowski's relation
     # holds; n! vol(P), summed from the determinants of the cones from
     # vertex 0, is one too large.  On the unit 4-cube the mutant runs on
-    # each 1-D factor, and the divergence theorem on P's assembled integers
-    # sees it.
+    # its 1-D factor, whose own measures' divergence theorem sees it.
     p = VOLUME_MUTANT_POLYTOPES[name]()
     real = qbary.polytope.face_moments
 
@@ -832,11 +836,13 @@ def test_products_below_dimension_4_are_measured_by_one_walk_of_p(name, monkeypa
     assert walked == [p]
 
 
-# Products of dimension 4 or more, which are measured through their factors
+# Products of dimension 4 or more, which are measured through their
+# factors' own measures, each built away from the origin so that no factor's
+# measures are cached
 PRODUCTS = {
-    "unit 5-cube": lambda: unit_cube(5),
+    "unit 5-cube": lambda: fresh_hull(unit_cube(5).vertices),
     # the same trapezoid times [0,2] and [-1,1], blocks {0,2}, {1}, {3}
-    "trapezoid x segments": lambda: qb.hull_from_vertices(
+    "trapezoid x segments": lambda: fresh_hull(
         [(x, s, y, t) for x, y in ((0, 0), (3, 0), (0, 1), (2, 1)) for s in (0, 2) for t in (-1, 1)]
     ),
 }
@@ -844,19 +850,22 @@ PRODUCTS = {
 
 @pytest.mark.parametrize("name", PRODUCTS)
 def test_products_are_measured_by_one_walk_per_factor(name, monkeypatch):
+    # equal factors share one walk, once per process: the unit 5-cube's
+    # five segments are one polytope
     p = PRODUCTS[name]()
-    blocks = [block for block, _, _ in qbary.polytope._split(p)]
-    assert len(blocks) >= 2
+    split = qbary.polytope._split(p)
+    assert len(split) >= 2
     walked = []
     real = qbary.polytope.face_moments
 
     def recorded(q):
-        walked.append(q.dim)
+        walked.append(q)
         return real(q)
 
     monkeypatch.setattr(qbary.polytope, "face_moments", recorded)
-    qbary.polytope._measures.__wrapped__(p)
-    assert walked == [len(block) for block in blocks]
+    for _ in range(2):
+        qbary.polytope._measures.__wrapped__(p)
+    assert walked == list(dict.fromkeys(factor for _, factor, _ in split))
 
 
 @pytest.mark.parametrize("name", {**SMALL_PRODUCTS, **PRODUCTS})
@@ -871,6 +880,17 @@ def test_product_identities_catch_facets_matched_to_the_wrong_factor_facet(name,
         return volume, moment, weighed[::-1]
 
     monkeypatch.setattr(qbary.polytope, "face_moments", reversing)
+    with pytest.raises(qb.InternalInconsistency, match="Minkowski|divergence"):
+        qbary.polytope._measures.__wrapped__(p)
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_product_identities_catch_factor_facets_matched_to_the_wrong_facets_of_p(name, monkeypatch):
+    # each factor's own measures are right, but its facets are matched to
+    # P's facets on its block in reverse order
+    p = PRODUCTS[name]()
+    real = qbary.polytope._split
+    monkeypatch.setattr(qbary.polytope, "_split", lambda q: tuple((b, f, facets[::-1]) for b, f, facets in real(q)))
     with pytest.raises(qb.InternalInconsistency, match="Minkowski|divergence"):
         qbary.polytope._measures.__wrapped__(p)
 
