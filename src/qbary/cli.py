@@ -13,18 +13,19 @@ them on the first command only.  The file is read on every call and the
 key is its text, so an edited file is never served stale; a refusal is not
 kept and is raised again on every call.
 
-A command line is parsed by the parser of the command it names alone; the
-top-level parser runs only when the first argument names no command, and
-reports arguments left over with its own usage.  A plain line does not run
-argparse at all: it is read off a table that :func:`build_parser` takes
-from each command's own argparse actions.  A line is plain when it holds
-only exact option names of store and store_true actions, each value as
-``--opt value`` (not starting with ``-``) or ``--opt=value`` (not starting
-with ``--``), every int converting and every required option given.  Every
-other line goes to argparse unchanged: help, abbreviations, ``--``, stray
-words, negative values, ``mixed-volume``'s repeatable ``--input``, values
-that do not convert and missing options.  So argparse stays the only
-declaration of the options and the only source of help and usage text.
+Each command is declared once, in ``_COMMANDS``: its handler, its help,
+and its options as the keyword arguments of argparse's ``add_argument``.
+A plain line runs no argparse parser: it is read off its command's table,
+which :func:`_plain_table` builds from those options at import.  A line is
+plain when it names a command and then holds only exact names of store and
+store_true options, each value as ``--opt value`` (not starting with
+``-``) or ``--opt=value`` (not starting with ``--``), every int converting
+and every required option given.  Every other line goes unchanged to the
+parser that :func:`build_parser` builds from the same table, on the first
+such line of the process: help, abbreviations, ``--``, stray words,
+negative values, ``mixed-volume``'s repeatable ``--input``, values that do
+not convert, missing options and a first word that names no command.  So
+argparse stays the only source of help and usage text.
 
 The result document is printed by :func:`_json_text`, whose text is exactly
 ``json.dumps(document, indent=2)``: json uses its C encoder only when
@@ -389,12 +390,6 @@ class _Parser(argparse.ArgumentParser):
     Help returns its status through :func:`execute` rather than exiting the
     process."""
 
-    # the parser of each command by name, set on the top-level parser
-    commands: dict[str, "_Parser"]
-    # what a plain line of a command can hold, set on each command's parser:
-    # the action of each exact option name, the defaults, the required dests
-    table: tuple[dict[str, argparse.Action], dict[str, object], frozenset[str]]
-
     def error(self, message: str):
         raise InvalidInput(f"{message}\n{self.format_usage().rstrip()}")
 
@@ -402,6 +397,68 @@ class _Parser(argparse.ArgumentParser):
         # with error() raising, argparse calls this only once -h/--help has
         # printed the help
         raise _HelpShown(status)
+
+
+# The options of every command that reads one polytope, each as the keyword
+# arguments of argparse's add_argument.
+_COMMON = {
+    "--input": {"help": "JSON polytope document or bundled fixture name"},
+    "--rays": {"help": "inline rays, e.g. '1,0;0,1;-1,-1'"},
+    "--offsets": {"help": "inline offsets, e.g. '1,1,1'"},
+    "--table": {"action": "store_true", "help": "render as an aligned table"},
+    "--approx": {"action": "store_true", "help": "add a decimal rendering (display only; results stay exact)"},
+}
+_K = {"--k": {"type": int, "required": True}}
+_V = {"--v": {"required": True}}
+
+# Every command, in the order of ``qbary -h``: its handler, its help and its
+# options.
+_COMMANDS = {
+    "count": (_cmd_count, "lattice points of k*P", {**_COMMON, **_K}),
+    "bck": (_cmd_bck, "quantized barycenter Bc_k", {**_COMMON, **_K}),
+    "bc": (_cmd_bc, "volume, barycenter, and boundary data", _COMMON),
+    "ehrhart": (_cmd_ehrhart, "counting polynomial coefficients", _COMMON),
+    "reciprocity": (_cmd_reciprocity, "reciprocity checks up to --kmax", {**_COMMON, "--kmax": {"type": int, "default": 4}}),
+    "expand": (_cmd_expand, "asymptotic expansion of Bc_k", {**_COMMON, "--order": {"type": int, "default": None}}),
+    "rooftop": (
+        _cmd_rooftop,
+        "rooftop polytope in a direction",
+        {
+            **_COMMON,
+            "--v": {"required": True, "help": "direction vector, e.g. '1,0'"},
+            "--q": {"type": int, "default": None, "help": "offset (default: canonical)"},
+        },
+    ),
+    "classify": (_cmd_classify, "reflexive / Delzant flags", _COMMON),
+    "mixed-volume": (
+        _cmd_mixed_volume,
+        "mixed volume of polytopes",
+        {
+            "--input": {"action": "append", "help": "polytope document (repeatable)"},
+            "--multiplicities": {"help": "comma-separated multiplicities"},
+            "--table": {"action": "store_true"},
+            "--approx": {"action": "store_true"},
+        },
+    ),
+    "hrr": (_cmd_hrr, "counting coefficients from the Bernoulli/mixed-volume formula", _COMMON),
+    "rooftop-coeffs": (_cmd_rooftop_coeffs, "numerator coefficients of <Bc_k, v>", {**_COMMON, **_V}),
+    "delta": (
+        _cmd_delta,
+        "stability threshold (delta_k with --k, else delta)",
+        {**_COMMON, "--k": {"type": int, "default": None}},
+    ),
+    "delta-seq": (
+        _cmd_delta_seq,
+        "delta_k sequence, dominant function, expansion",
+        {**_COMMON, "--ks": {"required": True, "help": "comma-separated dilations"}, "--order": {"type": int, "default": 2}},
+    ),
+    "df": (
+        _cmd_df,
+        "Donaldson-Futaki coefficients in a direction",
+        {**_COMMON, **_V, "--order": {"type": int, "default": 3}},
+    ),
+    "fan": (_cmd_fan, "rooftop fan rays and canonical offset", {**_COMMON, **_V}),
+}
 
 
 # Options whose values are integer lists and may start with a minus sign.
@@ -420,24 +477,24 @@ def _attach_vector_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
-def _table(parser: _Parser) -> tuple:
-    """What a plain line of the command of ``parser`` can hold, read off its
-    actions: see :attr:`_Parser.table`."""
-    actions = parser._actions
-    return (
-        {
-            name: action
-            for action in actions
-            if type(action) in (argparse._StoreAction, argparse._StoreTrueAction) and action.choices is None
-            for name in action.option_strings
-        },
-        {
-            action.dest: action.default
-            for action in actions
-            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS
-        },
-        frozenset(action.dest for action in actions if action.required),
-    )
+def _plain_table(options: dict[str, dict]) -> tuple:
+    """What a plain line of a command with ``options`` can hold: each store
+    and store_true option by its exact name, as its dest, whether it takes
+    a value and the value's type; the default of every dest; the required
+    dests."""
+    table, defaults, required = {}, {}, set()
+    for name, kwargs in options.items():
+        dest = name[2:].replace("-", "_")
+        action = kwargs.get("action", "store")
+        defaults[dest] = kwargs.get("default", False if action == "store_true" else None)
+        if kwargs.get("required"):
+            required.add(dest)
+        if action in ("store", "store_true"):
+            table[name] = (dest, action == "store", kwargs.get("type"))
+    return table, defaults, frozenset(required)
+
+
+_PLAIN = {name: _plain_table(options) for name, (_, _, options) in _COMMANDS.items()}
 
 
 def _read_plain(table, words: Sequence[str]) -> dict | None:
@@ -449,13 +506,14 @@ def _read_plain(table, words: Sequence[str]) -> dict | None:
     words = iter(words)
     for word in words:
         name, attached, value = word.partition("=")
-        action = options.get(name)
-        if action is None:
+        option = options.get(name)
+        if option is None:
             return None
-        if action.nargs == 0:
+        dest, takes_value, convert = option
+        if not takes_value:
             if attached:
                 return None
-            value = action.const
+            value = True
         else:
             # argparse reads a separate word that starts with - as an option
             # or a negative number, and drops an attached --
@@ -465,127 +523,59 @@ def _read_plain(table, words: Sequence[str]) -> dict | None:
                     return None
             elif value.startswith("--"):
                 return None
-            if action.type is not None:
+            if convert is not None:
                 try:
-                    value = action.type(value)
+                    value = convert(value)
                 except (TypeError, ValueError):
                     return None
-        values[action.dest] = value
-        given.add(action.dest)
+        values[dest] = value
+        given.add(dest)
     return values if required <= given else None
 
 
 def build_parser() -> _Parser:
+    """The argparse parser of every command of :data:`_COMMANDS`."""
     parser = _Parser(
         prog="qbary",
         description="Exact quantized barycenters, Ehrhart expansions, and "
         "toric stability thresholds of lattice polytopes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, **kwargs):
-        cmd = sub.add_parser(name, **kwargs)
-        cmd.add_argument("--input", help="JSON polytope document or bundled fixture name")
-        cmd.add_argument("--rays", help="inline rays, e.g. '1,0;0,1;-1,-1'")
-        cmd.add_argument("--offsets", help="inline offsets, e.g. '1,1,1'")
-        cmd.add_argument("--table", action="store_true", help="render as an aligned table")
-        cmd.add_argument(
-            "--approx",
-            action="store_true",
-            help="add a decimal rendering (display only; results stay exact)",
-        )
-        return cmd
-
-    add("count", help="lattice points of k*P").add_argument("--k", type=int, required=True)
-    add("bck", help="quantized barycenter Bc_k").add_argument("--k", type=int, required=True)
-    add("bc", help="volume, barycenter, and boundary data")
-    cmd = add("ehrhart", help="counting polynomial coefficients")
-    cmd = add("reciprocity", help="reciprocity checks up to --kmax")
-    cmd.add_argument("--kmax", type=int, default=4)
-    cmd = add("expand", help="asymptotic expansion of Bc_k")
-    cmd.add_argument("--order", type=int, default=None)
-    cmd = add("rooftop", help="rooftop polytope in a direction")
-    cmd.add_argument("--v", required=True, help="direction vector, e.g. '1,0'")
-    cmd.add_argument("--q", type=int, default=None, help="offset (default: canonical)")
-    add("classify", help="reflexive / Delzant flags")
-    cmd = sub.add_parser("mixed-volume", help="mixed volume of polytopes")
-    cmd.add_argument("--input", action="append", help="polytope document (repeatable)")
-    cmd.add_argument("--multiplicities", help="comma-separated multiplicities")
-    cmd.add_argument("--table", action="store_true")
-    cmd.add_argument("--approx", action="store_true")
-    add("hrr", help="counting coefficients from the Bernoulli/mixed-volume formula")
-    cmd = add("rooftop-coeffs", help="numerator coefficients of <Bc_k, v>")
-    cmd.add_argument("--v", required=True)
-    cmd = add("delta", help="stability threshold (delta_k with --k, else delta)")
-    cmd.add_argument("--k", type=int, default=None)
-    cmd = add("delta-seq", help="delta_k sequence, dominant function, expansion")
-    cmd.add_argument("--ks", required=True, help="comma-separated dilations")
-    cmd.add_argument("--order", type=int, default=2)
-    cmd = add("df", help="Donaldson-Futaki coefficients in a direction")
-    cmd.add_argument("--v", required=True)
-    cmd.add_argument("--order", type=int, default=3)
-    cmd = add("fan", help="rooftop fan rays and canonical offset")
-    cmd.add_argument("--v", required=True)
-    parser.commands = sub.choices
-    for cmd in sub.choices.values():
-        cmd.table = _table(cmd)
+    for name, (_, text, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        for option, kwargs in options.items():
+            command.add_argument(option, **kwargs)
     return parser
 
 
-_HANDLERS = {
-    "count": _cmd_count,
-    "bck": _cmd_bck,
-    "bc": _cmd_bc,
-    "ehrhart": _cmd_ehrhart,
-    "reciprocity": _cmd_reciprocity,
-    "expand": _cmd_expand,
-    "rooftop": _cmd_rooftop,
-    "classify": _cmd_classify,
-    "hrr": _cmd_hrr,
-    "rooftop-coeffs": _cmd_rooftop_coeffs,
-    "delta": _cmd_delta,
-    "delta-seq": _cmd_delta_seq,
-    "df": _cmd_df,
-    "fan": _cmd_fan,
-}
-
-
+# built by the first line that is not plain, so that a plain line and
+# importing the module stay cheap, and reused by every later one
 _parser: _Parser | None = None
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
     """The arguments of a command line: a plain line read off the table of
-    the command that ``argv[0]`` names, any other parsed by that command's
-    parser.  The top-level parser runs only when it names none, to report
-    that or print help, and reports arguments left over."""
-    # built on the first call, so that importing the module stays cheap, and
-    # reused by every later one
+    the command that ``argv[0]`` names, any other parsed by argparse."""
     global _parser
-    if _parser is None:
-        _parser = build_parser()
     argv = _attach_vector_values(argv)
-    command = _parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return _parser.parse_args(argv)
-    values = _read_plain(command.table, argv[1:])
+    table = _PLAIN.get(argv[0]) if argv else None
+    values = None if table is None else _read_plain(table, argv[1:])
     if values is not None:
         return argparse.Namespace(command=argv[0], **values)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        _parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = argv[0]
-    return args
+    if _parser is None:
+        _parser = build_parser()
+    return _parser.parse_args(argv)
 
 
 def execute(argv: Sequence[str]) -> int:
     try:
         args = _parse(argv)
+        handler = _COMMANDS[args.command][0]
         if args.command == "mixed-volume":
-            outputs = _cmd_mixed_volume(args)
-            name = None
+            outputs, name = handler(args), None
         else:
             polytope, toric, name = _resolve_input(args)
-            outputs = _HANDLERS[args.command](args, polytope, toric)
+            outputs = handler(args, polytope, toric)
         diagnostics = outputs.pop("diagnostics", {})
         document = {"command": args.command, "input": name, "outputs": outputs}
         if diagnostics:

@@ -83,9 +83,11 @@ its record comes from the parallelepiped's h*-vector and height sums X_h
 + h*_h V_i C(k-h+n, n+1)]``, V the sum of the vertices (Beck-Robins,
 *Computing the Continuous Discretely*, ch. 3).  Otherwise a pass that skips
 the interior fibers counts it.  Either record must equal E(k) and S_i(k)
-where :func:`closed_stats` reads it, so no record above m reaches output
-unchecked, every such value is read by two routes that share no code, and
-counting never reads the fits that read it.
+where :func:`closed_stats` reads it, and an interior count above m, from
+a full pass, must equal ``(-1)^n E(-k)`` where :func:`interior_count`
+reads it.  So no record above m reaches output unchecked, every such value
+is read by two routes that share no code, and counting never reads the
+fits that read it.
 """
 
 from __future__ import annotations
@@ -461,10 +463,16 @@ def count_points(p: Polytope, k: int) -> int:
 
 
 def interior_count(p: Polytope, k: int) -> int:
-    """Number of lattice points strictly inside ``k*P`` for ``k >= 1``."""
+    """Number of lattice points strictly inside ``k*P`` for ``k >= 1``;
+    above the dilations the fits read, once it equals ``(-1)^n E(-k)``."""
     if int_value(k, "dilation factor") < 1:
         raise InvalidInput("interior counts need a positive dilation")
-    return lattice_point_stats(p, k).interior
+    interior = lattice_point_stats(p, k).interior
+    if k not in fitted_dilations(p.dim):
+        counting = ehrhart_data(p)[0]
+        if (-1) ** p.dim * counting.numerator_at(-k) != interior * counting.denominator:
+            raise InternalInconsistency(f"counting polynomial disagrees with the interior count read at k={k}")
+    return interior
 
 
 def _fit(values: list[tuple[int, int]], degree: int, top: tuple[tuple[int, int], tuple[int, int]], what: str) -> Polynomial:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import ast
 import errno
 import json
@@ -392,15 +393,14 @@ def spy(monkeypatch, target, attr: str, calls: list, label: str | None = None) -
 
 def warm_calls(capsys, monkeypatch, argv) -> tuple[list, list, list]:
     """What a second run of ``argv`` decodes, encodes and parses, after the
-    first has built the parser and resolved the documents."""
+    first has resolved the documents: the parsed are the argparse parsers
+    run, the top-level parser and each command's alike."""
     cold = run(capsys, *argv)
     assert cold[0] == 0
     decoded, encoded, parsed = [], [], []
     spy(monkeypatch, json, "loads", decoded)
     spy(monkeypatch, json, "dumps", encoded)
-    parser = qbary.cli._parser
-    for name, command in (("qbary", parser), *parser.commands.items()):
-        spy(monkeypatch, command, "parse_known_args", parsed, name)
+    spy(monkeypatch, argparse.ArgumentParser, "parse_known_args", parsed)
     assert run(capsys, *argv) == cold
     return decoded, encoded, parsed
 
@@ -467,19 +467,48 @@ PLAIN_LINES = (
 
 
 def test_a_plain_line_of_each_command_runs_no_argparse_parser(capsys, monkeypatch):
-    assert sorted(line[0] for line in PLAIN_LINES) == sorted(qbary.cli._HANDLERS)
+    assert sorted(line[0] for line in PLAIN_LINES) == sorted(set(qbary.cli._COMMANDS) - {"mixed-volume"})
     lines = [[*line, "--input", "f1"] for line in PLAIN_LINES]
     # what argparse gives, with the table turned off
     with monkeypatch.context() as patch:
         patch.setattr(qbary.cli, "_read_plain", lambda table, words: None)
         by_argparse = [run(capsys, *argv) for argv in lines]
     parsed = []
-    parser = qbary.cli._parser
-    for name, command in (("qbary", parser), *parser.commands.items()):
-        spy(monkeypatch, command, "parse_known_args", parsed, name)
+    spy(monkeypatch, argparse.ArgumentParser, "parse_known_args", parsed)
     assert [run(capsys, *argv) for argv in lines] == by_argparse
     assert all(code == 0 for code, _, _ in by_argparse)
     assert parsed == []
+
+
+def test_the_parser_is_built_by_the_first_line_that_is_not_plain(capsys, monkeypatch):
+    monkeypatch.setattr(qbary.cli, "_parser", None)
+    built = []
+    spy(monkeypatch, qbary.cli, "build_parser", built, "built")
+    lines = [[*line, "--input", "f1"] for line in PLAIN_LINES]
+    outcomes = [run(capsys, *argv) for argv in lines]
+    assert all(code == 0 for code, _, _ in outcomes)
+    assert qbary.cli._parser is None and built == []
+    # an abbreviated option name is not plain
+    assert run(capsys, "count", "--inp", "f1", "--k", "3")[0] == 0
+    parser = qbary.cli._parser
+    assert parser is not None and built == ["built"]
+    parsed = []
+    with monkeypatch.context() as patch:
+        spy(patch, argparse.ArgumentParser, "parse_known_args", parsed)
+        assert [run(capsys, *argv) for argv in lines] == outcomes
+    assert parsed == []
+    assert run(capsys, "count", "--input", "f1", "--k", "-3")[0] == 1
+    assert qbary.cli._parser is parser and built == ["built"]
+
+
+def test_the_table_holds_every_handler_once_in_the_order_of_help(capsys):
+    handlers = [handler for handler, _, _ in qbary.cli._COMMANDS.values()]
+    assert handlers == [f for name, f in vars(qbary.cli).items() if name.startswith("_cmd_")]
+    assert [f"_cmd_{name.replace('-', '_')}" for name in qbary.cli._COMMANDS] == [f.__name__ for f in handlers]
+    code, out, _ = run(capsys, "-h")
+    assert code == 0
+    listed = out.split("positional arguments:\n")[1].split()[0]
+    assert listed == "{" + ",".join(qbary.cli._COMMANDS) + "}"
 
 
 # any code point, lone surrogates included, and the characters json escapes
@@ -563,7 +592,7 @@ def test_any_other_value_error_keeps_its_traceback(capsys, monkeypatch):
     def defect(*args):
         raise ValueError("a library defect")
 
-    monkeypatch.setitem(qbary.cli._HANDLERS, "classify", defect)
+    monkeypatch.setitem(qbary.cli._COMMANDS, "classify", (defect, *qbary.cli._COMMANDS["classify"][1:]))
     with pytest.raises(ValueError, match="a library defect"):
         execute(["classify", "--input", "f1"])
 

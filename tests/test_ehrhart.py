@@ -552,11 +552,14 @@ def failed_reciprocity(p) -> list[int]:
 
 @pytest.mark.parametrize("k", range(1, N + 1))
 def test_reciprocity_catches_an_interior_count_off_by_one(monkeypatch, k):
-    # above M no fit reads the interior record: reciprocity_check reports it
+    # above M no fit reads the interior record: reciprocity_check reports
+    # it, and it is refused where interior_count reads it
     count_passes(monkeypatch, off_by_one_at(k, "interior"))
     p = fresh_simplex(N)
     if k > M:
         assert failed_reciprocity(p) == [k]
+        with pytest.raises(qb.InternalInconsistency, match=f"counting polynomial disagrees with the interior count read at k={k}"):
+            qb.interior_count(p, k)
         return
     with pytest.raises(qb.InternalInconsistency, match=f"counting polynomial fails {FIRST_MISS['interior'][k - 1]}"):
         qb.ehrhart_polynomial(p)

@@ -18,11 +18,11 @@ rows, ragged rows, polytopes and hostile values in every argument slot.
 A ``Body`` is one more hostile value: only ``body_from_points`` makes one,
 and every operation of the layer refuses it.
 
-A command line is read off its command's table, or parsed by its command's
-parser alone; argument vectors drawn from command names, every option name,
-abbreviations, integers, vectors and stray tokens, and a fixed list of
-lines at the edges of the table, must parse to what the top-level parser
-gives, or be refused with the same message.
+A plain command line is read off its command's table, and any other is
+parsed by argparse; argument vectors drawn from the command names and
+option names of ``cli._COMMANDS``, abbreviations, integers, vectors and
+stray tokens, and a fixed list of lines at the edges of the table, must
+parse to what argparse gives, or be refused with the same message.
 """
 
 from __future__ import annotations
@@ -271,8 +271,11 @@ def test_virtual_combinations_and_mixed_volumes_end_in_a_value_or_a_refusal(slot
 # ---------------------------------------------------------------------------
 # the CLI's parser
 
-COMMANDS = sorted(build_parser().commands.items())
-OPTIONS = sorted({s for _, command in COMMANDS for action in command._actions for s in action.option_strings})
+# the name and options of every command, and an argparse parser apart from
+# the CLI's, by which every line is parsed for comparison
+COMMANDS = sorted((name, options) for name, (_, _, options) in qbary.cli._COMMANDS.items())
+OPTIONS = sorted({"-h", "--help", *(option for _, options in COMMANDS for option in options)})
+PARSER = build_parser()
 VALUES = st.one_of(
     st.integers(-20, 20).map(str),
     st.lists(SMALL, min_size=1, max_size=3).map(lambda v: ",".join(map(str, v))),
@@ -293,12 +296,11 @@ TOKENS = st.one_of(
 def command_lines(draw) -> list[str]:
     """A command and some of its options, each with a value if it takes
     one, in a drawn order, with up to two stray tokens put in."""
-    name, command = draw(st.sampled_from(COMMANDS))
+    name, options = draw(st.sampled_from(COMMANDS))
     words = []
-    for action in command._actions:
-        if action.option_strings and draw(st.integers(0, 3)) and "-h" not in action.option_strings:
-            option = draw(st.sampled_from(action.option_strings))
-            words.append([option] if action.nargs == 0 else [option, draw(VALUES)])
+    for option, kwargs in options.items():
+        if draw(st.integers(0, 3)):
+            words.append([option] if kwargs.get("action") == "store_true" else [option, draw(VALUES)])
     words = [word for group in draw(st.permutations(words)) for word in group]
     for token in draw(st.lists(TOKENS, max_size=2)):
         words.insert(draw(st.integers(0, len(words))), token)
@@ -323,7 +325,7 @@ def _parsed(parse, argv: list[str]):
 def test_a_command_parses_alone_as_under_the_top_level_parser(line, tokens):
     for argv in (line, tokens):
         alone = _parsed(qbary.cli._parse, argv)
-        whole = _parsed(lambda a: qbary.cli._parser.parse_args(qbary.cli._attach_vector_values(a)), argv)
+        whole = _parsed(lambda a: PARSER.parse_args(qbary.cli._attach_vector_values(a)), argv)
         assert alone == whole, argv
 
 
@@ -350,6 +352,7 @@ EDGE_LINES = (
     (["count", "--input", "f1"], False),
     (["count", "--input", "f1", "--k", "3", "--"], False),
     (["count", "--input", "f1", "--k", "x3"], False),
+    (["mixed-volume", "--input", "p2"], False),
     (["mixed-volume", "--input", "p2", "--input", "f1"], False),
     (["mixed-volume", "--input", "p2", "--multiplicities", "-1,3"], False),
 )
@@ -358,7 +361,7 @@ EDGE_LINES = (
 @pytest.mark.parametrize("argv, plain", EDGE_LINES, ids=[" ".join(argv) for argv, _ in EDGE_LINES])
 def test_an_edge_line_parses_alone_as_under_the_top_level_parser(argv, plain):
     alone = _parsed(qbary.cli._parse, argv)
-    whole = _parsed(lambda a: qbary.cli._parser.parse_args(qbary.cli._attach_vector_values(a)), argv)
+    whole = _parsed(lambda a: PARSER.parse_args(qbary.cli._attach_vector_values(a)), argv)
     assert alone == whole
     words = qbary.cli._attach_vector_values(argv)[1:]
-    assert (qbary.cli._read_plain(qbary.cli._parser.commands[argv[0]].table, words) is not None) == plain
+    assert (qbary.cli._read_plain(qbary.cli._PLAIN[argv[0]], words) is not None) == plain
