@@ -73,21 +73,20 @@ has no sample to spare at odd dim.
 Any mismatch raises ``InternalInconsistency``: counting is exact and
 polynomiality is a theorem, not a modeling assumption.
 
-A dilation above m that is read only for its closed count and sums
-(:func:`count_points`, ``quantized_barycenter``) is no sample of the fits.
-On a lattice simplex of dimension 3 or more whose fundamental
+Every record of ``k*P`` holds both halves and is kept once per (P, k).
+Above m, on a lattice simplex of dimension 3 or more whose fundamental
 parallelepiped costs less than a pass at k (:func:`_takes_parallelepiped`),
-its record comes from the parallelepiped's h*-vector and height sums X_h
+the record comes from the parallelepiped's h*-vector and height sums X_h
 (:func:`qbary.lattice._parallelepiped_record`), at a cost independent of k:
 ``E(k) = sum_h h*_h C(k-h+n, n)`` and ``S_i(k) = sum_h [X_h[i] C(k-h+n, n)
 + h*_h V_i C(k-h+n, n+1)]``, V the sum of the vertices (Beck-Robins,
-*Computing the Continuous Discretely*, ch. 3).  Otherwise a pass that skips
-the interior fibers counts it.  Either record must equal E(k) and S_i(k)
-where :func:`closed_stats` reads it, and an interior count above m, from
-a full pass, must equal ``(-1)^n E(-k)`` where :func:`interior_count`
-reads it.  So no record above m reaches output unchecked, every such value
-is read by two routes that share no code, and counting never reads the
-fits that read it.
+*Computing the Continuous Discretely*, ch. 3), and its interior from the
+same h* and X_h.  Otherwise a pass counts it.  :func:`checked_stats` alone
+hands records to :func:`count_points`, :func:`interior_count` and
+``quantized_barycenter``: at k <= m once :func:`ehrhart_data` has read it,
+above m once its halves equal E(k), S_i(k) and, by reciprocity, E(-k) and
+S_i(-k).  So no record reaches output unchecked, every value above m is
+read by two routes that share no code, and counting never reads the fits.
 """
 
 from __future__ import annotations
@@ -244,10 +243,9 @@ class LatticeStats(NamedTuple):
     interior_sums: IntVec
 
 
-def _pass(plan: _ScanPlan, k: int, interior: bool = True) -> LatticeStats:
+def _pass(plan: _ScanPlan, k: int) -> LatticeStats:
     """Closed and interior count and coordinate sums of ``k*P`` for ``k >= 1``,
-    by P's ``plan``; with ``interior`` False the interior fibers are skipped
-    and the interior fields are None.
+    by P's ``plan``.
 
     The scan visits exactly the lattice points of the projections of ``k*P``
     onto the first ``dim - 2`` scan coordinates, and sums each row, over the
@@ -306,7 +304,7 @@ def _pass(plan: _ScanPlan, k: int, interior: bool = True) -> LatticeStats:
         # a(y) = min over the facets below of (r + s y) // c, b(y) the same
         # above, for y in k * rows; the interior within the closed range
         first, last = fiber(closed, slack, 0, ylo, yhi)
-        if interior and first <= last:
+        if first <= last:
             fiber(inner, slack, 1, first, last)
 
     def descend(j: int, lo: int, hi: int, slacks: list[list[int]]) -> None:
@@ -344,7 +342,7 @@ def _pass(plan: _ScanPlan, k: int, interior: bool = True) -> LatticeStats:
     def unscan(acc: list[int]) -> tuple[int, IntVec]:
         return acc[0], tuple(acc[1 + order.index(axis)] for axis in range(n))
 
-    return LatticeStats(*unscan(closed), *(unscan(inner) if interior else (None, None)))
+    return LatticeStats(*unscan(closed), *unscan(inner))
 
 
 def _product(blocks: list[tuple[int, ...]], records: list[LatticeStats]) -> LatticeStats:
@@ -355,11 +353,10 @@ def _product(blocks: list[tuple[int, ...]], records: list[LatticeStats]) -> Latt
     interior points the tuples of their interior points.  So the count is
     the product of the counts, and a point of factor b appears once for
     each choice of the other factors' points: the sums on block b are the
-    factor's sums times the other factors' counts.  Closed-only records
-    give a closed-only record.
+    factor's sums times the other factors' counts.
     """
 
-    def side(counts: list[int], sums: list[IntVec]) -> tuple[int, IntVec]:
+    def side(counts: tuple[int, ...], sums: tuple[IntVec, ...]) -> tuple[int, IntVec]:
         out = [0] * sum(map(len, blocks))
         for b, (block, factor_sums) in enumerate(zip(blocks, sums)):
             others = prod(counts[:b] + counts[b + 1 :])
@@ -367,11 +364,8 @@ def _product(blocks: list[tuple[int, ...]], records: list[LatticeStats]) -> Latt
                 out[i] = x * others
         return prod(counts), tuple(out)
 
-    closed = side([r.count for r in records], [r.sums for r in records])
-    if records[0].interior is None:
-        return LatticeStats(*closed, None, None)
-    inner = side([r.interior for r in records], [r.interior_sums for r in records])
-    return LatticeStats(*closed, *inner)
+    counts, sums, interior, interior_sums = zip(*records)
+    return LatticeStats(*side(counts, sums), *side(interior, interior_sums))
 
 
 def fitted_dilations(dim: int) -> range:
@@ -381,41 +375,47 @@ def fitted_dilations(dim: int) -> range:
 
 
 @lru_cache(maxsize=None)
-def lattice_point_stats(p: Polytope, k: int, interior: bool = True) -> LatticeStats:
-    """Closed and interior counts and coordinate sums of ``k*P``.
+def lattice_point_stats(p: Polytope, k: int) -> LatticeStats:
+    """Closed and interior counts and coordinate sums of ``k*P``, one record
+    per (P, k), unchecked: :func:`checked_stats` checks what it hands out.
 
     ``k = 0`` gives the single point at the origin, which has no interior.
-    A polytope that splits into factors (:func:`qbary.polytope._split`:
-    dimension 4 or more) is counted through the factors' own records, and
-    at k = 1 also by one pass over P that must give the same record; any
-    other is one pass.  With ``interior`` False the passes skip the
-    interior fibers and the interior fields are None.  Give ``interior``
-    only as False: the cache keys ``(p, k)`` and ``(p, k, True)`` differ.
+    Above the fitted dilations, a lattice simplex whose fundamental
+    parallelepiped costs less than a pass (:func:`_takes_parallelepiped`)
+    is read off that parallelepiped.  A polytope that splits into factors
+    (:func:`qbary.polytope._split`: dimension 4 or more) is counted through
+    the factors' own records, and at k = 1 also by one pass over P that
+    must give the same record; any other is one pass.
     """
     if k < 0:
         raise InvalidInput("dilation factor must be nonnegative")
     if k == 0:
         zero = (0,) * p.dim
         return LatticeStats(1, zero, 0, zero)
+    if k not in fitted_dilations(p.dim) and _takes_parallelepiped(p, k):
+        return LatticeStats(*_parallelepiped_record(p.vertices, _measures(p).volume, k))
     split = _measures(p).split
     if not split:
-        return _pass(_scan_plan(p), k, interior)
-    records = [lattice_point_stats(f, k) if interior else lattice_point_stats(f, k, False) for _, f, _ in split]
-    record = _product([block for block, _, _ in split], records)
-    if k == 1 and _pass(_scan_plan(p), 1, interior) != record:
+        return _pass(_scan_plan(p), k)
+    record = _product([block for block, _, _ in split], [lattice_point_stats(f, k) for _, f, _ in split])
+    if k == 1 and _pass(_scan_plan(p), 1) != record:
         raise InternalInconsistency("the product of the factors' counts differs from the count of P at k=1")
     return record
 
 
-def _read_check(p: Polytope, k: int, record: LatticeStats) -> LatticeStats:
-    """The closed-only ``record`` of ``k*P``, once it equals E(k) and S_i(k)
-    of :func:`ehrhart_data`."""
+def _read_check(p: Polytope, k: int, record: LatticeStats) -> None:
+    """Refuse the ``record`` of ``k*P`` unless it equals E(k), S_i(k),
+    ``(-1)^n E(-k)`` and ``(-1)^(n+1) S_i(-k)`` of :func:`ehrhart_data`."""
     counting, sums = ehrhart_data(p)
+    sign = (-1) ** p.dim
     if counting.numerator_at(k) != record.count * counting.denominator:
         raise InternalInconsistency(f"counting polynomial disagrees with the closed count read at k={k}")
     if any(s.numerator_at(k) != x * s.denominator for s, x in zip(sums, record.sums)):
         raise InternalInconsistency(f"coordinate-sum polynomial disagrees with the closed sums read at k={k}")
-    return record
+    if sign * counting.numerator_at(-k) != record.interior * counting.denominator:
+        raise InternalInconsistency(f"counting polynomial disagrees with the interior count read at k={k}")
+    if any(-sign * s.numerator_at(-k) != x * s.denominator for s, x in zip(sums, record.interior_sums)):
+        raise InternalInconsistency(f"coordinate-sum polynomial disagrees with the interior sums read at k={k}")
 
 
 def _takes_parallelepiped(p: Polytope, k: int) -> bool:
@@ -428,6 +428,7 @@ def _takes_parallelepiped(p: Polytope, k: int) -> bool:
     coordinates each, plus 64 points' worth for its Hermite normal form and
     adjugate; and 10 per row of a pass, whose rows number about 1/(n-2)! of
     the product of the spans of the outer scan coordinates over ``k*P``.
+    The pass side was calibrated on passes that skipped the interior fibers.
     """
     n = p.dim
     if n < 3 or len(p.vertices) > n + 1:
@@ -439,40 +440,31 @@ def _takes_parallelepiped(p: Polytope, k: int) -> bool:
     return factorial(n - 2) * (n + 1) * (_measures(p).volume + 64) <= 10 * rows
 
 
-def closed_stats(p: Polytope, k: int) -> LatticeStats:
-    """The record read for the closed count and sums of ``k*P``: at the
-    dilations the fits read, their record; above them, on a lattice simplex
-    whose fundamental parallelepiped costs less than a pass
-    (:func:`_takes_parallelepiped`), the record from its parallelepiped,
-    and otherwise a closed-only pass (:func:`lattice_point_stats`), either
-    checked against the fits (:func:`_read_check`)."""
-    if k in fitted_dilations(p.dim):
-        return lattice_point_stats(p, k)
-    if _takes_parallelepiped(p, k):
-        record = LatticeStats(*_parallelepiped_record(p.vertices, _measures(p).volume, k), None, None)
-    else:
-        record = lattice_point_stats(p, k, False)
-    return _read_check(p, k, record)
+def checked_stats(p: Polytope, k: int) -> LatticeStats:
+    """The record of ``k*P`` as :func:`count_points`, :func:`interior_count`
+    and ``quantized_barycenter`` read it: at k <= m once :func:`ehrhart_data`
+    has read it (k = 0, the origin, needs no fit), and above m once
+    :func:`_read_check` holds both halves to the fits."""
+    record = lattice_point_stats(p, k)
+    if k not in fitted_dilations(p.dim):
+        _read_check(p, k, record)
+    elif k:
+        ehrhart_data(p)
+    return record
 
 
 def count_points(p: Polytope, k: int) -> int:
     """Number of lattice points of ``k*P`` for ``k >= 0``."""
     if int_value(k, "dilation factor") < 0:
         raise InvalidInput("negative dilation: use interior_count via reciprocity")
-    return closed_stats(p, k).count
+    return checked_stats(p, k).count
 
 
 def interior_count(p: Polytope, k: int) -> int:
-    """Number of lattice points strictly inside ``k*P`` for ``k >= 1``;
-    above the dilations the fits read, once it equals ``(-1)^n E(-k)``."""
+    """Number of lattice points strictly inside ``k*P`` for ``k >= 1``."""
     if int_value(k, "dilation factor") < 1:
         raise InvalidInput("interior counts need a positive dilation")
-    interior = lattice_point_stats(p, k).interior
-    if k not in fitted_dilations(p.dim):
-        counting = ehrhart_data(p)[0]
-        if (-1) ** p.dim * counting.numerator_at(-k) != interior * counting.denominator:
-            raise InternalInconsistency(f"counting polynomial disagrees with the interior count read at k={k}")
-    return interior
+    return checked_stats(p, k).interior
 
 
 def _fit(values: list[tuple[int, int]], degree: int, top: tuple[tuple[int, int], tuple[int, int]], what: str) -> Polynomial:

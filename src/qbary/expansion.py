@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Sequence
 
-from .ehrhart import closed_stats, ehrhart_data
+from .ehrhart import checked_stats, ehrhart_data
 from .errors import (
     InsufficientSamples,
     InternalInconsistency,
@@ -105,10 +105,10 @@ class ExpansionCoefficients(Immutable):
 
 def quantized_barycenter(p: Polytope, k: int) -> QuantizedBarycenter:
     """Average of the lattice points of ``k*P``, divided by ``k``, read off
-    :func:`ehrhart.closed_stats`."""
+    :func:`ehrhart.checked_stats`."""
     if int_value(k, "dilation factor") < 1:
         raise InvalidInput("quantized barycenters need a positive dilation")
-    stats = closed_stats(p, k)
+    stats = checked_stats(p, k)
     # the value is sums / scale: <value, normal> >= -offset, times scale
     scale = k * stats.count
     if any(dot(stats.sums, f.normal) < -f.offset * scale for f in p.facets):

@@ -133,15 +133,19 @@ def _parallelepiped(vertices: tuple[IntVec, ...]) -> tuple[IntVec, tuple[IntVec,
     return tuple(counts), sums
 
 
-def _parallelepiped_record(vertices: tuple[IntVec, ...], volume: int, k: int) -> tuple[int, IntVec]:
-    """The count and coordinate sums of the lattice points of ``k*P``, P the
-    simplex with the given ``vertices`` and ``volume = n! vol(P)``, from its
-    fundamental parallelepiped (:func:`_parallelepiped`).
+def _parallelepiped_record(vertices: tuple[IntVec, ...], volume: int, k: int) -> tuple[int, IntVec, int, IntVec]:
+    """The closed and interior count and coordinate sums of ``k*P``,
+    ``k >= 1``, P the simplex with the given ``vertices`` and ``volume =
+    n! vol(P)``, from its fundamental parallelepiped (:func:`_parallelepiped`).
 
     Every lattice point of ``k*P``, lifted to height k, is one point of the
     parallelepiped at a height h plus ``sum_j m_j (v_j, 1)`` with ``m >= 0``
     summing to ``k - h``: ``C(k-h+n, n)`` choices of m, which add
-    ``C(k-h+n, n+1) V`` to the sums, V the sum of the vertices.  The
+    ``C(k-h+n, n+1) V`` to the sums, V the sum of the vertices.  Every
+    interior point is one of the open parallelepiped plus such a sum, and
+    the open one holds the reflections ``sum_j (v_j, 1) - x``: the h*_h
+    points x at height h reflect to height n + 1 - h, with sums
+    ``h*_h V - X_h``, and take ``C(k+h-1, n)`` choices of m.  The
     parallelepiped must have ``volume`` points, one of them at height 0.
     """
     n = len(vertices) - 1
@@ -151,12 +155,15 @@ def _parallelepiped_record(vertices: tuple[IntVec, ...], volume: int, k: int) ->
     if hstar[0] != 1:
         raise InternalInconsistency(f"the fundamental parallelepiped has {hstar[0]} points at height 0, not 1")
     vertex_sum = [sum(column) for column in zip(*vertices)]
-    count, sums = 0, [0] * n
+    count, sums, interior, interior_sums = 0, [0] * n, 0, [0] * n
     for h, (points, total) in enumerate(zip(hstar, heights)):
         ways, moved = comb(k - h + n, n), comb(k - h + n, n + 1)
         count += points * ways
         sums = [s + x * ways + points * v * moved for s, x, v in zip(sums, total, vertex_sum)]
-    return count, tuple(sums)
+        ways, moved = comb(k + h - 1, n), comb(k + h - 1, n + 1)
+        interior += points * ways
+        interior_sums = [s + (points * v - x) * ways + points * v * moved for s, x, v in zip(interior_sums, total, vertex_sum)]
+    return count, tuple(sums), interior, tuple(interior_sums)
 
 
 def _euclid(a: int, b: int, c: int, n: int) -> tuple[int, int, int]:

@@ -67,7 +67,7 @@ from itertools import product
 from math import comb, factorial, gcd, lcm, prod
 from typing import Iterable, NamedTuple, Sequence
 
-from .ehrhart import count_points, fitted_dilations, lattice_point_stats
+from .ehrhart import fitted_dilations, lattice_point_stats
 from .errors import (
     InternalInconsistency,
     InvalidInput,
@@ -445,10 +445,10 @@ def rooftop_coefficients(t: ToricData, direction: Sequence[int]) -> RooftopCoeff
     """c'_j, the coefficients of the numerator of ``<Bc_k, v>`` over E(k).
 
     They are read off the coordinate-sum polynomials of
-    ``barycenter_function``.  The rooftop at the canonical offset q is
-    counted at k = 1 and 2 and must hold ``(q k + 1) E(k) + k <Q(k), v>``
-    points.  When the rooftop is itself Delzant the degree-(n+1) Todd
-    evaluation on its fan must give the same c'_j.
+    ``barycenter_function``.  The rooftop at the canonical offset q must
+    hold ``(q k + 1) E(k) + k <Q(k), v>`` points at k = 1 and 2 by its raw
+    counting records, unfitted.  When it is itself Delzant the degree-(n+1)
+    Todd evaluation on its fan must give the same c'_j.
     """
     if not classify(t.polytope).delzant:
         raise PreconditionViolation("rooftop coefficients require Delzant data")
@@ -460,7 +460,7 @@ def rooftop_coefficients(t: ToricData, direction: Sequence[int]) -> RooftopCoeff
     values = tuple(numerator.coefficient(j) for j in range(p.dim + 1))
     roof = rooftop(p, v, fan.q)
     for k in (1, 2):
-        if count_points(roof, k) != (fan.q * k + 1) * bf.denominator(k) + k * numerator(k):
+        if lattice_point_stats(roof, k).count != (fan.q * k + 1) * bf.denominator(k) + k * numerator(k):
             raise InternalInconsistency(
                 f"rooftop count disagrees with the coordinate-sum polynomial at k={k}"
             )

@@ -70,3 +70,12 @@ def test_hrr_coefficients_fit_nothing(monkeypatch):
     assert calls == []
     qb.ehrhart_polynomial(t.polytope)  # so no cached record explains the zero
     assert len(calls) == t.polytope.dim + 1
+
+
+def test_rooftop_coefficients_fit_p_only(monkeypatch):
+    # the rooftop's counts are checked against P's coordinate-sum
+    # polynomials, so they are read raw and the rooftop is not fitted
+    calls = count_fits(monkeypatch)
+    t = qb.toric_data([(1, 0), (-1, 0), (0, 1), (0, -1)], [7, -3, 11, -2])  # used by no other test
+    qb.rooftop_coefficients(t, (1, 2))
+    assert len(calls) == t.polytope.dim + 1

@@ -661,18 +661,3 @@ def test_the_unbounded_caches_do_not_grow_in_number():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 count += sum(map(unbounded_cache, node.decorator_list))
     assert 0 < count <= 4
-
-
-def test_the_library_gives_the_counting_flag_only_as_false():
-    # lattice_point_stats keys (p, k) and (p, k, True) apart, so a library
-    # call that gave the flag as anything but a literal False could count
-    # the same half twice
-    calls = 0
-    for path in Path(qbary.cli.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "lattice_point_stats":
-                calls += 1
-                flags = node.args[2:] + [kw.value for kw in node.keywords if kw.arg not in ("p", "k")]
-                assert not any(isinstance(a, ast.Starred) for a in node.args), (path.name, node.lineno)
-                assert all(isinstance(v, ast.Constant) and v.value is False for v in flags), (path.name, node.lineno)
-    assert calls > 0

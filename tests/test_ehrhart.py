@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import io
 import itertools
 import json
-from math import factorial, prod
+from math import comb, factorial, prod
 import operator
 from pathlib import Path
 import sys
@@ -174,8 +174,8 @@ PARALLEL_ENDS = {
 @example(PARALLEL_ENDS["swept 3-simplex"])
 def test_rows_that_find_their_own_extent_match_a_box_scan(points):
     # A row runs over the row coordinate's whole range over k*P, wider than
-    # its fiber on most rows, and finds its own extent:
-    # closed, interior, and closed-only at k = 3, in every axis order.
+    # its fiber on most rows, and finds its own extent: closed and
+    # interior, in every axis order.
     try:
         p = qb.hull_from_vertices(points)
     except qb.DegenerateInput:
@@ -185,8 +185,7 @@ def test_rows_that_find_their_own_extent_match_a_box_scan(points):
     for blocks in {tuple(block for block, _, _ in qbary.polytope._split(p)) or whole, whole}:
         for order in itertools.permutations(range(p.dim)):
             plan = ehrhart._plan(p, order, blocks)
-            assert [ehrhart._pass(plan, k) for k in (1, 2)] == records[:2], (order, blocks)
-            assert ehrhart._pass(plan, 3, False) == (*records[2][:2], None, None), (order, blocks)
+            assert [ehrhart._pass(plan, k) for k in (1, 2, 3)] == records, (order, blocks)
 
 
 @pytest.mark.parametrize("name", PARALLEL_ENDS)
@@ -371,17 +370,19 @@ def box_points(p, k):
 @example((qb.hull_from_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 3)]), qb.hull_from_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, -3)]), 7))
 def test_parallelepiped_records_match_a_pass_and_brute_force(case):
     # the example reflects the last axis, which turns the determinant of the
-    # rows (v_j, 1), in the order of P's vertices, from 3 to -3
+    # rows (v_j, 1), in the order of P's vertices, from 3 to -3.  Both
+    # halves: the interior is read off the reflections of the points of
+    # the parallelepiped.
     p, image, k = case
 
     def record(q, k):
         return lattice._parallelepiped_record(q.vertices, qbary.polytope._measures(q).volume, k)
 
-    scan = ehrhart._pass(ehrhart._scan_plan(image), k, False)
-    assert record(image, k) == (scan.count, scan.sums)
+    assert record(image, k) == ehrhart._pass(ehrhart._scan_plan(image), k)
     for q, j in ((p, 1), (image, k)):
         if box_points(q, j) <= 5000:
-            assert record(q, j) == (brute_count(q, j), brute_vertex_sum(q, j))
+            brute = [(brute_count(q, j, strict), brute_vertex_sum(q, j, strict)) for strict in (False, True)]
+            assert record(q, j) == (*brute[0], *brute[1])
 
 
 def fresh_simplex(n, height=None):
@@ -400,19 +401,24 @@ def fresh_simplex(n, height=None):
 TALL = 10_000
 
 
-def count_passes(monkeypatch, mutate=None):
-    """Record the dilation of every counting pass, optionally corrupting the
-    record it returns."""
+def passes_on(monkeypatch, mutate=None):
+    """Record the arguments, the plan and the dilation, of every counting
+    pass, optionally corrupting the record it returns by ``mutate(k,
+    record)``."""
     seen = []
     real = ehrhart._pass
 
-    def counted(plan, k, interior=True):
-        seen.append(k)
-        stats = real(plan, k, interior)
-        return mutate(k, stats) if mutate else stats
+    def counted(*args):
+        seen.append(args)
+        record = real(*args)
+        return mutate(args[1], record) if mutate else record
 
     monkeypatch.setattr(ehrhart, "_pass", counted)
     return seen
+
+
+def dilations(seen):
+    return [k for _, k in seen]
 
 
 def test_a_polytope_is_planned_once_and_every_pass_reads_its_plan(monkeypatch):
@@ -437,13 +443,28 @@ def test_the_scan_plans_kept_are_bounded():
 
 @pytest.mark.parametrize("n", (3, 4))
 def test_one_pass_per_dilation(monkeypatch, n):
-    # every fit and its validation read k = 0..n and nothing above
-    p = fresh_simplex(n)
-    seen = count_passes(monkeypatch)
+    # every fit and its validation read k = 0..n and nothing above; TALL,
+    # so that a pass, not the parallelepiped, serves k = n
+    p = fresh_simplex(n, TALL)
+    seen = passes_on(monkeypatch)
     qb.ehrhart_polynomial(p)
     qb.barycenter_function(p)
     qb.reciprocity_check(p, n)
-    assert sorted(seen) == list(range(1, n + 1))
+    assert sorted(dilations(seen)) == list(range(1, n + 1))
+
+
+def test_a_session_counts_each_dilation_once(monkeypatch, tmp_path):
+    # every record holds both halves, so a dilation that delta-seq reads
+    # for its closed half and reciprocity for its interior is one pass
+    p = fresh_simplex(3, TALL)
+    assert not ehrhart._takes_parallelepiped(p, 3)
+    document = tmp_path / "simplex.json"
+    document.write_text(json.dumps({"vertices": p.vertices}))
+    seen = passes_on(monkeypatch)
+    with redirect_stdout(io.StringIO()):
+        assert execute(["delta-seq", "--ks", "1,2,3", "--input", str(document)]) == 0
+        assert execute(["reciprocity", "--kmax", "4", "--input", str(document)]) == 0
+    assert sorted(dilations(seen)) == [1, 2, 3, 4]
 
 
 def anticanonical_vertex(n, j, shift, stretch=1):
@@ -459,32 +480,32 @@ def test_the_anticanonical_simplex_counts_only_what_is_read(monkeypatch, tmp_pat
     # {x_i >= -1, sum x_i <= 1}, its last axis stretched 100 times so that a
     # pass, not its fundamental parallelepiped, serves k = 12, and moved
     # where no other test counts: the fits read k = 1..m, m = ceil((n+1)/2),
-    # and bck --k 12 adds one pass, which skips the interior.  That pass
-    # takes seconds on the 6-simplex, so it is answered from E(12) and S(12),
-    # which the read check holds it to.
+    # and bck --k 12 adds one pass.  That pass takes seconds on the
+    # 6-simplex, so it is answered from E(+-12) and S(+-12), which the read
+    # check holds it to.
     m = (n + 2) // 2
     shift = next(FRESH)
     vertices = [anticanonical_vertex(n, j, shift, stretch=100) for j in range(n + 1)]
     p = qb.hull_from_vertices(vertices)
-    seen = []
-    real = ehrhart._pass
+    real, sign = ehrhart._pass, (-1) ** n
 
-    def counted(plan, k, interior=True):
-        seen.append((k, interior))
+    def answered(plan, k):
         if k != 12:
-            return real(plan, k, interior)
+            return real(plan, k)
         counting, sums = ehrhart.ehrhart_data(p)
-        return ehrhart.LatticeStats(int(counting(k)), tuple(int(s(k)) for s in sums), None, None)
+        closed = int(counting(k)), tuple(int(s(k)) for s in sums)
+        return ehrhart.LatticeStats(*closed, int(sign * counting(-k)), tuple(int(-sign * s(-k)) for s in sums))
 
-    monkeypatch.setattr(ehrhart, "_pass", counted)
+    monkeypatch.setattr(ehrhart, "_pass", answered)
+    seen = passes_on(monkeypatch)
     qb.asymptotic_coefficients(p, 3)
-    assert seen == [(k, True) for k in range(1, m + 1)]
+    assert dilations(seen) == list(range(1, m + 1))
     seen.clear()
     document = tmp_path / "simplex.json"
     document.write_text(json.dumps({"vertices": vertices}))
     with redirect_stdout(io.StringIO()):
         assert execute(["bck", "--k", "12", "--input", str(document)]) == 0
-    assert seen == [(12, False)]
+    assert dilations(seen) == [12]
 
 
 def test_bck_on_the_anticanonical_5_simplex_reads_its_parallelepiped(monkeypatch, tmp_path):
@@ -492,23 +513,23 @@ def test_bck_on_the_anticanonical_5_simplex_reads_its_parallelepiped(monkeypatch
     # k = 1..3 and bck --k 12 runs no pass
     shift = next(FRESH)
     vertices = [anticanonical_vertex(5, j, shift) for j in range(6)]
-    seen = count_passes(monkeypatch)
+    seen = passes_on(monkeypatch)
     document = tmp_path / "simplex.json"
     document.write_text(json.dumps({"vertices": vertices}))
     with redirect_stdout(io.StringIO()):
         assert execute(["bck", "--k", "12", "--input", str(document)]) == 0
-    assert seen == [1, 2, 3]
+    assert dilations(seen) == [1, 2, 3]
 
 
 def test_the_reeve_tetrahedron_of_volume_a_million_keeps_the_scan(monkeypatch):
     # conv(0, e_1, e_2, (1, 1, 10^6)) has n! vol = 10^6 points in its
     # parallelepiped, against k + 1 rows of a pass
     p = fresh_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 10**6)])
-    seen = count_passes(monkeypatch)
+    seen = passes_on(monkeypatch)
     monkeypatch.setattr(lattice, "_parallelepiped", None)
     for k in (12, 40, 1000):
         qb.quantized_barycenter(p, k)
-    assert sorted(seen) == [1, 2, 12, 40, 1000]
+    assert sorted(dilations(seen)) == [1, 2, 12, 40, 1000]
 
 
 def off_by_one_at(bad_k, field, axis=None):
@@ -553,8 +574,10 @@ def failed_reciprocity(p) -> list[int]:
 @pytest.mark.parametrize("k", range(1, N + 1))
 def test_reciprocity_catches_an_interior_count_off_by_one(monkeypatch, k):
     # above M no fit reads the interior record: reciprocity_check reports
-    # it, and it is refused where interior_count reads it
-    count_passes(monkeypatch, off_by_one_at(k, "interior"))
+    # it, and it is refused where interior_count reads it.  A pass serves
+    # every dilation here, not the parallelepiped that would above M.
+    passes_on(monkeypatch, off_by_one_at(k, "interior"))
+    monkeypatch.setattr(ehrhart, "_takes_parallelepiped", lambda p, k: False)
     p = fresh_simplex(N)
     if k > M:
         assert failed_reciprocity(p) == [k]
@@ -569,7 +592,7 @@ def test_reciprocity_catches_an_interior_count_off_by_one(monkeypatch, k):
 def test_held_out_counts_catch_a_closed_count_off_by_one(monkeypatch, k):
     # a count the fit passes through moves it off the first held-out count;
     # above M the closed count is refused where count_points reads it
-    count_passes(monkeypatch, off_by_one_at(k, "count"))
+    passes_on(monkeypatch, off_by_one_at(k, "count"))
     p = fresh_simplex(N, TALL)
     if k > M:
         with pytest.raises(qb.InternalInconsistency, match=f"counting polynomial disagrees with the closed count read at k={k}"):
@@ -584,8 +607,9 @@ def test_held_out_counts_catch_a_closed_count_off_by_one(monkeypatch, k):
 @pytest.mark.parametrize("field", ("sums", "interior_sums"))
 def test_reciprocity_catches_a_coordinate_sum_off_by_one(monkeypatch, field, axis, k):
     # above M the closed sums are refused where quantized_barycenter reads
-    # them, and the interior sums are reported by reciprocity_check
-    count_passes(monkeypatch, off_by_one_at(k, field, axis))
+    # them, and the interior sums are reported by reciprocity_check and
+    # refused where interior_count reads their record
+    passes_on(monkeypatch, off_by_one_at(k, field, axis))
     p = fresh_simplex(N, TALL)
     if k > M and field == "sums":
         with pytest.raises(qb.InternalInconsistency, match=f"coordinate-sum polynomial disagrees with the closed sums read at k={k}"):
@@ -593,9 +617,65 @@ def test_reciprocity_catches_a_coordinate_sum_off_by_one(monkeypatch, field, axi
         return
     if k > M:
         assert failed_reciprocity(p) == [k]
+        with pytest.raises(qb.InternalInconsistency, match=f"coordinate-sum polynomial disagrees with the interior sums read at k={k}"):
+            qb.interior_count(p, k)
         return
     with pytest.raises(qb.InternalInconsistency, match=f"coordinate-sum polynomial fails {FIRST_MISS[field][k - 1]}"):
         qb.barycenter_function(p)
+
+
+# conv(0, (2,1,0), (0,3,1), (1,0,9)): in dimension 3 the fits read k <= 2
+FITTED_AT_2 = [(0, 0, 0), (2, 1, 0), (0, 3, 1), (1, 0, 9)]
+
+
+@pytest.mark.parametrize("field, read", [("interior", qb.interior_count), ("count", qb.count_points)])
+def test_a_record_the_fits_read_reaches_no_caller_before_them(monkeypatch, field, read):
+    # a record at k <= m is a sample of the fits, and is handed out only
+    # once they have read it
+    passes_on(monkeypatch, off_by_one_at(2, field))
+    with pytest.raises(qb.InternalInconsistency, match="counting polynomial fails reciprocity at k=2"):
+        read(fresh_hull(FITTED_AT_2), 2)
+
+
+def parallelepiped_records(monkeypatch, mutate):
+    """Pass every record read off a fundamental parallelepiped through
+    ``mutate(k, record)``."""
+    real = ehrhart._parallelepiped_record
+
+    def corrupted(vertices, volume, k):
+        return mutate(k, ehrhart.LatticeStats(*real(vertices, volume, k)))
+
+    monkeypatch.setattr(ehrhart, "_parallelepiped_record", corrupted)
+
+
+def test_reciprocity_catches_a_parallelepiped_interior_count_off_by_one(monkeypatch):
+    # the twin of an interior count off by one above M, on a simplex whose
+    # parallelepiped serves k = N
+    p = fresh_simplex(N)
+    assert ehrhart._takes_parallelepiped(p, N)
+    parallelepiped_records(monkeypatch, off_by_one_at(N, "interior"))
+    assert failed_reciprocity(p) == [N]
+    with pytest.raises(qb.InternalInconsistency, match=f"counting polynomial disagrees with the interior count read at k={N}"):
+        qb.interior_count(p, N)
+
+
+def test_the_reflections_must_sum_to_the_vertex_sums_minus_the_height_sums(monkeypatch):
+    # the h*_h points of the parallelepiped at height h reflect to points
+    # that sum to h*_h V - X_h; a mutant that takes X_h for their sums
+    # keeps every count right
+    p = fresh_simplex(N)
+    hstar, heights = lattice._parallelepiped(p.vertices)
+    vertex_sum = [sum(column) for column in zip(*p.vertices)]
+
+    def mutant(k, record):
+        ways = [(comb(k + h - 1, N), comb(k + h - 1, N + 1)) for h in range(N + 1)]
+        wrong = [sum(x[i] * w + c * vertex_sum[i] * m for c, x, (w, m) in zip(hstar, heights, ways)) for i in range(N)]
+        return record._replace(interior_sums=tuple(wrong))
+
+    parallelepiped_records(monkeypatch, mutant)
+    with pytest.raises(qb.InternalInconsistency, match=f"coordinate-sum polynomial disagrees with the interior sums read at k={N}"):
+        qb.interior_count(p, N)
+    assert failed_reciprocity(p) == [N, N + 1]
 
 
 def corrupt_parallelepiped(monkeypatch, mutate):
@@ -658,7 +738,7 @@ def test_a_parallelepiped_must_have_n_factorial_vol_points_one_at_height_0(monke
 def test_top_coefficients_alone_check_the_sums_of_a_segment(monkeypatch):
     # in dimension 1 each coordinate-sum fit passes through all three
     # samples k = 0, 1, -1, so only its top two coefficients check it
-    count_passes(monkeypatch, off_by_one_at(1, "sums", 0))
+    passes_on(monkeypatch, off_by_one_at(1, "sums", 0))
     segment = qb.hull_from_vertices([(next(FRESH),), (next(FRESH) + 3,)])
     with pytest.raises(qb.InternalInconsistency, match="coordinate-sum polynomial has leading coefficient"):
         qb.barycenter_function(segment)
@@ -751,8 +831,8 @@ SWAP_SIMPLEX = [(0, 0, 0), (2, 0, 0), (0, 3, 0), (1, 1, 2)]
 
 
 def swap_axes_0_and_1(k, stats):
-    def swapped(v):  # None in a closed-only record
-        return None if v is None else (v[1], v[0]) + v[2:]
+    def swapped(v):
+        return (v[1], v[0]) + v[2:]
 
     return stats._replace(sums=swapped(stats.sums), interior_sums=swapped(stats.interior_sums))
 
@@ -768,7 +848,7 @@ def swapped_axes(monkeypatch):
             cached.cache_clear()
 
     clear()
-    count_passes(monkeypatch, swap_axes_0_and_1)
+    passes_on(monkeypatch, swap_axes_0_and_1)
     yield
     clear()
 
@@ -964,19 +1044,6 @@ def test_products_match_box_scans_and_their_factors(case):
         assert {p.facets[i].normal for i in argmin} == rays
 
 
-def passes_on(monkeypatch):
-    """Record the plan and dilation of every counting pass."""
-    seen = []
-    real = ehrhart._pass
-
-    def counted(plan, k, interior=True):
-        seen.append((plan, k))
-        return real(plan, k, interior)
-
-    monkeypatch.setattr(ehrhart, "_pass", counted)
-    return seen
-
-
 CUT_CORNER = [v for v in itertools.product((0, 1), repeat=4) if sum(v) < 4]
 QUAD_TRIANGLE = [
     interleave((0, 2, 1, 3), u + v) for u in ((0, 0), (2, 0), (0, 1), (1, 2)) for v in ((0, 0), (2, 0), (0, 2))
@@ -1022,27 +1089,35 @@ def test_the_unit_7_cube_makes_one_segment_pass_per_dilation(monkeypatch):
     assert [(q, k) for q, k in seen if q != segment] == [(ehrhart._scan_plan(p), 1)]
 
 
-def test_counting_reads_no_fit_and_only_closed_stats_checks_a_read(monkeypatch):
-    # the fits read the counts, so counting sits below them: a closed-only
-    # record is checked against the fits where it is read, by closed_stats
+def callers_of(name):
+    """The functions of the library that call ``name``."""
+    return {
+        f.name
+        for path in Path(ehrhart.__file__).parent.glob("*.py")
+        for f in ast.walk(ast.parse(path.read_text()))
+        if isinstance(f, ast.FunctionDef)
+        for node in ast.walk(f)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+    }
+
+
+def test_counting_reads_no_fit_and_only_checked_stats_checks_a_read(monkeypatch):
+    # the fits read the counts, so counting sits below them, whether a pass
+    # or the parallelepiped serves k: a record is checked against the fits
+    # where it is read, by checked_stats.  The raw records go only to the
+    # fits and to the checks that compare them with a polynomial.
     def refused(*args):
         raise AssertionError("counting read a fit")
 
     monkeypatch.setattr(ehrhart, "ehrhart_data", refused)
     monkeypatch.setattr(ehrhart, "poly_fit", refused)
-    for p in (fresh_simplex(4, TALL), fresh_hull(QUAD_TRIANGLE)):
+    for p in (fresh_simplex(4, TALL), fresh_simplex(4), fresh_hull(QUAD_TRIANGLE)):
         for k in (1, 5):
             lattice_point_stats.__wrapped__(p, k)
-            lattice_point_stats.__wrapped__(p, k, False)
-    tree = ast.parse(Path(ehrhart.__file__).read_text())
-    callers = {
-        f.name
-        for f in ast.walk(tree)
-        if isinstance(f, ast.FunctionDef)
-        for node in ast.walk(f)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_read_check"
-    }
-    assert callers == {"closed_stats"}
+    assert callers_of("_read_check") == {"checked_stats"}
+    assert callers_of("checked_stats") == {"count_points", "interior_count", "quantized_barycenter"}
+    raw = {"lattice_point_stats", "checked_stats", "ehrhart_data", "reciprocity_check", "hrr_coefficients", "rooftop_coefficients"}
+    assert callers_of("lattice_point_stats") == raw
 
 
 def swap_first_two_blocks_sums(blocks, records):

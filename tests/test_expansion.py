@@ -42,13 +42,13 @@ def test_a_quantized_barycenter_outside_kp_is_an_inconsistency(monkeypatch, fixt
     # average is its vertex (-1, 0) pass; one unit past a facet, or far
     # outside, they are caught
     f1 = fixtures["f1"]
-    true_stats = qbary.expansion.closed_stats
+    true_stats = qbary.expansion.checked_stats
 
     def patch(sums):
         def stats(p, k):
             r = true_stats(p, k)
             return r._replace(sums=sums(k * r.count))
-        monkeypatch.setattr(qbary.expansion, "closed_stats", stats)
+        monkeypatch.setattr(qbary.expansion, "checked_stats", stats)
 
     for k in (1, 3):
         patch(lambda scale: (-scale, 0))
