@@ -268,6 +268,11 @@ NEGATIVE_LISTS = (
     ["mixed-volume", "--input", "p2", "--input", "f1", "--multiplicities", "-1,3"],
     ["mixed-volume", "--input", "p2", "--input", "f1", "--multiplicities=-1,3"],
 )
+# Document files at the edges of the read: line ends CRLF and a bare CR, each
+# read as a newline, so each JSON error sits on line 2; a UTF-8 byte-order
+# mark, which JSON refuses in a text; an empty file; bytes that are not
+# UTF-8; and a directory.
+READ_EDGES = ("crlf-error", "cr-error", "bom", "empty", "not-utf8")
 
 
 def command_lines() -> list[list[str]]:
@@ -377,6 +382,9 @@ def command_lines() -> list[list[str]]:
     lines.append(["delta", "--k", "200", "--rays", DELZANT4[1][0], "--offsets", DELZANT4[1][1]])
     lines.append(["expand", "--order", "300", "--input", "p2"])
     lines.extend(list(argv) for argv in NEGATIVE_LISTS)
+    for name in READ_EDGES:
+        lines.append(["classify", "--input", document(name)])
+    lines.append(["classify", "--input", "tests/golden/documents"])
     return lines
 
 
