@@ -11,7 +11,15 @@ or of the bundled fixture of that name, is the key of one cache, whose last
 one document, ``mixed-volume``'s inputs among them, decodes it and builds
 them on the first command only.  The file is read on every call and the
 key is its text, so an edited file is never served stale; a refusal is not
-kept and is raised again on every call.
+kept and is raised again on every call.  The read is one unbuffered binary
+read, decoded as UTF-8 whatever the locale, with line ends read as text
+mode reads them (:func:`_document`); text mode decoded by the locale's
+encoding, so only under a locale that is not UTF-8 does a document read
+otherwise than it did.
+
+A command builds a Fraction only for a rational it prints.  Its checks
+compare a printed value with the integers it must equal, read off the
+counting record or the face walk, by cross-multiplication.
 
 Each command is declared once, in ``_COMMANDS``: its handler, its help,
 and its options as the keyword arguments of argparse's ``add_argument``.
@@ -56,21 +64,21 @@ from .ehrhart import count_points, ehrhart_polynomial, reciprocity_check, reflex
 from .errors import InternalInconsistency, InvalidInput, QbaryError, Unsupported
 from .exactnum import rational_to_json, vector_to_json
 from .expansion import (
+    _check_reflexive_polygon,
     asymptotic_coefficients,
     barycenter_function,
     df_coefficients,
     quantized_barycenter,
-    reflexive_polygon_bck,
     rooftop,
 )
 from .polytope import (
     Polytope,
+    _boundary,
     classify,
-    facet_data,
     measure,
     polytope_from_document,
 )
-from .stability import del_pezzo_closed_form, delta, delta_k, delta_sequence
+from .stability import _check_del_pezzo, delta, delta_k, delta_sequence
 from .toric import (
     ToricData,
     hrr_coefficients,
@@ -87,10 +95,15 @@ from .toric import (
 
 def _document(path: str) -> tuple[Polytope, ToricData, str | None]:
     """Polytope, toric data and name of the document in file ``path``, or in
-    the bundled fixture of that name when there is no such file."""
+    the bundled fixture of that name when there is no such file.
+
+    A file is read in one unbuffered binary read and decoded as UTF-8, and
+    its CRLF and CR line ends are read as newlines, as text mode reads them.
+    JSON is given the text, not the bytes, as it would accept a byte-order
+    mark in bytes and refuses it in text."""
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode()
     except FileNotFoundError:
         try:
             text = fixtures.fixture_text(path.removesuffix(".json"))
@@ -98,6 +111,8 @@ def _document(path: str) -> tuple[Polytope, ToricData, str | None]:
             raise InvalidInput(f"no such input file or fixture: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return _resolve_document(text)
     except json.JSONDecodeError as exc:
@@ -154,25 +169,29 @@ def _cmd_count(args, p: Polytope, t: ToricData) -> dict:
 
 
 def _cmd_bck(args, p: Polytope, t: ToricData) -> dict:
-    value = quantized_barycenter(p, args.k).value
-    diagnostics = {}
-    if barycenter_function(p).evaluate(args.k) != value:
+    k = args.k
+    value = quantized_barycenter(p, k).value
+    # Q_i(k) / E(k) of the rational form must be the value read, compared by
+    # cross-multiplication
+    bf = barycenter_function(p)
+    e, at = bf.denominator.denominator, bf.denominator.numerator_at(k)
+    if any(q.numerator_at(k) * e * x.denominator != x.numerator * at * q.denominator for q, x in zip(bf.numerators, value)):
         raise InternalInconsistency("rational form disagrees with enumeration")
-    diagnostics["rational_function_checked"] = True
+    diagnostics = {"rational_function_checked": True}
     if p.dim == 2 and classify(p).reflexive:
-        reflexive_polygon_bck(p, args.k)  # raises on disagreement
+        _check_reflexive_polygon(p, k, value)
         diagnostics["reflexive_polygon_form_checked"] = True
     return {"Bc_k": vector_to_json(value), "diagnostics": diagnostics}
 
 
 def _cmd_bc(args, p: Polytope, t: ToricData) -> dict:
     geo = measure(p)
-    boundary = facet_data(p)
+    boundary_volume, boundary_barycenter = _boundary(p)
     return {
         "Bc": vector_to_json(geo.barycenter),
         "volume": rational_to_json(geo.volume),
-        "boundary_volume": rational_to_json(boundary.boundary_normalized_volume),
-        "boundary_barycenter": vector_to_json(boundary.boundary_barycenter),
+        "boundary_volume": rational_to_json(boundary_volume),
+        "boundary_barycenter": vector_to_json(boundary_barycenter),
     }
 
 
@@ -263,7 +282,7 @@ def _cmd_delta(args, p: Polytope, t: ToricData) -> dict:
     if args.k is not None:
         value, argmin = delta_k(t, args.k)
         if p.dim == 2 and (cls := classify(p)).reflexive and cls.delzant:
-            del_pezzo_closed_form(t, args.k)  # raises on disagreement
+            _check_del_pezzo(t, args.k, value)
             diagnostics["del_pezzo_form_checked"] = True
         return {
             "delta_k": rational_to_json(value),

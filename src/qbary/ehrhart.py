@@ -82,11 +82,12 @@ the record comes from the parallelepiped's h*-vector and height sums X_h
 + h*_h V_i C(k-h+n, n+1)]``, V the sum of the vertices (Beck-Robins,
 *Computing the Continuous Discretely*, ch. 3), and its interior from the
 same h* and X_h.  Otherwise a pass counts it.  :func:`checked_stats` alone
-hands records to :func:`count_points`, :func:`interior_count` and
-``quantized_barycenter``: at k <= m once :func:`ehrhart_data` has read it,
-above m once its halves equal E(k), S_i(k) and, by reciprocity, E(-k) and
-S_i(-k).  So no record reaches output unchecked, every value above m is
-read by two routes that share no code, and counting never reads the fits.
+hands records to :func:`count_points`, :func:`interior_count` and the
+quantized barycenter's numerators (``expansion._barycenter_numerators``):
+at k <= m once :func:`ehrhart_data` has read it, above m once its halves
+equal E(k), S_i(k) and, by reciprocity, E(-k) and S_i(-k).  So no record
+reaches output unchecked, every value above m is read by two routes that
+share no code, and counting never reads the fits.
 """
 
 from __future__ import annotations
@@ -423,12 +424,17 @@ def _takes_parallelepiped(p: Polytope, k: int) -> bool:
     fundamental parallelepiped rather than a pass: P is a simplex of
     dimension n >= 3, and the parallelepiped costs less.
 
-    The costs are exact integers, in units of about 0.3 us as measured on a
+    The costs are exact integers, in units of about 0.4 us as measured on a
     2-vCPU host: the parallelepiped's ``W = n! vol`` points, n + 1
     coordinates each, plus 64 points' worth for its Hermite normal form and
-    adjugate; and 10 per row of a pass, whose rows number about 1/(n-2)! of
-    the product of the spans of the outer scan coordinates over ``k*P``.
-    The pass side was calibrated on passes that skipped the interior fibers.
+    adjugate, read cold; and 12.5 per row of a pass, whose rows number about
+    1/(n-2)! of the product of the spans of the outer scan coordinates over
+    ``k*P``.  Both sides were timed on full passes, the interior counted:
+    at k = 3, 4 and 12 on conv(0, 2e_1, 3e_2, (1,1,2)), conv(0, (3,1,0),
+    (1,3,0), (1,1,3)) and conv(0, e_1, e_2, (4,3,5)), the last also at
+    k = 40, and at k = 4 and 12 on conv(0, 2e_1, 2e_2, 2e_3, (1,1,1,2)) and
+    conv(0, e_1, e_2, e_3, (3,2,3,4)).  The rule picks the faster side on
+    each but two, where the sides differ by about a tenth.
     """
     n = p.dim
     if n < 3 or len(p.vertices) > n + 1:
@@ -437,14 +443,14 @@ def _takes_parallelepiped(p: Polytope, k: int) -> bool:
     for axis in _scan_plan(p).order[: n - 2]:
         coords = [v[axis] for v in p.vertices]
         rows *= k * (max(coords) - min(coords)) + 1
-    return factorial(n - 2) * (n + 1) * (_measures(p).volume + 64) <= 10 * rows
+    return 2 * factorial(n - 2) * (n + 1) * (_measures(p).volume + 64) <= 25 * rows
 
 
 def checked_stats(p: Polytope, k: int) -> LatticeStats:
     """The record of ``k*P`` as :func:`count_points`, :func:`interior_count`
-    and ``quantized_barycenter`` read it: at k <= m once :func:`ehrhart_data`
-    has read it (k = 0, the origin, needs no fit), and above m once
-    :func:`_read_check` holds both halves to the fits."""
+    and ``expansion._barycenter_numerators`` read it: at k <= m once
+    :func:`ehrhart_data` has read it (k = 0, the origin, needs no fit), and
+    above m once :func:`_read_check` holds both halves to the fits."""
     record = lattice_point_stats(p, k)
     if k not in fitted_dilations(p.dim):
         _read_check(p, k, record)

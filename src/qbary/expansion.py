@@ -41,7 +41,7 @@ from .errors import (
     Unsupported,
 )
 from .exactnum import Immutable, Polynomial, Vector, laurent_expand, rational_vector
-from .linalg import dot, int_list, int_value
+from .linalg import IntVec, dot, int_list, int_value
 from .polytope import (
     Halfspace,
     Polytope,
@@ -103,9 +103,11 @@ class ExpansionCoefficients(Immutable):
         return len(self.terms)
 
 
-def quantized_barycenter(p: Polytope, k: int) -> QuantizedBarycenter:
-    """Average of the lattice points of ``k*P``, divided by ``k``, read off
-    :func:`ehrhart.checked_stats`."""
+def _barycenter_numerators(p: Polytope, k: int) -> tuple[IntVec, int]:
+    """``Bc_k`` as integer numerators over one positive denominator: the
+    coordinate sums of the lattice points of ``k*P`` over k times their
+    count, read once off :func:`ehrhart.checked_stats` and refused unless
+    they lie in P."""
     if int_value(k, "dilation factor") < 1:
         raise InvalidInput("quantized barycenters need a positive dilation")
     stats = checked_stats(p, k)
@@ -113,7 +115,14 @@ def quantized_barycenter(p: Polytope, k: int) -> QuantizedBarycenter:
     scale = k * stats.count
     if any(dot(stats.sums, f.normal) < -f.offset * scale for f in p.facets):
         raise InternalInconsistency("quantized barycenter escaped the polytope")
-    return QuantizedBarycenter(k, tuple(Fraction(s, scale) for s in stats.sums))
+    return stats.sums, scale
+
+
+def quantized_barycenter(p: Polytope, k: int) -> QuantizedBarycenter:
+    """Average of the lattice points of ``k*P``, divided by ``k``: the
+    fractions of :func:`_barycenter_numerators`."""
+    sums, scale = _barycenter_numerators(p, k)
+    return QuantizedBarycenter(k, tuple(Fraction(s, scale) for s in sums))
 
 
 def rooftop(p: Polytope, direction: Sequence[int], q: int) -> Polytope:
@@ -162,13 +171,29 @@ def barycenter_function(p: Polytope) -> BarycenterFunction:
     return BarycenterFunction(tuple(s.shift_down() for s in sums), counting)
 
 
+def _leading_terms(p: Polytope) -> tuple[list[int], int, list[int], int]:
+    """a_0 and a_1 of the expansion as integer numerators, each over one
+    positive denominator, in the integers of the face walk
+    (:class:`qbary.polytope._FaceWalk`): the barycenter ``M_i / ((n+1) W)``,
+    and ``((n+1) W BM_i - n B M_i) / (2 (n+1) W^2)``, which is
+    ``(boundary_vol / (2 vol)) * (boundary_barycenter - barycenter)``."""
+    n, (w, moment, _, b, boundary_moment, _) = p.dim, _measures(p)
+    den = (n + 1) * w
+    return moment, den, [den * bm - n * b * m for m, bm in zip(moment, boundary_moment)], 2 * den * w
+
+
+def _equal_terms(values: Sequence[Fraction], numerators: Sequence[int], den: int) -> bool:
+    """Whether each of ``values`` is its numerator over ``den``, compared by
+    cross-multiplication."""
+    return all(q.numerator * den == x * q.denominator for q, x in zip(values, numerators, strict=True))
+
+
 def a1_closed_form(p: Polytope) -> Vector:
     """First-order coefficient from the boundary geometry:
-    ``(boundary_vol / (2 vol)) * (boundary_barycenter - barycenter)``, which
-    is ``((n+1) W BM_i - n B M_i) / (2 (n+1) W^2)`` in the integers of the
-    face walk (:class:`qbary.polytope._FaceWalk`)."""
-    n, (w, moment, _, b, boundary_moment, _) = p.dim, _measures(p)
-    return tuple(Fraction((n + 1) * w * bm - n * b * m, 2 * (n + 1) * w * w) for m, bm in zip(moment, boundary_moment))
+    ``(boundary_vol / (2 vol)) * (boundary_barycenter - barycenter)``
+    (:func:`_leading_terms`)."""
+    _, _, a1, den = _leading_terms(p)
+    return tuple(Fraction(x, den) for x in a1)
 
 
 def asymptotic_coefficients(p: Polytope, order: int | None = None) -> ExpansionCoefficients:
@@ -186,33 +211,43 @@ def asymptotic_coefficients(p: Polytope, order: int | None = None) -> ExpansionC
     terms = tuple(
         tuple(series.coefficient(j) for series in per_coord) for j in range(order)
     )
-    if terms[0] != measure(p).barycenter:
+    a0, a0_den, a1, a1_den = _leading_terms(p)
+    if not _equal_terms(terms[0], a0, a0_den):
         raise InternalInconsistency("a_0 differs from the barycenter")
-    if order >= 2 and terms[1] != a1_closed_form(p):
+    if order >= 2 and not _equal_terms(terms[1], a1, a1_den):
         raise InternalInconsistency("a_1 differs from its boundary closed form")
     return ExpansionCoefficients(terms)
 
 
-def _reflexive_polygon_scale(p: Polytope, k: int) -> Fraction:
-    """``(k+1)(2k+1)B / (4 + 2k(k+1)B)`` with ``B`` the normalized boundary
-    length of the reflexive polygon P: ``Bc_k / Bc``, which also gives the
-    del Pezzo threshold (:func:`qbary.stability.del_pezzo_closed_form`)."""
+def _reflexive_polygon_scale(p: Polytope, k: int) -> tuple[int, int]:
+    """``(k+1)(2k+1)B`` and ``4 + 2k(k+1)B``, with ``B`` the normalized
+    boundary length of the reflexive polygon P: the numerator and the
+    denominator of ``Bc_k / Bc``, which also gives the del Pezzo threshold
+    (:func:`qbary.stability.del_pezzo_closed_form`)."""
     b = _measures(p).boundary  # in dimension 2, B = sum_F 1! nvol(F)
-    return Fraction((k + 1) * (2 * k + 1) * b, 4 + 2 * k * (k + 1) * b)
+    return (k + 1) * (2 * k + 1) * b, 4 + 2 * k * (k + 1) * b
+
+
+def _check_reflexive_polygon(p: Polytope, k: int, value: Vector) -> None:
+    """Refuse unless ``value``, ``Bc_k`` of the reflexive polygon P by
+    enumeration, is the barycenter ``M / (3 W)`` scaled by
+    :func:`_reflexive_polygon_scale`, compared by cross-multiplication."""
+    num, den = _reflexive_polygon_scale(p, k)
+    walk = _measures(p)
+    if not _equal_terms(value, [num * m for m in walk.moment], 3 * walk.volume * den):
+        raise InternalInconsistency("polygon closed form disagrees with enumeration")
 
 
 def reflexive_polygon_bck(p: Polytope, k: int) -> Vector:
     """Closed-form quantized barycenter of a reflexive polygon: the
     barycenter scaled by :func:`_reflexive_polygon_scale`.  Must agree with
-    direct enumeration."""
+    direct enumeration (:func:`_check_reflexive_polygon`)."""
     if p.dim != 2 or not classify(p).reflexive:
         raise Unsupported("closed form requires a reflexive polygon")
     if int_value(k, "dilation factor") < 1:
         raise InvalidInput("dilation must be positive")
-    ratio = _reflexive_polygon_scale(p, k)
-    value = tuple(ratio * c for c in measure(p).barycenter)
-    if value != quantized_barycenter(p, k).value:
-        raise InternalInconsistency("polygon closed form disagrees with enumeration")
+    value = quantized_barycenter(p, k).value
+    _check_reflexive_polygon(p, k, value)
     return value
 
 
@@ -287,8 +322,9 @@ def df_coefficients(p: Polytope, direction: Sequence[int], order: int) -> tuple[
     direction = int_list(direction)
     bf = barycenter_function(p)
     series = laurent_expand(bf.pairing_numerator(direction), bf.denominator, order)
-    if series.coefficient(0) != dot(measure(p).barycenter, direction):
+    a0, a0_den, a1, a1_den = _leading_terms(p)
+    if not _equal_terms(series.coefficients[:1], [dot(a0, direction)], a0_den):
         raise InternalInconsistency("DF_0 differs from the barycenter pairing")
-    if order >= 2 and series.coefficient(1) != dot(a1_closed_form(p), direction):
+    if order >= 2 and not _equal_terms(series.coefficients[1:2], [dot(a1, direction)], a1_den):
         raise InternalInconsistency("DF_1 differs from the first-order pairing")
     return series.coefficients

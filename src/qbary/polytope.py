@@ -27,9 +27,11 @@ uses, is not walked itself (:func:`_split`, kept in the same record): P's
 integers are assembled with multinomial coefficients
 (:func:`_product_face`) from each factor's own record, so a factor is
 walked once however many products share it.  Minkowski's relation
-and the divergence theorem are checked on the integers, every check in
-qbary reads them, and only :func:`measure` and :func:`facet_data` turn
-them into fractions, on each call.
+and the divergence theorem are checked on the integers.  Every check in
+qbary reads them and compares them with the value it checks by
+cross-multiplication, so fractions are built from them only for results,
+on each call: :func:`measure`, :func:`facet_data`, the boundary aggregates
+alone (:func:`_boundary`), ``a1_closed_form`` and ``delta``.
 :func:`vertex_cones` lists the facets through each vertex, whose normals
 span that vertex's cone of the normal fan; :func:`classify` reads the
 Delzant condition off them.
@@ -253,15 +255,21 @@ def measure(p: Polytope) -> MeasureData:
 
 def facet_data(p: Polytope) -> FacetData:
     """Lattice-normalized facet measures, barycenters, and their aggregates:
-    ``W_F / (n-1)!`` and ``M_F / (n W_F)`` of each facet, ``B / (n-1)!`` and
-    ``BM / (n B)`` of the boundary (:class:`_FaceWalk`)."""
+    ``W_F / (n-1)!`` and ``M_F / (n W_F)`` of each facet, and the boundary's
+    (:func:`_boundary`)."""
     n, walk, unit = p.dim, _measures(p), factorial(p.dim - 1)
     facets = zip(p.facets, walk.weighed)
     return FacetData(
         tuple(FacetMeasure(f.normal, f.offset, Fraction(w, unit), tuple(Fraction(m, n * w) for m in moment)) for f, (w, moment) in facets),
-        Fraction(walk.boundary, unit),
-        tuple(Fraction(m, n * walk.boundary) for m in walk.boundary_moment),
+        *_boundary(p),
     )
+
+
+def _boundary(p: Polytope) -> tuple[Fraction, Vector]:
+    """The boundary's lattice-normalized volume and barycenter, ``B / (n-1)!``
+    and ``BM / (n B)`` (:class:`_FaceWalk`), with no facet's own."""
+    n, walk = p.dim, _measures(p)
+    return Fraction(walk.boundary, factorial(n - 1)), tuple(Fraction(m, n * walk.boundary) for m in walk.boundary_moment)
 
 
 Split = tuple[tuple[tuple[int, ...], Polytope, tuple[int, ...]], ...]
@@ -361,8 +369,8 @@ def _measures(p: Polytope) -> _FaceWalk:
     vol(P)``; ``moment``, ``M = (n+1) W bc(P)``; ``weighed``, ``(W_F, M_F)``
     for each facet F, ``W_F = (n-1)! nvol(F)`` and ``M_F = n W_F bc(F)``;
     ``boundary``, ``B = sum_F W_F``; ``boundary_moment``, ``BM = sum_F
-    M_F``; and the split.  Only :func:`measure` and :func:`facet_data`
-    turn them into fractions.
+    M_F``; and the split.  Fractions are built from them only for a caller
+    (see the module docstring).
 
     They are checked before they are kept: Minkowski's relation ``sum_F
     W_F u_F = 0`` and the divergence theorem ``sum_F M_F[i] u_F[j] =

@@ -29,10 +29,10 @@ from math import lcm
 from typing import NamedTuple, Sequence
 
 from .errors import InternalInconsistency, InvalidInput, InvalidPolarization, Unsupported
-from .exactnum import LaurentSeries, Polynomial, RationalFunction, integer_numerators, laurent_expand
-from .expansion import _reflexive_polygon_scale, a1_closed_form, barycenter_function, quantized_barycenter
+from .exactnum import LaurentSeries, Polynomial, RationalFunction, laurent_expand
+from .expansion import _barycenter_numerators, _reflexive_polygon_scale, a1_closed_form, barycenter_function, quantized_barycenter
 from .linalg import dot, int_list, int_value, solve
-from .polytope import check_direction, classify, measure, support_value, vertex_cones
+from .polytope import _measures, check_direction, classify, support_value, vertex_cones
 from .toric import ToricData
 
 
@@ -52,28 +52,42 @@ class DeltaSequence(NamedTuple):
     asymptotics: LaurentSeries
 
 
-def _threshold(t: ToricData, bc: Sequence[Fraction]) -> tuple[Fraction, tuple[int, ...]]:
-    # the pairings <bc, v_i> + b_i, all over one common denominator
-    coords, den = integer_numerators(bc)
+def _top_pairing(t: ToricData, coords: Sequence[int], den: int) -> tuple[int, tuple[int, ...]]:
+    """The greatest pairing ``<coords, v_i> + b_i den`` and the rays attaining
+    it: the threshold of the point ``coords / den``, ``den > 0``, is ``den``
+    over it, as each pairing is ``den`` times ``<point, v_i> + b_i``."""
     pairings = [dot(coords, ray) + b * den for ray, b in zip(t.rays, t.offsets)]
     if any(d <= 0 for d in pairings):
         raise InvalidPolarization(
             "a facet pairing is nonpositive; the data does not polarize"
         )
     top = max(pairings)
-    return Fraction(den, top), tuple(i for i, d in enumerate(pairings) if d == top)
+    return top, tuple(i for i, d in enumerate(pairings) if d == top)
 
 
 def delta_k(t: ToricData, k: int) -> tuple[Fraction, tuple[int, ...]]:
-    """k-th threshold with the set of rays attaining it."""
+    """k-th threshold with the set of rays attaining it, from ``Bc_k``'s
+    integer numerators (:func:`qbary.expansion._barycenter_numerators`)."""
     if int_value(k, "threshold index") < 1:
         raise InvalidInput("threshold index must be positive")
-    return _threshold(t, quantized_barycenter(t.polytope, k).value)
+    sums, scale = _barycenter_numerators(t.polytope, k)
+    top, argmin = _top_pairing(t, sums, scale)
+    return Fraction(scale, top), argmin
+
+
+def _barycenter_pairing(t: ToricData) -> tuple[int, int, tuple[int, ...]]:
+    """``den`` and :func:`_top_pairing` of the barycenter ``M / den``, ``den =
+    (n+1) W`` in the integers of P's face walk
+    (:class:`qbary.polytope._FaceWalk`)."""
+    n, walk = t.polytope.dim, _measures(t.polytope)
+    den = (n + 1) * walk.volume
+    return den, *_top_pairing(t, walk.moment, den)
 
 
 def delta(t: ToricData) -> tuple[Fraction, tuple[int, ...]]:
     """Limit threshold from the classical barycenter."""
-    return _threshold(t, measure(t.polytope).barycenter)
+    den, top, argmin = _barycenter_pairing(t)
+    return Fraction(den, top), argmin
 
 
 def _facet_numerators(t: ToricData) -> tuple[list[Polynomial], Polynomial]:
@@ -143,13 +157,25 @@ def delta_sequence(t: ToricData, ks: Sequence[int], order: int = 2) -> DeltaSequ
     return DeltaSequence(values, limit, limit_argmin, dominant, dominant_rays, k0, asym)
 
 
+def _check_del_pezzo(t: ToricData, k: int, value: Fraction) -> None:
+    """Refuse unless ``value``, delta_k of the smooth reflexive polygon P by
+    enumeration, is ``1 / (1 + r (1/delta - 1))``, r = a/b the scale of
+    :func:`qbary.expansion._reflexive_polygon_scale`.  With delta = D/T
+    (:func:`_barycenter_pairing`) that is ``b D / (b D + a (T - D))``,
+    compared by cross-multiplication."""
+    a, b = _reflexive_polygon_scale(t.polytope, k)
+    den, top, _ = _barycenter_pairing(t)
+    if value.numerator * (b * den + a * (top - den)) != b * den * value.denominator:
+        raise InternalInconsistency("del Pezzo closed form disagrees with enumeration")
+
+
 def del_pezzo_closed_form(t: ToricData, k: int) -> Fraction:
     """Threshold of a smooth reflexive polygon in closed form.
 
     With ``K = boundary normalized volume`` the value is
     ``1 / (1 + (k+1)(2k+1)K / (4 + 2k(k+1)K) * (1/delta - 1))``, the scale
     that of :func:`qbary.expansion._reflexive_polygon_scale`; asserted equal
-    to the directly enumerated threshold.
+    to the directly enumerated threshold (:func:`_check_del_pezzo`).
     """
     p = t.polytope
     cls = classify(p)
@@ -157,10 +183,8 @@ def del_pezzo_closed_form(t: ToricData, k: int) -> Fraction:
         raise Unsupported("closed form requires a smooth reflexive polygon")
     if int_value(k, "threshold index") < 1:
         raise InvalidInput("threshold index must be positive")
-    lim = delta(t)[0]
-    value = 1 / (1 + _reflexive_polygon_scale(p, k) * (1 / lim - 1))
-    if value != delta_k(t, k)[0]:
-        raise InternalInconsistency("del Pezzo closed form disagrees with enumeration")
+    value = delta_k(t, k)[0]
+    _check_del_pezzo(t, k, value)
     return value
 
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -16,8 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbary.cli
+import qbary.ehrhart
+import qbary.expansion
+import qbary.polytope
+import qbary.stability
 from qbary.cli import execute, main
 from qbary.data import fixture_document, fixture_text
+from qbary.exactnum import rational_to_json, vector_to_json
 
 from conftest import count_hulls
 
@@ -629,6 +635,29 @@ def test_a_file_that_is_not_text_is_an_input_error(tmp_path, capsys):
     assert err.startswith(f"error: cannot read {path}: ") and "codec can't decode" in err
 
 
+def test_line_ends_are_read_as_text_mode_reads_them(tmp_path, capsys):
+    # CRLF and a bare CR are each read as a newline, so the three files are
+    # one text, one cache entry, and print the same
+    qbary.cli._resolve_document.cache_clear()
+    text = json.dumps(fixture_document("f1"), indent=1)
+    outputs = []
+    for name, end in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(text.replace("\n", end).encode())
+        outputs.append(run(capsys, "bc", "--input", str(path)))
+    assert outputs[0][0] == 0 and outputs == [outputs[0]] * 3
+    assert qbary.cli._resolve_document.cache_info().misses == 1
+
+
+def test_a_document_is_decoded_as_utf_8(tmp_path, capsys):
+    # a name of characters beyond ASCII, which a document of any other
+    # encoding would give as other characters or refuse
+    path = tmp_path / "named.json"
+    path.write_bytes(json.dumps({"name": "P\u00b2 \u2013 \u0394", "vertices": [[0, 0], [1, 0], [0, 1]]}, ensure_ascii=False).encode())
+    code, out, _ = run(capsys, "classify", "--input", str(path))
+    assert code == 0 and json.loads(out)["input"] == "P\u00b2 \u2013 \u0394"
+
+
 def test_the_registry_is_bounded(tmp_path, capsys):
     qbary.cli._resolve_document.cache_clear()
     for i in range(74):
@@ -661,3 +690,150 @@ def test_the_unbounded_caches_do_not_grow_in_number():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 count += sum(map(unbounded_cache, node.decorator_list))
     assert 0 < count <= 4
+
+
+# ---------------------------------------------------------------------------
+# a warm command builds only the fractions it prints
+
+# The polytopes of a session of the bench: the reflexive triangle of P^2's
+# fan, the Delzant and reflexive P^2, the reflexive hexagon, a trapezoid,
+# the standard 3-simplex, a cube, the octahedron and a prism.
+SESSION_SHAPES = (
+    [(1, 0), (0, 1), (-1, -1)],
+    [(-1, -1), (2, -1), (-1, 2)],
+    [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)],
+    [(0, 0), (3, 0), (0, 1), (2, 1)],
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+    [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)],
+    [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+    [(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 1), (0, 1, 1)],
+)
+
+
+def printed_rationals(command: str, outputs: dict) -> int:
+    """The exact rationals a command prints, each one Fraction."""
+    if command == "bc":
+        return 2 + len(outputs["Bc"]) + len(outputs["boundary_barycenter"])
+    if command == "bck":
+        return len(outputs["Bc_k"])
+    if command == "df":
+        return len(outputs["DF"])
+    return 1  # delta and delta_k
+
+
+def fractions_built(monkeypatch, capsys, argv) -> tuple[int, dict]:
+    """The Fractions one run of ``argv`` builds, and its outputs."""
+    built = []
+    real = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counted)
+        code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    return len(built), json.loads(out)["outputs"]
+
+
+@pytest.mark.parametrize("vertices", SESSION_SHAPES, ids=lambda v: f"{len(v[0])}d-{len(v)}")
+def test_a_warm_command_builds_only_the_fractions_it_prints(vertices, tmp_path, capsys, monkeypatch):
+    # the checks compare the printed values with the integers they come
+    # from by cross-multiplying, so a warm bc, bck, delta, delta_k or df
+    # builds one Fraction a printed rational and no other
+    path = write_document(tmp_path / "p.json", {"vertices": vertices})
+    lines = session(path, len(vertices[0]))
+    assert all(run(capsys, *argv)[0] == 0 for argv in lines)
+    for argv in lines:
+        if argv[0] in ("bc", "bck", "delta", "df"):
+            built, outputs = fractions_built(monkeypatch, capsys, argv)
+            assert built == printed_rationals(argv[0], outputs), argv
+
+
+def test_bc_reads_the_boundary_without_the_facets(tmp_path, capsys, monkeypatch):
+    # the boundary printed is facet_data's, read without the facets', on a
+    # translate of the prism by (5, 0, 0), which no other test reads
+    boundary = qbary.facet_data(qbary.hull_from_vertices(SESSION_SHAPES[-1]))
+    x, y, z = boundary.boundary_barycenter
+
+    def refuse(p):
+        raise AssertionError("facet_data called")
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("qbary") and hasattr(module, "facet_data"):
+            monkeypatch.setattr(module, "facet_data", refuse)
+    path = write_document(tmp_path / "prism.json", {"vertices": [[x + 5, y, z] for x, y, z in SESSION_SHAPES[-1]]})
+    for _ in range(2):  # cold, then warm
+        code, out, _ = run(capsys, "bc", "--input", path)
+        assert code == 0
+        outputs = json.loads(out)["outputs"]
+        assert outputs["boundary_volume"] == rational_to_json(boundary.boundary_normalized_volume)
+        assert outputs["boundary_barycenter"] == vector_to_json((x + 5, y, z))
+
+
+def counted_calls(monkeypatch, module, name: str) -> list:
+    calls = []
+    spy(monkeypatch, module, name, calls)
+    return calls
+
+
+def test_bck_reads_its_record_once(capsys, monkeypatch):
+    # on a reflexive polygon the closed form is compared with the value
+    # read, and above the fitted dilations the record is checked once
+    reads = counted_calls(monkeypatch, qbary.expansion, "checked_stats")
+    code, out, _ = run(capsys, "bck", "--input", "p2", "--k", "2")
+    assert code == 0 and json.loads(out)["diagnostics"]["reflexive_polygon_form_checked"] is True
+    assert len(reads) == 1
+    checks = counted_calls(monkeypatch, qbary.ehrhart, "_read_check")
+    simplex = ";".join(["-1,-1,1", "0,0,1", "0,1,-1", "3,0,-1"]), "1,0,0,0"
+    assert run(capsys, "bck", "--k", "12", "--rays", simplex[0], "--offsets", simplex[1])[0] == 0
+    assert len(checks) == 1 and len(reads) == 2
+
+
+def off_by_one(monkeypatch, module, field: str) -> None:
+    """``module``'s face-walk integers with ``field``'s first entry off by one."""
+    real = qbary.polytope._measures
+
+    def measures(p):
+        walk = real(p)
+        vector = getattr(walk, field)
+        return walk._replace(**{field: [vector[0] + 1, *vector[1:]]})
+
+    monkeypatch.setattr(module, "_measures", measures)
+
+
+def sums_off_by(monkeypatch, shift) -> None:
+    """The records ``Bc_k`` is read off, their sums moved by ``shift(k * count)``."""
+    real = qbary.expansion.checked_stats
+
+    def stats(p, k):
+        record = real(p, k)
+        moved = shift(k * record.count)
+        return record._replace(sums=tuple(s + d for s, d in zip(record.sums, moved)))
+
+    monkeypatch.setattr(qbary.expansion, "checked_stats", stats)
+
+
+@pytest.mark.parametrize(
+    "argv, mutate, message",
+    [
+        # the rational form, against sums off by one
+        (["bck", "--input", "f1", "--k", "2"], lambda mp: sums_off_by(mp, lambda scale: (1, 0)), "rational form disagrees with enumeration"),
+        (["bck", "--input", "cube3", "--k", "4"], lambda mp: sums_off_by(mp, lambda scale: (0, 0, 1)), "rational form disagrees with enumeration"),
+        # a_0 and a_1, against a wrong M and a wrong boundary moment
+        (["df", "--input", "f1", "--v", "1,1"], lambda mp: off_by_one(mp, qbary.expansion, "moment"), "DF_0 differs from the barycenter pairing"),
+        (["df", "--input", "f1", "--v", "1,1"], lambda mp: off_by_one(mp, qbary.expansion, "boundary_moment"), "DF_1 differs from the first-order pairing"),
+        (["expand", "--input", "fano-3-29"], lambda mp: off_by_one(mp, qbary.expansion, "moment"), "a_0 differs from the barycenter"),
+        (["expand", "--input", "fano-3-29"], lambda mp: off_by_one(mp, qbary.expansion, "boundary_moment"), "a_1 differs from its boundary closed form"),
+        # the closed forms of reflexive polygons, against a wrong M
+        (["bck", "--input", "hexagon", "--k", "2"], lambda mp: off_by_one(mp, qbary.expansion, "moment"), "polygon closed form disagrees with enumeration"),
+        (["delta", "--input", "p2", "--k", "2"], lambda mp: off_by_one(mp, qbary.stability, "moment"), "del Pezzo closed form disagrees with enumeration"),
+        # a barycenter outside kP, read by delta_k
+        (["delta", "--input", "f1", "--k", "2"], lambda mp: sums_off_by(mp, lambda scale: (-2 * scale, 0)), "quantized barycenter escaped the polytope"),
+    ],
+)
+def test_each_check_of_a_warm_command_can_fail(argv, mutate, message, capsys, monkeypatch):
+    assert run(capsys, *argv)[0] == 0  # warm: the fits are cached
+    mutate(monkeypatch)
+    assert run(capsys, *argv) == (2, "", f"internal inconsistency: {message}\n")

@@ -1115,7 +1115,7 @@ def test_counting_reads_no_fit_and_only_checked_stats_checks_a_read(monkeypatch)
         for k in (1, 5):
             lattice_point_stats.__wrapped__(p, k)
     assert callers_of("_read_check") == {"checked_stats"}
-    assert callers_of("checked_stats") == {"count_points", "interior_count", "quantized_barycenter"}
+    assert callers_of("checked_stats") == {"count_points", "interior_count", "_barycenter_numerators"}
     raw = {"lattice_point_stats", "checked_stats", "ehrhart_data", "reciprocity_check", "hrr_coefficients", "rooftop_coefficients"}
     assert callers_of("lattice_point_stats") == raw
 

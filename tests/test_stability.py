@@ -61,13 +61,16 @@ def test_delta_polarization_guard():
 def test_a_barycenter_outside_the_polytope_does_not_polarize():
     # <bc, v_i> + b_i over one denominator: f1 is {x >= -1, y >= -1,
     # x + y <= 1, x + y >= -1}, so (-3/2, 1/3) is outside the first facet,
-    # (-1, 1/3) on it and (-1/2, 1/3) inside
-    threshold = qbary.stability._threshold
-    for outside in ((F(-3, 2), F(1, 3)), (F(-1), F(1, 3)), (F(3, 4), F(1, 2))):
+    # (-1, 1/3) on it and (-1/2, 1/3) inside; a point is given as integer
+    # numerators over a positive denominator, in lowest terms or not
+    top_pairing = qbary.stability._top_pairing
+    for coords, den in (((-9, 2), 6), ((-3, 1), 3), ((3, 2), 4), ((-18, 4), 12)):
         with pytest.raises(qb.InvalidPolarization, match="nonpositive"):
-            threshold(F1, outside)
-    assert threshold(F1, (F(-1, 2), F(1, 3))) == (F(3, 4), (1,))
-    assert threshold(F1, (F(0), F(0))) == (F(1), (0, 1, 2, 3))
+            top_pairing(F1, coords, den)
+    # the threshold is den over the top pairing: 3/4 at (-1/2, 1/3)
+    assert top_pairing(F1, (-3, 2), 6) == (8, (1,))
+    assert top_pairing(F1, (-6, 4), 12) == (16, (1,))
+    assert top_pairing(F1, (0, 0), 1) == (1, (0, 1, 2, 3))
 
 
 # Polytopes whose dominant facet takes over only from k0 = 6 and k0 = 10:
