@@ -61,7 +61,7 @@ from typing import Sequence
 
 from . import data as fixtures
 from .ehrhart import count_points, ehrhart_polynomial, reciprocity_check, reflexive_closed_form
-from .errors import InternalInconsistency, InvalidInput, QbaryError, Unsupported
+from .errors import InternalInconsistency, InvalidInput, QbaryError, Unsupported, ensure
 from .exactnum import rational_to_json, vector_to_json
 from .expansion import (
     _check_reflexive_polygon,
@@ -175,8 +175,8 @@ def _cmd_bck(args, p: Polytope, t: ToricData) -> dict:
     # cross-multiplication
     bf = barycenter_function(p)
     e, at = bf.denominator.denominator, bf.denominator.numerator_at(k)
-    if any(q.numerator_at(k) * e * x.denominator != x.numerator * at * q.denominator for q, x in zip(bf.numerators, value)):
-        raise InternalInconsistency("rational form disagrees with enumeration")
+    agree = all(q.numerator_at(k) * e * x.denominator == x.numerator * at * q.denominator for q, x in zip(bf.numerators, value))
+    ensure("cli.bck_rational_form", agree, "rational form disagrees with enumeration")
     diagnostics = {"rational_function_checked": True}
     if p.dim == 2 and classify(p).reflexive:
         _check_reflexive_polygon(p, k, value)

@@ -97,7 +97,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Literal, NamedTuple
 
-from .errors import InternalInconsistency, InvalidInput, Unsupported
+from .errors import InvalidInput, Unsupported, ensure
 from .exactnum import Polynomial, poly_fit
 from .hull import convex_hull
 from .lattice import _by_slope, _envelope, _floor_sums, _meet, _nonnegative, _parallelepiped_record, _piece_sums
@@ -399,8 +399,8 @@ def lattice_point_stats(p: Polytope, k: int) -> LatticeStats:
     if not split:
         return _pass(_scan_plan(p), k)
     record = _product([block for block, _, _ in split], [lattice_point_stats(f, k) for _, f, _ in split])
-    if k == 1 and _pass(_scan_plan(p), 1) != record:
-        raise InternalInconsistency("the product of the factors' counts differs from the count of P at k=1")
+    agree = k != 1 or _pass(_scan_plan(p), 1) == record
+    ensure("ehrhart.product_count", agree, "the product of the factors' counts differs from the count of P at k=1")
     return record
 
 
@@ -409,14 +409,14 @@ def _read_check(p: Polytope, k: int, record: LatticeStats) -> None:
     ``(-1)^n E(-k)`` and ``(-1)^(n+1) S_i(-k)`` of :func:`ehrhart_data`."""
     counting, sums = ehrhart_data(p)
     sign = (-1) ** p.dim
-    if counting.numerator_at(k) != record.count * counting.denominator:
-        raise InternalInconsistency(f"counting polynomial disagrees with the closed count read at k={k}")
-    if any(s.numerator_at(k) != x * s.denominator for s, x in zip(sums, record.sums)):
-        raise InternalInconsistency(f"coordinate-sum polynomial disagrees with the closed sums read at k={k}")
-    if sign * counting.numerator_at(-k) != record.interior * counting.denominator:
-        raise InternalInconsistency(f"counting polynomial disagrees with the interior count read at k={k}")
-    if any(-sign * s.numerator_at(-k) != x * s.denominator for s, x in zip(sums, record.interior_sums)):
-        raise InternalInconsistency(f"coordinate-sum polynomial disagrees with the interior sums read at k={k}")
+    agree = counting.numerator_at(k) == record.count * counting.denominator
+    ensure("ehrhart.read_count", agree, "counting polynomial disagrees with the closed count read at k={}", k)
+    agree = all(s.numerator_at(k) == x * s.denominator for s, x in zip(sums, record.sums))
+    ensure("ehrhart.read_sums", agree, "coordinate-sum polynomial disagrees with the closed sums read at k={}", k)
+    agree = sign * counting.numerator_at(-k) == record.interior * counting.denominator
+    ensure("ehrhart.read_interior_count", agree, "counting polynomial disagrees with the interior count read at k={}", k)
+    agree = all(-sign * s.numerator_at(-k) == x * s.denominator for s, x in zip(sums, record.interior_sums))
+    ensure("ehrhart.read_interior_sums", agree, "coordinate-sum polynomial disagrees with the interior sums read at k={}", k)
 
 
 def _takes_parallelepiped(p: Polytope, k: int) -> bool:
@@ -485,13 +485,16 @@ def _fit(values: list[tuple[int, int]], degree: int, top: tuple[tuple[int, int],
         samples += [(k, closed), (-k, sign * interior)]
     fit = poly_fit(samples[: degree + 1])
     for x, y in samples[degree + 1 :]:
-        if fit.numerator_at(x) != y * fit.denominator:
-            check = "held-out validation" if x > 0 else "reciprocity"
-            raise InternalInconsistency(f"{what} fails {check} at k={abs(x)}")
+        identity = "held-out validation" if x > 0 else "reciprocity"
+        ensure("ehrhart.fit_samples", fit.numerator_at(x) == y * fit.denominator, "{} fails {} at k={}", what, identity, abs(x))
     nums = fit.numerators
     for e, name, (num, den) in zip((degree, degree - 1), ("leading", "subleading"), top):
-        if (nums[e] if e < len(nums) else 0) * den != num * fit.denominator:
-            raise InternalInconsistency(f"{what} has {name} coefficient {fit.coefficient(e)}, not {Fraction(num, den)}")
+        agree = (nums[e] if e < len(nums) else 0) * den == num * fit.denominator
+        ensure(
+            "ehrhart.fit_top_coefficients",
+            agree,
+            lambda: f"{what} has {name} coefficient {fit.coefficient(e)}, not {Fraction(num, den)}",
+        )
     return fit
 
 
@@ -588,6 +591,5 @@ def reflexive_closed_form(p: Polytope) -> EhrhartPolynomial:
         closed = Polynomial.of([1, vol / 2 + 2, Fraction(3, 2) * vol, vol])
     else:
         raise Unsupported(f"no closed form implemented for dimension {p.dim}")
-    if closed != ehrhart_polynomial(p).poly:
-        raise InternalInconsistency("reflexive closed form disagrees with the fit")
+    ensure("ehrhart.reflexive_closed_form", closed == ehrhart_polynomial(p).poly, "reflexive closed form disagrees with the fit")
     return EhrhartPolynomial(closed, "reflexive_closed_form")

@@ -33,13 +33,7 @@ from math import lcm
 from typing import NamedTuple, Sequence
 
 from .ehrhart import checked_stats, ehrhart_data
-from .errors import (
-    InsufficientSamples,
-    InternalInconsistency,
-    InvalidInput,
-    PreconditionViolation,
-    Unsupported,
-)
+from .errors import InsufficientSamples, InvalidInput, PreconditionViolation, Unsupported, ensure
 from .exactnum import Immutable, Polynomial, Vector, laurent_expand, rational_vector
 from .linalg import IntVec, dot, int_list, int_value
 from .polytope import (
@@ -113,8 +107,8 @@ def _barycenter_numerators(p: Polytope, k: int) -> tuple[IntVec, int]:
     stats = checked_stats(p, k)
     # the value is sums / scale: <value, normal> >= -offset, times scale
     scale = k * stats.count
-    if any(dot(stats.sums, f.normal) < -f.offset * scale for f in p.facets):
-        raise InternalInconsistency("quantized barycenter escaped the polytope")
+    inside = all(dot(stats.sums, f.normal) >= -f.offset * scale for f in p.facets)
+    ensure("expansion.barycenter_inside", inside, "quantized barycenter escaped the polytope")
     return stats.sums, scale
 
 
@@ -212,10 +206,8 @@ def asymptotic_coefficients(p: Polytope, order: int | None = None) -> ExpansionC
         tuple(series.coefficient(j) for series in per_coord) for j in range(order)
     )
     a0, a0_den, a1, a1_den = _leading_terms(p)
-    if not _equal_terms(terms[0], a0, a0_den):
-        raise InternalInconsistency("a_0 differs from the barycenter")
-    if order >= 2 and not _equal_terms(terms[1], a1, a1_den):
-        raise InternalInconsistency("a_1 differs from its boundary closed form")
+    ensure("expansion.a0", _equal_terms(terms[0], a0, a0_den), "a_0 differs from the barycenter")
+    ensure("expansion.a1", order < 2 or _equal_terms(terms[1], a1, a1_den), "a_1 differs from its boundary closed form")
     return ExpansionCoefficients(terms)
 
 
@@ -234,8 +226,8 @@ def _check_reflexive_polygon(p: Polytope, k: int, value: Vector) -> None:
     :func:`_reflexive_polygon_scale`, compared by cross-multiplication."""
     num, den = _reflexive_polygon_scale(p, k)
     walk = _measures(p)
-    if not _equal_terms(value, [num * m for m in walk.moment], 3 * walk.volume * den):
-        raise InternalInconsistency("polygon closed form disagrees with enumeration")
+    agree = _equal_terms(value, [num * m for m in walk.moment], 3 * walk.volume * den)
+    ensure("expansion.polygon_closed_form", agree, "polygon closed form disagrees with enumeration")
 
 
 def reflexive_polygon_bck(p: Polytope, k: int) -> Vector:
@@ -279,13 +271,9 @@ def stabilization_check(p: Polytope, ks: Sequence[int]) -> StabilizationVerdict:
         if values[k] != first:
             return StabilizationVerdict(False, None, (ks[0], k))
     bf = barycenter_function(p)
-    for coord, num in enumerate(bf.numerators):
-        if num != bf.denominator * first[coord]:
-            raise InternalInconsistency(
-                "constant samples but a nonconstant rational form"
-            )
-    if first != measure(p).barycenter:
-        raise InternalInconsistency("constant value differs from the barycenter")
+    constant = all(num == bf.denominator * x for num, x in zip(bf.numerators, first))
+    ensure("expansion.constant_rational_form", constant, "constant samples but a nonconstant rational form")
+    ensure("expansion.constant_barycenter", first == measure(p).barycenter, "constant value differs from the barycenter")
     return StabilizationVerdict(True, first, None)
 
 
@@ -323,8 +311,8 @@ def df_coefficients(p: Polytope, direction: Sequence[int], order: int) -> tuple[
     bf = barycenter_function(p)
     series = laurent_expand(bf.pairing_numerator(direction), bf.denominator, order)
     a0, a0_den, a1, a1_den = _leading_terms(p)
-    if not _equal_terms(series.coefficients[:1], [dot(a0, direction)], a0_den):
-        raise InternalInconsistency("DF_0 differs from the barycenter pairing")
-    if order >= 2 and not _equal_terms(series.coefficients[1:2], [dot(a1, direction)], a1_den):
-        raise InternalInconsistency("DF_1 differs from the first-order pairing")
+    agree = _equal_terms(series.coefficients[:1], [dot(a0, direction)], a0_den)
+    ensure("expansion.df0", agree, "DF_0 differs from the barycenter pairing")
+    agree = order < 2 or _equal_terms(series.coefficients[1:2], [dot(a1, direction)], a1_den)
+    ensure("expansion.df1", agree, "DF_1 differs from the first-order pairing")
     return series.coefficients

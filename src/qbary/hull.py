@@ -62,7 +62,7 @@ from math import factorial, gcd
 from operator import itemgetter, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import DegenerateInput, InternalInconsistency, InvalidInput
+from .errors import DegenerateInput, InvalidInput, ensure
 from .exactnum import rational_vector
 from .linalg import IntRows, IntVec, adjugate, dot, independent_rows, int_det, int_rows, vec_sub
 
@@ -134,8 +134,7 @@ def _double_description(pts: list[IntVec], dim: int, base: list[int]) -> Polytop
     # to minus the outward normal of the facet opposite the corner.
     corner, full = pts[base[0]], sum(1 << i for i in base)
     det, adj = adjugate([vec_sub(pts[i], corner) for i in base[1:]])
-    if not det:
-        raise InternalInconsistency("degenerate initial simplex")
+    ensure("hull.initial_simplex", det != 0, "degenerate initial simplex")
     outward = -1 if det > 0 else 1
     facets, far = [], (0,) * dim
     for j, drop in enumerate(base[1:]):
@@ -175,8 +174,7 @@ def _double_description(pts: list[IntVec], dim: int, base: list[int]) -> Polytop
     hull_facets = []
     for w, c, z in facets:
         ids = tuple(index[pid] for pid in _ids(z) if pid in index)
-        if len(ids) < dim:
-            raise InternalInconsistency("facet with too few vertices")
+        ensure("hull.facet_vertices", len(ids) >= dim, "facet with too few vertices")
         hull_facets.append((Halfspace(tuple(-x for x in w), c), ids))
     hull_facets.sort(key=lambda f: (f[0].normal, f[0].offset))
     return Polytope(
@@ -243,8 +241,7 @@ def _product(blocks: list[tuple[int, ...]], factors: list[Polytope]) -> Polytope
 
 def _primitive(w: IntVec, c: int, z: int) -> tuple[IntVec, int, int]:
     g = gcd(*w)
-    if c % g:
-        raise InternalInconsistency("facet offset not divisible by normal content")
+    ensure("hull.facet_content", c % g == 0, "facet offset not divisible by normal content")
     return tuple(x // g for x in w), c // g, z
 
 
@@ -386,15 +383,13 @@ def face_moments(p: Polytope) -> tuple[int, list[int], list[tuple[int, list[int]
                 term = _wedge(vec_sub(vertices[(sub & -sub).bit_length() - 1], corner), sub_omega)
                 weight = gcd(*term.values())
                 height, rest = divmod(weight, sub_total)
-                if rest or height == 0:
-                    raise InternalInconsistency("pyramid volume not a positive multiple of its base's")
+                ensure("hull.pyramid_volume", not rest and height != 0, "pyramid volume not a positive multiple of its base's")
                 sign = 1 if term[min(term)] > 0 else -1
                 for s, c in term.items():
                     omega[s] = omega.get(s, 0) + sign * c
                 total += weight
                 moment = [m + height * x for m, x in zip(moment, sub_moment)]
-            if gcd(*omega.values()) != total:
-                raise InternalInconsistency("face pyramids disagree in orientation")
+            ensure("hull.pyramid_orientation", gcd(*omega.values()) == total, "face pyramids disagree in orientation")
             done = omega, total, [m + total * c for m, c in zip(moment, corner)]
         memo[face] = done
         return done
@@ -407,8 +402,8 @@ def face_moments(p: Polytope) -> tuple[int, list[int], list[tuple[int, list[int]
         if len(ids) == dim:
             det = abs(int_det([vec_sub(vertices[i], apex) for i in ids]))
             total, rest = divmod(det, height)
-            if rest or total == 0:
-                raise InternalInconsistency("facet simplex volume not a positive multiple of its height")
+            positive = not rest and total != 0
+            ensure("hull.facet_simplex_volume", positive, "facet simplex volume not a positive multiple of its height")
             facet_moment = [total * sum(column) for column in zip(*(vertices[i] for i in ids))]
         else:
             _, total, facet_moment = walk(mask, dim - 1)

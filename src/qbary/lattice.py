@@ -17,7 +17,7 @@ from itertools import product
 from math import comb, gcd
 from typing import Sequence
 
-from .errors import InternalInconsistency, InvalidInput
+from .errors import InvalidInput, ensure
 from .linalg import IntVec, adjugate, int_list, int_rows
 
 Matrix = tuple[IntVec, ...]
@@ -150,10 +150,11 @@ def _parallelepiped_record(vertices: tuple[IntVec, ...], volume: int, k: int) ->
     """
     n = len(vertices) - 1
     hstar, heights = _parallelepiped(vertices)
-    if sum(hstar) != volume:
-        raise InternalInconsistency(f"the fundamental parallelepiped has {sum(hstar)} points, not n! vol = {volume}")
-    if hstar[0] != 1:
-        raise InternalInconsistency(f"the fundamental parallelepiped has {hstar[0]} points at height 0, not 1")
+    points = sum(hstar)
+    message = "the fundamental parallelepiped has {} points, not n! vol = {}"
+    ensure("lattice.parallelepiped_volume", points == volume, message, points, volume)
+    message = "the fundamental parallelepiped has {} points at height 0, not 1"
+    ensure("lattice.parallelepiped_origin", hstar[0] == 1, message, hstar[0])
     vertex_sum = [sum(column) for column in zip(*vertices)]
     count, sums, interior, interior_sums = 0, [0] * n, 0, [0] * n
     for h, (points, total) in enumerate(zip(hstar, heights)):

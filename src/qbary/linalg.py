@@ -135,24 +135,6 @@ def rank(rows: Iterable[Sequence[int]]) -> int:
     return len(independent_rows(rows))
 
 
-def solve(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...]:
-    """Solve a square nonsingular system ``matrix @ x = rhs`` exactly."""
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            raise InvalidInput("singular linear system")
-        m[c], m[pivot] = m[pivot], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return tuple(m[i][n] for i in range(n))
-
-
 def adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
     """``(d, R)`` for a square integer matrix A, with ``d = +-det(A)`` and
     ``R = d A^-1``, so ``A R = R A = d I``: the adjugate times the sign of

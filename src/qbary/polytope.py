@@ -53,7 +53,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DegenerateInput, InternalInconsistency, InvalidInput, Unsupported, UnboundedInput
+from .errors import DegenerateInput, InvalidInput, UnboundedInput, Unsupported, ensure
 from .exactnum import Vector
 from .hull import Halfspace, Polytope, convex_hull, face_moments
 from .lattice import primitive
@@ -385,14 +385,13 @@ def _measures(p: Polytope) -> _FaceWalk:
     normals = [f.normal for f in p.facets]
     split = _split(p)
     volume, moment, weighed = _product_moments(split) if split else face_moments(p)
-    for j in range(n):
-        if sum(total * u[j] for (total, _), u in zip(weighed, normals)) != 0:
-            raise InternalInconsistency("facet measures violate Minkowski's relation")
+    closed = all(sum(total * u[j] for (total, _), u in zip(weighed, normals)) == 0 for j in range(n))
+    ensure("polytope.minkowski_relation", closed, "facet measures violate Minkowski's relation")
     for i in range(n):
         for j in range(n):
             flux = sum(facet_moment[i] * u[j] for (_, facet_moment), u in zip(weighed, normals))
-            if flux != (-volume if i == j else 0):
-                raise InternalInconsistency("facet barycenters violate the divergence theorem")
+            agree = flux == (-volume if i == j else 0)
+            ensure("polytope.divergence_theorem", agree, "facet barycenters violate the divergence theorem")
     boundary = sum(total for total, _ in weighed)
     boundary_moment = [sum(column) for column in zip(*(facet_moment for _, facet_moment in weighed))]
     return _FaceWalk(volume, moment, weighed, boundary, boundary_moment, split)

@@ -28,10 +28,10 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Sequence
 
-from .errors import InternalInconsistency, InvalidInput, InvalidPolarization, Unsupported
+from .errors import InvalidInput, InvalidPolarization, Unsupported, ensure
 from .exactnum import LaurentSeries, Polynomial, RationalFunction, laurent_expand
 from .expansion import _barycenter_numerators, _reflexive_polygon_scale, a1_closed_form, barycenter_function, quantized_barycenter
-from .linalg import dot, int_list, int_value, solve
+from .linalg import adjugate, dot, int_list, int_value
 from .polytope import _measures, check_direction, classify, support_value, vertex_cones
 from .toric import ToricData
 
@@ -146,12 +146,10 @@ def delta_sequence(t: ToricData, ks: Sequence[int], order: int = 2) -> DeltaSequ
     asym = laurent_expand(den, nums[best], order)
 
     limit, limit_argmin = delta(t)
-    if asym.coefficient(0) != limit:
-        raise InternalInconsistency("expansion constant term differs from delta")
+    ensure("stability.expansion_constant", asym.coefficient(0) == limit, "expansion constant term differs from delta")
     a1 = a1_closed_form(t.polytope)
     closed_a1 = -max(dot(a1, t.rays[i]) for i in limit_argmin) * limit * limit
-    if asym.coefficient(1) != closed_a1:
-        raise InternalInconsistency("first-order term differs from its closed form")
+    ensure("stability.expansion_first_order", asym.coefficient(1) == closed_a1, "first-order term differs from its closed form")
 
     values = tuple(DeltaValue(k, *delta_k(t, k)) for k in ks)
     return DeltaSequence(values, limit, limit_argmin, dominant, dominant_rays, k0, asym)
@@ -165,8 +163,8 @@ def _check_del_pezzo(t: ToricData, k: int, value: Fraction) -> None:
     compared by cross-multiplication."""
     a, b = _reflexive_polygon_scale(t.polytope, k)
     den, top, _ = _barycenter_pairing(t)
-    if value.numerator * (b * den + a * (top - den)) != b * den * value.denominator:
-        raise InternalInconsistency("del Pezzo closed form disagrees with enumeration")
+    agree = value.numerator * (b * den + a * (top - den)) == b * den * value.denominator
+    ensure("stability.del_pezzo_closed_form", agree, "del Pezzo closed form disagrees with enumeration")
 
 
 def del_pezzo_closed_form(t: ToricData, k: int) -> Fraction:
@@ -211,9 +209,11 @@ def log_discrepancy(t: ToricData, direction: Sequence[int]) -> Fraction:
         if len(cone) != n:
             saw_nonsimplicial = True
             continue
-        # a vertex on exactly n facets has independent normals
-        coords = solve([[p.facets[k].normal[i] for k in cone] for i in range(n)], v)
-        if all(c >= 0 for c in coords):
-            return sum(coords, Fraction(0))
+        # a vertex on exactly n facets has independent normals; the
+        # coordinates of v in them are R v / d
+        d, adj = adjugate([[p.facets[k].normal[i] for k in cone] for i in range(n)])
+        scaled = [dot(row, v) for row in adj]
+        if all(x * d >= 0 for x in scaled):
+            return Fraction(sum(scaled), d)
     detail = " (a non-simplicial vertex cone was skipped)" if saw_nonsimplicial else ""
     raise Unsupported(f"no simplicial vertex cone contains {v}{detail}")

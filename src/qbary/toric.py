@@ -68,16 +68,12 @@ from math import comb, factorial, gcd, lcm, prod
 from typing import Iterable, NamedTuple, Sequence
 
 from .ehrhart import fitted_dilations, lattice_point_stats
-from .errors import (
-    InternalInconsistency,
-    InvalidInput,
-    PreconditionViolation,
-)
+from .errors import InvalidInput, PreconditionViolation, ensure
 from .exactnum import Immutable, Polynomial, bernoulli
 from .expansion import barycenter_function, rooftop
 from .hull import face_moments
 from .lattice import primitive
-from .linalg import IntVec, dot, int_list, int_rows, int_value, solve, vec_sub
+from .linalg import IntVec, adjugate, dot, int_list, int_rows, int_value, vec_sub
 from .polytope import (
     Polytope,
     _measures,
@@ -259,11 +255,13 @@ def _ample_shift(t: ToricData, coeffs: Sequence[int]) -> int:
     least = 0
     for vertex, cone in zip(p.vertices, vertex_cones(p)):
         rows = [p.facets[k].normal for k in cone]
-        x = solve(rows, [-coeffs[index[r]] for r in rows])
+        d, adj = adjugate(rows)
+        rhs = [-coeffs[index[r]] for r in rows]
+        dx = [dot(row, rhs) for row in adj]  # d x, as R = d A^-1
         for f in p.facets:
             base = dot(vertex, f.normal) + f.offset  # zero on the cone's own rays only
             if base:
-                least = max(least, -(dot(x, f.normal) + coeffs[index[f.normal]]) // base + 1)
+                least = max(least, -(dot(dx, f.normal) + d * coeffs[index[f.normal]]) // (d * base) + 1)
     return least
 
 
@@ -273,14 +271,16 @@ def _polarization(t: ToricData, offsets: tuple[int, ...]) -> Polytope:
     ``t.polytope``.  From dimension 3 on, the same facet normals allow a
     different normal fan (a flipped edge), so the cones are compared.  Any
     refusal or mismatch is an ``InternalInconsistency``."""
+    refusal = None
     try:
         p = ToricData(t.rays, offsets, polytope_from_halfspaces(t.rays, offsets)).polytope
     except InvalidInput as exc:
-        raise InternalInconsistency(f"an ample polarization was refused: {exc}") from None
+        refusal = exc
+    ensure("toric.polarization_accepted", refusal is None, "an ample polarization was refused: {}", refusal)
     # both facet lists are sorted by their normals, which are the same rays,
     # so facet indices name the same rays in both
-    if set(vertex_cones(p)) != set(vertex_cones(t.polytope)):
-        raise InternalInconsistency("an ample polarization has other vertex cones than its fan")
+    agree = set(vertex_cones(p)) == set(vertex_cones(t.polytope))
+    ensure("toric.polarization_cones", agree, "an ample polarization has other vertex cones than its fan")
     return p
 
 
@@ -347,16 +347,13 @@ def delzant_fan(t: ToricData) -> DelzantFan:
             edge = -1
             for k in facets[:j] + facets[j + 1 :]:
                 edge &= on_facet[k]
-            if edge.bit_count() != 2 or not (edge >> vi) & 1:
-                raise InternalInconsistency(
-                    f"the edge off facet {facets[j]} at vertex {vi} does not have two vertices"
-                )
+            ends = edge.bit_count() == 2 and (edge >> vi) & 1
+            message = "the edge off facet {} at vertex {} does not have two vertices"
+            ensure("toric.edge_has_two_vertices", ends, message, facets[j], vi)
             other = (edge ^ (1 << vi)).bit_length() - 1
             w = primitive(vec_sub(p.vertices[other], p.vertices[vi]))
-            if any(dot(r, w) != (i == j) for i, r in enumerate(rows)):
-                raise InternalInconsistency(
-                    f"the edge directions at vertex {vi} are not the dual basis of its rays"
-                )
+            dual = all(dot(r, w) == (i == j) for i, r in enumerate(rows))
+            ensure("toric.edges_dual_to_rays", dual, "the edge directions at vertex {} are not the dual basis of its rays", vi)
             ws.append(w)
         cones.append(tuple(index[r] for r in rows))
         duals.append(ws)
@@ -416,10 +413,9 @@ def hrr_coefficients(t: ToricData) -> tuple[Fraction, ...]:
     p = t.polytope
     n = p.dim
     coeffs = _todd_coefficients(delzant_fan(t), t.offsets, len(t.rays), range(n + 1))
-    if coeffs[n] != measure(p).volume:
-        raise InternalInconsistency("leading coefficient is not the volume")
-    if coeffs[n - 1] != Fraction(_measures(p).boundary, 2 * factorial(n - 1)):
-        raise InternalInconsistency("subleading coefficient is not half the boundary volume")
+    ensure("toric.hrr_volume", coeffs[n] == measure(p).volume, "leading coefficient is not the volume")
+    agree = coeffs[n - 1] == Fraction(_measures(p).boundary, 2 * factorial(n - 1))
+    ensure("toric.hrr_boundary", agree, "subleading coefficient is not half the boundary volume")
     # the counting records themselves, not E's fit, so nothing is fitted:
     # the closed counts at k = 0..m and, by reciprocity, (-1)^n times the
     # interior counts at -k are 2m + 1 >= n + 1 values of a polynomial of
@@ -427,8 +423,8 @@ def hrr_coefficients(t: ToricData) -> tuple[Fraction, ...]:
     poly = Polynomial.of(coeffs)
     for k in fitted_dilations(n):
         r = lattice_point_stats(p, k)
-        if poly(k) != r.count or k and poly(-k) != (-1) ** n * r.interior:
-            raise InternalInconsistency(f"Bernoulli/mixed-volume coefficients disagree with the counts at k={k}")
+        agree = poly(k) == r.count and (not k or poly(-k) == (-1) ** n * r.interior)
+        ensure("toric.hrr_counts", agree, "Bernoulli/mixed-volume coefficients disagree with the counts at k={}", k)
     return coeffs
 
 
@@ -460,19 +456,14 @@ def rooftop_coefficients(t: ToricData, direction: Sequence[int]) -> RooftopCoeff
     values = tuple(numerator.coefficient(j) for j in range(p.dim + 1))
     roof = rooftop(p, v, fan.q)
     for k in (1, 2):
-        if lattice_point_stats(roof, k).count != (fan.q * k + 1) * bf.denominator(k) + k * numerator(k):
-            raise InternalInconsistency(
-                f"rooftop count disagrees with the coordinate-sum polynomial at k={k}"
-            )
+        agree = lattice_point_stats(roof, k).count == (fan.q * k + 1) * bf.denominator(k) + k * numerator(k)
+        ensure("toric.rooftop_counts", agree, "rooftop count disagrees with the coordinate-sum polynomial at k={}", k)
 
     formula_values = None
     formula_available = classify(roof).delzant
     if formula_available:
         formula_values = _cprime_by_formula(t, fan, roof)
-        if formula_values != values:
-            raise InternalInconsistency(
-                "mixed-volume rooftop coefficients disagree with counting"
-            )
+        ensure("toric.rooftop_formula", formula_values == values, "mixed-volume rooftop coefficients disagree with counting")
     return RooftopCoefficients(values, fan.q, formula_available, formula_values)
 
 

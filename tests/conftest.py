@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, count, product
 from math import gcd, lcm
@@ -14,6 +15,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 import qbary as qb
+import qbary.errors
 import qbary.hull
 from qbary.linalg import dot
 
@@ -391,3 +393,75 @@ def count_hulls(monkeypatch) -> list:
         if getattr(module, "__dict__", {}).get("convex_hull") is real:
             monkeypatch.setattr(module, "convex_hull", counted)
     return calls
+
+
+# Every identity check, by the name it gives ``qbary.errors.ensure``: a
+# check added, renamed or dropped is a diff of this list.
+CHECKS = (
+    "cli.bck_rational_form",
+    "ehrhart.product_count",
+    "ehrhart.read_count",
+    "ehrhart.read_sums",
+    "ehrhart.read_interior_count",
+    "ehrhart.read_interior_sums",
+    "ehrhart.fit_samples",
+    "ehrhart.fit_top_coefficients",
+    "ehrhart.reflexive_closed_form",
+    "expansion.barycenter_inside",
+    "expansion.a0",
+    "expansion.a1",
+    "expansion.polygon_closed_form",
+    "expansion.constant_rational_form",
+    "expansion.constant_barycenter",
+    "expansion.df0",
+    "expansion.df1",
+    "hull.initial_simplex",
+    "hull.facet_vertices",
+    "hull.facet_content",
+    "hull.pyramid_volume",
+    "hull.pyramid_orientation",
+    "hull.facet_simplex_volume",
+    "lattice.parallelepiped_volume",
+    "lattice.parallelepiped_origin",
+    "polytope.minkowski_relation",
+    "polytope.divergence_theorem",
+    "stability.expansion_constant",
+    "stability.expansion_first_order",
+    "stability.del_pezzo_closed_form",
+    "toric.polarization_accepted",
+    "toric.polarization_cones",
+    "toric.edge_has_two_vertices",
+    "toric.edges_dual_to_rays",
+    "toric.hrr_volume",
+    "toric.hrr_boundary",
+    "toric.hrr_counts",
+    "toric.rooftop_counts",
+    "toric.rooftop_formula",
+)
+
+
+@contextmanager
+def failed_check(*names: str, match: str | None = None):
+    """Expect ``InternalInconsistency`` from the check of one of ``names``,
+    its message matching ``match`` if given."""
+    with pytest.raises(qb.InternalInconsistency, match=match) as excinfo:
+        yield excinfo
+    assert excinfo.value.check in names
+
+
+def route_ensure(monkeypatch, through) -> None:
+    """Send every check to ``through(name, ok, message, *args)`` in place of
+    ``qbary.errors.ensure``, wherever a module imported it."""
+    real = qbary.errors.ensure
+    for module in list(sys.modules.values()):
+        if getattr(module, "__dict__", {}).get("ensure") is real:
+            monkeypatch.setattr(module, "ensure", through)
+
+
+def clear_caches() -> None:
+    """Empty every cache of the library's functions."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qbary"):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import qbary.cli
 import qbary.ehrhart
+import qbary.errors
 import qbary.expansion
 import qbary.polytope
 import qbary.stability
@@ -25,7 +26,8 @@ from qbary.cli import execute, main
 from qbary.data import fixture_document, fixture_text
 from qbary.exactnum import rational_to_json, vector_to_json
 
-from conftest import count_hulls
+from conftest import CHECKS, clear_caches, count_hulls, failed_check, route_ensure
+from test_golden import golden, recorded, run_line
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 
@@ -815,25 +817,90 @@ def sums_off_by(monkeypatch, shift) -> None:
     monkeypatch.setattr(qbary.expansion, "checked_stats", stats)
 
 
+def failing_checks(monkeypatch, forced: str | None = None) -> list:
+    """The errors that checks raise from here on, in order; the check
+    ``forced`` fails whatever it compares."""
+    real, failed = qbary.errors.ensure, []
+
+    def through(name, ok, message, *args):
+        try:
+            real(name, ok and name != forced, message, *args)
+        except qbary.InternalInconsistency as exc:
+            failed.append(exc)
+            raise
+
+    route_ensure(monkeypatch, through)
+    return failed
+
+
 @pytest.mark.parametrize(
-    "argv, mutate, message",
+    "argv, mutate, check, message",
     [
         # the rational form, against sums off by one
-        (["bck", "--input", "f1", "--k", "2"], lambda mp: sums_off_by(mp, lambda scale: (1, 0)), "rational form disagrees with enumeration"),
-        (["bck", "--input", "cube3", "--k", "4"], lambda mp: sums_off_by(mp, lambda scale: (0, 0, 1)), "rational form disagrees with enumeration"),
+        (["bck", "--input", "f1", "--k", "2"], lambda mp: sums_off_by(mp, lambda scale: (1, 0)), "cli.bck_rational_form", "rational form disagrees with enumeration"),
+        (["bck", "--input", "cube3", "--k", "4"], lambda mp: sums_off_by(mp, lambda scale: (0, 0, 1)), "cli.bck_rational_form", "rational form disagrees with enumeration"),
         # a_0 and a_1, against a wrong M and a wrong boundary moment
-        (["df", "--input", "f1", "--v", "1,1"], lambda mp: off_by_one(mp, qbary.expansion, "moment"), "DF_0 differs from the barycenter pairing"),
-        (["df", "--input", "f1", "--v", "1,1"], lambda mp: off_by_one(mp, qbary.expansion, "boundary_moment"), "DF_1 differs from the first-order pairing"),
-        (["expand", "--input", "fano-3-29"], lambda mp: off_by_one(mp, qbary.expansion, "moment"), "a_0 differs from the barycenter"),
-        (["expand", "--input", "fano-3-29"], lambda mp: off_by_one(mp, qbary.expansion, "boundary_moment"), "a_1 differs from its boundary closed form"),
+        (["df", "--input", "f1", "--v", "1,1"], lambda mp: off_by_one(mp, qbary.expansion, "moment"), "expansion.df0", "DF_0 differs from the barycenter pairing"),
+        (["df", "--input", "f1", "--v", "1,1"], lambda mp: off_by_one(mp, qbary.expansion, "boundary_moment"), "expansion.df1", "DF_1 differs from the first-order pairing"),
+        (["expand", "--input", "fano-3-29"], lambda mp: off_by_one(mp, qbary.expansion, "moment"), "expansion.a0", "a_0 differs from the barycenter"),
+        (["expand", "--input", "fano-3-29"], lambda mp: off_by_one(mp, qbary.expansion, "boundary_moment"), "expansion.a1", "a_1 differs from its boundary closed form"),
         # the closed forms of reflexive polygons, against a wrong M
-        (["bck", "--input", "hexagon", "--k", "2"], lambda mp: off_by_one(mp, qbary.expansion, "moment"), "polygon closed form disagrees with enumeration"),
-        (["delta", "--input", "p2", "--k", "2"], lambda mp: off_by_one(mp, qbary.stability, "moment"), "del Pezzo closed form disagrees with enumeration"),
+        (["bck", "--input", "hexagon", "--k", "2"], lambda mp: off_by_one(mp, qbary.expansion, "moment"), "expansion.polygon_closed_form", "polygon closed form disagrees with enumeration"),
+        (["delta", "--input", "p2", "--k", "2"], lambda mp: off_by_one(mp, qbary.stability, "moment"), "stability.del_pezzo_closed_form", "del Pezzo closed form disagrees with enumeration"),
         # a barycenter outside kP, read by delta_k
-        (["delta", "--input", "f1", "--k", "2"], lambda mp: sums_off_by(mp, lambda scale: (-2 * scale, 0)), "quantized barycenter escaped the polytope"),
+        (["delta", "--input", "f1", "--k", "2"], lambda mp: sums_off_by(mp, lambda scale: (-2 * scale, 0)), "expansion.barycenter_inside", "quantized barycenter escaped the polytope"),
     ],
 )
-def test_each_check_of_a_warm_command_can_fail(argv, mutate, message, capsys, monkeypatch):
+def test_each_check_of_a_warm_command_can_fail(argv, mutate, check, message, capsys, monkeypatch):
     assert run(capsys, *argv)[0] == 0  # warm: the fits are cached
     mutate(monkeypatch)
+    failed = failing_checks(monkeypatch)
     assert run(capsys, *argv) == (2, "", f"internal inconsistency: {message}\n")
+    assert [exc.check for exc in failed] == [check]
+
+
+# The checks that no golden CLI line reaches, each with a library call that
+# reaches it: no command reads a stabilization verdict or a divisor polytope.
+LIBRARY_REACH = {
+    "expansion.constant_rational_form": lambda: qbary.stabilization_check(qbary.load_fixture("p2"), (1, 2, 3)),
+    "expansion.constant_barycenter": lambda: qbary.stabilization_check(qbary.load_fixture("p2"), (1, 2, 3)),
+    "toric.polarization_accepted": lambda: qbary.divisor_polytope(qbary.toric_data([(1, 0), (0, 1), (-1, -1)], [1, 1, 1]), (1, 0, 0)),
+    "toric.polarization_cones": lambda: qbary.divisor_polytope(qbary.toric_data([(1, 0), (0, 1), (-1, -1)], [1, 1, 1]), (1, 0, 0)),
+}
+
+
+@pytest.fixture(scope="module")
+def reaching_lines() -> dict[str, list[str]]:
+    """The first golden CLI line that reaches each check, replaying every
+    line once, in order, from empty caches."""
+    first, line, real = {}, [], qbary.errors.ensure
+
+    def record(name, ok, message, *args):
+        first.setdefault(name, line[-1])
+        real(name, ok, message, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        route_ensure(mp, record)
+        clear_caches()
+        for case in golden().values():
+            line.append(case["argv"])
+            assert run_line(case["argv"]) == recorded(case), case["argv"]
+    return first
+
+
+def test_the_golden_lines_reach_every_check_but_the_library_ones(reaching_lines):
+    assert set(reaching_lines) == set(CHECKS) - set(LIBRARY_REACH)
+
+
+@pytest.mark.parametrize("name", CHECKS)
+def test_every_check_forced_to_fail_surfaces_as_an_inconsistency(name, reaching_lines, monkeypatch):
+    clear_caches()
+    failed = failing_checks(monkeypatch, forced=name)
+    if name in LIBRARY_REACH:
+        with failed_check(name):
+            LIBRARY_REACH[name]()
+    else:
+        result = run_line(reaching_lines[name])
+        assert [exc.check for exc in failed] == [name]
+        assert result == (2, "", f"internal inconsistency: {failed[0]}\n")
+    clear_caches()

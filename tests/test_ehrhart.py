@@ -24,7 +24,7 @@ from qbary.ehrhart import lattice_point_stats
 from qbary.exactnum import Polynomial
 from qbary.hull import volume_and_barycenter
 
-from conftest import FRESH, apply_map, brute_count, brute_vertex_sum, fresh_hull, polytope_and_map, unimodular
+from conftest import FRESH, apply_map, brute_count, brute_vertex_sum, failed_check, fresh_hull, polytope_and_map, unimodular
 
 
 def test_count_points_paper_examples(fixtures):
@@ -581,10 +581,10 @@ def test_reciprocity_catches_an_interior_count_off_by_one(monkeypatch, k):
     p = fresh_simplex(N)
     if k > M:
         assert failed_reciprocity(p) == [k]
-        with pytest.raises(qb.InternalInconsistency, match=f"counting polynomial disagrees with the interior count read at k={k}"):
+        with failed_check("ehrhart.read_interior_count", match=f"counting polynomial disagrees with the interior count read at k={k}"):
             qb.interior_count(p, k)
         return
-    with pytest.raises(qb.InternalInconsistency, match=f"counting polynomial fails {FIRST_MISS['interior'][k - 1]}"):
+    with failed_check("ehrhart.fit_samples", match=f"counting polynomial fails {FIRST_MISS['interior'][k - 1]}"):
         qb.ehrhart_polynomial(p)
 
 
@@ -595,10 +595,10 @@ def test_held_out_counts_catch_a_closed_count_off_by_one(monkeypatch, k):
     passes_on(monkeypatch, off_by_one_at(k, "count"))
     p = fresh_simplex(N, TALL)
     if k > M:
-        with pytest.raises(qb.InternalInconsistency, match=f"counting polynomial disagrees with the closed count read at k={k}"):
+        with failed_check("ehrhart.read_count", match=f"counting polynomial disagrees with the closed count read at k={k}"):
             qb.count_points(p, k)
         return
-    with pytest.raises(qb.InternalInconsistency, match=f"counting polynomial fails {FIRST_MISS['count'][k - 1]}"):
+    with failed_check("ehrhart.fit_samples", match=f"counting polynomial fails {FIRST_MISS['count'][k - 1]}"):
         qb.ehrhart_polynomial(p)
 
 
@@ -612,15 +612,15 @@ def test_reciprocity_catches_a_coordinate_sum_off_by_one(monkeypatch, field, axi
     passes_on(monkeypatch, off_by_one_at(k, field, axis))
     p = fresh_simplex(N, TALL)
     if k > M and field == "sums":
-        with pytest.raises(qb.InternalInconsistency, match=f"coordinate-sum polynomial disagrees with the closed sums read at k={k}"):
+        with failed_check("ehrhart.read_sums", match=f"coordinate-sum polynomial disagrees with the closed sums read at k={k}"):
             qb.quantized_barycenter(p, k)
         return
     if k > M:
         assert failed_reciprocity(p) == [k]
-        with pytest.raises(qb.InternalInconsistency, match=f"coordinate-sum polynomial disagrees with the interior sums read at k={k}"):
+        with failed_check("ehrhart.read_interior_sums", match=f"coordinate-sum polynomial disagrees with the interior sums read at k={k}"):
             qb.interior_count(p, k)
         return
-    with pytest.raises(qb.InternalInconsistency, match=f"coordinate-sum polynomial fails {FIRST_MISS[field][k - 1]}"):
+    with failed_check("ehrhart.fit_samples", match=f"coordinate-sum polynomial fails {FIRST_MISS[field][k - 1]}"):
         qb.barycenter_function(p)
 
 
@@ -633,7 +633,7 @@ def test_a_record_the_fits_read_reaches_no_caller_before_them(monkeypatch, field
     # a record at k <= m is a sample of the fits, and is handed out only
     # once they have read it
     passes_on(monkeypatch, off_by_one_at(2, field))
-    with pytest.raises(qb.InternalInconsistency, match="counting polynomial fails reciprocity at k=2"):
+    with failed_check("ehrhart.fit_samples", match="counting polynomial fails reciprocity at k=2"):
         read(fresh_hull(FITTED_AT_2), 2)
 
 
@@ -655,7 +655,7 @@ def test_reciprocity_catches_a_parallelepiped_interior_count_off_by_one(monkeypa
     assert ehrhart._takes_parallelepiped(p, N)
     parallelepiped_records(monkeypatch, off_by_one_at(N, "interior"))
     assert failed_reciprocity(p) == [N]
-    with pytest.raises(qb.InternalInconsistency, match=f"counting polynomial disagrees with the interior count read at k={N}"):
+    with failed_check("ehrhart.read_interior_count", match=f"counting polynomial disagrees with the interior count read at k={N}"):
         qb.interior_count(p, N)
 
 
@@ -673,7 +673,7 @@ def test_the_reflections_must_sum_to_the_vertex_sums_minus_the_height_sums(monke
         return record._replace(interior_sums=tuple(wrong))
 
     parallelepiped_records(monkeypatch, mutant)
-    with pytest.raises(qb.InternalInconsistency, match=f"coordinate-sum polynomial disagrees with the interior sums read at k={N}"):
+    with failed_check("ehrhart.read_interior_sums", match=f"coordinate-sum polynomial disagrees with the interior sums read at k={N}"):
         qb.interior_count(p, N)
     assert failed_reciprocity(p) == [N, N + 1]
 
@@ -709,7 +709,7 @@ def test_the_read_check_catches_a_parallelepiped_point_at_the_wrong_height(monke
     p = fresh_simplex(N)
     assert ehrhart._takes_parallelepiped(p, N)
     corrupt_parallelepiped(monkeypatch, point_moved_up(2))
-    with pytest.raises(qb.InternalInconsistency, match=f"counting polynomial disagrees with the closed count read at k={N}"):
+    with failed_check("ehrhart.read_count", match=f"counting polynomial disagrees with the closed count read at k={N}"):
         qb.count_points(p, N)
 
 
@@ -722,16 +722,19 @@ def test_the_read_check_catches_a_height_sum_off_by_one(monkeypatch, axis):
 
     p = fresh_simplex(N)
     corrupt_parallelepiped(monkeypatch, mutate)
-    with pytest.raises(qb.InternalInconsistency, match=f"coordinate-sum polynomial disagrees with the closed sums read at k={N}"):
+    with failed_check("ehrhart.read_sums", match=f"coordinate-sum polynomial disagrees with the closed sums read at k={N}"):
         qb.quantized_barycenter(p, N)
 
 
 def test_a_parallelepiped_must_have_n_factorial_vol_points_one_at_height_0(monkeypatch):
     one_more = lambda hstar, sums: ([*hstar[:-1], hstar[-1] + 1], sums)  # noqa: E731
-    for mutate, message in ((one_more, "has 6 points, not n! vol = 5"), (point_moved_up(0), "has 0 points at height 0, not 1")):
+    for mutate, name, message in (
+        (one_more, "lattice.parallelepiped_volume", "has 6 points, not n! vol = 5"),
+        (point_moved_up(0), "lattice.parallelepiped_origin", "has 0 points at height 0, not 1"),
+    ):
         with monkeypatch.context() as patch:
             corrupt_parallelepiped(patch, mutate)
-            with pytest.raises(qb.InternalInconsistency, match=f"fundamental parallelepiped {message}"):
+            with failed_check(name, match=f"fundamental parallelepiped {message}"):
                 qb.count_points(fresh_simplex(N), N)
 
 
@@ -740,7 +743,7 @@ def test_top_coefficients_alone_check_the_sums_of_a_segment(monkeypatch):
     # samples k = 0, 1, -1, so only its top two coefficients check it
     passes_on(monkeypatch, off_by_one_at(1, "sums", 0))
     segment = qb.hull_from_vertices([(next(FRESH),), (next(FRESH) + 3,)])
-    with pytest.raises(qb.InternalInconsistency, match="coordinate-sum polynomial has leading coefficient"):
+    with failed_check("ehrhart.fit_top_coefficients", match="coordinate-sum polynomial has leading coefficient"):
         qb.barycenter_function(segment)
 
 
@@ -777,7 +780,7 @@ def wrong_measure(which):
 def test_each_top_coefficient_identity_can_fail(monkeypatch, which, module, message):
     p = fresh_simplex(3)
     monkeypatch.setattr(module, "_measures", wrong_measure(which))
-    with pytest.raises(qb.InternalInconsistency, match=message):
+    with failed_check("ehrhart.fit_top_coefficients", match=message):
         qb.barycenter_function(p)
 
 
@@ -854,7 +857,7 @@ def swapped_axes(monkeypatch):
 
 
 def test_moment_identity_catches_swapped_axes(swapped_axes):
-    with pytest.raises(qb.InternalInconsistency, match="coordinate-sum polynomial has leading coefficient"):
+    with failed_check("ehrhart.fit_top_coefficients", match="coordinate-sum polynomial has leading coefficient"):
         qb.barycenter_function(qb.hull_from_vertices(SWAP_SIMPLEX))
 
 
@@ -969,9 +972,9 @@ def test_held_out_validation_rejects_a_fit_that_only_matches_its_samples(monkeyp
     counted = qb.hull_from_vertices([(0, 0, 0), (3, 1, 0), (0, 2, 1), (1, 0, 2)])
     summed = qb.hull_from_vertices([(0, 0), (3, 1), (1, 4), (-1, 2)])
     monkeypatch.setattr(ehrhart, "poly_fit", wrong_fit)
-    with pytest.raises(qb.InternalInconsistency, match="counting polynomial fails reciprocity at k=2"):
+    with failed_check("ehrhart.fit_samples", match="counting polynomial fails reciprocity at k=2"):
         qb.ehrhart_polynomial(counted)
-    with pytest.raises(qb.InternalInconsistency, match="coordinate-sum polynomial fails reciprocity at k=2"):
+    with failed_check("ehrhart.fit_samples", match="coordinate-sum polynomial fails reciprocity at k=2"):
         qb.barycenter_function(summed)
 
 
@@ -1141,14 +1144,14 @@ UNIT_5_CUBE_MOVED = [tuple(x + i for i, x in enumerate(v)) for v in SCAN_SHAPES[
 def test_pass_at_k_1_catches_factor_sums_swapped_between_blocks(monkeypatch, vertices):
     p = qb.hull_from_vertices(vertices)
     monkeypatch.setattr(ehrhart, "_product", swap_first_two_blocks_sums)
-    with pytest.raises(qb.InternalInconsistency, match="product of the factors' counts differs"):
+    with failed_check("ehrhart.product_count", match="product of the factors' counts differs"):
         lattice_point_stats.__wrapped__(p, 1)
 
 
 def test_pass_at_k_1_catches_interior_sums_scaled_by_closed_counts(monkeypatch):
     p = qb.hull_from_vertices(QUAD_TRIANGLE)
     monkeypatch.setattr(ehrhart, "_product", interior_sums_by_closed_counts)
-    with pytest.raises(qb.InternalInconsistency, match="product of the factors' counts differs"):
+    with failed_check("ehrhart.product_count", match="product of the factors' counts differs"):
         lattice_point_stats.__wrapped__(p, 1)
 
 
@@ -1161,7 +1164,7 @@ def test_fits_catch_interior_sums_scaled_by_closed_counts_on_the_unit_5_cube(mon
     p = fresh_hull(SCAN_SHAPES["unit 5-cube"])
     monkeypatch.setattr(ehrhart, "_product", interior_sums_by_closed_counts)
     lattice_point_stats.__wrapped__(p, 1)
-    with pytest.raises(qb.InternalInconsistency, match="coordinate-sum polynomial has leading coefficient"):
+    with failed_check("ehrhart.fit_top_coefficients", match="coordinate-sum polynomial has leading coefficient"):
         qb.barycenter_function(p)
 
 

@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 
 import qbary as qb
 from qbary.exactnum import Polynomial, RationalFunction, poly_gcd, rational_from_json, rational_to_json
-from qbary.linalg import solve
-
-from conftest import FIXTURE_NAMES
+from conftest import FIXTURE_NAMES, fraction_solve
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +120,7 @@ def test_poly_fit_matches_the_vandermonde_solve_on_general_abscissae(samples):
     for x, y in samples:
         assert fit(x) == y
     vandermonde = [[x**e for e in range(len(samples))] for x, _ in samples]
-    assert fit == Polynomial.of(solve(vandermonde, [y for _, y in samples]))
+    assert fit == Polynomial.of(fraction_solve(vandermonde, [y for _, y in samples]))
 
 
 def test_polynomial_divmod_exact():

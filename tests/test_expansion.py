@@ -11,7 +11,7 @@ import qbary.expansion
 from qbary.exactnum import Polynomial
 from qbary.linalg import dot
 
-from conftest import apply_map, brute_count, brute_vertex_sum, polytope_and_map
+from conftest import apply_map, brute_count, brute_vertex_sum, failed_check, polytope_and_map
 
 
 def test_quantized_barycenter_f1_figure_values(fixtures):
@@ -55,7 +55,7 @@ def test_a_quantized_barycenter_outside_kp_is_an_inconsistency(monkeypatch, fixt
         assert qb.quantized_barycenter(f1, k).value == (-1, 0)
         for outside in (lambda scale: (-scale - 1, 0), lambda scale: (0, -scale - 1), lambda scale: (5 * scale, 5 * scale)):
             patch(outside)
-            with pytest.raises(qb.InternalInconsistency, match="escaped the polytope"):
+            with failed_check("expansion.barycenter_inside", match="escaped the polytope"):
                 qb.quantized_barycenter(f1, k)
 
 
