@@ -273,6 +273,23 @@ NEGATIVE_LISTS = (
 # mark, which JSON refuses in a text; an empty file; bytes that are not
 # UTF-8; and a directory.
 READ_EDGES = ("crlf-error", "cr-error", "bom", "empty", "not-utf8")
+# Rooftops in dimensions 2 to 6, each written from its base with no hull:
+# over the points 2, -1, 0, 5, 2 of a line, given as a vertex document; over
+# P^2; over cube3 and fano-3-29, at the canonical offset and at a larger
+# one; over [0,1] x [0,2] x 2 Delta_2, whose blocks interleave; and over
+# the unit 5-cube.  Directions are given as --v=..., as argparse reads
+# --v -1,2 as an option.
+ROOFTOPS = (
+    ["rooftop", "--input", document("segment-points"), "--v=-2"],
+    ["rooftop", "--input", document("segment-points"), "--v=3", "--q", "4"],
+    ["rooftop", "--input", "p2", "--v=-1,2"],
+    ["rooftop", "--input", "cube3", "--v=-1,2,1"],
+    ["rooftop", "--input", "cube3", "--v=-1,2,1", "--q", "7"],
+    ["rooftop", "--input", "fano-3-29", "--v=2,-1,1"],
+    ["rooftop", "--input", "fano-3-29", "--v=2,-1,1", "--q", "9"],
+    ["rooftop", "--input", document("box12-triangle2"), "--v=1,-1,0,2"],
+    ["rooftop", "--input", document("cube5"), "--v=1,-1,2,0,1"],
+)
 
 
 def command_lines() -> list[list[str]]:
@@ -385,6 +402,7 @@ def command_lines() -> list[list[str]]:
     for name in READ_EDGES:
         lines.append(["classify", "--input", document(name)])
     lines.append(["classify", "--input", "tests/golden/documents"])
+    lines.extend(list(argv) for argv in ROOFTOPS)
     return lines
 
 
