@@ -24,6 +24,7 @@ lowest degree first.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
@@ -35,6 +36,7 @@ from .linalg import int_value
 Rational = Fraction
 RationalLike = Union[int, Fraction]
 Vector = tuple[Fraction, ...]
+_JSON_RATIONAL = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
 
 
 # ---------------------------------------------------------------------------
@@ -54,17 +56,19 @@ def rational_to_json(q: RationalLike) -> int | str:
 
 
 def rational_from_json(value: object) -> Fraction:
-    """Decode an int or a ``"p/q"`` string into a Fraction."""
-    if isinstance(value, bool) or isinstance(value, float):
-        raise InvalidInput(f"rationals must be integers or 'p/q' strings, got {value!r}")
-    if isinstance(value, int):
+    """Decode what :func:`rational_to_json` writes: an int, or a string ``p``
+    or ``p/q`` of decimal digits, with an optional sign and ``q > 0``.  Any
+    other value is refused, a bool, a float and strings such as ``"1.5"``,
+    ``"1e3"``, ``"1_000"`` or ``" 1"`` that ``Fraction`` would read
+    included."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and _JSON_RATIONAL.fullmatch(value):
         try:
-            return Fraction(value.strip())
+            return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInput(f"cannot parse rational {value!r}") from exc
-    raise InvalidInput(f"cannot parse rational {value!r}")
+    raise InvalidInput(f"rationals must be integers or 'p/q' strings, got {value!r}")
 
 
 def vector_to_json(v: Sequence[RationalLike]) -> list[int | str]:

@@ -39,6 +39,7 @@ from .linalg import IntVec, dot, int_list, int_value
 from .polytope import (
     Halfspace,
     Polytope,
+    _from_faces,
     _measures,
     check_direction,
     classify,
@@ -123,14 +124,14 @@ def rooftop(p: Polytope, direction: Sequence[int], q: int) -> Polytope:
     """The lattice polytope ``{(u, h) : u in P, 0 <= h <= <u, direction> + q}``.
 
     Lives one dimension up; requires ``<u, direction> + q > 0`` on P, i.e.
-    ``q`` strictly above the negated support value.  It is read off P's
-    face lattice, with no hull: the roof stays strictly above the floor, so
-    every bottom copy ``(v, 0)`` and top copy ``(v, <v, direction> + q)`` of
-    a vertex is a vertex.  The facets are each facet of P lifted as
-    ``(normal, 0)`` through both copies of its vertices, the floor
-    ``(0, .., 0, 1)`` with offset 0 through the bottom copies, and the roof
-    ``(direction, -1)`` with offset q through the top copies.  Vertices and
-    facets come sorted, as the hull engine gives them.
+    ``q`` strictly above the negated support value.  It is written from
+    P's face lattice (:func:`qbary.hull._from_faces`), with no hull: the
+    roof stays strictly above the floor, so every bottom copy ``(v, 0)``
+    and top copy ``(v, <v, direction> + q)`` of a vertex is a vertex.  The
+    facets are each facet of P lifted as ``(normal, 0)`` through both
+    copies of its vertices, the floor ``(0, .., 0, 1)`` with offset 0
+    through the bottom copies, and the roof ``(direction, -1)`` with offset
+    q through the top copies.
     """
     d = tuple(int_list(direction))
     if int_value(q, "rooftop offset") + support_value(p, d) <= 0:
@@ -139,23 +140,13 @@ def rooftop(p: Polytope, direction: Sequence[int], q: int) -> Polytope:
         )
     bottom = [v + (0,) for v in p.vertices]
     top = [v + (dot(v, d) + q,) for v in p.vertices]
-    vertices = sorted(bottom + top)
-    index = {v: i for i, v in enumerate(vertices)}
-    down = [index[v] for v in bottom]
-    up = [index[v] for v in top]
     faces = [
-        (Halfspace(f.normal + (0,), f.offset), [down[j] for j in ids] + [up[j] for j in ids])
+        (Halfspace(f.normal + (0,), f.offset), [bottom[j] for j in ids] + [top[j] for j in ids])
         for f, ids in zip(p.facets, p.incidence)
     ]
-    faces.append((Halfspace((0,) * p.dim + (1,), 0), down))
-    faces.append((Halfspace(d + (-1,), q), up))
-    faces.sort(key=lambda face: (face[0].normal, face[0].offset))
-    return Polytope(
-        p.dim + 1,
-        tuple(vertices),
-        tuple(h for h, _ in faces),
-        tuple(tuple(sorted(ids)) for _, ids in faces),
-    )
+    faces.append((Halfspace((0,) * p.dim + (1,), 0), bottom))
+    faces.append((Halfspace(d + (-1,), q), top))
+    return _from_faces(p.dim + 1, faces)
 
 
 def barycenter_function(p: Polytope) -> BarycenterFunction:

@@ -15,25 +15,28 @@ A point is a vertex iff no other input point lies on every facet through
 it: those facets cut out the smallest face holding the point, and a face
 is the hull of the input points on it.
 
-A hull is returned as the :class:`Polytope` it describes: its vertices,
-sorted; its facets in inward form, a primitive integer normal ``v`` and an
-integer offset ``b`` with ``<u, v> >= -b`` on the hull and equality on the
-facet, sorted; and the incidence, each facet's increasing vertex indices.
+A hull is returned as the :class:`Polytope` it describes.  Every polytope
+in qbary, a hull or one written from another, is made by one writer,
+:func:`_from_faces`, from its facets in inward form, a primitive integer
+normal ``v`` and an integer offset ``b`` with ``<u, v> >= -b`` on the
+polytope and equality on the facet, each with the vertices on it.  The
+writer gives the one canonical form that equality and the caches keyed on
+a polytope rely on: the vertices sorted, the facets sorted, and each
+facet's vertex indices increasing.
 
-Two inputs are written down directly, as the polytope the double
-description would give.  In dimension 1 the hull is the segment from the
-least point to the greatest.  In dimension 4 or more, points that are not
-a simplex's vertices are searched for the axes on which they split off as
-a factor (:func:`_blocks`); the other axes form one block.  With two or
-more blocks, each factor's distinct projection is hulled by
-:func:`convex_hull` itself, and the product's vertices are the sorted
-products of the factors' vertices, its facets the factors' facets padded
-with zeros, sorted, each holding the vertices whose component on that
-factor lies on the factor's facet (:func:`_product`).  Dimension 4 is where
-:func:`qbary.polytope._split` starts to measure and count a product
-through its factors; below it, and on a simplex, the search costs more
-than it saves.  A product whose factors all have dimension 2 or more has
-no axis that splits off, and is built whole.
+Two inputs are written down directly, with no double description.  In
+dimension 1 the hull is the segment from the least point to the greatest.
+In dimension 4 or more, points that are not a simplex's vertices are
+searched for the axes on which they split off as a factor
+(:func:`_blocks`); the other axes form one block.  With two or more
+blocks, each factor's distinct projection is hulled by :func:`convex_hull`
+itself, and the product's facets are the factors' facets padded with
+zeros, each holding the products of the factors' vertices whose component
+on that factor lies on the factor's facet (:func:`_product`).  Dimension 4
+is where :func:`qbary.polytope._split` starts to measure and count a
+product through its factors; below it, and on a simplex, the search costs
+more than it saves.  A product whose factors all have dimension 2 or more
+has no axis that splits off, and is built whole.
 
 The same engine serves both directions of Minkowski–Weyl duality: points
 to facets directly, and half-spaces to vertices through the facets at the
@@ -60,7 +63,7 @@ from fractions import Fraction
 from itertools import product
 from math import factorial, gcd
 from operator import itemgetter, mul
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 from .errors import DegenerateInput, InvalidInput, ensure
 from .exactnum import rational_vector
@@ -92,6 +95,19 @@ class Polytope(NamedTuple):
         return all(dot(point, f.normal) > -f.offset for f in self.facets)
 
 
+def _from_faces(dim: int, faces: Iterable[tuple[Halfspace, Collection[IntVec]]]) -> Polytope:
+    """The polytope whose facets are ``faces``, each an inward half-space
+    with the vertices on it, in any order and with repeats, in the one form
+    that equality and every cache keyed on a polytope rely on: its vertices
+    are the distinct points the facets hold, sorted; its facets are sorted
+    by (normal, offset); each facet's vertex indices are increasing."""
+    faces = sorted(faces, key=itemgetter(0))
+    vertices = sorted(set().union(*(on for _, on in faces)))
+    index = {v: i for i, v in enumerate(vertices)}
+    incidence = tuple(tuple(sorted({index[v] for v in on})) for _, on in faces)
+    return Polytope(dim, tuple(vertices), tuple(h for h, _ in faces), incidence)
+
+
 def _point(point: object, dim: int) -> tuple:
     """``point`` as a tuple of ``dim`` entries, each an ``int`` or a
     ``Fraction``; any other length or entry is refused."""
@@ -113,7 +129,7 @@ def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
         if len(pts) == 1:
             raise DegenerateInput("hull of a single point is not full-dimensional")
         (low,), (high,) = pts[0], pts[-1]
-        return Polytope(1, (pts[0], pts[-1]), (Halfspace((-1,), high), Halfspace((1,), -low)), ((1,), (0,)))
+        return _from_faces(1, [(Halfspace((-1,), high), [pts[-1]]), (Halfspace((1,), -low), [pts[0]])])
     base = _initial_simplex(pts, dim)
     if dim >= 4 and len(pts) > dim + 1:
         blocks = _blocks(pts, dim)
@@ -167,22 +183,13 @@ def _double_description(pts: list[IntVec], dim: int, base: list[int]) -> Polytop
     for _, _, z in facets:
         for pid in _ids(z):
             through[pid] = through.get(pid, z) & z
-    # pts is sorted, so the vertices come out sorted too
-    vertex_ids = sorted(pid for pid, z in through.items() if z == 1 << pid)
-    index = {pid: i for i, pid in enumerate(vertex_ids)}
-
-    hull_facets = []
+    vertex_ids = {pid for pid, z in through.items() if z == 1 << pid}
+    faces = []
     for w, c, z in facets:
-        ids = tuple(index[pid] for pid in _ids(z) if pid in index)
-        ensure("hull.facet_vertices", len(ids) >= dim, "facet with too few vertices")
-        hull_facets.append((Halfspace(tuple(-x for x in w), c), ids))
-    hull_facets.sort(key=lambda f: (f[0].normal, f[0].offset))
-    return Polytope(
-        dim,
-        tuple(pts[pid] for pid in vertex_ids),
-        tuple(h for h, _ in hull_facets),
-        tuple(ids for _, ids in hull_facets),
-    )
+        on = [pts[pid] for pid in _ids(z) if pid in vertex_ids]
+        ensure("hull.facet_vertices", len(on) >= dim, "facet with too few vertices")
+        faces.append((Halfspace(tuple(-x for x in w), c), on))
+    return _from_faces(dim, faces)
 
 
 def _initial_simplex(pts: list[IntVec], dim: int) -> list[int]:
@@ -216,27 +223,24 @@ def _blocks(pts: list[IntVec], dim: int) -> list[tuple[int, ...]]:
 
 
 def _product(blocks: list[tuple[int, ...]], factors: list[Polytope]) -> Polytope:
-    """The product of the hulls ``factors``, each on the axes of its block,
-    in the form the double description gives.
+    """The product of the hulls ``factors``, each on the axes of its block.
 
-    Its vertices are the products of the factors' vertices, sorted.  Its
-    facets are the factors' facets padded with zeros, sorted, and each holds
-    the vertices whose component on that factor lies on the factor's facet.
+    Its facets are the factors' facets padded with zeros, and each holds the
+    products of the factors' vertices whose component on that factor lies
+    on the factor's facet.
     """
     axes = sum(blocks, ())
     # the factors' coordinates, joined in block order, back on their axes
     place = itemgetter(*sorted(range(len(axes)), key=axes.__getitem__))
     picks = product(*(range(len(f.vertices)) for f in factors))
-    corners = sorted((place(sum(vs, ())), ids) for ids, vs in zip(picks, product(*(f.vertices for f in factors))))
-    facets, before = [], ()
+    corners = [(place(sum(vs, ())), ids) for ids, vs in zip(picks, product(*(f.vertices for f in factors)))]
+    faces, before = [], ()
     for c, f in enumerate(factors):
         after = (0,) * (len(axes) - len(before) - f.dim)
         for h, on in zip(f.facets, f.incidence):
-            ids = tuple(k for k, (_, at) in enumerate(corners) if at[c] in on)
-            facets.append((Halfspace(place(before + h.normal + after), h.offset), ids))
+            faces.append((Halfspace(place(before + h.normal + after), h.offset), [x for x, ids in corners if ids[c] in on]))
         before += (0,) * f.dim
-    facets.sort()  # by normal, as no two are equal
-    return Polytope(len(axes), tuple(x for x, _ in corners), *zip(*facets))
+    return _from_faces(len(axes), faces)
 
 
 def _primitive(w: IntVec, c: int, z: int) -> tuple[IntVec, int, int]:

@@ -8,9 +8,11 @@ incidence relation.  It is the type the exact hull engine returns
 by construction.  The engine serves both directions: a vertex set is
 hulled directly, and a half-space set takes two hulls, one dimension up
 (Minkowski–Weyl duality), whose facets through the origin also show
-whether the half-spaces bound, and then one of the vertices.  The one
-exception is the rooftop over P (:func:`qbary.expansion.rooftop`), whose
-face lattice is read off P's in closed form.
+whether the half-spaces bound, and then one of the vertices.  Dilates,
+translates, the factors of a product (:func:`_split`) and the rooftop over
+P (:func:`qbary.expansion.rooftop`) are written from P's face lattice with
+no hull, through the same writer as every hull
+(:func:`qbary.hull._from_faces`), which gives them the canonical form.
 
 Measures and the normal fan are read off the incidence relation, which
 holds the whole face lattice; no hull is rebuilt.  One record per
@@ -37,13 +39,13 @@ span that vertex's cone of the normal fan; :func:`classify` reads the
 Delzant condition off them.
 
 Dilates, translates and Minkowski sums take polytopes only, so every
-result is full-dimensional: a dilate scales the vertices and the offsets,
-a translate shifts them, both keep the normals and the incidence, with no
-hull, and a sum is the hull of the vertex sums.  Each refuses an argument
-that is not a ``Polytope``.  A lower-dimensional hull is a :class:`Body`,
-made only by :func:`body_from_points`, which hulls a degenerate point set
-on coordinates on which its differences keep full rank, which its affine
-hull projects onto one to one.
+result is full-dimensional: a dilate and a translate are one affine image
+of P's facets and vertices (:func:`_affine`), with no hull, and a sum is
+the hull of the vertex sums.  Each refuses an argument that is not a
+``Polytope``.  A lower-dimensional hull is a :class:`Body`, made only by
+:func:`body_from_points`, which hulls a degenerate point set on
+coordinates on which its differences keep full rank, which its affine hull
+projects onto one to one.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DegenerateInput, InvalidInput, UnboundedInput, Unsupported, ensure
 from .exactnum import Vector
-from .hull import Halfspace, Polytope, convex_hull, face_moments
+from .hull import Halfspace, Polytope, _from_faces, convex_hull, face_moments
 from .lattice import primitive
 from .linalg import IntVec, dot, independent_rows, int_det, int_list, int_rows, int_value, rank, vec_add, vec_sub
 
@@ -199,38 +201,30 @@ def check_polytopes(*objs: object) -> None:
 
 
 def dilate(p: Polytope, factor: int) -> Polytope:
-    """Integer dilation ``factor * P`` for ``factor >= 1``.
-
-    Scaling by a positive factor keeps the sorted order of the vertices and
-    of the facets, so the vertices and the offsets are scaled and the
-    normals and the incidence kept, with no hull.
-    """
+    """Integer dilation ``factor * P`` for ``factor >= 1`` (:func:`_affine`)."""
     check_polytopes(p)
     if int_value(factor, "dilation factor") < 1:
         raise InvalidInput("dilation factor must be positive")
-    if factor == 1:
-        return p
-    return Polytope(
-        p.dim,
-        tuple(tuple(factor * x for x in v) for v in p.vertices),
-        tuple(Halfspace(f.normal, factor * f.offset) for f in p.facets),
-        p.incidence,
-    )
+    return p if factor == 1 else _affine(p, factor, (0,) * p.dim)
 
 
 def translate(p: Polytope, shift: Sequence[int]) -> Polytope:
-    """Lattice translate ``P + shift``: as in :func:`dilate`, with offsets
-    ``b - <u, shift>``, since a shift keeps the order of the vertices and of
-    the facets, whose normals differ."""
+    """Lattice translate ``P + shift`` (:func:`_affine`)."""
     check_polytopes(p)
     shift = int_list(shift)
     if len(shift) != p.dim:
         raise InvalidInput(f"shift has length {len(shift)}, expected {p.dim}")
-    return Polytope(
+    return _affine(p, 1, shift)
+
+
+def _affine(p: Polytope, scale: int, shift: IntVec) -> Polytope:
+    """The image ``scale * P + shift`` for ``scale >= 1``, with no hull: each
+    vertex v goes to ``scale * v + shift``, and each facet keeps its normal u
+    and its vertices, with offset ``scale * b - <u, shift>``."""
+    image = [tuple(scale * x + t for x, t in zip(v, shift)) for v in p.vertices]
+    return _from_faces(
         p.dim,
-        tuple(vec_add(v, shift) for v in p.vertices),
-        tuple(Halfspace(f.normal, f.offset - dot(f.normal, shift)) for f in p.facets),
-        p.incidence,
+        ((Halfspace(f.normal, scale * f.offset - dot(f.normal, shift)), [image[i] for i in ids]) for f, ids in zip(p.facets, p.incidence)),
     )
 
 
@@ -282,10 +276,10 @@ def _split(p: Polytope) -> Split:
 
     The blocks are the connected components of the axes, two axes joined
     when a facet normal involves both, so P is the product of its
-    projections onto them.  A factor is read off P with no hull: its
-    vertices are the distinct projections of P's vertices, its facets P's
-    facets on its block, at the increasing indices ``facets``, restricted
-    to it, and each holds the projections of its vertices on P's facet.
+    projections onto them.  A factor is written from P with no hull: its
+    facets are P's facets on its block, at the increasing indices
+    ``facets``, restricted to it, and each holds the projections of the
+    vertices of P's facet.
     """
     if p.dim < 4:
         return ()
@@ -305,11 +299,13 @@ def _split(p: Polytope) -> Split:
     for a, facets in on.items():
         block = tuple(i for i, b in enumerate(label) if b == a)
         projected = list(zip(*[columns[i] for i in block]))
-        vertices = sorted(set(projected))
-        ids = [vertices.index(v) for v in projected]
-        halfspaces = tuple(Halfspace(tuple([p.facets[k].normal[i] for i in block]), p.facets[k].offset) for k in facets)
-        incidence = tuple(tuple(sorted({ids[j] for j in p.incidence[k]})) for k in facets)
-        split.append((block, Polytope(len(block), tuple(vertices), halfspaces, incidence), tuple(facets)))
+        # P's facets on one block are sorted by their normals on it, so the
+        # factor's facets come in P's order, that of ``facets``
+        factor = _from_faces(
+            len(block),
+            ((Halfspace(tuple([p.facets[k].normal[i] for i in block]), p.facets[k].offset), [projected[j] for j in p.incidence[k]]) for k in facets),
+        )
+        split.append((block, factor, tuple(facets)))
     return tuple(split)
 
 

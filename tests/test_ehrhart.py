@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import qbary as qb
 import qbary.exactnum
+import qbary.hull
 import qbary.polytope
 from qbary import ehrhart, lattice
 from qbary.cli import execute
@@ -1015,11 +1016,17 @@ def interleave(perm, x):
 @given(interleaved_products())
 def test_products_match_box_scans_and_their_factors(case):
     a, b, perm, p = case
-    assert len(qbary.polytope._split(p)) >= 2
+    split = qbary.polytope._split(p)
+    assert len(split) >= 2
+    # the two product writers are inverses, and each factor is the hull of
+    # P's vertices projected onto its block
+    for block, factor, _ in split:
+        assert factor == qb.hull_from_vertices([tuple(v[i] for i in block) for v in p.vertices])
+    assert qbary.hull._product([block for block, _, _ in split], [factor for _, factor, _ in split]) == p
     assert [lattice_point_stats(p, k) for k in (1, 2)] == [box_scan(p, k) for k in (1, 2)]
     # the factors were counted and measured as polytopes of their own
     misses = lattice_point_stats.cache_info().misses, qbary.polytope._measures.cache_info().misses
-    for _, factor, _ in qbary.polytope._split(p):
+    for _, factor, _ in split:
         lattice_point_stats(factor, 2)
         qbary.polytope._measures(factor)
     assert (lattice_point_stats.cache_info().misses, qbary.polytope._measures.cache_info().misses) == misses

@@ -514,8 +514,19 @@ def test_rational_json_of_bools_decimals_and_whole_fractions(q, printed):
     assert json.dumps(rational_to_json(q)) == printed == json.dumps(fraction_then_format(q))
 
 
-def test_rational_json_rejects_floats():
+@pytest.mark.parametrize(
+    "value",
+    [0.5, 1.5, True, None, [1], "not-a-number", "1.5", "1e3", "1_000", " 1", "1 ", "1\n", "3/-4", "/3", "3/", "", "\u0663", "3/0", "-3/00"],
+    ids=repr,
+)
+def test_rational_json_refuses_what_it_never_writes(value):
+    # Fraction would read "1.5", "1e3", "1_000" and " 1", but the encoder
+    # writes none of them
     with pytest.raises(qb.InvalidInput):
-        rational_from_json(0.5)
-    with pytest.raises(qb.InvalidInput):
-        rational_from_json("not-a-number")
+        rational_from_json(value)
+
+
+@pytest.mark.parametrize("text, q", [("7", F(7)), ("-7", F(-7)), ("+7", F(7)), ("-3/4", F(-3, 4)), ("6/4", F(3, 2)), ("0/5", F(0))])
+def test_rational_json_reads_signed_digit_strings(text, q):
+    assert rational_from_json(text) == q
+    assert rational_from_json(rational_to_json(q)) == q

@@ -1,13 +1,16 @@
-"""``hull.convex_hull`` against a brute-force facet enumerator."""
+"""``hull.convex_hull`` against a brute-force facet enumerator, and the one
+writer of every ``Polytope``."""
 
 from __future__ import annotations
 
+import ast
 import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,7 @@ import qbary.hull
 import qbary.linalg
 from qbary.hull import convex_hull
 
-from conftest import brute_hull, count_hulls, failed_check, fraction_rank
+from conftest import FIXTURE_NAMES, brute_hull, count_hulls, failed_check, fraction_rank, random_corpus
 
 # the most points a case may have in each dimension: the oracle tries
 # every dim-subset of them
@@ -296,3 +299,51 @@ def test_the_dimension_cap_refuses_before_any_hull(monkeypatch):
     with pytest.raises(qb.Unsupported, match="dimension 8 above the configured cap 7"):
         qb.hull_from_vertices(simplex8)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the one writer of a Polytope
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "qbary").glob("*.py"))
+
+
+def constructions(tree: ast.AST) -> list[ast.Call]:
+    """The calls ``Polytope(...)`` and ``<module>.Polytope(...)`` in ``tree``."""
+    return [
+        n
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and "Polytope" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+    ]
+
+
+def test_a_polytope_is_constructed_only_by_the_writer():
+    built = {path.stem: len(constructions(ast.parse(path.read_text()))) for path in SOURCES}
+    assert {module: n for module, n in built.items() if n} == {"hull": 1}
+    tree = ast.parse(next(path for path in SOURCES if path.stem == "hull").read_text())
+    (writer,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_from_faces"]
+    assert len(constructions(writer)) == 1
+
+
+# fixtures, the 2-D and 3-D corpus, a simplex, and products whose factors
+# are written by the writer: the unit 5-cube, and [0,1]^2 x QUAD
+WRITTEN = [
+    *(qb.load_fixture(name) for name in FIXTURE_NAMES),
+    *random_corpus(),
+    convex_hull([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
+    convex_hull(product((0, 1), repeat=5)),
+    convex_hull([(a, b, *q) for a, b in product((0, 1), repeat=2) for q in QUAD]),
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(WRITTEN), st.randoms(use_true_random=False))
+def test_the_writer_gives_one_form_whatever_the_order_of_its_faces(p, rng):
+    faces = []
+    for f, ids in zip(p.facets, p.incidence):
+        on = [p.vertices[i] for i in ids]
+        on += rng.choices(on, k=rng.randint(0, len(on)))
+        rng.shuffle(on)
+        faces.append((f, on))
+    rng.shuffle(faces)
+    written = qbary.hull._from_faces(p.dim, faces)
+    assert type(written) is qb.Polytope and written == p
